@@ -51,7 +51,7 @@ from .kam import (
     state_to_json,
 )
 from .space_kam import SpaceRun
-from .terms import Abs, App, Term, Var, free_vars, parse_term, print_term
+from .terms import Abs, App, Term, Var, parse_term, print_term
 from .types import (
     Arrow,
     ClosureMulti,
@@ -215,7 +215,7 @@ def _term_node(d, err, mode) -> bool:
         if type(m) is not want:
             err(f"context image of {x} has the wrong grammar for mode {mode}")
             return False
-    fv = free_vars(c.subject)
+    fv = c.subject.fv
     dom = c.context.domain()
     if mode == "kam":
         if not dom <= fv:

@@ -33,13 +33,21 @@ from .space_kam import run_trace_rows as skam_trace_rows
 from .terms import ParseError, parse_term, print_term, whnf_eval
 
 
+def _read_input(path: str) -> str:
+    """The text of path, or of stdin for '-'; unreadable input is a usage error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as ex:
+        raise click.UsageError(f"cannot read {path}: {ex}")
+
+
 def _load_term(term: str | None, path: str | None):
     if (term is None) == (path is None):
         raise click.UsageError("give a term inline or with --file, not both or neither")
-    if path is not None:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    else:
-        text = term
+    text = term if path is None else _read_input(path)
     try:
         return parse_term(text)
     except ParseError as ex:
@@ -205,7 +213,7 @@ def infer_cmd(term, path, mode, out, pretty, fuel):
 @click.option("--full-scan", is_flag=True, help="report every failing node, not just the first")
 def check_cmd(path, mode, full_scan):
     """Validate a derivation JSON file ('-' for stdin)."""
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = _read_input(path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as ex:

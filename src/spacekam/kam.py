@@ -18,9 +18,9 @@ closed terms that is the only way a run ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .terms import Abs, App, Term, Var, free_vars, print_term, subst
+from .terms import Abs, App, Term, Var, print_term, subst
 
 
 class OpenTerm(Exception):
@@ -32,10 +32,30 @@ class StuckState(Exception):
     closed term."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Closure:
     code: Term
     env: "Env"
+    _size: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def size(self) -> int:
+        """Pointer count: 1 plus the sizes of the closures in env.
+
+        Worked out on first use, not at construction, and cached on
+        every closure the walk visits, so a closure shared by many
+        states is walked once.  The walk is iterative: nesting depth is
+        not limited by the interpreter's recursion limit."""
+        work = [self] if self._size is None else []
+        while work:
+            c = work[-1]
+            todo = [d for _, d in c.env if d._size is None]
+            if todo:
+                work.extend(todo)
+            else:
+                work.pop()
+                object.__setattr__(c, "_size", 1 + sum(d._size for _, d in c.env))
+        return self._size
 
 
 # association list, most recent binding first
@@ -45,7 +65,7 @@ Stack = tuple[Closure, ...]
 EMPTY_ENV: Env = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MachState:
     code: Term
     env: Env
@@ -66,7 +86,7 @@ LABEL_SUB = "sub"
 KAM_LABELS = (LABEL_SEA, LABEL_BETA, LABEL_SUB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run:
     """A recorded run: the initial state, one (label, state) pair per
     transition, whether a final state was reached within fuel, and the
@@ -91,9 +111,8 @@ class Run:
 
 def compile(t: Term) -> MachState:
     """Initial state for a closed term: empty environment and stack."""
-    fv = free_vars(t)
-    if fv:
-        raise OpenTerm(f"term has free variables: {', '.join(sorted(fv))}")
+    if t.fv:
+        raise OpenTerm(f"term has free variables: {', '.join(sorted(t.fv))}")
     return MachState(t, (), ())
 
 

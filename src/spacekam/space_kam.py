@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kam import Closure, Env, MachState, Stack, env_lookup, state_to_json
-from .terms import Abs, App, Term, Var, free_vars, print_term
+from .terms import Abs, App, Term, Var, print_term
 
 
 class InvariantViolation(Exception):
@@ -61,15 +61,15 @@ def env_restrict(e: Env, names: frozenset[str]) -> Env:
 
 
 def size_env(e: Env) -> int:
-    return sum(1 + size_env(c.env) for _, c in e)
+    return sum(c.size for _, c in e)
 
 
 def size_closure(c: Closure) -> int:
-    return 1 + size_env(c.env)
+    return c.size
 
 
 def state_size(s: MachState) -> int:
-    return size_env(s.env) + sum(size_closure(c) for c in s.stack)
+    return size_env(s.env) + sum(c.size for c in s.stack)
 
 
 def _dom(e: Env) -> set[str]:
@@ -79,7 +79,7 @@ def _dom(e: Env) -> set[str]:
 def skam_step(s: MachState) -> tuple[str, MachState] | None:
     """One transition, or None when s is final."""
     t, e, stack = s.code, s.env, s.stack
-    fv = free_vars(t)
+    fv = t.fv
     if _dom(e) != fv:
         raise InvariantViolation(
             f"environment domain {sorted(_dom(e))} differs from "
@@ -87,18 +87,18 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
         )
     if type(t) is App:
         fun, arg = t.fun, t.arg
-        fun_env = env_restrict(e, free_vars(fun))
+        fun_env = env_restrict(e, fun.fv)
         if type(arg) is Var:
             c = env_lookup(e, arg.name)
             assert c is not None  # arg.name is in fv, hence in dom(e)
             return LABEL_SEA_V, MachState(fun, fun_env, (c,) + stack)
-        c = Closure(arg, env_restrict(e, free_vars(arg)))
+        c = Closure(arg, env_restrict(e, arg.fv))
         return LABEL_SEA_NV, MachState(fun, fun_env, (c,) + stack)
     if type(t) is Abs:
         if not stack:
             return None
         c = stack[0]
-        if t.binder in free_vars(t.body):
+        if t.binder in t.body.fv:
             return LABEL_BETA_NW, MachState(t.body, ((t.binder, c),) + e, stack[1:])
         return LABEL_BETA_W, MachState(t.body, e, stack[1:])
     # variable: its environment must be the one binding and nothing else
@@ -137,26 +137,15 @@ def skam_run(s: MachState, fuel: int) -> SpaceRun:
 
     Both measures include the initial state; time also includes the
     final state when it is reached.  Stack size is maintained
-    incrementally and closure sizes are memoized per run, since states
-    share closures, so a step costs O(|env|) rather than O(state size).
+    incrementally, and states share closures that cache their own
+    sizes (Closure.size), so a step costs O(|env|) rather than O(state
+    size).
     """
-    sizes: dict[int, int] = {}  # id(closure) -> size; trace keeps them alive
-
-    def csize(c: Closure) -> int:
-        got = sizes.get(id(c))
-        if got is None:
-            got = 1 + sum(csize(d) for _, d in c.env)
-            sizes[id(c)] = got
-        return got
-
-    def esize(e: Env) -> int:
-        return sum(csize(c) for _, c in e)
-
     trace: list[tuple[str, MachState]] = []
     counts = {label: 0 for label in SKAM_LABELS}
     cur = s
-    stack_sz = sum(csize(c) for c in s.stack)
-    sz = esize(s.env) + stack_sz
+    stack_sz = sum(c.size for c in s.stack)
+    sz = size_env(s.env) + stack_sz
     space = sz
     time = sz
     final = False
@@ -167,13 +156,13 @@ def skam_run(s: MachState, fuel: int) -> SpaceRun:
             break
         label, nxt = step
         if label in (LABEL_SEA_V, LABEL_SEA_NV):
-            stack_sz += csize(nxt.stack[0])
+            stack_sz += nxt.stack[0].size
         elif label in (LABEL_BETA_W, LABEL_BETA_NW):
-            stack_sz -= csize(cur.stack[0])
+            stack_sz -= cur.stack[0].size
         counts[label] += 1
         trace.append((label, nxt))
         cur = nxt
-        sz = esize(cur.env) + stack_sz
+        sz = size_env(cur.env) + stack_sz
         if sz > space:
             space = sz
         time += sz
@@ -184,15 +173,13 @@ def skam_run(s: MachState, fuel: int) -> SpaceRun:
 
 def check_env_domain_invariant(s: MachState) -> bool:
     """dom(env) = fv(code) for the state and inside every closure."""
-
-    def closure_ok(c: Closure) -> bool:
-        if _dom(c.env) != free_vars(c.code):
+    work = [Closure(s.code, s.env), *s.stack]
+    while work:
+        c = work.pop()
+        if _dom(c.env) != c.code.fv:
             return False
-        return all(closure_ok(d) for _, d in c.env)
-
-    return closure_ok(Closure(s.code, s.env)) and all(
-        closure_ok(c) for c in s.stack
-    )
+        work.extend(d for _, d in c.env)
+    return True
 
 
 def run_trace_rows(run: SpaceRun):

@@ -5,15 +5,19 @@ name-sensitive; alpha_eq compares up to renaming of bound variables.
 Concrete syntax accepts '\\' or 'λ' for binders, '--' line comments,
 and identifiers over letters, digits, underscore and prime.
 
+Every node stores its free variables in fv, set bottom-up when the node
+is built; a node whose free variables equal a child's shares that
+child's frozenset.  fv takes no part in ==, hash or repr.
+
 Long reduction sequences produce deeply nested terms, so the traversals
-here (free variables, substitution, printing, alpha equality) use
-explicit stacks rather than recursion.
+here (substitution, printing, alpha equality) use explicit stacks
+rather than recursion.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 
@@ -29,21 +33,38 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    fv: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", frozenset((self.name,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs:
     binder: str
     body: "Term"
+    fv: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        fv = self.body.fv
+        if self.binder in fv:
+            fv = fv - {self.binder}
+        object.__setattr__(self, "fv", fv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fun: "Term"
     arg: "Term"
+    fv: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        f, a = self.fun.fv, self.arg.fv
+        fv = f if a <= f else a if f <= a else f | a
+        object.__setattr__(self, "fv", fv)
 
 
 Term = Union[Var, Abs, App]
@@ -104,6 +125,7 @@ def parse_term(text: str) -> Term:
     toks = _tokenize(text)
     eof = _byte_offset(text, len(text))
     pos = 0
+    occurrences: dict[str, Var] = {}  # one shared node per name
 
     def peek():
         return toks[pos] if pos < len(toks) else None
@@ -153,7 +175,10 @@ def parse_term(text: str) -> Term:
             fail("expected a term, found end of input", None)
         if tok[0] == "ident":
             pos += 1
-            return Var(tok[1])
+            v = occurrences.get(tok[1])
+            if v is None:
+                v = occurrences[tok[1]] = Var(tok[1])
+            return v
         if tok[0] == "lpar":
             pos += 1
             t = term()
@@ -206,25 +231,7 @@ def print_term(t: Term) -> str:
 # variables and substitution
 
 def free_vars(t: Term) -> frozenset[str]:
-    free = set()
-    bound: dict[str, int] = {}
-    work: list[tuple[str, object]] = [("t", t)]
-    while work:
-        tag, x = work.pop()
-        if tag == "t":
-            if type(x) is Var:
-                if bound.get(x.name, 0) == 0:
-                    free.add(x.name)
-            elif type(x) is App:
-                work.append(("t", x.fun))
-                work.append(("t", x.arg))
-            else:
-                bound[x.binder] = bound.get(x.binder, 0) + 1
-                work.append(("x", x.binder))  # scope exit marker
-                work.append(("t", x.body))
-        else:
-            bound[x] -= 1
-    return frozenset(free)
+    return t.fv
 
 
 def all_vars(t: Term) -> frozenset[str]:
@@ -272,31 +279,7 @@ def _fresh(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 def subst(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding t{x := u}; binders clashing with fv(u) are renamed."""
-    return _subst_sim(t, {x: u}, free_vars(u))
-
-
-def _any_free(t: Term, names) -> bool:
-    """Does any of names occur free in t?  Early exit on the first hit."""
-    if not names:
-        return False
-    bound: dict[str, int] = {}
-    work: list[tuple[str, object]] = [("t", t)]
-    while work:
-        tag, node = work.pop()
-        if tag == "x":
-            bound[node] -= 1
-            continue
-        if type(node) is Var:
-            if node.name in names and not bound.get(node.name):
-                return True
-        elif type(node) is App:
-            work.append(("t", node.arg))
-            work.append(("t", node.fun))
-        else:
-            bound[node.binder] = bound.get(node.binder, 0) + 1
-            work.append(("x", node.binder))
-            work.append(("t", node.body))
-    return False
+    return _subst_sim(t, {x: u}, u.fv)
 
 
 def _subst_sim(t: Term, sigma: dict[str, Term], avoid: frozenset[str]) -> Term:
@@ -309,7 +292,7 @@ def _subst_sim(t: Term, sigma: dict[str, Term], avoid: frozenset[str]) -> Term:
             node, sg = a, b
             # untouched subtrees are reused, not copied, so binders are
             # only ever renamed under a live capture threat
-            if not _any_free(node, sg):
+            if sg.keys().isdisjoint(node.fv):
                 out.append(node)
                 continue
             if type(node) is Var:
@@ -397,7 +380,7 @@ def whnf_step(t: Term) -> Term | None:
     return reduced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhnfResult:
     result: Term
     steps: int

@@ -59,6 +59,24 @@ def test_term_from_file_and_stdin(runner, tmp_path):
     assert res.exit_code == 0 and res.output.splitlines()[0] == r"\x.x"
 
 
+def test_unreadable_input_file_is_usage_error(runner, tmp_path):
+    binary = tmp_path / "t.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    missing = str(tmp_path / "missing")
+    for args in (
+        ["eval", "--file", missing],
+        ["infer", "--file", str(tmp_path)],
+        ["eval", "--file", str(binary)],
+        ["check", missing],
+        ["check", str(tmp_path)],
+        ["check", str(binary)],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "cannot read" in res.stderr
+
+
 # ---------------------------------------------------------------- machines
 
 def test_kam_summary(runner):

@@ -15,7 +15,7 @@ from spacekam.space_kam import (
     skam_step,
     state_size,
 )
-from spacekam.terms import Abs, alpha_eq, free_vars, parse_term
+from spacekam.terms import Abs, Var, alpha_eq, free_vars, parse_term
 
 
 IDENT = parse_term(r"\a.a")
@@ -40,6 +40,19 @@ def test_size_nested_closure():
 def test_state_size_sums_env_and_stack():
     s = MachState(parse_term("x"), (("x", I_CL),), (I_CL,))
     assert state_size(s) == 2
+
+
+def nested_closure(depth):
+    c = I_CL
+    for _ in range(depth):
+        c = Closure(Var("x"), (("x", c),))
+    return c
+
+
+def test_sizes_of_deeply_nested_closures():
+    assert size_closure(nested_closure(20000)) == 20001
+    c = nested_closure(20000)
+    assert state_size(MachState(Var("x"), (("x", c),), (c, I_CL))) == 40003
 
 
 def test_initial_state_has_size_zero(example_term):

@@ -123,6 +123,16 @@ def test_free_vars_closed():
     assert free_vars(parse_term(r"\x.\y.x")) == set()
 
 
+def test_stored_fv_takes_no_part_in_equality_hash_or_repr():
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(parse_term(r"\x.x y")) == (
+        "Abs(binder='x', body=App(fun=Var(name='x'), arg=Var(name='y')))"
+    )
+    bogus = Var("x")
+    object.__setattr__(bogus, "fv", frozenset())
+    assert bogus == Var("x") and hash(bogus) == hash(Var("x"))
+
+
 def test_all_vars_includes_binders():
     t = parse_term(r"\x.y")
     assert all_vars(t) == {"x", "y"}
@@ -232,6 +242,38 @@ def terms(depth=4):
 @settings(max_examples=200)
 def test_print_parse_roundtrip(t):
     assert parse_term(print_term(t)) == t
+
+
+def reference_free_vars(t):
+    """fv(t) by a walk that carries the names bound above each node."""
+    free = set()
+    work = [(t, frozenset())]
+    while work:
+        x, bound = work.pop()
+        if type(x) is Var:
+            if x.name not in bound:
+                free.add(x.name)
+        elif type(x) is App:
+            work += [(x.fun, bound), (x.arg, bound)]
+        else:
+            work.append((x.body, bound | {x.binder}))
+    return free
+
+
+@given(terms(), names, terms())
+@settings(max_examples=200)
+def test_stored_fv_matches_the_reference_walk(t, x, u):
+    built = [t, parse_term(print_term(t)), subst(t, x, u)]
+    built += [r for r in (whnf_step(t), whnf_step(App(t, u))) if r is not None]
+    for root in built:
+        work = [root]
+        while work:
+            node = work.pop()
+            assert node.fv == reference_free_vars(node)
+            if type(node) is App:
+                work += [node.fun, node.arg]
+            elif type(node) is Abs:
+                work.append(node.body)
 
 
 @given(terms(), names, terms())
