@@ -74,7 +74,6 @@ from .types import (
     multi_to_json,
     size_context,
     size_linear,
-    type_key,
 )
 
 R_VAR = "TVar"
@@ -365,7 +364,7 @@ def _check_tmany(d, err, mode):
         except NotSummable as ex:
             err(f"premise contexts are not summable: {ex}")
             return
-    if tuple(sorted(elems, key=type_key)) != c.assigned.elems:
+    if ClosureMulti(elems, c.assigned.index) is not c.assigned:
         err(
             f"premise types do not assemble the multi "
             f"{format_multi(c.assigned)}"
@@ -693,7 +692,7 @@ def _check_dc_tapp(d, err, mode):
             return
         elems.append(p.assigned)
         ctx = dc_context_union(ctx, p.context)
-    if tuple(sorted(elems, key=type_key)) != pf.assigned.arg.elems:
+    if MultiType(elems) is not pf.assigned.arg:
         err(
             f"argument premises do not assemble the arrow source "
             f"{format_multi(pf.assigned.arg)}"
@@ -933,9 +932,7 @@ def derivation_to_json(d: Derivation) -> dict:
 def _subject_from_json(kind, obj, where):
     try:
         if kind == KIND_TERM:
-            if not isinstance(obj, str):
-                raise ValueError("term subject must be a string")
-            return parse_term(obj)
+            return _code_from_json(obj)
         if kind == KIND_ENV:
             return _env_from_json(obj)
         if kind == KIND_CLOSURE:
@@ -943,8 +940,10 @@ def _subject_from_json(kind, obj, where):
         if kind == KIND_STATE:
             if not isinstance(obj, dict) or set(obj) != {"code", "env", "stack"}:
                 raise ValueError("state subject must have code, env and stack")
+            if not isinstance(obj["stack"], list):
+                raise ValueError("state stack must be a list of closures")
             return MachState(
-                parse_term(obj["code"]),
+                _code_from_json(obj["code"]),
                 _env_from_json(obj["env"]),
                 tuple(_closure_from_json(c) for c in obj["stack"]),
             )
@@ -953,10 +952,16 @@ def _subject_from_json(kind, obj, where):
     raise ValueError(f"{where}: unknown subject kind {kind!r}")
 
 
+def _code_from_json(obj):
+    if not isinstance(obj, str):
+        raise ValueError(f"code must be a term string: {obj!r}")
+    return parse_term(obj)
+
+
 def _closure_from_json(obj):
     if not isinstance(obj, dict) or set(obj) != {"code", "env"}:
         raise ValueError("closure must have code and env")
-    return Closure(parse_term(obj["code"]), _env_from_json(obj["env"]))
+    return Closure(_code_from_json(obj["code"]), _env_from_json(obj["env"]))
 
 
 def _env_from_json(obj):
@@ -1001,7 +1006,7 @@ def derivation_from_json(obj, _where="root") -> Derivation:
     if missing:
         raise ValueError(f"{_where}: derivation lacks {sorted(missing)}")
     rule = obj["rule"]
-    if rule not in MACHINE_RULES and rule not in DC_RULES:
+    if not isinstance(rule, str) or (rule not in MACHINE_RULES and rule not in DC_RULES):
         raise ValueError(f"{_where}: unknown rule {rule!r}")
     conclusion = judgment_from_json(obj["judgment"], _where)
     if not isinstance(obj["premises"], list):

@@ -6,17 +6,31 @@ is a multi set of linear types carrying a positive index, the size of
 any closure the multi can type.  The plain one types terms against the
 Krivine machine: same shape, no index.
 
-Multi sets are kept as tuples sorted under a total structural order, so
-structural equality of the dataclasses is multiset equality.  A context
-maps variables to multis and is kept sorted by name.  Contexts are
-summable when their indices agree on shared variables; the union then
-joins the multisets.  Note the difference between a variable missing
-from a context and one mapped to an empty multi: only the latter
-contributes its index to the context size.
+Types are hash-consed (Filliatre and Conchon, "Type-Safe Modular
+Hash-Consing", 2006): constructing a type first looks it up in one
+table keyed on its class, its index and its children, which are
+interned already, so equal types are one object and `==` and `hash`
+are identity.  The table holds its types weakly; a type dies with the
+last derivation that uses it.  Each type stores its structural order
+key, built once from its children's stored keys: `(0,)` for the ground
+type, `(1, k, elem_keys, res_key)` for an indexed arrow and
+`(2, elem_keys, res_key)` for a plain one, where a multi's own key is
+its `elem_keys`.  Multi sets are tuples sorted under that key, so the
+canonical order, and with it every JSON file, does not depend on the
+order of creation.  Types are immutable.
+
+A context maps variables to multis and is kept sorted by name.
+Contexts are summable when their indices agree on shared variables;
+the union then joins the multisets.  Note the difference between a
+variable missing from a context and one mapped to an empty multi: only
+the latter contributes its index to the context size.
 """
 
 from __future__ import annotations
 
+import operator
+import threading
+import weakref
 from dataclasses import dataclass
 
 
@@ -28,76 +42,125 @@ class BadSplit(Exception):
     """The claimed parts do not rebuild the whole multiset."""
 
 
-@dataclass(frozen=True)
-class Star:
+# the intern table: (class, index, children) -> the one type built from them
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.RLock()
+_key = operator.attrgetter("key")
+
+
+class _Type:
+    """An interned, immutable type.  A subclass lists its fields in
+    __slots__ in the order its constructor takes them."""
+
+    __slots__ = ("key", "__weakref__")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in type(self).__slots__))
+
     def __repr__(self):
-        return "Star()"
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _store(table_key, cls, **fields):
+    """Build a type from its fields and enter it under table_key, unless
+    another thread has entered one since the caller looked."""
+    with _TABLE_LOCK:
+        a = _TABLE.get(table_key)
+        if a is None:
+            a = object.__new__(cls)
+            for name, value in fields.items():
+                object.__setattr__(a, name, value)
+            _TABLE[table_key] = a
+    return a
+
+
+class Star(_Type):
+    """The ground type *; there is one."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return _TABLE.get((cls,)) or _store((cls,), cls, key=(0,))
 
 
 STAR = Star()
 
 
-@dataclass(frozen=True)
-class ClosureMulti:
+def _sorted_elems(elems, allowed, complaint):
+    es = tuple(elems)
+    if not allowed.issuperset(map(type, es)):
+        bad = next(a for a in es if type(a) not in allowed)
+        raise TypeError(f"{complaint}: {bad!r}")
+    return tuple(sorted(es, key=_key)) if len(es) > 1 else es
+
+
+class ClosureMulti(_Type):
     """An indexed multi set [A1, ..., An]^k with k > 0, n >= 0."""
 
-    elems: tuple = ()
-    index: int = 1
+    __slots__ = ("elems", "index")
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"multi type index must be positive, got {self.index}")
-        for a in self.elems:
-            if not isinstance(a, (Star, Arrow)):
-                raise TypeError(f"indexed multi over a non-indexed element: {a!r}")
-        object.__setattr__(self, "elems", tuple(sorted(self.elems, key=type_key)))
-
-
-@dataclass(frozen=True)
-class Arrow:
-    arg: ClosureMulti
-    res: "Star | Arrow"
-
-    def __post_init__(self):
-        if type(self.arg) is not ClosureMulti:
-            raise TypeError(f"indexed arrow needs an indexed source: {self.arg!r}")
-        if not isinstance(self.res, (Star, Arrow)):
-            raise TypeError(f"indexed arrow needs an indexed target: {self.res!r}")
+    def __new__(cls, elems=(), index=1):
+        index = operator.index(index)  # True and 1.0 would share 1's entry
+        if index < 1:
+            raise ValueError(f"multi type index must be positive, got {index}")
+        es = _sorted_elems(elems, _INDEXED, "indexed multi over a non-indexed element")
+        tk = (cls, index, es)
+        return _TABLE.get(tk) or _store(
+            tk, cls, elems=es, index=index, key=tuple(a.key for a in es)
+        )
 
 
-@dataclass(frozen=True)
-class MultiType:
+class Arrow(_Type):
+    __slots__ = ("arg", "res")
+
+    def __new__(cls, arg, res):
+        if type(arg) is not ClosureMulti:
+            raise TypeError(f"indexed arrow needs an indexed source: {arg!r}")
+        if not isinstance(res, (Star, Arrow)):
+            raise TypeError(f"indexed arrow needs an indexed target: {res!r}")
+        tk = (cls, arg, res)
+        return _TABLE.get(tk) or _store(
+            tk, cls, arg=arg, res=res, key=(1, arg.index, arg.key, res.key)
+        )
+
+
+class MultiType(_Type):
     """A plain multi set [A1, ..., An], the de Carvalho flavor."""
 
-    elems: tuple = ()
+    __slots__ = ("elems",)
 
-    def __post_init__(self):
-        for a in self.elems:
-            if not isinstance(a, (Star, DCArrow)):
-                raise TypeError(f"plain multi over an indexed element: {a!r}")
-        object.__setattr__(self, "elems", tuple(sorted(self.elems, key=type_key)))
+    def __new__(cls, elems=()):
+        es = _sorted_elems(elems, _PLAIN, "plain multi over an indexed element")
+        tk = (cls, es)
+        return _TABLE.get(tk) or _store(tk, cls, elems=es, key=tuple(a.key for a in es))
 
 
-@dataclass(frozen=True)
-class DCArrow:
-    arg: MultiType
-    res: "Star | DCArrow"
+class DCArrow(_Type):
+    __slots__ = ("arg", "res")
 
-    def __post_init__(self):
-        if type(self.arg) is not MultiType:
-            raise TypeError(f"plain arrow needs a plain source: {self.arg!r}")
-        if not isinstance(self.res, (Star, DCArrow)):
-            raise TypeError(f"plain arrow needs a plain target: {self.res!r}")
+    def __new__(cls, arg, res):
+        if type(arg) is not MultiType:
+            raise TypeError(f"plain arrow needs a plain source: {arg!r}")
+        if not isinstance(res, (Star, DCArrow)):
+            raise TypeError(f"plain arrow needs a plain target: {res!r}")
+        tk = (cls, arg, res)
+        return _TABLE.get(tk) or _store(tk, cls, arg=arg, res=res, key=(2, arg.key, res.key))
+
+
+_INDEXED = frozenset({Star, Arrow})
+_PLAIN = frozenset({Star, DCArrow})
 
 
 def type_key(a) -> tuple:
     """Total order on types of either grammar, for canonical sorting."""
-    if type(a) is Star:
-        return (0,)
-    if type(a) is Arrow:
-        return (1, a.arg.index, tuple(type_key(b) for b in a.arg.elems), type_key(a.res))
-    if type(a) is DCArrow:
-        return (2, tuple(type_key(b) for b in a.arg.elems), type_key(a.res))
+    if isinstance(a, (Star, Arrow, DCArrow)):
+        return a.key
     raise TypeError(f"not a type: {a!r}")
 
 
@@ -277,24 +340,29 @@ def linear_from_json(obj):
     if isinstance(obj, dict) and set(obj) == {"arg", "res"}:
         arg = multi_from_json(obj["arg"])
         res = linear_from_json(obj["res"])
-        return Arrow(arg, res) if type(arg) is ClosureMulti else DCArrow(arg, res)
+        try:
+            return Arrow(arg, res) if type(arg) is ClosureMulti else DCArrow(arg, res)
+        except TypeError as ex:  # a target of the other grammar
+            raise ValueError(str(ex)) from None
     raise ValueError(f"not a linear type: {obj!r}")
 
 
 def multi_from_json(obj):
-    if not isinstance(obj, dict) or "elems" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("elems"), list):
         raise ValueError(f"not a multi type: {obj!r}")
-    elems = tuple(linear_from_json(a) for a in obj["elems"])
-    if "k" in obj:
-        if set(obj) != {"elems", "k"}:
-            raise ValueError(f"not a multi type: {obj!r}")
+    if set(obj) == {"elems"}:
+        k = None
+    elif set(obj) == {"elems", "k"}:
         k = obj["k"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"multi type index must be a positive integer: {k!r}")
-        return ClosureMulti(elems, k)
-    if set(obj) != {"elems"}:
+    else:
         raise ValueError(f"not a multi type: {obj!r}")
-    return MultiType(elems)
+    elems = tuple(linear_from_json(a) for a in obj["elems"])
+    try:
+        return MultiType(elems) if k is None else ClosureMulti(elems, k)
+    except TypeError as ex:  # elements of the other grammar
+        raise ValueError(str(ex)) from None
 
 
 def context_to_json(g: TypeContext) -> dict:

@@ -234,11 +234,34 @@ def test_check_rejects_non_json(runner, tmp_path):
     assert "not JSON" in res.stderr
 
 
-def test_check_rejects_malformed_derivations(runner, tmp_path):
+PLAIN_ARROW = {"arg": {"elems": []}, "res": "*"}
+
+
+def _leaf(**judgment):
+    j = {"subject_kind": "term", "subject": r"\a.a", "context": {}, "type": "*", "weight": 0}
+    return {"rule": "TLamStar", "judgment": {**j, **judgment}, "premises": []}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rule": "TVar"},
+        {**_leaf(), "rule": []},
+        _leaf(type={"arg": {"elems": [], "k": 1}, "res": PLAIN_ARROW}),
+        _leaf(context={"x": {"elems": [PLAIN_ARROW], "k": 1}}),
+        _leaf(type={"elems": 5, "k": 1}),
+        _leaf(subject_kind="state", subject={"code": r"\a.a", "env": [], "stack": 5}),
+        _leaf(subject_kind="state", subject={"code": 5, "env": [], "stack": []}),
+    ],
+    ids=["no-judgment", "rule-list", "mixed-arrow", "mixed-context",
+         "elems-int", "stack-int", "code-int"],
+)
+def test_check_rejects_malformed_derivations(runner, tmp_path, obj):
     f = tmp_path / "shape.json"
-    f.write_text(json.dumps({"rule": "TVar"}))
+    f.write_text(json.dumps(obj))
     res = runner.invoke(main, ["check", str(f)])
-    assert res.exit_code == 2
+    assert res.exit_code == 2, res.exception
+    assert res.stderr.splitlines()[-1].startswith("Error: root")
 
 
 # ---------------------------------------------------------------- verify / fuzz

@@ -22,6 +22,15 @@ CHECK_NAMES = [
 ]
 
 
+def test_verify_passes_on_a_term_whose_derivations_share_many_types():
+    # generator seed 9180 gives an 864-transition run whose multis repeat
+    # large subtypes; re-sorting them by a recursive key took about 20 s
+    rep = verify(random_closed_term(9180, 25), 2000)
+    assert rep.complete
+    assert [name for name, _ in rep.checks] == CHECK_NAMES
+    assert rep.all_pass, rep.checks
+
+
 def test_verify_the_example(example_term):
     rep = verify(example_term, 100)
     assert rep.complete and rep.all_pass

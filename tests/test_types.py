@@ -1,3 +1,7 @@
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +14,7 @@ from spacekam.types import (
     DCArrow,
     MultiType,
     NotSummable,
+    Star,
     TypeContext,
     context_from_json,
     context_to_json,
@@ -29,6 +34,7 @@ from spacekam.types import (
     size_linear,
     split_multi,
     summable,
+    type_key,
 )
 
 M_STAR1 = ClosureMulti((STAR,), 1)
@@ -63,6 +69,19 @@ def test_grammars_do_not_mix():
         DCArrow(M_EMPTY1, STAR)
     with pytest.raises(TypeError):
         Arrow(M_EMPTY1, MultiType(()))
+
+
+def test_types_are_immutable():
+    with pytest.raises(AttributeError):
+        M_STAR1.index = 2
+    with pytest.raises(AttributeError):
+        ARR.key = (0,)
+
+
+def test_an_unused_type_leaves_the_intern_table():
+    ref = weakref.ref(Arrow(ClosureMulti((STAR,), 97), STAR))
+    gc.collect()
+    assert ref() is None
 
 
 def test_context_entries_sorted_and_distinct():
@@ -275,3 +294,68 @@ def test_context_union_commutative(ga, gb):
         return  # duplicate names in the raw lists
     assert context_union(g, d) == context_union(d, g)
     assert size_context(context_union(g, d)) >= max(size_context(g), size_context(d))
+
+
+def dc_linears():
+    return st.recursive(
+        st.just(STAR),
+        lambda sub: st.builds(
+            DCArrow, st.builds(MultiType, st.lists(sub, max_size=3).map(tuple)), sub
+        ),
+        max_leaves=8,
+    )
+
+
+def reference_key(a):
+    """The structural order as a recursive walk; it fixes the JSON order."""
+    if type(a) is Star:
+        return (0,)
+    elem_keys = tuple(reference_key(b) for b in a.arg.elems)
+    if type(a) is Arrow:
+        return (1, a.arg.index, elem_keys, reference_key(a.res))
+    return (2, elem_keys, reference_key(a.res))
+
+
+def rebuild(a):
+    """A fresh construction of a, multis given in reverse order."""
+    if type(a) is Star:
+        return Star()
+    elems = tuple(rebuild(b) for b in reversed(a.arg.elems))
+    if type(a) is Arrow:
+        return Arrow(ClosureMulti(elems, a.arg.index), rebuild(a.res))
+    return DCArrow(MultiType(elems), rebuild(a.res))
+
+
+@given(st.one_of(linears(), dc_linears()))
+@settings(max_examples=150)
+def test_stored_key_is_the_structural_key(a):
+    assert a.key == reference_key(a)
+    assert type_key(a) is a.key
+    keys = [reference_key(b) for b in a.arg.elems] if type(a) is not Star else []
+    assert keys == sorted(keys)
+
+
+@given(st.one_of(linears(), dc_linears()))
+@settings(max_examples=150)
+def test_equal_types_are_one_object(a):
+    assert rebuild(a) is a
+    assert linear_from_json(linear_to_json(a)) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+@given(linears(), linears(), st.integers(1, 4))
+@settings(max_examples=150)
+def test_multi_is_one_object_whatever_the_order(a, b, k):
+    assert ClosureMulti((a, b), k) is ClosureMulti((b, a), k)
+    assert ClosureMulti((a, b), k) is not ClosureMulti((a, b), k + 1)
+
+
+@given(st.one_of(linears(), dc_linears()))
+@settings(max_examples=150)
+def test_key_holds_the_stored_keys_of_the_children(a):
+    if type(a) is Star:
+        return
+    m, r = a.arg, a.res
+    assert a.key[-1] is r.key
+    assert a.key[-2] is m.key
+    assert all(k is b.key for k, b in zip(m.key, m.elems))
