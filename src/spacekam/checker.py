@@ -40,7 +40,7 @@ Rules, premises in stored order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .kam import (
     Closure,
@@ -123,6 +123,9 @@ class Derivation:
     rule: str
     conclusion: Judgment
     premises: tuple = ()
+    # the time weight, kept by the extractor while it builds a space
+    # derivation; not part of the judgment, so ==, repr and JSON skip it
+    time: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,8 @@ class CheckError:
 class CheckResult:
     ok: bool
     errors: list
+    # the recomputed root weight when ok, else None
+    weight: int | None = None
 
 
 class InvalidDerivation(Exception):
@@ -791,28 +796,29 @@ def _run_check(d, mode, full_scan, compare_stored):
             path = _path_of(mi, order, meta)
             groups.append([CheckError(path, m) for m in msgs])
             if not full_scan:
-                return CheckResult(False, groups[0]), None
+                return CheckResult(False, groups[0])
     if groups:
         # report shallow nodes first
         errors = [e for grp in reversed(groups) for e in grp]
-        return CheckResult(False, errors), None
-    return CheckResult(True, []), weights[id(d)]
+        return CheckResult(False, errors)
+    return CheckResult(True, [], weights[id(d)])
 
 
 def check(d: Derivation, mode: str, full_scan: bool = False) -> CheckResult:
     """Validate every node and compare stored weights against recomputed
-    ones.  Stops at the first failing node unless full_scan."""
-    result, _ = _run_check(d, mode, full_scan, compare_stored=True)
-    return result
+    ones.  Stops at the first failing node unless full_scan.  A passing
+    result carries the recomputed root weight, which is then also the
+    stored one."""
+    return _run_check(d, mode, full_scan, compare_stored=True)
 
 
 def weight_of(d: Derivation, mode: str) -> int:
     """The recomputed root weight; stored weights are ignored.  Raises
     InvalidDerivation when the structure itself does not check."""
-    result, w = _run_check(d, mode, full_scan=False, compare_stored=False)
+    result = _run_check(d, mode, full_scan=False, compare_stored=False)
     if not result.ok:
         raise InvalidDerivation(result.errors)
-    return w
+    return result.weight
 
 
 def reweight(d: Derivation, mode: str) -> Derivation:

@@ -61,14 +61,23 @@ def _compile(t):
         raise click.UsageError(str(ex))
 
 
-def _write_trace(rows, path):
-    out = sys.stdout if path == "-" else open(path, "w")
+def _write_file(path: str, lines) -> None:
+    """Write lines to the file at path; an unwritable path is a usage error."""
     try:
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with open(path, "w", encoding="utf-8") as f:
+            for line in lines:
+                f.write(line + "\n")
+    except OSError as ex:
+        raise click.UsageError(f"cannot write {path}: {ex}")
+
+
+def _write_trace(rows, path):
+    lines = (json.dumps(row) for row in rows)
+    if path == "-":
+        for line in lines:
+            sys.stdout.write(line + "\n")
+    else:
+        _write_file(path, lines)
 
 
 _term_argument = click.argument("term", required=False)
@@ -197,8 +206,7 @@ def infer_cmd(term, path, mode, out, pretty, fuel):
         sys.exit(1)
     blob = render_derivation(d) if pretty else json.dumps(derivation_to_json(d))
     if out:
-        with open(out, "w") as f:
-            f.write(blob + "\n")
+        _write_file(out, [blob])
         click.echo(f"weight: {d.conclusion.weight}")
     else:
         click.echo(blob)

@@ -5,8 +5,9 @@ closure typed with an empty multi at its own size, everything at weight
 zero except the closing abstraction, which weighs the final
 environment.  Each transition is then undone back to front, reshaping
 the target state's derivation into one for the source state by grafting
-the rule that matches the transition.  Space weights live on the nodes
-as they are built; time weights are tracked on the side.  Every undo
+the rule that matches the transition.  Each node is minted with both
+weights: space as its stored judgment weight, time in the node's own
+time field, which judgments, equality and JSON ignore.  Every undo
 step checks the two step equations
 
     space(source) = max(size(source), space(target))
@@ -96,53 +97,50 @@ class ShapeMismatch(Exception):
     """The derivation does not describe the target of the given step."""
 
 
-class _Builder:
-    """Mints derivation nodes with space weights stored and time weights
-    memoized on the side, and caches dry closure typings per closure
-    object so repeated discards share subtrees."""
-
-    def __init__(self):
-        self.time: dict[int, int] = {}
-        self.keep: list = []  # nodes stay alive so ids stay unique
-        self.dry: dict[int, Derivation] = {}
-        self.dry_keep: list = []
-
-    def time_of(self, d: Derivation) -> int:
-        got = self.time.get(id(d))
-        if got is not None:
-            return got
-        # a foreign subtree (public expand on a hand-built derivation):
-        # fill the memo bottom-up
-        order = []
-        stack = [d]
-        while stack:
-            n = stack.pop()
+def _time_of(d: Derivation) -> int:
+    """d's time weight.  Nodes minted here carry it; a foreign subtree
+    (public expand on a hand-built derivation) gets it filled in
+    bottom-up, once."""
+    if d.time is not None:
+        return d.time
+    order = []
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if n.time is None:
             order.append(n)
             stack.extend(n.premises)
-        for n in reversed(order):
-            if id(n) in self.time:
-                continue
+    for n in reversed(order):
+        if n.time is None:  # a shared subtree is listed once per occurrence
             t = rule_weight(
                 n.rule,
                 n.conclusion.context,
                 n.conclusion.assigned,
-                [self.time[id(p)] for p in n.premises],
+                [p.time for p in n.premises],
                 "time",
             )
-            self.time[id(n)] = t
-            self.keep.append(n)
-        return self.time[id(d)]
+            object.__setattr__(n, "time", t)
+    return d.time
+
+
+class _Builder:
+    """Mints derivation nodes with both weights stored, and caches dry
+    closure typings per closure object so repeated discards share
+    subtrees.  The cache is keyed by id: every caller holds the states,
+    hence the closures, for as long as the builder lives."""
+
+    def __init__(self):
+        self.dry: dict[int, Derivation] = {}
 
     def node(self, rule, kind, subject, ctx, assigned, premises) -> Derivation:
         premises = tuple(premises)
-        tw = [self.time_of(p) for p in premises]
         sw = [p.conclusion.weight for p in premises]
+        tw = [p.time for p in premises]
+        if None in tw:
+            tw = [_time_of(p) for p in premises]
         w = rule_weight(rule, ctx, assigned, sw, "space")
         t = rule_weight(rule, ctx, assigned, tw, "time")
-        d = Derivation(rule, Judgment(kind, subject, ctx, assigned, w), premises)
-        self.time[id(d)] = t
-        self.keep.append(d)
-        return d
+        return Derivation(rule, Judgment(kind, subject, ctx, assigned, w), premises, t)
 
     # -- canonical dry typings ---------------------------------------
 
@@ -157,7 +155,6 @@ class _Builder:
                 R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, none.conclusion.assigned, (none, env_d)
             )
             self.dry[id(c)] = got
-            self.dry_keep.append(c)
         return got
 
     def dry_env(self, e: Env) -> tuple[TypeContext, Derivation]:
@@ -422,16 +419,16 @@ def extract(run: SpaceRun) -> Derivation:
         label = run.trace[i][0]
         src = states[i]
         prev_w = cur.conclusion.weight
-        prev_t = b.time[id(cur)]
+        prev_t = cur.time
         cur = _expand(b, cur, label, src)
         sz = state_size(src)
         assert cur.conclusion.weight == max(sz, prev_w), (
             f"space step equation broken at transition {i + 1} ({label}): "
             f"{cur.conclusion.weight} != max({sz}, {prev_w})"
         )
-        assert b.time[id(cur)] == sz + prev_t, (
+        assert cur.time == sz + prev_t, (
             f"time step equation broken at transition {i + 1} ({label}): "
-            f"{b.time[id(cur)]} != {sz} + {prev_t}"
+            f"{cur.time} != {sz} + {prev_t}"
         )
     term_p = cur.premises[0]
     assert term_p.conclusion.context.is_empty(), "initial code typed with a context"

@@ -20,6 +20,17 @@ verify runs the checks the theory pins down.  For a complete run:
   kam_weight            its weight is the plain machine's step count
   env_domain_invariant  dom(env) = fv(code) everywhere in every state
 
+Each derivation is checked once, and the reported weights come from
+those checks: space_weight from the space check of the extracted
+derivation, time_weight from the time check of its time reweighting,
+and the kam weight (decarvalho_weight) from the kam check of the plain
+derivation.  A passing check has recomputed every weight bottom-up and
+found it equal to the stored one.  When a check fails, the weight is
+recomputed by a separate weight_of pass instead (time on the space
+derivation, as reweighting keeps the tree), so a failure still reports
+what the derivation weighs.  The invariant is checked over the whole
+run at once, visiting each closure object once.
+
 A run that exhausts its fuel reports complete=False, carries the
 machine statistics only, and runs no checks.
 """
@@ -40,7 +51,7 @@ from .checker import (
 from .extractor import extract, extract_kam
 from .kam import compile as kam_compile
 from .kam import decode, kam_run
-from .space_kam import check_env_domain_invariant, skam_run
+from .space_kam import check_run_env_domain_invariant, skam_run
 from .terms import Abs, App, Term, Var, alpha_eq, parse_term, print_term, whnf_eval
 
 
@@ -131,14 +142,24 @@ def verify(t: Term, fuel: int) -> VerificationReport:
         attempt("decode_final", lambda: alpha_eq(decode(krun.final), wh.result))
         attempt("decode_final_skam", lambda: alpha_eq(decode(srun.final), wh.result))
 
+        # weights come from the passing checks; a failing one gets a
+        # weight_of pass (see the module docstring)
         pi = computed("space_derivation", lambda: extract(srun))
-        checks.append(("space_derivation", pi is not None and check(pi, "space").ok))
-        if pi is not None:
+        spaced = check(pi, "space") if pi is not None else None
+        checks.append(("space_derivation", spaced is not None and spaced.ok))
+        if spaced is not None and spaced.ok:
+            space_weight = spaced.weight
+        elif pi is not None:
             space_weight = computed("space_weight", lambda: weight_of(pi, "space"))
             time_weight = computed("time_weight", lambda: weight_of(pi, "time"))
         checks.append(("space_weight", space_weight == srun.space))
         pit = computed("time_derivation", lambda: reweight(pi, "time")) if pi is not None else None
-        checks.append(("time_derivation", pit is not None and check(pit, "time").ok))
+        timed = check(pit, "time") if pit is not None else None
+        checks.append(("time_derivation", timed is not None and timed.ok))
+        if timed is not None and timed.ok:
+            time_weight = timed.weight
+        elif spaced is not None and spaced.ok:
+            time_weight = computed("time_weight", lambda: weight_of(pi, "time"))
         checks.append(("time_weight", time_weight == srun.time))
         checks.append(("derivation_size", pi is not None and size_of(pi) == srun.transitions + 1))
         checks.append(
@@ -146,17 +167,14 @@ def verify(t: Term, fuel: int) -> VerificationReport:
         )
 
         pik = computed("kam_derivation", lambda: extract_kam(krun))
-        checks.append(("kam_derivation", pik is not None and check(pik, "kam").ok))
-        if pik is not None:
+        kamd = check(pik, "kam") if pik is not None else None
+        checks.append(("kam_derivation", kamd is not None and kamd.ok))
+        if kamd is not None and kamd.ok:
+            dc_weight = kamd.weight
+        elif pik is not None:
             dc_weight = computed("kam_weight", lambda: weight_of(pik, "kam"))
         checks.append(("kam_weight", dc_weight is not None and dc_weight == krun.transitions))
-        attempt(
-            "env_domain_invariant",
-            lambda: all(
-                check_env_domain_invariant(s)
-                for s in [srun.initial] + [s for _, s in srun.trace]
-            ),
-        )
+        attempt("env_domain_invariant", lambda: check_run_env_domain_invariant(srun))
 
     report = VerificationReport(
         term=t,

@@ -171,15 +171,38 @@ def skam_run(s: MachState, fuel: int) -> SpaceRun:
     return SpaceRun(s, tuple(trace), final, space, time, counts)
 
 
+def check_run_env_domain_invariant(run) -> bool:
+    """dom(env) = fv(code) in every state of run (a SpaceRun or an
+    iterable of states), for the state itself and inside every closure.
+
+    Successive states share their closures, and closures are immutable,
+    so a closure that checked once stays valid: each distinct closure
+    object is visited once per call.  The states hold every closure
+    alive for the whole call, so a set of ids is enough."""
+    if isinstance(run, SpaceRun):
+        states = [run.initial, *(s for _, s in run.trace)]
+    else:
+        states = list(run)
+    seen: set[int] = set()
+    for s in states:
+        if _dom(s.env) != s.code.fv:
+            return False
+        work = [c for _, c in s.env]
+        work.extend(s.stack)
+        while work:
+            c = work.pop()
+            if id(c) in seen:
+                continue
+            seen.add(id(c))
+            if _dom(c.env) != c.code.fv:
+                return False
+            work.extend(d for _, d in c.env)
+    return True
+
+
 def check_env_domain_invariant(s: MachState) -> bool:
     """dom(env) = fv(code) for the state and inside every closure."""
-    work = [Closure(s.code, s.env), *s.stack]
-    while work:
-        c = work.pop()
-        if _dom(c.env) != c.code.fv:
-            return False
-        work.extend(d for _, d in c.env)
-    return True
+    return check_run_env_domain_invariant((s,))
 
 
 def run_trace_rows(run: SpaceRun):

@@ -175,12 +175,18 @@ class TypeContext:
 
     def __post_init__(self):
         ent = self.entries
-        if isinstance(ent, dict):
-            ent = tuple(ent.items())
-        ent = tuple(sorted(ent, key=lambda p: p[0]))
-        names = [x for x, _ in ent]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate context entries: {names}")
+        ent = tuple(ent.items()) if isinstance(ent, dict) else tuple(ent)
+        # one pass: strictly increasing names are sorted and distinct,
+        # and most contexts (minus, in-order puts and unions) arrive so
+        prev = None
+        for x, _ in ent:
+            if prev is not None and not prev < x:
+                ent = tuple(sorted(ent, key=lambda p: p[0]))
+                names = [y for y, _ in ent]
+                if len(set(names)) != len(names):
+                    raise ValueError(f"duplicate context entries: {names}")
+                break
+            prev = x
         object.__setattr__(self, "entries", ent)
 
     def get(self, x: str):

@@ -84,6 +84,31 @@ def test_example_dc_derivation_checks(example_dc_derivation):
     assert weight_of(example_dc_derivation, "kam") == 7
 
 
+@pytest.mark.parametrize(
+    "fixture, mode, want",
+    [
+        ("example_space_derivation", "space", 4),
+        ("example_time_derivation", "time", 11),
+        ("example_dc_derivation", "kam", 7),
+    ],
+)
+def test_passing_check_carries_the_recomputed_weight(request, fixture, mode, want):
+    d = request.getfixturevalue(fixture)
+    res = check(d, mode)
+    assert res.ok
+    assert res.weight == weight_of(d, mode) == want
+    assert check(d, mode, full_scan=True).weight == want
+
+
+def test_failing_check_carries_no_weight(example_space_derivation, example_dc_derivation):
+    bad = mutate(example_space_derivation, P_TVAR, set_weight(2))
+    assert check(bad, "space").weight is None
+    assert check(bad, "space", full_scan=True).weight is None
+    assert weight_of(bad, "space") == 4  # stored weights are not read
+    assert check(example_dc_derivation, "space").weight is None
+    assert check(example_space_derivation, "kam").weight is None
+
+
 def test_reweight_swaps_between_modes(example_space_derivation, example_time_derivation):
     assert reweight(example_space_derivation, "time") == example_time_derivation
     assert reweight(example_time_derivation, "space") == example_space_derivation

@@ -147,6 +147,16 @@ def test_kam_trace_to_file(runner, tmp_path):
     assert len(rows) == 7 and rows[0]["step"] == 1
 
 
+@pytest.mark.parametrize("command", [["kam", "--trace"], ["skam", "--trace"], ["infer", "-o"]])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_unwritable_output_is_a_usage_error(runner, tmp_path, command, where):
+    path = tmp_path / "no" / "such" / "out" if where == "missing_dir" else tmp_path
+    res = runner.invoke(main, [command[0], EXAMPLE_SRC, command[1], str(path)])
+    assert res.exit_code == 2
+    assert f"cannot write {path}" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_fuel_env_variable_and_flag_precedence(runner):
     res = runner.invoke(main, ["kam", EXAMPLE_SRC], env={"SPACEKAM_FUEL": "3"})
     assert res.exit_code == 1

@@ -9,6 +9,8 @@ from spacekam.checker import (
     R_ST,
     check,
     check_rule_transition_correspondence,
+    derivation_from_json,
+    derivation_to_json,
     reweight,
     size_of,
     weight_of,
@@ -105,6 +107,32 @@ def test_backward_replay_reproduces_the_extracted_tree(
     assert d.conclusion.weight == example_skam.space
     assert weight_of(d, "time") == example_skam.time
     assert d.premises[0] == example_space_derivation
+
+
+def test_expand_fills_time_weights_of_a_foreign_derivation(example_skam):
+    # a derivation read back from JSON carries no time weights; expand
+    # works them out, and the source's time is still the sum
+    states = [example_skam.initial] + [s for _, s in example_skam.trace]
+    d = type_final_state(states[-1])
+    for i in reversed(range(example_skam.transitions)):
+        foreign = derivation_from_json(derivation_to_json(d))
+        assert foreign.time is None
+        d = expand(foreign, (example_skam.trace[i][0], states[i]))
+        prev_time = weight_of(foreign, "time")
+        assert d.time == weight_of(d, "time") == state_size(states[i]) + prev_time
+    assert d.time == example_skam.time
+
+
+def test_time_weight_is_not_part_of_the_derivation(example_skam, example_space_derivation):
+    d = extract(example_skam)
+    assert d.time == weight_of(d, "time") == 11
+    assert example_space_derivation.time is None
+    assert d == example_space_derivation
+    assert hash(d) == hash(example_space_derivation)
+    assert repr(d) == repr(example_space_derivation)
+    assert "time" not in repr(d) and "11" not in repr(d)
+    assert derivation_to_json(d) == derivation_to_json(example_space_derivation)
+    assert reweight(d, "time").time is None
 
 
 def test_expand_rejects_the_wrong_label(example_skam):

@@ -1,8 +1,13 @@
+import dataclasses
+
 import pytest
 
 import spacekam.harness as harness
+from spacekam.checker import reweight, weight_of
+from spacekam.extractor import extract, extract_kam
 from spacekam.harness import VerificationReport, fuzz, random_closed_term, verify
-from spacekam.kam import OpenTerm
+from spacekam.kam import OpenTerm, compile, kam_run
+from spacekam.space_kam import skam_run
 from spacekam.terms import parse_term
 
 CHECK_NAMES = [
@@ -51,6 +56,49 @@ def test_verify_the_example(example_term):
         "space_weight": 4,
         "time_weight": 11,
     }
+
+
+def test_reported_weights_equal_independent_recomputation():
+    complete = 0
+    for seed in range(200):
+        t = random_closed_term(seed, 25)
+        rep = verify(t, 2000)
+        assert rep.all_pass, (seed, rep.checks)
+        if not rep.complete:
+            continue
+        complete += 1
+        s = compile(t)
+        pi = extract(skam_run(s, 2000))
+        assert rep.skam["space_weight"] == weight_of(pi, "space")
+        assert rep.skam["time_weight"] == weight_of(reweight(pi, "time"), "time")
+        assert rep.skam["time_weight"] == weight_of(pi, "time")
+        assert rep.kam["decarvalho_weight"] == weight_of(extract_kam(kam_run(s, 2000)), "kam")
+    assert complete > 150
+
+
+def _bump_root_weight(d):
+    return dataclasses.replace(
+        d, conclusion=dataclasses.replace(d.conclusion, weight=d.conclusion.weight + 1)
+    )
+
+
+def test_tampered_space_weight_fails_and_reports_the_recomputed_one(
+    monkeypatch, example_term
+):
+    monkeypatch.setattr(harness, "extract", lambda run: _bump_root_weight(extract(run)))
+    rep = verify(example_term, 100)
+    assert [name for name, ok in rep.checks if not ok] == ["space_derivation"]
+    assert rep.skam["space_weight"] == 4 and rep.skam["time_weight"] == 11
+    assert rep.notes == {}
+
+
+def test_tampered_kam_weight_fails_and_reports_the_recomputed_one(
+    monkeypatch, example_term
+):
+    monkeypatch.setattr(harness, "extract_kam", lambda run: _bump_root_weight(extract_kam(run)))
+    rep = verify(example_term, 100)
+    assert [name for name, ok in rep.checks if not ok] == ["kam_derivation"]
+    assert rep.kam["decarvalho_weight"] == 7
 
 
 def test_verify_incomplete_run_reports_stats_only():

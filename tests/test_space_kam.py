@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spacekam as sk
+from spacekam.harness import random_closed_term
 from spacekam.kam import Closure, MachState, compile
 from spacekam.space_kam import (
     InvariantViolation,
     check_env_domain_invariant,
+    check_run_env_domain_invariant,
     env_restrict,
     run_summary,
     run_trace_rows,
@@ -161,6 +163,43 @@ def test_check_env_domain_invariant_descends_into_closures():
     bad_cl = Closure(IDENT, (("z", I_CL),))
     s = MachState(parse_term("x"), (("x", bad_cl),), ())
     assert not check_env_domain_invariant(s)
+
+
+def test_run_invariant_flags_a_stale_entry_in_a_shared_closure():
+    bad_cl = Closure(IDENT, (("z", I_CL),))
+    ok_state = MachState(IDENT, (), (I_CL,))
+    shares_bad = MachState(parse_term("x"), (("x", bad_cl),), (I_CL,))
+    for states in ([ok_state, shares_bad], [shares_bad, ok_state], [shares_bad, shares_bad]):
+        assert not check_run_env_domain_invariant(states)
+    # the stack is walked top last: I_CL, already visited, comes off
+    # first, and the bad closure after it must still be looked at
+    later = MachState(IDENT, (), (bad_cl, I_CL))
+    assert not check_run_env_domain_invariant([ok_state, later])
+    # the same, one level down: a good closure whose env holds the bad one
+    outer = Closure(parse_term("x"), (("x", bad_cl),))
+    assert not check_run_env_domain_invariant([ok_state, MachState(IDENT, (), (outer, I_CL))])
+    assert check_run_env_domain_invariant([ok_state, ok_state])
+    assert check_run_env_domain_invariant([])
+
+
+def test_run_invariant_agrees_with_the_per_state_check():
+    stale = Closure(IDENT, (("z", I_CL),))
+    for seed in range(200):
+        run = skam_run(compile(random_closed_term(seed, 25)), 2000)
+        states = all_states(run)
+        assert all(check_env_domain_invariant(s) for s in states)
+        assert check_run_env_domain_invariant(run)
+        assert check_run_env_domain_invariant(iter(states))
+        # plant a stale closure in the last state, below a closure that
+        # earlier states hold, so the run-level walk has seen it already
+        earlier = [c for p in states[:-1] for c in (*p.stack, *(d for _, d in p.env))]
+        shared = earlier[0] if earlier else I_CL
+        s = states[-1]
+        wrapped = Closure(parse_term("x"), (("x", stale),))
+        bad = MachState(s.code, s.env, s.stack + (wrapped, shared))
+        planted = states[:-1] + [bad]
+        assert not check_env_domain_invariant(bad)
+        assert not check_run_env_domain_invariant(planted)
 
 
 # ---------------------------------------------------------------- runs

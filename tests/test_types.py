@@ -91,6 +91,21 @@ def test_context_entries_sorted_and_distinct():
         TypeContext((("x", M_EMPTY1), ("x", M_STAR1)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("abcde"), max_size=6))
+def test_context_sorts_only_what_needs_it_and_rejects_duplicates(names):
+    entries = tuple((x, ClosureMulti((), i + 1)) for i, x in enumerate(names))
+    if len(set(names)) != len(names):
+        with pytest.raises(ValueError, match="duplicate context entries"):
+            TypeContext(entries)
+        return
+    g = TypeContext(entries)
+    assert g.entries == tuple(sorted(entries, key=lambda p: p[0]))
+    assert TypeContext(dict(entries)) == g
+    if list(names) == sorted(names):
+        assert g.entries == entries
+
+
 def test_context_accessors():
     g = TypeContext((("x", M_STAR1),))
     assert g.get("x") == M_STAR1
