@@ -42,16 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kam import (
-    Closure,
-    MachState,
-    Run,
-    closure_to_json,
-    env_to_json,
-    state_to_json,
-)
+from .kam import Closure, MachState
 from .space_kam import SpaceRun
-from .terms import Abs, App, Term, Var, parse_term, print_term
+from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
     ClosureMulti,
@@ -60,6 +53,7 @@ from .types import (
     NotSummable,
     Star,
     TypeContext,
+    TypeTable,
     context_from_json,
     context_to_json,
     context_union,
@@ -68,12 +62,10 @@ from .types import (
     format_linear,
     format_multi,
     is_dry,
-    linear_from_json,
-    linear_to_json,
-    multi_from_json,
-    multi_to_json,
+    json_index,
     size_context,
     size_linear,
+    types_from_json,
 )
 
 R_VAR = "TVar"
@@ -889,39 +881,148 @@ def check_rule_transition_correspondence(d: Derivation, run: SpaceRun) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON
-
-def _subject_to_json(kind, subject):
-    if kind == KIND_TERM:
-        return print_term(subject)
-    if kind == KIND_ENV:
-        return env_to_json(subject)
-    if kind == KIND_CLOSURE:
-        return closure_to_json(subject)
-    if kind == KIND_STATE:
-        return state_to_json(subject)
-    raise ValueError(f"unknown subject kind {kind!r}")
-
-
-def _assigned_to_json(assigned):
-    if type(assigned) is TypeContext:
-        return context_to_json(assigned)
-    if type(assigned) in (ClosureMulti, MultiType):
-        return multi_to_json(assigned)
-    return linear_to_json(assigned)
+#
+# A derivation file is its root node plus a "tables" key holding every
+# type, term and closure once; nodes refer to table entries by index,
+# and an entry refers only to entries before it:
+#
+#   types     "*" | {"arg": i, "res": j} | {"elems": [i, ...], "k": k}
+#             | {"elems": [i, ...]}
+#   terms     {"var": x} | {"lam": x, "body": i} | {"app": [i, j]}
+#   closures  {"code": term, "env": [[x, closure], ...]}
+#
+# A judgment's subject is a term or closure index, an environment
+# [[x, closure], ...], or a state {"code", "env", "stack"} of indices;
+# its context maps names to type indices, and its type is a type index,
+# or a context for environment judgments.
 
 
-def judgment_to_json(j: Judgment) -> dict:
-    return {
-        "subject_kind": j.subject_kind,
-        "subject": _subject_to_json(j.subject_kind, j.subject),
-        "context": context_to_json(j.context),
-        "type": _assigned_to_json(j.assigned),
-        "weight": j.weight,
-    }
+class _Entries:
+    """One table of terms or closures.  An object is looked up by id(),
+    which is sound while the derivation holds it, then by its entry's
+    key, so structurally equal objects share one entry too."""
+
+    def __init__(self):
+        self.entries: list = []
+        self.ids: dict[int, int] = {}
+        self._at: dict = {}
+
+    def enter(self, obj, key, entry) -> int:
+        i = self._at.get(key)
+        if i is None:
+            i = self._at[key] = len(self.entries)
+            self.entries.append(entry)
+        self.ids[id(obj)] = i
+        return i
+
+
+class _Tables:
+    """The three tables of one derivation file, filled as the encoder
+    meets their entries, children before parents."""
+
+    def __init__(self):
+        self.types = TypeTable()
+        self.terms = _Entries()
+        self.closures = _Entries()
+
+    def to_json(self) -> dict:
+        return {
+            "types": self.types.entries,
+            "terms": self.terms.entries,
+            "closures": self.closures.entries,
+        }
+
+    def term(self, t) -> int:
+        terms = self.terms
+        ids = terms.ids
+        i = ids.get(id(t))
+        if i is not None:
+            return i
+        work = [t]
+        while work:
+            u = work[-1]
+            if id(u) in ids:
+                work.pop()
+            elif type(u) is Var:
+                work.pop()
+                # keys: a name, (binder, body) or (fun, arg); never equal across forms
+                terms.enter(u, u.name, {"var": u.name})
+            elif type(u) is Abs:
+                b = ids.get(id(u.body))
+                if b is None:
+                    work.append(u.body)
+                    continue
+                work.pop()
+                terms.enter(u, (u.binder, b), {"lam": u.binder, "body": b})
+            elif type(u) is App:
+                f, a = ids.get(id(u.fun)), ids.get(id(u.arg))
+                if f is None or a is None:
+                    work.extend(v for v, j in ((u.fun, f), (u.arg, a)) if j is None)
+                    continue
+                work.pop()
+                terms.enter(u, (f, a), {"app": [f, a]})
+            else:
+                raise TypeError(f"not a term: {u!r}")
+        return ids[id(t)]
+
+    def closure(self, c) -> int:
+        ids = self.closures.ids
+        i = ids.get(id(c))
+        if i is not None:
+            return i
+        work = [c]
+        while work:
+            d = work[-1]
+            if id(d) in ids:
+                work.pop()
+                continue
+            todo = [e for _, e in d.env if id(e) not in ids]
+            if todo:
+                work.extend(todo)
+                continue
+            work.pop()
+            code = self.term(d.code)
+            env = tuple((x, ids[id(e)]) for x, e in d.env)
+            entry = {"code": code, "env": [list(p) for p in env]}
+            self.closures.enter(d, (code, env), entry)
+        return ids[id(c)]
+
+    def env(self, e) -> list:
+        return [[x, self.closure(c)] for x, c in e]
+
+    def subject(self, kind, subject):
+        if kind == KIND_TERM:
+            return self.term(subject)
+        if kind == KIND_ENV:
+            return self.env(subject)
+        if kind == KIND_CLOSURE:
+            return self.closure(subject)
+        if kind == KIND_STATE:
+            return {
+                "code": self.term(subject.code),
+                "env": self.env(subject.env),
+                "stack": [self.closure(c) for c in subject.stack],
+            }
+        raise ValueError(f"unknown subject kind {kind!r}")
+
+    def judgment(self, j: Judgment) -> dict:
+        a, types = j.assigned, self.types
+        return {
+            "subject_kind": j.subject_kind,
+            "subject": self.subject(j.subject_kind, j.subject),
+            "context": context_to_json(j.context, types),
+            "type": context_to_json(a, types) if type(a) is TypeContext else types.add(a),
+            "weight": j.weight,
+        }
 
 
 def derivation_to_json(d: Derivation) -> dict:
+    """The derivation file of d: the root node, with every type, term
+    and closure written once in the tables.  Entries are numbered in
+    the order a bottom-up walk meets them, so the output depends only
+    on d."""
     order, _ = _walk(d)
+    tables = _Tables()
     built: dict[int, dict] = {}
     for at in range(len(order) - 1, -1, -1):
         n, _ = order[at]
@@ -929,98 +1030,187 @@ def derivation_to_json(d: Derivation) -> dict:
             continue
         built[id(n)] = {
             "rule": n.rule,
-            "judgment": judgment_to_json(n.conclusion),
+            "judgment": tables.judgment(n.conclusion),
             "premises": [built[id(p)] for p in n.premises],
         }
-    return built[id(d)]
+    return {"tables": tables.to_json(), **built[id(d)]}
 
 
-def _subject_from_json(kind, obj, where):
-    try:
-        if kind == KIND_TERM:
-            return _code_from_json(obj)
-        if kind == KIND_ENV:
-            return _env_from_json(obj)
-        if kind == KIND_CLOSURE:
-            return _closure_from_json(obj)
-        if kind == KIND_STATE:
-            if not isinstance(obj, dict) or set(obj) != {"code", "env", "stack"}:
-                raise ValueError("state subject must have code, env and stack")
-            if not isinstance(obj["stack"], list):
-                raise ValueError("state stack must be a list of closures")
-            return MachState(
-                _code_from_json(obj["code"]),
-                _env_from_json(obj["env"]),
-                tuple(_closure_from_json(c) for c in obj["stack"]),
-            )
-    except ValueError as ex:
-        raise ValueError(f"{where}: {ex}") from None
-    raise ValueError(f"{where}: unknown subject kind {kind!r}")
+def _name(x) -> str:
+    if not is_name(x):
+        raise ValueError(f"not a variable name: {x!r}")
+    return x
 
 
-def _code_from_json(obj):
-    if not isinstance(obj, str):
-        raise ValueError(f"code must be a term string: {obj!r}")
-    return parse_term(obj)
+def _terms_from_json(entries) -> list:
+    if not isinstance(entries, list):
+        raise ValueError("terms must be a list")
+    out: list = []
+    for i, e in enumerate(entries):
+        try:
+            keys = e.keys() if isinstance(e, dict) else None
+            if keys == {"var"}:
+                out.append(Var(_name(e["var"])))
+            elif keys == {"lam", "body"}:
+                out.append(Abs(_name(e["lam"]), out[json_index(e["body"], i)]))
+            elif keys == {"app"} and isinstance(e["app"], list) and len(e["app"]) == 2:
+                f, a = e["app"]
+                out.append(App(out[json_index(f, i)], out[json_index(a, i)]))
+            else:
+                raise ValueError(f"not a term: {e!r}")
+        except ValueError as ex:
+            raise ValueError(f"terms[{i}]: {ex}") from None
+    return out
 
 
-def _closure_from_json(obj):
-    if not isinstance(obj, dict) or set(obj) != {"code", "env"}:
-        raise ValueError("closure must have code and env")
-    return Closure(_code_from_json(obj["code"]), _env_from_json(obj["env"]))
-
-
-def _env_from_json(obj):
+def _env_from_json(obj, closures) -> tuple:
     if not isinstance(obj, list):
         raise ValueError("environment must be a list of [name, closure] pairs")
     out = []
     for p in obj:
-        if not isinstance(p, list) or len(p) != 2 or not isinstance(p[0], str):
+        if not isinstance(p, list) or len(p) != 2:
             raise ValueError("environment entries are [name, closure] pairs")
-        out.append((p[0], _closure_from_json(p[1])))
+        out.append((_name(p[0]), closures[json_index(p[1], len(closures))]))
     return tuple(out)
 
 
-def judgment_from_json(obj, where="judgment") -> Judgment:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: judgment must be an object")
-    missing = {"subject_kind", "subject", "context", "type", "weight"} - set(obj)
-    if missing:
-        raise ValueError(f"{where}: judgment lacks {sorted(missing)}")
-    kind = obj["subject_kind"]
-    subject = _subject_from_json(kind, obj["subject"], where)
-    try:
-        context = context_from_json(obj["context"])
+def _closures_from_json(entries, terms) -> list:
+    if not isinstance(entries, list):
+        raise ValueError("closures must be a list")
+    out: list = []
+    for i, e in enumerate(entries):
+        try:
+            if not isinstance(e, dict) or e.keys() != {"code", "env"}:
+                raise ValueError("closure must have code and env")
+            code = terms[json_index(e["code"], len(terms))]
+            out.append(Closure(code, _env_from_json(e["env"], out)))
+        except ValueError as ex:
+            raise ValueError(f"closures[{i}]: {ex}") from None
+    return out
+
+
+class _Decoder:
+    """Resolves a node's judgment against the decoded tables."""
+
+    def __init__(self, tables):
+        self.types = types_from_json(tables["types"])
+        self.terms = _terms_from_json(tables["terms"])
+        self.closures = _closures_from_json(tables["closures"], self.terms)
+
+    def term(self, i):
+        return self.terms[json_index(i, len(self.terms))]
+
+    def closure(self, i):
+        return self.closures[json_index(i, len(self.closures))]
+
+    def subject(self, kind, obj):
+        if kind == KIND_TERM:
+            return self.term(obj)
         if kind == KIND_ENV:
-            assigned = context_from_json(obj["type"])
-        elif isinstance(obj["type"], dict) and "elems" in obj["type"]:
-            assigned = multi_from_json(obj["type"])
-        else:
-            assigned = linear_from_json(obj["type"])
-    except ValueError as ex:
-        raise ValueError(f"{where}: {ex}") from None
-    weight = obj["weight"]
-    if not isinstance(weight, int) or isinstance(weight, bool):
-        raise ValueError(f"{where}: weight must be an integer")
-    return Judgment(kind, subject, context, assigned, weight)
+            return _env_from_json(obj, self.closures)
+        if kind == KIND_CLOSURE:
+            return self.closure(obj)
+        if kind == KIND_STATE:
+            if not isinstance(obj, dict) or obj.keys() != {"code", "env", "stack"}:
+                raise ValueError("state subject must have code, env and stack")
+            if not isinstance(obj["stack"], list):
+                raise ValueError("state stack must be a list of closures")
+            return MachState(
+                self.term(obj["code"]),
+                _env_from_json(obj["env"], self.closures),
+                tuple(self.closure(c) for c in obj["stack"]),
+            )
+        raise ValueError(f"unknown subject kind {kind!r}")
+
+    def judgment(self, obj) -> Judgment:
+        if not isinstance(obj, dict):
+            raise ValueError("judgment must be an object")
+        missing = _JUDGMENT_KEYS - obj.keys()
+        if missing:
+            raise ValueError(f"judgment lacks {sorted(missing)}")
+        kind = obj["subject_kind"]
+        subject = self.subject(kind, obj["subject"])
+        types = self.types
+        context = context_from_json(obj["context"], types)
+        t = obj["type"]
+        assigned = (
+            context_from_json(t, types) if kind == KIND_ENV else types[json_index(t, len(types))]
+        )
+        weight = obj["weight"]
+        if type(weight) is not int:
+            raise ValueError("weight must be an integer")
+        return Judgment(kind, subject, context, assigned, weight)
 
 
-def derivation_from_json(obj, _where="root") -> Derivation:
+_JUDGMENT_KEYS = frozenset({"subject_kind", "subject", "context", "type", "weight"})
+_NODE_KEYS = frozenset({"rule", "judgment", "premises"})
+_RULES = MACHINE_RULES | DC_RULES
+
+
+def _where(meta, at) -> str:
+    """The path text of node at, from the (parent, premise) pairs."""
+    path = []
+    while at:
+        at, i = meta[at]
+        path.append(str(i))
+    return ".".join(["root", *reversed(path)])
+
+
+def derivation_from_json(obj) -> Derivation:
+    """Decode a derivation file.  Each table entry is built once and
+    shared by every node that refers to it.  A ValueError names where
+    the file is wrong: root: tables.types[3]: ... for a table entry,
+    root.1.0: ... for the node at premise path (1, 0)."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{_where}: derivation must be an object")
-    missing = {"rule", "judgment", "premises"} - set(obj)
+        raise ValueError("root: derivation must be an object")
+    missing = (_NODE_KEYS | {"tables"}) - obj.keys()
     if missing:
-        raise ValueError(f"{_where}: derivation lacks {sorted(missing)}")
-    rule = obj["rule"]
-    if not isinstance(rule, str) or (rule not in MACHINE_RULES and rule not in DC_RULES):
-        raise ValueError(f"{_where}: unknown rule {rule!r}")
-    conclusion = judgment_from_json(obj["judgment"], _where)
-    if not isinstance(obj["premises"], list):
-        raise ValueError(f"{_where}: premises must be a list")
-    premises = tuple(
-        derivation_from_json(p, f"{_where}.{i}") for i, p in enumerate(obj["premises"])
-    )
-    return Derivation(rule, conclusion, premises)
+        raise ValueError(f"root: derivation lacks {sorted(missing)}")
+    tables = obj["tables"]
+    if not isinstance(tables, dict):
+        raise ValueError("root: tables must be an object")
+    missing = {"types", "terms", "closures"} - tables.keys()
+    if missing:
+        raise ValueError(f"root: tables lack {sorted(missing)}")
+    try:
+        dec = _Decoder(tables)
+    except ValueError as ex:
+        raise ValueError(f"root: tables.{ex}") from None
+    # pre-order with premises in stored order; reversed, every node
+    # comes after its premises, the last premise's subtree first
+    decoded = []  # (rule, conclusion, number of premises)
+    meta = [(None, None)]  # per node met: (its parent's slot, premise number)
+    work = [(obj, 0)]
+    while work:
+        node, at = work.pop()
+        try:
+            if not isinstance(node, dict):
+                raise ValueError("derivation must be an object")
+            missing = _NODE_KEYS - node.keys()
+            if missing:
+                raise ValueError(f"derivation lacks {sorted(missing)}")
+            rule = node["rule"]
+            if not isinstance(rule, str) or rule not in _RULES:
+                raise ValueError(f"unknown rule {rule!r}")
+            conclusion = dec.judgment(node["judgment"])
+            premises = node["premises"]
+            if not isinstance(premises, list):
+                raise ValueError("premises must be a list")
+        except ValueError as ex:
+            raise ValueError(f"{_where(meta, at)}: {ex}") from None
+        decoded.append((rule, conclusion, len(premises)))
+        for i in range(len(premises) - 1, -1, -1):
+            meta.append((at, i))
+            work.append((premises[i], len(meta) - 1))
+    built: list = []
+    for rule, conclusion, k in reversed(decoded):
+        if k:
+            premises = tuple(built[-1 : -k - 1 : -1])
+            del built[-k:]
+        else:
+            premises = ()
+        built.append(Derivation(rule, conclusion, premises))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ _IDENT = re.compile(r"[A-Za-z0-9_']+")
 _WS = " \t\r\n"
 
 
+def is_name(x) -> bool:
+    """x is a string the parser reads as one identifier."""
+    return isinstance(x, str) and _IDENT.fullmatch(x) is not None
+
+
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 

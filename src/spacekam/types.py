@@ -33,6 +33,8 @@ import threading
 import weakref
 from dataclasses import dataclass
 
+from .terms import is_name
+
 
 class NotSummable(Exception):
     """Context or multi union with disagreeing indices."""
@@ -320,66 +322,141 @@ def split_multi(whole: ClosureMulti, left: ClosureMulti, right: ClosureMulti) ->
 
 
 # ---------------------------------------------------------------------------
-# JSON and pretty forms
+# JSON: a table of types, each entry referring to earlier entries by index
 
-def linear_to_json(a):
-    if type(a) is Star:
-        return "*"
-    if type(a) is Arrow:
-        return {"arg": multi_to_json(a.arg), "res": linear_to_json(a.res)}
-    if type(a) is DCArrow:
-        return {"arg": multi_to_json(a.arg), "res": linear_to_json(a.res)}
-    raise TypeError(f"not a type: {a!r}")
-
-
-def multi_to_json(m):
-    if type(m) is ClosureMulti:
-        return {"elems": [linear_to_json(a) for a in m.elems], "k": m.index}
-    if type(m) is MultiType:
-        return {"elems": [linear_to_json(a) for a in m.elems]}
-    raise TypeError(f"not a multi type: {m!r}")
+def json_index(v, n: int) -> int:
+    """v checked as an index into a table of n entries.  JSON booleans
+    are not integers here, and a negative index would silently alias
+    an entry from the end."""
+    if type(v) is not int:
+        raise ValueError(f"index must be an integer, found {v!r}")
+    if not 0 <= v < n:
+        raise ValueError(f"index {v} is outside [0, {n})")
+    return v
 
 
-def linear_from_json(obj):
-    if obj == "*":
-        return STAR
-    if isinstance(obj, dict) and set(obj) == {"arg", "res"}:
-        arg = multi_from_json(obj["arg"])
-        res = linear_from_json(obj["res"])
-        try:
-            return Arrow(arg, res) if type(arg) is ClosureMulti else DCArrow(arg, res)
-        except TypeError as ex:  # a target of the other grammar
-            raise ValueError(str(ex)) from None
-    raise ValueError(f"not a linear type: {obj!r}")
+def _children(a) -> tuple:
+    if type(a) is Arrow or type(a) is DCArrow:
+        return (a.arg, a.res)
+    if type(a) is ClosureMulti or type(a) is MultiType:
+        return a.elems
+    return ()
 
 
-def multi_from_json(obj):
-    if not isinstance(obj, dict) or not isinstance(obj.get("elems"), list):
-        raise ValueError(f"not a multi type: {obj!r}")
-    if set(obj) == {"elems"}:
-        k = None
-    elif set(obj) == {"elems", "k"}:
-        k = obj["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"multi type index must be a positive integer: {k!r}")
-    else:
-        raise ValueError(f"not a multi type: {obj!r}")
-    elems = tuple(linear_from_json(a) for a in obj["elems"])
-    try:
-        return MultiType(elems) if k is None else ClosureMulti(elems, k)
-    except TypeError as ex:  # elements of the other grammar
-        raise ValueError(str(ex)) from None
+class TypeTable:
+    """Encoder for the type table of a derivation file.
+
+    add(a) returns a's entry position, entering a and every type in it
+    once, children before parents: "*", {"arg": i, "res": j},
+    {"elems": [i, ...], "k": k} for an indexed multi and
+    {"elems": [i, ...]} for a plain one.  Types are interned, so the
+    object itself is the key and equal types share one entry."""
+
+    def __init__(self):
+        self.entries: list = []
+        self._at: dict = {}
+
+    def add(self, a) -> int:
+        at = self._at
+        i = at.get(a)
+        if i is not None:
+            return i
+        work = [a]
+        while work:
+            b = work[-1]
+            if b in at:
+                work.pop()
+                continue
+            todo = [c for c in _children(b) if c not in at]
+            if todo:
+                work.extend(todo)
+                continue
+            work.pop()
+            if type(b) is Star:
+                entry = "*"
+            elif type(b) is Arrow or type(b) is DCArrow:
+                entry = {"arg": at[b.arg], "res": at[b.res]}
+            elif type(b) is ClosureMulti:
+                entry = {"elems": [at[c] for c in b.elems], "k": b.index}
+            elif type(b) is MultiType:
+                entry = {"elems": [at[c] for c in b.elems]}
+            else:
+                raise TypeError(f"not a type: {b!r}")
+            at[b] = len(self.entries)
+            self.entries.append(entry)
+        return at[a]
 
 
-def context_to_json(g: TypeContext) -> dict:
-    return {x: multi_to_json(m) for x, m in g.entries}
+def context_to_json(g: TypeContext, table: TypeTable) -> dict:
+    """g as {name: type index}, its multis entered in table."""
+    add = table.add
+    return {x: add(m) for x, m in g.entries}
 
 
-def context_from_json(obj) -> TypeContext:
+def context_from_json(obj, types: list) -> TypeContext:
+    """The context {name: type index} over the decoded type table
+    types; each name must be an identifier and each image a multi."""
     if not isinstance(obj, dict):
         raise ValueError(f"not a context: {obj!r}")
-    return TypeContext(tuple((x, multi_from_json(m)) for x, m in obj.items()))
+    entries = []
+    for x, i in obj.items():
+        if not is_name(x):
+            raise ValueError(f"not a variable name: {x!r}")
+        m = types[json_index(i, len(types))]
+        if type(m) is not ClosureMulti and type(m) is not MultiType:
+            raise ValueError(f"context image of {x} is not a multi type")
+        entries.append((x, m))
+    return TypeContext(tuple(entries))
 
+
+def types_from_json(entries) -> list:
+    """Decode a type table into its types, position by position.  An
+    entry may refer only to entries before it; a ValueError names the
+    offending entry as types[i]."""
+    if not isinstance(entries, list):
+        raise ValueError("types must be a list")
+    out: list = []
+    for i, e in enumerate(entries):
+        try:
+            out.append(_type_entry(e, out))
+        except ValueError as ex:
+            raise ValueError(f"types[{i}]: {ex}") from None
+    return out
+
+
+def _type_entry(e, done):
+    if e == "*":
+        return STAR
+    if isinstance(e, dict):
+        keys = e.keys()
+        if keys == {"arg", "res"}:
+            n = len(done)
+            arg, res = done[json_index(e["arg"], n)], done[json_index(e["res"], n)]
+            try:
+                if type(arg) is ClosureMulti:
+                    return Arrow(arg, res)
+                if type(arg) is MultiType:
+                    return DCArrow(arg, res)
+            except TypeError as ex:  # a target of the other grammar
+                raise ValueError(str(ex)) from None
+            raise ValueError(f"arrow source must be a multi type: {arg!r}")
+        if keys == {"elems"} or keys == {"elems", "k"}:
+            if not isinstance(e["elems"], list):
+                raise ValueError(f"elems must be a list of indices: {e['elems']!r}")
+            n = len(done)
+            elems = tuple(done[json_index(j, n)] for j in e["elems"])
+            k = e.get("k")
+            if "k" in keys and (type(k) is not int or k < 1):
+                raise ValueError(f"multi type index must be a positive integer: {k!r}")
+            try:
+                return MultiType(elems) if k is None else ClosureMulti(elems, k)
+            except TypeError as ex:  # elements of the other grammar
+                raise ValueError(str(ex)) from None
+    raise ValueError(f"not a type: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# pretty forms
 
 def format_linear(a) -> str:
     if type(a) is Star:

@@ -1,0 +1,144 @@
+"""Malformed derivation files for the decoder and the CLI: each case
+edits one well-formed file and names the start of the error it must
+raise.  A table entry is shared by every node that refers to it, so an
+edit to a node's subject or type appends a table entry or repoints the
+node, never rewrites an entry in place."""
+
+import spacekam as sk
+from spacekam.checker import R_CL, R_ENV, R_ST, Derivation, Judgment
+from spacekam.types import EMPTY_CONTEXT, STAR
+
+EXAMPLE_SRC = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
+
+
+def term_file() -> dict:
+    """The space derivation of the README example: term judgments only."""
+    run = sk.skam_run(sk.compile(sk.parse_term(EXAMPLE_SRC)), 100)
+    return sk.derivation_to_json(sk.extract(run))
+
+
+def state_file() -> dict:
+    """State, environment and closure judgments over a state of the same
+    run with a non-empty environment and stack.  Only decoding is
+    tested: the rules are not meant to check."""
+    run = sk.skam_run(sk.compile(sk.parse_term(EXAMPLE_SRC)), 100)
+    s = run.trace[4][1]  # (\z.x | [x <- \a.a] | (x y, [y <- .., x <- ..]))
+    assert s.env and s.stack and s.stack[0].env
+    env = Derivation(R_ENV, Judgment("env", s.env, EMPTY_CONTEXT, EMPTY_CONTEXT, 0))
+    cl = Derivation(R_CL, Judgment("closure", s.stack[0], EMPTY_CONTEXT, STAR, 0))
+    return sk.derivation_to_json(
+        Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0), (env, cl))
+    )
+
+
+def _add(o, table, entry):
+    o["tables"][table].append(entry)
+    return len(o["tables"][table]) - 1
+
+
+def _set(path, key, value):
+    """Set a judgment field of the node at path."""
+    def edit(o):
+        n = o
+        for i in path:
+            n = n["premises"][i]
+        n["judgment"][key] = value(o) if callable(value) else value
+    return edit
+
+
+def _last(table, edit):
+    def go(o):
+        edit(o["tables"][table][-1], len(o["tables"][table]) - 1)
+    return go
+
+
+def _drop(key):
+    def edit(o):
+        del o[key]
+    return edit
+
+
+def _drop_table(key):
+    def edit(o):
+        del o["tables"][key]
+    return edit
+
+
+def _n(table):
+    return lambda o: len(o["tables"][table])
+
+
+# (id, base file, edit, regex the error message must match from its start)
+CASES = [
+    ("no-tables", term_file, _drop("tables"),
+     r"root: derivation lacks \['tables'\]"),
+    ("tables-lack-closures", term_file, _drop_table("closures"),
+     r"root: tables lack \['closures'\]"),
+    ("subject-bool", term_file, _set((), "subject", True),
+     r"root: index must be an integer, found True"),
+    ("subject-negative", term_file, _set((), "subject", -1),
+     r"root: index -1 is outside \[0, \d+\)"),
+    ("subject-past-end", term_file, _set((1, 0), "subject", _n("terms")),
+     r"root\.1\.0: index \d+ is outside \[0, \d+\)"),
+    ("subject-string", term_file, _set((1, 0), "subject", r"\a.a"),
+     r"root\.1\.0: index must be an integer, found '\\\\a\.a'"),
+    ("type-float", term_file, _set((0,), "type", 0.0),
+     r"root\.0: index must be an integer, found 0\.0"),
+    ("type-past-end", term_file, _set((0,), "type", _n("types")),
+     r"root\.0: index \d+ is outside"),
+    ("context-index-bool", term_file,
+     _set((0, 0, 0, 0, 0, 0), "context", {"x": False}),
+     r"root\.0\.0\.0\.0\.0\.0: index must be an integer, found False"),
+    ("context-name", term_file,
+     _set((0, 0, 0, 0, 0, 0), "context", lambda o: {"x y": 1}),
+     r"root\.0\.0\.0\.0\.0\.0: not a variable name: 'x y'"),
+    ("context-image-linear", term_file,
+     _set((0, 0, 0, 0, 0, 0), "context", lambda o: {"x": o["tables"]["types"].index("*")}),
+     r"root\.0\.0\.0\.0\.0\.0: context image of x is not a multi type"),
+    ("term-forward", term_file,
+     lambda o: _add(o, "terms", {"app": [0, len(o["tables"]["terms"])]}),
+     r"root: tables\.terms\[(\d+)\]: index \1 is outside \[0, \1\)"),
+    ("term-negative", term_file,
+     lambda o: _add(o, "terms", {"lam": "x", "body": -1}),
+     r"root: tables\.terms\[\d+\]: index -1 is outside"),
+    ("term-var-name", term_file, lambda o: _add(o, "terms", {"var": "x.y"}),
+     r"root: tables\.terms\[\d+\]: not a variable name: 'x\.y'"),
+    ("term-lam-name", term_file, lambda o: _add(o, "terms", {"lam": "", "body": 0}),
+     r"root: tables\.terms\[\d+\]: not a variable name: ''"),
+    ("term-var-int", term_file, lambda o: _add(o, "terms", {"var": 3}),
+     r"root: tables\.terms\[\d+\]: not a variable name: 3"),
+    ("term-app-arity", term_file, lambda o: _add(o, "terms", {"app": [0, 0, 0]}),
+     r"root: tables\.terms\[\d+\]: not a term"),
+    ("term-string", term_file, lambda o: _add(o, "terms", "x"),
+     r"root: tables\.terms\[\d+\]: not a term"),
+    ("type-forward", term_file,
+     lambda o: _add(o, "types", {"elems": [len(o["tables"]["types"])], "k": 1}),
+     r"root: tables\.types\[(\d+)\]: index \1 is outside \[0, \1\)"),
+    ("type-k-bool", term_file, lambda o: _add(o, "types", {"elems": [], "k": True}),
+     r"root: tables\.types\[\d+\]: multi type index must be a positive integer"),
+    ("closure-code", state_file,
+     _last("closures", lambda e, i: e.update(code=-1)),
+     r"root: tables\.closures\[\d+\]: index -1 is outside"),
+    ("closure-self", state_file,
+     _last("closures", lambda e, i: e["env"][0].__setitem__(1, i)),
+     r"root: tables\.closures\[(\d+)\]: index \1 is outside \[0, \1\)"),
+    ("closure-env-name", state_file,
+     _last("closures", lambda e, i: e["env"][0].__setitem__(0, "λ")),
+     r"root: tables\.closures\[\d+\]: not a variable name: 'λ'"),
+    ("closure-keys", state_file,
+     _last("closures", lambda e, i: e.update(stack=[])),
+     r"root: tables\.closures\[\d+\]: closure must have code and env"),
+    ("state-stack-bool", state_file,
+     lambda o: o["judgment"]["subject"].update(stack=[True]),
+     r"root: index must be an integer, found True"),
+    ("state-env-past-end", state_file,
+     lambda o: o["judgment"]["subject"].update(env=[["x", len(o["tables"]["closures"])]]),
+     r"root: index \d+ is outside"),
+    ("env-subject-name", state_file,
+     lambda o: o["premises"][0]["judgment"]["subject"][0].__setitem__(0, "1 2"),
+     r"root\.0: not a variable name: '1 2'"),
+    ("closure-subject-negative", state_file, _set((1,), "subject", -1),
+     r"root\.1: index -1 is outside"),
+]
+
+IDS = [c[0] for c in CASES]

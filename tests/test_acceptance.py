@@ -281,6 +281,15 @@ def test_acceptance_7_mutation_rejection(capsys):
                 obj = obj["premises"][i]
             return obj
 
+        # a table entry is shared by every node that refers to it, so a
+        # mutation appends a new entry and repoints only its own node
+        def add(o, table, entry):
+            o["tables"][table].append(entry)
+            return len(o["tables"][table]) - 1
+
+        def type_at(o, i):
+            return o["tables"]["types"][i]
+
         P_TVAR = (0, 0, 0, 0, 0, 0)
         P_TNONE = (0, 0, 0, 0, 1)
         P_TMANY = (1,)
@@ -296,7 +305,7 @@ def test_acceptance_7_mutation_rejection(capsys):
             return P_TVAR
 
         def m_leaf_subject(o):
-            at(o, P_TVAR)["judgment"]["subject"] = "y"
+            at(o, P_TVAR)["judgment"]["subject"] = add(o, "terms", {"var": "y"})
             return P_TVAR
 
         def m_context_key(o):
@@ -305,7 +314,8 @@ def test_acceptance_7_mutation_rejection(capsys):
             return P_TVAR
 
         def m_none_index(o):
-            at(o, P_TNONE)["judgment"]["type"]["k"] = 2
+            j = at(o, P_TNONE)["judgment"]
+            j["type"] = add(o, "types", {**type_at(o, j["type"]), "k": 2})
             return P_TNONE
 
         def m_root_rule(o):
@@ -321,7 +331,7 @@ def test_acceptance_7_mutation_rejection(capsys):
             return P_TMANY
 
         def m_lamstar_type(o):
-            at(o, P_TLAMSTAR)["judgment"]["type"] = {"elems": [], "k": 1}
+            at(o, P_TLAMSTAR)["judgment"]["type"] = add(o, "types", {"elems": [], "k": 1})
             return P_TLAMSTAR
 
         def m_swap_root_premises(o):
@@ -329,15 +339,19 @@ def test_acceptance_7_mutation_rejection(capsys):
             return ()
 
         def m_arrow_source(o):
-            at(o, P_TLAM1_Y)["judgment"]["type"]["arg"]["k"] = 2
+            j = at(o, P_TLAM1_Y)["judgment"]
+            arrow = type_at(o, j["type"])
+            arg = add(o, "types", {**type_at(o, arrow["arg"]), "k": 2})
+            j["type"] = add(o, "types", {"arg": arg, "res": arrow["res"]})
             return P_TLAM1_Y
 
         def m_root_type(o):
-            o["judgment"]["type"] = {"elems": [], "k": 1}
+            o["judgment"]["type"] = add(o, "types", {"elems": [], "k": 1})
             return ()
 
         def m_many_index(o):
-            at(o, P_TMANY)["judgment"]["type"]["k"] = 2
+            j = at(o, P_TMANY)["judgment"]
+            j["type"] = add(o, "types", {**type_at(o, j["type"]), "k": 2})
             return P_TMANY
 
         mutations = [

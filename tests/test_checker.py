@@ -1,6 +1,9 @@
 import dataclasses
+import json
+import re
 
 import pytest
+from derivation_files import CASES, IDS
 
 from spacekam.checker import (
     CheckError,
@@ -27,9 +30,11 @@ from spacekam.checker import (
     size_of,
     weight_of,
 )
-from spacekam.kam import MachState, compile
+from spacekam.extractor import extract, extract_kam
+from spacekam.harness import random_closed_term
+from spacekam.kam import Closure, MachState, compile, kam_run
 from spacekam.space_kam import skam_run
-from spacekam.terms import parse_term
+from spacekam.terms import Abs, App, Var, parse_term
 from spacekam.types import (
     EMPTY_CONTEXT,
     STAR,
@@ -367,16 +372,170 @@ def test_json_rejects_boolean_weight(example_space_derivation):
 
 def test_json_errors_carry_the_node_path(example_space_derivation):
     obj = derivation_to_json(example_space_derivation)
-    obj["premises"][1]["premises"][0]["judgment"]["subject"] = "(("
+    obj["premises"][1]["premises"][0]["judgment"]["subject"] = len(obj["tables"]["terms"])
     with pytest.raises(ValueError, match="root.1.0"):
         derivation_from_json(obj)
 
 
-def test_json_term_subjects_are_printed_strings(example_space_derivation):
+def test_json_subjects_and_types_are_table_indices(example_space_derivation):
     obj = derivation_to_json(example_space_derivation)
-    assert obj["judgment"]["subject"] == r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
-    assert obj["judgment"]["type"] == "*"
-    assert obj["premises"][1]["judgment"]["type"] == {"elems": ["*"], "k": 1}
+    assert list(obj) == ["tables", "rule", "judgment", "premises"]
+    tables = obj["tables"]
+    terms, types = tables["terms"], tables["types"]
+
+    def term(i):
+        e = terms[i]
+        if "var" in e:
+            return e["var"]
+        if "lam" in e:
+            return rf"(\{e['lam']}.{term(e['body'])})"
+        return f"({term(e['app'][0])} {term(e['app'][1])})"
+
+    assert term(obj["judgment"]["subject"]) == r"((\x.((\y.((\z.x) (x y))) x)) (\a.a))"
+    assert types[obj["judgment"]["type"]] == "*"
+    many = types[obj["premises"][1]["judgment"]["type"]]
+    assert many == {"elems": [types.index("*")], "k": 1}
+    assert tables["closures"] == []  # term judgments only
+    # every entry refers only to entries before it
+    for i, e in enumerate(terms):
+        assert all(j < i for j in ([e["body"]] if "lam" in e else e.get("app", [])))
+    for i, e in enumerate(types):
+        if e != "*":
+            refs = e.get("elems", []) + [e[k] for k in ("arg", "res") if k in e]
+            assert all(j < i for j in refs)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_json_rejects_bad_indices_and_names(case):
+    _, base, edit, message = case
+    obj = base()
+    derivation_from_json(obj)  # the unedited file decodes
+    edit(obj)
+    with pytest.raises(ValueError) as info:
+        derivation_from_json(json.loads(json.dumps(obj)))
+    assert re.match(message, str(info.value)), str(info.value)
+
+
+def test_json_table_entries_are_shared_by_the_decoded_nodes(example_space_derivation):
+    d = derivation_from_json(json.loads(json.dumps(derivation_to_json(example_space_derivation))))
+    root = d.conclusion.subject
+    assert d.premises[0].conclusion.subject is root.fun
+    seen = {}
+    stack = [root]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            assert seen.setdefault(t.name, t) is t
+        else:
+            stack.extend((t.body,) if type(t) is Abs else (t.fun, t.arg))
+    assert sorted(seen) == ["a", "x", "y"]
+
+
+def _nodes(d):
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(n.premises)
+
+
+def _distinct_entries(obj):
+    for table in obj["tables"].values():
+        texts = [json.dumps(e, sort_keys=True) for e in table]
+        assert len(set(texts)) == len(texts)
+
+
+def test_json_roundtrip_on_fuzz_terms_in_every_mode():
+    complete = 0
+    for seed in range(200):
+        t = random_closed_term(seed, 25)
+        srun = skam_run(compile(t), 2000)
+        if not srun.final_reached:
+            continue
+        complete += 1
+        space = extract(srun)
+        kam = extract_kam(kam_run(compile(t), 2000))
+        for d, mode in ((space, "space"), (reweight(space, "time"), "time"), (kam, "kam")):
+            obj = derivation_to_json(d)
+            _distinct_entries(obj)
+            back = derivation_from_json(json.loads(json.dumps(obj)))
+            assert back == d, (seed, mode)
+            res = check(back, mode)
+            assert res.ok and res.weight == d.conclusion.weight, (seed, mode, res.errors)
+    assert complete > 150
+
+
+def test_json_roundtrip_shares_machine_subjects(example_skam):
+    # every state of the run under one node, so closures recur
+    states = [example_skam.initial] + [s for _, s in example_skam.trace]
+    leaves = tuple(
+        Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0)) for s in states
+    )
+    d = Derivation(R_ST, Judgment("state", states[0], EMPTY_CONTEXT, STAR, 0), leaves)
+    obj = derivation_to_json(d)
+    _distinct_entries(obj)
+    back = derivation_from_json(json.loads(json.dumps(obj)))
+    assert back == d
+    # each entry decodes to one object, whichever nodes refer to it
+    closures = {id(c) for n in _nodes(back) for c in n.conclusion.subject.stack}
+    closures |= {id(c) for n in _nodes(back) for _, c in n.conclusion.subject.env}
+    assert len(closures) <= len(obj["tables"]["closures"])
+
+
+def _chain(depth):
+    """A premise chain depth nodes deep: TLam1 over TLam1 ... over TLamStar."""
+    ident = parse_term(r"\a.a")
+    d = Derivation(R_LAM_STAR, Judgment("term", ident, EMPTY_CONTEXT, STAR, 0))
+    for i in range(depth - 1):
+        d = Derivation(R_LAM1, Judgment("term", ident, EMPTY_CONTEXT, STAR, i + 1), (d,))
+    return d
+
+
+def test_json_roundtrip_of_a_deep_chain_needs_no_recursion():
+    d = _chain(20_000)
+    back = derivation_from_json(derivation_to_json(d))
+    a, b, n = d, back, 0
+    while True:
+        assert (a.rule, a.conclusion) == (b.rule, b.conclusion)
+        assert len(a.premises) == len(b.premises)
+        n += 1
+        if not a.premises:
+            break
+        a, b = a.premises[0], b.premises[0]
+    assert n == 20_000
+
+
+def test_json_deep_chain_errors_name_the_deep_node():
+    obj = derivation_to_json(_chain(20_000))
+    node = obj
+    for _ in range(19_999):
+        node = node["premises"][0]
+    node["judgment"]["weight"] = "0"
+    with pytest.raises(ValueError) as info:
+        derivation_from_json(obj)
+    assert str(info.value) == "root" + ".0" * 19_999 + ": weight must be an integer"
+
+
+def test_json_roundtrip_of_hand_built_closures():
+    x, y = Var("x"), Var("y")
+    inner = Closure(Abs("y", y), ())
+    c = Closure(App(x, x), (("x", inner),))
+    s = MachState(App(x, y), (("x", c), ("y", inner)), (c, inner))
+    d = Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0))
+    obj = derivation_to_json(d)
+    # x, y, x x, x y, \y.y; (\y.y, []), (x x, [x <- (\y.y, [])])
+    assert len(obj["tables"]["terms"]) == 5
+    assert len(obj["tables"]["closures"]) == 2
+    subject = obj["judgment"]["subject"]
+    assert subject["stack"] == [subject["env"][0][1], subject["env"][1][1]]
+    assert derivation_from_json(obj) == d
+
+
+def test_json_file_of_a_church_numeral_stays_small():
+    church = r"(\f.\x." + "f (" * 256 + "x" + ")" * 256 + r") (\a.a) (\b.b)"
+    d = extract(skam_run(compile(parse_term(church)), 10_000))
+    blob = json.dumps(derivation_to_json(d))
+    assert len(blob) < 1_000_000  # 3.6 MB when every node wrote its terms and types in full
 
 
 # ---------------------------------------------------------------- rendering

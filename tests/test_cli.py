@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
+from derivation_files import CASES, IDS
 
 from spacekam.cli import main
 
@@ -172,8 +174,10 @@ def test_infer_space_derivation(runner):
     res = runner.invoke(main, ["infer", EXAMPLE_SRC])
     assert res.exit_code == 0
     obj = json.loads(res.output)
+    assert list(obj) == ["tables", "rule", "judgment", "premises"]
     assert obj["rule"] == "TApp1"
     assert obj["judgment"]["weight"] == 4
+    assert obj["tables"]["types"][obj["judgment"]["type"]] == "*"
 
 
 def test_infer_time_and_kam_weights(runner):
@@ -244,34 +248,79 @@ def test_check_rejects_non_json(runner, tmp_path):
     assert "not JSON" in res.stderr
 
 
-PLAIN_ARROW = {"arg": {"elems": []}, "res": "*"}
+IDENTITY_TABLES = {
+    "types": ["*"],
+    "terms": [{"var": "a"}, {"lam": "a", "body": 0}],
+    "closures": [],
+}
+# types 1..3: []^1, [] and the plain arrow [] -> *
+MIXED_TYPES = ["*", {"elems": [], "k": 1}, {"elems": []}, {"arg": 2, "res": 0}]
 
 
-def _leaf(**judgment):
-    j = {"subject_kind": "term", "subject": r"\a.a", "context": {}, "type": "*", "weight": 0}
-    return {"rule": "TLamStar", "judgment": {**j, **judgment}, "premises": []}
+def _leaf(types=None, **judgment):
+    j = {"subject_kind": "term", "subject": 1, "context": {}, "type": 0, "weight": 0}
+    tables = {**IDENTITY_TABLES, "types": types or IDENTITY_TABLES["types"]}
+    return {"tables": tables, "rule": "TLamStar", "judgment": {**j, **judgment}, "premises": []}
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "obj, message",
     [
-        {"rule": "TVar"},
-        {**_leaf(), "rule": []},
-        _leaf(type={"arg": {"elems": [], "k": 1}, "res": PLAIN_ARROW}),
-        _leaf(context={"x": {"elems": [PLAIN_ARROW], "k": 1}}),
-        _leaf(type={"elems": 5, "k": 1}),
-        _leaf(subject_kind="state", subject={"code": r"\a.a", "env": [], "stack": 5}),
-        _leaf(subject_kind="state", subject={"code": 5, "env": [], "stack": []}),
+        ({"tables": IDENTITY_TABLES, "rule": "TVar"},
+         r"root: derivation lacks \['judgment', 'premises'\]"),
+        ({**_leaf(), "rule": []}, r"root: unknown rule \[\]"),
+        (_leaf(types=MIXED_TYPES + [{"arg": 1, "res": 3}], type=4),
+         r"root: tables\.types\[4\]: indexed arrow needs an indexed target"),
+        (_leaf(types=MIXED_TYPES + [{"elems": [3], "k": 1}], context={"x": 4}),
+         r"root: tables\.types\[4\]: indexed multi over a non-indexed element"),
+        (_leaf(types=["*", {"elems": 5, "k": 1}]),
+         r"root: tables\.types\[1\]: elems must be a list"),
+        (_leaf(subject_kind="state", subject={"code": 1, "env": [], "stack": 5}),
+         r"root: state stack must be a list"),
+        (_leaf(subject_kind="state", subject={"code": 5, "env": [], "stack": []}),
+         r"root: index 5 is outside \[0, 2\)"),
     ],
     ids=["no-judgment", "rule-list", "mixed-arrow", "mixed-context",
          "elems-int", "stack-int", "code-int"],
 )
-def test_check_rejects_malformed_derivations(runner, tmp_path, obj):
+def test_check_rejects_malformed_derivations(runner, tmp_path, obj, message):
     f = tmp_path / "shape.json"
+    f.write_text(json.dumps(_leaf()))
+    assert runner.invoke(main, ["check", str(f)]).exit_code == 0
     f.write_text(json.dumps(obj))
     res = runner.invoke(main, ["check", str(f)])
     assert res.exit_code == 2, res.exception
-    assert res.stderr.splitlines()[-1].startswith("Error: root")
+    last = res.stderr.splitlines()[-1]
+    assert last.startswith("Error: root")
+    assert re.match(message, last.removeprefix("Error: ")), last
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_check_rejects_bad_indices_and_names(runner, tmp_path, case):
+    _, base, edit, message = case
+    obj = base()
+    edit(obj)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj), encoding="utf-8")
+    res = runner.invoke(main, ["check", str(f)])
+    assert res.exit_code == 2, res.exception
+    last = res.stderr.splitlines()[-1]
+    assert re.match(message, last.removeprefix("Error: ")), last
+
+
+def test_check_names_the_missing_tables_of_an_old_file(runner, tmp_path):
+    # the layout before tables: subjects as term strings, types inline
+    old = {
+        "rule": "TLamStar",
+        "judgment": {"subject_kind": "term", "subject": r"\a.a", "context": {},
+                     "type": "*", "weight": 0},
+        "premises": [],
+    }
+    f = tmp_path / "old.json"
+    f.write_text(json.dumps(old))
+    res = runner.invoke(main, ["check", str(f)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == "Error: root: derivation lacks ['tables']"
 
 
 # ---------------------------------------------------------------- verify / fuzz

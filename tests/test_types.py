@@ -1,4 +1,5 @@
 import gc
+import json
 import pickle
 import weakref
 
@@ -25,16 +26,14 @@ from spacekam.types import (
     format_linear,
     format_multi,
     is_dry,
-    linear_from_json,
-    linear_to_json,
-    multi_from_json,
-    multi_to_json,
+    TypeTable,
     multi_union,
     size_context,
     size_linear,
     split_multi,
     summable,
     type_key,
+    types_from_json,
 )
 
 M_STAR1 = ClosureMulti((STAR,), 1)
@@ -216,38 +215,102 @@ def test_split_multi_rejects_wrong_parts():
 
 # ---------------------------------------------------------------- json
 
+def table_roundtrip(a):
+    """a entered in a fresh type table, written as JSON text, read back."""
+    table = TypeTable()
+    i = table.add(a)
+    return types_from_json(json.loads(json.dumps(table.entries)))[i]
+
+
 def test_linear_json_roundtrip():
     for a in (STAR, ARR, Arrow(ClosureMulti((ARR, STAR), 4), Arrow(M_EMPTY1, STAR))):
-        assert linear_from_json(linear_to_json(a)) == a
+        assert table_roundtrip(a) is a
 
 
 def test_dc_json_roundtrip():
     a = DCArrow(MultiType((STAR,)), DCArrow(MultiType(()), STAR))
-    assert linear_from_json(linear_to_json(a)) == a
+    assert table_roundtrip(a) is a
 
 
 def test_multi_json_distinguishes_grammars():
-    assert multi_to_json(M_STAR1) == {"elems": ["*"], "k": 1}
-    assert multi_to_json(MultiType((STAR,))) == {"elems": ["*"]}
-    assert multi_from_json({"elems": ["*"], "k": 1}) == M_STAR1
-    assert multi_from_json({"elems": ["*"]}) == MultiType((STAR,))
+    table = TypeTable()
+    assert table.add(M_STAR1) == 1
+    assert table.add(MultiType((STAR,))) == 2
+    assert table.entries == ["*", {"elems": [0], "k": 1}, {"elems": [0]}]
+    assert types_from_json(table.entries) == [STAR, M_STAR1, MultiType((STAR,))]
+
+
+def test_type_table_enters_each_type_once_children_first():
+    table = TypeTable()
+    a = Arrow(ClosureMulti((ARR, STAR), 4), Arrow(M_EMPTY1, STAR))
+    i = table.add(a)
+    assert table.add(a) == i == len(table.entries) - 1
+    assert table.add(ARR) < i and table.add(STAR) < i
+    # *, []^1, []^1 -> *, [*]^1, ARR, [*, ARR]^4 and a itself
+    assert len(table.entries) == 7
+    assert len({json.dumps(e) for e in table.entries}) == len(table.entries)
 
 
 def test_multi_from_json_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        multi_from_json({"elems": [], "k": 0})
-    with pytest.raises(ValueError):
-        multi_from_json({"elems": [], "k": True})
-    with pytest.raises(ValueError):
-        multi_from_json({"elems": [], "k": "2"})
-    with pytest.raises(ValueError):
-        multi_from_json({"elems": [], "k": 2, "extra": 1})
+    for k in (0, -1, True, "2", 1.0, None):
+        with pytest.raises(ValueError, match=r"types\[0\]: multi type index"):
+            types_from_json([{"elems": [], "k": k}])
+    with pytest.raises(ValueError, match=r"types\[0\]: not a type"):
+        types_from_json([{"elems": [], "k": 2, "extra": 1}])
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (["*", {"arg": True, "res": 0}], r"types\[1\]: index must be an integer"),
+        (["*", {"elems": [0, False], "k": 1}], r"types\[1\]: index must be an integer"),
+        (["*", {"elems": [0.0]}], r"types\[1\]: index must be an integer"),
+        (["*", {"elems": ["0"]}], r"types\[1\]: index must be an integer"),
+        (["*", {"elems": [-1]}], r"types\[1\]: index -1 is outside \[0, 1\)"),
+        (["*", {"elems": [1]}], r"types\[1\]: index 1 is outside"),
+        ([{"elems": [0]}], r"types\[0\]: index 0 is outside \[0, 0\)"),
+        (["*", {"elems": 5, "k": 1}], r"types\[1\]: elems must be a list"),
+        (["*", {"arg": 0, "res": 0}], r"types\[1\]: arrow source must be a multi"),
+        (["*", {"elems": []}, {"arg": 1, "res": 1}], r"types\[2\]: .*target"),
+        (["*", {"elems": []}, {"arg": 1, "res": 0}, {"elems": [2], "k": 1}],
+         r"types\[3\]: indexed multi over a non-indexed"),
+        (["*", {"elems": [], "k": 1}, {"arg": 1, "res": 0}, {"elems": []},
+          {"arg": 3, "res": 2}], r"types\[4\]: plain arrow needs a plain target"),
+        (["+"], r"types\[0\]: not a type"),
+        ({"0": "*"}, "types must be a list"),
+    ],
+    ids=["bool", "bool-elem", "float", "string", "negative", "forward", "self",
+         "elems-int", "arrow-from-star", "arrow-to-multi", "mixed-multi", "mixed-arrow",
+         "unknown", "not-a-list"],
+)
+def test_type_table_rejects_bad_entries(entries, message):
+    with pytest.raises(ValueError, match=message):
+        types_from_json(entries)
 
 
 def test_context_json_roundtrip():
     g = TypeContext((("x", M_STAR1), ("y", ClosureMulti((), 3))))
-    assert context_from_json(context_to_json(g)) == g
-    assert context_from_json({}) == EMPTY_CONTEXT
+    table = TypeTable()
+    obj = context_to_json(g, table)
+    assert obj == {"x": table.add(M_STAR1), "y": table.add(ClosureMulti((), 3))}
+    assert context_from_json(obj, types_from_json(table.entries)) == g
+    assert context_from_json({}, []) == EMPTY_CONTEXT
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"x": 0}, "context image of x is not a multi type"),
+        ({"x": 2}, r"index 2 is outside \[0, 2\)"),
+        ({"x": True}, "index must be an integer"),
+        ({"x y": 1}, "not a variable name: 'x y'"),
+        ({"": 1}, "not a variable name: ''"),
+        ([["x", 1]], "not a context"),
+    ],
+)
+def test_context_from_json_rejects_bad_entries(obj, message):
+    with pytest.raises(ValueError, match=message):
+        context_from_json(obj, [STAR, M_STAR1])
 
 
 # ---------------------------------------------------------------- formatting
@@ -354,7 +417,7 @@ def test_stored_key_is_the_structural_key(a):
 @settings(max_examples=150)
 def test_equal_types_are_one_object(a):
     assert rebuild(a) is a
-    assert linear_from_json(linear_to_json(a)) is a
+    assert table_roundtrip(a) is a
     assert pickle.loads(pickle.dumps(a)) is a
 
 
