@@ -4,9 +4,10 @@ intersection type system whose derivations measure machine runs.
 The package has three layers:
 
   terms      syntax, parsing, substitution, weak head reduction
-  kam        the Krivine machine; space_kam adds eager garbage
-             collection and environment unchaining, plus space and
-             time measures over the run
+  kam        the Krivine machine and the run core both machines share:
+             one Run type, one run loop, trace rows and summary;
+             space_kam adds eager garbage collection and environment
+             unchaining, and measures a run's space and time
   types      indexed multi types and their algebra; checker validates
              weighted derivations in three modes; extractor rebuilds a
              derivation from a recorded machine run, one transition at
@@ -51,7 +52,6 @@ from .kam import (
     decode,
 )
 from .space_kam import (
-    SpaceRun,
     InvariantViolation,
     env_restrict,
     skam_step,

@@ -42,8 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .kam import Closure, MachState
-from .space_kam import SpaceRun
+from .kam import Closure, MachState, Run
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -859,7 +858,7 @@ def rule_counts(d: Derivation) -> dict:
     return counts
 
 
-def check_rule_transition_correspondence(d: Derivation, run: SpaceRun) -> bool:
+def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
     """Rule uses against transition counts for a complete run:
 
         TApp2 = sea_v   TApp1 = sea_nv   TLam1 = beta_nw

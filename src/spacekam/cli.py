@@ -22,14 +22,9 @@ from .checker import (
 from .extractor import IncompleteRun, extract, extract_kam
 from .harness import fuzz as run_fuzz
 from .harness import verify as run_verify
-from .kam import OpenTerm, StuckState
+from .kam import OpenTerm, StuckState, kam_run, run_summary, run_trace_rows
 from .kam import compile as kam_compile
-from .kam import kam_run
-from .kam import run_summary as kam_summary
-from .kam import run_trace_rows as kam_trace_rows
 from .space_kam import skam_run
-from .space_kam import run_summary as skam_summary
-from .space_kam import run_trace_rows as skam_trace_rows
 from .terms import ParseError, parse_term, print_term, whnf_eval
 
 
@@ -122,62 +117,38 @@ def eval_cmd(term, path, fuel, as_json):
         sys.exit(1)
 
 
-@main.command("kam")
-@_term_argument
-@_file_option
-@_fuel_option
-@_json_option
-@click.option("--trace", default=None, help="write the trace as JSON lines here ('-' for stdout)")
-def kam_cmd(term, path, fuel, as_json, trace):
-    """Run the plain machine on a closed term."""
-    t = _load_term(term, path)
-    try:
-        run = kam_run(_compile(t), fuel)
-    except StuckState as ex:
-        raise click.UsageError(str(ex))
-    if trace:
-        _write_trace(kam_trace_rows(run), trace)
-    summary = kam_summary(run)
-    if as_json:
-        click.echo(json.dumps(summary))
-    else:
-        c = run.counts
-        click.echo(
-            f"transitions: {run.transitions} "
-            f"(sea {c['sea']}, beta {c['beta']}, sub {c['sub']})"
-        )
-        click.echo(f"complete: {str(run.final_reached).lower()}")
-    if not run.final_reached:
-        sys.exit(1)
+def _machine_command(name, machine_run, doc):
+    @main.command(name, help=doc)
+    @_term_argument
+    @_file_option
+    @_fuel_option
+    @_json_option
+    @click.option("--trace", default=None, help="write the trace as JSON lines here ('-' for stdout)")
+    def machine_cmd(term, path, fuel, as_json, trace):
+        t = _load_term(term, path)
+        try:
+            run = machine_run(_compile(t), fuel)
+        except StuckState as ex:
+            raise click.UsageError(str(ex))
+        if trace:
+            _write_trace(run_trace_rows(run), trace)
+        if as_json:
+            click.echo(json.dumps(run_summary(run)))
+        else:
+            counts = ", ".join(f"{label} {n}" for label, n in run.counts.items())
+            click.echo(f"transitions: {run.transitions} ({counts})")
+            if run.space is not None:
+                click.echo(f"space: {run.space}")
+                click.echo(f"time: {run.time}")
+            click.echo(f"complete: {str(run.final_reached).lower()}")
+        if not run.final_reached:
+            sys.exit(1)
+
+    return machine_cmd
 
 
-@main.command("skam")
-@_term_argument
-@_file_option
-@_fuel_option
-@_json_option
-@click.option("--trace", default=None, help="write the trace as JSON lines here ('-' for stdout)")
-def skam_cmd(term, path, fuel, as_json, trace):
-    """Run the space machine on a closed term."""
-    t = _load_term(term, path)
-    run = skam_run(_compile(t), fuel)
-    if trace:
-        _write_trace(skam_trace_rows(run), trace)
-    summary = skam_summary(run)
-    if as_json:
-        click.echo(json.dumps(summary))
-    else:
-        c = run.counts
-        click.echo(
-            f"transitions: {run.transitions} "
-            f"(sea_v {c['sea_v']}, sea_nv {c['sea_nv']}, "
-            f"beta_w {c['beta_w']}, beta_nw {c['beta_nw']}, sub {c['sub']})"
-        )
-        click.echo(f"space: {run.space}")
-        click.echo(f"time: {run.time}")
-        click.echo(f"complete: {str(run.final_reached).lower()}")
-    if not run.final_reached:
-        sys.exit(1)
+kam_cmd = _machine_command("kam", kam_run, "Run the plain machine on a closed term.")
+skam_cmd = _machine_command("skam", skam_run, "Run the space machine on a closed term.")
 
 
 @main.command("infer")
@@ -226,6 +197,8 @@ def check_cmd(path, mode, full_scan):
         obj = json.loads(text)
     except json.JSONDecodeError as ex:
         raise click.UsageError(f"not JSON: {ex}")
+    except RecursionError:
+        raise click.UsageError("JSON nested too deep to read")
     try:
         d = derivation_from_json(obj)
     except ValueError as ex:

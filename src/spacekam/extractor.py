@@ -63,7 +63,6 @@ from .space_kam import (
     LABEL_SEA_NV,
     LABEL_SEA_V,
     LABEL_SUB,
-    SpaceRun,
     size_closure,
     skam_step,
     state_size,
@@ -403,7 +402,7 @@ def _undo_sea_nv(b, source, term_p, env_p, stack_ps):
 # ---------------------------------------------------------------------------
 # whole runs
 
-def extract(run: SpaceRun) -> Derivation:
+def extract(run: Run) -> Derivation:
     """The weighted typing of a complete run's initial code: a closed
     term at the ground type, with space weight the run's space.  Its
     time reweighting has the run's time at the root.  The step equations
@@ -413,7 +412,7 @@ def extract(run: SpaceRun) -> Derivation:
             f"run stopped after {run.transitions} transitions without a final state"
         )
     b = _Builder()
-    states = [run.initial] + [s for _, s in run.trace]
+    states = run.states
     cur = _type_final(b, states[-1])
     for i in range(len(run.trace) - 1, -1, -1):
         label = run.trace[i][0]
@@ -469,7 +468,7 @@ def extract_kam(run: Run) -> Derivation:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
-    states = [run.initial] + [s for _, s in run.trace]
+    states = run.states
     final = states[-1]
     if type(final.code) is not Abs or final.stack:
         raise NotFinal(

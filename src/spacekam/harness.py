@@ -174,7 +174,7 @@ def verify(t: Term, fuel: int) -> VerificationReport:
         elif pik is not None:
             dc_weight = computed("kam_weight", lambda: weight_of(pik, "kam"))
         checks.append(("kam_weight", dc_weight is not None and dc_weight == krun.transitions))
-        attempt("env_domain_invariant", lambda: check_run_env_domain_invariant(srun))
+        attempt("env_domain_invariant", lambda: check_run_env_domain_invariant(srun.states))
 
     report = VerificationReport(
         term=t,

@@ -86,16 +86,29 @@ LABEL_SUB = "sub"
 KAM_LABELS = (LABEL_SEA, LABEL_BETA, LABEL_SUB)
 
 
+def size_env(e: Env) -> int:
+    """Pointer count of an environment: the sum of its closures' sizes."""
+    return sum(c.size for _, c in e)
+
+
+def state_size(s: MachState) -> int:
+    """Pointer count of a state: its environment plus its stack."""
+    return size_env(s.env) + sum(c.size for c in s.stack)
+
+
 @dataclass(frozen=True, slots=True)
 class Run:
-    """A recorded run: the initial state, one (label, state) pair per
-    transition, whether a final state was reached within fuel, and the
-    per-label transition counts."""
+    """A recorded run of either machine: the initial state, one (label,
+    state) pair per transition, whether a final state was reached within
+    fuel, and the transition counts per label, in label order.  space
+    and time are the space machine's measures, None for a plain run."""
 
     initial: MachState
     trace: tuple[tuple[str, MachState], ...]
     final_reached: bool
     counts: dict
+    space: int | None = None
+    time: int | None = None
 
     @property
     def final(self) -> MachState | None:
@@ -107,6 +120,11 @@ class Run:
     @property
     def transitions(self) -> int:
         return len(self.trace)
+
+    @property
+    def states(self) -> list[MachState]:
+        """The initial state followed by every traced state, as a new list."""
+        return [self.initial, *(s for _, s in self.trace)]
 
 
 def compile(t: Term) -> MachState:
@@ -133,23 +151,26 @@ def kam_step(s: MachState) -> tuple[str, MachState] | None:
     return LABEL_SUB, MachState(c.code, c.env, s.stack)
 
 
+def run_machine(step, labels, s: MachState, fuel: int) -> Run:
+    """Fire step from s for at most fuel transitions and record the run.
+    step returns (label, next state), or None on a final state; labels
+    are every label it can return."""
+    trace: list[tuple[str, MachState]] = []
+    counts = dict.fromkeys(labels, 0)
+    cur = s
+    for _ in range(fuel):
+        nxt = step(cur)
+        if nxt is None:
+            return Run(s, tuple(trace), True, counts)
+        label, cur = nxt
+        counts[label] += 1
+        trace.append(nxt)
+    return Run(s, tuple(trace), step(cur) is None, counts)
+
+
 def kam_run(s: MachState, fuel: int) -> Run:
     """Run for at most fuel transitions."""
-    trace: list[tuple[str, MachState]] = []
-    counts = {LABEL_SEA: 0, LABEL_BETA: 0, LABEL_SUB: 0}
-    cur = s
-    final = False
-    for _ in range(fuel):
-        step = kam_step(cur)
-        if step is None:
-            final = True
-            break
-        label, cur = step
-        counts[label] += 1
-        trace.append((label, cur))
-    else:
-        final = kam_step(cur) is None
-    return Run(s, tuple(trace), final, counts)
+    return run_machine(kam_step, KAM_LABELS, s, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +215,23 @@ def state_to_json(s: MachState) -> dict:
 
 
 def run_trace_rows(run: Run):
-    """One JSON-ready dict per transition: the label and the state it
-    produced.  Step numbers start at 1; the initial state is step 0 and
-    has no row."""
+    """One JSON-ready dict per transition: the label, the state size
+    for a measured run, and the state it produced.  Step numbers start
+    at 1; the initial state is step 0 and has no row."""
     for i, (label, s) in enumerate(run.trace, start=1):
         row = {"step": i, "label": label}
+        if run.space is not None:
+            row["size"] = state_size(s)
         row.update(state_to_json(s))
         yield row
 
 
 def run_summary(run: Run) -> dict:
-    return {
-        "transitions": run.transitions,
-        "counts": dict(run.counts),
-        "complete": run.final_reached,
-    }
+    """Transitions, counts per label, space and time for a measured
+    run, and whether the run is complete."""
+    out = {"transitions": run.transitions, "counts": dict(run.counts)}
+    if run.space is not None:
+        out["space"] = run.space
+        out["time"] = run.time
+    out["complete"] = run.final_reached
+    return out

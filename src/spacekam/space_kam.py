@@ -23,15 +23,22 @@ the one binding for the variable.
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
-plus stack.  A run's space is the max state size over all states
+plus stack (kam.state_size).  A run's space is the max state size over all states
 including the initial one; its time is the sum over all states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .kam import Closure, Env, MachState, Stack, env_lookup, state_to_json
+from .kam import (
+    Closure,
+    Env,
+    MachState,
+    Run,
+    env_lookup,
+    run_machine,
+    size_env,
+    state_size,  # re-exported: a run's space and time are its max and sum
+)
 from .terms import Abs, App, Term, Var, print_term
 
 
@@ -60,16 +67,8 @@ def env_restrict(e: Env, names: frozenset[str]) -> Env:
     return tuple(out)
 
 
-def size_env(e: Env) -> int:
-    return sum(c.size for _, c in e)
-
-
 def size_closure(c: Closure) -> int:
     return c.size
-
-
-def state_size(s: MachState) -> int:
-    return size_env(s.env) + sum(c.size for c in s.stack)
 
 
 def _dom(e: Env) -> set[str]:
@@ -111,78 +110,41 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
     return LABEL_SUB, MachState(c.code, c.env, stack)
 
 
-@dataclass(frozen=True)
-class SpaceRun:
-    initial: MachState
-    trace: tuple[tuple[str, MachState], ...]
-    final_reached: bool
-    space: int
-    time: int
-    counts: dict
-
-    @property
-    def final(self) -> MachState | None:
-        """The final state, or None when the run stopped on fuel."""
-        if not self.final_reached:
-            return None
-        return self.trace[-1][1] if self.trace else self.initial
-
-    @property
-    def transitions(self) -> int:
-        return len(self.trace)
-
-
-def skam_run(s: MachState, fuel: int) -> SpaceRun:
-    """Run for at most fuel transitions, tracking space and time.
+def skam_run(s: MachState, fuel: int) -> Run:
+    """Run for at most fuel transitions, then measure space and time.
 
     Both measures include the initial state; time also includes the
-    final state when it is reached.  Stack size is maintained
-    incrementally, and states share closures that cache their own
+    final state when it is reached.  The measuring pass keeps the stack
+    size incrementally, and states share closures that cache their own
     sizes (Closure.size), so a step costs O(|env|) rather than O(state
     size).
     """
-    trace: list[tuple[str, MachState]] = []
-    counts = {label: 0 for label in SKAM_LABELS}
-    cur = s
+    run = run_machine(skam_step, SKAM_LABELS, s, fuel)
     stack_sz = sum(c.size for c in s.stack)
-    sz = size_env(s.env) + stack_sz
-    space = sz
-    time = sz
-    final = False
-    for _ in range(fuel):
-        step = skam_step(cur)
-        if step is None:
-            final = True
-            break
-        label, nxt = step
+    space = time = size_env(s.env) + stack_sz
+    prev = s
+    for label, cur in run.trace:
         if label in (LABEL_SEA_V, LABEL_SEA_NV):
-            stack_sz += nxt.stack[0].size
+            stack_sz += cur.stack[0].size
         elif label in (LABEL_BETA_W, LABEL_BETA_NW):
-            stack_sz -= cur.stack[0].size
-        counts[label] += 1
-        trace.append((label, nxt))
-        cur = nxt
+            stack_sz -= prev.stack[0].size
         sz = size_env(cur.env) + stack_sz
         if sz > space:
             space = sz
         time += sz
-    else:
-        final = skam_step(cur) is None
-    return SpaceRun(s, tuple(trace), final, space, time, counts)
+        prev = cur
+    return Run(s, run.trace, run.final_reached, run.counts, space, time)
 
 
-def check_run_env_domain_invariant(run) -> bool:
-    """dom(env) = fv(code) in every state of run (a SpaceRun or an
-    iterable of states), for the state itself and inside every closure.
+def check_run_env_domain_invariant(states) -> bool:
+    """dom(env) = fv(code) in every one of an iterable of states (such
+    as Run.states), for the state itself and inside every closure.
 
     Successive states share their closures, and closures are immutable,
     so a closure that checked once stays valid: each distinct closure
     object is visited once per call.  The states hold every closure
     alive for the whole call, so a set of ids is enough."""
-    if isinstance(run, SpaceRun):
-        states = [run.initial, *(s for _, s in run.trace)]
-    else:
-        states = list(run)
+    states = list(states)
     seen: set[int] = set()
     for s in states:
         if _dom(s.env) != s.code.fv:
@@ -203,20 +165,3 @@ def check_run_env_domain_invariant(run) -> bool:
 def check_env_domain_invariant(s: MachState) -> bool:
     """dom(env) = fv(code) for the state and inside every closure."""
     return check_run_env_domain_invariant((s,))
-
-
-def run_trace_rows(run: SpaceRun):
-    """Like the plain machine's trace rows, with the state size added."""
-    for i, (label, s) in enumerate(run.trace, start=1):
-        row = {"step": i, "label": label, "size": state_size(s)}
-        row.update(state_to_json(s))
-        yield row
-
-
-def run_summary(run: SpaceRun) -> dict:
-    return {
-        "transitions": run.transitions,
-        "space": run.space,
-        "time": run.time,
-        "complete": run.final_reached,
-    }

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -115,6 +116,7 @@ def test_skam_summary_json(runner):
     assert res.exit_code == 0
     assert json.loads(res.output) == {
         "transitions": 7,
+        "counts": {"sea_v": 1, "sea_nv": 2, "beta_w": 1, "beta_nw": 2, "sub": 1},
         "space": 4,
         "time": 11,
         "complete": True,
@@ -246,6 +248,19 @@ def test_check_rejects_non_json(runner, tmp_path):
     res = runner.invoke(main, ["check", str(f)])
     assert res.exit_code == 2
     assert "not JSON" in res.stderr
+
+
+def test_check_rejects_json_nested_too_deep(runner, tmp_path):
+    # a premise chain twice as deep as the recursion limit, four times
+    # as many JSON levels: too deep for the JSON reader to load
+    depth = 2 * sys.getrecursionlimit()
+    leaf = json.dumps(_leaf())
+    f = tmp_path / "deep.json"
+    f.write_text('{"rule": "TLamStar", "premises": [' * depth + leaf + "]}" * depth)
+    res = runner.invoke(main, ["check", str(f)])
+    assert res.exit_code == 2, res.exception
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stderr.splitlines()[-1] == "Error: JSON nested too deep to read"
 
 
 IDENTITY_TABLES = {

@@ -13,7 +13,9 @@ from spacekam.kam import (
     kam_step,
     run_summary,
     run_trace_rows,
+    state_size,
 )
+from spacekam.space_kam import skam_run
 from spacekam.terms import Abs, Var, alpha_eq, parse_term, whnf_eval, whnf_step
 
 
@@ -120,6 +122,21 @@ def test_run_summary(example_kam):
         "counts": {"sea": 3, "beta": 3, "sub": 1},
         "complete": True,
     }
+
+
+@pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
+def test_run_contract(machine_run):
+    for seed in range(200):
+        run = machine_run(compile(sk.random_closed_term(seed, 25)), 500)
+        assert sum(run.counts.values()) == run.transitions
+        assert len(run.states) == run.transitions + 1
+        assert (run.final is None) == (not run.final_reached)
+        assert sum(1 for _ in run_trace_rows(run)) == run.transitions
+        if machine_run is skam_run:
+            sizes = [state_size(s) for s in run.states]
+            assert (run.space, run.time) == (max(sizes), sum(sizes))
+        else:
+            assert run.space is None and run.time is None
 
 
 @given(st.integers(0, 2**30))

@@ -3,14 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 import spacekam as sk
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, MachState, compile
+from spacekam.kam import Closure, MachState, compile, run_summary, run_trace_rows
 from spacekam.space_kam import (
     InvariantViolation,
     check_env_domain_invariant,
     check_run_env_domain_invariant,
     env_restrict,
-    run_summary,
-    run_trace_rows,
     size_closure,
     size_env,
     skam_run,
@@ -188,7 +186,7 @@ def test_run_invariant_agrees_with_the_per_state_check():
         run = skam_run(compile(random_closed_term(seed, 25)), 2000)
         states = all_states(run)
         assert all(check_env_domain_invariant(s) for s in states)
-        assert check_run_env_domain_invariant(run)
+        assert check_run_env_domain_invariant(run.states)
         assert check_run_env_domain_invariant(iter(states))
         # plant a stale closure in the last state, below a closure that
         # earlier states hold, so the run-level walk has seen it already
@@ -236,6 +234,7 @@ def test_trace_rows_include_sizes(example_skam):
 def test_run_summary_shape(example_skam):
     assert run_summary(example_skam) == {
         "transitions": 7,
+        "counts": {"sea_v": 1, "sea_nv": 2, "beta_w": 1, "beta_nw": 2, "sub": 1},
         "space": 4,
         "time": 11,
         "complete": True,

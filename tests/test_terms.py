@@ -10,6 +10,7 @@ from spacekam.terms import (
     all_vars,
     alpha_eq,
     free_vars,
+    is_name,
     parse_term,
     print_term,
     subst,
@@ -47,6 +48,13 @@ def test_parse_nested_parens():
 def test_parse_identifier_charset():
     t = parse_term(r"\x'.x' f_1")
     assert t == Abs("x'", App(Var("x'"), Var("f_1")))
+
+
+def test_identifiers_may_start_with_a_digit():
+    t = parse_term(r"\2x.2x")
+    assert t == Abs("2x", Var("2x"))
+    assert print_term(t) == r"\2x.2x"
+    assert is_name("2x")
 
 
 def test_parse_comments_to_eol():
