@@ -3,10 +3,11 @@ recomputation.
 
 A derivation node carries its conclusion judgment (subject kind,
 subject, context, assigned type, stored weight) and its premise
-subtrees.  check validates every node against its rule's shape and side
-conditions, recomputes every weight bottom-up in the requested mode,
-and compares stored against recomputed: stored weights are advisory and
-never trusted.
+subtrees.  check_walk validates every node against its rule's shape and
+side conditions once, recomputes every weight bottom-up in each mode it
+is given, and compares stored against recomputed in the first mode:
+stored weights are advisory and never trusted.  check and weight_of are
+its views for one mode.
 
 Modes:
 
@@ -40,6 +41,7 @@ Rules, premises in stored order:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .kam import Closure, MachState, Run
@@ -730,86 +732,131 @@ def _walk(d: Derivation):
         n, mi = stack.pop()
         if not isinstance(n, Derivation):
             raise TypeError(f"premise is not a derivation: {n!r}")
-        at = len(order)
         order.append((n, mi))
         for i, p in enumerate(n.premises):
-            meta.append((at, i))
+            meta.append((mi, i))
             stack.append((p, len(meta) - 1))
     return order, meta
 
 
-def _path_of(mi: int, order, meta) -> tuple:
+def _path_of(meta, mi: int) -> tuple:
+    """The premise path of the node met at slot mi, from the (parent's
+    slot, premise number) pairs of _walk or of the decoder."""
     path = []
-    while True:
-        parent_at, idx = meta[mi]
-        if parent_at is None:
-            break
-        path.append(idx)
-        mi = order[parent_at][1]
+    while mi:
+        mi, i = meta[mi]
+        path.append(i)
     return tuple(reversed(path))
 
 
-def _run_check(d, mode, full_scan, compare_stored):
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
+def _rule_errors(n, mode) -> list:
+    """What is wrong with node n's shape and side conditions in mode."""
+    if n.rule not in (DC_RULES if mode == "kam" else MACHINE_RULES):
+        return [f"rule {n.rule} does not belong to mode {mode}"]
+    msgs = []
+    try:
+        _RULE_CHECKS[n.rule](n, msgs.append, mode)
+    except Exception as ex:  # malformed nodes must fail, not crash
+        msgs.append(f"malformed node: {ex}")
+    return msgs
+
+
+def _count_rules(order) -> dict:
+    return dict(Counter(n.rule for n, _ in order))
+
+
+def _size(counts) -> int:
+    return sum(k for rule, k in counts.items() if rule not in _SIZE_EXEMPT)
+
+
+@dataclass
+class CheckWalk:
+    """What check_walk found: check's errors in the first mode; per mode,
+    the recomputed root weight (None when the tree fails in that mode)
+    and the first failing node's errors; and the rule uses."""
+
+    errors: list
+    weights: dict
+    failures: dict
+    counts: dict
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+    @property
+    def size(self) -> int:
+        return _size(self.counts)
+
+    def weight(self, mode: str) -> int:
+        """mode's root weight; raises InvalidDerivation when there is none."""
+        if self.weights[mode] is None:
+            raise InvalidDerivation(self.failures[mode])
+        return self.weights[mode]
+
+
+def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWalk:
+    """Check d in all of modes at once: space and time share the tree and
+    differ only in weights; kam goes alone.  Each node's shape is checked
+    once (a failing node is described again per mode, as messages name
+    it) and its weight recomputed in every mode.  Stored weights are
+    compared in the first mode, not above a failed node.  Reports only
+    the first failing node unless full_scan."""
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
+    first = modes[0]
     order, meta = _walk(d)
-    weights: dict[int, int] = {}
+    weights = [{} for _ in modes]  # per mode, each node's recomputed weight
+    fell: set[int] = set()  # nodes failing in the first mode, or above one
     groups = []  # per-node error lists, deepest node first
-    allowed = DC_RULES if mode == "kam" else MACHINE_RULES
-    for at in range(len(order) - 1, -1, -1):
-        n, mi = order[at]
-        msgs = []
-        err = msgs.append
-        if n.rule not in allowed:
-            err(f"rule {n.rule} does not belong to mode {mode}")
-        else:
-            try:
-                _RULE_CHECKS[n.rule](n, err, mode)
-            except Exception as ex:  # malformed nodes must fail, not crash
-                err(f"malformed node: {ex}")
-        w = None
-        if not msgs:
-            pw = [weights[id(p)] for p in n.premises]
-            if None not in pw:
+    failures: dict[str, list] = {}
+    for n, mi in reversed(order):
+        c = n.conclusion
+        msgs = _rule_errors(n, first)
+        fails = {m: msgs if m == first else _rule_errors(n, m) for m in modes} if msgs else {}
+        for known, mode in zip(weights, modes):
+            pw = [known[id(p)] for p in n.premises]
+            w = None
+            if not msgs and None not in pw:
                 try:
-                    w = rule_weight(
-                        n.rule, n.conclusion.context, n.conclusion.assigned, pw, mode
-                    )
+                    w = rule_weight(n.rule, c.context, c.assigned, pw, mode)
                 except (TypeError, ValueError) as ex:
-                    err(f"weight not computable: {ex}")
-        if w is not None and compare_stored:
-            stored = n.conclusion.weight
-            if not isinstance(stored, int) or isinstance(stored, bool) or stored != w:
-                err(f"stored weight {stored!r}, recomputed {w}")
-                w = None
-        weights[id(n)] = w
-        if msgs:
-            path = _path_of(mi, order, meta)
-            groups.append([CheckError(path, m) for m in msgs])
-            if not full_scan:
-                return CheckResult(False, groups[0])
-    if groups:
-        # report shallow nodes first
-        errors = [e for grp in reversed(groups) for e in grp]
-        return CheckResult(False, errors)
-    return CheckResult(True, [], weights[id(d)])
+                    fails[mode] = [f"weight not computable: {ex}"]
+            known[id(n)] = w
+        below = fell and not fell.isdisjoint(map(id, n.premises))
+        w = weights[0][id(n)]
+        if not msgs and not below:
+            if first in fails:
+                msgs = fails[first]
+            elif not isinstance(c.weight, int) or isinstance(c.weight, bool) or c.weight != w:
+                msgs = [f"stored weight {c.weight!r}, recomputed {w}"]
+        if msgs or below:
+            fell.add(id(n))
+        if msgs or fails:
+            path = _path_of(meta, mi)
+            for m, f in fails.items():
+                failures.setdefault(m, [CheckError(path, x) for x in f])
+            if msgs and (full_scan or not groups):
+                groups.append([CheckError(path, x) for x in msgs])
+    # report shallow nodes first
+    errors = [e for grp in reversed(groups) for e in grp]
+    return CheckWalk(errors, {m: w[id(d)] for m, w in zip(modes, weights)}, failures, _count_rules(order))
 
 
 def check(d: Derivation, mode: str, full_scan: bool = False) -> CheckResult:
     """Validate every node and compare stored weights against recomputed
-    ones.  Stops at the first failing node unless full_scan.  A passing
-    result carries the recomputed root weight, which is then also the
-    stored one."""
-    return _run_check(d, mode, full_scan, compare_stored=True)
+    ones.  Reports the first failing node only, unless full_scan.  A
+    passing result carries the recomputed root weight, which is then
+    also the stored one."""
+    walk = check_walk(d, (mode,), full_scan)
+    return CheckResult(walk.ok, walk.errors, walk.weights[mode] if walk.ok else None)
 
 
 def weight_of(d: Derivation, mode: str) -> int:
     """The recomputed root weight; stored weights are ignored.  Raises
     InvalidDerivation when the structure itself does not check."""
-    result = _run_check(d, mode, full_scan=False, compare_stored=False)
-    if not result.ok:
-        raise InvalidDerivation(result.errors)
-    return result.weight
+    return check_walk(d, (mode,)).weight(mode)
 
 
 def reweight(d: Derivation, mode: str) -> Derivation:
@@ -838,44 +885,26 @@ def size_of(d: Derivation) -> int:
     """Nodes counted once per occurrence, skipping the bookkeeping rules
     (TMany, TNone, TCl, TEnv).  On a run derivation this counts the
     machine states."""
-    n = 0
-    stack = [d]
-    while stack:
-        x = stack.pop()
-        if x.rule not in _SIZE_EXEMPT:
-            n += 1
-        stack.extend(x.premises)
-    return n
+    return _size(rule_counts(d))
 
 
 def rule_counts(d: Derivation) -> dict:
-    counts: dict[str, int] = {}
-    stack = [d]
-    while stack:
-        x = stack.pop()
-        counts[x.rule] = counts.get(x.rule, 0) + 1
-        stack.extend(x.premises)
-    return counts
+    return _count_rules(_walk(d)[0])
 
 
-def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
-    """Rule uses against transition counts for a complete run:
+def counts_correspond(counts: dict, run: Run) -> bool:
+    """Rule counts against transition counts for a complete run:
 
         TApp2 = sea_v   TApp1 = sea_nv   TLam1 = beta_nw
         TLam2 = beta_w  TVar  = sub      TLamStar = 1 (the final state)
     """
-    if not run.final_reached:
-        return False
-    counts = rule_counts(d)
-    want = run.counts
-    return (
-        counts.get(R_APP2, 0) == want.get("sea_v", 0)
-        and counts.get(R_APP1, 0) == want.get("sea_nv", 0)
-        and counts.get(R_LAM1, 0) == want.get("beta_nw", 0)
-        and counts.get(R_LAM2, 0) == want.get("beta_w", 0)
-        and counts.get(R_VAR, 0) == want.get("sub", 0)
-        and counts.get(R_LAM_STAR, 0) == 1
-    )
+    want = {R_APP2: "sea_v", R_APP1: "sea_nv", R_LAM1: "beta_nw", R_LAM2: "beta_w", R_VAR: "sub"}
+    each = all(counts.get(r, 0) == run.counts.get(x, 0) for r, x in want.items())
+    return run.final_reached and each and counts.get(R_LAM_STAR, 0) == 1
+
+
+def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
+    return counts_correspond(rule_counts(d), run)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,11 +1177,7 @@ _RULES = MACHINE_RULES | DC_RULES
 
 def _where(meta, at) -> str:
     """The path text of node at, from the (parent, premise) pairs."""
-    path = []
-    while at:
-        at, i = meta[at]
-        path.append(str(i))
-    return ".".join(["root", *reversed(path)])
+    return ".".join(["root", *map(str, _path_of(meta, at))])
 
 
 def derivation_from_json(obj) -> Derivation:

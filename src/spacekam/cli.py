@@ -47,6 +47,8 @@ def _load_term(term: str | None, path: str | None):
         return parse_term(text)
     except ParseError as ex:
         raise click.UsageError(str(ex))
+    except RecursionError:
+        raise click.UsageError("term nested too deep to parse")
 
 
 def _compile(t):
@@ -175,7 +177,10 @@ def infer_cmd(term, path, mode, out, pretty, fuel):
     except IncompleteRun as ex:
         click.echo(str(ex), err=True)
         sys.exit(1)
-    blob = render_derivation(d) if pretty else json.dumps(derivation_to_json(d))
+    try:
+        blob = render_derivation(d) if pretty else json.dumps(derivation_to_json(d))
+    except RecursionError:
+        raise click.UsageError("derivation nested too deep to write as JSON")
     if out:
         _write_file(out, [blob])
         click.echo(f"weight: {d.conclusion.weight}")

@@ -12,24 +12,25 @@ verify runs the checks the theory pins down.  For a complete run:
   decode_final_skam     same for the space machine
   space_derivation      the rebuilt derivation checks in space mode
   space_weight          its recomputed weight is the run's space
-  time_derivation       the time reweighting checks in time mode
-  time_weight           its recomputed weight is the run's time
+  time_derivation       the tree checks and its time weights compute
+  time_weight           its recomputed time weight is the run's time
   derivation_size       the derivation has one counted node per state
   correspondence        rule uses match transition counts one for one
   kam_derivation        the plain-flavor derivation checks in kam mode
   kam_weight            its weight is the plain machine's step count
   env_domain_invariant  dom(env) = fv(code) everywhere in every state
 
-Each derivation is checked once, and the reported weights come from
-those checks: space_weight from the space check of the extracted
-derivation, time_weight from the time check of its time reweighting,
-and the kam weight (decarvalho_weight) from the kam check of the plain
-derivation.  A passing check has recomputed every weight bottom-up and
-found it equal to the stored one.  When a check fails, the weight is
-recomputed by a separate weight_of pass instead (time on the space
-derivation, as reweighting keeps the tree), so a failure still reports
-what the derivation weighs.  The invariant is checked over the whole
-run at once, visiting each closure object once.
+Each derivation is walked once, by checker.check_walk, and every
+measure comes from that walk.  Space and time share the tree and differ
+only in weights, so the space derivation's walk checks the tree once,
+compares stored weights in space mode, recomputes the weights of both
+modes and counts the rule uses for derivation_size and correspondence.
+The plain derivation's walk in kam mode gives decarvalho_weight.  The
+reported weights are recomputed, stored ones ignored, so they stand
+when only a stored weight is wrong; a tree whose structure fails
+weighs None, and notes name the first node that failed.  The invariant
+is checked over the whole run at once, visiting each closure object
+once.
 
 A run that exhausts its fuel reports complete=False, carries the
 machine statistics only, and runs no checks.
@@ -41,13 +42,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .checker import (
-    check,
-    check_rule_transition_correspondence,
-    reweight,
-    size_of,
-    weight_of,
-)
+from .checker import check_walk, counts_correspond
 from .extractor import extract, extract_kam
 from .kam import compile as kam_compile
 from .kam import decode, kam_run
@@ -107,21 +102,15 @@ def verify(t: Term, fuel: int) -> VerificationReport:
     checks: list = []
     notes: dict = {}
 
-    def attempt(name, thunk):
-        try:
-            ok = bool(thunk())
-        except Exception as ex:
-            ok = False
-            notes[name] = f"{type(ex).__name__}: {ex}"
-        checks.append((name, ok))
-        return ok
-
     def computed(name, thunk):
         try:
             return thunk()
         except Exception as ex:
             notes[name] = f"{type(ex).__name__}: {ex}"
             return None
+
+    def attempt(name, thunk):
+        checks.append((name, bool(computed(name, thunk))))
 
     wh_steps = None
     dc_weight = None
@@ -142,41 +131,25 @@ def verify(t: Term, fuel: int) -> VerificationReport:
         attempt("decode_final", lambda: alpha_eq(decode(krun.final), wh.result))
         attempt("decode_final_skam", lambda: alpha_eq(decode(srun.final), wh.result))
 
-        # weights come from the passing checks; a failing one gets a
-        # weight_of pass (see the module docstring)
-        pi = computed("space_derivation", lambda: extract(srun))
-        spaced = check(pi, "space") if pi is not None else None
-        checks.append(("space_derivation", spaced is not None and spaced.ok))
-        if spaced is not None and spaced.ok:
-            space_weight = spaced.weight
-        elif pi is not None:
-            space_weight = computed("space_weight", lambda: weight_of(pi, "space"))
-            time_weight = computed("time_weight", lambda: weight_of(pi, "time"))
+        walk = computed("space_derivation", lambda: check_walk(extract(srun), ("space", "time")))
+        if walk is not None:
+            space_weight = computed("space_weight", lambda: walk.weight("space"))
+            time_weight = computed("time_weight", lambda: walk.weight("time"))
+        checks.append(("space_derivation", walk is not None and walk.ok))
         checks.append(("space_weight", space_weight == srun.space))
-        pit = computed("time_derivation", lambda: reweight(pi, "time")) if pi is not None else None
-        timed = check(pit, "time") if pit is not None else None
-        checks.append(("time_derivation", timed is not None and timed.ok))
-        if timed is not None and timed.ok:
-            time_weight = timed.weight
-        elif spaced is not None and spaced.ok:
-            time_weight = computed("time_weight", lambda: weight_of(pi, "time"))
+        checks.append(("time_derivation", time_weight is not None))
         checks.append(("time_weight", time_weight == srun.time))
-        checks.append(("derivation_size", pi is not None and size_of(pi) == srun.transitions + 1))
-        checks.append(
-            ("correspondence", pi is not None and check_rule_transition_correspondence(pi, srun))
-        )
+        checks.append(("derivation_size", walk is not None and walk.size == srun.transitions + 1))
+        checks.append(("correspondence", walk is not None and counts_correspond(walk.counts, srun)))
 
-        pik = computed("kam_derivation", lambda: extract_kam(krun))
-        kamd = check(pik, "kam") if pik is not None else None
-        checks.append(("kam_derivation", kamd is not None and kamd.ok))
-        if kamd is not None and kamd.ok:
-            dc_weight = kamd.weight
-        elif pik is not None:
-            dc_weight = computed("kam_weight", lambda: weight_of(pik, "kam"))
-        checks.append(("kam_weight", dc_weight is not None and dc_weight == krun.transitions))
+        kam_walk = computed("kam_derivation", lambda: check_walk(extract_kam(krun), ("kam",)))
+        if kam_walk is not None:
+            dc_weight = computed("kam_weight", lambda: kam_walk.weight("kam"))
+        checks.append(("kam_derivation", kam_walk is not None and kam_walk.ok))
+        checks.append(("kam_weight", dc_weight == krun.transitions))
         attempt("env_domain_invariant", lambda: check_run_env_domain_invariant(srun.states))
 
-    report = VerificationReport(
+    return VerificationReport(
         term=t,
         wh_steps=wh_steps,
         kam={
@@ -196,7 +169,6 @@ def verify(t: Term, fuel: int) -> VerificationReport:
         complete=complete,
         notes=notes,
     )
-    return report
 
 
 def random_closed_term(seed: int, size_budget: int) -> Term:

@@ -142,3 +142,107 @@ CASES = [
 ]
 
 IDS = [c[0] for c in CASES]
+
+
+# The mutations of acceptance 7: each edits the term file of the README
+# example at one node and returns that node's premise path, where check
+# must report its first error.  A table entry is shared by every node
+# that refers to it, so a mutation appends a new entry and repoints
+# only its own node.
+
+P_TVAR = (0, 0, 0, 0, 0, 0)
+P_TNONE = (0, 0, 0, 0, 1)
+P_TMANY = (1,)
+P_TLAMSTAR = (1, 0)
+P_TLAM1_Y = (0, 0, 0)
+
+
+def _at(o, path):
+    for i in path:
+        o = o["premises"][i]
+    return o
+
+
+def _type_at(o, i):
+    return o["tables"]["types"][i]
+
+
+def m_root_weight(o):
+    o["judgment"]["weight"] = 5
+    return ()
+
+
+def m_leaf_weight(o):
+    _at(o, P_TVAR)["judgment"]["weight"] = 2
+    return P_TVAR
+
+
+def m_leaf_subject(o):
+    _at(o, P_TVAR)["judgment"]["subject"] = _add(o, "terms", {"var": "y"})
+    return P_TVAR
+
+
+def m_context_key(o):
+    j = _at(o, P_TVAR)["judgment"]
+    j["context"] = {"w": j["context"]["x"]}
+    return P_TVAR
+
+
+def m_none_index(o):
+    j = _at(o, P_TNONE)["judgment"]
+    j["type"] = _add(o, "types", {**_type_at(o, j["type"]), "k": 2})
+    return P_TNONE
+
+
+def m_root_rule(o):
+    o["rule"] = "TApp2"
+    return ()
+
+
+def m_unknown_rule_weight(o):
+    _at(o, P_TLAMSTAR)["judgment"]["weight"] = 3
+    return P_TLAMSTAR
+
+
+def m_drop_many_premise(o):
+    _at(o, P_TMANY)["premises"] = []
+    return P_TMANY
+
+
+def m_lamstar_type(o):
+    _at(o, P_TLAMSTAR)["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
+    return P_TLAMSTAR
+
+
+def m_swap_root_premises(o):
+    o["premises"] = o["premises"][::-1]
+    return ()
+
+
+def m_arrow_source(o):
+    j = _at(o, P_TLAM1_Y)["judgment"]
+    arrow = _type_at(o, j["type"])
+    arg = _add(o, "types", {**_type_at(o, arrow["arg"]), "k": 2})
+    j["type"] = _add(o, "types", {"arg": arg, "res": arrow["res"]})
+    return P_TLAM1_Y
+
+
+def m_root_type(o):
+    o["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
+    return ()
+
+
+def m_many_index(o):
+    j = _at(o, P_TMANY)["judgment"]
+    j["type"] = _add(o, "types", {**_type_at(o, j["type"]), "k": 2})
+    return P_TMANY
+
+
+MUTATIONS = [
+    m_root_weight, m_leaf_weight, m_leaf_subject, m_context_key,
+    m_none_index, m_root_rule, m_unknown_rule_weight,
+    m_drop_many_premise, m_lamstar_type, m_swap_root_premises,
+    m_arrow_source, m_root_type, m_many_index,
+]
+# the mutations that leave the tree's structure intact
+WEIGHT_MUTATIONS = [m_root_weight, m_leaf_weight, m_unknown_rule_weight]

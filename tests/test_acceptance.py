@@ -9,6 +9,7 @@ import copy
 import time
 
 import pytest
+from derivation_files import MUTATIONS
 
 import spacekam as sk
 from spacekam.checker import (
@@ -276,92 +277,8 @@ def test_acceptance_7_mutation_rejection(capsys):
         good = derivation_to_json(extract(srun))
         assert check(derivation_from_json(good), "space").ok
 
-        def at(obj, path):
-            for i in path:
-                obj = obj["premises"][i]
-            return obj
-
-        # a table entry is shared by every node that refers to it, so a
-        # mutation appends a new entry and repoints only its own node
-        def add(o, table, entry):
-            o["tables"][table].append(entry)
-            return len(o["tables"][table]) - 1
-
-        def type_at(o, i):
-            return o["tables"]["types"][i]
-
-        P_TVAR = (0, 0, 0, 0, 0, 0)
-        P_TNONE = (0, 0, 0, 0, 1)
-        P_TMANY = (1,)
-        P_TLAMSTAR = (1, 0)
-        P_TLAM1_Y = (0, 0, 0)
-
-        def m_root_weight(o):
-            o["judgment"]["weight"] = 5
-            return ()
-
-        def m_leaf_weight(o):
-            at(o, P_TVAR)["judgment"]["weight"] = 2
-            return P_TVAR
-
-        def m_leaf_subject(o):
-            at(o, P_TVAR)["judgment"]["subject"] = add(o, "terms", {"var": "y"})
-            return P_TVAR
-
-        def m_context_key(o):
-            j = at(o, P_TVAR)["judgment"]
-            j["context"] = {"w": j["context"]["x"]}
-            return P_TVAR
-
-        def m_none_index(o):
-            j = at(o, P_TNONE)["judgment"]
-            j["type"] = add(o, "types", {**type_at(o, j["type"]), "k": 2})
-            return P_TNONE
-
-        def m_root_rule(o):
-            o["rule"] = "TApp2"
-            return ()
-
-        def m_unknown_rule_weight(o):
-            at(o, P_TLAMSTAR)["judgment"]["weight"] = 3
-            return P_TLAMSTAR
-
-        def m_drop_many_premise(o):
-            at(o, P_TMANY)["premises"] = []
-            return P_TMANY
-
-        def m_lamstar_type(o):
-            at(o, P_TLAMSTAR)["judgment"]["type"] = add(o, "types", {"elems": [], "k": 1})
-            return P_TLAMSTAR
-
-        def m_swap_root_premises(o):
-            o["premises"] = o["premises"][::-1]
-            return ()
-
-        def m_arrow_source(o):
-            j = at(o, P_TLAM1_Y)["judgment"]
-            arrow = type_at(o, j["type"])
-            arg = add(o, "types", {**type_at(o, arrow["arg"]), "k": 2})
-            j["type"] = add(o, "types", {"arg": arg, "res": arrow["res"]})
-            return P_TLAM1_Y
-
-        def m_root_type(o):
-            o["judgment"]["type"] = add(o, "types", {"elems": [], "k": 1})
-            return ()
-
-        def m_many_index(o):
-            j = at(o, P_TMANY)["judgment"]
-            j["type"] = add(o, "types", {**type_at(o, j["type"]), "k": 2})
-            return P_TMANY
-
-        mutations = [
-            m_root_weight, m_leaf_weight, m_leaf_subject, m_context_key,
-            m_none_index, m_root_rule, m_unknown_rule_weight,
-            m_drop_many_premise, m_lamstar_type, m_swap_root_premises,
-            m_arrow_source, m_root_type, m_many_index,
-        ]
-        assert len(mutations) >= 10
-        for mutate in mutations:
+        assert len(MUTATIONS) >= 10
+        for mutate in MUTATIONS:
             obj = copy.deepcopy(good)
             where = mutate(obj)
             res = check(derivation_from_json(obj), "space")

@@ -3,7 +3,15 @@ import json
 import re
 
 import pytest
-from derivation_files import CASES, IDS
+from derivation_files import (
+    CASES,
+    IDS,
+    MUTATIONS,
+    WEIGHT_MUTATIONS,
+    m_lamstar_type,
+    m_root_type,
+    term_file,
+)
 
 from spacekam.checker import (
     CheckError,
@@ -22,6 +30,8 @@ from spacekam.checker import (
     R_VAR,
     check,
     check_rule_transition_correspondence,
+    check_walk,
+    counts_correspond,
     derivation_from_json,
     derivation_to_json,
     render_derivation,
@@ -147,6 +157,81 @@ def test_modes_reject_the_other_grammar(example_space_derivation, example_dc_der
 def test_unknown_mode_is_an_error(example_space_derivation):
     with pytest.raises(ValueError):
         check(example_space_derivation, "speed")
+
+
+# ---------------------------------------------------------------- one walk, several modes
+
+def test_one_walk_checks_space_and_time(example_space_derivation, example_skam):
+    d = example_space_derivation
+    walk = check_walk(d, ("space", "time"))
+    assert walk.ok and walk.errors == [] and walk.failures == {}
+    assert walk.weights == {"space": 4, "time": 11}
+    assert walk.weight("space") == 4 and walk.weight("time") == 11
+    assert walk.counts == rule_counts(d)
+    assert walk.size == size_of(d) == 8
+    assert counts_correspond(walk.counts, example_skam)
+
+
+def test_one_walk_compares_stored_weights_in_the_first_mode_only(example_time_derivation):
+    # time weights stored: wrong for space, right for time
+    assert not check_walk(example_time_derivation, ("space", "time")).ok
+    walk = check_walk(example_time_derivation, ("time", "space"))
+    assert walk.ok and walk.weights == {"time": 11, "space": 4}
+
+
+def test_one_walk_recomputes_weights_past_a_stored_mismatch(example_space_derivation):
+    bad = mutate(example_space_derivation, P_TVAR, set_weight(2))
+    walk = check_walk(bad, ("space", "time"))
+    assert [e.path for e in walk.errors] == [P_TVAR]
+    assert walk.weights == {"space": 4, "time": 11} and walk.failures == {}
+    assert check(bad, "space").errors == walk.errors
+
+
+def test_one_walk_names_the_mode_a_node_fails_in(example_space_derivation):
+    bad = mutate(example_space_derivation, (0,), lambda n: dataclasses.replace(n, rule="DC_TVar"))
+    walk = check_walk(bad, ("space", "time"))
+    assert walk.weights == {"space": None, "time": None}
+    assert [str(e) for e in walk.errors] == ["at 0: rule DC_TVar does not belong to mode space"]
+    with pytest.raises(InvalidDerivation, match="at 0: rule DC_TVar does not belong to mode time"):
+        walk.weight("time")
+    assert walk.counts == rule_counts(bad)  # counted over the whole tree all the same
+
+
+def test_one_walk_rejects_unknown_modes(example_space_derivation):
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_walk(example_space_derivation, ("space", "bogus"))
+
+
+def _structure(errors):
+    return [(e.path, e.message) for e in errors if not e.message.startswith("stored weight")]
+
+
+def _break_first_premise(o):
+    o["premises"][0]["rule"] = "TLam2"
+    return (0,)
+
+
+@pytest.mark.parametrize(
+    "mutate_file",
+    [m for m in MUTATIONS if m not in WEIGHT_MUTATIONS] + [_break_first_premise],
+    ids=lambda m: m.__name__,
+)
+def test_structural_errors_do_not_depend_on_space_or_time(mutate_file):
+    # what lets one walk check both modes: the same nodes fail with the
+    # same messages, and only the weights differ
+    obj = term_file()
+    mutate_file(obj)
+    d = derivation_from_json(obj)
+    space = [(e.path, e.message) for e in check(d, "space", full_scan=True).errors]
+    assert space and space == _structure(check(d, "time", full_scan=True).errors)
+    if mutate_file in (m_lamstar_type, m_root_type):
+        # a multi where a linear type belongs: the time formula cannot
+        # size it, so reweight itself raises
+        with pytest.raises(TypeError):
+            reweight(d, "time")
+        return
+    timed = check(reweight(d, "time"), "time", full_scan=True)
+    assert [(e.path, e.message) for e in timed.errors] == space
 
 
 # ---------------------------------------------------------------- mutations

@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 from derivation_files import CASES, IDS
 
+import spacekam
 from spacekam.cli import main
 
 EXAMPLE_SRC = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
@@ -78,6 +81,18 @@ def test_unreadable_input_file_is_usage_error(runner, tmp_path):
         assert res.exit_code == 2, args
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "cannot read" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "kam", "skam", "infer", "verify"])
+def test_term_nested_too_deep_to_parse_is_usage_error(runner, tmp_path, command):
+    # the parser recurses per parenthesis, several frames each
+    depth = sys.getrecursionlimit()
+    f = tmp_path / "deep.txt"
+    f.write_text("(" * depth + r"\a.a" + ")" * depth)
+    res = runner.invoke(main, [command, "-f", str(f)])
+    assert res.exit_code == 2, res.exception
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stderr.splitlines()[-1] == "Error: term nested too deep to parse"
 
 
 # ---------------------------------------------------------------- machines
@@ -240,6 +255,26 @@ def test_check_from_stdin(runner):
     infer = CliRunner().invoke(main, ["infer", EXAMPLE_SRC])
     res = runner.invoke(main, ["check", "-"], input=infer.output)
     assert res.exit_code == 0
+
+
+def test_infer_derivation_too_deep_for_json_is_usage_error():
+    # c_200's derivation nests about 400 premises deep, 800 JSON levels;
+    # under a recursion limit of 700 the term still parses (about 600
+    # frames) but the JSON encoder runs out
+    term = r"(\f.\x." + "f (" * 200 + "x" + ")" * 200 + r") (\a.a) (\b.b)"
+    code = (
+        "import sys\n"
+        "from spacekam.cli import main\n"
+        "sys.setrecursionlimit(700)\n"
+        "main(sys.argv[1:])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
+    res = subprocess.run(
+        [sys.executable, "-c", code, "infer", term], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1] == "Error: derivation nested too deep to write as JSON"
 
 
 def test_check_rejects_non_json(runner, tmp_path):

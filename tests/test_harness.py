@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import spacekam.checker as checker
 import spacekam.harness as harness
 from spacekam.checker import reweight, weight_of
 from spacekam.extractor import extract, extract_kam
@@ -99,6 +100,68 @@ def test_tampered_kam_weight_fails_and_reports_the_recomputed_one(
     rep = verify(example_term, 100)
     assert [name for name, ok in rep.checks if not ok] == ["kam_derivation"]
     assert rep.kam["decarvalho_weight"] == 7
+
+
+def _break_first_premise(d):
+    # the root's function premise types \x... with a non-empty arrow
+    # source, so TLam2 rejects it whatever the mode
+    bad = dataclasses.replace(d.premises[0], rule="TLam2")
+    return dataclasses.replace(d, premises=(bad,) + d.premises[1:])
+
+
+def test_broken_structure_fails_every_space_and_time_check(monkeypatch, example_term):
+    monkeypatch.setattr(harness, "extract", lambda run: _break_first_premise(extract(run)))
+    rep = verify(example_term, 100)
+    assert [name for name, ok in rep.checks if not ok] == [
+        "space_derivation",
+        "space_weight",
+        "time_derivation",
+        "time_weight",
+        "correspondence",
+    ]
+    assert rep.skam["space_weight"] is None and rep.skam["time_weight"] is None
+    assert rep.to_json()["skam"]["space_weight"] is None
+    why = "InvalidDerivation: at 0: TLam2 assigns an arrow with an empty source"
+    assert rep.notes == {"space_weight": why, "time_weight": why}
+    assert rep.kam["decarvalho_weight"] == 7
+
+
+def test_a_walk_that_raises_fails_the_derivation_check(monkeypatch, example_term):
+    monkeypatch.setattr(
+        harness, "extract", lambda run: dataclasses.replace(extract(run), premises=(42,))
+    )
+    rep = verify(example_term, 100)
+    assert [name for name, ok in rep.checks if not ok] == [
+        "space_derivation",
+        "space_weight",
+        "time_derivation",
+        "time_weight",
+        "derivation_size",
+        "correspondence",
+    ]
+    assert rep.notes == {"space_derivation": "TypeError: premise is not a derivation: 42"}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, _break_first_premise, _bump_root_weight],
+    ids=["passing", "broken-structure", "tampered-weight"],
+)
+def test_verify_walks_each_derivation_once(monkeypatch, example_term, fault):
+    walked = []
+    real_walk = checker._walk
+
+    def counting_walk(d):
+        walked.append(d.rule)
+        return real_walk(d)
+
+    monkeypatch.setattr(checker, "_walk", counting_walk)
+    if fault is not None:
+        monkeypatch.setattr(harness, "extract", lambda run: fault(extract(run)))
+    rep = verify(example_term, 100)
+    assert rep.all_pass == (fault is None)
+    # the space derivation's root, then the plain one's
+    assert walked == ["TApp1", "DC_TApp"]
 
 
 def test_verify_incomplete_run_reports_stats_only():
