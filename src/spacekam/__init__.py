@@ -5,13 +5,16 @@ The package has three layers:
 
   terms      syntax, parsing, substitution, weak head reduction
   kam        the Krivine machine and the run core both machines share:
-             one Run type, one run loop, trace rows and summary;
+             one Run type, one run loop, trace rows and summary; a run
+             keeps only its current state, stores no trace, and
+             replays its trace and states on first use;
              space_kam adds eager garbage collection and environment
-             unchaining, and measures a run's space and time
+             unchaining, and measures a run's space and time as it goes
   types      indexed multi types and their algebra; checker validates
              weighted derivations in three modes; extractor rebuilds a
-             derivation from a recorded machine run, one transition at
-             a time, so that its weight equals the run's measure
+             derivation from a complete machine run, walking its
+             replayed states back one transition at a time, so that its
+             weight equals the run's measure
 
 harness ties the layers together (cross checks, fuzzing) and cli is a
 small click front end.
@@ -45,6 +48,7 @@ from .kam import (
     MachState,
     Run,
     OpenTerm,
+    ReplayMismatch,
     StuckState,
     compile,
     kam_step,
@@ -96,6 +100,7 @@ from .extractor import (
     NotFinal,
     IncompleteRun,
     ShapeMismatch,
+    StepEquationError,
     dry_type_closure,
     dry_type_env,
     type_final_state,

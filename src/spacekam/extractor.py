@@ -1,4 +1,8 @@
-"""Rebuilding weighted derivations from recorded machine runs.
+"""Rebuilding weighted derivations from complete machine runs.
+
+A run stores no trace; extract and extract_kam read the run's states
+from its replayed trace (Run.trace), which the replay checks against the
+run's last state and counts.
 
 The final state of a complete run gets the canonical dry typing: every
 closure typed with an empty multi at its own size, everything at weight
@@ -14,7 +18,8 @@ step checks the two step equations
     time(source)  = size(source) + time(target)
 
 so the root's weights are the run's space and time by induction, with
-no summary arithmetic anywhere.
+no summary arithmetic anywhere.  A broken equation raises
+StepEquationError, under python -O too.
 
 All multi type indices are canonical here: the index typing a closure
 is that closure's size.  The merges assert this; a merge of two typings
@@ -94,6 +99,12 @@ class IncompleteRun(Exception):
 
 class ShapeMismatch(Exception):
     """The derivation does not describe the target of the given step."""
+
+
+class StepEquationError(Exception):
+    """A rebuilt derivation's weights break an equation they must meet:
+    one of extract's step equations, or extract_kam's root weight against
+    the transition count."""
 
 
 def _time_of(d: Derivation) -> int:
@@ -263,10 +274,7 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
     """Turn a derivation of a transition's target state into one of its
     source state.  step is a (label, source state) pair; the source must
     actually fire that transition into prev's subject."""
-    return _expand(_Builder(), prev, step[0], step[1])
-
-
-def _expand(b: _Builder, prev: Derivation, label: str, source: MachState) -> Derivation:
+    label, source = step
     if prev.rule != R_ST:
         raise ShapeMismatch("only a state derivation can be expanded")
     got = skam_step(source)
@@ -279,18 +287,12 @@ def _expand(b: _Builder, prev: Derivation, label: str, source: MachState) -> Der
         raise ShapeMismatch(
             "the derivation's subject is not the target of the transition"
         )
-    term_p = prev.premises[0]
-    env_p = prev.premises[1]
-    stack_ps = prev.premises[2:]
-    if label == LABEL_SUB:
-        return _undo_sub(b, source, term_p, env_p, stack_ps)
-    if label == LABEL_BETA_NW:
-        return _undo_beta_nw(b, source, term_p, env_p, stack_ps)
-    if label == LABEL_BETA_W:
-        return _undo_beta_w(b, source, term_p, env_p, stack_ps)
-    if label == LABEL_SEA_V:
-        return _undo_sea_v(b, source, term_p, env_p, stack_ps)
-    return _undo_sea_nv(b, source, term_p, env_p, stack_ps)
+    return _undo(_Builder(), prev, label, source)
+
+
+def _undo(b: _Builder, prev: Derivation, label: str, source: MachState) -> Derivation:
+    # prev types the state that source fires label into
+    return _UNDO[label](b, source, prev.premises[0], prev.premises[1], prev.premises[2:])
 
 
 def _undo_sub(b, source, term_p, env_p, stack_ps):
@@ -399,6 +401,15 @@ def _undo_sea_nv(b, source, term_p, env_p, stack_ps):
     )
 
 
+_UNDO = {
+    LABEL_SUB: _undo_sub,
+    LABEL_BETA_NW: _undo_beta_nw,
+    LABEL_BETA_W: _undo_beta_w,
+    LABEL_SEA_V: _undo_sea_v,
+    LABEL_SEA_NV: _undo_sea_nv,
+}
+
+
 # ---------------------------------------------------------------------------
 # whole runs
 
@@ -406,29 +417,33 @@ def extract(run: Run) -> Derivation:
     """The weighted typing of a complete run's initial code: a closed
     term at the ground type, with space weight the run's space.  Its
     time reweighting has the run's time at the root.  The step equations
-    are asserted at every transition on the way."""
+    are checked at every transition on the way; a broken one raises
+    StepEquationError.  The run's states come from its replayed trace."""
     if not run.final_reached:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
     b = _Builder()
+    trace = run.trace
     states = run.states
     cur = _type_final(b, states[-1])
-    for i in range(len(run.trace) - 1, -1, -1):
-        label = run.trace[i][0]
+    for i in range(len(trace) - 1, -1, -1):
+        label = trace[i][0]
         src = states[i]
         prev_w = cur.conclusion.weight
         prev_t = cur.time
-        cur = _expand(b, cur, label, src)
+        cur = _undo(b, cur, label, src)
         sz = state_size(src)
-        assert cur.conclusion.weight == max(sz, prev_w), (
-            f"space step equation broken at transition {i + 1} ({label}): "
-            f"{cur.conclusion.weight} != max({sz}, {prev_w})"
-        )
-        assert cur.time == sz + prev_t, (
-            f"time step equation broken at transition {i + 1} ({label}): "
-            f"{cur.time} != {sz} + {prev_t}"
-        )
+        if cur.conclusion.weight != max(sz, prev_w):
+            raise StepEquationError(
+                f"space step equation broken at transition {i + 1} ({label}): "
+                f"{cur.conclusion.weight} != max({sz}, {prev_w})"
+            )
+        if cur.time != sz + prev_t:
+            raise StepEquationError(
+                f"time step equation broken at transition {i + 1} ({label}): "
+                f"{cur.time} != {sz} + {prev_t}"
+            )
     term_p = cur.premises[0]
     assert term_p.conclusion.context.is_empty(), "initial code typed with a context"
     assert type(term_p.conclusion.assigned) is Star, "initial code not at ground type"
@@ -468,6 +483,7 @@ def extract_kam(run: Run) -> Derivation:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
+    trace = run.trace
     states = run.states
     final = states[-1]
     if type(final.code) is not Abs or final.stack:
@@ -479,8 +495,8 @@ def extract_kam(run: Run) -> Derivation:
     )
     env_t = _KEnv({})
     stack_t: list[_KClosure] = []
-    for i in range(len(run.trace) - 1, -1, -1):
-        label = run.trace[i][0]
+    for i in range(len(trace) - 1, -1, -1):
+        label = trace[i][0]
         src = states[i]
         if label == "sub":
             # (x, e, S) -> e(x): the code typing becomes a future use of
@@ -537,7 +553,8 @@ def extract_kam(run: Run) -> Derivation:
     assert not env_t.per_var, "the initial state's typing wants an environment"
     assert not stack_t, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"
-    assert cur.conclusion.weight == run.transitions, (
-        f"weight {cur.conclusion.weight} differs from {run.transitions} transitions"
-    )
+    if cur.conclusion.weight != run.transitions:
+        raise StepEquationError(
+            f"weight {cur.conclusion.weight} differs from {run.transitions} transitions"
+        )
     return cur

@@ -29,6 +29,8 @@ including the initial one; its time is the sum over all states.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .kam import (
     Closure,
     Env,
@@ -111,19 +113,22 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
 
 
 def skam_run(s: MachState, fuel: int) -> Run:
-    """Run for at most fuel transitions, then measure space and time.
+    """Run for at most fuel transitions, measuring space and time as the
+    machine goes, in memory proportional to the space.
 
     Both measures include the initial state; time also includes the
-    final state when it is reached.  The measuring pass keeps the stack
-    size incrementally, and states share closures that cache their own
-    sizes (Closure.size), so a step costs O(|env|) rather than O(state
-    size).
+    final state when it is reached.  The stack size is kept
+    incrementally, and states share closures that cache their own sizes
+    (Closure.size), so measuring a step costs O(|env|) rather than
+    O(state size).
     """
-    run = run_machine(skam_step, SKAM_LABELS, s, fuel)
     stack_sz = sum(c.size for c in s.stack)
     space = time = size_env(s.env) + stack_sz
     prev = s
-    for label, cur in run.trace:
+
+    def measure(nxt):
+        nonlocal stack_sz, space, time, prev
+        label, cur = nxt
         if label in (LABEL_SEA_V, LABEL_SEA_NV):
             stack_sz += cur.stack[0].size
         elif label in (LABEL_BETA_W, LABEL_BETA_NW):
@@ -133,7 +138,9 @@ def skam_run(s: MachState, fuel: int) -> Run:
             space = sz
         time += sz
         prev = cur
-    return Run(s, run.trace, run.final_reached, run.counts, space, time)
+
+    run = run_machine(skam_step, SKAM_LABELS, s, fuel, measure)
+    return replace(run, space=space, time=time)
 
 
 def check_run_env_domain_invariant(states) -> bool:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +23,7 @@ from spacekam.extractor import (
     IncompleteRun,
     NotFinal,
     ShapeMismatch,
+    StepEquationError,
     dry_type_closure,
     dry_type_env,
     expand,
@@ -183,6 +188,49 @@ def test_extract_of_an_immediate_normal_form():
     assert d.rule == R_LAM_STAR
     assert d.conclusion.weight == 0
     assert size_of(d) == 1
+
+
+def test_a_broken_step_equation_raises(monkeypatch, example_skam):
+    from spacekam import extractor
+
+    monkeypatch.setattr(extractor, "state_size", lambda s: state_size(s) + 1)
+    with pytest.raises(StepEquationError, match="space step equation broken at transition 7"):
+        extract(example_skam)
+
+
+def test_a_broken_step_equation_raises_under_optimization(example_skam):
+    # python -O strips assert statements; the step equations must stay
+    code = (
+        "import spacekam as sk\n"
+        "from spacekam import extractor\n"
+        "size = extractor.state_size\n"
+        "extractor.state_size = lambda s: size(s) + 1\n"
+        "run = sk.skam_run(sk.compile(sk.parse_term(r'(\\x.(\\y.(\\z.x) (x y)) x) (\\a.a)')), 100)\n"
+        "try:\n"
+        "    d = extractor.extract(run)\n"
+        "except extractor.StepEquationError as ex:\n"
+        "    print('raised:', ex)\n"
+        "else:\n"
+        "    print('weight:', d.conclusion.weight)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: space step equation broken"), res.stdout
+
+
+def test_extract_kam_checks_the_root_weight(monkeypatch, example_kam):
+    from spacekam import extractor
+    from spacekam.checker import Judgment
+
+    # every minted judgment weighs one more than the rules say
+    monkeypatch.setattr(
+        extractor, "Judgment", lambda kind, subj, ctx, a, w: Judgment(kind, subj, ctx, a, w + 1)
+    )
+    with pytest.raises(StepEquationError, match="differs from 7 transitions"):
+        extract_kam(example_kam)
 
 
 def test_extract_kam_matches_the_hand_built_tree(example_kam, example_dc_derivation):
