@@ -20,15 +20,6 @@ harness ties the layers together (cross checks, fuzzing) and cli is a
 small click front end.
 """
 
-import sys
-
-# Derivations extracted from long runs nest one premise per transition,
-# and several traversals over them recurse.  The CPython default of 1000
-# is far too small; 15000 stays well below the segfault point for this
-# interpreter (an 8 MiB C stack dies around 18000 trivial frames).
-if sys.getrecursionlimit() < 15000:
-    sys.setrecursionlimit(15000)
-
 from .terms import (
     Var,
     Abs,

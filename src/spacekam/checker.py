@@ -59,6 +59,7 @@ from .types import (
     context_to_json,
     context_union,
     dc_context_union,
+    decode_table,
     format_context,
     format_linear,
     format_multi,
@@ -238,13 +239,24 @@ def _premise_kinds(d, err, kinds) -> bool:
     return True
 
 
+_FORMS = {Var: "a variable", Abs: "an abstraction", App: "an application"}
+
+
+def _term_rule(d, err, mode, form, kinds=None) -> bool:
+    """d concludes a well-formed term judgment on a subject of form
+    (Var, Abs or App), over premises of kinds (any when None)."""
+    if not _term_node(d, err, mode) or (kinds is not None and not _premise_kinds(d, err, kinds)):
+        return False
+    if type(d.conclusion.subject) is not form:
+        err(f"{d.rule} subject must be {_FORMS[form]}")
+        return False
+    return True
+
+
 def _check_tvar(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, ()):
+    if not _term_rule(d, err, mode, Var, ()):
         return
     c = d.conclusion
-    if type(c.subject) is not Var:
-        err("TVar subject must be a variable")
-        return
     if not _is_linear(c.assigned):
         err("TVar assigns a linear type")
         return
@@ -263,12 +275,9 @@ def _check_tvar(d, err, mode):
 
 
 def _check_tlamstar(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, ()):
+    if not _term_rule(d, err, mode, Abs, ()):
         return
     c = d.conclusion
-    if type(c.subject) is not Abs:
-        err("TLamStar subject must be an abstraction")
-        return
     if type(c.assigned) is not Star:
         err("TLamStar assigns the ground type")
         return
@@ -277,13 +286,10 @@ def _check_tlamstar(d, err, mode):
 
 
 def _check_tlam1(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, (KIND_TERM,)):
+    if not _term_rule(d, err, mode, Abs, (KIND_TERM,)):
         return
     c = d.conclusion
     p = d.premises[0].conclusion
-    if type(c.subject) is not Abs:
-        err("TLam1 subject must be an abstraction")
-        return
     if p.subject != c.subject.body:
         err("TLam1 premise must type the abstraction body")
         return
@@ -309,13 +315,10 @@ def _check_tlam1(d, err, mode):
 
 
 def _check_tlam2(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, (KIND_TERM,)):
+    if not _term_rule(d, err, mode, Abs, (KIND_TERM,)):
         return
     c = d.conclusion
     p = d.premises[0].conclusion
-    if type(c.subject) is not Abs:
-        err("TLam2 subject must be an abstraction")
-        return
     if p.subject != c.subject.body:
         err("TLam2 premise must type the abstraction body")
         return
@@ -396,12 +399,9 @@ def _check_tnone(d, err, mode):
 
 
 def _check_tapp1(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, (KIND_TERM, KIND_TERM)):
+    if not _term_rule(d, err, mode, App, (KIND_TERM, KIND_TERM)):
         return
     c = d.conclusion
-    if type(c.subject) is not App:
-        err("TApp1 subject must be an application")
-        return
     if type(c.subject.arg) is Var:
         err("TApp1 is for non-variable arguments; variables go through TApp2")
         return
@@ -594,12 +594,9 @@ def _check_tst(d, err, mode):
 
 
 def _check_dc_tvar(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, ()):
+    if not _term_rule(d, err, mode, Var, ()):
         return
     c = d.conclusion
-    if type(c.subject) is not Var:
-        err("DC_TVar subject must be a variable")
-        return
     if not _is_dc_linear(c.assigned):
         err("DC_TVar assigns a linear type")
         return
@@ -609,12 +606,9 @@ def _check_dc_tvar(d, err, mode):
 
 
 def _check_dc_tlamstar(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, ()):
+    if not _term_rule(d, err, mode, Abs, ()):
         return
     c = d.conclusion
-    if type(c.subject) is not Abs:
-        err("DC_TLamStar subject must be an abstraction")
-        return
     if type(c.assigned) is not Star:
         err("DC_TLamStar assigns the ground type")
         return
@@ -623,13 +617,10 @@ def _check_dc_tlamstar(d, err, mode):
 
 
 def _check_dc_tlam(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, (KIND_TERM,)):
+    if not _term_rule(d, err, mode, Abs, (KIND_TERM,)):
         return
     c = d.conclusion
     p = d.premises[0].conclusion
-    if type(c.subject) is not Abs:
-        err("DC_TLam subject must be an abstraction")
-        return
     if p.subject != c.subject.body:
         err("DC_TLam premise must type the abstraction body")
         return
@@ -659,12 +650,9 @@ def _check_dc_tlam(d, err, mode):
 
 
 def _check_dc_tapp(d, err, mode):
-    if not _term_node(d, err, mode):
+    if not _term_rule(d, err, mode, App):
         return
     c = d.conclusion
-    if type(c.subject) is not App:
-        err("DC_TApp subject must be an application")
-        return
     if len(d.premises) < 1:
         err("DC_TApp needs the function premise")
         return
@@ -723,29 +711,37 @@ _RULE_CHECKS = {
 # tree walks
 
 def _walk(d: Derivation):
-    """Pre-order node list plus parent metadata; reversed, it is a valid
-    bottom-up order.  Shared subtrees are listed once per occurrence."""
+    """Each node object of d once, after its premises, ordered by its
+    first place in a post-order walk (premises in stored order); and per
+    node id, the (parent id, premise number) of that first place.  A
+    node may stand at many places (decoded files share equal subtrees)."""
+    if not isinstance(d, Derivation):
+        raise TypeError(f"not a derivation: {d!r}")
     order = []
-    meta = [(None, None)]
-    stack = [(d, 0)]
+    first: dict[int, tuple] = {id(d): (None, None)}
+    stack = [(d, enumerate(d.premises))]
     while stack:
-        n, mi = stack.pop()
-        if not isinstance(n, Derivation):
-            raise TypeError(f"premise is not a derivation: {n!r}")
-        order.append((n, mi))
-        for i, p in enumerate(n.premises):
-            meta.append((mi, i))
-            stack.append((p, len(meta) - 1))
-    return order, meta
+        n, premises = stack[-1]
+        for i, p in premises:
+            if id(p) not in first:
+                if not isinstance(p, Derivation):
+                    raise TypeError(f"premise is not a derivation: {p!r}")
+                first[id(p)] = (id(n), i)
+                stack.append((p, enumerate(p.premises)))
+                break
+        else:
+            stack.pop()
+            order.append(n)
+    return order, first
 
 
-def _path_of(meta, mi: int) -> tuple:
-    """The premise path of the node met at slot mi, from the (parent's
-    slot, premise number) pairs of _walk or of the decoder."""
+def _path_of(first, n) -> tuple:
+    """The premise path of n's first place, from _walk's records."""
     path = []
-    while mi:
-        mi, i = meta[mi]
+    parent, i = first[id(n)]
+    while parent is not None:
         path.append(i)
+        parent, i = first[parent]
     return tuple(reversed(path))
 
 
@@ -761,8 +757,16 @@ def _rule_errors(n, mode) -> list:
     return msgs
 
 
-def _count_rules(order) -> dict:
-    return dict(Counter(n.rule for n, _ in order))
+def _count_rules(order, d) -> dict:
+    """Rule uses in d, a node counted once per place it stands at."""
+    places = {id(d): 1}
+    counts: Counter = Counter()
+    for n in reversed(order):  # each node before its premises
+        k = places[id(n)]
+        counts[n.rule] += k
+        for p in n.premises:
+            places[id(p)] = places.get(id(p), 0) + k
+    return dict(counts)
 
 
 def _size(counts) -> int:
@@ -801,17 +805,18 @@ def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWal
     once (a failing node is described again per mode, as messages name
     it) and its weight recomputed in every mode.  Stored weights are
     compared in the first mode, not above a failed node.  Reports only
-    the first failing node unless full_scan."""
+    the first failing node unless full_scan.  A node standing at several
+    places is checked once and reported at its first; counts count all."""
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
     first = modes[0]
-    order, meta = _walk(d)
+    order, places = _walk(d)
     weights = [{} for _ in modes]  # per mode, each node's recomputed weight
     fell: set[int] = set()  # nodes failing in the first mode, or above one
     groups = []  # per-node error lists, deepest node first
     failures: dict[str, list] = {}
-    for n, mi in reversed(order):
+    for n in order:
         c = n.conclusion
         msgs = _rule_errors(n, first)
         fails = {m: msgs if m == first else _rule_errors(n, m) for m in modes} if msgs else {}
@@ -834,14 +839,14 @@ def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWal
         if msgs or below:
             fell.add(id(n))
         if msgs or fails:
-            path = _path_of(meta, mi)
+            path = _path_of(places, n)
             for m, f in fails.items():
                 failures.setdefault(m, [CheckError(path, x) for x in f])
             if msgs and (full_scan or not groups):
                 groups.append([CheckError(path, x) for x in msgs])
     # report shallow nodes first
     errors = [e for grp in reversed(groups) for e in grp]
-    return CheckWalk(errors, {m: w[id(d)] for m, w in zip(modes, weights)}, failures, _count_rules(order))
+    return CheckWalk(errors, {m: w[id(d)] for m, w in zip(modes, weights)}, failures, _count_rules(order, d))
 
 
 def check(d: Derivation, mode: str, full_scan: bool = False) -> CheckResult:
@@ -863,12 +868,8 @@ def reweight(d: Derivation, mode: str) -> Derivation:
     """The same tree with every stored weight replaced by mode's
     recomputed one.  The structure must be valid enough for the weight
     formulas to make sense; nothing else is checked."""
-    order, _ = _walk(d)
     rebuilt: dict[int, Derivation] = {}
-    for at in range(len(order) - 1, -1, -1):
-        n, _ = order[at]
-        if id(n) in rebuilt:
-            continue
+    for n in _walk(d)[0]:
         prem = tuple(rebuilt[id(p)] for p in n.premises)
         w = rule_weight(
             n.rule,
@@ -889,7 +890,7 @@ def size_of(d: Derivation) -> int:
 
 
 def rule_counts(d: Derivation) -> dict:
-    return _count_rules(_walk(d)[0])
+    return _count_rules(_walk(d)[0], d)
 
 
 def counts_correspond(counts: dict, run: Run) -> bool:
@@ -910,54 +911,57 @@ def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
 # ---------------------------------------------------------------------------
 # JSON
 #
-# A derivation file is its root node plus a "tables" key holding every
-# type, term and closure once; nodes refer to table entries by index,
-# and an entry refers only to entries before it:
+# A derivation file is {"tables": {"types", "terms", "closures",
+# "nodes"}}, each entry written once and referring by index only to
+# entries before it:
 #
 #   types     "*" | {"arg": i, "res": j} | {"elems": [i, ...], "k": k}
 #             | {"elems": [i, ...]}
 #   terms     {"var": x} | {"lam": x, "body": i} | {"app": [i, j]}
 #   closures  {"code": term, "env": [[x, closure], ...]}
+#   nodes     {"rule": r, "judgment": j, "premises": [node, ...]}
 #
-# A judgment's subject is a term or closure index, an environment
-# [[x, closure], ...], or a state {"code", "env", "stack"} of indices;
-# its context maps names to type indices, and its type is a type index,
-# or a context for environment judgments.
+# The root is the last node, so a file's depth does not grow with its
+# derivation.  A judgment's subject is a term or closure index, an
+# environment [[x, closure], ...], or a state {"code", "env", "stack"}
+# of indices; its context maps names to type indices, and its type is a
+# type index, or a context for environment judgments.
 
 
 class _Entries:
-    """One table of terms or closures.  An object is looked up by id(),
-    which is sound while the derivation holds it, then by its entry's
-    key, so structurally equal objects share one entry too."""
+    """One table of terms, closures or nodes.  An object is looked up
+    by id(), which is sound while the derivation holds it, then by its
+    entry's key, so structurally equal objects share one entry too."""
 
     def __init__(self):
         self.entries: list = []
         self.ids: dict[int, int] = {}
-        self._at: dict = {}
+        self.at: dict = {}  # entry key -> entry index
 
-    def enter(self, obj, key, entry) -> int:
-        i = self._at.get(key)
+    def enter(self, obj, key, entry) -> None:
+        i = self.at.get(key)
         if i is None:
-            i = self._at[key] = len(self.entries)
+            i = self.at[key] = len(self.entries)
             self.entries.append(entry)
         self.ids[id(obj)] = i
-        return i
 
 
 class _Tables:
-    """The three tables of one derivation file, filled as the encoder
+    """The four tables of one derivation file, filled as the encoder
     meets their entries, children before parents."""
 
     def __init__(self):
         self.types = TypeTable()
         self.terms = _Entries()
         self.closures = _Entries()
+        self.nodes = _Entries()
 
     def to_json(self) -> dict:
         return {
             "types": self.types.entries,
             "terms": self.terms.entries,
             "closures": self.closures.entries,
+            "nodes": self.nodes.entries,
         }
 
     def term(self, t) -> int:
@@ -1015,53 +1019,59 @@ class _Tables:
             self.closures.enter(d, (code, env), entry)
         return ids[id(c)]
 
-    def env(self, e) -> list:
-        return [[x, self.closure(c)] for x, c in e]
+    def env(self, e) -> tuple:
+        """e's entry and its key."""
+        key = tuple((x, self.closure(c)) for x, c in e)
+        return [list(p) for p in key], key
 
-    def subject(self, kind, subject):
+    def subject(self, kind, subject) -> tuple:
+        """subject's entry and its key."""
         if kind == KIND_TERM:
-            return self.term(subject)
+            i = self.term(subject)
+            return i, i
+        if kind == KIND_CLOSURE:
+            i = self.closure(subject)
+            return i, i
         if kind == KIND_ENV:
             return self.env(subject)
-        if kind == KIND_CLOSURE:
-            return self.closure(subject)
         if kind == KIND_STATE:
-            return {
-                "code": self.term(subject.code),
-                "env": self.env(subject.env),
-                "stack": [self.closure(c) for c in subject.stack],
-            }
+            code = self.term(subject.code)
+            env, env_key = self.env(subject.env)
+            stack = [self.closure(c) for c in subject.stack]
+            return {"code": code, "env": env, "stack": stack}, (code, env_key, tuple(stack))
         raise ValueError(f"unknown subject kind {kind!r}")
 
-    def judgment(self, j: Judgment) -> dict:
-        a, types = j.assigned, self.types
-        return {
+    def node(self, n: Derivation) -> None:
+        """Enter n, whose premises are entered already.  Types are
+        interned, so their objects key the node as their entries would."""
+        nodes, types = self.nodes, self.types
+        j, a = n.conclusion, n.conclusion.assigned
+        subject, subject_key = self.subject(j.subject_kind, j.subject)
+        premises = [nodes.ids[id(p)] for p in n.premises]
+        a_key = a.entries if type(a) is TypeContext else a
+        key = (n.rule, j.subject_kind, subject_key, j.context.entries, a_key, j.weight, *premises)
+        i = nodes.at.get(key)
+        if i is not None:
+            nodes.ids[id(n)] = i
+            return
+        judgment = {
             "subject_kind": j.subject_kind,
-            "subject": self.subject(j.subject_kind, j.subject),
+            "subject": subject,
             "context": context_to_json(j.context, types),
             "type": context_to_json(a, types) if type(a) is TypeContext else types.add(a),
             "weight": j.weight,
         }
+        nodes.enter(n, key, {"rule": n.rule, "judgment": judgment, "premises": premises})
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """The derivation file of d: the root node, with every type, term
-    and closure written once in the tables.  Entries are numbered in
-    the order a bottom-up walk meets them, so the output depends only
-    on d."""
-    order, _ = _walk(d)
+    """The derivation file of d.  Entries are numbered in the order a
+    post-order walk meets them, premises in stored order, so the output
+    depends only on d; equal subtrees share their entries."""
     tables = _Tables()
-    built: dict[int, dict] = {}
-    for at in range(len(order) - 1, -1, -1):
-        n, _ = order[at]
-        if id(n) in built:
-            continue
-        built[id(n)] = {
-            "rule": n.rule,
-            "judgment": tables.judgment(n.conclusion),
-            "premises": [built[id(p)] for p in n.premises],
-        }
-    return {"tables": tables.to_json(), **built[id(d)]}
+    for n in _walk(d)[0]:
+        tables.node(n)
+    return {"tables": tables.to_json()}
 
 
 def _name(x) -> str:
@@ -1070,25 +1080,16 @@ def _name(x) -> str:
     return x
 
 
-def _terms_from_json(entries) -> list:
-    if not isinstance(entries, list):
-        raise ValueError("terms must be a list")
-    out: list = []
-    for i, e in enumerate(entries):
-        try:
-            keys = e.keys() if isinstance(e, dict) else None
-            if keys == {"var"}:
-                out.append(Var(_name(e["var"])))
-            elif keys == {"lam", "body"}:
-                out.append(Abs(_name(e["lam"]), out[json_index(e["body"], i)]))
-            elif keys == {"app"} and isinstance(e["app"], list) and len(e["app"]) == 2:
-                f, a = e["app"]
-                out.append(App(out[json_index(f, i)], out[json_index(a, i)]))
-            else:
-                raise ValueError(f"not a term: {e!r}")
-        except ValueError as ex:
-            raise ValueError(f"terms[{i}]: {ex}") from None
-    return out
+def _term_entry(e, done):
+    keys, i = e.keys() if isinstance(e, dict) else None, len(done)
+    if keys == {"var"}:
+        return Var(_name(e["var"]))
+    if keys == {"lam", "body"}:
+        return Abs(_name(e["lam"]), done[json_index(e["body"], i)])
+    if keys == {"app"} and isinstance(e["app"], list) and len(e["app"]) == 2:
+        f, a = e["app"]
+        return App(done[json_index(f, i)], done[json_index(a, i)])
+    raise ValueError(f"not a term: {e!r}")
 
 
 def _env_from_json(obj, closures) -> tuple:
@@ -1102,28 +1103,21 @@ def _env_from_json(obj, closures) -> tuple:
     return tuple(out)
 
 
-def _closures_from_json(entries, terms) -> list:
-    if not isinstance(entries, list):
-        raise ValueError("closures must be a list")
-    out: list = []
-    for i, e in enumerate(entries):
-        try:
-            if not isinstance(e, dict) or e.keys() != {"code", "env"}:
-                raise ValueError("closure must have code and env")
-            code = terms[json_index(e["code"], len(terms))]
-            out.append(Closure(code, _env_from_json(e["env"], out)))
-        except ValueError as ex:
-            raise ValueError(f"closures[{i}]: {ex}") from None
-    return out
-
-
 class _Decoder:
-    """Resolves a node's judgment against the decoded tables."""
+    """The decoded tables of one file, each in its own table's order."""
 
     def __init__(self, tables):
         self.types = types_from_json(tables["types"])
-        self.terms = _terms_from_json(tables["terms"])
-        self.closures = _closures_from_json(tables["closures"], self.terms)
+        self.terms = decode_table(tables["terms"], "terms", _term_entry)
+        self.closures = decode_table(tables["closures"], "closures", self._closure)
+        self.nodes = decode_table(tables["nodes"], "nodes", self._node)
+        if not self.nodes:
+            raise ValueError("nodes must hold at least the root")
+
+    def _closure(self, e, done) -> Closure:
+        if not isinstance(e, dict) or e.keys() != {"code", "env"}:
+            raise ValueError("closure must have code and env")
+        return Closure(self.term(e["code"]), _env_from_json(e["env"], done))
 
     def term(self, i):
         return self.terms[json_index(i, len(self.terms))]
@@ -1169,72 +1163,47 @@ class _Decoder:
             raise ValueError("weight must be an integer")
         return Judgment(kind, subject, context, assigned, weight)
 
+    def _node(self, e, done) -> Derivation:
+        if not isinstance(e, dict):
+            raise ValueError("node must be an object")
+        missing = _NODE_KEYS - e.keys()
+        if missing:
+            raise ValueError(f"node lacks {sorted(missing)}")
+        rule = e["rule"]
+        if not isinstance(rule, str) or rule not in _RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        conclusion = self.judgment(e["judgment"])
+        if not isinstance(e["premises"], list):
+            raise ValueError("premises must be a list")
+        i = len(done)
+        return Derivation(rule, conclusion, tuple(done[json_index(p, i)] for p in e["premises"]))
+
 
 _JUDGMENT_KEYS = frozenset({"subject_kind", "subject", "context", "type", "weight"})
 _NODE_KEYS = frozenset({"rule", "judgment", "premises"})
+_TABLES = frozenset({"types", "terms", "closures", "nodes"})
 _RULES = MACHINE_RULES | DC_RULES
 
 
-def _where(meta, at) -> str:
-    """The path text of node at, from the (parent, premise) pairs."""
-    return ".".join(["root", *map(str, _path_of(meta, at))])
-
-
 def derivation_from_json(obj) -> Derivation:
-    """Decode a derivation file.  Each table entry is built once and
-    shared by every node that refers to it.  A ValueError names where
-    the file is wrong: root: tables.types[3]: ... for a table entry,
-    root.1.0: ... for the node at premise path (1, 0)."""
+    """Decode a derivation file into its root, the last node.  Each
+    entry is built once and shared by every entry that refers to it.  A
+    ValueError names the entry where the file is wrong, as in
+    root: tables.nodes[3]: ..."""
     if not isinstance(obj, dict):
         raise ValueError("root: derivation must be an object")
-    missing = (_NODE_KEYS | {"tables"}) - obj.keys()
-    if missing:
-        raise ValueError(f"root: derivation lacks {sorted(missing)}")
+    if "tables" not in obj:
+        raise ValueError("root: derivation lacks ['tables']")
     tables = obj["tables"]
     if not isinstance(tables, dict):
         raise ValueError("root: tables must be an object")
-    missing = {"types", "terms", "closures"} - tables.keys()
+    missing = _TABLES - tables.keys()
     if missing:
         raise ValueError(f"root: tables lack {sorted(missing)}")
     try:
-        dec = _Decoder(tables)
+        return _Decoder(tables).nodes[-1]
     except ValueError as ex:
         raise ValueError(f"root: tables.{ex}") from None
-    # pre-order with premises in stored order; reversed, every node
-    # comes after its premises, the last premise's subtree first
-    decoded = []  # (rule, conclusion, number of premises)
-    meta = [(None, None)]  # per node met: (its parent's slot, premise number)
-    work = [(obj, 0)]
-    while work:
-        node, at = work.pop()
-        try:
-            if not isinstance(node, dict):
-                raise ValueError("derivation must be an object")
-            missing = _NODE_KEYS - node.keys()
-            if missing:
-                raise ValueError(f"derivation lacks {sorted(missing)}")
-            rule = node["rule"]
-            if not isinstance(rule, str) or rule not in _RULES:
-                raise ValueError(f"unknown rule {rule!r}")
-            conclusion = dec.judgment(node["judgment"])
-            premises = node["premises"]
-            if not isinstance(premises, list):
-                raise ValueError("premises must be a list")
-        except ValueError as ex:
-            raise ValueError(f"{_where(meta, at)}: {ex}") from None
-        decoded.append((rule, conclusion, len(premises)))
-        for i in range(len(premises) - 1, -1, -1):
-            meta.append((at, i))
-            work.append((premises[i], len(meta) - 1))
-    built: list = []
-    for rule, conclusion, k in reversed(decoded):
-        if k:
-            premises = tuple(built[-1 : -k - 1 : -1])
-            del built[-k:]
-        else:
-            premises = ()
-        built.append(Derivation(rule, conclusion, premises))
-    return built[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ def _load_term(term: str | None, path: str | None):
         return parse_term(text)
     except ParseError as ex:
         raise click.UsageError(str(ex))
-    except RecursionError:
-        raise click.UsageError("term nested too deep to parse")
 
 
 def _compile(t):
@@ -68,8 +66,7 @@ def _write_file(path: str, lines) -> None:
         raise click.UsageError(f"cannot write {path}: {ex}")
 
 
-def _write_trace(rows, path):
-    lines = (json.dumps(row) for row in rows)
+def _write_trace(lines, path):
     if path == "-":
         for line in lines:
             sys.stdout.write(line + "\n")
@@ -177,10 +174,7 @@ def infer_cmd(term, path, mode, out, pretty, fuel):
     except IncompleteRun as ex:
         click.echo(str(ex), err=True)
         sys.exit(1)
-    try:
-        blob = render_derivation(d) if pretty else json.dumps(derivation_to_json(d))
-    except RecursionError:
-        raise click.UsageError("derivation nested too deep to write as JSON")
+    blob = render_derivation(d) if pretty else json.dumps(derivation_to_json(d))
     if out:
         _write_file(out, [blob])
         click.echo(f"weight: {d.conclusion.weight}")

@@ -281,33 +281,48 @@ def decode(s: MachState | Closure) -> Term:
     return t
 
 
-def closure_to_json(c: Closure) -> dict:
-    return {"code": print_term(c.code), "env": env_to_json(c.env)}
+def _state_row(head: dict, s: MachState) -> str:
+    """json.dumps' text of head plus s's code, env and stack, closures
+    as {"code", "env"} and environments as [[x, closure], ...], written
+    pre-order from an explicit stack: a shared closure is written in
+    full wherever it occurs, each code term is printed once per row."""
+    import json  # only --trace writes rows: importing the package need not load json
 
-
-def env_to_json(e: Env) -> list:
-    return [[x, closure_to_json(c)] for x, c in e]
-
-
-def state_to_json(s: MachState) -> dict:
-    return {
-        "code": print_term(s.code),
-        "env": env_to_json(s.env),
-        "stack": [closure_to_json(c) for c in s.stack],
-    }
+    codes: dict[int, str] = {}  # id of a code term -> its JSON string
+    out = [json.dumps(head)[:-1]]
+    work = ["}", s.stack, ', "stack": ', s.env, ', "env": ', s.code, ', "code": ']
+    while work:
+        x = work.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is Closure:
+            work += ("}", x.env, ', "env": ', x.code, '{"code": ')
+        elif type(x) is tuple:  # an env of (name, closure) pairs or a stack of closures
+            work.append("]")
+            for i in range(len(x) - 1, -1, -1):
+                e = x[i]
+                work += ("]", e[1], f"[{json.dumps(e[0])}, ") if type(e) is tuple else (e,)
+                if i:
+                    work.append(", ")
+            work.append("[")
+        else:
+            if id(x) not in codes:
+                codes[id(x)] = json.dumps(print_term(x))
+            out.append(codes[id(x)])
+    return "".join(out)
 
 
 def run_trace_rows(run: Run):
-    """One JSON-ready dict per transition: the label, the state size
-    for a measured run, and the state it produced.  Step numbers start
-    at 1; the initial state is step 0 and has no row.  The rows stream
-    from a replay of the run (Run.replay), which is not cached."""
+    """One JSON line per transition: the step number, the label, the
+    state size for a measured run, and the state it produced.  Step
+    numbers start at 1; the initial state is step 0 and has no row.
+    The rows stream from a replay of the run (Run.replay), which is not
+    cached."""
     for i, (label, s) in enumerate(run.replay(), start=1):
-        row = {"step": i, "label": label}
+        head = {"step": i, "label": label}
         if run.space is not None:
-            row["size"] = state_size(s)
-        row.update(state_to_json(s))
-        yield row
+            head["size"] = state_size(s)
+        yield _state_row(head, s)
 
 
 def run_summary(run: Run) -> dict:

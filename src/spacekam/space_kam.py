@@ -29,8 +29,6 @@ including the initial one; its time is the sum over all states.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .kam import (
     Closure,
     Env,
@@ -140,7 +138,10 @@ def skam_run(s: MachState, fuel: int) -> Run:
         prev = cur
 
     run = run_machine(skam_step, SKAM_LABELS, s, fuel, measure)
-    return replace(run, space=space, time=time)
+    # the run is not yet shared with a caller: complete it in place
+    object.__setattr__(run, "space", space)
+    object.__setattr__(run, "time", time)
+    return run
 
 
 def check_run_env_domain_invariant(states) -> bool:

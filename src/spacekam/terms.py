@@ -9,9 +9,10 @@ Every node stores its free variables in fv, set bottom-up when the node
 is built; a node whose free variables equal a child's shares that
 child's frozenset.  fv takes no part in ==, hash or repr.
 
-Long reduction sequences produce deeply nested terms, so the traversals
-here (substitution, printing, alpha equality) use explicit stacks
-rather than recursion.
+Long reduction sequences produce deeply nested terms, so every
+traversal here (parsing, substitution, printing, alpha equality) uses
+an explicit stack rather than recursion: no nesting depth depends on
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+# the open constructs of parse_term
+_LAM, _APP, _LAST, _PAREN = range(4)
+
+
 def parse_term(text: str) -> Term:
     """Parse a term.
 
@@ -128,77 +133,76 @@ def parse_term(text: str) -> Term:
     the last argument position of an application needs no parentheses.
     """
     toks = _tokenize(text)
+    toks.append(None)  # end of input; pos never passes it
     eof = _byte_offset(text, len(text))
     pos = 0
     occurrences: dict[str, Var] = {}  # one shared node per name
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
+    # open constructs, innermost last: (_LAM, binder) awaits its body,
+    # (_APP, fun) its next atom (fun is None before the first),
+    # (_LAST, fun) its final abstraction argument, (_PAREN, None) its ')'
+    frames: list = []
 
     def fail(message, tok):
         raise ParseError(message, eof if tok is None else _byte_offset(text, tok[2]))
 
-    def term():
-        tok = peek()
-        if tok is None:
-            fail("expected a term, found end of input", None)
-        if tok[0] == "lam":
-            return abstraction()
-        return application()
-
-    def abstraction():
+    def expect(kind, message):
         nonlocal pos
-        pos += 1  # the lambda token
-        tok = peek()
-        if tok is None or tok[0] != "ident":
-            fail("expected a binder after the lambda", tok)
-        name = tok[1]
+        tok = toks[pos]
+        if tok is None or tok[0] != kind:
+            fail(message, tok)
         pos += 1
-        tok = peek()
-        if tok is None or tok[0] != "dot":
-            fail("expected '.' after the binder", tok)
-        pos += 1
-        return Abs(name, term())
+        return tok[1]
 
-    def application():
-        t = atom()
-        while True:
-            tok = peek()
+    want_term = True  # else an atom, inside the application on top
+    while True:
+        tok = toks[pos]
+        if want_term:
             if tok is None:
-                return t
-            if tok[0] in ("ident", "lpar"):
-                t = App(t, atom())
-            elif tok[0] == "lam":
-                return App(t, abstraction())
-            else:
-                return t
-
-    def atom():
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            fail("expected a term, found end of input", None)
-        if tok[0] == "ident":
-            pos += 1
-            v = occurrences.get(tok[1])
-            if v is None:
-                v = occurrences[tok[1]] = Var(tok[1])
-            return v
+                fail("expected a term, found end of input", None)
+            if tok[0] == "lam":
+                pos += 1
+                frames.append((_LAM, expect("ident", "expected a binder after the lambda")))
+                expect("dot", "expected '.' after the binder")
+                continue
+            frames.append((_APP, None))
+        # an atom
         if tok[0] == "lpar":
             pos += 1
-            t = term()
-            tok = peek()
-            if tok is None or tok[0] != "rpar":
-                fail("expected ')'", tok)
-            pos += 1
-            return t
-        fail(f"unexpected {tok[1]!r}", tok)
-
-    t = term()
-    tok = peek()
-    if tok is not None:
-        fail(f"unexpected {tok[1]!r} after the term", tok)
-    return t
+            frames.append((_PAREN, None))
+            want_term = True
+            continue
+        if tok[0] != "ident":
+            fail(f"unexpected {tok[1]!r}", tok)
+        pos += 1
+        t = occurrences.get(tok[1])
+        if t is None:
+            t = occurrences[tok[1]] = Var(tok[1])
+        # t is complete: hand it to the constructs it closes
+        while True:
+            tok = toks[pos]
+            if not frames:
+                if tok is not None:
+                    fail(f"unexpected {tok[1]!r} after the term", tok)
+                return t
+            kind, x = frames[-1]
+            if kind == _APP:
+                if x is not None:
+                    t = App(x, t)
+                if tok is not None and tok[0] in ("ident", "lpar"):
+                    frames[-1] = (_APP, t)
+                    want_term = False
+                    break
+                if tok is not None and tok[0] == "lam":
+                    frames[-1] = (_LAST, t)
+                    want_term = True
+                    break
+            elif kind == _PAREN:
+                expect("rpar", "expected ')'")
+            elif kind == _LAM:
+                t = Abs(x, t)
+            else:
+                t = App(x, t)
+            frames.pop()
 
 
 def print_term(t: Term) -> str:

@@ -409,19 +409,24 @@ def context_from_json(obj, types: list) -> TypeContext:
     return TypeContext(tuple(entries))
 
 
-def types_from_json(entries) -> list:
-    """Decode a type table into its types, position by position.  An
-    entry may refer only to entries before it; a ValueError names the
-    offending entry as types[i]."""
+def decode_table(entries, name: str, entry) -> list:
+    """Decode the table name of a derivation file, position by
+    position: entry(e, done) builds one entry from the entries decoded
+    before it.  A ValueError names the offending entry as name[i]."""
     if not isinstance(entries, list):
-        raise ValueError("types must be a list")
+        raise ValueError(f"{name} must be a list")
     out: list = []
     for i, e in enumerate(entries):
         try:
-            out.append(_type_entry(e, out))
+            out.append(entry(e, out))
         except ValueError as ex:
-            raise ValueError(f"types[{i}]: {ex}") from None
+            raise ValueError(f"{name}[{i}]: {ex}") from None
     return out
+
+
+def types_from_json(entries) -> list:
+    """Decode a type table; an entry refers only to entries before it."""
+    return decode_table(entries, "types", _type_entry)
 
 
 def _type_entry(e, done):
@@ -452,25 +457,43 @@ def _type_entry(e, done):
                 return MultiType(elems) if k is None else ClosureMulti(elems, k)
             except TypeError as ex:  # elements of the other grammar
                 raise ValueError(str(ex)) from None
+            except RecursionError:  # sorting compares the elements' nested keys
+                raise ValueError("multi elements nested too deep to order") from None
     raise ValueError(f"not a type: {e!r}")
 
 
 # ---------------------------------------------------------------------------
 # pretty forms
 
+def _format(a) -> str:
+    # an explicit stack of types and of the text between them, so
+    # nesting depth is not limited by the recursion limit
+    out, work = [], [a]
+    while work:
+        x = work.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is Star:
+            out.append("*")
+        elif type(x) is Arrow or type(x) is DCArrow:
+            work += (x.res, " -> ", x.arg)
+        else:
+            parts = [","] * (2 * len(x.elems) - 1) if x.elems else []
+            parts[::2] = x.elems
+            work += (f"]^{x.index}" if type(x) is ClosureMulti else "]", *reversed(parts), "[")
+    return "".join(out)
+
+
 def format_linear(a) -> str:
-    if type(a) is Star:
-        return "*"
-    if type(a) is Arrow or type(a) is DCArrow:
-        return f"{format_multi(a.arg)} -> {format_linear(a.res)}"
-    raise TypeError(f"not a type: {a!r}")
+    if not isinstance(a, (Star, Arrow, DCArrow)):
+        raise TypeError(f"not a type: {a!r}")
+    return _format(a)
 
 
 def format_multi(m) -> str:
-    inner = ",".join(format_linear(a) for a in m.elems)
-    if type(m) is ClosureMulti:
-        return f"[{inner}]^{m.index}"
-    return f"[{inner}]"
+    if not isinstance(m, (ClosureMulti, MultiType)):
+        raise TypeError(f"not a multi type: {m!r}")
+    return _format(m)
 
 
 def format_context(g: TypeContext) -> str:

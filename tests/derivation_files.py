@@ -1,8 +1,12 @@
 """Malformed derivation files for the decoder and the CLI: each case
 edits one well-formed file and names the start of the error it must
-raise.  A table entry is shared by every node that refers to it, so an
-edit to a node's subject or type appends a table entry or repoints the
-node, never rewrites an entry in place."""
+raise.  A table entry is shared by every entry that refers to it, so an
+edit appends entries and repoints, never rewrites a shared entry in
+place: an edit to a node's subject or type appends a table entry, and
+an edit to a node copies the node and the nodes above it to the end of
+the node table (node_at)."""
+
+import copy
 
 import spacekam as sk
 from spacekam.checker import R_CL, R_ENV, R_ST, Derivation, Judgment
@@ -36,13 +40,30 @@ def _add(o, table, entry):
     return len(o["tables"][table]) - 1
 
 
+def node_at(o, path):
+    """The node at premise path, copied to the end of the node table
+    together with the nodes above it.  The copies form a new root, the
+    last node, so an edit to the returned node reaches this one
+    occurrence only.  The node comes first among the copies: its index
+    is the number of nodes before the call."""
+    nodes = o["tables"]["nodes"]
+    chain = [len(nodes) - 1]
+    for i in path:
+        chain.append(nodes[chain[-1]]["premises"][i])
+    first = len(nodes)
+    for depth in range(len(path), -1, -1):
+        n = copy.deepcopy(nodes[chain[depth]])
+        if depth < len(path):
+            n["premises"][path[depth]] = len(nodes) - 1
+        nodes.append(n)
+    return nodes[first]
+
+
 def _set(path, key, value):
     """Set a judgment field of the node at path."""
     def edit(o):
-        n = o
-        for i in path:
-            n = n["premises"][i]
-        n["judgment"][key] = value(o) if callable(value) else value
+        v = value(o) if callable(value) else value
+        node_at(o, path)["judgment"][key] = v
     return edit
 
 
@@ -68,33 +89,34 @@ def _n(table):
     return lambda o: len(o["tables"][table])
 
 
-# (id, base file, edit, regex the error message must match from its start)
+# (id, base file, edit, regex the error message must match from its start;
+# {n} stands for the index of the edited node, node_at's first copy)
 CASES = [
     ("no-tables", term_file, _drop("tables"),
      r"root: derivation lacks \['tables'\]"),
     ("tables-lack-closures", term_file, _drop_table("closures"),
      r"root: tables lack \['closures'\]"),
     ("subject-bool", term_file, _set((), "subject", True),
-     r"root: index must be an integer, found True"),
+     r"root: tables\.nodes\[{n}\]: index must be an integer, found True"),
     ("subject-negative", term_file, _set((), "subject", -1),
-     r"root: index -1 is outside \[0, \d+\)"),
+     r"root: tables\.nodes\[{n}\]: index -1 is outside \[0, \d+\)"),
     ("subject-past-end", term_file, _set((1, 0), "subject", _n("terms")),
-     r"root\.1\.0: index \d+ is outside \[0, \d+\)"),
+     r"root: tables\.nodes\[{n}\]: index \d+ is outside \[0, \d+\)"),
     ("subject-string", term_file, _set((1, 0), "subject", r"\a.a"),
-     r"root\.1\.0: index must be an integer, found '\\\\a\.a'"),
+     r"root: tables\.nodes\[{n}\]: index must be an integer, found '\\\\a\.a'"),
     ("type-float", term_file, _set((0,), "type", 0.0),
-     r"root\.0: index must be an integer, found 0\.0"),
+     r"root: tables\.nodes\[{n}\]: index must be an integer, found 0\.0"),
     ("type-past-end", term_file, _set((0,), "type", _n("types")),
-     r"root\.0: index \d+ is outside"),
+     r"root: tables\.nodes\[{n}\]: index \d+ is outside"),
     ("context-index-bool", term_file,
      _set((0, 0, 0, 0, 0, 0), "context", {"x": False}),
-     r"root\.0\.0\.0\.0\.0\.0: index must be an integer, found False"),
+     r"root: tables\.nodes\[{n}\]: index must be an integer, found False"),
     ("context-name", term_file,
      _set((0, 0, 0, 0, 0, 0), "context", lambda o: {"x y": 1}),
-     r"root\.0\.0\.0\.0\.0\.0: not a variable name: 'x y'"),
+     r"root: tables\.nodes\[{n}\]: not a variable name: 'x y'"),
     ("context-image-linear", term_file,
      _set((0, 0, 0, 0, 0, 0), "context", lambda o: {"x": o["tables"]["types"].index("*")}),
-     r"root\.0\.0\.0\.0\.0\.0: context image of x is not a multi type"),
+     r"root: tables\.nodes\[{n}\]: context image of x is not a multi type"),
     ("term-forward", term_file,
      lambda o: _add(o, "terms", {"app": [0, len(o["tables"]["terms"])]}),
      r"root: tables\.terms\[(\d+)\]: index \1 is outside \[0, \1\)"),
@@ -129,16 +151,16 @@ CASES = [
      _last("closures", lambda e, i: e.update(stack=[])),
      r"root: tables\.closures\[\d+\]: closure must have code and env"),
     ("state-stack-bool", state_file,
-     lambda o: o["judgment"]["subject"].update(stack=[True]),
-     r"root: index must be an integer, found True"),
+     lambda o: node_at(o, ())["judgment"]["subject"].update(stack=[True]),
+     r"root: tables\.nodes\[{n}\]: index must be an integer, found True"),
     ("state-env-past-end", state_file,
-     lambda o: o["judgment"]["subject"].update(env=[["x", len(o["tables"]["closures"])]]),
-     r"root: index \d+ is outside"),
+     lambda o: node_at(o, ())["judgment"]["subject"].update(env=[["x", len(o["tables"]["closures"])]]),
+     r"root: tables\.nodes\[{n}\]: index \d+ is outside"),
     ("env-subject-name", state_file,
-     lambda o: o["premises"][0]["judgment"]["subject"][0].__setitem__(0, "1 2"),
-     r"root\.0: not a variable name: '1 2'"),
+     lambda o: node_at(o, (0,))["judgment"]["subject"][0].__setitem__(0, "1 2"),
+     r"root: tables\.nodes\[{n}\]: not a variable name: '1 2'"),
     ("closure-subject-negative", state_file, _set((1,), "subject", -1),
-     r"root\.1: index -1 is outside"),
+     r"root: tables\.nodes\[{n}\]: index -1 is outside"),
 ]
 
 IDS = [c[0] for c in CASES]
@@ -146,9 +168,9 @@ IDS = [c[0] for c in CASES]
 
 # The mutations of acceptance 7: each edits the term file of the README
 # example at one node and returns that node's premise path, where check
-# must report its first error.  A table entry is shared by every node
-# that refers to it, so a mutation appends a new entry and repoints
-# only its own node.
+# must report its first error.  A table entry is shared by every entry
+# that refers to it, so a mutation appends new entries (node_at for the
+# node itself) and repoints only its own node.
 
 P_TVAR = (0, 0, 0, 0, 0, 0)
 P_TNONE = (0, 0, 0, 0, 1)
@@ -157,70 +179,65 @@ P_TLAMSTAR = (1, 0)
 P_TLAM1_Y = (0, 0, 0)
 
 
-def _at(o, path):
-    for i in path:
-        o = o["premises"][i]
-    return o
-
-
 def _type_at(o, i):
     return o["tables"]["types"][i]
 
 
 def m_root_weight(o):
-    o["judgment"]["weight"] = 5
+    node_at(o, ())["judgment"]["weight"] = 5
     return ()
 
 
 def m_leaf_weight(o):
-    _at(o, P_TVAR)["judgment"]["weight"] = 2
+    node_at(o, P_TVAR)["judgment"]["weight"] = 2
     return P_TVAR
 
 
 def m_leaf_subject(o):
-    _at(o, P_TVAR)["judgment"]["subject"] = _add(o, "terms", {"var": "y"})
+    node_at(o, P_TVAR)["judgment"]["subject"] = _add(o, "terms", {"var": "y"})
     return P_TVAR
 
 
 def m_context_key(o):
-    j = _at(o, P_TVAR)["judgment"]
+    j = node_at(o, P_TVAR)["judgment"]
     j["context"] = {"w": j["context"]["x"]}
     return P_TVAR
 
 
 def m_none_index(o):
-    j = _at(o, P_TNONE)["judgment"]
+    j = node_at(o, P_TNONE)["judgment"]
     j["type"] = _add(o, "types", {**_type_at(o, j["type"]), "k": 2})
     return P_TNONE
 
 
 def m_root_rule(o):
-    o["rule"] = "TApp2"
+    node_at(o, ())["rule"] = "TApp2"
     return ()
 
 
 def m_unknown_rule_weight(o):
-    _at(o, P_TLAMSTAR)["judgment"]["weight"] = 3
+    node_at(o, P_TLAMSTAR)["judgment"]["weight"] = 3
     return P_TLAMSTAR
 
 
 def m_drop_many_premise(o):
-    _at(o, P_TMANY)["premises"] = []
+    node_at(o, P_TMANY)["premises"] = []
     return P_TMANY
 
 
 def m_lamstar_type(o):
-    _at(o, P_TLAMSTAR)["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
+    node_at(o, P_TLAMSTAR)["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
     return P_TLAMSTAR
 
 
 def m_swap_root_premises(o):
-    o["premises"] = o["premises"][::-1]
+    root = node_at(o, ())
+    root["premises"] = root["premises"][::-1]
     return ()
 
 
 def m_arrow_source(o):
-    j = _at(o, P_TLAM1_Y)["judgment"]
+    j = node_at(o, P_TLAM1_Y)["judgment"]
     arrow = _type_at(o, j["type"])
     arg = _add(o, "types", {**_type_at(o, arrow["arg"]), "k": 2})
     j["type"] = _add(o, "types", {"arg": arg, "res": arrow["res"]})
@@ -228,12 +245,12 @@ def m_arrow_source(o):
 
 
 def m_root_type(o):
-    o["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
+    node_at(o, ())["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
     return ()
 
 
 def m_many_index(o):
-    j = _at(o, P_TMANY)["judgment"]
+    j = node_at(o, P_TMANY)["judgment"]
     j["type"] = _add(o, "types", {**_type_at(o, j["type"]), "k": 2})
     return P_TMANY
 

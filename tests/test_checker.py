@@ -10,6 +10,7 @@ from derivation_files import (
     WEIGHT_MUTATIONS,
     m_lamstar_type,
     m_root_type,
+    node_at,
     term_file,
 )
 
@@ -207,7 +208,7 @@ def _structure(errors):
 
 
 def _break_first_premise(o):
-    o["premises"][0]["rule"] = "TLam2"
+    node_at(o, (0,))["rule"] = "TLam2"
     return (0,)
 
 
@@ -438,7 +439,7 @@ def test_derivation_json_roundtrip(example_space_derivation, example_dc_derivati
 
 def test_json_rejects_unknown_rule(example_space_derivation):
     obj = derivation_to_json(example_space_derivation)
-    obj["rule"] = "TZap"
+    node_at(obj, ())["rule"] = "TZap"
     with pytest.raises(ValueError, match="TZap"):
         derivation_from_json(obj)
 
@@ -448,25 +449,46 @@ def test_json_rejects_missing_keys():
         derivation_from_json({"rule": "TVar"})
 
 
+def test_json_rejects_an_empty_node_table(example_space_derivation):
+    obj = derivation_to_json(example_space_derivation)
+    obj["tables"]["nodes"] = []
+    with pytest.raises(ValueError, match=r"^root: tables\.nodes must hold at least the root$"):
+        derivation_from_json(obj)
+
+
+def test_json_names_the_missing_node_table_of_an_older_file(example_space_derivation):
+    # the layout with three tables, the root node written beside them
+    obj = derivation_to_json(example_space_derivation)
+    nodes = obj["tables"].pop("nodes")
+    obj.update(nodes[-1])
+    with pytest.raises(ValueError, match=r"^root: tables lack \['nodes'\]$"):
+        derivation_from_json(obj)
+
+
 def test_json_rejects_boolean_weight(example_space_derivation):
     obj = derivation_to_json(example_space_derivation)
-    obj["judgment"]["weight"] = True
+    node_at(obj, ())["judgment"]["weight"] = True
     with pytest.raises(ValueError, match="weight"):
         derivation_from_json(obj)
 
 
 def test_json_errors_carry_the_node_path(example_space_derivation):
+    # a node's decoding error names its entry; check names the path
     obj = derivation_to_json(example_space_derivation)
-    obj["premises"][1]["premises"][0]["judgment"]["subject"] = len(obj["tables"]["terms"])
-    with pytest.raises(ValueError, match="root.1.0"):
+    n = len(obj["tables"]["nodes"])
+    node_at(obj, (1, 0))["judgment"]["subject"] = len(obj["tables"]["terms"])
+    with pytest.raises(ValueError, match=rf"^root: tables\.nodes\[{n}\]: index"):
         derivation_from_json(obj)
 
 
 def test_json_subjects_and_types_are_table_indices(example_space_derivation):
     obj = derivation_to_json(example_space_derivation)
-    assert list(obj) == ["tables", "rule", "judgment", "premises"]
+    assert list(obj) == ["tables"]
     tables = obj["tables"]
-    terms, types = tables["terms"], tables["types"]
+    assert list(tables) == ["types", "terms", "closures", "nodes"]
+    terms, types, nodes = tables["terms"], tables["types"], tables["nodes"]
+    root = nodes[-1]
+    assert list(root) == ["rule", "judgment", "premises"]
 
     def term(i):
         e = terms[i]
@@ -476,9 +498,9 @@ def test_json_subjects_and_types_are_table_indices(example_space_derivation):
             return rf"(\{e['lam']}.{term(e['body'])})"
         return f"({term(e['app'][0])} {term(e['app'][1])})"
 
-    assert term(obj["judgment"]["subject"]) == r"((\x.((\y.((\z.x) (x y))) x)) (\a.a))"
-    assert types[obj["judgment"]["type"]] == "*"
-    many = types[obj["premises"][1]["judgment"]["type"]]
+    assert term(root["judgment"]["subject"]) == r"((\x.((\y.((\z.x) (x y))) x)) (\a.a))"
+    assert types[root["judgment"]["type"]] == "*"
+    many = types[nodes[root["premises"][1]]["judgment"]["type"]]
     assert many == {"elems": [types.index("*")], "k": 1}
     assert tables["closures"] == []  # term judgments only
     # every entry refers only to entries before it
@@ -488,6 +510,8 @@ def test_json_subjects_and_types_are_table_indices(example_space_derivation):
         if e != "*":
             refs = e.get("elems", []) + [e[k] for k in ("arg", "res") if k in e]
             assert all(j < i for j in refs)
+    for i, e in enumerate(nodes):
+        assert all(j < i for j in e["premises"])
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -495,6 +519,7 @@ def test_json_rejects_bad_indices_and_names(case):
     _, base, edit, message = case
     obj = base()
     derivation_from_json(obj)  # the unedited file decodes
+    message = message.format(n=len(obj["tables"]["nodes"]))
     edit(obj)
     with pytest.raises(ValueError) as info:
         derivation_from_json(json.loads(json.dumps(obj)))
@@ -578,7 +603,8 @@ def _chain(depth):
 
 def test_json_roundtrip_of_a_deep_chain_needs_no_recursion():
     d = _chain(20_000)
-    back = derivation_from_json(derivation_to_json(d))
+    text = json.dumps(derivation_to_json(d))  # the file nests a few levels deep
+    back = derivation_from_json(json.loads(text))
     a, b, n = d, back, 0
     while True:
         assert (a.rule, a.conclusion) == (b.rule, b.conclusion)
@@ -590,15 +616,41 @@ def test_json_roundtrip_of_a_deep_chain_needs_no_recursion():
     assert n == 20_000
 
 
+def test_a_derivation_20000_deep_round_trips_as_text_and_checks():
+    # 10,000 identity redexes inside 10,000 parentheses: a space
+    # derivation 20,001 nodes deep, at the default recursion limit
+    n = 10_000
+    run = skam_run(compile(parse_term(r"(\x.x) (" * n + r"\a.a" + ")" * n)), 100_000)
+    d = extract(run)
+    back = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
+    res = check(back, "space")
+    assert res.ok and res.weight == run.space == 1
+    assert size_of(back) == run.transitions + 1
+
+
 def test_json_deep_chain_errors_name_the_deep_node():
     obj = derivation_to_json(_chain(20_000))
-    node = obj
-    for _ in range(19_999):
-        node = node["premises"][0]
-    node["judgment"]["weight"] = "0"
+    node_at(obj, (0,) * 19_999)["judgment"]["weight"] = "0"
     with pytest.raises(ValueError) as info:
         derivation_from_json(obj)
-    assert str(info.value) == "root" + ".0" * 19_999 + ": weight must be an integer"
+    assert str(info.value) == "root: tables.nodes[20000]: weight must be an integer"
+
+
+def test_shared_nodes_are_checked_once_and_counted_at_every_place():
+    # node i holds node i-1 as both its premises: 201 entries stand for
+    # a tree with 2**201 - 1 places, which no walk could visit one by one
+    j = {"subject_kind": "term", "subject": 1, "context": {}, "type": 0, "weight": 0}
+    nodes = [{"rule": "TLamStar", "judgment": j, "premises": []}]
+    nodes += [{"rule": "TApp1", "judgment": j, "premises": [i, i]} for i in range(200)]
+    tables = {"types": ["*"], "terms": [{"var": "a"}, {"lam": "a", "body": 0}], "closures": []}
+    d = derivation_from_json({"tables": {**tables, "nodes": nodes}})
+    assert rule_counts(d) == {"TLamStar": 2**200, "TApp1": 2**200 - 1}
+    assert size_of(d) == 2**201 - 1
+    # each failing node once, at its first place, shallow first
+    res = check(d, "space", full_scan=True)
+    assert [e.path for e in res.errors] == [(0,) * k for k in range(200)]
+    assert {e.message for e in res.errors} == {"TApp1 subject must be an application"}
+    assert check(d, "space").errors == res.errors[-1:]
 
 
 def test_json_roundtrip_of_hand_built_closures():
@@ -611,7 +663,7 @@ def test_json_roundtrip_of_hand_built_closures():
     # x, y, x x, x y, \y.y; (\y.y, []), (x x, [x <- (\y.y, [])])
     assert len(obj["tables"]["terms"]) == 5
     assert len(obj["tables"]["closures"]) == 2
-    subject = obj["judgment"]["subject"]
+    subject = obj["tables"]["nodes"][-1]["judgment"]["subject"]
     assert subject["stack"] == [subject["env"][0][1], subject["env"][1][1]]
     assert derivation_from_json(obj) == d
 

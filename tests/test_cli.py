@@ -6,7 +6,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
-from derivation_files import CASES, IDS
+from derivation_files import CASES, IDS, node_at
 
 import spacekam
 from spacekam.cli import main
@@ -85,14 +85,23 @@ def test_unreadable_input_file_is_usage_error(runner, tmp_path):
 
 @pytest.mark.parametrize("command", ["eval", "kam", "skam", "infer", "verify"])
 def test_term_nested_too_deep_to_parse_is_usage_error(runner, tmp_path, command):
-    # the parser recurses per parenthesis, several frames each
-    depth = sys.getrecursionlimit()
+    # no nesting is too deep: the parser keeps its own stack, so 20,000
+    # parentheses, twenty times the default recursion limit, parse and run
+    depth = 20_000
     f = tmp_path / "deep.txt"
     f.write_text("(" * depth + r"\a.a" + ")" * depth)
     res = runner.invoke(main, [command, "-f", str(f)])
-    assert res.exit_code == 2, res.exception
-    assert isinstance(res.exception, SystemExit)  # no traceback
-    assert res.stderr.splitlines()[-1] == "Error: term nested too deep to parse"
+    assert res.exit_code == 0, res.exception
+    first = {
+        "eval": r"\a.a",
+        "kam": "transitions: 0 (sea 0, beta 0, sub 0)",
+        "skam": "transitions: 0 (sea_v 0, sea_nv 0, beta_w 0, beta_nw 0, sub 0)",
+        "infer": '{"tables": {"types": ["*"], "terms": [{"var": "a"}, {"lam": "a", "body": 0}], '
+                 '"closures": [], "nodes": [{"rule": "TLamStar", "judgment": {"subject_kind": '
+                 '"term", "subject": 1, "context": {}, "type": 0, "weight": 0}, "premises": []}]}}',
+        "verify": r"term: \a.a",
+    }
+    assert res.output.splitlines()[0] == first[command]
 
 
 # ---------------------------------------------------------------- machines
@@ -191,18 +200,19 @@ def test_infer_space_derivation(runner):
     res = runner.invoke(main, ["infer", EXAMPLE_SRC])
     assert res.exit_code == 0
     obj = json.loads(res.output)
-    assert list(obj) == ["tables", "rule", "judgment", "premises"]
-    assert obj["rule"] == "TApp1"
-    assert obj["judgment"]["weight"] == 4
-    assert obj["tables"]["types"][obj["judgment"]["type"]] == "*"
+    assert list(obj) == ["tables"]
+    root = obj["tables"]["nodes"][-1]
+    assert root["rule"] == "TApp1"
+    assert root["judgment"]["weight"] == 4
+    assert obj["tables"]["types"][root["judgment"]["type"]] == "*"
 
 
 def test_infer_time_and_kam_weights(runner):
     res = runner.invoke(main, ["infer", EXAMPLE_SRC, "--mode", "time"])
-    assert json.loads(res.output)["judgment"]["weight"] == 11
+    assert json.loads(res.output)["tables"]["nodes"][-1]["judgment"]["weight"] == 11
     res = runner.invoke(main, ["infer", EXAMPLE_SRC, "--mode", "kam"])
-    obj = json.loads(res.output)
-    assert obj["rule"] == "DC_TApp" and obj["judgment"]["weight"] == 7
+    root = json.loads(res.output)["tables"]["nodes"][-1]
+    assert root["rule"] == "DC_TApp" and root["judgment"]["weight"] == 7
 
 
 def test_infer_pretty(runner):
@@ -242,7 +252,7 @@ def test_check_time_mode(runner, tmp_path):
 def test_check_reports_tampered_weights(runner, tmp_path):
     res = runner.invoke(main, ["infer", EXAMPLE_SRC])
     obj = json.loads(res.output)
-    obj["judgment"]["weight"] = 9
+    node_at(obj, ())["judgment"]["weight"] = 9
     out = tmp_path / "bad.json"
     out.write_text(json.dumps(obj))
     res = runner.invoke(main, ["check", str(out), "--full-scan"])
@@ -257,24 +267,42 @@ def test_check_from_stdin(runner):
     assert res.exit_code == 0
 
 
-def test_infer_derivation_too_deep_for_json_is_usage_error():
-    # c_200's derivation nests about 400 premises deep, 800 JSON levels;
-    # under a recursion limit of 700 the term still parses (about 600
-    # frames) but the JSON encoder runs out
-    term = r"(\f.\x." + "f (" * 200 + "x" + ")" * 200 + r") (\a.a) (\b.b)"
+def _spacekam(*args):
+    """Run the command line in a child process, at the interpreter's
+    default recursion limit."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
+    return subprocess.run(
+        [sys.executable, "-m", "spacekam.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_infer_derivation_too_deep_for_json_is_usage_error(tmp_path):
+    # no derivation is too deep for its file: c_1024's derivation nests
+    # about 2,000 premises deep, twice the default recursion limit, and
+    # its file round-trips through infer -o and check
+    term = r"(\f.\x." + "f (" * 1024 + "x" + ")" * 1024 + r") (\a.a) (\b.b)"
+    src, out = tmp_path / "c1024.lam", tmp_path / "c1024.json"
+    src.write_text(term)
+    res = _spacekam("infer", "-f", str(src), "--fuel", "100000", "-o", str(out))
+    assert res.returncode == 0, res.stderr
+    weight = res.stdout.strip().removeprefix("weight: ")
+    res = _spacekam("check", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"ok: weight {weight}"
+
+
+def test_importing_the_package_leaves_the_recursion_limit_alone():
     code = (
         "import sys\n"
-        "from spacekam.cli import main\n"
-        "sys.setrecursionlimit(700)\n"
-        "main(sys.argv[1:])\n"
+        "before = sys.getrecursionlimit()\n"
+        "import spacekam\n"
+        "print(before, sys.getrecursionlimit())\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
-    res = subprocess.run(
-        [sys.executable, "-c", code, "infer", term], capture_output=True, text=True, env=env
-    )
-    assert res.returncode == 2, res.stderr
-    assert "Traceback" not in res.stderr
-    assert res.stderr.splitlines()[-1] == "Error: derivation nested too deep to write as JSON"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    before, after = res.stdout.split()
+    assert before == after
 
 
 def test_check_rejects_non_json(runner, tmp_path):
@@ -286,8 +314,9 @@ def test_check_rejects_non_json(runner, tmp_path):
 
 
 def test_check_rejects_json_nested_too_deep(runner, tmp_path):
-    # a premise chain twice as deep as the recursion limit, four times
-    # as many JSON levels: too deep for the JSON reader to load
+    # a file from outside may nest at will: here a premise chain in
+    # the nested layout, twice as deep as the recursion limit, four
+    # times as many JSON levels, too deep for the JSON reader to load
     depth = 2 * sys.getrecursionlimit()
     leaf = json.dumps(_leaf())
     f = tmp_path / "deep.json"
@@ -296,6 +325,27 @@ def test_check_rejects_json_nested_too_deep(runner, tmp_path):
     assert res.exit_code == 2, res.exception
     assert isinstance(res.exception, SystemExit)  # no traceback
     assert res.stderr.splitlines()[-1] == "Error: JSON nested too deep to read"
+
+
+def test_check_rejects_a_multi_of_types_too_deep_to_order(runner, tmp_path):
+    # one multi over two 2,000-deep arrow chains that differ only at the
+    # bottom, []^1 -> ... -> * and []^1 -> ... -> ([]^2 -> *): ordering
+    # the multi compares their nested order keys
+    depth = 2_000
+    types = ["*", {"elems": [], "k": 1}, {"elems": [], "k": 2}, {"arg": 2, "res": 0}]
+    for bottom in (0, 3):
+        types.append({"arg": 1, "res": bottom})
+        for _ in range(depth - 1):
+            types.append({"arg": 1, "res": len(types) - 1})
+    types.append({"elems": [len(types) - 1, 3 + depth], "k": 1})
+    f = tmp_path / "deep-types.json"
+    f.write_text(json.dumps(_leaf(types=types)))
+    res = runner.invoke(main, ["check", str(f)])
+    assert res.exit_code == 2, res.exception
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stderr.splitlines()[-1] == (
+        f"Error: root: tables.types[{len(types) - 1}]: multi elements nested too deep to order"
+    )
 
 
 IDENTITY_TABLES = {
@@ -307,18 +357,22 @@ IDENTITY_TABLES = {
 MIXED_TYPES = ["*", {"elems": [], "k": 1}, {"elems": []}, {"arg": 2, "res": 0}]
 
 
-def _leaf(types=None, **judgment):
+def _leaf(types=None, node=None, **judgment):
+    """The file of one TLamStar node, with the judgment fields given,
+    or with node in its place."""
     j = {"subject_kind": "term", "subject": 1, "context": {}, "type": 0, "weight": 0}
-    tables = {**IDENTITY_TABLES, "types": types or IDENTITY_TABLES["types"]}
-    return {"tables": tables, "rule": "TLamStar", "judgment": {**j, **judgment}, "premises": []}
+    node = node or {"rule": "TLamStar", "judgment": {**j, **judgment}, "premises": []}
+    types = types or IDENTITY_TABLES["types"]
+    return {"tables": {**IDENTITY_TABLES, "types": types, "nodes": [node]}}
 
 
 @pytest.mark.parametrize(
     "obj, message",
     [
-        ({"tables": IDENTITY_TABLES, "rule": "TVar"},
-         r"root: derivation lacks \['judgment', 'premises'\]"),
-        ({**_leaf(), "rule": []}, r"root: unknown rule \[\]"),
+        (_leaf(node={"rule": "TVar"}),
+         r"root: tables\.nodes\[0\]: node lacks \['judgment', 'premises'\]"),
+        (_leaf(node={**_leaf()["tables"]["nodes"][0], "rule": []}),
+         r"root: tables\.nodes\[0\]: unknown rule \[\]"),
         (_leaf(types=MIXED_TYPES + [{"arg": 1, "res": 3}], type=4),
          r"root: tables\.types\[4\]: indexed arrow needs an indexed target"),
         (_leaf(types=MIXED_TYPES + [{"elems": [3], "k": 1}], context={"x": 4}),
@@ -326,9 +380,9 @@ def _leaf(types=None, **judgment):
         (_leaf(types=["*", {"elems": 5, "k": 1}]),
          r"root: tables\.types\[1\]: elems must be a list"),
         (_leaf(subject_kind="state", subject={"code": 1, "env": [], "stack": 5}),
-         r"root: state stack must be a list"),
+         r"root: tables\.nodes\[0\]: state stack must be a list"),
         (_leaf(subject_kind="state", subject={"code": 5, "env": [], "stack": []}),
-         r"root: index 5 is outside \[0, 2\)"),
+         r"root: tables\.nodes\[0\]: index 5 is outside \[0, 2\)"),
     ],
     ids=["no-judgment", "rule-list", "mixed-arrow", "mixed-context",
          "elems-int", "stack-int", "code-int"],
@@ -349,6 +403,7 @@ def test_check_rejects_malformed_derivations(runner, tmp_path, obj, message):
 def test_check_rejects_bad_indices_and_names(runner, tmp_path, case):
     _, base, edit, message = case
     obj = base()
+    message = message.format(n=len(obj["tables"]["nodes"]))
     edit(obj)
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(obj), encoding="utf-8")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import pytest
@@ -123,11 +124,25 @@ def test_omega_never_finishes():
 
 
 def test_trace_rows_shape(example_kam):
-    rows = list(run_trace_rows(example_kam))
+    lines = list(run_trace_rows(example_kam))
+    rows = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(row) for row in rows]  # json.dumps' own layout
     assert len(rows) == 7
     assert [r["step"] for r in rows] == list(range(1, 8))
     assert set(rows[0]) == {"step", "label", "code", "env", "stack"}
     assert rows[0]["label"] == "sea"
+
+
+def test_trace_row_of_closures_nested_20000_deep():
+    # a variable bound to 20,000 nested closures: the sub transition's
+    # row writes every one of them
+    c = Closure(IDENT, ())
+    for _ in range(20_000):
+        c = Closure(Var("x"), (("x", c),))
+    (row,) = run_trace_rows(kam_run(MachState(Var("x"), (("x", c),), ()), 1))
+    # the state after sub is c's own: code x, env [x <- 19,999 deep]
+    inner = '{"code": "x", "env": [["x", ' * 19_999 + r'{"code": "\\a.a", "env": []}' + "]]}" * 19_999
+    assert row == '{"step": 1, "label": "sub", "code": "x", "env": [["x", ' + inner + ']], "stack": []}'
 
 
 def test_run_summary(example_kam):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,7 +228,7 @@ def test_omega_runs_in_constant_space():
 
 
 def test_trace_rows_include_sizes(example_skam):
-    rows = list(run_trace_rows(example_skam))
+    rows = [json.loads(line) for line in run_trace_rows(example_skam)]
     assert [r["size"] for r in rows] == [1, 1, 2, 2, 4, 1, 0]
     assert set(rows[0]) == {"step", "label", "code", "env", "stack", "size"}
 

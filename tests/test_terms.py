@@ -95,6 +95,35 @@ def test_parse_error_bad_character():
     assert exc.value.offset == 2
 
 
+def test_parse_a_20000_deep_lambda_chain_and_print_it_back():
+    # twenty times the default recursion limit; == on terms this deep
+    # would recurse, so the round trip compares printed text
+    text = "".join(rf"\x{i}." for i in range(20_000)) + "x0"
+    t = parse_term(text)
+    assert print_term(t) == text
+    assert term_size(t) == 20_001 and not t.fv
+
+
+def test_parse_20000_nested_applications_share_one_var_per_name():
+    text = "f (" * 19_999 + "f x" + ")" * 19_999
+    t = parse_term(text)
+    assert print_term(t) == text
+    fs = set()
+    while type(t) is App:
+        fs.add(id(t.fun))
+        t = t.arg
+    assert t == Var("x") and len(fs) == 1
+
+
+def test_parse_errors_inside_20000_parentheses():
+    with pytest.raises(ParseError) as exc:
+        parse_term("(" * 20_000 + "x")
+    assert (exc.value.message, exc.value.offset) == ("expected ')'", 20_001)
+    with pytest.raises(ParseError) as exc:
+        parse_term("(" * 20_000 + ")")
+    assert (exc.value.message, exc.value.offset) == ("unexpected ')'", 20_000)
+
+
 # ---------------------------------------------------------------- printing
 
 def test_print_atoms_unparenthesized():

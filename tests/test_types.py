@@ -322,6 +322,15 @@ def test_format_forms():
     assert format_context(g) == "x:[*]^1"
 
 
+def test_format_a_20000_deep_arrow_chain():
+    a = STAR
+    for _ in range(20_000):
+        a = Arrow(ClosureMulti((a,), 1), STAR)
+    text = format_linear(a)
+    assert text == "[" * 20_000 + "*" + "]^1 -> *" * 20_000
+    assert format_multi(ClosureMulti((a, STAR), 2)) == f"[*,{text}]^2"
+
+
 # ---------------------------------------------------------------- properties
 
 def linears():
