@@ -92,6 +92,10 @@ MACHINE_RULES = frozenset(
 )
 DC_RULES = frozenset({R_DC_VAR, R_DC_LAM, R_DC_LAM_STAR, R_DC_APP})
 
+# structural rules: a node weighs the max of its premises in space, their
+# sum in time
+_JOIN_RULES = frozenset({R_MANY, R_ENV, R_CL, R_ST})
+
 # structural bookkeeping nodes do not count toward derivation size
 _SIZE_EXEMPT = frozenset({R_MANY, R_NONE, R_CL, R_ENV})
 
@@ -152,6 +156,10 @@ class InvalidDerivation(Exception):
 def rule_weight(rule, ctx, assigned, premise_weights, mode) -> int:
     """The weight a node's conclusion must carry, from its premises."""
     pw = premise_weights
+    if rule in _JOIN_RULES and mode != "kam":
+        if mode == "space":
+            return max(pw, default=0)
+        return sum(pw)
     if mode == "kam":
         if rule == R_DC_VAR:
             return 1
@@ -166,10 +174,6 @@ def rule_weight(rule, ctx, assigned, premise_weights, mode) -> int:
         raise ValueError(f"rule {rule} has no weight in mode {mode}")
     if rule == R_NONE:
         return 0
-    if rule in (R_MANY, R_ENV, R_CL, R_ST):
-        if mode == "space":
-            return max(pw, default=0)
-        return sum(pw)
     # term rules proper
     if mode == "time":
         # uniformly: premises plus the conclusion's own footprint
@@ -1212,20 +1216,35 @@ def derivation_from_json(obj) -> Derivation:
 def _subject_str(kind, subject):
     if kind == KIND_TERM:
         return print_term(subject)
+    # closures are written from an explicit stack of text and closures,
+    # so nesting depth is not limited by the recursion limit
     if kind == KIND_CLOSURE:
-        return f"({print_term(subject.code)}, {_env_str(subject.env)})"
-    if kind == KIND_ENV:
-        return _env_str(subject)
-    return (
-        f"({print_term(subject.code)} | {_env_str(subject.env)} | "
-        + " . ".join(_subject_str(KIND_CLOSURE, c) for c in subject.stack)
-        + ")"
-    )
+        items = [subject]
+    elif kind == KIND_ENV:
+        items = _env_items(subject)
+    else:
+        items = ["(", print_term(subject.code), " | ", *_env_items(subject.env), " | "]
+        for i, c in enumerate(subject.stack):
+            items += (" . ", c) if i else (c,)
+        items.append(")")
+    out = []
+    work = items[::-1]
+    while work:
+        x = work.pop()
+        if type(x) is str:
+            out.append(x)
+        else:
+            work += reversed(["(", print_term(x.code), ", ", *_env_items(x.env), ")"])
+    return "".join(out)
 
 
-def _env_str(e):
-    inner = ", ".join(f"{x} <- {_subject_str(KIND_CLOSURE, c)}" for x, c in e)
-    return f"[{inner}]"
+def _env_items(e) -> list:
+    """e's text as a list of strings and closures still to write."""
+    items = ["["]
+    for i, (x, c) in enumerate(e):
+        items += (f", {x} <- " if i else f"{x} <- ", c)
+    items.append("]")
+    return items
 
 
 def _assigned_str(assigned):

@@ -53,7 +53,9 @@ class Closure:
         every closure the walk visits, so a closure shared by many
         states is walked once.  The walk is iterative: nesting depth is
         not limited by the interpreter's recursion limit."""
-        work = [self] if self._size is None else []
+        if self._size is not None:
+            return self._size
+        work = [self]
         while work:
             c = work[-1]
             todo = [d for _, d in c.env if d._size is None]

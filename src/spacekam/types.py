@@ -282,6 +282,25 @@ def context_union(g: TypeContext, d: TypeContext) -> TypeContext:
     return TypeContext(tuple(out.items()))
 
 
+def contexts_union(contexts: list) -> TypeContext:
+    """The union of a list of indexed contexts in one pass: each
+    variable's multi is built once, from the elements of all its parts,
+    where folding context_union would re-sort them at every step."""
+    if len(contexts) == 1:
+        return contexts[0]
+    elems: dict = {}
+    index: dict = {}
+    for g in contexts:
+        for x, m in g.entries:
+            if type(m) is not ClosureMulti:
+                raise TypeError(f"union of indexed contexts over {m!r}")
+            k = index.setdefault(x, m.index)
+            if k != m.index:
+                raise NotSummable(f"contexts disagree on the index of {x}: {k} vs {m.index}")
+            elems.setdefault(x, []).extend(m.elems)
+    return TypeContext(tuple((x, ClosureMulti(es, index[x])) for x, es in elems.items()))
+
+
 def dc_multi_union(a: MultiType, b: MultiType) -> MultiType:
     return MultiType(a.elems + b.elems)
 

@@ -215,6 +215,22 @@ def test_acceptance_5_step_equations(capsys, replays):
         assert space_checked > 500 and time_checked > 200
 
 
+def test_extract_is_the_term_premise_of_the_expanded_chain(replays):
+    # extract keeps state typings as bags and expand mints them; both
+    # run the same undo rules, so the trees, their files and every
+    # node's time weight agree
+    for srun, states, chain in replays:
+        d = extract(srun)
+        want = chain[0].premises[0]
+        assert d == want
+        assert derivation_to_json(d) == derivation_to_json(want)
+        pairs = [(d, want)]
+        while pairs:
+            a, b = pairs.pop()
+            assert a.time == b.time is not None
+            pairs.extend(zip(a.premises, b.premises))
+
+
 def test_acceptance_6_constant_space_contrast(capsys):
     with criterion(capsys, 6, "constant space on a loop"):
         omega = parse_term(OMEGA_SRC)

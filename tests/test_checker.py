@@ -15,6 +15,10 @@ from derivation_files import (
 )
 
 from spacekam.checker import (
+    KIND_CLOSURE,
+    KIND_ENV,
+    KIND_STATE,
+    R_CL,
     CheckError,
     Derivation,
     InvalidDerivation,
@@ -688,3 +692,31 @@ def test_render_derivation(example_space_derivation):
 def test_render_machine_state():
     out = render_derivation(final_state_derivation())
     assert out.splitlines()[0] == r"TSt w=0  . |- (\a.a | [] | ) : *"
+
+
+def test_render_closure_env_and_state_subjects():
+    c = Closure(Var("x"), (("x", Closure(parse_term(r"\a.a"), ())),))
+    d = Derivation(R_CL, Judgment(KIND_CLOSURE, c, EMPTY_CONTEXT, ClosureMulti((), 2), 0))
+    assert render_derivation(d) == r"TCl w=0  . |- (x, [x <- (\a.a, [])]) : []^2"
+    e = (("y", c), ("z", c))
+    g = TypeContext((("y", ClosureMulti((), 2)), ("z", ClosureMulti((), 2))))
+    d = Derivation(R_ENV, Judgment(KIND_ENV, e, EMPTY_CONTEXT, g, 0))
+    inner = r"(x, [x <- (\a.a, [])])"
+    assert render_derivation(d) == f"TEnv w=0  . |- [y <- {inner}, z <- {inner}] : y:[]^2, z:[]^2"
+    s = MachState(parse_term("y z"), e, (c, c))
+    d = Derivation(R_ST, Judgment(KIND_STATE, s, EMPTY_CONTEXT, STAR, 0))
+    assert render_derivation(d) == (
+        f"TSt w=0  . |- (y z | [y <- {inner}, z <- {inner}] | {inner} . {inner}) : *"
+    )
+
+
+def test_render_a_closure_judgment_nested_20000_deep():
+    # closure subjects are written from an explicit stack, at the
+    # interpreter's default recursion limit
+    c = Closure(parse_term(r"\a.a"), ())
+    for _ in range(20_000):
+        c = Closure(Var("x"), (("x", c),))
+    d = Derivation(R_CL, Judgment(KIND_CLOSURE, c, EMPTY_CONTEXT, ClosureMulti((), 20_001), 0))
+    assert render_derivation(d) == (
+        "TCl w=0  . |- " + "(x, [x <- " * 20_000 + r"(\a.a, [])" + "])" * 20_000 + " : []^20001"
+    )

@@ -291,6 +291,34 @@ def test_infer_derivation_too_deep_for_json_is_usage_error(tmp_path):
     assert res.stdout.strip() == f"ok: weight {weight}"
 
 
+def _let_chain(n):
+    """(\\x0. (\\x1. ... (\\xn. \\z. xn) (\\w. x(n-1)) ...) (\\w. x0)) (\\a.a):
+    each x(i+1) is bound to a closure over x(i), so closures nest n deep."""
+    body = rf"\z. x{n}"
+    for i in range(n, 0, -1):
+        body = rf"(\x{i}. {body}) (\w. x{i - 1})"
+    return rf"(\x0. {body}) (\a.a)"
+
+
+def test_a_600_deep_let_chain_verifies_and_round_trips(tmp_path):
+    # closures nest 600 deep: extraction, verify and the derivation
+    # file need no recursion per level, at the default recursion limit
+    src, out = tmp_path / "chain.lam", tmp_path / "chain.json"
+    src.write_text(_let_chain(600))
+    res = _spacekam("verify", "-f", str(src))
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "complete: true" in lines
+    assert sum(1 for ln in lines if ln.startswith("pass  ")) == 13
+    assert not any(ln.startswith("FAIL") for ln in lines)
+    res = _spacekam("infer", "-f", str(src), "-o", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "weight: 601"
+    res = _spacekam("check", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "ok: weight 601"
+
+
 def test_importing_the_package_leaves_the_recursion_limit_alone():
     code = (
         "import sys\n"

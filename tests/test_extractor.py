@@ -9,8 +9,10 @@ import spacekam as sk
 from spacekam.checker import (
     R_CL,
     R_DC_LAM_STAR,
+    R_ENV,
     R_LAM_STAR,
     R_ST,
+    Derivation,
     check,
     check_rule_transition_correspondence,
     derivation_from_json,
@@ -33,13 +35,24 @@ from spacekam.extractor import (
 )
 from spacekam.kam import Closure, MachState, compile, kam_run
 from spacekam.space_kam import skam_run, state_size
-from spacekam.terms import parse_term
+from spacekam.terms import Var, parse_term
 from spacekam.types import ClosureMulti, size_context
 
 IDENT = parse_term(r"\a.a")
 I_CL = Closure(IDENT, ())
 NESTED = Closure(parse_term("x"), (("x", I_CL),))
 OMEGA = parse_term(r"(\x.x x) (\x.x x)")
+
+
+def church(n):
+    return r"(\f.\x." + "f (" * n + "x" + ")" * n + ")"
+
+
+def nested(depth):
+    c = I_CL
+    for _ in range(depth):
+        c = Closure(Var("x"), (("x", c),))
+    return c
 
 
 # ---------------------------------------------------------------- dry typings
@@ -67,6 +80,21 @@ def test_dry_env_typing():
     assert weight_of(d, "space") == 0
 
 
+def test_dry_typing_of_a_closure_nested_20000_deep():
+    # minting keeps its own stack, at the interpreter's default
+    # recursion limit
+    c = nested(20_000)
+    d = dry_type_closure(c)
+    assert d.conclusion.assigned == ClosureMulti((), 20_001)
+    assert d.conclusion.weight == d.time == 0
+    assert check(d, "space").ok
+    depth = 0
+    while d.premises[1].premises:  # TCl, then TEnv, then the bound TCl
+        d = d.premises[1].premises[0]
+        depth += 1
+    assert depth == 20_000 and d.conclusion.subject is I_CL
+
+
 # ---------------------------------------------------------------- final states
 
 def test_final_state_typing_weighs_the_state(example_skam):
@@ -82,6 +110,13 @@ def test_final_state_with_an_environment():
     assert check(d, "space").ok
     assert weight_of(d, "space") == state_size(s) == 2
     assert weight_of(d, "time") == 2
+
+
+def test_final_state_typing_with_a_closure_nested_20000_deep():
+    s = MachState(parse_term(r"\a.x"), (("x", nested(20_000)),), ())
+    d = type_final_state(s)
+    assert d.conclusion.weight == d.time == state_size(s) == 20_001
+    assert weight_of(d, "time") == 20_001
 
 
 def test_not_final_states_are_rejected():
@@ -174,6 +209,40 @@ def test_extract_reweights_to_the_hand_built_time_tree(
     example_skam, example_time_derivation
 ):
     assert reweight(extract(example_skam), "time") == example_time_derivation
+
+
+@pytest.mark.parametrize(
+    "src",
+    [church(64) + r" (\a.a) (\b.b)", church(4) + " " + church(2) + r" (\a.a) (\b.b)"],
+    ids=["c_64", "pow2_4"],
+)
+def test_extract_mints_only_the_nodes_it_returns(monkeypatch, src):
+    # state, environment and closure typings stay unminted bags: every
+    # node extract mints stands in the returned tree, once
+    from spacekam import extractor
+
+    minted = []
+
+    def counting(*args, **kwargs):
+        d = Derivation(*args, **kwargs)
+        minted.append(d)
+        return d
+
+    run = skam_run(compile(parse_term(src)), 100_000)
+    monkeypatch.setattr(extractor, "Derivation", counting)
+    d = extract(run)
+    kept = {}
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if id(n) not in kept:
+            kept[id(n)] = n
+            stack.extend(n.premises)
+    assert len(minted) == len(kept) == size_of(d) + sum(
+        1 for n in kept.values() if n.rule in ("TMany", "TNone")
+    )
+    assert {id(n) for n in minted} == kept.keys()
+    assert not {n.rule for n in minted} & {R_ST, R_ENV, R_CL}
 
 
 def test_extract_needs_a_complete_run():

@@ -20,6 +20,7 @@ from spacekam.types import (
     context_from_json,
     context_to_json,
     context_union,
+    contexts_union,
     dc_context_union,
     dc_multi_union,
     format_context,
@@ -172,6 +173,17 @@ def test_context_union_names_the_offending_variable():
     d = TypeContext((("x", ClosureMulti((), 4)),))
     with pytest.raises(NotSummable, match="x"):
         context_union(g, d)
+
+
+def test_contexts_union_builds_each_multi_once_and_names_the_offending_variable():
+    g = TypeContext((("x", M_STAR1),))
+    d = TypeContext((("x", ClosureMulti((ARR,), 1)), ("y", M_EMPTY1)))
+    got = contexts_union([g, d, g])
+    assert got.get("x") == ClosureMulti((STAR, ARR, STAR), 1)
+    assert got.get("y") == M_EMPTY1
+    assert contexts_union([d]) is d
+    with pytest.raises(NotSummable, match="x"):
+        contexts_union([g, d, TypeContext((("x", ClosureMulti((), 4)),))])
 
 
 def test_summable_predicate_matches_union():
@@ -381,6 +393,24 @@ def test_context_union_commutative(ga, gb):
         return  # duplicate names in the raw lists
     assert context_union(g, d) == context_union(d, g)
     assert size_context(context_union(g, d)) >= max(size_context(g), size_context(d))
+
+
+@given(st.lists(
+    st.dictionaries(st.sampled_from("xyz"), st.sampled_from([1, 2]).flatmap(multis), max_size=3),
+    min_size=1, max_size=3,
+))
+@settings(max_examples=60)
+def test_contexts_union_is_the_folded_union(parts):
+    gs = [TypeContext(tuple(entries.items())) for entries in parts]
+    try:
+        want = gs[0]
+        for g in gs[1:]:
+            want = context_union(want, g)
+    except NotSummable:
+        with pytest.raises(NotSummable):
+            contexts_union(gs)
+        return
+    assert contexts_union(gs) == want
 
 
 def dc_linears():
