@@ -6,6 +6,14 @@ the innermost argument).  Environments are association lists, most
 recent binding first, and lookup takes the first match.  All state is
 immutable; successive states share structure.
 
+Closures and states are plain __slots__ classes, not dataclasses: the
+machines build one state per transition, and a constructor that stores
+through the slot descriptors costs a fraction of a frozen dataclass's.
+Assigning a field raises AttributeError all the same.  ==, hash and
+repr walk closures with explicit stacks, so nesting depth is not
+limited by the interpreter's recursion limit; copy and pickle rebuild
+them through the constructor.
+
 Transitions:
 
     (t u, e, S)        -> sea   (t, e, (u, e) . S)
@@ -39,11 +47,20 @@ class StuckState(Exception):
     closed term."""
 
 
-@dataclass(frozen=True, slots=True)
 class Closure:
-    code: Term
-    env: "Env"
-    _size: int | None = field(default=None, init=False, compare=False, repr=False)
+    """A code term with an environment binding its free variables.
+
+    Immutable: assigning or deleting a field raises AttributeError.  ==
+    compares code and environment in full, hash reads the code and the
+    environment's names only, and neither recurses, so closures nest to
+    any depth."""
+
+    __slots__ = ("code", "env", "_size")
+
+    def __init__(self, code: Term, env: "Env"):
+        _set_closure_code(self, code)
+        _set_closure_env(self, env)
+        _set_closure_size(self, None)
 
     @property
     def size(self) -> int:
@@ -63,8 +80,32 @@ class Closure:
                 work.extend(todo)
             else:
                 work.pop()
-                object.__setattr__(c, "_size", 1 + sum(d._size for _, d in c.env))
+                _set_closure_size(c, 1 + sum(d._size for _, d in c.env))
         return self._size
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Closure, (self.code, self.env))
+
+    def __eq__(self, other):
+        if other.__class__ is not Closure:
+            return NotImplemented
+        return self is other or _pairs_equal([(self, other)])
+
+    def __hash__(self):
+        return hash((self.code, tuple(x for x, _ in self.env)))
+
+    def __repr__(self):
+        return _repr(self)
+
+
+_set_closure_code = Closure.code.__set__
+_set_closure_env = Closure.env.__set__
+_set_closure_size = Closure._size.__set__
 
 
 # association list, most recent binding first
@@ -74,11 +115,94 @@ Stack = tuple[Closure, ...]
 EMPTY_ENV: Env = ()
 
 
-@dataclass(frozen=True, slots=True)
 class MachState:
-    code: Term
-    env: Env
-    stack: Stack
+    """A machine state: code, environment and stack.
+
+    Immutable, and compared, hashed and printed like a closure with a
+    stack: without recursion, however deep its closures nest."""
+
+    __slots__ = ("code", "env", "stack")
+
+    def __init__(self, code: Term, env: Env, stack: Stack):
+        _set_state_code(self, code)
+        _set_state_env(self, env)
+        _set_state_stack(self, stack)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (MachState, (self.code, self.env, self.stack))
+
+    def __eq__(self, other):
+        if other.__class__ is not MachState:
+            return NotImplemented
+        if self is other:
+            return True
+        if len(self.stack) != len(other.stack):
+            return False
+        # a state has code and env like a closure, and is compared like one
+        return _pairs_equal([(self, other), *zip(self.stack, other.stack)])
+
+    def __hash__(self):
+        return hash((self.code, tuple(x for x, _ in self.env), len(self.stack)))
+
+    def __repr__(self):
+        return _repr(self)
+
+
+_set_state_code = MachState.code.__set__
+_set_state_env = MachState.env.__set__
+_set_state_stack = MachState.stack.__set__
+
+
+def _pairs_equal(pairs: list) -> bool:
+    """Whether each pair of closures (or states, taken as their code and
+    env) in pairs is equal: one walk with an explicit stack that
+    compares each pair of objects once, however deep or shared the
+    closures are.  The caller holds both sides alive, so ids are
+    stable."""
+    seen = set()
+    while pairs:
+        c, d = pairs.pop()
+        if c is d or (id(c), id(d)) in seen:
+            continue
+        seen.add((id(c), id(d)))
+        if (c.code is not d.code and c.code != d.code) or len(c.env) != len(d.env):
+            return False
+        for (x, c2), (y, d2) in zip(c.env, d.env):
+            if x != y:
+                return False
+            pairs.append((c2, d2))
+    return True
+
+
+def _repr(obj) -> str:
+    """The text a dataclass repr would give a closure or state, written
+    from an explicit stack.  Strings on the stack are output; names and
+    codes are turned into their repr as they are pushed."""
+    out = []
+    work = [obj]
+    while work:
+        x = work.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is Closure:
+            work += (")", x.env, f"Closure(code={x.code!r}, env=")
+        elif type(x) is MachState:
+            work += (")", x.stack, ", stack=", x.env, f"MachState(code={x.code!r}, env=")
+        elif type(x) is tuple:  # an env, an env entry or a stack
+            work.append(",)" if len(x) == 1 else ")")
+            for i in range(len(x) - 1, -1, -1):
+                work.append(repr(x[i]) if type(x[i]) is str else x[i])
+                if i:
+                    work.append(", ")
+            work.append("(")
+        else:
+            out.append(repr(x))
+    return "".join(out)
 
 
 def env_lookup(e: Env, x: str) -> Closure | None:
@@ -154,7 +278,7 @@ class Run:
             counts[label] += 1
         if counts != self.counts:
             raise ReplayMismatch(f"replay counts {counts} differ from the run's {self.counts}")
-        if not _states_equal(cur, self.last):
+        if cur != self.last:
             raise ReplayMismatch("replay ends in a state other than the run's last state")
 
     @property
@@ -169,28 +293,6 @@ class Run:
     def states(self) -> list[MachState]:
         """The initial state followed by every traced state, as a new list."""
         return [self.initial, *(s for _, s in self.trace)]
-
-
-def _states_equal(a: MachState, b: MachState) -> bool:
-    """a == b, without recursion and comparing each pair of closure
-    objects once, however deep or shared the closures are."""
-    if len(a.stack) != len(b.stack):
-        return False
-    # a state has code and env like a closure, and is compared like one
-    pairs = [(a, b), *zip(a.stack, b.stack)]
-    seen = set()  # both states hold every closure alive, so ids are stable
-    while pairs:
-        c, d = pairs.pop()
-        if c is d or (id(c), id(d)) in seen:
-            continue
-        seen.add((id(c), id(d)))
-        if (c.code is not d.code and c.code != d.code) or len(c.env) != len(d.env):
-            return False
-        for (x, c2), (y, d2) in zip(c.env, d.env):
-            if x != y:
-                return False
-            pairs.append((c2, d2))
-    return True
 
 
 def compile(t: Term) -> MachState:
@@ -243,24 +345,40 @@ def kam_run(s: MachState, fuel: int) -> Run:
 # ---------------------------------------------------------------------------
 # decoding and serialization
 
+def _used_bindings(d: Closure) -> dict:
+    """The first binding of each free variable of d's code, in env
+    order: the only bindings d's read-back depends on."""
+    fv = d.code.fv
+    out = {}
+    for x, e in d.env:
+        if len(out) == len(fv):
+            break
+        if x in fv and x not in out:
+            out[x] = e
+    return out
+
+
 def _decode_closure(c: Closure, memo: dict) -> Term:
-    # (t, [x <- c] . e) reads back as (t{x := read-back of c}, e).
-    # Post-order with an explicit stack; memo maps the id of each closure
-    # read back so far to its term, so a shared closure is read back
-    # once.  The caller holds every closure alive, so ids are stable.
+    # (t, [x <- c] . e) reads back as (t{x := read-back of c}, e), for
+    # the first binding of each x free in t; every other binding is
+    # shadowed or unused and is not read back.  Post-order with an
+    # explicit stack; memo maps the id of each closure read back so far
+    # to its term, so a shared closure is read back once.  The caller
+    # holds every closure alive, so ids are stable.
     work = [c]
     while work:
         d = work[-1]
         if id(d) in memo:
             work.pop()
             continue
-        todo = [e for _, e in d.env if id(e) not in memo]
+        used = _used_bindings(d)
+        todo = [e for e in used.values() if id(e) not in memo]
         if todo:
             work.extend(todo)
             continue
         work.pop()
         t = d.code
-        for x, e in d.env:
+        for x, e in used.items():
             t = subst(t, x, memo[id(e)])
         memo[id(d)] = t
     return memo[id(c)]

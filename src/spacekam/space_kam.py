@@ -19,7 +19,10 @@ Transitions (e|_t is e restricted to fv(t)):
 Every reachable state satisfies dom(env) = fv(code), for the state
 itself and inside every closure; skam_step checks the top level of that
 invariant and refuses to fire a sub whose environment is not exactly
-the one binding for the variable.
+the one binding for the variable.  Once the check has passed, a
+restriction to as many names as the environment has entries keeps
+every entry, so skam_step passes that environment on as it is rather
+than copying it.
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
@@ -79,19 +82,29 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
     """One transition, or None when s is final."""
     t, e, stack = s.code, s.env, s.stack
     fv = t.fv
-    if _dom(e) != fv:
+    # dom(e) = fv(t), building a set only for an env of 2 or more entries
+    n = len(e)
+    if n > 1:
+        ok = _dom(e) == fv
+    elif n:
+        ok = len(fv) == 1 and e[0][0] in fv
+    else:
+        ok = not fv
+    if not ok:
         raise InvariantViolation(
             f"environment domain {sorted(_dom(e))} differs from "
             f"free variables {sorted(fv)} of {print_term(t)}"
         )
     if type(t) is App:
+        # dom(e) = fv(t) holds, so a restriction to as many names as e
+        # has entries drops nothing: e itself is the restriction
         fun, arg = t.fun, t.arg
-        fun_env = env_restrict(e, fun.fv)
+        fun_env = e if len(fun.fv) == n else env_restrict(e, fun.fv)
         if type(arg) is Var:
             c = env_lookup(e, arg.name)
             assert c is not None  # arg.name is in fv, hence in dom(e)
             return LABEL_SEA_V, MachState(fun, fun_env, (c,) + stack)
-        c = Closure(arg, env_restrict(e, arg.fv))
+        c = Closure(arg, e if len(arg.fv) == n else env_restrict(e, arg.fv))
         return LABEL_SEA_NV, MachState(fun, fun_env, (c,) + stack)
     if type(t) is Abs:
         if not stack:
@@ -101,10 +114,10 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
             return LABEL_BETA_NW, MachState(t.body, ((t.binder, c),) + e, stack[1:])
         return LABEL_BETA_W, MachState(t.body, e, stack[1:])
     # variable: its environment must be the one binding and nothing else
-    if len(e) != 1 or e[0][0] != t.name:
+    if n != 1 or e[0][0] != t.name:
         raise InvariantViolation(
             f"variable {t.name} must carry exactly its own binding, "
-            f"environment has domain {sorted(_dom(e))} with {len(e)} entries"
+            f"environment has domain {sorted(_dom(e))} with {n} entries"
         )
     c = e[0][1]
     return LABEL_SUB, MachState(c.code, c.env, stack)
@@ -116,26 +129,30 @@ def skam_run(s: MachState, fuel: int) -> Run:
 
     Both measures include the initial state; time also includes the
     final state when it is reached.  The stack size is kept
-    incrementally, and states share closures that cache their own sizes
+    incrementally, from the stack's length: a sea pushes one closure and
+    a beta pops one.  States share closures that cache their own sizes
     (Closure.size), so measuring a step costs O(|env|) rather than
     O(state size).
     """
     stack_sz = sum(c.size for c in s.stack)
     space = time = size_env(s.env) + stack_sz
-    prev = s
+    prev = s.stack
 
     def measure(nxt):
         nonlocal stack_sz, space, time, prev
-        label, cur = nxt
-        if label in (LABEL_SEA_V, LABEL_SEA_NV):
-            stack_sz += cur.stack[0].size
-        elif label in (LABEL_BETA_W, LABEL_BETA_NW):
-            stack_sz -= prev.stack[0].size
-        sz = size_env(cur.env) + stack_sz
+        cur = nxt[1]
+        stack = cur.stack
+        if len(stack) > len(prev):
+            stack_sz += stack[0].size
+        elif len(stack) < len(prev):
+            stack_sz -= prev[0].size
+        prev = stack
+        sz = stack_sz
+        for _, c in cur.env:
+            sz += c.size
         if sz > space:
             space = sz
         time += sz
-        prev = cur
 
     run = run_machine(skam_step, SKAM_LABELS, s, fuel, measure)
     # the run is not yet shared with a caller: complete it in place

@@ -1,9 +1,12 @@
 """Syntax and weak head reduction for the pure lambda calculus.
 
-Terms are immutable dataclasses compared structurally, so == is
+Terms are frozen dataclasses compared structurally, so == is
 name-sensitive; alpha_eq compares up to renaming of bound variables.
 Concrete syntax accepts '\\' or 'λ' for binders, '--' line comments,
-and identifiers over letters, digits, underscore and prime.
+and identifiers over letters, digits, underscore and prime.  (The
+machines' closures and states, in kam, are hand-written __slots__
+classes instead: a machine builds one per transition, and a frozen
+dataclass's constructor costs several times as much.)
 
 Every node stores its free variables in fv, set bottom-up when the node
 is built; a node whose free variables equal a child's shares that

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import json
+import pickle
+import sys
 import tracemalloc
 
 import pytest
@@ -22,7 +25,9 @@ from spacekam.kam import (
     state_size,
 )
 from spacekam.space_kam import skam_run, skam_step
-from spacekam.terms import Abs, Var, alpha_eq, parse_term, whnf_eval, whnf_step
+from spacekam.checker import derivation_from_json, derivation_to_json
+from spacekam.extractor import expand, type_final_state
+from spacekam.terms import Abs, Var, alpha_eq, parse_term, print_term, subst, whnf_eval, whnf_step
 
 
 IDENT = parse_term(r"\a.a")
@@ -260,3 +265,166 @@ def test_machine_agrees_with_rewriting(seed):
     assert not wh.exhausted
     assert wh.steps == run.counts["beta"]
     assert alpha_eq(decode(run.final), wh.result)
+
+
+# ------------------------------------------------------------ closures and states
+
+def _chain(depth, base=IDENT):
+    c = Closure(base, ())
+    for _ in range(depth):
+        c = Closure(Var("x"), (("x", c),))
+    return c
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    c = Closure(IDENT, ())
+    s = MachState(Var("x"), (("x", c),), (c,))
+    for obj, names in ((c, ("code", "env", "_size", "size", "other")), (s, ("code", "env", "stack", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert (c.code, c.env) == (IDENT, ())
+    assert (s.code, s.env, s.stack) == (Var("x"), (("x", c),), (c,))
+    assert not hasattr(c, "__dict__") and not hasattr(s, "__dict__")
+
+
+def test_repr_is_the_field_by_field_form():
+    c = Closure(IDENT, ())
+    cr = "Closure(code=Abs(binder='a', body=Var(name='a')), env=())"
+    assert repr(c) == cr
+    c.size  # the cached size takes no part in repr
+    assert repr(c) == cr
+    assert repr(MachState(Var("x"), (), ())) == "MachState(code=Var(name='x'), env=(), stack=())"
+    assert repr(MachState(Var("x"), (("x", c), ("y", c)), (c,))) == (
+        f"MachState(code=Var(name='x'), env=(('x', {cr}), ('y', {cr})), stack=({cr},))"
+    )
+
+
+def test_equality_and_hash_follow_the_fields():
+    c, d = Closure(IDENT, ()), Closure(parse_term(r"\a.a"), ())
+    assert c == d and hash(c) == hash(d) and c is not d
+    assert Closure(Var("x"), (("x", c),)) == Closure(Var("x"), (("x", d),))
+    assert Closure(Var("x"), (("x", c),)) != Closure(Var("x"), (("y", c),))
+    assert Closure(Var("x"), (("x", c),)) != Closure(Var("x"), (("x", c), ("x", c)))
+    assert Closure(IDENT, ()) != Closure(parse_term(r"\b.b"), ())
+    s = MachState(Var("x"), (("x", c),), (c,))
+    assert s == MachState(Var("x"), (("x", d),), (d,))
+    assert hash(s) == hash(MachState(Var("x"), (("x", d),), (d,)))
+    assert s != MachState(Var("x"), (("x", c),), ())
+    assert s != MachState(Var("x"), (("x", c),), (Closure(parse_term(r"\b.b"), ()),))
+    # a closure is not a state, and neither equals a plain tuple of its fields
+    assert MachState(IDENT, (), ()) != Closure(IDENT, ())
+    assert c != (IDENT, ()) and s != (Var("x"), (("x", c),), (c,))
+    assert len({c, d, s, MachState(Var("x"), (("x", d),), (d,))}) == 2
+
+
+def test_copy_deepcopy_and_pickle_give_equal_objects(example_kam, example_skam):
+    for run in (example_kam, example_skam):
+        for s in run.states:
+            for c in (*s.stack, *(c for _, c in s.env)):
+                for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+                    assert type(other) is Closure and other == c and hash(other) == hash(c)
+                    assert other.size == c.size
+            for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert type(other) is MachState and other == s and hash(other) == hash(s)
+                assert state_size(other) == state_size(s)
+
+
+def test_states_read_back_from_derivation_files_equal_the_machines(example_skam):
+    runs = [example_skam]
+    runs += [r for r in (skam_run(compile(sk.random_closed_term(seed, 15)), 40) for seed in range(40))
+             if r.final_reached]
+    assert len(runs) > 20
+    for run in runs:
+        states = run.states
+        d = type_final_state(states[-1])
+        for i in reversed(range(run.transitions + 1)):
+            if i < run.transitions:
+                d = expand(d, (run.trace[i][0], states[i]))
+            back = derivation_from_json(derivation_to_json(d)).conclusion.subject
+            assert type(back) is MachState and back is not states[i]
+            assert back == states[i] and hash(back) == hash(states[i])
+            assert repr(back) == repr(states[i])
+
+
+def test_eq_hash_repr_of_closures_nested_20000_deep():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    a, b = _chain(20_000), _chain(20_000)
+    other = _chain(20_000, parse_term(r"\b.b"))  # differs at the bottom only
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert hash(a) == hash(b)
+    inner = "Closure(code=Abs(binder='a', body=Var(name='a')), env=())"
+    want = "Closure(code=Var(name='x'), env=(('x', " * 20_000 + inner + "),))" * 20_000
+    assert repr(a) == want
+    # a state that holds the chain in its env and on its stack
+    s, t = MachState(Var("x"), (("x", a),), (a,)), MachState(Var("x"), (("x", b),), (b,))
+    assert s == t and hash(s) == hash(t)
+    assert s != MachState(Var("x"), (("x", a),), (other,))
+    assert s != MachState(Var("x"), (("x", other),), (a,))
+    assert repr(s) == f"MachState(code=Var(name='x'), env=(('x', {want}),), stack=({want},))"
+
+
+def test_equality_compares_each_shared_pair_once():
+    # a diamond-shaped closure graph 200 levels deep has 2^200 paths;
+    # equality visits each pair of closure objects once
+    a, b = Closure(IDENT, ()), Closure(IDENT, ())
+    for _ in range(200):
+        a = Closure(parse_term("x y"), (("x", a), ("y", a)))
+        b = Closure(parse_term("x y"), (("x", b), ("y", b)))
+    assert a == b
+
+
+def _decode_every_binding(s):
+    """The read-back as it was first written: every closure in an env is
+    read back and substituted, in env order, used or not; each closure
+    object once."""
+    memo = {}
+
+    def cl(c):
+        if id(c) not in memo:
+            t = c.code
+            for x, e in c.env:
+                t = subst(t, x, cl(e))
+            memo[id(c)] = t
+        return memo[id(c)]
+
+    t = cl(Closure(s.code, s.env))
+    for c in s.stack:
+        t = sk.App(t, cl(c))
+    return t
+
+
+def test_decode_agrees_with_reading_back_every_binding():
+    for seed in range(1000):
+        t = sk.random_closed_term(seed, 25)
+        for run in (kam_run(compile(t), 2000), skam_run(compile(t), 2000)):
+            assert print_term(decode(run.last)) == print_term(_decode_every_binding(run.last)), seed
+
+
+def _let_chain(n):
+    body = rf"\z. x{n}"
+    for i in range(n, 0, -1):
+        body = rf"(\x{i}. {body}) (\w. x{i - 1})"
+    return parse_term(rf"(\x0. {body}) (\a.a)")
+
+
+def test_decode_reads_back_only_the_bindings_the_code_uses(monkeypatch):
+    # the plain machine's final state on a 1000-deep let chain binds
+    # x0..x1000, and each closure's env every x before its own: reading
+    # back all of them would substitute 501,501 times
+    n = 1000
+    run = kam_run(compile(_let_chain(n)), 10 * n)
+    assert run.final_reached and len(run.final.env) == n + 1
+    calls = []
+
+    def counted(t, x, u):
+        calls.append(x)
+        return subst(t, x, u)
+
+    monkeypatch.setattr(kam, "subst", counted)
+    got = decode(run.final)
+    assert len(calls) <= n + 1
+    assert print_term(got) == r"\z." + r"\w." * n + r"\a.a"

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spacekam as sk
 from spacekam.harness import random_closed_term
@@ -17,7 +17,7 @@ from spacekam.space_kam import (
     skam_step,
     state_size,
 )
-from spacekam.terms import Abs, Var, alpha_eq, free_vars, parse_term
+from spacekam.terms import Abs, App, Var, alpha_eq, free_vars, parse_term
 
 
 IDENT = parse_term(r"\a.a")
@@ -152,6 +152,66 @@ def test_variable_step_rejects_duplicate_bindings():
 
 def test_step_on_final_state_is_none():
     assert skam_step(MachState(IDENT, (), ())) is None
+
+
+_CODES = tuple(parse_term(t) for t in (
+    r"\a.a", "x", "y", "x y", "x x", "y (x y)", r"x (\a.a)", r"(\a.a) x", r"x (\a. y a)",
+    r"\a. x y a", r"(\a.a) (\b.b)", "x (y z)", r"(\a. x) y", r"(\a. a) (z x)",
+))
+_NAMES = ("x", "y", "z")
+_CLOSURES = (I_CL, Closure(parse_term("x"), (("x", I_CL),)), Closure(IDENT, ()))
+
+
+@st.composite
+def _tampered_states(draw):
+    """A code, an environment binding each of its free variables once in
+    some order, then perhaps tampered with: a binding missing, an extra
+    binding, a second binding of a bound name, or an env drawn at random."""
+    closures = st.sampled_from(_CLOSURES)
+    t = draw(st.sampled_from(_CODES))
+    env = [(x, draw(closures)) for x in draw(st.permutations(sorted(t.fv)))]
+    how = draw(st.sampled_from(("none", "missing", "extra", "duplicate", "random")))
+    if how == "missing" and env:
+        del env[draw(st.integers(0, len(env) - 1))]
+    elif how == "extra":
+        env.insert(draw(st.integers(0, len(env))), (draw(st.sampled_from(_NAMES + ("w",))), draw(closures)))
+    elif how == "duplicate" and env:
+        x = env[draw(st.integers(0, len(env) - 1))][0]
+        env.insert(draw(st.integers(0, len(env))), (x, draw(closures)))
+    elif how == "random":
+        env = draw(st.lists(st.tuples(st.sampled_from(_NAMES), closures), max_size=4))
+    return MachState(t, tuple(env), tuple(draw(st.lists(closures, max_size=2))))
+
+
+@given(_tampered_states())
+@example(MachState(parse_term("x x"), (("x", I_CL), ("x", _CLOSURES[1])), ()))
+@example(MachState(parse_term("x"), (("x", I_CL), ("x", _CLOSURES[1])), ()))
+@example(MachState(parse_term("x y"), (), ()))
+@example(MachState(IDENT, (("x", I_CL),), (I_CL,)))
+@settings(max_examples=600, deadline=None)
+def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
+    # the check skam_step makes without a set for envs of 0 or 1
+    # entries, against the set comparison it stands for; and the envs
+    # it passes on as they are, against restricting them
+    t, e = s.code, s.env
+    if {x for x, _ in e} != t.fv:
+        with pytest.raises(InvariantViolation, match="environment domain"):
+            skam_step(s)
+        return
+    if type(t) is Var and len(e) != 1:
+        with pytest.raises(InvariantViolation, match="exactly its own binding"):
+            skam_step(s)
+        return
+    nxt = skam_step(s)
+    if type(t) is App:
+        label, after = nxt
+        assert after.env == env_restrict(e, t.fun.fv)
+        if len(t.fun.fv) == len(e):
+            assert after.env is e
+        if type(t.arg) is not Var:
+            assert after.stack[0].env == env_restrict(e, t.arg.fv)
+            if len(t.arg.fv) == len(e):
+                assert after.stack[0].env is e
 
 
 def test_check_env_domain_invariant_flags_stale_entry():
