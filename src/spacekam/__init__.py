@@ -3,7 +3,8 @@ intersection type system whose derivations measure machine runs.
 
 The package has three layers:
 
-  terms      syntax, parsing, substitution, weak head reduction
+  terms      syntax interned with the types (hashcons), parsing,
+             substitution, weak head reduction
   kam        the Krivine machine and the run core both machines share:
              one Run type, one run loop, trace rows and summary; a run
              keeps only its current state, stores no trace, and
@@ -70,7 +71,7 @@ from .types import (
     size_context,
     is_dry,
     summable,
-    context_union,
+    contexts_union,
     split_multi,
 )
 from .checker import (

@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+from .hashcons import Table
 from .kam import Closure, MachState, Run
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
@@ -57,8 +58,7 @@ from .types import (
     TypeTable,
     context_from_json,
     context_to_json,
-    context_union,
-    dc_context_union,
+    contexts_union,
     decode_table,
     format_context,
     format_linear,
@@ -350,7 +350,6 @@ def _check_tmany(d, err, mode):
     if type(c.assigned) is not ClosureMulti:
         err("TMany assigns a multi type")
         return
-    union = None
     elems = []
     for i, pd in enumerate(d.premises):
         p = pd.conclusion
@@ -364,11 +363,11 @@ def _check_tmany(d, err, mode):
             err(f"premise {i} must assign a linear type")
             return
         elems.append(p.assigned)
-        try:
-            union = p.context if union is None else context_union(union, p.context)
-        except NotSummable as ex:
-            err(f"premise contexts are not summable: {ex}")
-            return
+    try:
+        union = contexts_union([pd.conclusion.context for pd in d.premises])
+    except NotSummable as ex:
+        err(f"premise contexts are not summable: {ex}")
+        return
     if ClosureMulti(elems, c.assigned.index) is not c.assigned:
         err(
             f"premise types do not assemble the multi "
@@ -430,7 +429,7 @@ def _check_tapp1(d, err, mode):
         err("TApp1 conclusion type must be the arrow target")
         return
     try:
-        union = context_union(pf.context, pa.context)
+        union = contexts_union([pf.context, pa.context])
     except NotSummable as ex:
         err(f"premise contexts are not summable: {ex}")
         return
@@ -457,7 +456,7 @@ def _check_tapp2(d, err, mode):
         return
     x = c.subject.arg.name
     try:
-        union = context_union(p.context, TypeContext(((x, p.assigned.arg),)))
+        union = contexts_union([p.context, TypeContext(((x, p.assigned.arg),))])
     except NotSummable as ex:
         err(f"the argument's multi does not sum into the function context: {ex}")
         return
@@ -671,7 +670,6 @@ def _check_dc_tapp(d, err, mode):
         err("DC_TApp conclusion type must be the arrow target")
         return
     elems = []
-    ctx = pf.context
     for i, pd in enumerate(d.premises[1:], start=1):
         p = pd.conclusion
         if p.subject_kind != KIND_TERM or p.subject != c.subject.arg:
@@ -681,14 +679,13 @@ def _check_dc_tapp(d, err, mode):
             err(f"premise {i} must assign a linear type")
             return
         elems.append(p.assigned)
-        ctx = dc_context_union(ctx, p.context)
     if MultiType(elems) is not pf.assigned.arg:
         err(
             f"argument premises do not assemble the arrow source "
             f"{format_multi(pf.assigned.arg)}"
         )
         return
-    if c.context != ctx:
+    if c.context != contexts_union([pd.conclusion.context for pd in d.premises]):
         err("DC_TApp conclusion context must be the union of the premise contexts")
 
 
@@ -932,10 +929,34 @@ def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
 # type index, or a context for environment judgments.
 
 
+class _TermTable(Table):
+    """The terms table: {"var": x}, {"lam": x, "body": i} and
+    {"app": [i, j]}."""
+
+    @staticmethod
+    def children(t) -> tuple:
+        if type(t) is Abs:
+            return (t.body,)
+        if type(t) is App:
+            return (t.fun, t.arg)
+        return ()
+
+    @staticmethod
+    def entry(t, at):
+        if type(t) is Var:
+            return {"var": t.name}
+        if type(t) is Abs:
+            return {"lam": t.binder, "body": at[t.body]}
+        if type(t) is App:
+            return {"app": [at[t.fun], at[t.arg]]}
+        raise TypeError(f"not a term: {t!r}")
+
+
 class _Entries:
-    """One table of terms, closures or nodes.  An object is looked up
-    by id(), which is sound while the derivation holds it, then by its
-    entry's key, so structurally equal objects share one entry too."""
+    """One table of closures or nodes, which are not interned.  An
+    object is looked up by id(), which is sound while the derivation
+    holds it, then by its entry's key, so structurally equal objects
+    share one entry too."""
 
     def __init__(self):
         self.entries: list = []
@@ -956,7 +977,7 @@ class _Tables:
 
     def __init__(self):
         self.types = TypeTable()
-        self.terms = _Entries()
+        self.terms = _TermTable()
         self.closures = _Entries()
         self.nodes = _Entries()
 
@@ -967,39 +988,6 @@ class _Tables:
             "closures": self.closures.entries,
             "nodes": self.nodes.entries,
         }
-
-    def term(self, t) -> int:
-        terms = self.terms
-        ids = terms.ids
-        i = ids.get(id(t))
-        if i is not None:
-            return i
-        work = [t]
-        while work:
-            u = work[-1]
-            if id(u) in ids:
-                work.pop()
-            elif type(u) is Var:
-                work.pop()
-                # keys: a name, (binder, body) or (fun, arg); never equal across forms
-                terms.enter(u, u.name, {"var": u.name})
-            elif type(u) is Abs:
-                b = ids.get(id(u.body))
-                if b is None:
-                    work.append(u.body)
-                    continue
-                work.pop()
-                terms.enter(u, (u.binder, b), {"lam": u.binder, "body": b})
-            elif type(u) is App:
-                f, a = ids.get(id(u.fun)), ids.get(id(u.arg))
-                if f is None or a is None:
-                    work.extend(v for v, j in ((u.fun, f), (u.arg, a)) if j is None)
-                    continue
-                work.pop()
-                terms.enter(u, (f, a), {"app": [f, a]})
-            else:
-                raise TypeError(f"not a term: {u!r}")
-        return ids[id(t)]
 
     def closure(self, c) -> int:
         ids = self.closures.ids
@@ -1017,7 +1005,7 @@ class _Tables:
                 work.extend(todo)
                 continue
             work.pop()
-            code = self.term(d.code)
+            code = self.terms.add(d.code)
             env = tuple((x, ids[id(e)]) for x, e in d.env)
             entry = {"code": code, "env": [list(p) for p in env]}
             self.closures.enter(d, (code, env), entry)
@@ -1031,7 +1019,7 @@ class _Tables:
     def subject(self, kind, subject) -> tuple:
         """subject's entry and its key."""
         if kind == KIND_TERM:
-            i = self.term(subject)
+            i = self.terms.add(subject)
             return i, i
         if kind == KIND_CLOSURE:
             i = self.closure(subject)
@@ -1039,7 +1027,7 @@ class _Tables:
         if kind == KIND_ENV:
             return self.env(subject)
         if kind == KIND_STATE:
-            code = self.term(subject.code)
+            code = self.terms.add(subject.code)
             env, env_key = self.env(subject.env)
             stack = [self.closure(c) for c in subject.stack]
             return {"code": code, "env": env, "stack": stack}, (code, env_key, tuple(stack))

@@ -101,9 +101,7 @@ from .types import (
     MultiType,
     Star,
     TypeContext,
-    context_union,
     contexts_union,
-    dc_context_union,
     size_context,
 )
 
@@ -524,7 +522,7 @@ def _undo_sea_v(b, source, st):
     term, env, stack = st
     x = source.code.arg.name
     arrow = term.conclusion.assigned
-    ctx = context_union(term.conclusion.context, TypeContext(((x, arrow.arg),)))
+    ctx = contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))])
     app = b.node(R_APP2, KIND_TERM, source.code, ctx, arrow.res, (term,))
     top = stack.top
     return app, _join_envs([env, _Env({x: top}, top.space, top.time)], source.env), stack.rest
@@ -537,7 +535,7 @@ def _undo_sea_nv(b, source, st):
     term, env, stack = st
     mu, env_u = b.open(stack.top)
     arrow = term.conclusion.assigned
-    ctx = context_union(term.conclusion.context, mu.conclusion.context)
+    ctx = contexts_union([term.conclusion.context, mu.conclusion.context])
     app = b.node(R_APP1, KIND_TERM, source.code, ctx, arrow.res, (term, mu))
     return app, _join_envs([env, env_u], source.env), stack.rest
 
@@ -671,21 +669,19 @@ def extract_kam(run: Run) -> Derivation:
                 (cur,),
             )
             env_t = _KEnv(per)
-            stack_t = [kc] + stack_t
+            stack_t.append(kc)
         else:
             # (t u, e, S) -> (t, e, (u, e) . S): the stack top's uses
             # become the argument premises, its environment typing folds
             # back into e's
-            kc = stack_t[0]
+            kc = stack_t.pop()
             arrow = cur.conclusion.assigned
             assert type(arrow) is DCArrow, "function typing is not an arrow"
             args = kc.elems
             assert arrow.arg == MultiType(
                 tuple(d.conclusion.assigned for d in args)
             ), "argument uses disagree with the arrow source"
-            ctx = cur.conclusion.context
-            for d in args:
-                ctx = dc_context_union(ctx, d.conclusion.context)
+            ctx = contexts_union([cur.conclusion.context, *(d.conclusion.context for d in args)])
             w = cur.conclusion.weight + sum(d.conclusion.weight for d in args) + 1
             cur = Derivation(
                 R_DC_APP,
@@ -693,7 +689,6 @@ def extract_kam(run: Run) -> Derivation:
                 (cur,) + tuple(args),
             )
             env_t = _kenv_merge(env_t, kc.env)
-            stack_t = stack_t[1:]
     assert not env_t.per_var, "the initial state's typing wants an environment"
     assert not stack_t, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"

@@ -1,0 +1,110 @@
+"""Hash-consing for terms and types (Filliatre and Conchon, "Type-Safe
+Modular Hash-Consing", 2006).
+
+Every value of a subclass of Interned is built through one table keyed
+on its class and its fields, whose values are strings, integers or
+interned values already, so equal values are one object and `==` and
+`hash` are identity.  The table holds its values weakly: a value dies
+with its last user.  Values are immutable; copy, deepcopy and pickle
+rebuild them through their constructor, which returns the interned
+object.  repr writes dataclass-style text from an explicit stack, so
+nesting depth is not limited by the interpreter's recursion limit.
+"""
+
+import threading
+import weakref
+
+# the intern table: (class, *fields) -> the one value built from them
+TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.RLock()
+
+
+class Interned:
+    """An interned, immutable value.  A subclass lists its fields in
+    __slots__ in the order its constructor takes them; data worked out
+    from the fields (a type's order key, a term's free variables) lives
+    in the slots of an intermediate class, outside ==, repr and pickle."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in type(self).__slots__))
+
+    def __repr__(self):
+        return write_repr(self, lambda x: type(x).__slots__ if isinstance(x, Interned) else None)
+
+
+def write_repr(obj, fields) -> str:
+    """The text a dataclass repr would give obj, written from an explicit
+    stack.  A tuple is written element by element, a value x for which
+    fields(x) names fields as its class name and those fields, and any
+    other value as its repr."""
+    out, work = [], [obj]
+    while work:
+        x = work.pop()
+        if type(x) is str:  # output: string values are written as they are pushed
+            out.append(x)
+            continue
+        names = None if type(x) is tuple else fields(x)
+        values = x if names is None else [getattr(x, f) for f in names]
+        items = ["(" if names is None else f"{type(x).__name__}("]
+        for i, v in enumerate(values):
+            if i:
+                items.append(", ")
+            if names:
+                items.append(f"{names[i]}=")
+            items.append(v if type(v) is tuple or fields(v) is not None else repr(v))
+        items.append(",)" if names is None and len(values) == 1 else ")")
+        work += reversed(items)
+    return "".join(out)
+
+
+def store(table_key, cls, **fields):
+    """Build a value from its fields and enter it under table_key, unless
+    another thread has entered one since the caller looked."""
+    with _TABLE_LOCK:
+        a = TABLE.get(table_key)
+        if a is None:
+            a = object.__new__(cls)
+            for name, value in fields.items():
+                object.__setattr__(a, name, value)
+            TABLE[table_key] = a
+    return a
+
+
+class Table:
+    """The entries of one table of a flat file.  add(a) returns a's
+    entry position, entering a and every value in it once, children
+    before parents.  Values are interned, so the object itself is the
+    key and equal values share one entry.  A subclass gives children(a)
+    and entry(a, at), a's entry with its children at positions at[c]."""
+
+    def __init__(self):
+        self.entries: list = []
+        self._at: dict = {}
+
+    def add(self, a) -> int:
+        at = self._at
+        i = at.get(a)
+        if i is not None:
+            return i
+        work = [a]
+        while work:
+            b = work[-1]
+            if b in at:
+                work.pop()
+                continue
+            todo = [c for c in self.children(b) if c not in at]
+            if todo:
+                work.extend(todo)
+                continue
+            work.pop()
+            entry = self.entry(b, at)
+            at[b] = len(self.entries)
+            self.entries.append(entry)
+        return at[a]

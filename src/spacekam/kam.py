@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .hashcons import write_repr
 from .terms import Abs, App, Term, Var, print_term, subst
 
 
@@ -170,7 +171,7 @@ def _pairs_equal(pairs: list) -> bool:
         if c is d or (id(c), id(d)) in seen:
             continue
         seen.add((id(c), id(d)))
-        if (c.code is not d.code and c.code != d.code) or len(c.env) != len(d.env):
+        if c.code is not d.code or len(c.env) != len(d.env):
             return False
         for (x, c2), (y, d2) in zip(c.env, d.env):
             if x != y:
@@ -179,30 +180,12 @@ def _pairs_equal(pairs: list) -> bool:
     return True
 
 
+_FIELDS = {Closure: ("code", "env"), MachState: ("code", "env", "stack")}
+
+
 def _repr(obj) -> str:
-    """The text a dataclass repr would give a closure or state, written
-    from an explicit stack.  Strings on the stack are output; names and
-    codes are turned into their repr as they are pushed."""
-    out = []
-    work = [obj]
-    while work:
-        x = work.pop()
-        if type(x) is str:
-            out.append(x)
-        elif type(x) is Closure:
-            work += (")", x.env, f"Closure(code={x.code!r}, env=")
-        elif type(x) is MachState:
-            work += (")", x.stack, ", stack=", x.env, f"MachState(code={x.code!r}, env=")
-        elif type(x) is tuple:  # an env, an env entry or a stack
-            work.append(",)" if len(x) == 1 else ")")
-            for i in range(len(x) - 1, -1, -1):
-                work.append(repr(x[i]) if type(x[i]) is str else x[i])
-                if i:
-                    work.append(", ")
-            work.append("(")
-        else:
-            out.append(repr(x))
-    return "".join(out)
+    """The text a dataclass repr would give a closure or state."""
+    return write_repr(obj, lambda x: _FIELDS.get(type(x)))
 
 
 def env_lookup(e: Env, x: str) -> Closure | None:
@@ -408,7 +391,7 @@ def _state_row(head: dict, s: MachState) -> str:
     full wherever it occurs, each code term is printed once per row."""
     import json  # only --trace writes rows: importing the package need not load json
 
-    codes: dict[int, str] = {}  # id of a code term -> its JSON string
+    codes: dict = {}  # code term -> its JSON string
     out = [json.dumps(head)[:-1]]
     work = ["}", s.stack, ', "stack": ', s.env, ', "env": ', s.code, ', "code": ']
     while work:
@@ -426,9 +409,9 @@ def _state_row(head: dict, s: MachState) -> str:
                     work.append(", ")
             work.append("[")
         else:
-            if id(x) not in codes:
-                codes[id(x)] = json.dumps(print_term(x))
-            out.append(codes[id(x)])
+            if x not in codes:
+                codes[x] = json.dumps(print_term(x))
+            out.append(codes[x])
     return "".join(out)
 
 

@@ -1,28 +1,28 @@
 """Syntax and weak head reduction for the pure lambda calculus.
 
-Terms are frozen dataclasses compared structurally, so == is
-name-sensitive; alpha_eq compares up to renaming of bound variables.
-Concrete syntax accepts '\\' or 'λ' for binders, '--' line comments,
-and identifiers over letters, digits, underscore and prime.  (The
-machines' closures and states, in kam, are hand-written __slots__
-classes instead: a machine builds one per transition, and a frozen
-dataclass's constructor costs several times as much.)
+Terms are hash-consed on the intern table they share with types
+(hashcons), so equal terms are one object: == and hash are identity,
+and == stays name-sensitive; alpha_eq compares up to renaming of bound
+variables.  Concrete syntax accepts '\\' or 'λ' for binders, '--' line
+comments, and identifiers over letters, digits, underscore and prime.
 
-Every node stores its free variables in fv, set bottom-up when the node
-is built; a node whose free variables equal a child's shares that
-child's frozenset.  fv takes no part in ==, hash or repr.
+Every term stores its free variables in fv, worked out once, when the
+term is first built; a term whose free variables equal a child's
+shares that child's frozenset.  fv takes no part in ==, hash or repr.
 
 Long reduction sequences produce deeply nested terms, so every
-traversal here (parsing, substitution, printing, alpha equality) uses
-an explicit stack rather than recursion: no nesting depth depends on
-the interpreter's recursion limit.
+traversal here (parsing, substitution, printing, alpha equality) and
+repr use an explicit stack rather than recursion: no nesting depth
+depends on the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
+
+from .hashcons import TABLE, Interned, store
 
 
 class ParseError(ValueError):
@@ -37,38 +37,38 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    fv: frozenset[str] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fv", frozenset((self.name,)))
+class _Term(Interned):
+    __slots__ = ("fv",)
 
 
-@dataclass(frozen=True, slots=True)
-class Abs:
-    binder: str
-    body: "Term"
-    fv: frozenset[str] = field(init=False, compare=False, repr=False)
+class Var(_Term):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        fv = self.body.fv
-        if self.binder in fv:
-            fv = fv - {self.binder}
-        object.__setattr__(self, "fv", fv)
+    def __new__(cls, name: str):
+        tk = (cls, name)
+        return TABLE.get(tk) or store(tk, cls, name=name, fv=frozenset((name,)))
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    fun: "Term"
-    arg: "Term"
-    fv: frozenset[str] = field(init=False, compare=False, repr=False)
+class Abs(_Term):
+    __slots__ = ("binder", "body")
 
-    def __post_init__(self):
-        f, a = self.fun.fv, self.arg.fv
-        fv = f if a <= f else a if f <= a else f | a
-        object.__setattr__(self, "fv", fv)
+    def __new__(cls, binder: str, body: "Term"):
+        tk = (cls, binder, body)
+        fv = body.fv
+        return TABLE.get(tk) or store(
+            tk, cls, binder=binder, body=body, fv=fv - {binder} if binder in fv else fv
+        )
+
+
+class App(_Term):
+    __slots__ = ("fun", "arg")
+
+    def __new__(cls, fun: "Term", arg: "Term"):
+        tk = (cls, fun, arg)
+        f, a = fun.fv, arg.fv
+        return TABLE.get(tk) or store(
+            tk, cls, fun=fun, arg=arg, fv=f if a <= f else a if f <= a else f | a
+        )
 
 
 Term = Union[Var, Abs, App]
@@ -139,7 +139,6 @@ def parse_term(text: str) -> Term:
     toks.append(None)  # end of input; pos never passes it
     eof = _byte_offset(text, len(text))
     pos = 0
-    occurrences: dict[str, Var] = {}  # one shared node per name
     # open constructs, innermost last: (_LAM, binder) awaits its body,
     # (_APP, fun) its next atom (fun is None before the first),
     # (_LAST, fun) its final abstraction argument, (_PAREN, None) its ')'
@@ -177,9 +176,7 @@ def parse_term(text: str) -> Term:
         if tok[0] != "ident":
             fail(f"unexpected {tok[1]!r}", tok)
         pos += 1
-        t = occurrences.get(tok[1])
-        if t is None:
-            t = occurrences[tok[1]] = Var(tok[1])
+        t = Var(tok[1])
         # t is complete: hand it to the constructs it closes
         while True:
             tok = toks[pos]

@@ -6,18 +6,17 @@ is a multi set of linear types carrying a positive index, the size of
 any closure the multi can type.  The plain one types terms against the
 Krivine machine: same shape, no index.
 
-Types are hash-consed (Filliatre and Conchon, "Type-Safe Modular
-Hash-Consing", 2006): constructing a type first looks it up in one
-table keyed on its class, its index and its children, which are
-interned already, so equal types are one object and `==` and `hash`
-are identity.  The table holds its types weakly; a type dies with the
-last derivation that uses it.  Each type stores its structural order
-key, built once from its children's stored keys: `(0,)` for the ground
-type, `(1, k, elem_keys, res_key)` for an indexed arrow and
-`(2, elem_keys, res_key)` for a plain one, where a multi's own key is
-its `elem_keys`.  Multi sets are tuples sorted under that key, so the
-canonical order, and with it every JSON file, does not depend on the
-order of creation.  Types are immutable.
+Types are hash-consed on the intern table they share with terms
+(hashcons): constructing a type first looks it up under its class, its
+index and its children, which are interned already, so equal types are
+one object and `==` and `hash` are identity.  The table holds its types
+weakly; a type dies with the last derivation that uses it.  Each type
+stores its structural order key, built once from its children's stored
+keys: `(0,)` for the ground type, `(1, k, elem_keys, res_key)` for an
+indexed arrow and `(2, elem_keys, res_key)` for a plain one, where a
+multi's own key is its `elem_keys`.  Multi sets are tuples sorted
+under that key, so the canonical order, and with it every JSON file,
+does not depend on the order of creation.  Types are immutable.
 
 A context maps variables to multis and is kept sorted by name.
 Contexts are summable when their indices agree on shared variables;
@@ -29,10 +28,9 @@ the latter contributes its index to the context size.
 from __future__ import annotations
 
 import operator
-import threading
-import weakref
 from dataclasses import dataclass
 
+from .hashcons import TABLE, Interned, Table, store
 from .terms import is_name
 
 
@@ -44,42 +42,11 @@ class BadSplit(Exception):
     """The claimed parts do not rebuild the whole multiset."""
 
 
-# the intern table: (class, index, children) -> the one type built from them
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_TABLE_LOCK = threading.RLock()
 _key = operator.attrgetter("key")
 
 
-class _Type:
-    """An interned, immutable type.  A subclass lists its fields in
-    __slots__ in the order its constructor takes them."""
-
-    __slots__ = ("key", "__weakref__")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, f) for f in type(self).__slots__))
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-def _store(table_key, cls, **fields):
-    """Build a type from its fields and enter it under table_key, unless
-    another thread has entered one since the caller looked."""
-    with _TABLE_LOCK:
-        a = _TABLE.get(table_key)
-        if a is None:
-            a = object.__new__(cls)
-            for name, value in fields.items():
-                object.__setattr__(a, name, value)
-            _TABLE[table_key] = a
-    return a
+class _Type(Interned):
+    __slots__ = ("key",)
 
 
 class Star(_Type):
@@ -88,7 +55,7 @@ class Star(_Type):
     __slots__ = ()
 
     def __new__(cls):
-        return _TABLE.get((cls,)) or _store((cls,), cls, key=(0,))
+        return TABLE.get((cls,)) or store((cls,), cls, key=(0,))
 
 
 STAR = Star()
@@ -113,7 +80,7 @@ class ClosureMulti(_Type):
             raise ValueError(f"multi type index must be positive, got {index}")
         es = _sorted_elems(elems, _INDEXED, "indexed multi over a non-indexed element")
         tk = (cls, index, es)
-        return _TABLE.get(tk) or _store(
+        return TABLE.get(tk) or store(
             tk, cls, elems=es, index=index, key=tuple(a.key for a in es)
         )
 
@@ -127,7 +94,7 @@ class Arrow(_Type):
         if not isinstance(res, (Star, Arrow)):
             raise TypeError(f"indexed arrow needs an indexed target: {res!r}")
         tk = (cls, arg, res)
-        return _TABLE.get(tk) or _store(
+        return TABLE.get(tk) or store(
             tk, cls, arg=arg, res=res, key=(1, arg.index, arg.key, res.key)
         )
 
@@ -140,7 +107,7 @@ class MultiType(_Type):
     def __new__(cls, elems=()):
         es = _sorted_elems(elems, _PLAIN, "plain multi over an indexed element")
         tk = (cls, es)
-        return _TABLE.get(tk) or _store(tk, cls, elems=es, key=tuple(a.key for a in es))
+        return TABLE.get(tk) or store(tk, cls, elems=es, key=tuple(a.key for a in es))
 
 
 class DCArrow(_Type):
@@ -152,11 +119,12 @@ class DCArrow(_Type):
         if not isinstance(res, (Star, DCArrow)):
             raise TypeError(f"plain arrow needs a plain target: {res!r}")
         tk = (cls, arg, res)
-        return _TABLE.get(tk) or _store(tk, cls, arg=arg, res=res, key=(2, arg.key, res.key))
+        return TABLE.get(tk) or store(tk, cls, arg=arg, res=res, key=(2, arg.key, res.key))
 
 
 _INDEXED = frozenset({Star, Arrow})
 _PLAIN = frozenset({Star, DCArrow})
+_MULTIS = (ClosureMulti, MultiType)
 
 
 def type_key(a) -> tuple:
@@ -260,56 +228,34 @@ def summable(g: TypeContext, d: TypeContext) -> bool:
     return True
 
 
-def multi_union(a: ClosureMulti, b: ClosureMulti) -> ClosureMulti:
-    if a.index != b.index:
-        raise NotSummable(f"indices disagree: {a.index} vs {b.index}")
-    return ClosureMulti(a.elems + b.elems, a.index)
-
-
-def context_union(g: TypeContext, d: TypeContext) -> TypeContext:
-    out = dict(g.entries)
-    for x, m in d.entries:
-        if x in out:
-            try:
-                out[x] = multi_union(out[x], m)
-            except NotSummable:
-                raise NotSummable(
-                    f"contexts disagree on the index of {x}: "
-                    f"{out[x].index} vs {m.index}"
-                )
-        else:
-            out[x] = m
-    return TypeContext(tuple(out.items()))
-
-
 def contexts_union(contexts: list) -> TypeContext:
-    """The union of a list of indexed contexts in one pass: each
-    variable's multi is built once, from the elements of all its parts,
-    where folding context_union would re-sort them at every step."""
+    """The union of a list of contexts, all indexed or all plain, in one
+    pass: a variable in one part keeps its multi, and the multi of a
+    variable in several is built once, from the elements of all its
+    parts.  Indexed parts must agree on the index of every shared
+    variable."""
     if len(contexts) == 1:
         return contexts[0]
-    elems: dict = {}
-    index: dict = {}
+    flavor = None
+    first: dict = {}  # each variable's multi in the first part that has it
+    more: dict = {}  # the elements of every part, for a variable in several
     for g in contexts:
         for x, m in g.entries:
-            if type(m) is not ClosureMulti:
-                raise TypeError(f"union of indexed contexts over {m!r}")
-            k = index.setdefault(x, m.index)
-            if k != m.index:
-                raise NotSummable(f"contexts disagree on the index of {x}: {k} vs {m.index}")
-            elems.setdefault(x, []).extend(m.elems)
-    return TypeContext(tuple((x, ClosureMulti(es, index[x])) for x, es in elems.items()))
-
-
-def dc_multi_union(a: MultiType, b: MultiType) -> MultiType:
-    return MultiType(a.elems + b.elems)
-
-
-def dc_context_union(g: TypeContext, d: TypeContext) -> TypeContext:
-    out = dict(g.entries)
-    for x, m in d.entries:
-        out[x] = dc_multi_union(out[x], m) if x in out else m
-    return TypeContext(tuple(out.items()))
+            if type(m) is not flavor:
+                if flavor is not None or type(m) not in _MULTIS:
+                    raise TypeError(f"contexts to unite must be all indexed or all plain: {m!r}")
+                flavor = type(m)
+            a = first.get(x)
+            if a is None:
+                first[x] = m
+                continue
+            if flavor is ClosureMulti and a.index != m.index:
+                raise NotSummable(f"contexts disagree on the index of {x}: {a.index} vs {m.index}")
+            more.setdefault(x, list(a.elems)).extend(m.elems)
+    for x, es in more.items():
+        m = first[x]
+        first[x] = ClosureMulti(es, m.index) if flavor is ClosureMulti else MultiType(es)
+    return TypeContext(tuple(first.items()))
 
 
 def split_multi(whole: ClosureMulti, left: ClosureMulti, right: ClosureMulti) -> tuple:
@@ -354,56 +300,30 @@ def json_index(v, n: int) -> int:
     return v
 
 
-def _children(a) -> tuple:
-    if type(a) is Arrow or type(a) is DCArrow:
-        return (a.arg, a.res)
-    if type(a) is ClosureMulti or type(a) is MultiType:
-        return a.elems
-    return ()
+class TypeTable(Table):
+    """Encoder for the type table of a derivation file: "*",
+    {"arg": i, "res": j}, {"elems": [i, ...], "k": k} for an indexed
+    multi and {"elems": [i, ...]} for a plain one."""
 
+    @staticmethod
+    def children(a) -> tuple:
+        if type(a) is Arrow or type(a) is DCArrow:
+            return (a.arg, a.res)
+        if type(a) is ClosureMulti or type(a) is MultiType:
+            return a.elems
+        return ()
 
-class TypeTable:
-    """Encoder for the type table of a derivation file.
-
-    add(a) returns a's entry position, entering a and every type in it
-    once, children before parents: "*", {"arg": i, "res": j},
-    {"elems": [i, ...], "k": k} for an indexed multi and
-    {"elems": [i, ...]} for a plain one.  Types are interned, so the
-    object itself is the key and equal types share one entry."""
-
-    def __init__(self):
-        self.entries: list = []
-        self._at: dict = {}
-
-    def add(self, a) -> int:
-        at = self._at
-        i = at.get(a)
-        if i is not None:
-            return i
-        work = [a]
-        while work:
-            b = work[-1]
-            if b in at:
-                work.pop()
-                continue
-            todo = [c for c in _children(b) if c not in at]
-            if todo:
-                work.extend(todo)
-                continue
-            work.pop()
-            if type(b) is Star:
-                entry = "*"
-            elif type(b) is Arrow or type(b) is DCArrow:
-                entry = {"arg": at[b.arg], "res": at[b.res]}
-            elif type(b) is ClosureMulti:
-                entry = {"elems": [at[c] for c in b.elems], "k": b.index}
-            elif type(b) is MultiType:
-                entry = {"elems": [at[c] for c in b.elems]}
-            else:
-                raise TypeError(f"not a type: {b!r}")
-            at[b] = len(self.entries)
-            self.entries.append(entry)
-        return at[a]
+    @staticmethod
+    def entry(a, at):
+        if type(a) is Star:
+            return "*"
+        if type(a) is Arrow or type(a) is DCArrow:
+            return {"arg": at[a.arg], "res": at[a.res]}
+        if type(a) is ClosureMulti:
+            return {"elems": [at[c] for c in a.elems], "k": a.index}
+        if type(a) is MultiType:
+            return {"elems": [at[c] for c in a.elems]}
+        raise TypeError(f"not a type: {a!r}")
 
 
 def context_to_json(g: TypeContext, table: TypeTable) -> dict:

@@ -596,6 +596,30 @@ def test_json_roundtrip_shares_machine_subjects(example_skam):
     assert len(closures) <= len(obj["tables"]["closures"])
 
 
+def test_terms_decoded_from_a_file_are_the_runs_own(example_term, example_skam):
+    # terms are interned, so the decoder's terms are the objects the run
+    # and the extractor hold, in term, closure and state subjects alike
+    states = [example_skam.initial] + [s for _, s in example_skam.trace]
+    leaves = tuple(
+        Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0)) for s in states
+    )
+    for d in (
+        extract(example_skam),
+        extract_kam(kam_run(compile(example_term), 100)),
+        Derivation(R_ST, Judgment("state", states[0], EMPTY_CONTEXT, STAR, 0), leaves),
+    ):
+        back = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
+        for a, b in zip(_nodes(d), _nodes(back)):
+            s, t = a.conclusion.subject, b.conclusion.subject
+            if a.conclusion.subject_kind == "term":
+                assert t is s
+            elif a.conclusion.subject_kind == "state":
+                assert t.code is s.code
+                assert all(c.code is e.code for c, e in zip(t.stack, s.stack))
+                assert all(c.code is e.code for (_, c), (_, e) in zip(t.env, s.env))
+    assert derivation_from_json(derivation_to_json(extract(example_skam))).conclusion.subject is example_term
+
+
 def _chain(depth):
     """A premise chain depth nodes deep: TLam1 over TLam1 ... over TLamStar."""
     ident = parse_term(r"\a.a")

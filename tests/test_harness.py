@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -183,6 +184,17 @@ def test_verify_rejects_open_terms():
 def test_report_json_roundtrip(example_term):
     for rep in (verify(example_term, 100), verify(parse_term(r"(\x.x x) (\x.x x)"), 20)):
         assert VerificationReport.from_json(rep.to_json()) == rep
+
+
+def test_repr_of_a_report_holding_a_20000_deep_term():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    t = parse_term("".join(rf"\x{i}." for i in range(20_000)) + "x0")
+    rep = VerificationReport(t, None, {}, {}, [], False)
+    term = "".join(f"Abs(binder='x{i}', body=" for i in range(20_000)) + "Var(name='x0')" + ")" * 20_000
+    assert repr(rep) == (
+        f"VerificationReport(term={term}, wh_steps=None, kam={{}}, skam={{}}, "
+        "checks=[], complete=False, notes={})"
+    )
 
 
 def test_all_pass_property(example_term):

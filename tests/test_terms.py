@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,8 +101,7 @@ def test_parse_error_bad_character():
 
 
 def test_parse_a_20000_deep_lambda_chain_and_print_it_back():
-    # twenty times the default recursion limit; == on terms this deep
-    # would recurse, so the round trip compares printed text
+    # twenty times the default recursion limit
     text = "".join(rf"\x{i}." for i in range(20_000)) + "x0"
     t = parse_term(text)
     assert print_term(t) == text
@@ -122,6 +126,69 @@ def test_parse_errors_inside_20000_parentheses():
     with pytest.raises(ParseError) as exc:
         parse_term("(" * 20_000 + ")")
     assert (exc.value.message, exc.value.offset) == ("unexpected ')'", 20_000)
+
+
+# ---------------------------------------------------------------- interning and depth
+
+def test_equal_terms_are_one_object_also_through_copy_and_pickle():
+    s = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
+    t = parse_term(s)
+    assert parse_term(s) is t and Abs("a", Var("a")) is t.arg
+    assert parse_term(r"\a.b") is not parse_term(r"\b.b")  # == is name-sensitive
+    for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other is t
+
+
+def test_threads_racing_to_build_equal_terms_get_one_object():
+    # the table is shared by every thread; a constructor that finds no
+    # entry enters its term only after looking again under the lock
+    def build(out):
+        t = Var("race_x")
+        for i in range(300):
+            t = App(Abs(f"race_{i}", t), Var(f"race_{i}"))
+        out.append(t)
+
+    out = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and len(out) == 8
+    assert all(t is out[0] for t in out)
+
+
+def _depth(t):
+    deepest, work = 0, [(t, 1)]
+    while work:
+        x, d = work.pop()
+        deepest = max(deepest, d)
+        work += [(c, d + 1) for c in (getattr(x, f, None) for f in ("body", "fun", "arg")) if c]
+    return deepest
+
+
+def test_eq_and_hash_of_a_fuzz_read_back_931_deep():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    t = sk.decode(sk.skam_run(sk.compile(sk.random_closed_term(50, 25)), 2000).last)
+    assert _depth(t) == 931
+    back = parse_term(print_term(t))
+    assert back == t and hash(back) == hash(t)
+
+
+def test_eq_hash_repr_of_a_20000_deep_term():
+    assert sys.getrecursionlimit() <= 10_000
+    t = parse_term("f (" * 19_999 + "f x" + ")" * 19_999)
+    u = Var("x")
+    for _ in range(20_000):
+        u = App(Var("f"), u)
+    assert t == u and hash(t) == hash(u) and _depth(t) == 20_001
+    assert t != App(Var("f"), u)
+    assert repr(t) == "App(fun=Var(name='f'), arg=" * 20_000 + "Var(name='x')" + ")" * 20_000
 
 
 # ---------------------------------------------------------------- printing
@@ -165,9 +232,14 @@ def test_stored_fv_takes_no_part_in_equality_hash_or_repr():
     assert repr(parse_term(r"\x.x y")) == (
         "Abs(binder='x', body=App(fun=Var(name='x'), arg=Var(name='y')))"
     )
-    bogus = Var("x")
-    object.__setattr__(bogus, "fv", frozenset())
-    assert bogus == Var("x") and hash(bogus) == hash(Var("x"))
+    # terms are interned, so == and hash are identity and cannot read
+    # fv; writing fv onto a shared term would change it for every user
+    t = parse_term(r"\x.x y")
+    assert t.fv == {"y"} and t.body.fv == {"x", "y"}
+    assert t == Abs("x", App(Var("x"), Var("y"))) and hash(t) == object.__hash__(t)
+    with pytest.raises(AttributeError):
+        t.fv = frozenset()
+    assert t.fv == {"y"}
 
 
 def test_all_vars_includes_binders():

@@ -1,6 +1,8 @@
 import gc
 import json
+from collections import Counter
 import pickle
+import sys
 import weakref
 
 import pytest
@@ -19,16 +21,12 @@ from spacekam.types import (
     TypeContext,
     context_from_json,
     context_to_json,
-    context_union,
     contexts_union,
-    dc_context_union,
-    dc_multi_union,
     format_context,
     format_linear,
     format_multi,
     is_dry,
     TypeTable,
-    multi_union,
     size_context,
     size_linear,
     split_multi,
@@ -150,29 +148,34 @@ def test_is_dry():
 
 # ---------------------------------------------------------------- unions
 
+def multi_union(a, b):
+    """The union of two multis, through contexts binding one variable."""
+    return contexts_union([TypeContext((("x", a),)), TypeContext((("x", b),))]).get("x")
+
+
 def test_multi_union_joins_multisets_at_one_index():
     got = multi_union(ClosureMulti((STAR,), 2), ClosureMulti((ARR,), 2))
     assert got == ClosureMulti((STAR, ARR), 2)
 
 
 def test_multi_union_rejects_disagreeing_indices():
-    with pytest.raises(NotSummable):
+    with pytest.raises(NotSummable, match="contexts disagree on the index of x: 1 vs 2"):
         multi_union(M_STAR1, ClosureMulti((STAR,), 2))
 
 
 def test_context_union_disjoint_and_shared():
     g = TypeContext((("x", M_STAR1),))
     d = TypeContext((("x", ClosureMulti((ARR,), 1)), ("y", M_EMPTY1)))
-    got = context_union(g, d)
+    got = contexts_union([g, d])
     assert got.get("x") == ClosureMulti((STAR, ARR), 1)
-    assert got.get("y") == M_EMPTY1
+    assert got.get("y") is M_EMPTY1
 
 
 def test_context_union_names_the_offending_variable():
     g = TypeContext((("x", M_STAR1),))
     d = TypeContext((("x", ClosureMulti((), 4)),))
     with pytest.raises(NotSummable, match="x"):
-        context_union(g, d)
+        contexts_union([g, d])
 
 
 def test_contexts_union_builds_each_multi_once_and_names_the_offending_variable():
@@ -196,13 +199,19 @@ def test_summable_predicate_matches_union():
 def test_dc_unions_have_no_index_constraint():
     a = MultiType((STAR,))
     b = MultiType((STAR, DCArrow(MultiType(()), STAR)))
-    assert dc_multi_union(a, b) == MultiType(
+    assert multi_union(a, b) == MultiType(
         (STAR, STAR, DCArrow(MultiType(()), STAR))
     )
-    g = dc_context_union(
-        TypeContext((("x", a),)), TypeContext((("x", b), ("y", a)))
-    )
-    assert g.get("x") == dc_multi_union(a, b) and g.get("y") == a
+    g = contexts_union([TypeContext((("x", a),)), TypeContext((("x", b), ("y", a)))])
+    assert g.get("x") == multi_union(a, b) and g.get("y") == a
+
+
+def test_contexts_union_rejects_mixed_flavors():
+    plain = TypeContext((("y", MultiType((STAR,))),))
+    with pytest.raises(TypeError):
+        contexts_union([TypeContext((("x", M_STAR1),)), plain])
+    with pytest.raises(TypeError):
+        contexts_union([plain, TypeContext((("x", M_STAR1),)), plain])
 
 
 # ---------------------------------------------------------------- splits
@@ -343,6 +352,15 @@ def test_format_a_20000_deep_arrow_chain():
     assert format_multi(ClosureMulti((a, STAR), 2)) == f"[*,{text}]^2"
 
 
+def test_repr_of_a_20000_deep_arrow_chain():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    a = STAR
+    for _ in range(20_000):
+        a = Arrow(ClosureMulti((a,), 1), STAR)
+    assert repr(a) == "Arrow(arg=ClosureMulti(elems=(" * 20_000 + "Star()" + ",), index=1), res=Star())" * 20_000
+    assert pickle.loads(pickle.dumps(ARR)) is ARR
+
+
 # ---------------------------------------------------------------- properties
 
 def linears():
@@ -391,8 +409,8 @@ def test_context_union_commutative(ga, gb):
         d = TypeContext(tuple(gb))
     except ValueError:
         return  # duplicate names in the raw lists
-    assert context_union(g, d) == context_union(d, g)
-    assert size_context(context_union(g, d)) >= max(size_context(g), size_context(d))
+    assert contexts_union([g, d]) == contexts_union([d, g])
+    assert size_context(contexts_union([g, d])) >= max(size_context(g), size_context(d))
 
 
 @given(st.lists(
@@ -402,15 +420,20 @@ def test_context_union_commutative(ga, gb):
 @settings(max_examples=60)
 def test_contexts_union_is_the_folded_union(parts):
     gs = [TypeContext(tuple(entries.items())) for entries in parts]
-    try:
-        want = gs[0]
-        for g in gs[1:]:
-            want = context_union(want, g)
-    except NotSummable:
-        with pytest.raises(NotSummable):
-            contexts_union(gs)
-        return
-    assert contexts_union(gs) == want
+    # the reference: per variable, the index of its first part and the
+    # multiset of the elements of all its parts
+    index, elems = {}, {}
+    for g in gs:
+        for x, m in g.entries:
+            if index.setdefault(x, m.index) != m.index:
+                with pytest.raises(NotSummable, match=f"index of {x}"):
+                    contexts_union(gs)
+                return
+            elems.setdefault(x, Counter()).update(m.elems)
+    got = contexts_union(gs)
+    assert got.domain() == index.keys()
+    for x, m in got.entries:
+        assert m.index == index[x] and Counter(m.elems) == elems[x]
 
 
 def dc_linears():
