@@ -42,9 +42,9 @@ Rules, premises in stored order:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .hashcons import Table
+from .hashcons import Table, write_repr
 from .kam import Closure, MachState, Run
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
@@ -116,14 +116,55 @@ class Judgment:
     weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Derivation:
+    """A rule, its conclusion and its premise subtrees.  ==, hash and
+    repr work without recursion, however deep the tree."""
+
     rule: str
     conclusion: Judgment
     premises: tuple = ()
     # the time weight, kept by the extractor while it builds a space
     # derivation; not part of the judgment, so ==, repr and JSON skip it
-    time: int | None = field(default=None, compare=False, repr=False)
+    time: int | None = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        # one walk over pairs of nodes, each pair compared once, however
+        # deep or shared the trees are; both trees are held, so ids are stable
+        seen = set()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not Derivation or b.__class__ is not Derivation:
+                if a != b:
+                    return False
+                continue
+            if a.rule != b.rule or len(a.premises) != len(b.premises):
+                return False
+            if a.conclusion != b.conclusion:
+                return False
+            pairs.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self):
+        return hash((self.rule, self.conclusion, len(self.premises)))
+
+    def __repr__(self):
+        return write_repr(self, _repr_fields)
+
+
+def _repr_fields(x):
+    """The fields a dataclass repr of a derivation writes, per object."""
+    if x.__class__ is Derivation:
+        return ("rule", "conclusion", "premises")
+    if x.__class__ is Judgment:
+        return ("subject_kind", "subject", "context", "assigned", "weight")
+    return None
 
 
 @dataclass(frozen=True)
@@ -271,7 +312,7 @@ def _check_tvar(d, err, mode):
     if x != c.subject.name:
         err(f"TVar context binds {x}, subject is {c.subject.name}")
         return
-    if m.elems != (c.assigned,):
+    if m.pairs != ((c.assigned, 1),):
         err(
             f"TVar context multi {format_multi(m)} is not the singleton of "
             f"the assigned type {format_linear(c.assigned)}"
@@ -326,7 +367,7 @@ def _check_tlam2(d, err, mode):
     if p.subject != c.subject.body:
         err("TLam2 premise must type the abstraction body")
         return
-    if type(c.assigned) is not Arrow or c.assigned.arg.elems != ():
+    if type(c.assigned) is not Arrow or c.assigned.arg.pairs:
         err("TLam2 assigns an arrow with an empty source")
         return
     if p.assigned != c.assigned.res:
@@ -388,7 +429,7 @@ def _check_tnone(d, err, mode):
     if not _term_node(d, err, mode) or not _premise_kinds(d, err, ()):
         return
     c = d.conclusion
-    if type(c.assigned) is not ClosureMulti or c.assigned.elems != ():
+    if type(c.assigned) is not ClosureMulti or c.assigned.pairs:
         err("TNone assigns an empty multi type")
         return
     if not is_dry(c.context):
@@ -916,8 +957,8 @@ def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
 # "nodes"}}, each entry written once and referring by index only to
 # entries before it:
 #
-#   types     "*" | {"arg": i, "res": j} | {"elems": [i, ...], "k": k}
-#             | {"elems": [i, ...]}
+#   types     "*" | {"arg": i, "res": j} | {"multi": [[i, n], ...], "k": k}
+#             | {"multi": [[i, n], ...]}
 #   terms     {"var": x} | {"lam": x, "body": i} | {"app": [i, j]}
 #   closures  {"code": term, "env": [[x, closure], ...]}
 #   nodes     {"rule": r, "judgment": j, "premises": [node, ...]}
@@ -926,7 +967,9 @@ def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
 # derivation.  A judgment's subject is a term or closure index, an
 # environment [[x, closure], ...], or a state {"code", "env", "stack"}
 # of indices; its context maps names to type indices, and its type is a
-# type index, or a context for environment judgments.
+# type index, or a context for environment judgments.  A multi lists one
+# [type, count] pair per distinct element, in canonical order, with a
+# positive count, and "k" is the index of an indexed multi.
 
 
 class _TermTable(Table):

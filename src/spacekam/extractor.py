@@ -596,7 +596,7 @@ def extract(run: Run) -> Derivation:
 class _KClosure:
     # one term derivation per future use of the closure's code, plus the
     # typing of its environment
-    elems: list
+    uses: list
     env: "_KEnv"
 
 
@@ -611,7 +611,7 @@ def _kenv_merge(a: _KEnv, b: _KEnv) -> _KEnv:
     for x, kc in b.per_var.items():
         if x in per:
             per[x] = _KClosure(
-                per[x].elems + kc.elems, _kenv_merge(per[x].env, kc.env)
+                per[x].uses + kc.uses, _kenv_merge(per[x].env, kc.env)
             )
         else:
             per[x] = kc
@@ -654,7 +654,7 @@ def extract_kam(run: Run) -> Derivation:
             x = src.code.binder
             per = dict(env_t.per_var)
             kc = per.pop(x, _KClosure([], _KEnv({})))
-            m = MultiType(tuple(d.conclusion.assigned for d in kc.elems))
+            m = MultiType([d.conclusion.assigned for d in kc.uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
             cur = Derivation(
@@ -677,9 +677,9 @@ def extract_kam(run: Run) -> Derivation:
             kc = stack_t.pop()
             arrow = cur.conclusion.assigned
             assert type(arrow) is DCArrow, "function typing is not an arrow"
-            args = kc.elems
+            args = kc.uses
             assert arrow.arg == MultiType(
-                tuple(d.conclusion.assigned for d in args)
+                [d.conclusion.assigned for d in args]
             ), "argument uses disagree with the arrow source"
             ctx = contexts_union([cur.conclusion.context, *(d.conclusion.context for d in args)])
             w = cur.conclusion.weight + sum(d.conclusion.weight for d in args) + 1

@@ -10,25 +10,40 @@ Types are hash-consed on the intern table they share with terms
 (hashcons): constructing a type first looks it up under its class, its
 index and its children, which are interned already, so equal types are
 one object and `==` and `hash` are identity.  The table holds its types
-weakly; a type dies with the last derivation that uses it.  Each type
-stores its structural order key, built once from its children's stored
-keys: `(0,)` for the ground type, `(1, k, elem_keys, res_key)` for an
-indexed arrow and `(2, elem_keys, res_key)` for a plain one, where a
-multi's own key is its `elem_keys`.  Multi sets are tuples sorted
-under that key, so the canonical order, and with it every JSON file,
-does not depend on the order of creation.  Types are immutable.
+weakly; a type dies with the last derivation that uses it.  Types are
+immutable.
+
+A multi set of either flavor is stored as its multiplicity map: the
+tuple of its distinct elements, each paired with its count, so a multi
+with n elements of which d are distinct costs O(d) to build, to unite
+and to intern, and its file entry lists d pairs.  The pairs are sorted
+under the elements' order keys, so the canonical order, and with it
+every JSON file, does not depend on the order of creation.
+
+Each type stores its order key, worked out once from its children's
+stored keys: 0 for the ground type, so it sorts first, and for an
+indexed arrow 2**64 (a plain one 2**65) plus a 64-bit digest of its
+source's and target's keys; a multi's key digests its index and its
+pairs' keys and counts.  The digest is the hash of a tuple of integers,
+which a 64-bit CPython computes the same way in every run (only string
+hashing is salted), so keys depend on neither the run nor the order of
+creation, and comparing two keys compares two integers.  Distinct types
+share a key only on a digest collision; the order then compares them in
+full, with an explicit stack (_cmp), so no comparison of types
+recurses.
 
 A context maps variables to multis and is kept sorted by name.
 Contexts are summable when their indices agree on shared variables;
-the union then joins the multisets.  Note the difference between a
-variable missing from a context and one mapped to an empty multi: only
-the latter contributes its index to the context size.
+the union then adds up the multiplicities.  Note the difference between
+a variable missing from a context and one mapped to an empty multi:
+only the latter contributes its index to the context size.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .hashcons import TABLE, Interned, Table, store
 from .terms import is_name
@@ -42,7 +57,12 @@ class BadSplit(Exception):
     """The claimed parts do not rebuild the whole multiset."""
 
 
-_key = operator.attrgetter("key")
+_M64 = (1 << 64) - 1
+
+
+def _digest(*ints) -> int:
+    """A 64-bit digest of a tuple of integers, the same in every run."""
+    return hash(ints) & _M64
 
 
 class _Type(Interned):
@@ -55,34 +75,41 @@ class Star(_Type):
     __slots__ = ()
 
     def __new__(cls):
-        return TABLE.get((cls,)) or store((cls,), cls, key=(0,))
+        return TABLE.get((cls,)) or store((cls,), cls, key=0)
 
 
 STAR = Star()
 
 
-def _sorted_elems(elems, allowed, complaint):
-    es = tuple(elems)
-    if not allowed.issuperset(map(type, es)):
-        bad = next(a for a in es if type(a) not in allowed)
-        raise TypeError(f"{complaint}: {bad!r}")
-    return tuple(sorted(es, key=_key)) if len(es) > 1 else es
+class _Multi(_Type):
+    """A multi set of either flavor.  pairs holds its distinct elements,
+    each with its count, in canonical order."""
+
+    __slots__ = ()
+
+    @property
+    def elems(self) -> tuple:
+        """Every element as often as it occurs, in canonical order.  It is
+        built on each read and never stored, for inspection only."""
+        return tuple(a for a, n in self.pairs for _ in range(n))
+
+    def __reduce__(self):
+        # the constructors take elements, the slots hold pairs
+        return (_intern, (type(self), self.pairs, getattr(self, "index", None)))
 
 
-class ClosureMulti(_Type):
+class ClosureMulti(_Multi):
     """An indexed multi set [A1, ..., An]^k with k > 0, n >= 0."""
 
-    __slots__ = ("elems", "index")
+    __slots__ = ("pairs", "index")
 
     def __new__(cls, elems=(), index=1):
         index = operator.index(index)  # True and 1.0 would share 1's entry
         if index < 1:
             raise ValueError(f"multi type index must be positive, got {index}")
-        es = _sorted_elems(elems, _INDEXED, "indexed multi over a non-indexed element")
-        tk = (cls, index, es)
-        return TABLE.get(tk) or store(
-            tk, cls, elems=es, index=index, key=tuple(a.key for a in es)
-        )
+        pairs = _pairs(elems, _INDEXED)
+        tk = (cls, index, pairs)
+        return TABLE.get(tk) or _store_multi(tk, pairs, index)
 
 
 class Arrow(_Type):
@@ -95,19 +122,19 @@ class Arrow(_Type):
             raise TypeError(f"indexed arrow needs an indexed target: {res!r}")
         tk = (cls, arg, res)
         return TABLE.get(tk) or store(
-            tk, cls, arg=arg, res=res, key=(1, arg.index, arg.key, res.key)
+            tk, cls, arg=arg, res=res, key=(1 << 64) | _digest(arg.key, res.key)
         )
 
 
-class MultiType(_Type):
+class MultiType(_Multi):
     """A plain multi set [A1, ..., An], the de Carvalho flavor."""
 
-    __slots__ = ("elems",)
+    __slots__ = ("pairs",)
 
     def __new__(cls, elems=()):
-        es = _sorted_elems(elems, _PLAIN, "plain multi over an indexed element")
-        tk = (cls, es)
-        return TABLE.get(tk) or store(tk, cls, elems=es, key=tuple(a.key for a in es))
+        pairs = _pairs(elems, _PLAIN)
+        tk = (cls, pairs)
+        return TABLE.get(tk) or _store_multi(tk, pairs, None)
 
 
 class DCArrow(_Type):
@@ -119,16 +146,125 @@ class DCArrow(_Type):
         if not isinstance(res, (Star, DCArrow)):
             raise TypeError(f"plain arrow needs a plain target: {res!r}")
         tk = (cls, arg, res)
-        return TABLE.get(tk) or store(tk, cls, arg=arg, res=res, key=(2, arg.key, res.key))
+        return TABLE.get(tk) or store(
+            tk, cls, arg=arg, res=res, key=(2 << 64) | _digest(arg.key, res.key)
+        )
 
 
-_INDEXED = frozenset({Star, Arrow})
-_PLAIN = frozenset({Star, DCArrow})
 _MULTIS = (ClosureMulti, MultiType)
+# per flavor of multi, the classes of its elements and the complaint
+# about any other
+_INDEXED = (frozenset({Star, Arrow}), "indexed multi over a non-indexed element")
+_PLAIN = (frozenset({Star, DCArrow}), "plain multi over an indexed element")
 
 
-def type_key(a) -> tuple:
-    """Total order on types of either grammar, for canonical sorting."""
+def _intern(cls, pairs: tuple, index):
+    """The multi of class cls with canonical pairs pairs, at index for a
+    ClosureMulti (None for a MultiType)."""
+    tk = (cls, index, pairs) if cls is ClosureMulti else (cls, pairs)
+    return TABLE.get(tk) or _store_multi(tk, pairs, index)
+
+
+def _store_multi(tk, pairs: tuple, index):
+    # the multi under table key tk, not found there
+    if index is None:
+        return store(tk, tk[0], pairs=pairs, key=_digest(2, *_flat(pairs)))
+    return store(tk, tk[0], pairs=pairs, index=index, key=_digest(1, index, *_flat(pairs)))
+
+
+def _flat(pairs):
+    for a, n in pairs:
+        yield a.key
+        yield n
+
+
+def _pairs(elems, grammar) -> tuple:
+    """The canonical pairs of the elements elems of a multi of grammar
+    _INDEXED or _PLAIN."""
+    allowed, complaint = grammar
+    es = elems if type(elems) is tuple or type(elems) is list else tuple(elems)
+    if len(es) < 2:  # most multis: nothing to count or sort
+        if not es:
+            return ()
+        if type(es[0]) not in allowed:
+            raise TypeError(f"{complaint}: {es[0]!r}")
+        return ((es[0], 1),)
+    if not allowed.issuperset(map(type, es)):
+        bad = next(a for a in es if type(a) not in allowed)
+        raise TypeError(f"{complaint}: {bad!r}")
+    # sorted by key, equal elements are runs
+    pairs = []
+    prev, n = None, 0
+    for a in sorted(es, key=_KEY):
+        if a is prev:
+            n += 1
+            continue
+        if prev is not None:
+            if a.key == prev.key:  # a digest collision: count, then order in full
+                counts: dict = {}
+                for b in es:
+                    counts[b] = counts.get(b, 0) + 1
+                return _canonical(counts)
+            pairs.append((prev, n))
+        prev, n = a, 1
+    pairs.append((prev, n))
+    return tuple(pairs)
+
+
+def _canonical(counts: dict) -> tuple:
+    """The pairs (element, count) of counts in canonical order."""
+    ps = tuple(counts.items())
+    if len(ps) < 3:  # most multis: nothing to sort, or one swap
+        if len(ps) < 2 or ps[0][0].key < ps[1][0].key:
+            return ps
+        if ps[0][0].key > ps[1][0].key:
+            return (ps[1], ps[0])
+    es = sorted(counts, key=_KEY)
+    for a, b in zip(es, es[1:]):
+        if a.key == b.key:  # a digest collision: order in full
+            es.sort(key=_IN_FULL)
+            break
+    return tuple([(a, counts[a]) for a in es])
+
+
+_KEY = operator.attrgetter("key")
+
+
+def _cmp(a, b) -> int:
+    """-1, 0 or 1 as type a comes before, is, or comes after type b of
+    the same grammar.  Keys decide; on equal keys, a digest collision,
+    an arrow is compared by its source and then its target, and a multi
+    by its index, then its pairs in order (element, then count), then
+    their number.  Iterative: nesting depth is not limited by the
+    interpreter's recursion limit."""
+    work = [(a, b)]
+    while work:
+        x, y = work.pop()
+        if x is y:
+            continue
+        if type(x) is int:  # an index, a count or a number of pairs
+            if x != y:
+                return -1 if x < y else 1
+            continue
+        if x.key != y.key:
+            return -1 if x.key < y.key else 1
+        if type(x) is Arrow or type(x) is DCArrow:
+            work += ((x.res, y.res), (x.arg, y.arg))
+            continue
+        work.append((len(x.pairs), len(y.pairs)))
+        for (p, m), (q, n) in reversed(list(zip(x.pairs, y.pairs))):
+            work += ((m, n), (p, q))
+        if type(x) is ClosureMulti:
+            work.append((x.index, y.index))
+    return 0
+
+
+_IN_FULL = cmp_to_key(_cmp)
+
+
+def type_key(a) -> int:
+    """The order key of a type of either grammar: the canonical order of
+    types whose keys differ."""
     if isinstance(a, (Star, Arrow, DCArrow)):
         return a.key
     raise TypeError(f"not a type: {a!r}")
@@ -208,7 +344,7 @@ def size_context(g: TypeContext) -> int:
 
 def is_dry(g: TypeContext) -> bool:
     """Every image an empty multi (the indices are unconstrained)."""
-    return all(type(m) is ClosureMulti and not m.elems for _, m in g.entries)
+    return all(type(m) is ClosureMulti and not m.pairs for _, m in g.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +367,17 @@ def summable(g: TypeContext, d: TypeContext) -> bool:
 def contexts_union(contexts: list) -> TypeContext:
     """The union of a list of contexts, all indexed or all plain, in one
     pass: a variable in one part keeps its multi, and the multi of a
-    variable in several is built once, from the elements of all its
-    parts.  Indexed parts must agree on the index of every shared
-    variable."""
+    variable in several is built once, by adding up the counts of its
+    parts, in time linear in their numbers of distinct elements.
+    Indexed parts must agree on the index of every shared variable."""
     if len(contexts) == 1:
         return contexts[0]
     flavor = None
-    first: dict = {}  # each variable's multi in the first part that has it
-    more: dict = {}  # the elements of every part, for a variable in several
+    # each variable's multi in the first part that has elements for it
+    # (else in the first part that has it), and its summed counts when
+    # several parts have elements for it
+    first: dict = {}
+    more: dict = {}
     for g in contexts:
         for x, m in g.entries:
             if type(m) is not flavor:
@@ -251,37 +390,41 @@ def contexts_union(contexts: list) -> TypeContext:
                 continue
             if flavor is ClosureMulti and a.index != m.index:
                 raise NotSummable(f"contexts disagree on the index of {x}: {a.index} vs {m.index}")
-            more.setdefault(x, list(a.elems)).extend(m.elems)
-    for x, es in more.items():
-        m = first[x]
-        first[x] = ClosureMulti(es, m.index) if flavor is ClosureMulti else MultiType(es)
+            if not m.pairs:
+                continue
+            counts = more.get(x)
+            if counts is None:
+                if not a.pairs:  # an empty multi is the unit
+                    first[x] = m
+                    continue
+                counts = more[x] = dict(a.pairs)
+            for b, n in m.pairs:
+                counts[b] = counts.get(b, 0) + n
+    for x, counts in more.items():
+        first[x] = _intern(flavor, _canonical(counts), getattr(first[x], "index", None))
     return TypeContext(tuple(first.items()))
 
 
 def split_multi(whole: ClosureMulti, left: ClosureMulti, right: ClosureMulti) -> tuple:
-    """Witness that whole = left + right as multisets at one index.
-
-    The witness tags each element of whole, in canonical order, with the
-    part it came from.  Equal elements are interchangeable, so a greedy
-    match over the sorted tuples is complete.
-    """
+    """Witness that whole = left + right as multisets at one index: for
+    each pair (A, n) of whole, in canonical order, the counts (l, r) of
+    A in left and in right, with l + r = n."""
     if left.index != whole.index or right.index != whole.index:
         raise BadSplit(
             f"indices disagree: whole {whole.index}, "
             f"left {left.index}, right {right.index}"
         )
-    li = ri = 0
+    lc, rc = dict(left.pairs), dict(right.pairs)
     witness = []
-    for a in whole.elems:
-        if li < len(left.elems) and left.elems[li] == a:
-            witness.append("L")
-            li += 1
-        elif ri < len(right.elems) and right.elems[ri] == a:
-            witness.append("R")
-            ri += 1
-        else:
-            raise BadSplit(f"element {format_linear(a)} of the whole is in neither part")
-    if li != len(left.elems) or ri != len(right.elems):
+    for a, n in whole.pairs:
+        l, r = lc.pop(a, 0), rc.pop(a, 0)
+        if l + r != n:
+            raise BadSplit(
+                f"element {format_linear(a)} occurs {n} times in the whole, "
+                f"{l} + {r} times in the parts"
+            )
+        witness.append((l, r))
+    if lc or rc:
         raise BadSplit("parts have elements beyond the whole")
     return tuple(witness)
 
@@ -302,15 +445,16 @@ def json_index(v, n: int) -> int:
 
 class TypeTable(Table):
     """Encoder for the type table of a derivation file: "*",
-    {"arg": i, "res": j}, {"elems": [i, ...], "k": k} for an indexed
-    multi and {"elems": [i, ...]} for a plain one."""
+    {"arg": i, "res": j}, {"multi": [[i, n], ...], "k": k} for an
+    indexed multi and {"multi": [[i, n], ...]} for a plain one, one pair
+    [element, count] per distinct element, in canonical order."""
 
     @staticmethod
     def children(a) -> tuple:
         if type(a) is Arrow or type(a) is DCArrow:
             return (a.arg, a.res)
         if type(a) is ClosureMulti or type(a) is MultiType:
-            return a.elems
+            return tuple(b for b, _ in a.pairs)
         return ()
 
     @staticmethod
@@ -320,9 +464,9 @@ class TypeTable(Table):
         if type(a) is Arrow or type(a) is DCArrow:
             return {"arg": at[a.arg], "res": at[a.res]}
         if type(a) is ClosureMulti:
-            return {"elems": [at[c] for c in a.elems], "k": a.index}
+            return {"multi": [[at[b], n] for b, n in a.pairs], "k": a.index}
         if type(a) is MultiType:
-            return {"elems": [at[c] for c in a.elems]}
+            return {"multi": [[at[b], n] for b, n in a.pairs]}
         raise TypeError(f"not a type: {a!r}")
 
 
@@ -384,21 +528,43 @@ def _type_entry(e, done):
             except TypeError as ex:  # a target of the other grammar
                 raise ValueError(str(ex)) from None
             raise ValueError(f"arrow source must be a multi type: {arg!r}")
-        if keys == {"elems"} or keys == {"elems", "k"}:
-            if not isinstance(e["elems"], list):
-                raise ValueError(f"elems must be a list of indices: {e['elems']!r}")
-            n = len(done)
-            elems = tuple(done[json_index(j, n)] for j in e["elems"])
+        if keys == {"multi"} or keys == {"multi", "k"}:
             k = e.get("k")
             if "k" in keys and (type(k) is not int or k < 1):
                 raise ValueError(f"multi type index must be a positive integer: {k!r}")
-            try:
-                return MultiType(elems) if k is None else ClosureMulti(elems, k)
-            except TypeError as ex:  # elements of the other grammar
-                raise ValueError(str(ex)) from None
-            except RecursionError:  # sorting compares the elements' nested keys
-                raise ValueError("multi elements nested too deep to order") from None
+            cls, grammar = (MultiType, _PLAIN) if k is None else (ClosureMulti, _INDEXED)
+            return _intern(cls, _canonical(_counts_from_json(e["multi"], done, grammar)), k)
+        if "elems" in keys:
+            raise ValueError(
+                'a multi lists [type, count] pairs under "multi"; '
+                'an "elems" list is an older format'
+            )
     raise ValueError(f"not a type: {e!r}")
+
+
+def _counts_from_json(pairs, done, grammar) -> dict:
+    """The counts of the [type, count] pairs of an entry for a multi of
+    grammar _INDEXED or _PLAIN, over the types decoded so far; each type
+    listed once."""
+    allowed, complaint = grammar
+    if not isinstance(pairs, list):
+        raise ValueError(f"multi must be a list of [type, count] pairs: {pairs!r}")
+    counts: dict = {}
+    listed = set()
+    for p in pairs:
+        if type(p) is not list or len(p) != 2:
+            raise ValueError(f"multi pairs are [type, count] lists, found {p!r}")
+        j, n = p
+        a = done[json_index(j, len(done))]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"multi count must be a positive integer: {n!r}")
+        if j in listed:
+            raise ValueError(f"multi lists type {j} twice")
+        listed.add(j)
+        if type(a) not in allowed:
+            raise ValueError(f"{complaint}: {a!r}")
+        counts[a] = counts.get(a, 0) + n
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +582,11 @@ def _format(a) -> str:
             out.append("*")
         elif type(x) is Arrow or type(x) is DCArrow:
             work += (x.res, " -> ", x.arg)
-        else:
-            parts = [","] * (2 * len(x.elems) - 1) if x.elems else []
-            parts[::2] = x.elems
-            work += (f"]^{x.index}" if type(x) is ClosureMulti else "]", *reversed(parts), "[")
+        else:  # a multi: each element as often as it occurs
+            items = []
+            for b, n in x.pairs:
+                items += [",", b] * n
+            work += (f"]^{x.index}" if type(x) is ClosureMulti else "]", *reversed(items[1:]), "[")
     return "".join(out)
 
 

@@ -134,10 +134,23 @@ CASES = [
     ("term-string", term_file, lambda o: _add(o, "terms", "x"),
      r"root: tables\.terms\[\d+\]: not a term"),
     ("type-forward", term_file,
-     lambda o: _add(o, "types", {"elems": [len(o["tables"]["types"])], "k": 1}),
+     lambda o: _add(o, "types", {"multi": [[len(o["tables"]["types"]), 1]], "k": 1}),
      r"root: tables\.types\[(\d+)\]: index \1 is outside \[0, \1\)"),
-    ("type-k-bool", term_file, lambda o: _add(o, "types", {"elems": [], "k": True}),
+    ("type-k-bool", term_file, lambda o: _add(o, "types", {"multi": [], "k": True}),
      r"root: tables\.types\[\d+\]: multi type index must be a positive integer"),
+    ("type-count-zero", term_file, lambda o: _add(o, "types", {"multi": [[0, 0]], "k": 1}),
+     r"root: tables\.types\[\d+\]: multi count must be a positive integer: 0$"),
+    ("type-count-bool", term_file, lambda o: _add(o, "types", {"multi": [[0, True]], "k": 1}),
+     r"root: tables\.types\[\d+\]: multi count must be a positive integer: True$"),
+    ("type-count-negative", term_file, lambda o: _add(o, "types", {"multi": [[0, -2]]}),
+     r"root: tables\.types\[\d+\]: multi count must be a positive integer: -2$"),
+    ("type-pair-arity", term_file, lambda o: _add(o, "types", {"multi": [[0, 1, 1]], "k": 1}),
+     r"root: tables\.types\[\d+\]: multi pairs are \[type, count\] lists, found \[0, 1, 1\]$"),
+    ("type-pair-twice", term_file, lambda o: _add(o, "types", {"multi": [[0, 1], [0, 2]], "k": 1}),
+     r"root: tables\.types\[\d+\]: multi lists type 0 twice$"),
+    ("type-old-elems", term_file, lambda o: _add(o, "types", {"elems": [0], "k": 1}),
+     r"root: tables\.types\[\d+\]: a multi lists \[type, count\] pairs under \"multi\"; "
+     r"an \"elems\" list is an older format$"),
     ("closure-code", state_file,
      _last("closures", lambda e, i: e.update(code=-1)),
      r"root: tables\.closures\[\d+\]: index -1 is outside"),
@@ -226,7 +239,7 @@ def m_drop_many_premise(o):
 
 
 def m_lamstar_type(o):
-    node_at(o, P_TLAMSTAR)["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
+    node_at(o, P_TLAMSTAR)["judgment"]["type"] = _add(o, "types", {"multi": [], "k": 1})
     return P_TLAMSTAR
 
 
@@ -245,7 +258,7 @@ def m_arrow_source(o):
 
 
 def m_root_type(o):
-    node_at(o, ())["judgment"]["type"] = _add(o, "types", {"elems": [], "k": 1})
+    node_at(o, ())["judgment"]["type"] = _add(o, "types", {"multi": [], "k": 1})
     return ()
 
 
@@ -255,11 +268,21 @@ def m_many_index(o):
     return P_TMANY
 
 
+def m_many_count(o):
+    # one more copy of the first element of the TMany multi than its
+    # premises give
+    j = node_at(o, P_TMANY)["judgment"]
+    t = _type_at(o, j["type"])
+    pairs = [[i, n + (k == 0)] for k, (i, n) in enumerate(t["multi"])]
+    j["type"] = _add(o, "types", {**t, "multi": pairs})
+    return P_TMANY
+
+
 MUTATIONS = [
     m_root_weight, m_leaf_weight, m_leaf_subject, m_context_key,
     m_none_index, m_root_rule, m_unknown_rule_weight,
     m_drop_many_premise, m_lamstar_type, m_swap_root_premises,
-    m_arrow_source, m_root_type, m_many_index,
+    m_arrow_source, m_root_type, m_many_index, m_many_count,
 ]
 # the mutations that leave the tree's structure intact
 WEIGHT_MUTATIONS = [m_root_weight, m_leaf_weight, m_unknown_rule_weight]

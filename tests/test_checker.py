@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import pytest
 from derivation_files import (
@@ -505,14 +506,14 @@ def test_json_subjects_and_types_are_table_indices(example_space_derivation):
     assert term(root["judgment"]["subject"]) == r"((\x.((\y.((\z.x) (x y))) x)) (\a.a))"
     assert types[root["judgment"]["type"]] == "*"
     many = types[nodes[root["premises"][1]]["judgment"]["type"]]
-    assert many == {"elems": [types.index("*")], "k": 1}
+    assert many == {"multi": [[types.index("*"), 1]], "k": 1}
     assert tables["closures"] == []  # term judgments only
     # every entry refers only to entries before it
     for i, e in enumerate(terms):
         assert all(j < i for j in ([e["body"]] if "lam" in e else e.get("app", [])))
     for i, e in enumerate(types):
         if e != "*":
-            refs = e.get("elems", []) + [e[k] for k in ("arg", "res") if k in e]
+            refs = [j for j, _ in e.get("multi", [])] + [e[k] for k in ("arg", "res") if k in e]
             assert all(j < i for j in refs)
     for i, e in enumerate(nodes):
         assert all(j < i for j in e["premises"])
@@ -620,10 +621,10 @@ def test_terms_decoded_from_a_file_are_the_runs_own(example_term, example_skam):
     assert derivation_from_json(derivation_to_json(extract(example_skam))).conclusion.subject is example_term
 
 
-def _chain(depth):
+def _chain(depth, bottom_weight=0):
     """A premise chain depth nodes deep: TLam1 over TLam1 ... over TLamStar."""
     ident = parse_term(r"\a.a")
-    d = Derivation(R_LAM_STAR, Judgment("term", ident, EMPTY_CONTEXT, STAR, 0))
+    d = Derivation(R_LAM_STAR, Judgment("term", ident, EMPTY_CONTEXT, STAR, bottom_weight))
     for i in range(depth - 1):
         d = Derivation(R_LAM1, Judgment("term", ident, EMPTY_CONTEXT, STAR, i + 1), (d,))
     return d
@@ -642,6 +643,37 @@ def test_json_roundtrip_of_a_deep_chain_needs_no_recursion():
             break
         a, b = a.premises[0], b.premises[0]
     assert n == 20_000
+
+
+def test_eq_hash_and_repr_of_a_20000_deep_chain_need_no_recursion():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    depth = 20_000
+    a, b = _chain(depth), _chain(depth)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _chain(depth, bottom_weight=1)  # differs only at the bottom
+    ident = parse_term(r"\a.a")
+
+    def judgment(w):  # a dataclass repr, the reference text
+        return repr(Judgment("term", ident, EMPTY_CONTEXT, STAR, w))
+
+    levels = [
+        f"Derivation(rule='TLam1', conclusion={judgment(w)}, premises=("
+        for w in range(depth - 1, 0, -1)
+    ]
+    assert repr(a) == "".join(levels) + repr(_chain(1)) + ",))" * (depth - 1)
+    assert repr(_chain(1)) == f"Derivation(rule='TLamStar', conclusion={judgment(0)}, premises=())"
+
+
+def test_derivation_eq_ignores_time_and_compares_shared_subtrees_once():
+    leaf = _chain(1)
+    twin = Derivation(leaf.rule, leaf.conclusion, (), time=7)
+    assert twin == leaf and hash(twin) == hash(leaf) and repr(twin) == repr(leaf)
+    j = Judgment("term", parse_term(r"\a.a"), EMPTY_CONTEXT, STAR, 0)
+    # node i holds node i-1 twice: 2**60 places, 61 pairs to compare
+    a, b = leaf, twin
+    for _ in range(60):
+        a, b = Derivation(R_LAM1, j, (a, a)), Derivation(R_LAM1, j, (b, b))
+    assert a == b and a != Derivation(R_LAM1, j, (a, leaf))
 
 
 def test_a_derivation_20000_deep_round_trips_as_text_and_checks():

@@ -342,3 +342,28 @@ def test_extraction_laws_on_random_terms(seed):
     kd = extract_kam(krun)
     assert check(kd, "kam").ok
     assert kd.conclusion.weight == krun.transitions
+
+
+def _binder_multi(d, rule, binder):
+    """The arrow source of the first node of rule over an abstraction of
+    binder, in an iterative walk of d."""
+    todo = [d]
+    while todo:
+        n = todo.pop()
+        if n.rule == rule and n.conclusion.subject.binder == binder:
+            return n.conclusion.assigned.arg
+        todo.extend(n.premises)
+    raise LookupError(binder)
+
+
+def test_a_church_numerals_binder_multi_stores_only_its_distinct_elements():
+    # c_1024's binder f is used 1,024 times, at no more than two types
+    n = 1024
+    t = parse_term(r"(\f.\x." + "f (" * n + "x" + ")" * n + r") (\a.a) (\b.b)")
+    for d, rule in (
+        (extract(skam_run(compile(t), 10_000)), "TLam1"),
+        (extract_kam(kam_run(compile(t), 10_000)), "DC_TLam"),
+    ):
+        m = _binder_multi(d, rule, "f")
+        assert len(m.pairs) <= 2
+        assert sum(k for _, k in m.pairs) == len(m.elems) == n

@@ -1,3 +1,5 @@
+import copy
+import functools
 import gc
 import json
 from collections import Counter
@@ -8,6 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spacekam.types as types_module
 from spacekam.types import (
     EMPTY_CONTEXT,
     STAR,
@@ -220,8 +223,9 @@ def test_split_multi_witness():
     whole = ClosureMulti((STAR, STAR, ARR), 2)
     left = ClosureMulti((STAR, ARR), 2)
     right = ClosureMulti((STAR,), 2)
-    w = split_multi(whole, left, right)
-    assert len(w) == 3 and w.count("L") == 2 and w.count("R") == 1
+    # one (left, right) count pair per distinct element of whole: * and ARR
+    assert whole.pairs == ((STAR, 2), (ARR, 1))
+    assert split_multi(whole, left, right) == ((1, 1), (1, 0))
 
 
 def test_split_multi_rejects_wrong_parts():
@@ -257,7 +261,7 @@ def test_multi_json_distinguishes_grammars():
     table = TypeTable()
     assert table.add(M_STAR1) == 1
     assert table.add(MultiType((STAR,))) == 2
-    assert table.entries == ["*", {"elems": [0], "k": 1}, {"elems": [0]}]
+    assert table.entries == ["*", {"multi": [[0, 1]], "k": 1}, {"multi": [[0, 1]]}]
     assert types_from_json(table.entries) == [STAR, M_STAR1, MultiType((STAR,))]
 
 
@@ -275,34 +279,43 @@ def test_type_table_enters_each_type_once_children_first():
 def test_multi_from_json_rejects_bad_indices():
     for k in (0, -1, True, "2", 1.0, None):
         with pytest.raises(ValueError, match=r"types\[0\]: multi type index"):
-            types_from_json([{"elems": [], "k": k}])
+            types_from_json([{"multi": [], "k": k}])
     with pytest.raises(ValueError, match=r"types\[0\]: not a type"):
-        types_from_json([{"elems": [], "k": 2, "extra": 1}])
+        types_from_json([{"multi": [], "k": 2, "extra": 1}])
 
 
 @pytest.mark.parametrize(
     "entries, message",
     [
         (["*", {"arg": True, "res": 0}], r"types\[1\]: index must be an integer"),
-        (["*", {"elems": [0, False], "k": 1}], r"types\[1\]: index must be an integer"),
-        (["*", {"elems": [0.0]}], r"types\[1\]: index must be an integer"),
-        (["*", {"elems": ["0"]}], r"types\[1\]: index must be an integer"),
-        (["*", {"elems": [-1]}], r"types\[1\]: index -1 is outside \[0, 1\)"),
-        (["*", {"elems": [1]}], r"types\[1\]: index 1 is outside"),
-        ([{"elems": [0]}], r"types\[0\]: index 0 is outside \[0, 0\)"),
-        (["*", {"elems": 5, "k": 1}], r"types\[1\]: elems must be a list"),
+        (["*", {"multi": [[0, 1], [False, 1]], "k": 1}], r"types\[1\]: index must be an integer"),
+        (["*", {"multi": [[0.0, 1]]}], r"types\[1\]: index must be an integer"),
+        (["*", {"multi": [["0", 1]]}], r"types\[1\]: index must be an integer"),
+        (["*", {"multi": [[-1, 1]]}], r"types\[1\]: index -1 is outside \[0, 1\)"),
+        (["*", {"multi": [[1, 1]]}], r"types\[1\]: index 1 is outside"),
+        ([{"multi": [[0, 1]]}], r"types\[0\]: index 0 is outside \[0, 0\)"),
+        (["*", {"multi": 5, "k": 1}], r"types\[1\]: multi must be a list"),
         (["*", {"arg": 0, "res": 0}], r"types\[1\]: arrow source must be a multi"),
-        (["*", {"elems": []}, {"arg": 1, "res": 1}], r"types\[2\]: .*target"),
-        (["*", {"elems": []}, {"arg": 1, "res": 0}, {"elems": [2], "k": 1}],
+        (["*", {"multi": []}, {"arg": 1, "res": 1}], r"types\[2\]: .*target"),
+        (["*", {"multi": []}, {"arg": 1, "res": 0}, {"multi": [[2, 1]], "k": 1}],
          r"types\[3\]: indexed multi over a non-indexed"),
-        (["*", {"elems": [], "k": 1}, {"arg": 1, "res": 0}, {"elems": []},
+        (["*", {"multi": [], "k": 1}, {"arg": 1, "res": 0}, {"multi": []},
           {"arg": 3, "res": 2}], r"types\[4\]: plain arrow needs a plain target"),
         (["+"], r"types\[0\]: not a type"),
         ({"0": "*"}, "types must be a list"),
+        (["*", {"multi": [[0, 0]], "k": 1}], r"types\[1\]: multi count must be a positive integer: 0"),
+        (["*", {"multi": [[0, True]]}], r"types\[1\]: multi count must be a positive integer: True"),
+        (["*", {"multi": [[0, 1.0]]}], r"types\[1\]: multi count must be a positive integer: 1\.0"),
+        (["*", {"multi": [[0, -1]]}], r"types\[1\]: multi count must be a positive integer: -1"),
+        (["*", {"multi": [0, 1]}], r"types\[1\]: multi pairs are \[type, count\] lists, found 0"),
+        (["*", {"multi": [[0]]}], r"types\[1\]: multi pairs are \[type, count\] lists"),
+        (["*", {"multi": [[0, 1], [0, 1]]}], r"types\[1\]: multi lists type 0 twice"),
+        (["*", {"elems": [0], "k": 1}], r"types\[1\]: a multi lists \[type, count\] pairs"),
     ],
     ids=["bool", "bool-elem", "float", "string", "negative", "forward", "self",
          "elems-int", "arrow-from-star", "arrow-to-multi", "mixed-multi", "mixed-arrow",
-         "unknown", "not-a-list"],
+         "unknown", "not-a-list", "count-zero", "count-bool", "count-float", "count-negative",
+         "pair-not-a-list", "pair-arity", "listed-twice", "old-elems"],
 )
 def test_type_table_rejects_bad_entries(entries, message):
     with pytest.raises(ValueError, match=message):
@@ -357,7 +370,9 @@ def test_repr_of_a_20000_deep_arrow_chain():
     a = STAR
     for _ in range(20_000):
         a = Arrow(ClosureMulti((a,), 1), STAR)
-    assert repr(a) == "Arrow(arg=ClosureMulti(elems=(" * 20_000 + "Star()" + ",), index=1), res=Star())" * 20_000
+    assert repr(a) == (
+        "Arrow(arg=ClosureMulti(pairs=((" * 20_000 + "Star()" + ", 1),), index=1), res=Star())" * 20_000
+    )
     assert pickle.loads(pickle.dumps(ARR)) is ARR
 
 
@@ -397,7 +412,8 @@ def test_multi_union_associative(a, b, c):
 def test_split_roundtrips_union(a, b):
     whole = multi_union(a, b)
     w = split_multi(whole, a, b)
-    assert w.count("L") == len(a.elems) and w.count("R") == len(b.elems)
+    assert len(w) == len(whole.pairs)
+    assert sum(l for l, _ in w) == len(a.elems) and sum(r for _, r in w) == len(b.elems)
 
 
 @given(st.lists(st.tuples(st.sampled_from("xyzw"), multis(1)), max_size=4),
@@ -446,14 +462,20 @@ def dc_linears():
     )
 
 
+M64 = (1 << 64) - 1
+
+
 def reference_key(a):
-    """The structural order as a recursive walk; it fixes the JSON order."""
+    """The order key as a recursive walk: the ground type's 0 sorts
+    first; an arrow's key digests its source multi's key, which digests
+    the multi's index and its pairs, and its target's key."""
     if type(a) is Star:
-        return (0,)
-    elem_keys = tuple(reference_key(b) for b in a.arg.elems)
+        return 0
+    m = a.arg
+    flat = [x for b, n in m.pairs for x in (reference_key(b), n)]
     if type(a) is Arrow:
-        return (1, a.arg.index, elem_keys, reference_key(a.res))
-    return (2, elem_keys, reference_key(a.res))
+        return (1 << 64) | (hash((hash((1, m.index, *flat)) & M64, reference_key(a.res))) & M64)
+    return (2 << 64) | (hash((hash((2, *flat)) & M64, reference_key(a.res))) & M64)
 
 
 def rebuild(a):
@@ -471,8 +493,8 @@ def rebuild(a):
 def test_stored_key_is_the_structural_key(a):
     assert a.key == reference_key(a)
     assert type_key(a) is a.key
-    keys = [reference_key(b) for b in a.arg.elems] if type(a) is not Star else []
-    assert keys == sorted(keys)
+    keys = [reference_key(b) for b, _ in a.arg.pairs] if type(a) is not Star else []
+    assert keys == sorted(set(keys))  # distinct elements, strictly in key order
 
 
 @given(st.one_of(linears(), dc_linears()))
@@ -492,10 +514,105 @@ def test_multi_is_one_object_whatever_the_order(a, b, k):
 
 @given(st.one_of(linears(), dc_linears()))
 @settings(max_examples=150)
-def test_key_holds_the_stored_keys_of_the_children(a):
+def test_key_is_a_digest_of_the_stored_keys_of_the_children(a):
     if type(a) is Star:
+        assert a.key == 0
         return
     m, r = a.arg, a.res
-    assert a.key[-1] is r.key
-    assert a.key[-2] is m.key
-    assert all(k is b.key for k, b in zip(m.key, m.elems))
+    assert a.key == (1 << 64 if type(a) is Arrow else 2 << 64) | types_module._digest(m.key, r.key)
+    flat = [x for b, n in m.pairs for x in (b.key, n)]
+    index = (m.index,) if type(m) is ClosureMulti else ()
+    assert m.key == types_module._digest(1 if index else 2, *index, *flat)
+    assert a.key > STAR.key  # the ground type sorts first
+
+
+@given(st.lists(linears(), max_size=6), st.integers(1, 3))
+@settings(max_examples=150)
+def test_a_multi_is_the_counter_of_its_elements(es, k):
+    m = ClosureMulti(es, k)
+    assert dict(m.pairs) == Counter(es) and m.index == k
+    assert [b.key for b, _ in m.pairs] == sorted({b.key for b in es})
+    assert m.elems == tuple(b for b, n in m.pairs for _ in range(n))
+    assert ClosureMulti(reversed(es), k) is m and ClosureMulti(m.elems, k) is m
+    plain = MultiType(map(plain_of, es))
+    assert dict(plain.pairs) == Counter(map(plain_of, es))
+
+
+def plain_of(a):
+    """The plain type of an indexed one: its indices forgotten."""
+    if type(a) is Star:
+        return a
+    return DCArrow(MultiType(plain_of(b) for b in a.arg.elems), plain_of(a.res))
+
+
+@given(st.booleans(), st.lists(
+    st.tuples(st.lists(linears(), max_size=3), st.integers(1, 2)), min_size=1, max_size=4,
+))
+@settings(max_examples=150)
+def test_contexts_union_adds_counters(plain, parts):
+    # the multis of x in each part, against the Counter sum of their
+    # elements; indexed parts at different indices do not sum
+    if plain:
+        parts = [([plain_of(b) for b in es], None) for es, _ in parts]
+        gs = [TypeContext((("x", MultiType(es)),)) for es, _ in parts]
+    else:
+        gs = [TypeContext((("x", ClosureMulti(es, k)),)) for es, k in parts]
+    if len({k for _, k in parts}) > 1:
+        for order in (gs, gs[::-1]):
+            with pytest.raises(NotSummable, match="index of x"):
+                contexts_union(order)
+        return
+    got = contexts_union(gs).get("x")
+    assert dict(got.pairs) == sum((Counter(es) for es, _ in parts), Counter())
+    assert getattr(got, "index", None) == parts[0][1]
+    assert contexts_union(gs[::-1]).get("x") is got  # commutative
+    left = functools.reduce(lambda g, d: contexts_union([g, d]), gs)
+    right = functools.reduce(lambda d, g: contexts_union([g, d]), reversed(gs))
+    assert left.get("x") is got and right.get("x") is got  # associative
+
+
+def test_copies_of_a_multi_are_the_interned_multi():
+    for m in (ClosureMulti((STAR, ARR, STAR), 3), MultiType((STAR, STAR)), M_EMPTY1, MultiType(())):
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        assert pickle.loads(pickle.dumps(m)) is m
+
+
+def _chain(bottom, depth, index):
+    a = bottom
+    for _ in range(depth):
+        a = Arrow(ClosureMulti((a,), index), STAR)
+    return a
+
+
+def test_a_multi_of_two_deep_unequal_chains_needs_no_recursion():
+    # two 2,000-deep chains that differ only at the bottom: their keys
+    # are integers, so ordering the multi compares two numbers
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    a = _chain(STAR, 2_000, 1)
+    b = _chain(Arrow(ClosureMulti((), 2), STAR), 2_000, 1)
+    m = ClosureMulti((a, b, a), 1)
+    assert m is ClosureMulti((b, a, a), 1)
+    assert dict(m.pairs) == {a: 2, b: 1}
+    assert table_roundtrip(Arrow(m, STAR)).arg is m
+
+
+def test_a_digest_collision_is_ordered_in_full(monkeypatch):
+    # with every digest alike, all arrows share one key, and the order
+    # compares structure: an arrow by its source multi (index, then
+    # pairs, then their number) and then its target, without recursion
+    monkeypatch.setattr(types_module, "_digest", lambda *ints: 7)
+    b = Arrow(ClosureMulti((), 11), STAR)
+    c = Arrow(ClosureMulti((STAR,), 11), STAR)
+    d = Arrow(ClosureMulti((STAR, STAR), 11), STAR)
+    a = Arrow(ClosureMulti((), 12), STAR)
+    assert a.key == b.key == c.key == d.key
+    m = ClosureMulti((a, d, b, c, a), 13)
+    assert m.pairs == ((b, 1), (c, 1), (d, 1), (a, 2))
+    assert ClosureMulti((c, a, b, a, d), 13) is m
+    assert sys.getrecursionlimit() <= 10_000
+    x = _chain(STAR, 2_000, 14)
+    y = _chain(b, 2_000, 14)
+    assert x.key == y.key
+    assert ClosureMulti((y, x), 15).pairs == ((x, 1), (y, 1))  # * before any arrow
+    assert types_module._cmp(y, x) == 1 and types_module._cmp(x, x) == 0
