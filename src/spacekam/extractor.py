@@ -46,16 +46,20 @@ opening keep explicit stacks, so closure nesting depth is not limited
 by the recursion limit.
 
 extract_kam does the same backward walk over a plain machine run with
-the unindexed rules.  There the environment and stack typings are not
-judgments of record, just per-variable bags of term derivations, one
-per future use of each closure; every transition mints exactly one
+the unindexed rules and the same bags: a sub makes a one-use bag of the
+code typing with the target's environment typing, typings of a shared
+name join in O(1), a beta opens the binder's bag into the arrow source
+and the stack top, and the sea that pushed the closure folds the
+bag's environment typings back into the state's, name by name.  Its
+environment and stack typings are not judgments of record, so its bags
+carry no closure and no weight; every transition mints exactly one
 weighted node and every minted node lands in the final tree exactly
-once, so the root weight counts the transitions.
+once, so the root weight counts the transitions.  Opening and joining
+keep explicit stacks, so no nesting depth is limited by the recursion
+limit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .checker import (
     KIND_CLOSURE,
@@ -81,7 +85,7 @@ from .checker import (
     Judgment,
     rule_weight,
 )
-from .kam import Closure, Env, MachState, Run
+from .kam import LABEL_BETA, Closure, Env, MachState, Run
 from .space_kam import (
     LABEL_BETA_NW,
     LABEL_BETA_W,
@@ -173,7 +177,8 @@ _JOIN = 3  # two non-dry typings of the same closure, uses of the first first
 class _Cl:
     """A typing of a closure, not minted: a bag of uses of its code,
     each with a typing of its environment.  space and time are the weights
-    its TCl node would carry."""
+    its TCl node would carry.  extract_kam's bags carry no closure and
+    weigh zero: its weights live in the term derivations alone."""
 
     __slots__ = ("closure", "kind", "a", "b", "space", "time")
 
@@ -203,7 +208,8 @@ def _join(p: _Cl, q: _Cl) -> _Cl:
         return q
     if q.kind == _DRY:
         return p
-    return _Cl(p.closure, _JOIN, p, q, *_weights(R_CL, [p.space, q.space], [p.time, q.time]))
+    # TCl over the joined uses: max in space, sum in time, as _weights(R_CL, ...)
+    return _Cl(p.closure, _JOIN, p, q, max(p.space, q.space), p.time + q.time)
 
 
 class _Env:
@@ -227,18 +233,43 @@ def _dry_env(e: Env) -> _Env:
     return _Env({x: _Cl(c, _DRY) for x, c in e}, 0, 0)
 
 
+def _flatten(cl: _Cl) -> tuple[list, list]:
+    """The uses in a closure typing, in merge order, and the typings of
+    the closure's environment that come with them, from an explicit
+    stack.  The dry typing holds none."""
+    uses, envs = [], []
+    work = [cl]
+    while work:
+        p = work.pop()
+        if p.kind == _JOIN:
+            work += (p.b, p.a)
+        elif p.kind == _USE:
+            uses.append(p.a)
+            envs.append(p.b)
+        elif p.kind == _TCL:
+            uses += p.a.premises[0].premises
+            envs.append(_read_env(p.a.premises[1]))
+    return uses, envs
+
+
+def _join_parts(envs: list) -> dict:
+    """The closure typings of each name in envs, dicts from names to
+    closure typings, joined in list order."""
+    parts = dict(envs[0])
+    for other in envs[1:]:
+        for x, p in other.items():
+            q = parts.get(x)
+            parts[x] = p if q is None else _join(q, p)
+    return parts
+
+
 def _join_envs(envs: list, e: Env) -> _Env:
     """One typing of e from typings of restrictions of e, the closure
     typings of each name joined in list order."""
     if len(envs) == 1:
         env = envs[0]
     else:
-        parts = dict(envs[0].parts)
-        for other in envs[1:]:
-            for x, p in other.parts.items():
-                q = parts.get(x)
-                parts[x] = p if q is None else _join(q, p)
-        env = _Env(parts, *_weights(
+        env = _Env(_join_parts([other.parts for other in envs]), *_weights(
             R_ENV, [other.space for other in envs], [other.time for other in envs]
         ))
     assert env.parts.keys() == dict(e).keys(), (
@@ -311,18 +342,7 @@ class _Builder:
             return none, _dry_env(c.env)
         if cl.kind == _TCL:
             return cl.a.premises[0], _read_env(cl.a.premises[1])
-        uses, envs = [], []
-        work = [cl]
-        while work:
-            p = work.pop()
-            if p.kind == _JOIN:
-                work += (p.b, p.a)
-            elif p.kind == _USE:
-                uses.append(p.a)
-                envs.append(p.b)
-            else:  # a read TCl; dry typings never join
-                uses += p.a.premises[0].premises
-                envs.append(_read_env(p.a.premises[1]))
+        uses, envs = _flatten(cl)
         ctx = contexts_union([u.conclusion.context for u in uses])
         k = 1 + size_context(ctx)
         assert k == c.size, (
@@ -414,11 +434,14 @@ def _read_state(d: Derivation) -> tuple:
     return d.premises[0], _read_env(d.premises[1]), stack
 
 
-def _final_typing(b: _Builder, s: MachState) -> tuple:
+def _check_final(s: MachState) -> None:
     if type(s.code) is not Abs or s.stack:
         raise NotFinal(
             f"not a final state: code {print_term(s.code)}, stack of {len(s.stack)}"
         )
+
+
+def _final_typing(b: _Builder, s: MachState) -> tuple:
     lam = b.node(R_LAM_STAR, KIND_TERM, s.code, _dry_context(s.env), STAR, ())
     return lam, _dry_env(s.env), None
 
@@ -439,6 +462,7 @@ def dry_type_env(e: Env) -> tuple[TypeContext, Derivation]:
 def type_final_state(s: MachState) -> Derivation:
     """The canonical derivation of a final state; its weight is the
     state's size in both modes."""
+    _check_final(s)
     b = _Builder()
     return b.mint_state(s, _final_typing(b, s))
 
@@ -552,19 +576,26 @@ _UNDO = {
 # ---------------------------------------------------------------------------
 # whole runs
 
+def _complete_trace(run: Run) -> tuple[tuple, list]:
+    """A complete run's trace and states, the last of them final."""
+    if not run.final_reached:
+        raise IncompleteRun(
+            f"run stopped after {run.transitions} transitions without a final state"
+        )
+    trace = run.trace
+    states = run.states
+    _check_final(states[-1])
+    return trace, states
+
+
 def extract(run: Run) -> Derivation:
     """The weighted typing of a complete run's initial code: a closed
     term at the ground type, with space weight the run's space.  Its
     time reweighting has the run's time at the root.  The step equations
     are checked at every transition on the way; a broken one raises
     StepEquationError.  The run's states come from its replayed trace."""
-    if not run.final_reached:
-        raise IncompleteRun(
-            f"run stopped after {run.transitions} transitions without a final state"
-        )
+    trace, states = _complete_trace(run)
     b = _Builder()
-    trace = run.trace
-    states = run.states
     st = _final_typing(b, states[-1])
     w, t = _state_weights(*st)
     for i in range(len(trace) - 1, -1, -1):
@@ -592,69 +623,37 @@ def extract(run: Run) -> Derivation:
     return term
 
 
-@dataclass
-class _KClosure:
-    # one term derivation per future use of the closure's code, plus the
-    # typing of its environment
-    uses: list
-    env: "_KEnv"
-
-
-@dataclass
-class _KEnv:
-    # typings only for the variables the rest of the run actually uses
-    per_var: dict
-
-
-def _kenv_merge(a: _KEnv, b: _KEnv) -> _KEnv:
-    per = dict(a.per_var)
-    for x, kc in b.per_var.items():
-        if x in per:
-            per[x] = _KClosure(
-                per[x].uses + kc.uses, _kenv_merge(per[x].env, kc.env)
-            )
-        else:
-            per[x] = kc
-    return _KEnv(per)
+_KAM_DRY = _Cl(None, _DRY)  # the bag of a binder the rest of the run never reads
 
 
 def extract_kam(run: Run) -> Derivation:
     """The plain-flavor typing of a complete plain-machine run's initial
     code; the root weight is the number of transitions."""
-    if not run.final_reached:
-        raise IncompleteRun(
-            f"run stopped after {run.transitions} transitions without a final state"
-        )
-    trace = run.trace
-    states = run.states
-    final = states[-1]
-    if type(final.code) is not Abs or final.stack:
-        raise NotFinal(
-            f"not a final state: code {print_term(final.code)}, stack of {len(final.stack)}"
-        )
+    trace, states = _complete_trace(run)
     cur = Derivation(
-        R_DC_LAM_STAR, Judgment(KIND_TERM, final.code, EMPTY_CONTEXT, STAR, 0)
+        R_DC_LAM_STAR, Judgment(KIND_TERM, states[-1].code, EMPTY_CONTEXT, STAR, 0)
     )
-    env_t = _KEnv({})
-    stack_t: list[_KClosure] = []
+    env = {}  # the environment typing: a bag per name
+    stack = []  # (multi, uses, env typings) of each stack closure, top last
     for i in range(len(trace) - 1, -1, -1):
         label = trace[i][0]
         src = states[i]
-        if label == "sub":
-            # (x, e, S) -> e(x): the code typing becomes a future use of
-            # x's closure; everything else of e is unused and dropped
+        if label == LABEL_SUB:
+            # (x, e, S) -> e(x): the code typing becomes a use of x's
+            # closure, with the target's environment typing as the
+            # closure's; everything else of e is unused and dropped
             x = src.code.name
             a = cur.conclusion.assigned
             ctx = TypeContext(((x, MultiType((a,))),))
-            env_t = _KEnv({x: _KClosure([cur], env_t)})
+            env = {x: _Cl(None, _USE, cur, env)}
             cur = Derivation(R_DC_VAR, Judgment(KIND_TERM, src.code, ctx, a, 1))
-        elif label == "beta":
-            # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's collected
-            # uses become the arrow source and the stack top's typing
+        elif label == LABEL_BETA:
+            # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
+            # into the arrow source and the stack top's typing
             x = src.code.binder
-            per = dict(env_t.per_var)
-            kc = per.pop(x, _KClosure([], _KEnv({})))
-            m = MultiType([d.conclusion.assigned for d in kc.uses])
+            env = dict(env)
+            uses, envs = _flatten(env.pop(x, _KAM_DRY))
+            m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
             cur = Derivation(
@@ -668,29 +667,26 @@ def extract_kam(run: Run) -> Derivation:
                 ),
                 (cur,),
             )
-            env_t = _KEnv(per)
-            stack_t.append(kc)
+            stack.append((m, uses, envs))
         else:
             # (t u, e, S) -> (t, e, (u, e) . S): the stack top's uses
-            # become the argument premises, its environment typing folds
-            # back into e's
-            kc = stack_t.pop()
+            # become the argument premises, its environment typings join
+            # e's
+            m, args, envs = stack.pop()
             arrow = cur.conclusion.assigned
             assert type(arrow) is DCArrow, "function typing is not an arrow"
-            args = kc.uses
-            assert arrow.arg == MultiType(
-                [d.conclusion.assigned for d in args]
-            ), "argument uses disagree with the arrow source"
+            assert arrow.arg == m, "argument uses disagree with the arrow source"
             ctx = contexts_union([cur.conclusion.context, *(d.conclusion.context for d in args)])
             w = cur.conclusion.weight + sum(d.conclusion.weight for d in args) + 1
             cur = Derivation(
                 R_DC_APP,
                 Judgment(KIND_TERM, src.code, ctx, arrow.res, w),
-                (cur,) + tuple(args),
+                (cur, *args),
             )
-            env_t = _kenv_merge(env_t, kc.env)
-    assert not env_t.per_var, "the initial state's typing wants an environment"
-    assert not stack_t, "the initial state's typing wants a stack"
+            if envs:
+                env = _join_parts([env, *envs])
+    assert not env, "the initial state's typing wants an environment"
+    assert not stack, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"
     if cur.conclusion.weight != run.transitions:
         raise StepEquationError(

@@ -5,10 +5,14 @@ Every value of a subclass of Interned is built through one table keyed
 on its class and its fields, whose values are strings, integers or
 interned values already, so equal values are one object and `==` and
 `hash` are identity.  The table holds its values weakly: a value dies
-with its last user.  Values are immutable; copy, deepcopy and pickle
-rebuild them through their constructor, which returns the interned
-object.  repr writes dataclass-style text from an explicit stack, so
-nesting depth is not limited by the interpreter's recursion limit.
+with its last user.
+
+Interned values are Frozen: immutable, rebuilt through their
+constructor by copy, deepcopy and pickle (which returns the interned
+object), and written by repr as dataclass-style text from an explicit
+stack, so nesting depth is not limited by the interpreter's recursion
+limit.  The machines' closures and states are Frozen without being
+interned.
 """
 
 import threading
@@ -19,13 +23,14 @@ TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _TABLE_LOCK = threading.RLock()
 
 
-class Interned:
-    """An interned, immutable value.  A subclass lists its fields in
-    __slots__ in the order its constructor takes them; data worked out
-    from the fields (a type's order key, a term's free variables) lives
-    in the slots of an intermediate class, outside ==, repr and pickle."""
+class Frozen:
+    """An immutable value.  A subclass lists its fields in __slots__ in
+    the order its constructor takes them; data worked out from the
+    fields (a type's order key, a term's free variables, a closure's
+    size) lives in the slots of an intermediate class, outside ==, repr
+    and pickle."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -36,7 +41,14 @@ class Interned:
         return (type(self), tuple(getattr(self, f) for f in type(self).__slots__))
 
     def __repr__(self):
-        return write_repr(self, lambda x: type(x).__slots__ if isinstance(x, Interned) else None)
+        return write_repr(self, lambda x: type(x).__slots__ if isinstance(x, Frozen) else None)
+
+
+class Interned(Frozen):
+    """A Frozen value built through the intern table: equal values are
+    one object."""
+
+    __slots__ = ("__weakref__",)
 
 
 def write_repr(obj, fields) -> str:

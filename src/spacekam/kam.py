@@ -6,13 +6,13 @@ the innermost argument).  Environments are association lists, most
 recent binding first, and lookup takes the first match.  All state is
 immutable; successive states share structure.
 
-Closures and states are plain __slots__ classes, not dataclasses: the
-machines build one state per transition, and a constructor that stores
-through the slot descriptors costs a fraction of a frozen dataclass's.
-Assigning a field raises AttributeError all the same.  ==, hash and
-repr walk closures with explicit stacks, so nesting depth is not
-limited by the interpreter's recursion limit; copy and pickle rebuild
-them through the constructor.
+Closures and states are hashcons.Frozen __slots__ classes, not
+dataclasses: the machines build one state per transition, and a
+constructor that stores through the slot descriptors costs a fraction
+of a frozen dataclass's.  Assigning a field raises AttributeError all
+the same.  ==, hash and repr walk closures with explicit stacks, so
+nesting depth is not limited by the interpreter's recursion limit; copy
+and pickle rebuild them through the constructor.
 
 Transitions:
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .hashcons import write_repr
+from .hashcons import Frozen
 from .terms import Abs, App, Term, Var, print_term, subst
 
 
@@ -48,7 +48,11 @@ class StuckState(Exception):
     closed term."""
 
 
-class Closure:
+class _Sized(Frozen):
+    __slots__ = ("_size",)  # Closure.size once worked out, else None
+
+
+class Closure(_Sized):
     """A code term with an environment binding its free variables.
 
     Immutable: assigning or deleting a field raises AttributeError.  ==
@@ -56,7 +60,7 @@ class Closure:
     environment's names only, and neither recurses, so closures nest to
     any depth."""
 
-    __slots__ = ("code", "env", "_size")
+    __slots__ = ("code", "env")
 
     def __init__(self, code: Term, env: "Env"):
         _set_closure_code(self, code)
@@ -84,14 +88,6 @@ class Closure:
                 _set_closure_size(c, 1 + sum(d._size for _, d in c.env))
         return self._size
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (Closure, (self.code, self.env))
-
     def __eq__(self, other):
         if other.__class__ is not Closure:
             return NotImplemented
@@ -99,9 +95,6 @@ class Closure:
 
     def __hash__(self):
         return hash((self.code, tuple(x for x, _ in self.env)))
-
-    def __repr__(self):
-        return _repr(self)
 
 
 _set_closure_code = Closure.code.__set__
@@ -116,7 +109,7 @@ Stack = tuple[Closure, ...]
 EMPTY_ENV: Env = ()
 
 
-class MachState:
+class MachState(Frozen):
     """A machine state: code, environment and stack.
 
     Immutable, and compared, hashed and printed like a closure with a
@@ -128,14 +121,6 @@ class MachState:
         _set_state_code(self, code)
         _set_state_env(self, env)
         _set_state_stack(self, stack)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (MachState, (self.code, self.env, self.stack))
 
     def __eq__(self, other):
         if other.__class__ is not MachState:
@@ -149,9 +134,6 @@ class MachState:
 
     def __hash__(self):
         return hash((self.code, tuple(x for x, _ in self.env), len(self.stack)))
-
-    def __repr__(self):
-        return _repr(self)
 
 
 _set_state_code = MachState.code.__set__
@@ -178,14 +160,6 @@ def _pairs_equal(pairs: list) -> bool:
                 return False
             pairs.append((c2, d2))
     return True
-
-
-_FIELDS = {Closure: ("code", "env"), MachState: ("code", "env", "stack")}
-
-
-def _repr(obj) -> str:
-    """The text a dataclass repr would give a closure or state."""
-    return write_repr(obj, lambda x: _FIELDS.get(type(x)))
 
 
 def env_lookup(e: Env, x: str) -> Closure | None:

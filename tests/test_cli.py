@@ -319,6 +319,23 @@ def test_a_600_deep_let_chain_verifies_and_round_trips(tmp_path):
     assert res.stdout.strip() == "ok: weight 601"
 
 
+def test_a_1200_deep_double_use_chain_infers_and_checks_in_kam_mode(tmp_path):
+    # xn is used twice, so extract_kam joins two environment typings
+    # nested 1,200 deep: at the default recursion limit, with no
+    # recursion per level
+    body = r"x1200 (\a.a) (x1200 (\b.b))"
+    for i in range(1200, 0, -1):
+        body = rf"(\x{i}. {body}) (\w. x{i - 1} w)"
+    src, out = tmp_path / "dchain.lam", tmp_path / "dchain.json"
+    src.write_text(rf"(\x0. {body}) (\w.w)")
+    res = _spacekam("infer", "--mode", "kam", "--fuel", "100000", "-f", str(src), "-o", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "weight: 12013"
+    res = _spacekam("check", "--mode", "kam", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "ok: weight 12013"
+
+
 def test_importing_the_package_leaves_the_recursion_limit_alone():
     code = (
         "import sys\n"

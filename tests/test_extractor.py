@@ -320,6 +320,32 @@ def test_extract_kam_needs_a_complete_run():
         extract_kam(kam_run(compile(OMEGA), 30))
 
 
+def _double_use_chain(n):
+    """(\\x0. (\\x1. ... (\\xn. xn I (xn I)) (\\w. x(n-1) w) ...) (\\w. x0 w)) (\\w.w):
+    each x(i+1) is bound to a closure over x(i), and xn is used twice, so
+    the environment typings of the two uses nest n deep and are joined
+    at every level."""
+    body = rf"x{n} (\a.a) (x{n} (\b.b))"
+    for i in range(n, 0, -1):
+        body = rf"(\x{i}. {body}) (\w. x{i - 1} w)"
+    return parse_term(rf"(\x0. {body}) (\w.w)")
+
+
+def test_extract_kam_joins_environment_typings_nested_1200_deep():
+    # joining two typings of a closure joins its environment's typings
+    # level by level: the bags join in O(1) and open without recursion
+    assert sys.getrecursionlimit() <= 1_000  # the default, not raised for this test
+    t = _double_use_chain(1200)
+    run = kam_run(compile(t), 100_000)
+    assert run.transitions == 12_013
+    d = extract_kam(run)
+    assert check(d, "kam").ok
+    assert d.conclusion.weight == weight_of(d, "kam") == 12_013
+    rep = sk.verify(t, 100_000)
+    assert rep.complete and rep.all_pass
+    assert len(rep.checks) == 13
+
+
 # ---------------------------------------------------------------- properties
 
 @given(st.integers(0, 2**30))
