@@ -44,8 +44,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .hashcons import Table, write_repr
-from .kam import Closure, MachState, Run
+from .hashcons import Table, postorder, write_repr
+from .kam import Closure, MachState, Run, _env_closures
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -760,6 +760,9 @@ def _walk(d: Derivation):
     if not isinstance(d, Derivation):
         raise TypeError(f"not a derivation: {d!r}")
     order = []
+    # keyed by id(), like the node maps of _count_rules, check_walk and
+    # reweight: nodes compare structurally, and a decoded file shares one
+    # node object across places
     first: dict[int, tuple] = {id(d): (None, None)}
     stack = [(d, enumerate(d.premises))]
     while stack:
@@ -801,7 +804,7 @@ def _rule_errors(n, mode) -> list:
 
 def _count_rules(order, d) -> dict:
     """Rule uses in d, a node counted once per place it stands at."""
-    places = {id(d): 1}
+    places = {id(d): 1}  # by id(), as in _walk
     counts: Counter = Counter()
     for n in reversed(order):  # each node before its premises
         k = places[id(n)]
@@ -854,8 +857,10 @@ def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWal
             raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
     first = modes[0]
     order, places = _walk(d)
-    weights = [{} for _ in modes]  # per mode, each node's recomputed weight
-    fell: set[int] = set()  # nodes failing in the first mode, or above one
+    # by id(), as in _walk: per mode, each node's recomputed weight; the
+    # nodes failing in the first mode, or above one
+    weights = [{} for _ in modes]
+    fell: set[int] = set()
     groups = []  # per-node error lists, deepest node first
     failures: dict[str, list] = {}
     for n in order:
@@ -910,7 +915,7 @@ def reweight(d: Derivation, mode: str) -> Derivation:
     """The same tree with every stored weight replaced by mode's
     recomputed one.  The structure must be valid enough for the weight
     formulas to make sense; nothing else is checked."""
-    rebuilt: dict[int, Derivation] = {}
+    rebuilt: dict[int, Derivation] = {}  # by id(), as in _walk
     for n in _walk(d)[0]:
         prem = tuple(rebuilt[id(p)] for p in n.premises)
         w = rule_weight(
@@ -1034,20 +1039,7 @@ class _Tables:
 
     def closure(self, c) -> int:
         ids = self.closures.ids
-        i = ids.get(id(c))
-        if i is not None:
-            return i
-        work = [c]
-        while work:
-            d = work[-1]
-            if id(d) in ids:
-                work.pop()
-                continue
-            todo = [e for _, e in d.env if id(e) not in ids]
-            if todo:
-                work.extend(todo)
-                continue
-            work.pop()
+        for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
             code = self.terms.add(d.code)
             env = tuple((x, ids[id(e)]) for x, e in d.env)
             entry = {"code": code, "env": [list(p) for p in env]}

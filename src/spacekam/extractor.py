@@ -85,6 +85,7 @@ from .checker import (
     Judgment,
     rule_weight,
 )
+from .hashcons import postorder
 from .kam import LABEL_BETA, Closure, Env, MachState, Run
 from .space_kam import (
     LABEL_BETA_NW,
@@ -133,24 +134,10 @@ def _time_of(d: Derivation) -> int:
     """d's time weight.  Nodes minted here carry it; a foreign subtree
     (public expand on a hand-built derivation) gets it filled in
     bottom-up, once."""
-    if d.time is not None:
-        return d.time
-    order = []
-    stack = [d]
-    while stack:
-        n = stack.pop()
-        if n.time is None:
-            order.append(n)
-            stack.extend(n.premises)
-    for n in reversed(order):
-        if n.time is None:  # a shared subtree is listed once per occurrence
-            t = rule_weight(
-                n.rule,
-                n.conclusion.context,
-                n.conclusion.assigned,
-                [p.time for p in n.premises],
-                "time",
-            )
+    if d.time is None:
+        for n in postorder((d,), lambda n: n.premises, lambda n: n.time is not None):
+            c = n.conclusion
+            t = rule_weight(n.rule, c.context, c.assigned, [p.time for p in n.premises], "time")
             object.__setattr__(n, "time", t)
     return d.time
 
@@ -360,43 +347,35 @@ class _Builder:
         return self.node(R_ENV, KIND_ENV, e, EMPTY_CONTEXT, gamma, premises)
 
     def mint(self, cls: list) -> list:
-        """TCl derivations for closure typings, children before parents
-        on an explicit stack."""
-        done: dict[int, Derivation] = {}  # by id of _Cl; `opened` holds them all
-        opened: dict[int, tuple] = {}
-        work = list(cls)
-        while work:
-            cl = work[-1]
-            if id(cl) in done:
-                work.pop()
-                continue
-            c = cl.closure
-            got = None
+        """TCl derivations for closure typings, children before parents."""
+        done: dict[_Cl, Derivation] = {}  # _Cl hashes by identity
+        opened: dict[_Cl, tuple] = {}
+
+        def minted(cl):
+            # cl's TCl derivation when one exists without opening cl
             if cl.kind == _TCL:
-                got = cl.a
-            elif cl.kind == _DRY:
-                got = self.dry.get(id(c))
-            if got is not None:
-                done[id(cl)] = got
-                work.pop()
-                continue
-            parts = opened.get(id(cl))
-            if parts is None:
-                parts = opened[id(cl)] = self.open(cl)
-            code_d, env = parts
-            todo = [p for p in env.parts.values() if id(p) not in done]
-            if todo:
-                work += todo
-                continue
-            work.pop()
-            env_d = self.env_node(c.env, [done[id(env.parts[x])] for x, _ in c.env])
-            d = self.node(
-                R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, code_d.conclusion.assigned, (code_d, env_d)
-            )
-            if cl.kind == _DRY:
-                self.dry[id(c)] = d
-            done[id(cl)] = d
-        return [done[id(cl)] for cl in cls]
+                return cl.a
+            return self.dry.get(id(cl.closure)) if cl.kind == _DRY else None
+
+        def children(cl):
+            if minted(cl) is not None:
+                return ()
+            if cl not in opened:
+                opened[cl] = self.open(cl)
+            return opened[cl][1].parts.values()
+
+        for cl in postorder(cls, children, done.__contains__):
+            d = minted(cl)
+            if d is None:
+                c = cl.closure
+                code_d, env = opened[cl]
+                env_d = self.env_node(c.env, [done[env.parts[x]] for x, _ in c.env])
+                a = code_d.conclusion.assigned
+                d = self.node(R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, a, (code_d, env_d))
+                if cl.kind == _DRY:
+                    self.dry[id(c)] = d
+            done[cl] = d
+        return [done[cl] for cl in cls]
 
     def mint_state(self, s: MachState, st: tuple) -> Derivation:
         """The TSt derivation of s from a state typing (term, env, stack)."""

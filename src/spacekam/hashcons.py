@@ -13,10 +13,15 @@ object), and written by repr as dataclass-style text from an explicit
 stack, so nesting depth is not limited by the interpreter's recursion
 limit.  The machines' closures and states are Frozen without being
 interned.
+
+postorder is the one children-first walk over shared structure (terms,
+types, closures, derivations): it keeps its own stack and visits each
+value once.
 """
 
 import threading
 import weakref
+from itertools import filterfalse
 
 # the intern table: (class, *fields) -> the one value built from them
 TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -92,9 +97,10 @@ def store(table_key, cls, **fields):
 class Table:
     """The entries of one table of a flat file.  add(a) returns a's
     entry position, entering a and every value in it once, children
-    before parents.  Values are interned, so the object itself is the
-    key and equal values share one entry.  A subclass gives children(a)
-    and entry(a, at), a's entry with its children at positions at[c]."""
+    before parents (postorder).  Values are interned, so the object
+    itself is the key and equal values share one entry.  A subclass
+    gives children(a) and entry(a, at), a's entry with its children at
+    positions at[c]."""
 
     def __init__(self):
         self.entries: list = []
@@ -102,21 +108,29 @@ class Table:
 
     def add(self, a) -> int:
         at = self._at
-        i = at.get(a)
-        if i is not None:
-            return i
-        work = [a]
-        while work:
-            b = work[-1]
-            if b in at:
-                work.pop()
-                continue
-            todo = [c for c in self.children(b) if c not in at]
-            if todo:
-                work.extend(todo)
-                continue
-            work.pop()
-            entry = self.entry(b, at)
-            at[b] = len(self.entries)
-            self.entries.append(entry)
+        if a not in at:  # most adds find a entered already
+            for b in postorder((a,), self.children, at.__contains__):
+                entry = self.entry(b, at)
+                at[b] = len(self.entries)
+                self.entries.append(entry)
         return at[a]
+
+
+def postorder(roots, children, done):
+    """Yield each value reachable from roots through children that is not
+    done, once, after every value children(x) lists for it.  The caller
+    makes done(x) true for each x as it handles it; a value already done
+    is neither yielded nor walked into.  The walk keeps its own stack, so
+    depth is not limited by the interpreter's recursion limit; roots and
+    children are visited last first."""
+    work = list(roots)
+    while work:
+        x = work[-1]
+        if done(x):
+            work.pop()
+            continue
+        n = len(work)
+        work += filterfalse(done, children(x))
+        if len(work) == n:  # every child is done
+            work.pop()
+            yield x

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
-from .hashcons import Frozen
-from .terms import Abs, App, Term, Var, print_term, subst
+from .hashcons import Frozen, postorder
+from .terms import Abs, App, Term, Var, _subst_sim, print_term
 
 
 class OpenTerm(Exception):
@@ -75,17 +76,9 @@ class Closure(_Sized):
         every closure the walk visits, so a closure shared by many
         states is walked once.  The walk is iterative: nesting depth is
         not limited by the interpreter's recursion limit."""
-        if self._size is not None:
-            return self._size
-        work = [self]
-        while work:
-            c = work[-1]
-            todo = [d for _, d in c.env if d._size is None]
-            if todo:
-                work.extend(todo)
-            else:
-                work.pop()
-                _set_closure_size(c, 1 + sum(d._size for _, d in c.env))
+        if self._size is None:
+            for c in postorder((self,), _env_closures, _size_of):
+                _set_closure_size(c, 1 + sum(map(_size_of, _env_closures(c))))
         return self._size
 
     def __eq__(self, other):
@@ -100,6 +93,14 @@ class Closure(_Sized):
 _set_closure_code = Closure.code.__set__
 _set_closure_env = Closure.env.__set__
 _set_closure_size = Closure._size.__set__
+
+
+_size_of = attrgetter("_size")  # None until worked out; a size is at least 1
+_second = itemgetter(1)
+
+
+def _env_closures(c: Closure):
+    return map(_second, c.env)
 
 
 # association list, most recent binding first
@@ -316,28 +317,16 @@ def _used_bindings(d: Closure) -> dict:
 
 
 def _decode_closure(c: Closure, memo: dict) -> Term:
-    # (t, [x <- c] . e) reads back as (t{x := read-back of c}, e), for
-    # the first binding of each x free in t; every other binding is
-    # shadowed or unused and is not read back.  Post-order with an
-    # explicit stack; memo maps the id of each closure read back so far
-    # to its term, so a shared closure is read back once.  The caller
-    # holds every closure alive, so ids are stable.
-    work = [c]
-    while work:
-        d = work[-1]
-        if id(d) in memo:
-            work.pop()
-            continue
-        used = _used_bindings(d)
-        todo = [e for e in used.values() if id(e) not in memo]
-        if todo:
-            work.extend(todo)
-            continue
-        work.pop()
-        t = d.code
-        for x, e in used.items():
-            t = subst(t, x, memo[id(e)])
-        memo[id(d)] = t
+    # (t, e) reads back as t{x := read-back of e(x)} for the first
+    # binding of each x free in t, all substituted at once; every other
+    # binding is shadowed or unused and is not read back.  memo maps the
+    # id of each closure read back so far to its term, so a shared
+    # closure is read back once; closures compare in full, and the
+    # caller holds every closure alive, so ids are stable.
+    for d in postorder((c,), lambda d: _used_bindings(d).values(), lambda d: id(d) in memo):
+        sigma = {x: memo[id(e)] for x, e in _used_bindings(d).items()}
+        avoid = frozenset().union(*[u.fv for u in sigma.values()])
+        memo[id(d)] = _subst_sim(d.code, sigma, avoid) if sigma else d.code
     return memo[id(c)]
 
 

@@ -32,11 +32,13 @@ including the initial one; its time is the sum over all states.
 
 from __future__ import annotations
 
+from .hashcons import postorder
 from .kam import (
     Closure,
     Env,
     MachState,
     Run,
+    _env_closures,
     env_lookup,
     run_machine,
     size_env,
@@ -169,21 +171,17 @@ def check_run_env_domain_invariant(states) -> bool:
     so a closure that checked once stays valid: each distinct closure
     object is visited once per call.  The states hold every closure
     alive for the whole call, so a set of ids is enough."""
-    states = list(states)
-    seen: set[int] = set()
+    roots = []
     for s in states:
         if _dom(s.env) != s.code.fv:
             return False
-        work = [c for _, c in s.env]
-        work.extend(s.stack)
-        while work:
-            c = work.pop()
-            if id(c) in seen:
-                continue
-            seen.add(id(c))
-            if _dom(c.env) != c.code.fv:
-                return False
-            work.extend(d for _, d in c.env)
+        roots += _env_closures(s)
+        roots += s.stack
+    seen: set[int] = set()
+    for c in postorder(roots, _env_closures, lambda c: id(c) in seen):
+        if _dom(c.env) != c.code.fv:
+            return False
+        seen.add(id(c))
     return True
 
 

@@ -107,9 +107,7 @@ class ClosureMulti(_Multi):
         index = operator.index(index)  # True and 1.0 would share 1's entry
         if index < 1:
             raise ValueError(f"multi type index must be positive, got {index}")
-        pairs = _pairs(elems, _INDEXED)
-        tk = (cls, index, pairs)
-        return TABLE.get(tk) or _store_multi(tk, pairs, index)
+        return _intern(cls, _pairs(elems, _INDEXED), index)
 
 
 class Arrow(_Type):
@@ -132,9 +130,7 @@ class MultiType(_Multi):
     __slots__ = ("pairs",)
 
     def __new__(cls, elems=()):
-        pairs = _pairs(elems, _PLAIN)
-        tk = (cls, pairs)
-        return TABLE.get(tk) or _store_multi(tk, pairs, None)
+        return _intern(cls, _pairs(elems, _PLAIN), None)
 
 
 class DCArrow(_Type):
@@ -161,15 +157,13 @@ _PLAIN = (frozenset({Star, DCArrow}), "plain multi over an indexed element")
 def _intern(cls, pairs: tuple, index):
     """The multi of class cls with canonical pairs pairs, at index for a
     ClosureMulti (None for a MultiType)."""
-    tk = (cls, index, pairs) if cls is ClosureMulti else (cls, pairs)
-    return TABLE.get(tk) or _store_multi(tk, pairs, index)
-
-
-def _store_multi(tk, pairs: tuple, index):
-    # the multi under table key tk, not found there
     if index is None:
-        return store(tk, tk[0], pairs=pairs, key=_digest(2, *_flat(pairs)))
-    return store(tk, tk[0], pairs=pairs, index=index, key=_digest(1, index, *_flat(pairs)))
+        tk = (cls, pairs)
+        return TABLE.get(tk) or store(tk, cls, pairs=pairs, key=_digest(2, *_flat(pairs)))
+    tk = (cls, index, pairs)
+    return TABLE.get(tk) or store(
+        tk, cls, pairs=pairs, index=index, key=_digest(1, index, *_flat(pairs))
+    )
 
 
 def _flat(pairs):
@@ -182,33 +176,12 @@ def _pairs(elems, grammar) -> tuple:
     """The canonical pairs of the elements elems of a multi of grammar
     _INDEXED or _PLAIN."""
     allowed, complaint = grammar
-    es = elems if type(elems) is tuple or type(elems) is list else tuple(elems)
-    if len(es) < 2:  # most multis: nothing to count or sort
-        if not es:
-            return ()
-        if type(es[0]) not in allowed:
-            raise TypeError(f"{complaint}: {es[0]!r}")
-        return ((es[0], 1),)
-    if not allowed.issuperset(map(type, es)):
-        bad = next(a for a in es if type(a) not in allowed)
-        raise TypeError(f"{complaint}: {bad!r}")
-    # sorted by key, equal elements are runs
-    pairs = []
-    prev, n = None, 0
-    for a in sorted(es, key=_KEY):
-        if a is prev:
-            n += 1
-            continue
-        if prev is not None:
-            if a.key == prev.key:  # a digest collision: count, then order in full
-                counts: dict = {}
-                for b in es:
-                    counts[b] = counts.get(b, 0) + 1
-                return _canonical(counts)
-            pairs.append((prev, n))
-        prev, n = a, 1
-    pairs.append((prev, n))
-    return tuple(pairs)
+    counts: dict = {}
+    for a in elems:
+        if type(a) not in allowed:
+            raise TypeError(f"{complaint}: {a!r}")
+        counts[a] = counts.get(a, 0) + 1
+    return _canonical(counts)
 
 
 def _canonical(counts: dict) -> tuple:

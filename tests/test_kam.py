@@ -27,7 +27,17 @@ from spacekam.kam import (
 from spacekam.space_kam import skam_run, skam_step
 from spacekam.checker import derivation_from_json, derivation_to_json
 from spacekam.extractor import expand, type_final_state
-from spacekam.terms import Abs, Var, alpha_eq, parse_term, print_term, subst, whnf_eval, whnf_step
+from spacekam.terms import (
+    Abs,
+    Var,
+    _subst_sim,
+    alpha_eq,
+    parse_term,
+    print_term,
+    subst,
+    whnf_eval,
+    whnf_step,
+)
 
 
 IDENT = parse_term(r"\a.a")
@@ -420,11 +430,20 @@ def test_decode_reads_back_only_the_bindings_the_code_uses(monkeypatch):
     assert run.final_reached and len(run.final.env) == n + 1
     calls = []
 
-    def counted(t, x, u):
-        calls.append(x)
-        return subst(t, x, u)
+    def counted(t, sigma, avoid):
+        calls.append(sigma)
+        return _subst_sim(t, sigma, avoid)
 
-    monkeypatch.setattr(kam, "subst", counted)
+    monkeypatch.setattr(kam, "_subst_sim", counted)
     got = decode(run.final)
     assert len(calls) <= n + 1
     assert print_term(got) == r"\z." + r"\w." * n + r"\a.a"
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_decode_substitutes_a_closures_bindings_at_once(swap):
+    # x reads back to the open term y, which y's own binding must not
+    # reach, whichever of the two comes first in the env
+    env = (("x", Closure(Var("y"), ())), ("y", Closure(IDENT, ())))
+    c = Closure(parse_term("x y"), env[::-1] if swap else env)
+    assert print_term(decode(c)) == r"y (\a.a)"
