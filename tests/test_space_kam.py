@@ -318,12 +318,21 @@ def test_bookkeeping_matches_direct_recomputation(seed):
 
 
 @given(st.integers(0, 2**30))
+@example(83877)  # the Space KAM ends in 374 transitions, the KAM in 429
 @settings(max_examples=120, deadline=None)
 def test_both_machines_agree_on_the_result(seed):
     t = sk.random_closed_term(seed, 20)
     krun = sk.kam_run(compile(t), 400)
     srun = skam_run(compile(t), 400)
-    assert krun.final_reached == srun.final_reached
+    # sea_v pushes e(x) where the KAM pushes (x, e) and later spends a sub
+    # on it, so the Space KAM never needs more transitions than the KAM;
+    # the KAM may need more than the shared fuel, and gets four times it.
     if krun.final_reached:
+        assert srun.final_reached
+        assert srun.transitions <= krun.transitions
+    elif srun.final_reached:
+        krun = sk.kam_run(compile(t), 1600)
+        assert krun.final_reached
+    if srun.final_reached:
         assert srun.counts["beta_w"] + srun.counts["beta_nw"] == krun.counts["beta"]
         assert alpha_eq(sk.decode(krun.final), sk.decode(srun.final))
