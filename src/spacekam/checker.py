@@ -857,10 +857,8 @@ def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWal
             raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
     first = modes[0]
     order, places = _walk(d)
-    # by id(), as in _walk: per mode, each node's recomputed weight; the
-    # nodes failing in the first mode, or above one
-    weights = [{} for _ in modes]
-    fell: set[int] = set()
+    weights = [{} for _ in modes]  # per mode, each node's recomputed weight, by id() as in _walk
+    fell: set[int] = set()  # ids, as in _walk, of nodes failing in the first mode, or above one
     groups = []  # per-node error lists, deepest node first
     failures: dict[str, list] = {}
     for n in order:
@@ -1039,11 +1037,12 @@ class _Tables:
 
     def closure(self, c) -> int:
         ids = self.closures.ids
-        for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
-            code = self.terms.add(d.code)
-            env = tuple((x, ids[id(e)]) for x, e in d.env)
-            entry = {"code": code, "env": [list(p) for p in env]}
-            self.closures.enter(d, (code, env), entry)
+        if id(c) not in ids:  # env() asks for every closure of every env
+            for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
+                code = self.terms.add(d.code)
+                env = tuple((x, ids[id(e)]) for x, e in d.env)
+                entry = {"code": code, "env": [list(p) for p in env]}
+                self.closures.enter(d, (code, env), entry)
         return ids[id(c)]
 
     def env(self, e) -> tuple:

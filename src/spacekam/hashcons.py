@@ -97,10 +97,9 @@ def store(table_key, cls, **fields):
 class Table:
     """The entries of one table of a flat file.  add(a) returns a's
     entry position, entering a and every value in it once, children
-    before parents (postorder).  Values are interned, so the object
-    itself is the key and equal values share one entry.  A subclass
-    gives children(a) and entry(a, at), a's entry with its children at
-    positions at[c]."""
+    before parents.  Values are interned, so the object itself is the
+    key and equal values share one entry.  A subclass gives children(a)
+    and entry(a, at), a's entry with its children at positions at[c]."""
 
     def __init__(self):
         self.entries: list = []

@@ -72,10 +72,10 @@ class Closure(_Sized):
     def size(self) -> int:
         """Pointer count: 1 plus the sizes of the closures in env.
 
-        Worked out on first use, not at construction, and cached on
-        every closure the walk visits, so a closure shared by many
-        states is walked once.  The walk is iterative: nesting depth is
-        not limited by the interpreter's recursion limit."""
+        Worked out on first use (the Space KAM sets it as it builds a
+        closure) and cached on every closure the walk visits, so a
+        closure shared by many states is walked once.  The walk is
+        iterative: depth is not limited by the recursion limit."""
         if self._size is None:
             for c in postorder((self,), _env_closures, _size_of):
                 _set_closure_size(c, 1 + sum(map(_size_of, _env_closures(c))))
@@ -318,13 +318,19 @@ def _used_bindings(d: Closure) -> dict:
 
 def _decode_closure(c: Closure, memo: dict) -> Term:
     # (t, e) reads back as t{x := read-back of e(x)} for the first
-    # binding of each x free in t, all substituted at once; every other
-    # binding is shadowed or unused and is not read back.  memo maps the
-    # id of each closure read back so far to its term, so a shared
-    # closure is read back once; closures compare in full, and the
-    # caller holds every closure alive, so ids are stable.
-    for d in postorder((c,), lambda d: _used_bindings(d).values(), lambda d: id(d) in memo):
-        sigma = {x: memo[id(e)] for x, e in _used_bindings(d).items()}
+    # binding of each x free in t, all substituted at once; no other
+    # binding is read back.  memo maps the id of each closure read back
+    # to its term, used of each closure in the walk to _used_bindings;
+    # closures compare in full, and the caller holds them all alive.
+    used: dict = {}
+
+    def children(d):
+        if id(d) not in used:
+            used[id(d)] = _used_bindings(d)
+        return used[id(d)].values()
+
+    for d in postorder((c,), children, lambda d: id(d) in memo):
+        sigma = {x: memo[id(e)] for x, e in used.pop(id(d)).items()}
         avoid = frozenset().union(*[u.fv for u in sigma.values()])
         memo[id(d)] = _subst_sim(d.code, sigma, avoid) if sigma else d.code
     return memo[id(c)]

@@ -107,6 +107,7 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
             assert c is not None  # arg.name is in fv, hence in dom(e)
             return LABEL_SEA_V, MachState(fun, fun_env, (c,) + stack)
         c = Closure(arg, e if len(arg.fv) == n else env_restrict(e, arg.fv))
+        object.__setattr__(c, "_size", 1 + size_env(c.env))  # from cached sizes: no walk
         return LABEL_SEA_NV, MachState(fun, fun_env, (c,) + stack)
     if type(t) is Abs:
         if not stack:
@@ -171,17 +172,15 @@ def check_run_env_domain_invariant(states) -> bool:
     so a closure that checked once stays valid: each distinct closure
     object is visited once per call.  The states hold every closure
     alive for the whole call, so a set of ids is enough."""
-    roots = []
+    states = list(states)
+    seen: set[int] = set()
     for s in states:
         if _dom(s.env) != s.code.fv:
             return False
-        roots += _env_closures(s)
-        roots += s.stack
-    seen: set[int] = set()
-    for c in postorder(roots, _env_closures, lambda c: id(c) in seen):
-        if _dom(c.env) != c.code.fv:
-            return False
-        seen.add(id(c))
+        for c in postorder([*_env_closures(s), *s.stack], _env_closures, lambda c: id(c) in seen):
+            if _dom(c.env) != c.code.fv:
+                return False
+            seen.add(id(c))
     return True
 
 
