@@ -7,12 +7,12 @@ interned values already, so equal values are one object and `==` and
 `hash` are identity.  The table holds its values weakly: a value dies
 with its last user.
 
-Interned values are Frozen: immutable, rebuilt through their
-constructor by copy, deepcopy and pickle (which returns the interned
-object), and written by repr as dataclass-style text from an explicit
-stack, so nesting depth is not limited by the interpreter's recursion
-limit.  The machines' closures and states are Frozen without being
-interned.
+Interned values are Frozen: immutable, their own copy and deepcopy at
+any depth, rebuilt through their constructor by pickle (which returns
+the interned object), and written by repr as dataclass-style text from
+an explicit stack, so nesting depth is not limited by the interpreter's
+recursion limit.  The machines' closures and states are Frozen without
+being interned.
 
 postorder is the one children-first walk over shared structure (terms,
 types, closures, derivations): it keeps its own stack and visits each
@@ -51,9 +51,11 @@ class Frozen:
 
 class Interned(Frozen):
     """A Frozen value built through the intern table: equal values are
-    one object."""
+    one object, and a value, being immutable, is its own (deep) copy."""
 
     __slots__ = ("__weakref__",)
+
+    __copy__ = __deepcopy__ = lambda self, memo=None: self
 
 
 def write_repr(obj, fields) -> str:

@@ -7,12 +7,11 @@ recent binding first, and lookup takes the first match.  All state is
 immutable; successive states share structure.
 
 Closures and states are hashcons.Frozen __slots__ classes, not
-dataclasses: the machines build one state per transition, and a
-constructor that stores through the slot descriptors costs a fraction
-of a frozen dataclass's.  Assigning a field raises AttributeError all
-the same.  ==, hash and repr walk closures with explicit stacks, so
-nesting depth is not limited by the interpreter's recursion limit; copy
-and pickle rebuild them through the constructor.
+dataclasses: a constructor that stores through the slot descriptors
+costs a fraction of a frozen dataclass's.  Assigning a field raises
+AttributeError all the same.  ==, hash and repr walk closures with
+explicit stacks, so nesting depth is not limited by the interpreter's
+recursion limit; copy and pickle rebuild them through the constructor.
 
 Transitions:
 
@@ -23,10 +22,10 @@ Transitions:
 A state with abstraction code and empty stack has no transition; for
 closed terms that is the only way a run ends.
 
-This module also holds the run core both machines share.  A run keeps
-only its current state while it goes, so a run that only measures uses
-memory in proportion to its space, not to its transitions.  A Run
-stores no trace: the machines are deterministic, so Run.trace and
+This module also holds the run core both machines share.  A run fires
+on bare (code, env, stack) triples and builds a MachState for its last
+state alone, so its memory grows with its space, not its transitions.
+A Run stores no trace: the machines are deterministic, so Run.trace and
 Run.states replay the run from its initial state on first use.
 """
 
@@ -63,16 +62,16 @@ class Closure(_Sized):
 
     __slots__ = ("code", "env")
 
-    def __init__(self, code: Term, env: "Env"):
+    def __init__(self, code: Term, env: "Env", size: int | None = None):
         _set_closure_code(self, code)
         _set_closure_env(self, env)
-        _set_closure_size(self, None)
+        _set_closure_size(self, size)
 
     @property
     def size(self) -> int:
         """Pointer count: 1 plus the sizes of the closures in env.
 
-        Worked out on first use (the Space KAM sets it as it builds a
+        Worked out on first use (the Space KAM passes it as it builds a
         closure) and cached on every closure the walk visits, so a
         closure shared by many states is walked once.  The walk is
         iterative: depth is not limited by the recursion limit."""
@@ -196,12 +195,12 @@ class ReplayMismatch(Exception):
 class Run:
     """A run of either machine: its initial state, the state it stopped
     in, whether that state is final, the transition counts per label in
-    label order, the number of transitions, and the step function that
-    made it.  space and time are the space machine's measures, None for
-    a plain run.
+    label order, the number of transitions, and the fire function that
+    made it (kam_fire or skam_fire).  space and time are the space
+    machine's measures, None for a plain run.
 
     A run stores no trace.  The machines are deterministic, so the
-    initial state, the step function and the transition count determine
+    initial state, the fire function and the transition count determine
     every state in between: trace and states replay the run on first
     use, and the replayed trace is cached on the run."""
 
@@ -210,7 +209,7 @@ class Run:
     final_reached: bool
     counts: dict
     transitions: int
-    step: Callable[[MachState], tuple[str, MachState] | None]
+    step: Callable[[Term, Env, Stack], tuple | None]
     space: int | None = None
     time: int | None = None
     _trace: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -227,12 +226,14 @@ class Run:
         the stored last state with the stored counts."""
         counts = dict.fromkeys(self.counts, 0)
         cur = self.initial
+        code, env, stack = cur.code, cur.env, cur.stack
         for i in range(1, self.transitions + 1):
-            nxt = self.step(cur)
+            nxt = self.step(code, env, stack)
             if nxt is None:
                 raise ReplayMismatch(f"replay reached a final state at transition {i}")
-            yield nxt
-            label, cur = nxt
+            label, code, env, stack = nxt
+            cur = MachState(code, env, stack)
+            yield label, cur
             counts[label] += 1
         if counts != self.counts:
             raise ReplayMismatch(f"replay counts {counts} differ from the run's {self.counts}")
@@ -260,44 +261,52 @@ def compile(t: Term) -> MachState:
     return MachState(t, (), ())
 
 
-def kam_step(s: MachState) -> tuple[str, MachState] | None:
-    """One transition, or None when s is final."""
-    t = s.code
+def fire_state(fire, s: MachState) -> tuple[str, MachState] | None:
+    """fire on s's fields, as (label, next state), or None when s is final."""
+    nxt = fire(s.code, s.env, s.stack)
+    return None if nxt is None else (nxt[0], MachState(nxt[1], nxt[2], nxt[3]))
+
+
+def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
+    """One transition as (label, code, env, stack), or None when final."""
     if type(t) is App:
-        c = Closure(t.arg, s.env)
-        return LABEL_SEA, MachState(t.fun, s.env, (c,) + s.stack)
+        return LABEL_SEA, t.fun, env, (Closure(t.arg, env),) + stack
     if type(t) is Abs:
-        if not s.stack:
+        if not stack:
             return None
-        c = s.stack[0]
-        return LABEL_BETA, MachState(t.body, ((t.binder, c),) + s.env, s.stack[1:])
-    c = env_lookup(s.env, t.name)
+        return LABEL_BETA, t.body, ((t.binder, stack[0]),) + env, stack[1:]
+    c = env_lookup(env, t.name)
     if c is None:
         raise StuckState(f"variable {t.name} has no binding in the environment")
-    return LABEL_SUB, MachState(c.code, c.env, s.stack)
+    return LABEL_SUB, c.code, c.env, stack
 
 
-def run_machine(step, labels, s: MachState, fuel: int, on_step=None) -> Run:
-    """Fire step from s for at most fuel transitions, keeping only the
-    current state.  step returns (label, next state), or None on a final
-    state; labels are every label it can return.  on_step, when given,
-    is called with each (label, next state) pair as it is fired."""
+def kam_step(s: MachState) -> tuple[str, MachState] | None:
+    """One transition, or None when s is final."""
+    return fire_state(kam_fire, s)
+
+
+def run_machine(fire, labels, s: MachState, fuel: int, on_step=None) -> Run:
+    """Fire from s for at most fuel transitions, building a MachState
+    for the last state alone.  fire(code, env, stack) returns (label,
+    code, env, stack), or None on a final state; labels are every label
+    it can return.  on_step, when given, is called with each 4-tuple."""
     counts = dict.fromkeys(labels, 0)
-    cur = s
+    code, env, stack = s.code, s.env, s.stack
     for n in range(fuel):
-        nxt = step(cur)
+        nxt = fire(code, env, stack)
         if nxt is None:
-            return Run(s, cur, True, counts, n, step)
-        label, cur = nxt
+            return Run(s, MachState(code, env, stack), True, counts, n, fire)
+        label, code, env, stack = nxt
         counts[label] += 1
         if on_step is not None:
             on_step(nxt)
-    return Run(s, cur, step(cur) is None, counts, fuel, step)
+    return Run(s, MachState(code, env, stack), fire(code, env, stack) is None, counts, fuel, fire)
 
 
 def kam_run(s: MachState, fuel: int) -> Run:
     """Run for at most fuel transitions."""
-    return run_machine(kam_step, KAM_LABELS, s, fuel)
+    return run_machine(kam_fire, KAM_LABELS, s, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ Transitions (e|_t is e restricted to fv(t)):
     (x, [x <- (u, e)], S) -> sub   (u, e, S)
 
 Every reachable state satisfies dom(env) = fv(code), for the state
-itself and inside every closure; skam_step checks the top level of that
+itself and inside every closure; skam_fire checks the top level of that
 invariant and refuses to fire a sub whose environment is not exactly
 the one binding for the variable.  Once the check has passed, a
 restriction to as many names as the environment has entries keeps
-every entry, so skam_step passes that environment on as it is rather
+every entry, so skam_fire passes that environment on as it is rather
 than copying it.
 
 Sizes count pointers: a closure is 1 plus its environment, an
@@ -38,8 +38,10 @@ from .kam import (
     Env,
     MachState,
     Run,
+    Stack,
     _env_closures,
     env_lookup,
+    fire_state,
     run_machine,
     size_env,
     state_size,  # re-exported: a run's space and time are its max and sum
@@ -80,9 +82,8 @@ def _dom(e: Env) -> set[str]:
     return {x for x, _ in e}
 
 
-def skam_step(s: MachState) -> tuple[str, MachState] | None:
-    """One transition, or None when s is final."""
-    t, e, stack = s.code, s.env, s.stack
+def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
+    """One transition as (label, code, env, stack), or None when final."""
     fv = t.fv
     # dom(e) = fv(t), building a set only for an env of 2 or more entries
     n = len(e)
@@ -105,17 +106,16 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
         if type(arg) is Var:
             c = env_lookup(e, arg.name)
             assert c is not None  # arg.name is in fv, hence in dom(e)
-            return LABEL_SEA_V, MachState(fun, fun_env, (c,) + stack)
-        c = Closure(arg, e if len(arg.fv) == n else env_restrict(e, arg.fv))
-        object.__setattr__(c, "_size", 1 + size_env(c.env))  # from cached sizes: no walk
-        return LABEL_SEA_NV, MachState(fun, fun_env, (c,) + stack)
+            return LABEL_SEA_V, fun, fun_env, (c,) + stack
+        arg_env = e if len(arg.fv) == n else env_restrict(e, arg.fv)
+        c = Closure(arg, arg_env, 1 + size_env(arg_env))  # from cached sizes: no walk
+        return LABEL_SEA_NV, fun, fun_env, (c,) + stack
     if type(t) is Abs:
         if not stack:
             return None
-        c = stack[0]
         if t.binder in t.body.fv:
-            return LABEL_BETA_NW, MachState(t.body, ((t.binder, c),) + e, stack[1:])
-        return LABEL_BETA_W, MachState(t.body, e, stack[1:])
+            return LABEL_BETA_NW, t.body, ((t.binder, stack[0]),) + e, stack[1:]
+        return LABEL_BETA_W, t.body, e, stack[1:]
     # variable: its environment must be the one binding and nothing else
     if n != 1 or e[0][0] != t.name:
         raise InvariantViolation(
@@ -123,7 +123,12 @@ def skam_step(s: MachState) -> tuple[str, MachState] | None:
             f"environment has domain {sorted(_dom(e))} with {n} entries"
         )
     c = e[0][1]
-    return LABEL_SUB, MachState(c.code, c.env, stack)
+    return LABEL_SUB, c.code, c.env, stack
+
+
+def skam_step(s: MachState) -> tuple[str, MachState] | None:
+    """One transition, or None when s is final."""
+    return fire_state(skam_fire, s)
 
 
 def skam_run(s: MachState, fuel: int) -> Run:
@@ -131,11 +136,10 @@ def skam_run(s: MachState, fuel: int) -> Run:
     machine goes, in memory proportional to the space.
 
     Both measures include the initial state; time also includes the
-    final state when it is reached.  The stack size is kept
-    incrementally, from the stack's length: a sea pushes one closure and
-    a beta pops one.  States share closures that cache their own sizes
-    (Closure.size), so measuring a step costs O(|env|) rather than
-    O(state size).
+    final state when it is reached.  Each step is measured from the env
+    and stack skam_fire returns, building no state.  The stack size is
+    kept incrementally: a sea pushes one closure and a beta pops one.
+    Closures cache their sizes (Closure.size): a step costs O(|env|).
     """
     stack_sz = sum(c.size for c in s.stack)
     space = time = size_env(s.env) + stack_sz
@@ -143,21 +147,20 @@ def skam_run(s: MachState, fuel: int) -> Run:
 
     def measure(nxt):
         nonlocal stack_sz, space, time, prev
-        cur = nxt[1]
-        stack = cur.stack
+        _, _, env, stack = nxt
         if len(stack) > len(prev):
             stack_sz += stack[0].size
         elif len(stack) < len(prev):
             stack_sz -= prev[0].size
         prev = stack
         sz = stack_sz
-        for _, c in cur.env:
+        for _, c in env:
             sz += c.size
         if sz > space:
             space = sz
         time += sz
 
-    run = run_machine(skam_step, SKAM_LABELS, s, fuel, measure)
+    run = run_machine(skam_fire, SKAM_LABELS, s, fuel, measure)
     # the run is not yet shared with a caller: complete it in place
     object.__setattr__(run, "space", space)
     object.__setattr__(run, "time", time)

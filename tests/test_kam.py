@@ -227,18 +227,39 @@ def test_replay_compares_the_last_state_in_full():
 def test_verify_on_fuel_never_replays(monkeypatch):
     calls = {"kam": 0, "skam": 0}
 
-    def counted(name, step):
-        def wrapped(s):
+    def counted(name, fire):
+        def wrapped(code, env, stack):
             calls[name] += 1
-            return step(s)
+            return fire(code, env, stack)
         return wrapped
 
-    monkeypatch.setattr(kam, "kam_step", counted("kam", kam_step))
-    monkeypatch.setattr(space_kam, "skam_step", counted("skam", skam_step))
+    monkeypatch.setattr(kam, "kam_fire", counted("kam", kam.kam_fire))
+    monkeypatch.setattr(space_kam, "skam_fire", counted("skam", space_kam.skam_fire))
     rep = sk.verify(parse_term(r"(\x.x x) (\x.x x)"), 5000)
     assert not rep.complete
     # fuel transitions, then one call that finds the last state not final
     assert calls == {"kam": 5001, "skam": 5001}
+
+
+@pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
+def test_a_run_builds_one_state_and_its_trace_one_per_transition(monkeypatch, machine_run):
+    # the run loop fires on bare (code, env, stack) triples: only the
+    # last state is a MachState; a replay builds one per transition
+    built = [0]
+    init = MachState.__init__
+
+    def counted(self, code, env, stack):
+        built[0] += 1
+        init(self, code, env, stack)
+
+    omega = compile(parse_term(r"(\x.x x) (\x.x x)"))
+    monkeypatch.setattr(MachState, "__init__", counted)
+    run = machine_run(omega, 10_000)
+    assert run.transitions == 10_000 and not run.final_reached
+    assert built[0] <= 1
+    built[0] = 0
+    assert len(run.trace) == 10_000
+    assert built[0] == 10_000
 
 
 @pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])

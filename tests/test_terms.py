@@ -191,6 +191,14 @@ def test_eq_hash_repr_of_a_20000_deep_term():
     assert repr(t) == "App(fun=Var(name='f'), arg=" * 20_000 + "Var(name='x')" + ")" * 20_000
 
 
+def test_copy_and_deepcopy_of_a_20000_deep_term_are_the_term():
+    assert sys.getrecursionlimit() <= 10_000
+    t = parse_term("f (" * 19_999 + "f x" + ")" * 19_999)
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    d = copy.deepcopy([t, (t,)])
+    assert d[0] is t and d[1][0] is t
+
+
 # ---------------------------------------------------------------- printing
 
 def test_print_atoms_unparenthesized():

@@ -585,6 +585,13 @@ def _chain(bottom, depth, index):
     return a
 
 
+def test_copy_and_deepcopy_of_a_20000_deep_arrow_chain_are_the_chain():
+    assert sys.getrecursionlimit() <= 10_000
+    a = _chain(STAR, 20_000, 1)
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert copy.deepcopy({"t": a})["t"] is a
+
+
 def test_a_multi_of_two_deep_unequal_chains_needs_no_recursion():
     # two 2,000-deep chains that differ only at the bottom: their keys
     # are integers, so ordering the multi compares two numbers
