@@ -141,6 +141,10 @@ def skam_run(s: MachState, fuel: int) -> Run:
     kept incrementally: a sea pushes one closure and a beta pops one.
     Closures cache their sizes (Closure.size): a step costs O(|env|).
     """
+    # these opening sums size every closure reachable from s; sea_nv
+    # builds each new closure with its size, and every other transition
+    # only moves closures already sized, so measure reads the stored
+    # _size and never enters the Closure.size property
     stack_sz = sum(c.size for c in s.stack)
     space = time = size_env(s.env) + stack_sz
     prev = s.stack
@@ -149,13 +153,13 @@ def skam_run(s: MachState, fuel: int) -> Run:
         nonlocal stack_sz, space, time, prev
         _, _, env, stack = nxt
         if len(stack) > len(prev):
-            stack_sz += stack[0].size
+            stack_sz += stack[0]._size
         elif len(stack) < len(prev):
-            stack_sz -= prev[0].size
+            stack_sz -= prev[0]._size
         prev = stack
         sz = stack_sz
         for _, c in env:
-            sz += c.size
+            sz += c._size
         if sz > space:
             space = sz
         time += sz

@@ -78,7 +78,16 @@ Term = Union[Var, Abs, App]
 # parsing
 
 _IDENT = re.compile(r"[A-Za-z0-9_']+")
-_WS = " \t\r\n"
+# one alternative per token kind; skip is whitespace and '--' comments,
+# bad any character no other kind takes
+_TOKEN = re.compile(
+    rf"(?P<skip>[ \t\r\n]+|--[^\n]*)|(?P<lam>[\\λ])|(?P<dot>\.)|(?P<lpar>\()|(?P<rpar>\))"
+    rf"|(?P<ident>{_IDENT.pattern})|(?P<bad>.)",
+    re.DOTALL,
+)
+# a character standing for one byte that was not UTF-8, as sys.argv and
+# click decode with surrogateescape
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 def is_name(x) -> bool:
@@ -86,45 +95,25 @@ def is_name(x) -> bool:
     return isinstance(x, str) and _IDENT.fullmatch(x) is not None
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # token kinds: lam, dot, lpar, rpar, ident; position is a codepoint
-    # index, converted to a byte offset only when reporting errors
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _WS:
-            i += 1
-        elif text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif ch == "\\" or ch == "λ":
-            toks.append(("lam", ch, i))
-            i += 1
-        elif ch == ".":
-            toks.append(("dot", ch, i))
-            i += 1
-        elif ch == "(":
-            toks.append(("lpar", ch, i))
-            i += 1
-        elif ch == ")":
-            toks.append(("rpar", ch, i))
-            i += 1
-        else:
-            m = _IDENT.match(text, i)
-            if m is None:
-                raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-            toks.append(("ident", m.group(), i))
-            i = m.end()
+    # (kind, text, codepoint index), then an end token at len(text)
+    toks = [(k, m[0], m.start()) for m in _TOKEN.finditer(text) if (k := m.lastgroup) != "skip"]
+    toks.append(("end", "", len(text)))
     return toks
 
 
-# the open constructs of parse_term
-_LAM, _APP, _LAST, _PAREN = range(4)
+def _fail(text: str, toks: list, pos: int, message: str):
+    """Raise message at codepoint pos, unless a character no token takes
+    stands anywhere in the input: that is the error then.  The offset
+    counts the bytes the user typed: one per escaped byte, and the three
+    surrogatepass writes for any other lone surrogate."""
+    for kind, tok, p in toks:
+        if kind == "bad":
+            message, pos = f"unexpected character {tok!r}", p
+            break
+    head = text[:pos]
+    offset = len(head.encode("utf-8", "surrogatepass")) - 2 * len(_ESCAPED.findall(head))
+    raise ParseError(message, offset)
 
 
 def parse_term(text: str) -> Term:
@@ -136,73 +125,49 @@ def parse_term(text: str) -> Term:
     the last argument position of an application needs no parentheses.
     """
     toks = _tokenize(text)
-    toks.append(None)  # end of input; pos never passes it
-    eof = _byte_offset(text, len(text))
-    pos = 0
-    # open constructs, innermost last: (_LAM, binder) awaits its body,
-    # (_APP, fun) its next atom (fun is None before the first),
-    # (_LAST, fun) its final abstraction argument, (_PAREN, None) its ')'
-    frames: list = []
-
-    def fail(message, tok):
-        raise ParseError(message, eof if tok is None else _byte_offset(text, tok[2]))
-
-    def expect(kind, message):
-        nonlocal pos
-        tok = toks[pos]
-        if tok is None or tok[0] != kind:
-            fail(message, tok)
-        pos += 1
-        return tok[1]
-
-    want_term = True  # else an atom, inside the application on top
+    # the open groups: the whole input, then one per open parenthesis.
+    # The innermost holds its abstractions, on opened above base as
+    # (application before the lambda, binder), each body running to the
+    # group's end, and app, the application after the last of them (None
+    # while empty); the enclosing groups wait on groups as (app, base).
+    groups = []
+    opened = []
+    app = None
+    base = 0
+    i = 0
     while True:
-        tok = toks[pos]
-        if want_term:
-            if tok is None:
-                fail("expected a term, found end of input", None)
-            if tok[0] == "lam":
-                pos += 1
-                frames.append((_LAM, expect("ident", "expected a binder after the lambda")))
-                expect("dot", "expected '.' after the binder")
-                continue
-            frames.append((_APP, None))
-        # an atom
-        if tok[0] == "lpar":
-            pos += 1
-            frames.append((_PAREN, None))
-            want_term = True
-            continue
-        if tok[0] != "ident":
-            fail(f"unexpected {tok[1]!r}", tok)
-        pos += 1
-        t = Var(tok[1])
-        # t is complete: hand it to the constructs it closes
-        while True:
-            tok = toks[pos]
-            if not frames:
-                if tok is not None:
-                    fail(f"unexpected {tok[1]!r} after the term", tok)
+        kind, tok, pos = toks[i]
+        i += 1
+        if kind == "ident":
+            app = Var(tok) if app is None else App(app, Var(tok))
+        elif kind == "lpar":
+            groups.append((app, base))
+            app, base = None, len(opened)
+        elif kind == "lam":
+            binder = toks[i]
+            if binder[0] != "ident":
+                _fail(text, toks, binder[2], "expected a binder after the lambda")
+            dot = toks[i + 1]  # the end token comes after an ident
+            if dot[0] != "dot":
+                _fail(text, toks, dot[2], "expected '.' after the binder")
+            opened.append((app, binder[1]))
+            app = None
+            i += 2
+        else:
+            # ')', '.' or the end of input closes the group; a bad token fails
+            if app is None:
+                empty = "expected a term, found end of input"
+                _fail(text, toks, pos, f"unexpected {tok!r}" if tok else empty)
+            if kind != ("rpar" if groups else "end"):
+                _fail(text, toks, pos, "expected ')'" if groups else f"unexpected {tok!r} after the term")
+            t = app
+            while len(opened) > base:
+                before, x = opened.pop()
+                t = Abs(x, t) if before is None else App(before, Abs(x, t))
+            if not groups:
                 return t
-            kind, x = frames[-1]
-            if kind == _APP:
-                if x is not None:
-                    t = App(x, t)
-                if tok is not None and tok[0] in ("ident", "lpar"):
-                    frames[-1] = (_APP, t)
-                    want_term = False
-                    break
-                if tok is not None and tok[0] == "lam":
-                    frames[-1] = (_LAST, t)
-                    want_term = True
-                    break
-            elif kind == _PAREN:
-                expect("rpar", "expected ')'")
-            elif kind == _LAM:
-                t = Abs(x, t)
-            else:
-                t = App(x, t)
-            frames.pop()
+            app, base = groups.pop()
+            app = t if app is None else App(app, t)
 
 
 def print_term(t: Term) -> str:

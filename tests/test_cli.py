@@ -291,6 +291,21 @@ def test_infer_derivation_too_deep_for_json_is_usage_error(tmp_path):
     assert res.stdout.strip() == f"ok: weight {weight}"
 
 
+def test_a_byte_that_is_not_utf8_in_a_comment_of_argv_is_read_past():
+    res = _spacekam("eval", b"(\\a.a) (\\b.b) -- \xff")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == r"\b.b"
+
+
+@pytest.mark.parametrize("command", ["eval", "kam", "skam", "verify", "infer"])
+def test_a_parse_error_after_a_byte_that_is_not_utf8_exits_2(command):
+    # the offset counts the bytes typed: the 0xff byte is one
+    res = _spacekam(command, b"x -- \xff\n )")
+    assert res.returncode == 2
+    assert "unexpected ')' after the term at byte offset 8" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def _let_chain(n):
     """(\\x0. (\\x1. ... (\\xn. \\z. xn) (\\w. x(n-1)) ...) (\\w. x0)) (\\a.a):
     each x(i+1) is bound to a closure over x(i), so closures nest n deep."""

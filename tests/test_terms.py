@@ -100,6 +100,71 @@ def test_parse_error_bad_character():
     assert exc.value.offset == 2
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        # offsets count bytes: 'λ' and 'é' take 2 each
+        ("x + y", "unexpected character '+'", 2),
+        ("λx.x $", "unexpected character '$'", 6),
+        ("é", "unexpected character 'é'", 0),
+        ("-- é\n x +", "unexpected character '+'", 9),
+        # a character no token takes is the error wherever it stands
+        (") +", "unexpected character '+'", 2),
+        ("x ) +", "unexpected character '+'", 4),
+        ("λé.x", "unexpected character 'é'", 2),
+        ("(é.x", "unexpected character 'é'", 1),
+        ("\\", "expected a binder after the lambda", 1),
+        ("λ.x", "expected a binder after the lambda", 2),
+        ("\\(x", "expected a binder after the lambda", 1),
+        ("\\x x", "expected '.' after the binder", 3),
+        ("λx", "expected '.' after the binder", 3),
+        ("\\x\\y", "expected '.' after the binder", 2),
+        ("λx -- é\n y", "expected '.' after the binder", 11),
+        ("", "expected a term, found end of input", 0),
+        ("   -- nothing here", "expected a term, found end of input", 18),
+        ("\\x.", "expected a term, found end of input", 3),
+        ("(", "expected a term, found end of input", 1),
+        ("λx.-- é\n", "expected a term, found end of input", 10),
+        (".", "unexpected '.'", 0),
+        ("x (.", "unexpected '.'", 3),
+        ("()", "unexpected ')'", 1),
+        ("λx.)", "unexpected ')'", 4),
+        ("x )", "unexpected ')' after the term", 2),
+        ("x .", "unexpected '.' after the term", 2),
+        ("λx.x )", "unexpected ')' after the term", 6),
+        ("x -- é\n )", "unexpected ')' after the term", 9),
+        ("(x) y)", "unexpected ')' after the term", 5),
+        ("(x y", "expected ')'", 4),
+        ("(x .", "expected ')'", 3),
+        ("(λx.x", "expected ')'", 6),
+        ("((x)", "expected ')'", 4),
+    ],
+)
+def test_parse_error_message_and_byte_offset(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert (exc.value.message, exc.value.offset) == (message, offset)
+    assert str(exc.value) == f"{message} at byte offset {offset}"
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        # each escaped byte (surrogateescape, as sys.argv decodes) is one
+        # byte typed; another lone surrogate counts as 3
+        ("x -- \udcff\n )", "unexpected ')' after the term", 8),
+        ("x -- \udc80\udcff\n )", "unexpected ')' after the term", 9),
+        ("x -- \ud800\n )", "unexpected ')' after the term", 10),
+        ("x -- \udfff\udcff\n )", "unexpected ')' after the term", 11),
+        ("x \ud800", "unexpected character '\\ud800'", 2),
+    ],
+)
+def test_parse_error_offsets_count_the_bytes_typed(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert (exc.value.message, exc.value.offset) == (message, offset)
+
+
 def test_parse_a_20000_deep_lambda_chain_and_print_it_back():
     # twenty times the default recursion limit
     text = "".join(rf"\x{i}." for i in range(20_000)) + "x0"
