@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ from spacekam.extractor import extract, extract_kam
 from spacekam.harness import VerificationReport, fuzz, random_closed_term, verify
 from spacekam.kam import OpenTerm, compile, kam_run
 from spacekam.space_kam import skam_run
-from spacekam.terms import parse_term
+from spacekam.terms import parse_term, print_term
 
 CHECK_NAMES = [
     "wh_beta_count",
@@ -218,6 +219,17 @@ def test_random_terms_vary_with_the_seed():
 def test_random_term_minimal_budget():
     t = random_closed_term(3, 1)
     assert t == parse_term(r"\v0.v0")
+
+
+def test_random_terms_stay_the_same():
+    # the fuzz campaign and the bench's fuzz_mix workload depend on these
+    # exact terms: a generator change must draw the same ones
+    h = hashlib.sha256()
+    sweep = [(s, 25) for s in range(1000)]
+    sweep += [(s, b) for b in (1, 2, 3, 5, 60) for s in range(200)]
+    for s, b in sweep:
+        h.update(print_term(random_closed_term(s, b)).encode() + b"\n")
+    assert h.hexdigest() == "4efa819b3ab26275ef3c77bcb1af04a0108d0294bc47454a4d0b2349251e5774"
 
 
 # ---------------------------------------------------------------- fuzz
