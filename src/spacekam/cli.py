@@ -28,12 +28,15 @@ from .space_kam import skam_run
 from .terms import ParseError, parse_term, print_term, whnf_eval
 
 
-def _read_input(path: str) -> str:
-    """The text of path, or of stdin for '-'; unreadable input is a usage error."""
+def _read_input(path: str, errors: str = "strict") -> str:
+    """The text of path, or of stdin for '-', decoded from UTF-8 with
+    errors; unreadable input is a usage error.  Terms are read with
+    surrogateescape, as argv is decoded, so a byte that is not UTF-8
+    reaches the parser, which counts it as one byte."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as f:
+            return sys.stdin.buffer.read().decode("utf-8", errors)
+        with open(path, encoding="utf-8", errors=errors) as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as ex:
         raise click.UsageError(f"cannot read {path}: {ex}")
@@ -42,7 +45,7 @@ def _read_input(path: str) -> str:
 def _load_term(term: str | None, path: str | None):
     if (term is None) == (path is None):
         raise click.UsageError("give a term inline or with --file, not both or neither")
-    text = term if path is None else _read_input(path)
+    text = term if path is None else _read_input(path, "surrogateescape")
     try:
         return parse_term(text)
     except ParseError as ex:

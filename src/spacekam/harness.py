@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .checker import check_walk, counts_correspond
@@ -171,6 +172,22 @@ def verify(t: Term, fuel: int) -> VerificationReport:
     )
 
 
+def _node_kinds(var: bool, abs_: bool, app: bool):
+    """The kinds a random node may take when a variable is in scope (var)
+    and the budget has room for an abstraction (abs_) and for an
+    application (app): the kinds, their cumulative weights as
+    random.choices builds them, the total and the last index."""
+    weighted = (("var", 0.20), ("abs", 0.35), ("app", 0.45))
+    allowed = [kw for kw, ok in zip(weighted, (var, abs_, app)) if ok]
+    # with no room for either, the node is the smallest closed term's binder
+    kinds, weights = zip(*allowed) if allowed else (("abs",), (1.0,))
+    cum = list(itertools.accumulate(weights))
+    return kinds, cum, cum[-1], len(cum) - 1
+
+
+_NODE_KINDS = {ok: _node_kinds(*ok) for ok in itertools.product((False, True), repeat=3)}
+
+
 def random_closed_term(seed: int, size_budget: int) -> Term:
     """A deterministic random closed term of at most size_budget nodes
     (the smallest closed term has two, so that is the floor).
@@ -178,29 +195,19 @@ def random_closed_term(seed: int, size_budget: int) -> Term:
     At each node: an application with probability .45, an abstraction
     with .35, a variable with .20, dropping what the budget or empty
     scope rules out and renormalizing.  Binders are numbered in
-    generation order, so equal seeds give equal terms."""
+    generation order, so equal seeds give equal terms.  Each node draws
+    its kind with one rng.random() call through bisect, the formula
+    rng.choices computes, so the terms are the ones choices gave."""
     rng = random.Random(seed)
+    draw = rng.random
     fresh = itertools.count()
 
     def go(budget: int, scope: tuple) -> Term:
         # a closed subterm needs two nodes, so the application split
         # must leave at least that much on each side
         m = 1 if scope else 2
-        options = []
-        weights = []
-        if scope:
-            options.append("var")
-            weights.append(0.20)
-        if budget >= 2:
-            options.append("abs")
-            weights.append(0.35)
-        if budget >= 1 + 2 * m:
-            options.append("app")
-            weights.append(0.45)
-        if not options:
-            # budget 1 and nothing in scope: the smallest closed term
-            options, weights = ["abs"], [1.0]
-        kind = rng.choices(options, weights=weights)[0]
+        kinds, cum, total, hi = _NODE_KINDS[bool(scope), budget >= 2, budget >= 1 + 2 * m]
+        kind = kinds[bisect_right(cum, draw() * total, 0, hi)]
         if kind == "var":
             return Var(rng.choice(scope))
         if kind == "abs":

@@ -2,38 +2,38 @@
 Modular Hash-Consing", 2006).
 
 Every value of a subclass of Interned is built through one table keyed
-on its class and its fields, whose values are strings, integers or
-interned values already, so equal values are one object and `==` and
-`hash` are identity.  The table holds its values weakly: a value dies
-with its last user.
-
-Interned values are Frozen: immutable, their own copy and deepcopy at
-any depth, rebuilt through their constructor by pickle (which returns
-the interned object), and written by repr as dataclass-style text from
-an explicit stack, so nesting depth is not limited by the interpreter's
-recursion limit.  The machines' closures and states are Frozen without
-being interned.
+on its class and its fields (strings, integers or interned values), so
+equal values are one object and `==` and `hash` are identity.  The table
+is a plain dict holding each value through a weak reference: a value
+dies with its last user, and one shared callback takes its entry out.
+Interned values are Frozen (immutable, their own copies, written by repr
+from an explicit stack at any depth), as the machines' closures and
+states are without being interned.
 
 postorder is the one children-first walk over shared structure (terms,
-types, closures, derivations): it keeps its own stack and visits each
-value once.
+types, closures, derivations), from its own stack.
 """
 
-import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from itertools import filterfalse
 
-# the intern table: (class, *fields) -> the one value built from them
-TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_TABLE_LOCK = threading.RLock()
+TABLE: dict = {}  # (class, *fields) -> a weak reference to the one value built from them
+dead = type(None)  # TABLE.get(key, dead)() is that value, or None: dead() is None
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the key of its entry
+
+    def gone(self, table=TABLE, remove=_remove_dead_weakref):  # defaults outlive the globals
+        remove(table, self.key)  # only if the entry still holds a dead reference
 
 
 class Frozen:
     """An immutable value.  A subclass lists its fields in __slots__ in
-    the order its constructor takes them; data worked out from the
-    fields (a type's order key, a term's free variables, a closure's
-    size) lives in the slots of an intermediate class, outside ==, repr
-    and pickle."""
+    the order its constructor takes them; data worked out from them (a
+    type's order key, a term's free variables, a closure's size) lives in
+    an intermediate class's slots, outside ==, repr and pickle."""
 
     __slots__ = ()
 
@@ -83,16 +83,16 @@ def write_repr(obj, fields) -> str:
     return "".join(out)
 
 
-def store(table_key, cls, **fields):
-    """Build a value from its fields and enter it under table_key, unless
-    another thread has entered one since the caller looked."""
-    with _TABLE_LOCK:
-        a = TABLE.get(table_key)
-        if a is None:
-            a = object.__new__(cls)
-            for name, value in fields.items():
-                object.__setattr__(a, name, value)
-            TABLE[table_key] = a
+def enter(key, a):
+    """Enter a, just built, under key and return it, or the live value
+    another thread entered first: keys hash and compare in C, so
+    setdefault is atomic."""
+    ref = _Ref(a, _Ref.gone)
+    ref.key = key
+    while (held := TABLE.setdefault(key, ref)) is not ref:
+        if (b := held()) is not None:
+            return b
+        _remove_dead_weakref(TABLE, key)  # a dead value whose callback has not run
     return a
 
 

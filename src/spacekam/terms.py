@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .hashcons import TABLE, Interned, store
+from .hashcons import TABLE, Interned, dead, enter
 
 
 class ParseError(ValueError):
@@ -46,7 +46,13 @@ class Var(_Term):
 
     def __new__(cls, name: str):
         tk = (cls, name)
-        return TABLE.get(tk) or store(tk, cls, name=name, fv=frozenset((name,)))
+        a = TABLE.get(tk, dead)()
+        if a is None:
+            a = object.__new__(cls)
+            _set_name(a, name)
+            _set_fv(a, frozenset((name,)))
+            a = enter(tk, a)
+        return a
 
 
 class Abs(_Term):
@@ -54,10 +60,15 @@ class Abs(_Term):
 
     def __new__(cls, binder: str, body: "Term"):
         tk = (cls, binder, body)
-        fv = body.fv
-        return TABLE.get(tk) or store(
-            tk, cls, binder=binder, body=body, fv=fv - {binder} if binder in fv else fv
-        )
+        a = TABLE.get(tk, dead)()
+        if a is None:
+            fv = body.fv
+            a = object.__new__(cls)
+            _set_binder(a, binder)
+            _set_body(a, body)
+            _set_fv(a, fv - {binder} if binder in fv else fv)
+            a = enter(tk, a)
+        return a
 
 
 class App(_Term):
@@ -65,10 +76,23 @@ class App(_Term):
 
     def __new__(cls, fun: "Term", arg: "Term"):
         tk = (cls, fun, arg)
-        f, a = fun.fv, arg.fv
-        return TABLE.get(tk) or store(
-            tk, cls, fun=fun, arg=arg, fv=f if a <= f else a if f <= a else f | a
-        )
+        a = TABLE.get(tk, dead)()
+        if a is None:
+            f, g = fun.fv, arg.fv
+            a = object.__new__(cls)
+            _set_fun(a, fun)
+            _set_arg(a, arg)
+            _set_fv(a, f if g <= f else g if f <= g else f | g)
+            a = enter(tk, a)
+        return a
+
+
+# constructors set fields through the slot descriptors, past Frozen's
+# __setattr__
+_set_fv = _Term.fv.__set__
+_set_name = Var.name.__set__
+_set_binder, _set_body = Abs.binder.__set__, Abs.body.__set__
+_set_fun, _set_arg = App.fun.__set__, App.arg.__set__
 
 
 Term = Union[Var, Abs, App]

@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .hashcons import TABLE, Interned, Table, store
+from .hashcons import TABLE, Interned, Table, dead, enter
 from .terms import is_name
 
 
@@ -69,13 +69,20 @@ class _Type(Interned):
     __slots__ = ("key",)
 
 
+# constructors set fields through the slot descriptors, past Frozen's
+# __setattr__
+_set_key = _Type.key.__set__
+
+
 class Star(_Type):
     """The ground type *; there is one."""
 
     __slots__ = ()
 
     def __new__(cls):
-        return TABLE.get((cls,)) or store((cls,), cls, key=0)
+        a = object.__new__(cls)
+        _set_key(a, 0)
+        return enter((cls,), a)
 
 
 STAR = Star()
@@ -119,9 +126,14 @@ class Arrow(_Type):
         if not isinstance(res, (Star, Arrow)):
             raise TypeError(f"indexed arrow needs an indexed target: {res!r}")
         tk = (cls, arg, res)
-        return TABLE.get(tk) or store(
-            tk, cls, arg=arg, res=res, key=(1 << 64) | _digest(arg.key, res.key)
-        )
+        a = TABLE.get(tk, dead)()
+        if a is None:
+            a = object.__new__(cls)
+            _set_arg(a, arg)
+            _set_res(a, res)
+            _set_key(a, (1 << 64) | _digest(arg.key, res.key))
+            a = enter(tk, a)
+        return a
 
 
 class MultiType(_Multi):
@@ -142,9 +154,14 @@ class DCArrow(_Type):
         if not isinstance(res, (Star, DCArrow)):
             raise TypeError(f"plain arrow needs a plain target: {res!r}")
         tk = (cls, arg, res)
-        return TABLE.get(tk) or store(
-            tk, cls, arg=arg, res=res, key=(2 << 64) | _digest(arg.key, res.key)
-        )
+        a = TABLE.get(tk, dead)()
+        if a is None:
+            a = object.__new__(cls)
+            _set_dc_arg(a, arg)
+            _set_dc_res(a, res)
+            _set_key(a, (2 << 64) | _digest(arg.key, res.key))
+            a = enter(tk, a)
+        return a
 
 
 _MULTIS = (ClosureMulti, MultiType)
@@ -153,17 +170,29 @@ _MULTIS = (ClosureMulti, MultiType)
 _INDEXED = (frozenset({Star, Arrow}), "indexed multi over a non-indexed element")
 _PLAIN = (frozenset({Star, DCArrow}), "plain multi over an indexed element")
 
+# the slot descriptors of the other fields, as _set_key's
+_set_arg, _set_res = Arrow.arg.__set__, Arrow.res.__set__
+_set_dc_arg, _set_dc_res = DCArrow.arg.__set__, DCArrow.res.__set__
+_set_pairs, _set_index = ClosureMulti.pairs.__set__, ClosureMulti.index.__set__
+_set_plain_pairs = MultiType.pairs.__set__
+
 
 def _intern(cls, pairs: tuple, index):
     """The multi of class cls with canonical pairs pairs, at index for a
     ClosureMulti (None for a MultiType)."""
-    if index is None:
-        tk = (cls, pairs)
-        return TABLE.get(tk) or store(tk, cls, pairs=pairs, key=_digest(2, *_flat(pairs)))
-    tk = (cls, index, pairs)
-    return TABLE.get(tk) or store(
-        tk, cls, pairs=pairs, index=index, key=_digest(1, index, *_flat(pairs))
-    )
+    tk = (cls, pairs) if index is None else (cls, index, pairs)
+    a = TABLE.get(tk, dead)()
+    if a is None:
+        a = object.__new__(cls)
+        if index is None:
+            _set_plain_pairs(a, pairs)
+            _set_key(a, _digest(2, *_flat(pairs)))
+        else:
+            _set_pairs(a, pairs)
+            _set_index(a, index)
+            _set_key(a, _digest(1, index, *_flat(pairs)))
+        a = enter(tk, a)
+    return a
 
 
 def _flat(pairs):

@@ -72,15 +72,20 @@ def test_unreadable_input_file_is_usage_error(runner, tmp_path):
     for args in (
         ["eval", "--file", missing],
         ["infer", "--file", str(tmp_path)],
-        ["eval", "--file", str(binary)],
         ["check", missing],
         ["check", str(tmp_path)],
-        ["check", str(binary)],
+        ["check", str(binary)],  # a derivation file must be UTF-8
     ):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "cannot read" in res.stderr
+    # a term file is read as argv is, each byte that is not UTF-8 one
+    # character, so the parser names the first
+    res = runner.invoke(main, ["eval", "--file", str(binary)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "unexpected character '\\udcff' at byte offset 0" in res.stderr
 
 
 @pytest.mark.parametrize("command", ["eval", "kam", "skam", "infer", "verify"])
@@ -267,12 +272,13 @@ def test_check_from_stdin(runner):
     assert res.exit_code == 0
 
 
-def _spacekam(*args):
+def _spacekam(*args, stdin=None):
     """Run the command line in a child process, at the interpreter's
     default recursion limit."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
     return subprocess.run(
-        [sys.executable, "-m", "spacekam.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "spacekam.cli", *args],
+        stdin=stdin, capture_output=True, text=True, env=env,
     )
 
 
@@ -303,6 +309,27 @@ def test_a_parse_error_after_a_byte_that_is_not_utf8_exits_2(command):
     res = _spacekam(command, b"x -- \xff\n )")
     assert res.returncode == 2
     assert "unexpected ')' after the term at byte offset 8" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("where", ["file", "stdin"])
+def test_a_byte_that_is_not_utf8_in_a_term_file_reads_as_in_argv(tmp_path, where):
+    good, bad = tmp_path / "t.lam", tmp_path / "bad.lam"
+    good.write_bytes(b"(\\a.a) (\\b.b) -- \xff")
+    bad.write_bytes(b"x -- \xff\n )")
+
+    def run(path):
+        if where == "file":
+            return _spacekam("eval", "-f", str(path))
+        with open(path, "rb") as stdin:
+            return _spacekam("eval", "-f", "-", stdin=stdin)
+
+    res = run(good)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == r"\b.b"
+    res = run(bad)
+    assert res.returncode == 2
+    assert "unexpected ')' after the term at byte offset 8" in res.stderr  # as inline
     assert "Traceback" not in res.stderr
 
 

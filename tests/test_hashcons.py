@@ -1,6 +1,12 @@
+import gc
+import os
+import subprocess
 import sys
 
-from spacekam.hashcons import postorder
+import spacekam
+from spacekam.hashcons import TABLE, _Ref, postorder
+from spacekam.terms import Abs, App, Var
+from spacekam.types import STAR, Arrow, ClosureMulti
 
 
 def _walk(roots, graph, done=None):
@@ -37,3 +43,56 @@ def test_values_done_before_or_during_the_walk_are_not_yielded():
         out.append(x)
         done.update((x, "b"))  # handling c handles b too
     assert out == ["c", "a"]
+
+
+# ---------------------------------------------------------------- the intern table
+
+def test_the_key_of_a_dead_value_leaves_the_table():
+    # keys that hold no interned value, so they keep nothing alive
+    keys = [(ClosureMulti, 89, ((STAR, 1),)), (Var, "gone")]
+    values = [ClosureMulti((STAR,), 89), Var("gone")]
+    assert [TABLE[k]() for k in keys] == values
+    del values
+    gc.collect()
+    assert not any(k in TABLE for k in keys)
+
+
+def test_a_late_callback_leaves_a_live_entry_in_place():
+    key = (Abs, "late", Var("late"))
+    assert key not in TABLE
+    t = Abs("late", Var("late"))
+    old = TABLE[key]
+    del t  # old is dead, and its callback has taken its entry out
+    assert old() is None and key not in TABLE
+    t = Abs("late", Var("late"))
+    old.gone()  # as if its callback ran only now, after the key was entered again
+    assert TABLE[key]() is t
+
+
+def test_a_dead_entry_whose_callback_has_not_run_is_replaced():
+    key = (App, Var("stale"), Var("stale"))
+    t = App(Var("stale"), Var("stale"))
+    ref = _Ref(t, None)  # no callback: its entry stays after t dies
+    ref.key = key
+    TABLE[key] = ref
+    del t
+    assert ref() is None and TABLE[key] is ref
+    t = App(Var("stale"), Var("stale"))
+    assert TABLE[key]() is t and App(Var("stale"), Var("stale")) is t
+
+
+def test_values_dying_at_and_before_interpreter_exit_write_nothing_to_stderr():
+    # the callback finds the table and the remover through its defaults,
+    # so values still alive when the interpreter exits die quietly too
+    code = (
+        "from spacekam import STAR, Abs, App, Arrow, ClosureMulti, Var\n"
+        "kept = []\n"
+        "for i in range(10_000):\n"
+        "    t = App(Abs(f'x{i}', Var('y')), Var(f'z{i}'))\n"
+        "    a = Arrow(ClosureMulti((STAR,) * (i % 5), i + 1), STAR)\n"
+        "    if i % 2:\n"
+        "        kept.append((t, a))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0 and res.stderr == ""

@@ -206,7 +206,8 @@ def test_equal_terms_are_one_object_also_through_copy_and_pickle():
 
 def test_threads_racing_to_build_equal_terms_get_one_object():
     # the table is shared by every thread; a constructor that finds no
-    # entry enters its term only after looking again under the lock
+    # entry enters its term through setdefault, which keeps the entry of
+    # a thread that came first
     def build(out):
         t = Var("race_x")
         for i in range(300):
