@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .hashcons import Table, postorder, write_repr
-from .kam import Closure, MachState, Run, _env_closures
+from .kam import Closure, MachState, Run, _env_closures, _pairs_equal
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -132,9 +132,11 @@ class Derivation:
         if other.__class__ is not Derivation:
             return NotImplemented
         # one walk over pairs of nodes, each pair compared once, however
-        # deep or shared the trees are; both trees are held, so ids are stable
+        # deep or shared the trees are, then one over pairs of machine
+        # subjects; both trees are held, so ids are stable
         seen = set()
         pairs = [(self, other)]
+        subjects = []
         while pairs:
             a, b = pairs.pop()
             if a is b or (id(a), id(b)) in seen:
@@ -146,10 +148,18 @@ class Derivation:
                 continue
             if a.rule != b.rule or len(a.premises) != len(b.premises):
                 return False
-            if a.conclusion != b.conclusion:
+            p, q = a.conclusion, b.conclusion
+            u, v = p.subject, q.subject
+            if (p.subject_kind, p.context, p.assigned, p.weight, u.__class__) != (
+                q.subject_kind, q.context, q.assigned, q.weight, v.__class__
+            ):
+                return False
+            if u.__class__ in (Closure, MachState, tuple):  # to _pairs_equal below
+                subjects.append((u, v))
+            elif u != v:
                 return False
             pairs.extend(zip(a.premises, b.premises))
-        return True
+        return _pairs_equal(subjects)
 
     def __hash__(self):
         return hash((self.rule, self.conclusion, len(self.premises)))

@@ -605,13 +605,17 @@ def extract(run: Run) -> Derivation:
 _KAM_DRY = _Cl(None, _DRY)  # the bag of a binder the rest of the run never reads
 
 
+def _dc_node(rule, code, ctx, assigned, premises=()) -> Derivation:
+    """A plain-flavor term node, weighed by its rule in kam mode."""
+    w = rule_weight(rule, ctx, assigned, [p.conclusion.weight for p in premises], "kam")
+    return Derivation(rule, Judgment(KIND_TERM, code, ctx, assigned, w), premises)
+
+
 def extract_kam(run: Run) -> Derivation:
     """The plain-flavor typing of a complete plain-machine run's initial
     code; the root weight is the number of transitions."""
     trace, states = _complete_trace(run)
-    cur = Derivation(
-        R_DC_LAM_STAR, Judgment(KIND_TERM, states[-1].code, EMPTY_CONTEXT, STAR, 0)
-    )
+    cur = _dc_node(R_DC_LAM_STAR, states[-1].code, EMPTY_CONTEXT, STAR)
     env = {}  # the environment typing: a bag per name
     stack = []  # (multi, uses, env typings) of each stack closure, top last
     for i in range(len(trace) - 1, -1, -1):
@@ -625,7 +629,7 @@ def extract_kam(run: Run) -> Derivation:
             a = cur.conclusion.assigned
             ctx = TypeContext(((x, MultiType((a,))),))
             env = {x: _Cl(None, _USE, cur, env)}
-            cur = Derivation(R_DC_VAR, Judgment(KIND_TERM, src.code, ctx, a, 1))
+            cur = _dc_node(R_DC_VAR, src.code, ctx, a)
         elif label == LABEL_BETA:
             # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
             # into the arrow source and the stack top's typing
@@ -635,16 +639,9 @@ def extract_kam(run: Run) -> Derivation:
             m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
-            cur = Derivation(
-                R_DC_LAM,
-                Judgment(
-                    KIND_TERM,
-                    src.code,
-                    cur.conclusion.context.minus(x),
-                    DCArrow(m, cur.conclusion.assigned),
-                    cur.conclusion.weight + 1,
-                ),
-                (cur,),
+            cur = _dc_node(
+                R_DC_LAM, src.code, cur.conclusion.context.minus(x),
+                DCArrow(m, cur.conclusion.assigned), (cur,),
             )
             stack.append((m, uses, envs))
         else:
@@ -656,12 +653,7 @@ def extract_kam(run: Run) -> Derivation:
             assert type(arrow) is DCArrow, "function typing is not an arrow"
             assert arrow.arg == m, "argument uses disagree with the arrow source"
             ctx = contexts_union([cur.conclusion.context, *(d.conclusion.context for d in args)])
-            w = cur.conclusion.weight + sum(d.conclusion.weight for d in args) + 1
-            cur = Derivation(
-                R_DC_APP,
-                Judgment(KIND_TERM, src.code, ctx, arrow.res, w),
-                (cur, *args),
-            )
+            cur = _dc_node(R_DC_APP, src.code, ctx, arrow.res, (cur, *args))
             if envs:
                 env = _join_parts([env, *envs])
     assert not env, "the initial state's typing wants an environment"

@@ -18,7 +18,7 @@ verify runs the checks the theory pins down.  For a complete run:
   correspondence        rule uses match transition counts one for one
   kam_derivation        the plain-flavor derivation checks in kam mode
   kam_weight            its weight is the plain machine's step count
-  env_domain_invariant  dom(env) = fv(code) everywhere in every state
+  env_domain_invariant  dom(env) = fv(code) in the initial state
 
 Each derivation is walked once, by checker.check_walk, and every
 measure comes from that walk.  Space and time share the tree and differ
@@ -28,9 +28,9 @@ modes and counts the rule uses for derivation_size and correspondence.
 The plain derivation's walk in kam mode gives decarvalho_weight.  The
 reported weights are recomputed, stored ones ignored, so they stand
 when only a stored weight is wrong; a tree whose structure fails
-weighs None, and notes name the first node that failed.  The invariant
-is checked over the whole run at once, visiting each closure object
-once.
+weighs None, and notes name the first node that failed.  skam_run
+checks the invariant in each state and each closure it builds, so only
+the initial state, which the machine did not build, is checked here.
 
 A run that exhausts its fuel reports complete=False, carries the
 machine statistics only, and runs no checks.
@@ -47,7 +47,7 @@ from .checker import check_walk, counts_correspond
 from .extractor import extract, extract_kam
 from .kam import compile as kam_compile
 from .kam import decode, kam_run
-from .space_kam import check_run_env_domain_invariant, skam_run
+from .space_kam import check_env_domain_invariant, skam_run
 from .terms import Abs, App, Term, Var, alpha_eq, parse_term, print_term, whnf_eval
 
 
@@ -148,7 +148,7 @@ def verify(t: Term, fuel: int) -> VerificationReport:
             dc_weight = computed("kam_weight", lambda: kam_walk.weight("kam"))
         checks.append(("kam_derivation", kam_walk is not None and kam_walk.ok))
         checks.append(("kam_weight", dc_weight == krun.transitions))
-        attempt("env_domain_invariant", lambda: check_run_env_domain_invariant(srun.states))
+        attempt("env_domain_invariant", lambda: check_env_domain_invariant(srun.initial))
 
     return VerificationReport(
         term=t,

@@ -8,7 +8,9 @@ is a plain dict holding each value through a weak reference: a value
 dies with its last user, and one shared callback takes its entry out.
 Interned values are Frozen (immutable, their own copies, written by repr
 from an explicit stack at any depth), as the machines' closures and
-states are without being interned.
+states are without being interned.  Each kind pickles through a flat
+form of its own: a term as its printed text, a type as its file
+entries, closures and states as a table of closures.
 
 postorder is the one children-first walk over shared structure (terms,
 types, closures, derivations), from its own stack.
@@ -33,7 +35,7 @@ class Frozen:
     """An immutable value.  A subclass lists its fields in __slots__ in
     the order its constructor takes them; data worked out from them (a
     type's order key, a term's free variables, a closure's size) lives in
-    an intermediate class's slots, outside ==, repr and pickle."""
+    an intermediate class's slots, outside == and repr."""
 
     __slots__ = ()
 
@@ -41,9 +43,6 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, f) for f in type(self).__slots__))
 
     def __repr__(self):
         return write_repr(self, lambda x: type(x).__slots__ if isinstance(x, Frozen) else None)

@@ -11,7 +11,8 @@ dataclasses: a constructor that stores through the slot descriptors
 costs a fraction of a frozen dataclass's.  Assigning a field raises
 AttributeError all the same.  ==, hash and repr walk closures with
 explicit stacks, so nesting depth is not limited by the interpreter's
-recursion limit; copy and pickle rebuild them through the constructor.
+recursion limit; copy and pickle rebuild them from a flat table of the
+closures they hold, at any depth, each shared closure once.
 
 Transitions:
 
@@ -88,6 +89,9 @@ class Closure(_Sized):
     def __hash__(self):
         return hash((self.code, tuple(x for x, _ in self.env)))
 
+    def __reduce__(self):
+        return _from_table, _table(self.code, self.env, None)
+
 
 _set_closure_code = Closure.code.__set__
 _set_closure_env = Closure.env.__set__
@@ -125,15 +129,13 @@ class MachState(Frozen):
     def __eq__(self, other):
         if other.__class__ is not MachState:
             return NotImplemented
-        if self is other:
-            return True
-        if len(self.stack) != len(other.stack):
-            return False
-        # a state has code and env like a closure, and is compared like one
-        return _pairs_equal([(self, other), *zip(self.stack, other.stack)])
+        return self is other or _pairs_equal([(self, other)])
 
     def __hash__(self):
         return hash((self.code, tuple(x for x, _ in self.env), len(self.stack)))
+
+    def __reduce__(self):
+        return _from_table, _table(self.code, self.env, self.stack)
 
 
 _set_state_code = MachState.code.__set__
@@ -141,21 +143,53 @@ _set_state_env = MachState.env.__set__
 _set_state_stack = MachState.stack.__set__
 
 
+def _table(code, env, stack) -> tuple:
+    """A closure (stack None) or a state as the arguments of _from_table:
+    every closure it holds as a row (code, ((name, row), ...)) of a
+    children-first table, each distinct closure once, then its code, its
+    env as (name, row) pairs and its stack as rows."""
+    at: dict = {}
+    rows = []
+    for c in postorder([*map(_second, env), *(stack or ())], _env_closures, lambda c: id(c) in at):
+        at[id(c)] = len(rows)
+        rows.append((c.code, tuple((x, at[id(d)]) for x, d in c.env)))
+    env = tuple((x, at[id(c)]) for x, c in env)
+    return rows, code, env, None if stack is None else tuple(at[id(c)] for c in stack)
+
+
+def _from_table(rows, code, env, stack):
+    """The closure or state _table wrote, built row by row."""
+    built: list = []
+    for c, e in rows:
+        built.append(Closure(c, tuple((x, built[i]) for x, i in e)))
+    env = tuple((x, built[i]) for x, i in env)
+    if stack is None:
+        return Closure(code, env)
+    return MachState(code, env, tuple(built[i] for i in stack))
+
+
 def _pairs_equal(pairs: list) -> bool:
-    """Whether each pair of closures (or states, taken as their code and
-    env) in pairs is equal: one walk with an explicit stack that
-    compares each pair of objects once, however deep or shared the
-    closures are.  The caller holds both sides alive, so ids are
-    stable."""
+    """Whether each pair in pairs is equal: pairs of closures, of states
+    (code, env and stack) or of environments.  One walk with an explicit
+    stack compares each pair of objects once, however deep or shared the
+    closures are.  The caller holds both sides alive, so ids are stable."""
     seen = set()
     while pairs:
         c, d = pairs.pop()
         if c is d or (id(c), id(d)) in seen:
             continue
         seen.add((id(c), id(d)))
-        if c.code is not d.code or len(c.env) != len(d.env):
+        if type(c) is not tuple:  # a closure or a state, not an environment
+            if c.code is not d.code:
+                return False
+            if type(c) is MachState:
+                if len(c.stack) != len(d.stack):
+                    return False
+                pairs += zip(c.stack, d.stack)
+            c, d = c.env, d.env
+        if len(c) != len(d):
             return False
-        for (x, c2), (y, d2) in zip(c.env, d.env):
+        for (x, c2), (y, d2) in zip(c, d):
             if x != y:
                 return False
             pairs.append((c2, d2))
@@ -167,6 +201,21 @@ def env_lookup(e: Env, x: str) -> Closure | None:
         if y == x:
             return c
     return None
+
+
+def env_restrict(e: Env, names: frozenset[str]) -> Env:
+    """Keep the first binding of each name in names, in entry order.
+    Reading stops once every name has its binding."""
+    out = []
+    seen = set()
+    for binding in e if names else ():
+        x = binding[0]
+        if x in names and x not in seen:
+            out.append(binding)
+            seen.add(x)
+            if len(seen) == len(names):
+                break
+    return tuple(out)
 
 
 LABEL_SEA = "sea"
@@ -312,34 +361,21 @@ def kam_run(s: MachState, fuel: int) -> Run:
 # ---------------------------------------------------------------------------
 # decoding and serialization
 
-def _used_bindings(d: Closure) -> dict:
-    """The first binding of each free variable of d's code, in env
-    order: the only bindings d's read-back depends on."""
-    fv = d.code.fv
-    out = {}
-    for x, e in d.env:
-        if len(out) == len(fv):
-            break
-        if x in fv and x not in out:
-            out[x] = e
-    return out
-
-
 def _decode_closure(c: Closure, memo: dict) -> Term:
     # (t, e) reads back as t{x := read-back of e(x)} for the first
     # binding of each x free in t, all substituted at once; no other
     # binding is read back.  memo maps the id of each closure read back
-    # to its term, used of each closure in the walk to _used_bindings;
+    # to its term, used of each closure in the walk to those bindings;
     # closures compare in full, and the caller holds them all alive.
     used: dict = {}
 
     def children(d):
         if id(d) not in used:
-            used[id(d)] = _used_bindings(d)
-        return used[id(d)].values()
+            used[id(d)] = env_restrict(d.env, d.code.fv)
+        return map(_second, used[id(d)])
 
     for d in postorder((c,), children, lambda d: id(d) in memo):
-        sigma = {x: memo[id(e)] for x, e in used.pop(id(d)).items()}
+        sigma = {x: memo[id(e)] for x, e in used.pop(id(d))}
         avoid = frozenset().union(*[u.fv for u in sigma.values()])
         memo[id(d)] = _subst_sim(d.code, sigma, avoid) if sigma else d.code
     return memo[id(c)]

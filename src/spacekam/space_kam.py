@@ -17,12 +17,12 @@ Transitions (e|_t is e restricted to fv(t)):
     (x, [x <- (u, e)], S) -> sub   (u, e, S)
 
 Every reachable state satisfies dom(env) = fv(code), for the state
-itself and inside every closure; skam_fire checks the top level of that
-invariant and refuses to fire a sub whose environment is not exactly
-the one binding for the variable.  Once the check has passed, a
-restriction to as many names as the environment has entries keeps
-every entry, so skam_fire passes that environment on as it is rather
-than copying it.
+itself and inside every closure; skam_fire checks it for each state and
+each closure it builds (so a run checks all but its initial state), and
+refuses to fire a sub whose environment is not exactly the one binding
+for the variable.  Once the check has passed, a restriction to as many
+names as the environment has entries keeps every entry, so skam_fire
+passes that environment on as it is rather than copying it.
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
@@ -41,6 +41,7 @@ from .kam import (
     Stack,
     _env_closures,
     env_lookup,
+    env_restrict,  # re-exported: the restriction e|_t of the transitions above
     fire_state,
     run_machine,
     size_env,
@@ -50,8 +51,8 @@ from .terms import Abs, App, Term, Var, print_term
 
 
 class InvariantViolation(Exception):
-    """A state broke dom(env) = fv(code), or a variable state did not
-    carry exactly its own binding."""
+    """A state or a closure being built broke dom(env) = fv(code), or a
+    variable state did not carry exactly its own binding."""
 
 
 LABEL_SEA_V = "sea_v"
@@ -61,17 +62,6 @@ LABEL_BETA_NW = "beta_nw"
 LABEL_SUB = "sub"
 
 SKAM_LABELS = (LABEL_SEA_V, LABEL_SEA_NV, LABEL_BETA_W, LABEL_BETA_NW, LABEL_SUB)
-
-
-def env_restrict(e: Env, names: frozenset[str]) -> Env:
-    """Keep the first binding of each name in names, in entry order."""
-    out = []
-    seen = set()
-    for x, c in e:
-        if x in names and x not in seen:
-            out.append((x, c))
-            seen.add(x)
-    return tuple(out)
 
 
 def size_closure(c: Closure) -> int:
@@ -108,6 +98,8 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
             assert c is not None  # arg.name is in fv, hence in dom(e)
             return LABEL_SEA_V, fun, fun_env, (c,) + stack
         arg_env = e if len(arg.fv) == n else env_restrict(e, arg.fv)
+        if len(arg.fv) != n and _dom(arg_env) != arg.fv:  # checked where it is built
+            raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(_dom(arg_env))}")
         c = Closure(arg, arg_env, 1 + size_env(arg_env))  # from cached sizes: no walk
         return LABEL_SEA_NV, fun, fun_env, (c,) + stack
     if type(t) is Abs:

@@ -40,6 +40,11 @@ class ParseError(ValueError):
 class _Term(Interned):
     __slots__ = ("fv",)
 
+    def __reduce__(self):
+        # pickled as its printed text, flat at any depth; parse_term
+        # returns the interned term
+        return parse_term, (print_term(self),)
+
 
 class Var(_Term):
     __slots__ = ("name",)

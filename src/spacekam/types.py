@@ -68,6 +68,13 @@ def _digest(*ints) -> int:
 class _Type(Interned):
     __slots__ = ("key",)
 
+    def __reduce__(self):
+        # pickled as its type-table entries, flat at any depth, which
+        # decode to the interned type
+        table = TypeTable()
+        table.add(self)
+        return _last_of_table, (table.entries,)
+
 
 # constructors set fields through the slot descriptors, past Frozen's
 # __setattr__
@@ -99,10 +106,6 @@ class _Multi(_Type):
         """Every element as often as it occurs, in canonical order.  It is
         built on each read and never stored, for inspection only."""
         return tuple(a for a, n in self.pairs for _ in range(n))
-
-    def __reduce__(self):
-        # the constructors take elements, the slots hold pairs
-        return (_intern, (type(self), self.pairs, getattr(self, "index", None)))
 
 
 class ClosureMulti(_Multi):
@@ -512,6 +515,11 @@ def decode_table(entries, name: str, entry) -> list:
 def types_from_json(entries) -> list:
     """Decode a type table; an entry refers only to entries before it."""
     return decode_table(entries, "types", _type_entry)
+
+
+def _last_of_table(entries):
+    """The type a table's last entry describes: a pickled type."""
+    return types_from_json(entries)[-1]
 
 
 def _type_entry(e, done):

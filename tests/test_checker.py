@@ -15,6 +15,7 @@ from derivation_files import (
     term_file,
 )
 
+import spacekam.checker as checker
 from spacekam.checker import (
     KIND_CLOSURE,
     KIND_ENV,
@@ -46,7 +47,7 @@ from spacekam.checker import (
     size_of,
     weight_of,
 )
-from spacekam.extractor import extract, extract_kam
+from spacekam.extractor import extract, extract_kam, type_final_state
 from spacekam.harness import random_closed_term
 from spacekam.kam import Closure, MachState, compile, kam_run
 from spacekam.space_kam import skam_run
@@ -674,6 +675,31 @@ def test_derivation_eq_ignores_time_and_compares_shared_subtrees_once():
     for _ in range(60):
         a, b = Derivation(R_LAM1, j, (a, a)), Derivation(R_LAM1, j, (b, b))
     assert a == b and a != Derivation(R_LAM1, j, (a, leaf))
+
+
+def test_derivation_eq_compares_each_closure_pair_once_over_the_tree(monkeypatch):
+    # the Space KAM's final state on an n-deep let chain holds a chain of
+    # n closures, each the subject of a TCl judgment: a closure walk per
+    # judgment would compare O(n^2) pairs, one walk for the tree O(n)
+    n = 800
+    body = rf"\z. x{n}"
+    for i in range(n, 0, -1):
+        body = rf"(\x{i}. {body}) (\w. x{i - 1})"
+    run = skam_run(compile(parse_term(rf"(\x0. {body}) (\a.a)")), 10 * n)
+    d = type_final_state(run.final)
+    back = derivation_from_json(derivation_to_json(d))
+    compared = 0
+    walk = checker._pairs_equal
+
+    class Counted(list):
+        def pop(self):
+            nonlocal compared
+            compared += 1
+            return super().pop()
+
+    monkeypatch.setattr(checker, "_pairs_equal", lambda pairs: walk(Counted(pairs)))
+    assert d is not back and d == back
+    assert 2 * n <= compared <= 5 * n
 
 
 def test_a_derivation_20000_deep_round_trips_as_text_and_checks():

@@ -1,15 +1,16 @@
 import dataclasses
 import hashlib
+import json
 import sys
 
 import pytest
 
 import spacekam.checker as checker
 import spacekam.harness as harness
-from spacekam.checker import reweight, weight_of
+from spacekam.checker import derivation_to_json, reweight, weight_of
 from spacekam.extractor import extract, extract_kam
 from spacekam.harness import VerificationReport, fuzz, random_closed_term, verify
-from spacekam.kam import OpenTerm, compile, kam_run
+from spacekam.kam import OpenTerm, compile, kam_run, run_trace_rows
 from spacekam.space_kam import skam_run
 from spacekam.terms import parse_term, print_term
 
@@ -230,6 +231,27 @@ def test_random_terms_stay_the_same():
     for s, b in sweep:
         h.update(print_term(random_closed_term(s, b)).encode() + b"\n")
     assert h.hexdigest() == "4efa819b3ab26275ef3c77bcb1af04a0108d0294bc47454a4d0b2349251e5774"
+
+
+def test_outputs_stay_the_same():
+    # verify's report, both derivation files and both machines' trace
+    # rows, byte for byte, on fuzz seeds 0-199, c_16 and pow2_3: a change
+    # that claims to keep every output must keep this digest
+    def church(n):
+        return r"(\f.\x." + "f (" * n + "x" + ")" * n + ")"
+
+    terms = [random_closed_term(s, 25) for s in range(200)]
+    terms += [parse_term(church(16) + r" (\a.a) (\b.b)")]
+    terms += [parse_term(church(3) + " " + church(2) + r" (\a.a) (\b.b)")]
+    h = hashlib.sha256()
+    for t in terms:
+        h.update(json.dumps(verify(t, 2000).to_json()).encode() + b"\n")
+        for run, derive in ((skam_run(compile(t), 2000), extract), (kam_run(compile(t), 2000), extract_kam)):
+            for row in run_trace_rows(run):
+                h.update(row.encode() + b"\n")
+            if run.final_reached:
+                h.update(json.dumps(derivation_to_json(derive(run))).encode() + b"\n")
+    assert h.hexdigest() == "093fa45df61e0db0026abc5b7b9c69661b92124985088c187e01d633cd14f47b"
 
 
 # ---------------------------------------------------------------- fuzz

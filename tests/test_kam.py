@@ -398,6 +398,20 @@ def test_eq_hash_repr_of_closures_nested_20000_deep():
     assert repr(s) == f"MachState(code=Var(name='x'), env=(('x', {want}),), stack=({want},))"
 
 
+def test_pickle_of_closures_and_states_20000_deep():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    a = _chain(20_000)
+    s = MachState(Var("x"), (("x", a),), (a, _chain(3)))
+    back = pickle.loads(pickle.dumps(a))
+    assert type(back) is Closure and back is not a and back == a
+    assert back.size == a.size == 20_001
+    other = pickle.loads(pickle.dumps(s))
+    assert type(other) is MachState and other == s and hash(other) == hash(s)
+    # a closure the state holds twice comes back as one object
+    assert other.env[0][1] is other.stack[0]
+    assert copy.copy(s) == s and copy.deepcopy(s) == s
+
+
 def test_equality_compares_each_shared_pair_once():
     # a diamond-shaped closure graph 200 levels deep has 2^200 paths;
     # equality visits each pair of closure objects once

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spacekam as sk
+from spacekam import kam, space_kam
 from spacekam.harness import random_closed_term
 from spacekam.kam import Closure, MachState, compile, run_summary, run_trace_rows
 from spacekam.space_kam import (
@@ -76,6 +77,38 @@ def test_env_restrict_keeps_order_and_first_binding():
 
 def test_env_restrict_to_nothing_is_empty():
     assert env_restrict((("x", I_CL),), frozenset()) == ()
+
+
+def test_env_restrict_stops_reading_once_every_name_has_a_binding():
+    # a plain machine env holds every binding below the newest, and
+    # decode restricts each closure's env to its code's names
+    c2 = Closure(parse_term("x"), (("x", I_CL),))
+
+    def env():
+        yield ("y", I_CL)
+        yield ("z", I_CL)
+        yield ("x", c2)
+        raise AssertionError("read past the last binding kept")
+
+    assert env_restrict(env(), frozenset({"x", "y"})) == (("y", I_CL), ("x", c2))
+    assert env_restrict(env(), frozenset()) == ()
+    assert kam.env_restrict is env_restrict  # decode and the Space KAM share it
+
+
+def test_sea_nv_checks_the_closure_it_builds(monkeypatch):
+    # \w.y is pushed with y and z in scope, restricted to y, and dropped
+    # unread by beta_w: no later state holds its env, so only the check
+    # where the closure is built can see a wrong restriction
+    t = parse_term(r"(\y.\z. (\k.\a.z) (\w.y)) (\b.b) (\c.c)")
+    assert skam_run(compile(t), 100).counts["beta_w"] == 1
+    real = space_kam.env_restrict
+
+    def stale(e, names):  # a restriction that keeps z for the argument alone
+        return e if names == {"y"} else real(e, names)
+
+    monkeypatch.setattr(space_kam, "env_restrict", stale)
+    with pytest.raises(InvariantViolation, match=r"closure of \\w\.y binds \['y', 'z'\]"):
+        skam_run(compile(t), 100)
 
 
 # ---------------------------------------------------------------- the example

@@ -265,6 +265,15 @@ def test_copy_and_deepcopy_of_a_20000_deep_term_are_the_term():
     assert d[0] is t and d[1][0] is t
 
 
+def test_pickle_of_20000_deep_terms_gives_the_interned_term():
+    assert sys.getrecursionlimit() <= 10_000
+    for t in (
+        parse_term("f (" * 19_999 + "f x" + ")" * 19_999),
+        parse_term("".join(rf"\x{i}." for i in range(20_000)) + "x0"),
+    ):
+        assert pickle.loads(pickle.dumps(t)) is t
+
+
 # ---------------------------------------------------------------- printing
 
 def test_print_atoms_unparenthesized():

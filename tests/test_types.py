@@ -376,6 +376,17 @@ def test_repr_of_a_20000_deep_arrow_chain():
     assert pickle.loads(pickle.dumps(ARR)) is ARR
 
 
+def test_pickle_of_20000_deep_arrow_chains_gives_the_interned_type():
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    a, b = STAR, STAR
+    for _ in range(20_000):
+        a = Arrow(ClosureMulti((a,), 1), STAR)
+        b = DCArrow(MultiType((b, STAR)), STAR)
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert pickle.loads(pickle.dumps(b)) is b
+    assert pickle.loads(pickle.dumps([a, b, a])) == [a, b, a]
+
+
 # ---------------------------------------------------------------- properties
 
 def linears():
