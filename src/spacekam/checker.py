@@ -1078,14 +1078,14 @@ class _Tables:
         raise ValueError(f"unknown subject kind {kind!r}")
 
     def node(self, n: Derivation) -> None:
-        """Enter n, whose premises are entered already.  Types are
-        interned, so their objects key the node as their entries would."""
+        """Enter n, whose premises are entered already.  Types and
+        contexts are interned, so their objects key the node as their
+        entries would."""
         nodes, types = self.nodes, self.types
         j, a = n.conclusion, n.conclusion.assigned
         subject, subject_key = self.subject(j.subject_kind, j.subject)
         premises = [nodes.ids[id(p)] for p in n.premises]
-        a_key = a.entries if type(a) is TypeContext else a
-        key = (n.rule, j.subject_kind, subject_key, j.context.entries, a_key, j.weight, *premises)
+        key = (n.rule, j.subject_kind, subject_key, j.context, a, j.weight, *premises)
         i = nodes.at.get(key)
         if i is not None:
             nodes.ids[id(n)] = i

@@ -1,5 +1,5 @@
-"""Hash-consing for terms and types (Filliatre and Conchon, "Type-Safe
-Modular Hash-Consing", 2006).
+"""Hash-consing for terms, types and type contexts (Filliatre and
+Conchon, "Type-Safe Modular Hash-Consing", 2006).
 
 Every value of a subclass of Interned is built through one table keyed
 on its class and its fields (strings, integers or interned values), so
@@ -10,7 +10,7 @@ Interned values are Frozen (immutable, their own copies, written by repr
 from an explicit stack at any depth), as the machines' closures and
 states are without being interned.  Each kind pickles through a flat
 form of its own: a term as its printed text, a type as its file
-entries, closures and states as a table of closures.
+entries, a context as its entries, closures and states as one table.
 
 postorder is the one children-first walk over shared structure (terms,
 types, closures, derivations), from its own stack.

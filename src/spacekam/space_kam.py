@@ -16,13 +16,13 @@ Transitions (e|_t is e restricted to fv(t)):
     (\\x.t, e, c . S)   -> beta_nw  (t, [x <- c] . e, S)       x in fv(t)
     (x, [x <- (u, e)], S) -> sub   (u, e, S)
 
-Every reachable state satisfies dom(env) = fv(code), for the state
-itself and inside every closure; skam_fire checks it for each state and
-each closure it builds (so a run checks all but its initial state), and
-refuses to fire a sub whose environment is not exactly the one binding
-for the variable.  Once the check has passed, a restriction to as many
-names as the environment has entries keeps every entry, so skam_fire
-passes that environment on as it is rather than copying it.
+Every reachable state satisfies dom(env) = fv(code), with one binding
+per name, for the state itself and inside every closure; skam_fire
+checks it for each state and each closure it builds (so a run checks
+all but its initial state), so a sub's environment is exactly the one
+binding for its variable.  Once the check has passed, a restriction to
+as many names as the environment has entries keeps every entry, so
+skam_fire passes that environment on as it is rather than copying it.
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
@@ -51,8 +51,8 @@ from .terms import Abs, App, Term, Var, print_term
 
 
 class InvariantViolation(Exception):
-    """A state or a closure being built broke dom(env) = fv(code), or a
-    variable state did not carry exactly its own binding."""
+    """A state or a closure being built broke dom(env) = fv(code), with
+    one binding per name."""
 
 
 LABEL_SEA_V = "sea_v"
@@ -68,24 +68,24 @@ def size_closure(c: Closure) -> int:
     return c.size
 
 
-def _dom(e: Env) -> set[str]:
-    return {x for x, _ in e}
+def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
+    return len(e) == len(names) and {x for x, _ in e} == names
 
 
 def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final."""
     fv = t.fv
-    # dom(e) = fv(t), building a set only for an env of 2 or more entries
+    # dom(e) = fv(t), one binding per name; a set only for n > 1 entries
     n = len(e)
     if n > 1:
-        ok = _dom(e) == fv
+        ok = _binds_exactly(e, fv)
     elif n:
         ok = len(fv) == 1 and e[0][0] in fv
     else:
         ok = not fv
     if not ok:
         raise InvariantViolation(
-            f"environment domain {sorted(_dom(e))} differs from "
+            f"environment domain {sorted(x for x, _ in e)} differs from "
             f"free variables {sorted(fv)} of {print_term(t)}"
         )
     if type(t) is App:
@@ -98,8 +98,8 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
             assert c is not None  # arg.name is in fv, hence in dom(e)
             return LABEL_SEA_V, fun, fun_env, (c,) + stack
         arg_env = e if len(arg.fv) == n else env_restrict(e, arg.fv)
-        if len(arg.fv) != n and _dom(arg_env) != arg.fv:  # checked where it is built
-            raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(_dom(arg_env))}")
+        if len(arg.fv) != n and not _binds_exactly(arg_env, arg.fv):  # checked where it is built
+            raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(x for x, _ in arg_env)}")
         c = Closure(arg, arg_env, 1 + size_env(arg_env))  # from cached sizes: no walk
         return LABEL_SEA_NV, fun, fun_env, (c,) + stack
     if type(t) is Abs:
@@ -108,12 +108,7 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
         if t.binder in t.body.fv:
             return LABEL_BETA_NW, t.body, ((t.binder, stack[0]),) + e, stack[1:]
         return LABEL_BETA_W, t.body, e, stack[1:]
-    # variable: its environment must be the one binding and nothing else
-    if n != 1 or e[0][0] != t.name:
-        raise InvariantViolation(
-            f"variable {t.name} must carry exactly its own binding, "
-            f"environment has domain {sorted(_dom(e))} with {n} entries"
-        )
+    # a variable: the check above leaves e its own binding alone
     c = e[0][1]
     return LABEL_SUB, c.code, c.env, stack
 
@@ -164,8 +159,8 @@ def skam_run(s: MachState, fuel: int) -> Run:
 
 
 def check_run_env_domain_invariant(states) -> bool:
-    """dom(env) = fv(code) in every one of an iterable of states (such
-    as Run.states), for the state itself and inside every closure.
+    """dom(env) = fv(code), one binding per name, in every state of an
+    iterable (such as Run.states) and inside every closure.
 
     Successive states share their closures, and closures are immutable,
     so a closure that checked once stays valid: each distinct closure
@@ -174,10 +169,10 @@ def check_run_env_domain_invariant(states) -> bool:
     states = list(states)
     seen: set[int] = set()
     for s in states:
-        if _dom(s.env) != s.code.fv:
+        if not _binds_exactly(s.env, s.code.fv):
             return False
         for c in postorder([*_env_closures(s), *s.stack], _env_closures, lambda c: id(c) in seen):
-            if _dom(c.env) != c.code.fv:
+            if not _binds_exactly(c.env, c.code.fv):
                 return False
             seen.add(id(c))
     return True

@@ -32,17 +32,17 @@ share a key only on a digest collision; the order then compares them in
 full, with an explicit stack (_cmp), so no comparison of types
 recurses.
 
-A context maps variables to multis and is kept sorted by name.
-Contexts are summable when their indices agree on shared variables;
-the union then adds up the multiplicities.  Note the difference between
-a variable missing from a context and one mapped to an empty multi:
-only the latter contributes its index to the context size.
+A context maps variables to multis, sorted by name, and is interned
+like a type, so `==` is `is`: only a new context, or one given
+unsorted, sorts its entries.  Contexts are summable when their indices
+agree on shared variables; the union then adds up the multiplicities.
+A variable missing from a context differs from one mapped to an empty
+multi: only the latter contributes its index to the context size.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .hashcons import TABLE, Interned, Table, dead, enter
@@ -278,27 +278,27 @@ def type_key(a) -> int:
 # ---------------------------------------------------------------------------
 # contexts
 
-@dataclass(frozen=True)
-class TypeContext:
+class TypeContext(Interned):
     """Variables to multis, entries sorted by name, names distinct."""
 
-    entries: tuple = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        ent = self.entries
-        ent = tuple(ent.items()) if isinstance(ent, dict) else tuple(ent)
-        # one pass: strictly increasing names are sorted and distinct,
-        # and most contexts (minus, in-order puts and unions) arrive so
-        prev = None
-        for x, _ in ent:
-            if prev is not None and not prev < x:
-                ent = tuple(sorted(ent, key=lambda p: p[0]))
-                names = [y for y, _ in ent]
-                if len(set(names)) != len(names):
-                    raise ValueError(f"duplicate context entries: {names}")
-                break
-            prev = x
-        object.__setattr__(self, "entries", ent)
+    def __new__(cls, entries=()):
+        ent = tuple(entries.items()) if isinstance(entries, dict) else tuple(entries)
+        g = TABLE.get((cls, ent), dead)()
+        if g is None:  # only a new context, or one given unsorted, sorts
+            if len(dict(ent)) != len(ent):
+                raise ValueError(f"duplicate context entries: {sorted(x for x, _ in ent)}")
+            ent = tuple(sorted(ent))  # the names differ, so they order the pairs
+            g = TABLE.get((cls, ent), dead)()
+            if g is None:
+                g = object.__new__(cls)
+                TypeContext.entries.__set__(g, ent)
+                g = enter((cls, ent), g)
+        return g
+
+    def __reduce__(self):
+        return TypeContext, (self.entries,)
 
     def get(self, x: str):
         for y, m in self.entries:

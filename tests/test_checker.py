@@ -443,6 +443,20 @@ def test_derivation_json_roundtrip(example_space_derivation, example_dc_derivati
         assert derivation_from_json(derivation_to_json(d)) == d
 
 
+def test_a_decoded_derivation_holds_the_interned_contexts(example_space_derivation):
+    back = derivation_from_json(json.loads(json.dumps(derivation_to_json(example_space_derivation))))
+    pairs, contexts = [(example_space_derivation, back)], 0
+    while pairs:
+        a, b = pairs.pop()
+        p, q = a.conclusion, b.conclusion
+        assert q.context is p.context is TypeContext(p.context.entries)
+        if type(p.assigned) is TypeContext:
+            assert q.assigned is p.assigned
+        contexts += bool(p.context.entries)
+        pairs.extend(zip(a.premises, b.premises))
+    assert contexts > 0
+
+
 def test_json_rejects_unknown_rule(example_space_derivation):
     obj = derivation_to_json(example_space_derivation)
     node_at(obj, ())["rule"] = "TZap"

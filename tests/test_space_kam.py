@@ -224,15 +224,11 @@ def _tampered_states(draw):
 @settings(max_examples=600, deadline=None)
 def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
     # the check skam_step makes without a set for envs of 0 or 1
-    # entries, against the set comparison it stands for; and the envs
-    # it passes on as they are, against restricting them
+    # entries, against the comparison of sizes and sets it stands for;
+    # and the envs it passes on as they are, against restricting them
     t, e = s.code, s.env
-    if {x for x, _ in e} != t.fv:
+    if len(e) != len(t.fv) or {x for x, _ in e} != t.fv:
         with pytest.raises(InvariantViolation, match="environment domain"):
-            skam_step(s)
-        return
-    if type(t) is Var and len(e) != 1:
-        with pytest.raises(InvariantViolation, match="exactly its own binding"):
             skam_step(s)
         return
     nxt = skam_step(s)
@@ -250,6 +246,15 @@ def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
 def test_check_env_domain_invariant_flags_stale_entry():
     bad = MachState(parse_term("x"), (("x", I_CL), ("y", I_CL)), ())
     assert not check_env_domain_invariant(bad)
+
+
+def test_a_name_bound_twice_breaks_the_invariant():
+    twice = (("x", I_CL), ("x", I_CL))
+    s = MachState(parse_term("x x"), twice, ())
+    with pytest.raises(InvariantViolation, match=r"environment domain \['x', 'x'\]"):
+        skam_run(s, 100)
+    assert not check_env_domain_invariant(s)
+    assert not check_env_domain_invariant(MachState(IDENT, (), (Closure(Var("x"), twice),)))
 
 
 def test_check_env_domain_invariant_descends_into_closures():

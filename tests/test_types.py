@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spacekam.types as types_module
+from spacekam.hashcons import TABLE
 from spacekam.types import (
     EMPTY_CONTEXT,
     STAR,
@@ -115,6 +116,29 @@ def test_context_accessors():
     assert g.minus("x") == EMPTY_CONTEXT
     assert g.put("y", M_EMPTY1).domain() == frozenset({"x", "y"})
     assert EMPTY_CONTEXT.is_empty() and not g.is_empty()
+
+
+def test_equal_contexts_are_one_object():
+    g = TypeContext((("x", M_STAR1), ("y", M_EMPTY1)))
+    assert TypeContext({"y": M_EMPTY1, "x": M_STAR1}) is g
+    assert TypeContext((("y", M_EMPTY1), ("x", M_STAR1))) is g
+    assert TypeContext(g.entries + (("z", M_EMPTY1),)).minus("z") is g
+    x_only, y_only = TypeContext((("x", M_STAR1),)), TypeContext((("y", M_EMPTY1),))
+    assert contexts_union([y_only, x_only]) is g
+    assert copy.copy(g) is g and copy.deepcopy(g) is g
+    assert pickle.loads(pickle.dumps(g)) is g
+    # a context with a name given twice is never entered: it misses and is refused
+    with pytest.raises(ValueError, match="duplicate context entries"):
+        TypeContext((("y", M_EMPTY1), ("x", M_STAR1), ("y", M_EMPTY1)))
+
+
+def test_an_unused_context_leaves_the_intern_table():
+    g = TypeContext((("unused", ClosureMulti((), 89)),))
+    key = (TypeContext, g.entries)
+    assert TABLE[key]() is g
+    del g
+    gc.collect()
+    assert key not in TABLE
 
 
 # ---------------------------------------------------------------- sizes
