@@ -269,7 +269,7 @@ def _term_node(d, err, mode) -> bool:
             err(f"context image of {x} has the wrong grammar for mode {mode}")
             return False
     fv = c.subject.fv
-    dom = c.context.domain()
+    dom = c.context.names
     if mode == "kam":
         if not dom <= fv:
             err(

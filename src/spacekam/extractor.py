@@ -1,8 +1,8 @@
 """Rebuilding weighted derivations from complete machine runs.
 
-A run stores no trace; extract and extract_kam read the run's states
-from its replayed trace (Run.trace), which the replay checks against the
-run's last state and counts.
+A run stores no trace; extract and extract_kam replay the run's states
+into locals of their own (Run.replay, which checks the replay against
+the run's last state and counts), so the states die with the call.
 
 extract walks the run back to front.  The final state gets the
 canonical typing: its code typed by TLamStar, every closure dry (an
@@ -18,7 +18,11 @@ transition that created its closure: that mints the argument's TMany
 over every use in merge order (or TNone when there are none) and folds
 the environment typings back into the state's.  The state judgments
 (TSt, TEnv, TCl) are never minted, and every node extract mints lands
-in the tree it returns exactly once.
+in the tree it returns.
+
+Term nodes are hash-consed per call, so each distinct subtree is minted
+once: the tree comes back as a DAG, which the checker and the file
+encoder read place by place.
 
 Every node is minted with both weights: space as its stored judgment
 weight, time in the node's own time field, which judgments, equality
@@ -52,9 +56,9 @@ name join in O(1), a beta opens the binder's bag into the arrow source
 and the stack top, and the sea that pushed the closure folds the
 bag's environment typings back into the state's, name by name.  Its
 environment and stack typings are not judgments of record, so its bags
-carry no closure and no weight; every transition mints exactly one
-weighted node and every minted node lands in the final tree exactly
-once, so the root weight counts the transitions.  Opening and joining
+carry no closure and no weight; every transition places exactly one
+weighted node in the final tree, minted once per distinct subtree, so
+the root weight counts the transitions.  Opening and joining
 keep explicit stacks, so no nesting depth is limited by the recursion
 limit.
 """
@@ -296,25 +300,44 @@ def _state_weights(term: Derivation, env: _Env, stack: _Stack | None) -> tuple[i
     return _weights(R_ST, spaces, times)
 
 
+def _mint(rule, kind, subject, ctx, assigned, premises) -> Derivation:
+    """A new node with both weights stored."""
+    premises = tuple(premises)
+    sw = [p.conclusion.weight for p in premises]
+    tw = [p.time for p in premises]
+    if None in tw:
+        tw = [_time_of(p) for p in premises]
+    w = rule_weight(rule, ctx, assigned, sw, "space")
+    t = rule_weight(rule, ctx, assigned, tw, "time")
+    return Derivation(rule, Judgment(kind, subject, ctx, assigned, w), premises, t)
+
+
 class _Builder:
     """Mints derivation nodes with both weights stored, opens closure
-    typings, and mints the judgments of record.  Dry closure typings are
-    minted once per closure object, so repeated discards share subtrees;
-    the cache is keyed by id, and each entry holds its closure as its
+    typings, and mints the judgments of record.  Term nodes, minted by
+    mint_term, are hash-consed per builder.  Dry closure typings are minted
+    once per closure object, so repeated discards share subtrees; the
+    cache is keyed by id, and each entry holds its closure as its
     subject."""
 
-    def __init__(self):
+    def __init__(self, mint_term=_mint):
         self.dry: dict[int, Derivation] = {}
+        self.terms: dict[tuple, Derivation] = {}
+        self.mint_term = mint_term
 
-    def node(self, rule, kind, subject, ctx, assigned, premises) -> Derivation:
-        premises = tuple(premises)
-        sw = [p.conclusion.weight for p in premises]
-        tw = [p.time for p in premises]
-        if None in tw:
-            tw = [_time_of(p) for p in premises]
-        w = rule_weight(rule, ctx, assigned, sw, "space")
-        t = rule_weight(rule, ctx, assigned, tw, "time")
-        return Derivation(rule, Judgment(kind, subject, ctx, assigned, w), premises, t)
+    def node(self, rule, code, ctx, assigned, premises=()) -> Derivation:
+        # interned fields and premise ids, which stay theirs while the table
+        # holds the node: over hash-consed premises, equal keys are equal subtrees
+        if not premises:
+            key = rule, code, ctx, assigned
+        elif len(premises) == 1:
+            key = rule, code, ctx, assigned, id(premises[0])
+        else:
+            key = rule, code, ctx, assigned, tuple(map(id, premises))
+        d = self.terms.get(key)
+        if d is None:
+            d = self.terms[key] = self.mint_term(rule, KIND_TERM, code, ctx, assigned, premises)
+        return d
 
     def open(self, cl: _Cl) -> tuple[Derivation, _Env]:
         """Split a closure typing into the multi judgment for its code,
@@ -323,9 +346,7 @@ class _Builder:
         c = cl.closure
         if cl.kind == _DRY:
             ctx = _dry_context(c.env)
-            none = self.node(
-                R_NONE, KIND_TERM, c.code, ctx, ClosureMulti((), 1 + size_context(ctx)), ()
-            )
+            none = self.node(R_NONE, c.code, ctx, ClosureMulti((), 1 + size_context(ctx)))
             return none, _dry_env(c.env)
         if cl.kind == _TCL:
             return cl.a.premises[0], _read_env(cl.a.premises[1])
@@ -337,14 +358,14 @@ class _Builder:
             f"context size {size_context(ctx)}, closure size {c.size}"
         )
         multi = ClosureMulti([u.conclusion.assigned for u in uses], k)
-        many = self.node(R_MANY, KIND_TERM, c.code, ctx, multi, uses)
+        many = self.node(R_MANY, c.code, ctx, multi, uses)
         return many, _join_envs(envs, c.env)
 
     def env_node(self, e: Env, premises: list) -> Derivation:
         gamma = TypeContext(
             tuple((x, p.conclusion.assigned) for (x, _), p in zip(e, premises))
         )
-        return self.node(R_ENV, KIND_ENV, e, EMPTY_CONTEXT, gamma, premises)
+        return _mint(R_ENV, KIND_ENV, e, EMPTY_CONTEXT, gamma, premises)
 
     def mint(self, cls: list) -> list:
         """TCl derivations for closure typings, children before parents."""
@@ -371,7 +392,7 @@ class _Builder:
                 code_d, env = opened[cl]
                 env_d = self.env_node(c.env, [done[env.parts[x]] for x, _ in c.env])
                 a = code_d.conclusion.assigned
-                d = self.node(R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, a, (code_d, env_d))
+                d = _mint(R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, a, (code_d, env_d))
                 if cl.kind == _DRY:
                     self.dry[id(c)] = d
             done[cl] = d
@@ -387,9 +408,7 @@ class _Builder:
         minted = self.mint(cls)
         n = len(s.env)
         env_d = self.env_node(s.env, minted[:n])
-        return self.node(
-            R_ST, KIND_STATE, s, EMPTY_CONTEXT, STAR, (term, env_d, *minted[n:])
-        )
+        return _mint(R_ST, KIND_STATE, s, EMPTY_CONTEXT, STAR, (term, env_d, *minted[n:]))
 
 
 def _read_closure(d: Derivation) -> _Cl:
@@ -421,7 +440,7 @@ def _check_final(s: MachState) -> None:
 
 
 def _final_typing(b: _Builder, s: MachState) -> tuple:
-    lam = b.node(R_LAM_STAR, KIND_TERM, s.code, _dry_context(s.env), STAR, ())
+    lam = b.node(R_LAM_STAR, s.code, _dry_context(s.env), STAR)
     return lam, _dry_env(s.env), None
 
 
@@ -483,7 +502,7 @@ def _undo_sub(b, source, st):
     k = 1 + size_context(gamma)
     assert k == c.size, f"non-canonical index {k} for a closure of size {c.size}"
     ctx = TypeContext(((x, ClosureMulti((a,), k)),))
-    tvar = b.node(R_VAR, KIND_TERM, source.code, ctx, a, ())
+    tvar = b.node(R_VAR, source.code, ctx, a)
     cl = _use(c, term, env)
     return tvar, _Env({x: cl}, cl.space, cl.time), stack
 
@@ -498,7 +517,7 @@ def _undo_beta_nw(b, source, st):
     m = ctx_plus.get(x)
     assert m is not None, f"binder {x} missing from the body typing"
     lam = b.node(
-        R_LAM1, KIND_TERM, source.code, ctx_plus.minus(x),
+        R_LAM1, source.code, ctx_plus.minus(x),
         Arrow(m, term.conclusion.assigned), (term,),
     )
     parts = dict(env.parts)
@@ -513,7 +532,7 @@ def _undo_beta_w(b, source, st):
     term, env, stack = st
     c = source.stack[0]
     lam = b.node(
-        R_LAM2, KIND_TERM, source.code, term.conclusion.context,
+        R_LAM2, source.code, term.conclusion.context,
         Arrow(ClosureMulti((), c.size), term.conclusion.assigned), (term,),
     )
     return lam, env, _Stack(_Cl(c, _DRY), stack)
@@ -526,7 +545,7 @@ def _undo_sea_v(b, source, st):
     x = source.code.arg.name
     arrow = term.conclusion.assigned
     ctx = contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))])
-    app = b.node(R_APP2, KIND_TERM, source.code, ctx, arrow.res, (term,))
+    app = b.node(R_APP2, source.code, ctx, arrow.res, (term,))
     top = stack.top
     return app, _join_envs([env, _Env({x: top}, top.space, top.time)], source.env), stack.rest
 
@@ -539,7 +558,7 @@ def _undo_sea_nv(b, source, st):
     mu, env_u = b.open(stack.top)
     arrow = term.conclusion.assigned
     ctx = contexts_union([term.conclusion.context, mu.conclusion.context])
-    app = b.node(R_APP1, KIND_TERM, source.code, ctx, arrow.res, (term, mu))
+    app = b.node(R_APP1, source.code, ctx, arrow.res, (term, mu))
     return app, _join_envs([env, env_u], source.env), stack.rest
 
 
@@ -556,13 +575,13 @@ _UNDO = {
 # whole runs
 
 def _complete_trace(run: Run) -> tuple[tuple, list]:
-    """A complete run's trace and states, the last of them final."""
+    """A complete run's trace and states, the last of them final, replayed anew."""
     if not run.final_reached:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
-    trace = run.trace
-    states = run.states
+    trace = tuple(run.replay())
+    states = [run.initial, *(s for _, s in trace)]
     _check_final(states[-1])
     return trace, states
 
@@ -605,17 +624,18 @@ def extract(run: Run) -> Derivation:
 _KAM_DRY = _Cl(None, _DRY)  # the bag of a binder the rest of the run never reads
 
 
-def _dc_node(rule, code, ctx, assigned, premises=()) -> Derivation:
-    """A plain-flavor term node, weighed by its rule in kam mode."""
+def _dc_mint(rule, kind, code, ctx, assigned, premises) -> Derivation:
+    """A new plain-flavor node, weighed by its rule in kam mode."""
     w = rule_weight(rule, ctx, assigned, [p.conclusion.weight for p in premises], "kam")
-    return Derivation(rule, Judgment(KIND_TERM, code, ctx, assigned, w), premises)
+    return Derivation(rule, Judgment(kind, code, ctx, assigned, w), premises)
 
 
 def extract_kam(run: Run) -> Derivation:
     """The plain-flavor typing of a complete plain-machine run's initial
     code; the root weight is the number of transitions."""
     trace, states = _complete_trace(run)
-    cur = _dc_node(R_DC_LAM_STAR, states[-1].code, EMPTY_CONTEXT, STAR)
+    b = _Builder(_dc_mint)
+    cur = b.node(R_DC_LAM_STAR, states[-1].code, EMPTY_CONTEXT, STAR)
     env = {}  # the environment typing: a bag per name
     stack = []  # (multi, uses, env typings) of each stack closure, top last
     for i in range(len(trace) - 1, -1, -1):
@@ -629,7 +649,7 @@ def extract_kam(run: Run) -> Derivation:
             a = cur.conclusion.assigned
             ctx = TypeContext(((x, MultiType((a,))),))
             env = {x: _Cl(None, _USE, cur, env)}
-            cur = _dc_node(R_DC_VAR, src.code, ctx, a)
+            cur = b.node(R_DC_VAR, src.code, ctx, a)
         elif label == LABEL_BETA:
             # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
             # into the arrow source and the stack top's typing
@@ -639,7 +659,7 @@ def extract_kam(run: Run) -> Derivation:
             m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
-            cur = _dc_node(
+            cur = b.node(
                 R_DC_LAM, src.code, cur.conclusion.context.minus(x),
                 DCArrow(m, cur.conclusion.assigned), (cur,),
             )
@@ -653,7 +673,7 @@ def extract_kam(run: Run) -> Derivation:
             assert type(arrow) is DCArrow, "function typing is not an arrow"
             assert arrow.arg == m, "argument uses disagree with the arrow source"
             ctx = contexts_union([cur.conclusion.context, *(d.conclusion.context for d in args)])
-            cur = _dc_node(R_DC_APP, src.code, ctx, arrow.res, (cur, *args))
+            cur = b.node(R_DC_APP, src.code, ctx, arrow.res, (cur, *args))
             if envs:
                 env = _join_parts([env, *envs])
     assert not env, "the initial state's typing wants an environment"

@@ -27,13 +27,13 @@ This module also holds the run core both machines share.  A run fires
 on bare (code, env, stack) triples and builds a MachState for its last
 state alone, so its memory grows with its space, not its transitions.
 A Run stores no trace: the machines are deterministic, so Run.trace and
-Run.states replay the run from its initial state on first use.
+Run.states replay the run from its initial state on each read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .hashcons import Frozen, postorder
@@ -250,8 +250,8 @@ class Run:
 
     A run stores no trace.  The machines are deterministic, so the
     initial state, the fire function and the transition count determine
-    every state in between: trace and states replay the run on first
-    use, and the replayed trace is cached on the run."""
+    every state in between: trace and states replay the run on each
+    read, and nothing of a replay is kept on the run."""
 
     initial: MachState
     last: MachState
@@ -261,7 +261,6 @@ class Run:
     step: Callable[[Term, Env, Stack], tuple | None]
     space: int | None = None
     time: int | None = None
-    _trace: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def final(self) -> MachState | None:
@@ -291,16 +290,13 @@ class Run:
 
     @property
     def trace(self) -> tuple[tuple[str, MachState], ...]:
-        """One (label, state) pair per transition, replayed on first use
-        and cached."""
-        if self._trace is None:
-            object.__setattr__(self, "_trace", tuple(self.replay()))
-        return self._trace
+        """One (label, state) pair per transition, replayed anew."""
+        return tuple(self.replay())
 
     @property
     def states(self) -> list[MachState]:
-        """The initial state followed by every traced state, as a new list."""
-        return [self.initial, *(s for _, s in self.trace)]
+        """The initial state followed by every replayed state, as a new list."""
+        return [self.initial, *(s for _, s in self.replay())]
 
 
 def compile(t: Term) -> MachState:

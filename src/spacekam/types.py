@@ -120,7 +120,11 @@ class ClosureMulti(_Multi):
         return _intern(cls, _pairs(elems, _INDEXED), index)
 
 
-class Arrow(_Type):
+class _SizedArrow(_Type):
+    __slots__ = ("size",)  # |M^k -> A| = k + |A|, set when the arrow is interned
+
+
+class Arrow(_SizedArrow):
     __slots__ = ("arg", "res")
 
     def __new__(cls, arg, res):
@@ -134,6 +138,7 @@ class Arrow(_Type):
             a = object.__new__(cls)
             _set_arg(a, arg)
             _set_res(a, res)
+            _set_size(a, arg.index + (res.size if type(res) is Arrow else 0))
             _set_key(a, (1 << 64) | _digest(arg.key, res.key))
             a = enter(tk, a)
         return a
@@ -174,7 +179,7 @@ _INDEXED = (frozenset({Star, Arrow}), "indexed multi over a non-indexed element"
 _PLAIN = (frozenset({Star, DCArrow}), "plain multi over an indexed element")
 
 # the slot descriptors of the other fields, as _set_key's
-_set_arg, _set_res = Arrow.arg.__set__, Arrow.res.__set__
+_set_arg, _set_res, _set_size = Arrow.arg.__set__, Arrow.res.__set__, Arrow.size.__set__
 _set_dc_arg, _set_dc_res = DCArrow.arg.__set__, DCArrow.res.__set__
 _set_pairs, _set_index = ClosureMulti.pairs.__set__, ClosureMulti.index.__set__
 _set_plain_pairs = MultiType.pairs.__set__
@@ -278,7 +283,12 @@ def type_key(a) -> int:
 # ---------------------------------------------------------------------------
 # contexts
 
-class TypeContext(Interned):
+class _Context(Interned):
+    # set when interned; size is None unless every image is indexed
+    __slots__ = ("size", "names")
+
+
+class TypeContext(_Context):
     """Variables to multis, entries sorted by name, names distinct."""
 
     __slots__ = ("entries",)
@@ -287,13 +297,19 @@ class TypeContext(Interned):
         ent = tuple(entries.items()) if isinstance(entries, dict) else tuple(entries)
         g = TABLE.get((cls, ent), dead)()
         if g is None:  # only a new context, or one given unsorted, sorts
-            if len(dict(ent)) != len(ent):
+            names = frozenset(dict(ent))
+            if len(names) != len(ent):
                 raise ValueError(f"duplicate context entries: {sorted(x for x, _ in ent)}")
             ent = tuple(sorted(ent))  # the names differ, so they order the pairs
             g = TABLE.get((cls, ent), dead)()
             if g is None:
                 g = object.__new__(cls)
                 TypeContext.entries.__set__(g, ent)
+                TypeContext.names.__set__(g, names)
+                n = 0
+                for _, m in ent:
+                    n = n + m.index if type(m) is ClosureMulti and n is not None else None
+                TypeContext.size.__set__(g, n)
                 g = enter((cls, ent), g)
         return g
 
@@ -307,7 +323,7 @@ class TypeContext(Interned):
         return None
 
     def domain(self) -> frozenset[str]:
-        return frozenset(x for x, _ in self.entries)
+        return self.names
 
     def minus(self, x: str) -> "TypeContext":
         return TypeContext(tuple(p for p in self.entries if p[0] != x))
@@ -328,23 +344,19 @@ EMPTY_CONTEXT = TypeContext()
 
 def size_linear(a) -> int:
     """|star| = 0, |M^k -> A| = k + |A|."""
-    n = 0
-    while type(a) is Arrow:
-        n += a.arg.index
-        a = a.res
+    if type(a) is Arrow:
+        return a.size
     if type(a) is not Star:
         raise TypeError(f"size is only defined for indexed linear types: {a!r}")
-    return n
+    return 0
 
 
 def size_context(g: TypeContext) -> int:
     """Sum of the indices; the multisets do not contribute."""
-    n = 0
-    for _, m in g.entries:
-        if type(m) is not ClosureMulti:
-            raise TypeError(f"size is only defined for indexed contexts: {m!r}")
-        n += m.index
-    return n
+    if g.size is None:
+        m = next(m for _, m in g.entries if type(m) is not ClosureMulti)
+        raise TypeError(f"size is only defined for indexed contexts: {m!r}")
+    return g.size
 
 
 def is_dry(g: TypeContext) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from spacekam.checker import (
     Derivation,
     check,
     check_rule_transition_correspondence,
+    check_walk,
     derivation_from_json,
     derivation_to_json,
     reweight,
@@ -33,6 +35,7 @@ from spacekam.extractor import (
     extract_kam,
     type_final_state,
 )
+from spacekam.hashcons import postorder
 from spacekam.kam import Closure, MachState, compile, kam_run
 from spacekam.space_kam import skam_run, state_size
 from spacekam.terms import Var, parse_term
@@ -211,14 +214,27 @@ def test_extract_reweights_to_the_hand_built_time_tree(
     assert reweight(extract(example_skam), "time") == example_time_derivation
 
 
-@pytest.mark.parametrize(
-    "src",
-    [church(64) + r" (\a.a) (\b.b)", church(4) + " " + church(2) + r" (\a.a) (\b.b)"],
-    ids=["c_64", "pow2_4"],
-)
+C64 = church(64) + r" (\a.a) (\b.b)"
+POW2_4 = church(4) + " " + church(2) + r" (\a.a) (\b.b)"
+
+
+def _nodes(d) -> dict:
+    """The node objects of d, by id."""
+    kept = {}
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if id(n) not in kept:
+            kept[id(n)] = n
+            stack.extend(n.premises)
+    return kept
+
+
+@pytest.mark.parametrize("src", [C64, POW2_4], ids=["c_64", "pow2_4"])
 def test_extract_mints_only_the_nodes_it_returns(monkeypatch, src):
-    # state, environment and closure typings stay unminted bags: every
-    # node extract mints stands in the returned tree, once
+    # state, environment and closure typings stay unminted bags, and
+    # term nodes are hash-consed: every node extract mints stands in the
+    # returned tree, and no two of them are copies of one subtree
     from spacekam import extractor
 
     minted = []
@@ -231,18 +247,111 @@ def test_extract_mints_only_the_nodes_it_returns(monkeypatch, src):
     run = skam_run(compile(parse_term(src)), 100_000)
     monkeypatch.setattr(extractor, "Derivation", counting)
     d = extract(run)
-    kept = {}
-    stack = [d]
-    while stack:
-        n = stack.pop()
-        if id(n) not in kept:
-            kept[id(n)] = n
-            stack.extend(n.premises)
-    assert len(minted) == len(kept) == size_of(d) + sum(
-        1 for n in kept.values() if n.rule in ("TMany", "TNone")
-    )
+    kept = _nodes(d)
+    assert len(minted) == len(kept)
     assert {id(n) for n in minted} == kept.keys()
+    keys = {
+        (n.rule, n.conclusion.subject, n.conclusion.context, n.conclusion.assigned,
+         tuple(map(id, n.premises)))
+        for n in minted
+    }
+    assert len(keys) == len(minted)
     assert not {n.rule for n in minted} & {R_ST, R_ENV, R_CL}
+    assert size_of(d) == run.transitions + 1
+
+
+def _complete_fuzz_terms(seeds):
+    for seed in seeds:
+        t = sk.random_closed_term(seed, 25)
+        if skam_run(compile(t), 2000).final_reached:
+            yield t
+
+
+@pytest.mark.parametrize(
+    "srcs",
+    [[C64], [POW2_4], range(100)],
+    ids=["c_64", "pow2_4", "fuzz_0_99"],
+)
+def test_extractors_share_every_equal_subtree(srcs):
+    # sharing is maximal: the derivation file, which gives structurally
+    # equal subtrees one entry, has one entry per node object
+    terms = (
+        list(_complete_fuzz_terms(srcs)) if type(srcs) is range
+        else [parse_term(src) for src in srcs]
+    )
+    assert terms
+    for t in terms:
+        for d in (extract(skam_run(compile(t), 100_000)), extract_kam(kam_run(compile(t), 100_000))):
+            assert len(_nodes(d)) == len(derivation_to_json(d)["tables"]["nodes"])
+
+
+def _unshared(d) -> Derivation:
+    """A copy of d with a node of its own at every place."""
+    out = []
+    work = [(d, False)]
+    while work:
+        n, ready = work.pop()
+        if ready:
+            k = len(n.premises)
+            premises = tuple(out[len(out) - k:])
+            del out[len(out) - k:]
+            out.append(Derivation(n.rule, n.conclusion, premises, n.time))
+        else:
+            work.append((n, True))
+            work.extend((p, False) for p in reversed(n.premises))
+    return out[0]
+
+
+def _walk_agrees(d, modes):
+    copy = _unshared(d)
+    assert len(_nodes(copy)) > len(_nodes(d))
+    got, want = check_walk(d, modes, True), check_walk(copy, modes, True)
+    assert got.errors == want.errors
+    assert got.weights == want.weights
+    assert got.counts == want.counts
+    assert got.size == want.size
+
+
+@pytest.mark.parametrize("src", [C64, POW2_4], ids=["c_64", "pow2_4"])
+def test_check_walk_on_shared_subtrees_agrees_with_an_unshared_copy(src):
+    t = parse_term(src)
+    _walk_agrees(extract(skam_run(compile(t), 100_000)), ("space", "time"))
+    _walk_agrees(extract_kam(kam_run(compile(t), 100_000)), ("kam",))
+
+
+def _places(d) -> dict:
+    """Per node id, its places in d, as premise paths in the order a
+    walk with premises in stored order meets them."""
+    places: dict = {}
+    work = [(d, ())]
+    while work:
+        n, path = work.pop()
+        places.setdefault(id(n), []).append(path)
+        work.extend((p, path + (i,)) for i, p in reversed(list(enumerate(n.premises))))
+    return places
+
+
+def test_a_tampered_weight_on_a_shared_node_is_reported_once_at_its_first_place():
+    d = extract(skam_run(compile(parse_term(POW2_4)), 100_000))
+    places = _places(d)
+    shared = next(n for i, n in _nodes(d).items() if len(places[i]) > 2 and n.premises)
+    c = shared.conclusion
+    bad = Derivation(
+        shared.rule, dataclasses.replace(c, weight=c.weight + 1), shared.premises, shared.time
+    )
+    # the same DAG with the shared node swapped for the tampered one
+    rebuilt = {id(shared): bad}
+    for n in postorder((d,), lambda n: n.premises, lambda n: id(n) in rebuilt):
+        rebuilt[id(n)] = Derivation(
+            n.rule, n.conclusion, tuple(rebuilt[id(p)] for p in n.premises), n.time
+        )
+    tampered = rebuilt[id(d)]
+    result = check(tampered, "space", full_scan=True)
+    assert [e.path for e in result.errors] == [places[id(shared)][0]]
+    assert "stored weight" in result.errors[0].message
+    # an unshared copy holds a tampered node at every place
+    copy = check(_unshared(tampered), "space", full_scan=True)
+    assert sorted(e.path for e in copy.errors) == sorted(places[id(shared)])
 
 
 def test_extract_needs_a_complete_run():

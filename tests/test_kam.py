@@ -185,9 +185,13 @@ def test_run_contract(machine_run, step):
         run = machine_run(compile(sk.random_closed_term(seed, 25)), 500)
         assert sum(run.counts.values()) == run.transitions
         assert sum(1 for _ in run_trace_rows(run)) == run.transitions
-        assert run._trace is None  # the rows stream, nothing is cached
-        assert list(run.trace) == _trace_by_hand(step, run.initial, run.transitions)
-        assert run.trace is run.trace
+        trace = run.trace
+        assert list(trace) == _trace_by_hand(step, run.initial, run.transitions)
+        # nothing of a replay is kept: each read replays anew, and no
+        # field of the run holds a replayed state
+        assert not run.transitions or run.trace is not trace
+        kept = [getattr(run, f.name) for f in dataclasses.fields(run)]
+        assert not any(v is trace or v is s for v in kept for _, s in trace)
         assert len(run.states) == run.transitions + 1
         assert run.states[-1] == run.last
         assert (run.final is None) == (not run.final_reached)
