@@ -8,7 +8,7 @@ The package has three layers:
   kam        the Krivine machine and the run core both machines share:
              one Run type, one run loop, trace rows and summary; a run
              keeps only its current state, stores no trace, and
-             replays its trace and states on first use;
+             replays its trace and states on each read;
              space_kam adds eager garbage collection and environment
              unchaining, and measures a run's space and time as it goes
   types      indexed multi types and their algebra; checker validates

@@ -44,8 +44,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .hashcons import Table, postorder, write_repr
-from .kam import Closure, MachState, Run, _env_closures, _pairs_equal
+from .hashcons import Table, write_repr
+from .kam import Closure, ClosureRows, MachState, Run, _pairs_equal
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -118,8 +118,9 @@ class Judgment:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Derivation:
-    """A rule, its conclusion and its premise subtrees.  ==, hash and
-    repr work without recursion, however deep the tree."""
+    """A rule, its conclusion and its premise subtrees.  ==, hash, repr
+    and pickle (through the derivation file, without time) work at any
+    depth; being immutable, a derivation is its own (deep) copy."""
 
     rule: str
     conclusion: Judgment
@@ -166,6 +167,11 @@ class Derivation:
 
     def __repr__(self):
         return write_repr(self, _repr_fields)
+
+    __copy__ = __deepcopy__ = lambda self, memo=None: self
+
+    def __reduce__(self):
+        return derivation_from_json, (derivation_to_json(self),)
 
 
 def _repr_fields(x):
@@ -1008,52 +1014,34 @@ class _TermTable(Table):
         raise TypeError(f"not a term: {t!r}")
 
 
-class _Entries:
-    """One table of closures or nodes, which are not interned.  An
-    object is looked up by id(), which is sound while the derivation
-    holds it, then by its entry's key, so structurally equal objects
-    share one entry too."""
-
-    def __init__(self):
-        self.entries: list = []
-        self.ids: dict[int, int] = {}
-        self.at: dict = {}  # entry key -> entry index
-
-    def enter(self, obj, key, entry) -> None:
-        i = self.at.get(key)
-        if i is None:
-            i = self.at[key] = len(self.entries)
-            self.entries.append(entry)
-        self.ids[id(obj)] = i
-
-
 class _Tables:
     """The four tables of one derivation file, filled as the encoder
-    meets their entries, children before parents."""
+    meets their entries, children before parents.  Closures are numbered
+    by a kam.ClosureRows.  A node is looked up by id(), sound while the
+    derivation holds it, then by its entry's key, so equal nodes share."""
 
     def __init__(self):
         self.types = TypeTable()
         self.terms = _TermTable()
-        self.closures = _Entries()
-        self.nodes = _Entries()
+        self.closure_rows = ClosureRows()
+        self.closures: list = []
+        self.nodes: list = []
+        self.node_ids: dict[int, int] = {}
+        self.node_at: dict = {}  # node entry key -> entry index
 
     def to_json(self) -> dict:
         return {
             "types": self.types.entries,
             "terms": self.terms.entries,
-            "closures": self.closures.entries,
-            "nodes": self.nodes.entries,
+            "closures": self.closures,
+            "nodes": self.nodes,
         }
 
     def closure(self, c) -> int:
-        ids = self.closures.ids
-        if id(c) not in ids:  # env() asks for every closure of every env
-            for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
-                code = self.terms.add(d.code)
-                env = tuple((x, ids[id(e)]) for x, e in d.env)
-                entry = {"code": code, "env": [list(p) for p in env]}
-                self.closures.enter(d, (code, env), entry)
-        return ids[id(c)]
+        i = self.closure_rows.add(c)
+        for code, env in self.closure_rows.rows[len(self.closures):]:
+            self.closures.append({"code": self.terms.add(code), "env": [list(p) for p in env]})
+        return i
 
     def env(self, e) -> tuple:
         """e's entry and its key."""
@@ -1081,23 +1069,23 @@ class _Tables:
         """Enter n, whose premises are entered already.  Types and
         contexts are interned, so their objects key the node as their
         entries would."""
-        nodes, types = self.nodes, self.types
+        ids, types = self.node_ids, self.types
         j, a = n.conclusion, n.conclusion.assigned
         subject, subject_key = self.subject(j.subject_kind, j.subject)
-        premises = [nodes.ids[id(p)] for p in n.premises]
+        premises = [ids[id(p)] for p in n.premises]
         key = (n.rule, j.subject_kind, subject_key, j.context, a, j.weight, *premises)
-        i = nodes.at.get(key)
-        if i is not None:
-            nodes.ids[id(n)] = i
-            return
-        judgment = {
-            "subject_kind": j.subject_kind,
-            "subject": subject,
-            "context": context_to_json(j.context, types),
-            "type": context_to_json(a, types) if type(a) is TypeContext else types.add(a),
-            "weight": j.weight,
-        }
-        nodes.enter(n, key, {"rule": n.rule, "judgment": judgment, "premises": premises})
+        i = self.node_at.get(key)
+        if i is None:
+            judgment = {
+                "subject_kind": j.subject_kind,
+                "subject": subject,
+                "context": context_to_json(j.context, types),
+                "type": context_to_json(a, types) if type(a) is TypeContext else types.add(a),
+                "weight": j.weight,
+            }
+            i = self.node_at[key] = len(self.nodes)
+            self.nodes.append({"rule": n.rule, "judgment": judgment, "premises": premises})
+        ids[id(n)] = i
 
 
 def derivation_to_json(d: Derivation) -> dict:

@@ -11,8 +11,8 @@ dataclasses: a constructor that stores through the slot descriptors
 costs a fraction of a frozen dataclass's.  Assigning a field raises
 AttributeError all the same.  ==, hash and repr walk closures with
 explicit stacks, so nesting depth is not limited by the interpreter's
-recursion limit; copy and pickle rebuild them from a flat table of the
-closures they hold, at any depth, each shared closure once.
+recursion limit; copy and pickle rebuild them from the flat table of
+the closures they hold (ClosureRows), at any depth.
 
 Transitions:
 
@@ -143,18 +143,38 @@ _set_state_env = MachState.env.__set__
 _set_state_stack = MachState.stack.__set__
 
 
+class ClosureRows:
+    """The one closure table of pickle, derivation files and trace rows:
+    row i is (code, ((name, row), ...)), children first, and equal
+    closures share a row.  add(c) numbers c and the closures below it
+    (hashcons.postorder) and returns c's row.  Lookups go by id(); the
+    table holds every closure it numbered, so the ids stay theirs."""
+
+    def __init__(self):
+        self.rows: list = []
+        self._at: dict = {}  # row -> its index
+        self._ids: dict = {}  # id(closure) -> (its row, the closure, kept alive)
+
+    def add(self, c: Closure) -> int:
+        ids = self._ids
+        if id(c) not in ids:
+            for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
+                row = (d.code, tuple((x, ids[id(e)][0]) for x, e in d.env))
+                i = self._at.get(row)
+                if i is None:
+                    i = self._at[row] = len(self.rows)
+                    self.rows.append(row)
+                ids[id(d)] = i, d
+        return ids[id(c)][0]
+
+
 def _table(code, env, stack) -> tuple:
     """A closure (stack None) or a state as the arguments of _from_table:
-    every closure it holds as a row (code, ((name, row), ...)) of a
-    children-first table, each distinct closure once, then its code, its
+    the rows of every closure it holds (ClosureRows), then its code, its
     env as (name, row) pairs and its stack as rows."""
-    at: dict = {}
-    rows = []
-    for c in postorder([*map(_second, env), *(stack or ())], _env_closures, lambda c: id(c) in at):
-        at[id(c)] = len(rows)
-        rows.append((c.code, tuple((x, at[id(d)]) for x, d in c.env)))
-    env = tuple((x, at[id(c)]) for x, c in env)
-    return rows, code, env, None if stack is None else tuple(at[id(c)] for c in stack)
+    table = ClosureRows()
+    env = tuple((x, table.add(c)) for x, c in env)
+    return table.rows, code, env, None if stack is None else tuple(map(table.add, stack))
 
 
 def _from_table(rows, code, env, stack):
@@ -394,48 +414,28 @@ def decode(s: MachState | Closure) -> Term:
     return t
 
 
-def _state_row(head: dict, s: MachState) -> str:
-    """json.dumps' text of head plus s's code, env and stack, closures
-    as {"code", "env"} and environments as [[x, closure], ...], written
-    pre-order from an explicit stack: a shared closure is written in
-    full wherever it occurs, each code term is printed once per row."""
+def run_trace_rows(run: Run):
+    """One JSON line per transition, streamed from a replay of the run:
+    the step number (from 1), the label, the state size for a measured
+    run, and the state's code, env [[x, i], ...] and stack [i, ...],
+    where i is a closure's row in one ClosureRows.  Each closure row is
+    written once, as {"closure": i, "code", "env"}, on a line of its own
+    just before the first line that names it."""
     import json  # only --trace writes rows: importing the package need not load json
 
-    codes: dict = {}  # code term -> its JSON string
-    out = [json.dumps(head)[:-1]]
-    work = ["}", s.stack, ', "stack": ', s.env, ', "env": ', s.code, ', "code": ']
-    while work:
-        x = work.pop()
-        if type(x) is str:
-            out.append(x)
-        elif type(x) is Closure:
-            work += ("}", x.env, ', "env": ', x.code, '{"code": ')
-        elif type(x) is tuple:  # an env of (name, closure) pairs or a stack of closures
-            work.append("]")
-            for i in range(len(x) - 1, -1, -1):
-                e = x[i]
-                work += ("]", e[1], f"[{json.dumps(e[0])}, ") if type(e) is tuple else (e,)
-                if i:
-                    work.append(", ")
-            work.append("[")
-        else:
-            if x not in codes:
-                codes[x] = json.dumps(print_term(x))
-            out.append(codes[x])
-    return "".join(out)
-
-
-def run_trace_rows(run: Run):
-    """One JSON line per transition: the step number, the label, the
-    state size for a measured run, and the state it produced.  Step
-    numbers start at 1; the initial state is step 0 and has no row.
-    The rows stream from a replay of the run (Run.replay), which is not
-    cached."""
+    table = ClosureRows()
     for i, (label, s) in enumerate(run.replay(), start=1):
-        head = {"step": i, "label": label}
+        written = len(table.rows)
+        env = [[x, table.add(c)] for x, c in s.env]
+        stack = [table.add(c) for c in s.stack]
+        for j in range(written, len(table.rows)):
+            code, e = table.rows[j]
+            yield json.dumps({"closure": j, "code": print_term(code), "env": e})
+        row = {"step": i, "label": label}
         if run.space is not None:
-            head["size"] = state_size(s)
-        yield _state_row(head, s)
+            row["size"] = state_size(s)
+        row.update(code=print_term(s.code), env=env, stack=stack)
+        yield json.dumps(row)
 
 
 def run_summary(run: Run) -> dict:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import sys
 
@@ -677,6 +679,21 @@ def test_eq_hash_and_repr_of_a_20000_deep_chain_need_no_recursion():
     ]
     assert repr(a) == "".join(levels) + repr(_chain(1)) + ",))" * (depth - 1)
     assert repr(_chain(1)) == f"Derivation(rule='TLamStar', conclusion={judgment(0)}, premises=())"
+
+
+def test_copy_and_pickle_of_a_20000_deep_chain_need_no_recursion(example_skam):
+    assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
+    d = _chain(20_000)
+    # immutable, so its own copy, as interned values are
+    assert copy.copy(d) is d and copy.deepcopy(d) is d
+    assert copy.deepcopy([d, (d,)])[0] is d
+    # pickled as its derivation file: an equal tree, without its time
+    back = pickle.loads(pickle.dumps(d))
+    assert back is not d and back == d
+    assert pickle.loads(pickle.dumps(dataclasses.replace(d, time=7))).time is None
+    # closure and state subjects come back equal too
+    final = type_final_state(example_skam.final)
+    assert pickle.loads(pickle.dumps(final)) == final
 
 
 def test_derivation_eq_ignores_time_and_compares_shared_subtrees_once():

@@ -165,10 +165,12 @@ def test_skam_trace_to_stdout(runner):
     assert res.exit_code == 0
     lines = res.output.splitlines()
     rows = [json.loads(ln) for ln in lines[:-1]]
-    assert [r["label"] for r in rows] == [
+    states = [r for r in rows if "step" in r]
+    assert [r["label"] for r in states] == [
         "sea_nv", "beta_nw", "sea_v", "beta_nw", "sea_nv", "beta_w", "sub",
     ]
-    assert [r["size"] for r in rows] == [1, 1, 2, 2, 4, 1, 0]
+    assert [r["size"] for r in states] == [1, 1, 2, 2, 4, 1, 0]
+    assert [r["closure"] for r in rows if "closure" in r] == [0, 1]
     assert json.loads(lines[-1])["space"] == 4
 
 
@@ -177,7 +179,9 @@ def test_kam_trace_to_file(runner, tmp_path):
     res = runner.invoke(main, ["kam", EXAMPLE_SRC, "--trace", str(out)])
     assert res.exit_code == 0
     rows = [json.loads(ln) for ln in out.read_text().splitlines()]
-    assert len(rows) == 7 and rows[0]["step"] == 1
+    states = [r for r in rows if "step" in r]
+    assert len(states) == 7 and states[0]["step"] == 1
+    assert [r["closure"] for r in rows if "closure" in r] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("command", [["kam", "--trace"], ["skam", "--trace"], ["infer", "-o"]])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import pickle
 import sys
@@ -142,22 +143,82 @@ def test_trace_rows_shape(example_kam):
     lines = list(run_trace_rows(example_kam))
     rows = [json.loads(line) for line in lines]
     assert lines == [json.dumps(row) for row in rows]  # json.dumps' own layout
-    assert len(rows) == 7
-    assert [r["step"] for r in rows] == list(range(1, 8))
-    assert set(rows[0]) == {"step", "label", "code", "env", "stack"}
-    assert rows[0]["label"] == "sea"
+    states = [r for r in rows if "step" in r]
+    assert len(states) == 7
+    assert [r["step"] for r in states] == list(range(1, 8))
+    assert set(states[0]) == {"step", "label", "code", "env", "stack"}
+    assert states[0]["label"] == "sea"
+    # each closure once, numbered in order, just before the first row
+    # that names it
+    assert [r for r in rows if "step" not in r] == [
+        {"closure": 0, "code": r"\a.a", "env": []},
+        {"closure": 1, "code": "x", "env": [["x", 0]]},
+        {"closure": 2, "code": "x y", "env": [["y", 1], ["x", 0]]},
+    ]
+    assert [i for i, r in enumerate(rows) if "closure" in r] == [0, 3, 6]
+    assert rows[1]["stack"] == [0] and rows[8]["env"] == [["z", 2], ["y", 1], ["x", 0]]
 
 
 def test_trace_row_of_closures_nested_20000_deep():
     # a variable bound to 20,000 nested closures: the sub transition's
-    # row writes every one of them
+    # state holds 20,000 of them, each written once, children first
     c = Closure(IDENT, ())
     for _ in range(20_000):
         c = Closure(Var("x"), (("x", c),))
-    (row,) = run_trace_rows(kam_run(MachState(Var("x"), (("x", c),), ()), 1))
+    lines = list(run_trace_rows(kam_run(MachState(Var("x"), (("x", c),), ()), 1)))
+    assert len(lines) == 20_001
+    assert lines[0] == r'{"closure": 0, "code": "\\a.a", "env": []}'
+    assert lines[1:-1] == [f'{{"closure": {i}, "code": "x", "env": [["x", {i - 1}]]}}' for i in range(1, 20_000)]
     # the state after sub is c's own: code x, env [x <- 19,999 deep]
-    inner = '{"code": "x", "env": [["x", ' * 19_999 + r'{"code": "\\a.a", "env": []}' + "]]}" * 19_999
-    assert row == '{"step": 1, "label": "sub", "code": "x", "env": [["x", ' + inner + ']], "stack": []}'
+    assert lines[-1] == '{"step": 1, "label": "sub", "code": "x", "env": [["x", 19999]], "stack": []}'
+
+
+def test_loop_trace_bytes_per_transition_stay_flat():
+    # the plain loop's env chain grows by one closure per round; rows
+    # that name closures by number keep each transition's bytes flat
+    loop = compile(parse_term(r"(\x.x x) (\x.x x)"))
+    per = [sum(map(len, run_trace_rows(kam_run(loop, fuel)))) / fuel for fuel in (2000, 16_000)]
+    assert per[1] <= 1.1 * per[0] and per[0] < 100
+
+
+def _church(n):
+    return r"(\f.\x." + "f (" * n + "x" + ")" * n + ")"
+
+
+@pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
+def test_trace_rows_read_back_to_the_replayed_states(machine_run):
+    # every closure row rebuilds a closure from earlier rows, and every
+    # state row a state equal to the replayed one, with its size
+    terms = [sk.random_closed_term(seed, 25) for seed in range(200)]
+    terms += [parse_term(_church(16) + r" (\a.a) (\b.b)")]
+    terms += [parse_term(_church(3) + " " + _church(2) + r" (\a.a) (\b.b)")]
+    term = functools.cache(parse_term)
+    for t in terms:
+        run = machine_run(compile(t), 2000)
+        closures = []
+
+        def built(i):
+            assert 0 <= i < len(closures)  # written before its first use
+            return closures[i]
+
+        replayed = enumerate(run.replay(), start=1)
+        for line in run_trace_rows(run):
+            row = json.loads(line)
+            if "closure" in row:
+                assert row.keys() == {"closure", "code", "env"}
+                assert row["closure"] == len(closures)  # each index written once, in order
+                closures.append(Closure(term(row["code"]), tuple((x, built(i)) for x, i in row["env"])))
+                continue
+            step, (label, s) = next(replayed)
+            assert (row["step"], row["label"]) == (step, label)
+            env = tuple((x, built(i)) for x, i in row["env"])
+            got = MachState(term(row["code"]), env, tuple(map(built, row["stack"])))
+            assert got == s
+            if run.space is None:
+                assert "size" not in row
+            else:
+                assert row["size"] == state_size(got)
+        assert next(replayed, None) is None
 
 
 def test_run_summary(example_kam):
@@ -184,7 +245,7 @@ def test_run_contract(machine_run, step):
     for seed in range(200):
         run = machine_run(compile(sk.random_closed_term(seed, 25)), 500)
         assert sum(run.counts.values()) == run.transitions
-        assert sum(1 for _ in run_trace_rows(run)) == run.transitions
+        assert sum("step" in json.loads(row) for row in run_trace_rows(run)) == run.transitions
         trace = run.trace
         assert list(trace) == _trace_by_hand(step, run.initial, run.transitions)
         # nothing of a replay is kept: each read replays anew, and no
@@ -400,6 +461,15 @@ def test_eq_hash_repr_of_closures_nested_20000_deep():
     assert s != MachState(Var("x"), (("x", a),), (other,))
     assert s != MachState(Var("x"), (("x", other),), (a,))
     assert repr(s) == f"MachState(code=Var(name='x'), env=(('x', {want}),), stack=({want},))"
+
+
+def test_closure_rows_number_each_distinct_closure_once_children_first():
+    a, b = _chain(3), _chain(3)  # equal, but not the same objects
+    table = kam.ClosureRows()
+    assert table.add(a) == table.add(b) == 3
+    assert table.add(_chain(2)) == 2
+    assert table.add(Closure(Var("y"), (("y", b),))) == 4
+    assert table.rows == [(IDENT, ())] + [(Var("x"), (("x", i),)) for i in range(3)] + [(Var("y"), (("y", 3),))]
 
 
 def test_pickle_of_closures_and_states_20000_deep():

@@ -327,8 +327,13 @@ def test_omega_runs_in_constant_space():
 
 def test_trace_rows_include_sizes(example_skam):
     rows = [json.loads(line) for line in run_trace_rows(example_skam)]
-    assert [r["size"] for r in rows] == [1, 1, 2, 2, 4, 1, 0]
-    assert set(rows[0]) == {"step", "label", "code", "env", "stack", "size"}
+    states = [r for r in rows if "step" in r]
+    assert [r["size"] for r in states] == [1, 1, 2, 2, 4, 1, 0]
+    assert set(states[0]) == {"step", "label", "code", "env", "stack", "size"}
+    assert [r for r in rows if "step" not in r] == [
+        {"closure": 0, "code": r"\a.a", "env": []},
+        {"closure": 1, "code": "x y", "env": [["y", 0], ["x", 0]]},
+    ]
 
 
 def test_run_summary_shape(example_skam):
