@@ -20,9 +20,13 @@ the environment typings back into the state's.  The state judgments
 (TSt, TEnv, TCl) are never minted, and every node extract mints lands
 in the tree it returns.
 
-Term nodes are hash-consed per call, so each distinct subtree is minted
-once: the tree comes back as a DAG, which the checker and the file
-encoder read place by place.
+Term nodes are hash-consed per call, keyed on their rule's inputs: the
+rule, the code, the premises' ids and the one value the rule reads
+besides them.  Each undo looks its key up first and builds the node's
+context and type only for a key it has not seen, so a repeated step
+builds no type, and each distinct subtree is minted once: the tree
+comes back as a DAG, which the checker and the file encoder read place
+by place.
 
 Every node is minted with both weights: space as its stored judgment
 weight, time in the node's own time field, which judgments, equality
@@ -146,13 +150,11 @@ def _time_of(d: Derivation) -> int:
     return d.time
 
 
-def _weights(rule: str, spaces: list, times: list) -> tuple[int, int]:
+def _weights(spaces: list, times: list) -> tuple[int, int]:
     """The space and time weights of a structural node (TCl, TEnv, TSt)
-    whose premises weigh spaces and times."""
-    return (
-        rule_weight(rule, EMPTY_CONTEXT, STAR, spaces, "space"),
-        rule_weight(rule, EMPTY_CONTEXT, STAR, times, "time"),
-    )
+    whose premises weigh spaces and times: each is a join rule, max in
+    space and sum in time."""
+    return max(spaces, default=0), sum(times)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,7 @@ class _Cl:
 def _use(c: Closure, term: Derivation, env: "_Env") -> _Cl:
     # TCl over TMany over one premise: TMany weighs what its premise does
     return _Cl(c, _USE, term, env, *_weights(
-        R_CL, [term.conclusion.weight, env.space], [_time_of(term), env.time]
+        [term.conclusion.weight, env.space], [_time_of(term), env.time]
     ))
 
 
@@ -199,7 +201,7 @@ def _join(p: _Cl, q: _Cl) -> _Cl:
         return q
     if q.kind == _DRY:
         return p
-    # TCl over the joined uses: max in space, sum in time, as _weights(R_CL, ...)
+    # TCl over the joined uses: max in space, sum in time, as _weights
     return _Cl(p.closure, _JOIN, p, q, max(p.space, q.space), p.time + q.time)
 
 
@@ -214,7 +216,7 @@ class _Env:
         self.parts = parts
         if space is None:
             space, time = _weights(
-                R_ENV, [p.space for p in parts.values()], [p.time for p in parts.values()]
+                [p.space for p in parts.values()], [p.time for p in parts.values()]
             )
         self.space = space
         self.time = time
@@ -261,7 +263,7 @@ def _join_envs(envs: list, e: Env) -> _Env:
         env = envs[0]
     else:
         env = _Env(_join_parts([other.parts for other in envs]), *_weights(
-            R_ENV, [other.space for other in envs], [other.time for other in envs]
+            [other.space for other in envs], [other.time for other in envs]
         ))
     assert env.parts.keys() == dict(e).keys(), (
         f"typings cover {sorted(env.parts)}, environment binds {sorted(x for x, _ in e)}"
@@ -282,7 +284,7 @@ class _Stack:
             self.space, self.time = top.space, top.time
         else:
             self.space, self.time = _weights(
-                R_ST, [top.space, rest.space], [top.time, rest.time]
+                [top.space, rest.space], [top.time, rest.time]
             )
 
 
@@ -297,7 +299,7 @@ def _state_weights(term: Derivation, env: _Env, stack: _Stack | None) -> tuple[i
     if stack is not None:
         spaces.append(stack.space)
         times.append(stack.time)
-    return _weights(R_ST, spaces, times)
+    return _weights(spaces, times)
 
 
 def _mint(rule, kind, subject, ctx, assigned, premises) -> Derivation:
@@ -315,28 +317,26 @@ def _mint(rule, kind, subject, ctx, assigned, premises) -> Derivation:
 class _Builder:
     """Mints derivation nodes with both weights stored, opens closure
     typings, and mints the judgments of record.  Term nodes, minted by
-    mint_term, are hash-consed per builder.  Dry closure typings are minted
-    once per closure object, so repeated discards share subtrees; the
-    cache is keyed by id, and each entry holds its closure as its
-    subject."""
+    mint_term, are hash-consed per builder on their rule's inputs, so a
+    repeated undo step costs one lookup and builds no type.  Dry closure
+    typings are minted once per closure object, so repeated discards
+    share subtrees; the cache is keyed by id, and each entry holds its
+    closure as its subject."""
 
     def __init__(self, mint_term=_mint):
         self.dry: dict[int, Derivation] = {}
         self.terms: dict[tuple, Derivation] = {}
         self.mint_term = mint_term
 
-    def node(self, rule, code, ctx, assigned, premises=()) -> Derivation:
-        # interned fields and premise ids, which stay theirs while the table
-        # holds the node: over hash-consed premises, equal keys are equal subtrees
-        if not premises:
-            key = rule, code, ctx, assigned
-        elif len(premises) == 1:
-            key = rule, code, ctx, assigned, id(premises[0])
-        else:
-            key = rule, code, ctx, assigned, tuple(map(id, premises))
+    def node(self, key, premises, build) -> Derivation:
+        """The term node of rule key[0] over code key[1] and premises.  key
+        holds the rule's inputs: the premises' ids, which stay theirs while
+        the table holds the node, and what else the rule reads.  build()
+        gives the context and type, and runs only for a new key.  Each
+        key can be read back off its node, so equal subtrees are one node."""
         d = self.terms.get(key)
         if d is None:
-            d = self.terms[key] = self.mint_term(rule, KIND_TERM, code, ctx, assigned, premises)
+            d = self.terms[key] = self.mint_term(key[0], KIND_TERM, key[1], *build(), premises)
         return d
 
     def open(self, cl: _Cl) -> tuple[Derivation, _Env]:
@@ -346,19 +346,23 @@ class _Builder:
         c = cl.closure
         if cl.kind == _DRY:
             ctx = _dry_context(c.env)
-            none = self.node(R_NONE, c.code, ctx, ClosureMulti((), 1 + size_context(ctx)))
+            none = self.node((R_NONE, c.code, ctx), (), lambda: (
+                ctx, ClosureMulti((), 1 + size_context(ctx))))
             return none, _dry_env(c.env)
         if cl.kind == _TCL:
             return cl.a.premises[0], _read_env(cl.a.premises[1])
         uses, envs = _flatten(cl)
-        ctx = contexts_union([u.conclusion.context for u in uses])
-        k = 1 + size_context(ctx)
+
+        def build():
+            ctx = contexts_union([u.conclusion.context for u in uses])
+            return ctx, ClosureMulti([u.conclusion.assigned for u in uses], 1 + size_context(ctx))
+
+        many = self.node((R_MANY, c.code, tuple(map(id, uses))), uses, build)
+        k = many.conclusion.assigned.index
         assert k == c.size, (
             f"non-canonical index opening a typing of {print_term(c.code)}: "
-            f"context size {size_context(ctx)}, closure size {c.size}"
+            f"context size {k - 1}, closure size {c.size}"
         )
-        multi = ClosureMulti([u.conclusion.assigned for u in uses], k)
-        many = self.node(R_MANY, c.code, ctx, multi, uses)
         return many, _join_envs(envs, c.env)
 
     def env_node(self, e: Env, premises: list) -> Derivation:
@@ -440,7 +444,8 @@ def _check_final(s: MachState) -> None:
 
 
 def _final_typing(b: _Builder, s: MachState) -> tuple:
-    lam = b.node(R_LAM_STAR, s.code, _dry_context(s.env), STAR)
+    ctx = _dry_context(s.env)
+    lam = b.node((R_LAM_STAR, s.code, ctx), (), lambda: (ctx, STAR))
     return lam, _dry_env(s.env), None
 
 
@@ -497,12 +502,11 @@ def _undo_sub(b, source, st):
     term, env, stack = st
     x = source.code.name
     c = source.env[0][1]
-    gamma = term.conclusion.context
     a = term.conclusion.assigned
-    k = 1 + size_context(gamma)
+    k = 1 + size_context(term.conclusion.context)
     assert k == c.size, f"non-canonical index {k} for a closure of size {c.size}"
-    ctx = TypeContext(((x, ClosureMulti((a,), k)),))
-    tvar = b.node(R_VAR, source.code, ctx, a)
+    tvar = b.node((R_VAR, source.code, a, k), (), lambda: (
+        TypeContext(((x, ClosureMulti((a,), k)),)), a))
     cl = _use(c, term, env)
     return tvar, _Env({x: cl}, cl.space, cl.time), stack
 
@@ -514,12 +518,9 @@ def _undo_beta_nw(b, source, st):
     term, env, stack = st
     x = source.code.binder
     ctx_plus = term.conclusion.context
-    m = ctx_plus.get(x)
-    assert m is not None, f"binder {x} missing from the body typing"
-    lam = b.node(
-        R_LAM1, source.code, ctx_plus.minus(x),
-        Arrow(m, term.conclusion.assigned), (term,),
-    )
+    assert x in ctx_plus.names, f"binder {x} missing from the body typing"
+    lam = b.node((R_LAM1, source.code, id(term)), (term,), lambda: (
+        ctx_plus.minus(x), Arrow(ctx_plus.get(x), term.conclusion.assigned)))
     parts = dict(env.parts)
     top = parts.pop(x)
     return lam, _Env(parts), _Stack(top, stack)
@@ -531,10 +532,8 @@ def _undo_beta_w(b, source, st):
     # the closure's size
     term, env, stack = st
     c = source.stack[0]
-    lam = b.node(
-        R_LAM2, source.code, term.conclusion.context,
-        Arrow(ClosureMulti((), c.size), term.conclusion.assigned), (term,),
-    )
+    lam = b.node((R_LAM2, source.code, id(term), c.size), (term,), lambda: (
+        term.conclusion.context, Arrow(ClosureMulti((), c.size), term.conclusion.assigned)))
     return lam, env, _Stack(_Cl(c, _DRY), stack)
 
 
@@ -544,8 +543,8 @@ def _undo_sea_v(b, source, st):
     term, env, stack = st
     x = source.code.arg.name
     arrow = term.conclusion.assigned
-    ctx = contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))])
-    app = b.node(R_APP2, source.code, ctx, arrow.res, (term,))
+    app = b.node((R_APP2, source.code, id(term)), (term,), lambda: (
+        contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))]), arrow.res))
     top = stack.top
     return app, _join_envs([env, _Env({x: top}, top.space, top.time)], source.env), stack.rest
 
@@ -557,8 +556,8 @@ def _undo_sea_nv(b, source, st):
     term, env, stack = st
     mu, env_u = b.open(stack.top)
     arrow = term.conclusion.assigned
-    ctx = contexts_union([term.conclusion.context, mu.conclusion.context])
-    app = b.node(R_APP1, source.code, ctx, arrow.res, (term, mu))
+    app = b.node((R_APP1, source.code, id(term), id(mu)), (term, mu), lambda: (
+        contexts_union([term.conclusion.context, mu.conclusion.context]), arrow.res))
     return app, _join_envs([env, env_u], source.env), stack.rest
 
 
@@ -635,7 +634,8 @@ def extract_kam(run: Run) -> Derivation:
     code; the root weight is the number of transitions."""
     trace, states = _complete_trace(run)
     b = _Builder(_dc_mint)
-    cur = b.node(R_DC_LAM_STAR, states[-1].code, EMPTY_CONTEXT, STAR)
+    cur = b.node((R_DC_LAM_STAR, states[-1].code, EMPTY_CONTEXT), (), lambda: (
+        EMPTY_CONTEXT, STAR))
     env = {}  # the environment typing: a bag per name
     stack = []  # (multi, uses, env typings) of each stack closure, top last
     for i in range(len(trace) - 1, -1, -1):
@@ -647,9 +647,9 @@ def extract_kam(run: Run) -> Derivation:
             # closure's; everything else of e is unused and dropped
             x = src.code.name
             a = cur.conclusion.assigned
-            ctx = TypeContext(((x, MultiType((a,))),))
             env = {x: _Cl(None, _USE, cur, env)}
-            cur = b.node(R_DC_VAR, src.code, ctx, a)
+            cur = b.node((R_DC_VAR, src.code, a), (), lambda: (
+                TypeContext(((x, MultiType((a,))),)), a))
         elif label == LABEL_BETA:
             # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
             # into the arrow source and the stack top's typing
@@ -659,10 +659,8 @@ def extract_kam(run: Run) -> Derivation:
             m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
-            cur = b.node(
-                R_DC_LAM, src.code, cur.conclusion.context.minus(x),
-                DCArrow(m, cur.conclusion.assigned), (cur,),
-            )
+            cur = b.node((R_DC_LAM, src.code, id(cur)), (cur,), lambda: (
+                cur.conclusion.context.minus(x), DCArrow(m, cur.conclusion.assigned)))
             stack.append((m, uses, envs))
         else:
             # (t u, e, S) -> (t, e, (u, e) . S): the stack top's uses
@@ -672,8 +670,9 @@ def extract_kam(run: Run) -> Derivation:
             arrow = cur.conclusion.assigned
             assert type(arrow) is DCArrow, "function typing is not an arrow"
             assert arrow.arg == m, "argument uses disagree with the arrow source"
-            ctx = contexts_union([cur.conclusion.context, *(d.conclusion.context for d in args)])
-            cur = b.node(R_DC_APP, src.code, ctx, arrow.res, (cur, *args))
+            ps = (cur, *args)
+            cur = b.node((R_DC_APP, src.code, *map(id, ps)), ps, lambda: (
+                contexts_union([d.conclusion.context for d in ps]), arrow.res))
             if envs:
                 env = _join_parts([env, *envs])
     assert not env, "the initial state's typing wants an environment"

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import spacekam as sk
 from spacekam.checker import (
+    R_APP1,
     R_CL,
     R_DC_LAM_STAR,
     R_ENV,
+    R_LAM2,
     R_LAM_STAR,
     R_ST,
     Derivation,
@@ -20,6 +22,7 @@ from spacekam.checker import (
     derivation_from_json,
     derivation_to_json,
     reweight,
+    rule_weight,
     size_of,
     weight_of,
 )
@@ -28,6 +31,7 @@ from spacekam.extractor import (
     NotFinal,
     ShapeMismatch,
     StepEquationError,
+    _weights,
     dry_type_closure,
     dry_type_env,
     expand,
@@ -38,8 +42,8 @@ from spacekam.extractor import (
 from spacekam.hashcons import postorder
 from spacekam.kam import Closure, MachState, compile, kam_run
 from spacekam.space_kam import skam_run, state_size
-from spacekam.terms import Var, parse_term
-from spacekam.types import ClosureMulti, size_context
+from spacekam.terms import Var, parse_term, print_term
+from spacekam.types import EMPTY_CONTEXT, STAR, ClosureMulti, size_context
 
 IDENT = parse_term(r"\a.a")
 I_CL = Closure(IDENT, ())
@@ -352,6 +356,71 @@ def test_a_tampered_weight_on_a_shared_node_is_reported_once_at_its_first_place(
     # an unshared copy holds a tampered node at every place
     copy = check(_unshared(tampered), "space", full_scan=True)
     assert sorted(e.path for e in copy.errors) == sorted(places[id(shared)])
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_type_work_scales_with_distinct_nodes_not_transitions(monkeypatch, k):
+    # nodes are keyed on their rule's inputs, so a step whose node exists
+    # already builds no context: each builder runs at most once per node
+    from spacekam import extractor
+
+    calls = {"contexts_union": 0, "TypeContext": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(extractor, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(extractor, name, counting)
+    t = compile(parse_term(church(k) + " " + church(2) + r" (\a.a) (\b.b)"))
+    for ex, run in ((extract, skam_run(t, 100_000)), (extract_kam, kam_run(t, 100_000))):
+        for name in calls:
+            calls[name] = 0
+        n = len(_nodes(ex(run)))
+        assert run.transitions > 2 * n
+        assert max(calls.values()) <= n, (ex.__name__, n, calls)
+
+
+@given(st.lists(st.integers(0, 2**40), max_size=6), st.lists(st.integers(0, 2**40), max_size=6))
+def test_join_weights_are_the_checkers(spaces, times):
+    # TCl, TEnv and TSt join their premises: max in space, sum in time,
+    # and the empty join (the TEnv of an empty environment) weighs 0
+    for rule in (R_CL, R_ENV, R_ST):
+        assert _weights(spaces, times) == (
+            rule_weight(rule, EMPTY_CONTEXT, STAR, spaces, "space"),
+            rule_weight(rule, EMPTY_CONTEXT, STAR, times, "time"),
+        )
+    assert _weights([], []) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, budget, src, transitions, rule",
+    [
+        # one typing of the body \v2.v1 is weakened over dropped closures
+        # of sizes 2 and 1: the two TLam2 nodes differ only in that size
+        (926, 60, r"(\v0.v0 (v0 (v0 v0) (v0 v0)) v0) (\v1.\v2.v1)", 17, R_LAM2),
+        # one typing of \v8.v8 is applied to two typings of v7 (\v9.v9):
+        # the two TApp1 nodes differ only in their argument premise
+        (1987, 45, r"(\v0.v0 ((\v1.v0) (\v2.v0 v2)) (\v3.v3) (v0 v0) (\v4.\v5.\v6.v6)) "
+         r"(\v7.(\v8.v8) (v7 (\v9.v9)))", 46, R_APP1),
+    ],
+    ids=["tlam2_size", "tapp1_argument"],
+)
+def test_undo_steps_that_differ_in_one_rule_input(seed, budget, src, transitions, rule):
+    # fuzz terms on which a node table that ignored one input of the
+    # rule would hand back the wrong node and break a step equation
+    t = sk.random_closed_term(seed, budget)
+    assert print_term(t) == src
+    run = skam_run(compile(t), 1000)
+    assert run.transitions == transitions
+    over = {}
+    for n in _nodes(extract(run)).values():
+        if n.rule == rule:
+            over.setdefault((n.conclusion.subject, id(n.premises[0])), []).append(n)
+    assert max(map(len, over.values())) == 2
+    rep = sk.verify(t, 1000)
+    assert rep.complete and rep.all_pass, rep.notes
+    assert rep.skam["space_weight"] == rep.skam["space"] == run.space
+    assert rep.skam["time_weight"] == rep.skam["time"] == run.time
 
 
 def test_extract_needs_a_complete_run():
