@@ -1,8 +1,10 @@
 """Rebuilding weighted derivations from complete machine runs.
 
-A run stores no trace; extract and extract_kam replay the run's states
-into locals of their own (Run.replay, which checks the replay against
-the run's last state and counts), so the states die with the call.
+A run stores no trace; extract and extract_kam replay it into locals
+of their own as bare (label, code, env, stack) tuples (Run.fires, which
+checks the replay against the run's last state and counts), build a
+MachState for the final state alone, and read sizes from one forward
+count that keeps the stack's as the run loop does (state_sizes).
 
 extract walks the run back to front.  The final state gets the
 canonical typing: its code typed by TLamStar, every closure dry (an
@@ -69,6 +71,8 @@ limit.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .checker import (
     KIND_CLOSURE,
     KIND_ENV,
@@ -94,7 +98,7 @@ from .checker import (
     rule_weight,
 )
 from .hashcons import postorder
-from .kam import LABEL_BETA, Closure, Env, MachState, Run
+from .kam import LABEL_BETA, Closure, Env, MachState, Run, state_sizes
 from .space_kam import (
     LABEL_BETA_NW,
     LABEL_BETA_W,
@@ -102,7 +106,6 @@ from .space_kam import (
     LABEL_SEA_V,
     LABEL_SUB,
     skam_step,
-    state_size,
 )
 from .terms import Abs, print_term
 from .types import (
@@ -185,10 +188,10 @@ class _Cl:
 
 
 def _use(c: Closure, term: Derivation, env: "_Env") -> _Cl:
-    # TCl over TMany over one premise: TMany weighs what its premise does
-    return _Cl(c, _USE, term, env, *_weights(
-        [term.conclusion.weight, env.space], [_time_of(term), env.time]
-    ))
+    # TCl over TMany over one premise: TMany weighs what its premise
+    # does, and TCl joins it with the env's as _weights does
+    w = max(term.conclusion.weight, env.space)
+    return _Cl(c, _USE, term, env, w, _time_of(term) + env.time)
 
 
 def _join(p: _Cl, q: _Cl) -> _Cl:
@@ -282,24 +285,13 @@ class _Stack:
         self.rest = rest
         if rest is None:
             self.space, self.time = top.space, top.time
-        else:
-            self.space, self.time = _weights(
-                [top.space, rest.space], [top.time, rest.time]
-            )
+        else:  # joined as _weights does
+            self.space, self.time = max(top.space, rest.space), top.time + rest.time
 
 
 def _dry_context(e: Env) -> TypeContext:
     """One empty multi per binding, at the bound closure's size."""
     return TypeContext(tuple((x, ClosureMulti((), c.size)) for x, c in e))
-
-
-def _state_weights(term: Derivation, env: _Env, stack: _Stack | None) -> tuple[int, int]:
-    spaces = [term.conclusion.weight, env.space]
-    times = [term.time, env.time]
-    if stack is not None:
-        spaces.append(stack.space)
-        times.append(stack.time)
-    return _weights(spaces, times)
 
 
 def _mint(rule, kind, subject, ctx, assigned, premises) -> Derivation:
@@ -471,8 +463,8 @@ def type_final_state(s: MachState) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# undoing one transition: each rule takes the typing (term, env, stack)
-# of the state that source fires label into, and gives source's
+# undoing one transition: each rule takes the source's code, env and
+# stack (args) and the typing (term, env, stack) of its target
 
 def expand(prev: Derivation, step: tuple) -> Derivation:
     """Turn a derivation of a transition's target state into one of its
@@ -492,73 +484,74 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
             "the derivation's subject is not the target of the transition"
         )
     b = _Builder()
-    return b.mint_state(source, _UNDO[label](b, source, _read_state(prev)))
+    st = _UNDO[label](b, source.code, source.env, source.stack, _read_state(prev))
+    return b.mint_state(source, st)
 
 
-def _undo_sub(b, source, st):
+def _undo_sub(b, code, e, args, st):
     # (x, [x <- c], S) -> (u, e', S): the code typing becomes a use of
     # c, with the target environment's typing as c's environment, and
     # the variable is typed by the singleton multi at c's size
     term, env, stack = st
-    x = source.code.name
-    c = source.env[0][1]
+    x = code.name
+    c = e[0][1]
     a = term.conclusion.assigned
     k = 1 + size_context(term.conclusion.context)
     assert k == c.size, f"non-canonical index {k} for a closure of size {c.size}"
-    tvar = b.node((R_VAR, source.code, a, k), (), lambda: (
+    tvar = b.node((R_VAR, code, a, k), (), lambda: (
         TypeContext(((x, ClosureMulti((a,), k)),)), a))
     cl = _use(c, term, env)
     return tvar, _Env({x: cl}, cl.space, cl.time), stack
 
 
-def _undo_beta_nw(b, source, st):
+def _undo_beta_nw(b, code, e, args, st):
     # (\x.t, e, c . S) -> (t, [x <- c] . e, S) with x free in t: x's
     # typing in the target environment becomes the stack top's typing,
     # and the body typing closes over x
     term, env, stack = st
-    x = source.code.binder
+    x = code.binder
     ctx_plus = term.conclusion.context
     assert x in ctx_plus.names, f"binder {x} missing from the body typing"
-    lam = b.node((R_LAM1, source.code, id(term)), (term,), lambda: (
+    lam = b.node((R_LAM1, code, id(term)), (term,), lambda: (
         ctx_plus.minus(x), Arrow(ctx_plus.get(x), term.conclusion.assigned)))
     parts = dict(env.parts)
     top = parts.pop(x)
     return lam, _Env(parts), _Stack(top, stack)
 
 
-def _undo_beta_w(b, source, st):
+def _undo_beta_w(b, code, e, args, st):
     # (\x.t, e, c . S) -> (t, e, S) with x not in fv(t): the discarded
     # closure gets the dry typing, the arrow source the empty multi at
     # the closure's size
     term, env, stack = st
-    c = source.stack[0]
-    lam = b.node((R_LAM2, source.code, id(term), c.size), (term,), lambda: (
+    c = args[0]
+    lam = b.node((R_LAM2, code, id(term), c.size), (term,), lambda: (
         term.conclusion.context, Arrow(ClosureMulti((), c.size), term.conclusion.assigned)))
     return lam, env, _Stack(_Cl(c, _DRY), stack)
 
 
-def _undo_sea_v(b, source, st):
+def _undo_sea_v(b, code, e, args, st):
     # (t x, e, S) -> (t, e|_t, e(x) . S): the stack top's typing joins
     # x's typing in the environment; the code typing spends the arrow
     term, env, stack = st
-    x = source.code.arg.name
+    x = code.arg.name
     arrow = term.conclusion.assigned
-    app = b.node((R_APP2, source.code, id(term)), (term,), lambda: (
+    app = b.node((R_APP2, code, id(term)), (term,), lambda: (
         contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))]), arrow.res))
     top = stack.top
-    return app, _join_envs([env, _Env({x: top}, top.space, top.time)], source.env), stack.rest
+    return app, _join_envs([env, _Env({x: top}, top.space, top.time)], e), stack.rest
 
 
-def _undo_sea_nv(b, source, st):
+def _undo_sea_nv(b, code, e, args, st):
     # (t u, e, S) -> (t, e|_t, (u, e|_u) . S): the stack top's typing
     # is opened into the argument's multi judgment and a typing of
     # e|_u, which joins the environment's
     term, env, stack = st
     mu, env_u = b.open(stack.top)
     arrow = term.conclusion.assigned
-    app = b.node((R_APP1, source.code, id(term), id(mu)), (term, mu), lambda: (
+    app = b.node((R_APP1, code, id(term), id(mu)), (term, mu), lambda: (
         contexts_union([term.conclusion.context, mu.conclusion.context]), arrow.res))
-    return app, _join_envs([env, env_u], source.env), stack.rest
+    return app, _join_envs([env, env_u], e), stack.rest
 
 
 _UNDO = {
@@ -573,16 +566,18 @@ _UNDO = {
 # ---------------------------------------------------------------------------
 # whole runs
 
-def _complete_trace(run: Run) -> tuple[tuple, list]:
-    """A complete run's trace and states, the last of them final, replayed anew."""
+def _complete_states(run: Run) -> tuple[list, MachState]:
+    """A complete run's states replayed anew, as (label fired into it,
+    code, env, stack), and its final state, the one MachState built."""
     if not run.final_reached:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
-    trace = tuple(run.replay())
-    states = [run.initial, *(s for _, s in trace)]
-    _check_final(states[-1])
-    return trace, states
+    s = run.initial
+    states = [(None, s.code, s.env, s.stack), *run.fires()]
+    final = MachState(*states[-1][1:])
+    _check_final(final)
+    return states, final
 
 
 def extract(run: Run) -> Derivation:
@@ -590,26 +585,29 @@ def extract(run: Run) -> Derivation:
     term at the ground type, with space weight the run's space.  Its
     time reweighting has the run's time at the root.  The step equations
     are checked at every transition on the way; a broken one raises
-    StepEquationError.  The run's states come from its replayed trace."""
-    trace, states = _complete_trace(run)
+    StepEquationError.  The run's states come from its replay."""
+    states, final = _complete_states(run)
+    sizes = list(state_sizes(run.initial, islice(states, 1, None)))
     b = _Builder()
-    st = _final_typing(b, states[-1])
-    w, t = _state_weights(*st)
-    for i in range(len(trace) - 1, -1, -1):
-        label = trace[i][0]
-        src = states[i]
-        st = _UNDO[label](b, src, st)
-        prev_w, prev_t = w, t
-        w, t = _state_weights(*st)
-        sz = state_size(src)
+    st = _final_typing(b, final)
+    w, t = st[0].conclusion.weight, st[0].time  # the dry env weighs 0, the stack is empty
+    for i in range(len(states) - 1, 0, -1):
+        label = states[i][0]
+        _, code, e, args = states[i - 1]
+        st = term, env, stack = _UNDO[label](b, code, e, args, st)
+        sz, prev_w, prev_t = sizes[i - 1], w, t
+        # TSt joins the weights of the term, env and stack typings
+        w, t = max(term.conclusion.weight, env.space), term.time + env.time
+        if stack is not None:
+            w, t = max(w, stack.space), t + stack.time
         if w != max(sz, prev_w):
             raise StepEquationError(
-                f"space step equation broken at transition {i + 1} ({label}): "
+                f"space step equation broken at transition {i} ({label}): "
                 f"{w} != max({sz}, {prev_w})"
             )
         if t != sz + prev_t:
             raise StepEquationError(
-                f"time step equation broken at transition {i + 1} ({label}): "
+                f"time step equation broken at transition {i} ({label}): "
                 f"{t} != {sz} + {prev_t}"
             )
     term, env, stack = st
@@ -632,34 +630,34 @@ def _dc_mint(rule, kind, code, ctx, assigned, premises) -> Derivation:
 def extract_kam(run: Run) -> Derivation:
     """The plain-flavor typing of a complete plain-machine run's initial
     code; the root weight is the number of transitions."""
-    trace, states = _complete_trace(run)
+    states, final = _complete_states(run)
     b = _Builder(_dc_mint)
-    cur = b.node((R_DC_LAM_STAR, states[-1].code, EMPTY_CONTEXT), (), lambda: (
+    cur = b.node((R_DC_LAM_STAR, final.code, EMPTY_CONTEXT), (), lambda: (
         EMPTY_CONTEXT, STAR))
     env = {}  # the environment typing: a bag per name
     stack = []  # (multi, uses, env typings) of each stack closure, top last
-    for i in range(len(trace) - 1, -1, -1):
-        label = trace[i][0]
-        src = states[i]
+    for i in range(len(states) - 1, 0, -1):
+        label = states[i][0]
+        code = states[i - 1][1]
         if label == LABEL_SUB:
             # (x, e, S) -> e(x): the code typing becomes a use of x's
             # closure, with the target's environment typing as the
             # closure's; everything else of e is unused and dropped
-            x = src.code.name
+            x = code.name
             a = cur.conclusion.assigned
             env = {x: _Cl(None, _USE, cur, env)}
-            cur = b.node((R_DC_VAR, src.code, a), (), lambda: (
+            cur = b.node((R_DC_VAR, code, a), (), lambda: (
                 TypeContext(((x, MultiType((a,))),)), a))
         elif label == LABEL_BETA:
             # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
             # into the arrow source and the stack top's typing
-            x = src.code.binder
+            x = code.binder
             env = dict(env)
             uses, envs = _flatten(env.pop(x, _KAM_DRY))
             m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
-            cur = b.node((R_DC_LAM, src.code, id(cur)), (cur,), lambda: (
+            cur = b.node((R_DC_LAM, code, id(cur)), (cur,), lambda: (
                 cur.conclusion.context.minus(x), DCArrow(m, cur.conclusion.assigned)))
             stack.append((m, uses, envs))
         else:
@@ -671,7 +669,7 @@ def extract_kam(run: Run) -> Derivation:
             assert type(arrow) is DCArrow, "function typing is not an arrow"
             assert arrow.arg == m, "argument uses disagree with the arrow source"
             ps = (cur, *args)
-            cur = b.node((R_DC_APP, src.code, *map(id, ps)), ps, lambda: (
+            cur = b.node((R_DC_APP, code, *map(id, ps)), ps, lambda: (
                 contexts_union([d.conclusion.context for d in ps]), arrow.res))
             if envs:
                 env = _join_parts([env, *envs])

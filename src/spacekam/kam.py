@@ -25,15 +25,18 @@ closed terms that is the only way a run ends.
 
 This module also holds the run core both machines share.  A run fires
 on bare (code, env, stack) triples and builds a MachState for its last
-state alone, so its memory grows with its space, not its transitions.
-A Run stores no trace: the machines are deterministic, so Run.trace and
-Run.states replay the run from its initial state on each read.
+state alone, so its memory grows with its space, not its transitions,
+and a sized run keeps its space and time as it goes.  A Run stores no
+trace: the machines are deterministic, so Run.fires replays the run's
+bare tuples, which the extractors walk, and Run.trace and Run.states
+the states built from them, on each read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice, repeat, tee
 from operator import attrgetter, itemgetter
 
 from .hashcons import Frozen, postorder
@@ -255,6 +258,24 @@ def state_size(s: MachState) -> int:
     return size_env(s.env) + sum(c.size for c in s.stack)
 
 
+def state_sizes(s: MachState, fired):
+    """state_size of s, then of the state after each transition in
+    fired, a Space KAM run from s as Run.fires yields it, at O(|env|)
+    a state: sizes are read and the stack's kept as run_machine does."""
+    prev, stack_sz = s.stack, sum(c.size for c in s.stack)
+    yield size_env(s.env) + stack_sz
+    for _, _, env, stack in fired:
+        if len(stack) > len(prev):
+            stack_sz += stack[0]._size
+        elif len(stack) < len(prev):
+            stack_sz -= prev[0]._size
+        prev = stack
+        sz = stack_sz
+        for _, c in env:
+            sz += c._size
+        yield sz
+
+
 class ReplayMismatch(Exception):
     """Replaying a run from its initial state did not land on the run's
     stored last state with the run's transition counts."""
@@ -287,26 +308,31 @@ class Run:
         """The final state, or None when the run stopped on fuel."""
         return self.last if self.final_reached else None
 
-    def replay(self):
-        """Fire step from the initial state again, yielding one (label,
-        state) pair per transition, without keeping them.  Raises
-        ReplayMismatch, after the last pair, unless the replay ends on
-        the stored last state with the stored counts."""
+    def fires(self):
+        """Fire step from the initial state again, yielding each (label,
+        code, env, stack) it returns, one per transition, building no
+        state.  Raises ReplayMismatch, after the last, unless the replay
+        ends on the stored last state with the stored counts."""
         counts = dict.fromkeys(self.counts, 0)
-        cur = self.initial
-        code, env, stack = cur.code, cur.env, cur.stack
+        s, step = self.initial, self.step
+        code, env, stack = s.code, s.env, s.stack
         for i in range(1, self.transitions + 1):
-            nxt = self.step(code, env, stack)
+            nxt = step(code, env, stack)
             if nxt is None:
                 raise ReplayMismatch(f"replay reached a final state at transition {i}")
+            yield nxt
             label, code, env, stack = nxt
-            cur = MachState(code, env, stack)
-            yield label, cur
             counts[label] += 1
         if counts != self.counts:
             raise ReplayMismatch(f"replay counts {counts} differ from the run's {self.counts}")
-        if cur != self.last:
+        last = self.last
+        same = code is last.code and len(stack) == len(last.stack)
+        if not (same and _pairs_equal([(env, last.env), *zip(stack, last.stack)])):
             raise ReplayMismatch("replay ends in a state other than the run's last state")
+
+    def replay(self):
+        """The states of fires, one (label, state) pair per transition; raises as fires does."""
+        return ((label, MachState(code, env, stack)) for label, code, env, stack in self.fires())
 
     @property
     def trace(self) -> tuple[tuple[str, MachState], ...]:
@@ -351,22 +377,40 @@ def kam_step(s: MachState) -> tuple[str, MachState] | None:
     return fire_state(kam_fire, s)
 
 
-def run_machine(fire, labels, s: MachState, fuel: int, on_step=None) -> Run:
+def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> Run:
     """Fire from s for at most fuel transitions, building a MachState
     for the last state alone.  fire(code, env, stack) returns (label,
     code, env, stack), or None on a final state; labels are every label
-    it can return.  on_step, when given, is called with each 4-tuple."""
+    it can return.  A sized run keeps its space and time, the max and
+    sum of its state sizes, as it goes: the opening sums size every
+    closure reachable from s, fire must size each closure it builds
+    (skam_fire does), and a step reads stored sizes, keeping the stack's
+    as a push adds the top's and a pop takes it off: O(|env|) a step."""
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, not {fuel}")
     counts = dict.fromkeys(labels, 0)
     code, env, stack = s.code, s.env, s.stack
+    stack_sz = sum(c.size for c in stack) if sized else 0
+    space = time = size_env(env) + stack_sz if sized else None
     for n in range(fuel):
         nxt = fire(code, env, stack)
         if nxt is None:
-            return Run(s, MachState(code, env, stack), True, counts, n, fire)
+            return Run(s, MachState(code, env, stack), True, counts, n, fire, space, time)
+        if sized:
+            new = nxt[3]
+            if len(new) > len(stack):
+                stack_sz += new[0]._size
+            elif len(new) < len(stack):
+                stack_sz -= stack[0]._size
+            sz = stack_sz
+            for _, c in nxt[2]:
+                sz += c._size
+            space = sz if sz > space else space
+            time += sz
         label, code, env, stack = nxt
         counts[label] += 1
-        if on_step is not None:
-            on_step(nxt)
-    return Run(s, MachState(code, env, stack), fire(code, env, stack) is None, counts, fuel, fire)
+    last = MachState(code, env, stack)
+    return Run(s, last, fire(code, env, stack) is None, counts, fuel, fire, space, time)
 
 
 def kam_run(s: MachState, fuel: int) -> Run:
@@ -417,24 +461,28 @@ def decode(s: MachState | Closure) -> Term:
 def run_trace_rows(run: Run):
     """One JSON line per transition, streamed from a replay of the run:
     the step number (from 1), the label, the state size for a measured
-    run, and the state's code, env [[x, i], ...] and stack [i, ...],
-    where i is a closure's row in one ClosureRows.  Each closure row is
-    written once, as {"closure": i, "code", "env"}, on a line of its own
-    just before the first line that names it."""
+    run (state_sizes), and the state's code, env [[x, i], ...] and stack
+    [i, ...], where i is a closure's row in one ClosureRows.  Each
+    closure row is written once, as {"closure": i, "code", "env"}, on a
+    line of its own just before the first line that names it."""
     import json  # only --trace writes rows: importing the package need not load json
 
     table = ClosureRows()
-    for i, (label, s) in enumerate(run.replay(), start=1):
+    fired, sizes = run.fires(), repeat(None)
+    if run.space is not None:
+        fired, ahead = tee(fired)
+        sizes = islice(state_sizes(run.initial, ahead), 1, None)  # no row for the initial state
+    for i, ((label, code, env, stack), size) in enumerate(zip(fired, sizes), start=1):
         written = len(table.rows)
-        env = [[x, table.add(c)] for x, c in s.env]
-        stack = [table.add(c) for c in s.stack]
+        env = [[x, table.add(c)] for x, c in env]
+        stack = [table.add(c) for c in stack]
         for j in range(written, len(table.rows)):
-            code, e = table.rows[j]
-            yield json.dumps({"closure": j, "code": print_term(code), "env": e})
+            code_j, e = table.rows[j]
+            yield json.dumps({"closure": j, "code": print_term(code_j), "env": e})
         row = {"step": i, "label": label}
-        if run.space is not None:
-            row["size"] = state_size(s)
-        row.update(code=print_term(s.code), env=env, stack=stack)
+        if size is not None:
+            row["size"] = size
+        row.update(code=print_term(code), env=env, stack=stack)
         yield json.dumps(row)
 
 

@@ -123,39 +123,11 @@ def skam_run(s: MachState, fuel: int) -> Run:
     machine goes, in memory proportional to the space.
 
     Both measures include the initial state; time also includes the
-    final state when it is reached.  Each step is measured from the env
-    and stack skam_fire returns, building no state.  The stack size is
-    kept incrementally: a sea pushes one closure and a beta pops one.
-    Closures cache their sizes (Closure.size): a step costs O(|env|).
+    final state when it is reached.  The shared loop measures each step
+    inline (run_machine, sized), from the env and stack skam_fire
+    returns and the sizes it stores: O(|env|) a step, and no state built.
     """
-    # these opening sums size every closure reachable from s; sea_nv
-    # builds each new closure with its size, and every other transition
-    # only moves closures already sized, so measure reads the stored
-    # _size and never enters the Closure.size property
-    stack_sz = sum(c.size for c in s.stack)
-    space = time = size_env(s.env) + stack_sz
-    prev = s.stack
-
-    def measure(nxt):
-        nonlocal stack_sz, space, time, prev
-        _, _, env, stack = nxt
-        if len(stack) > len(prev):
-            stack_sz += stack[0]._size
-        elif len(stack) < len(prev):
-            stack_sz -= prev[0]._size
-        prev = stack
-        sz = stack_sz
-        for _, c in env:
-            sz += c._size
-        if sz > space:
-            space = sz
-        time += sz
-
-    run = run_machine(skam_fire, SKAM_LABELS, s, fuel, measure)
-    # the run is not yet shared with a caller: complete it in place
-    object.__setattr__(run, "space", space)
-    object.__setattr__(run, "time", time)
-    return run
+    return run_machine(skam_fire, SKAM_LABELS, s, fuel, sized=True)
 
 
 def check_run_env_domain_invariant(states) -> bool:

@@ -264,6 +264,27 @@ def test_extract_mints_only_the_nodes_it_returns(monkeypatch, src):
     assert size_of(d) == run.transitions + 1
 
 
+@pytest.mark.parametrize("src", [church(16) + r" (\a.a) (\b.b)", POW2_4], ids=["c_16", "pow2_4"])
+def test_extractors_build_the_final_state_alone(monkeypatch, src):
+    # the extractors walk the replay's bare (label, code, env, stack)
+    # tuples: the final state is the one MachState they build
+    built = [0]
+    init = MachState.__init__
+
+    def counted(self, code, env, stack):
+        built[0] += 1
+        init(self, code, env, stack)
+
+    t = compile(parse_term(src))
+    runs = [(extract, skam_run(t, 100_000)), (extract_kam, kam_run(t, 100_000))]
+    monkeypatch.setattr(MachState, "__init__", counted)
+    for ex, run in runs:
+        built[0] = 0
+        ex(run)
+        assert run.transitions > 50
+        assert built[0] == 1, (ex.__name__, built[0])
+
+
 def _complete_fuzz_terms(seeds):
     for seed in seeds:
         t = sk.random_closed_term(seed, 25)
@@ -440,7 +461,8 @@ def test_extract_of_an_immediate_normal_form():
 def test_a_broken_step_equation_raises(monkeypatch, example_skam):
     from spacekam import extractor
 
-    monkeypatch.setattr(extractor, "state_size", lambda s: state_size(s) + 1)
+    sizes = extractor.state_sizes
+    monkeypatch.setattr(extractor, "state_sizes", lambda s, fired: (n + 1 for n in sizes(s, fired)))
     with pytest.raises(StepEquationError, match="space step equation broken at transition 7"):
         extract(example_skam)
 
@@ -450,8 +472,8 @@ def test_a_broken_step_equation_raises_under_optimization(example_skam):
     code = (
         "import spacekam as sk\n"
         "from spacekam import extractor\n"
-        "size = extractor.state_size\n"
-        "extractor.state_size = lambda s: size(s) + 1\n"
+        "sizes = extractor.state_sizes\n"
+        "extractor.state_sizes = lambda s, fired: (n + 1 for n in sizes(s, fired))\n"
         "run = sk.skam_run(sk.compile(sk.parse_term(r'(\\x.(\\y.(\\z.x) (x y)) x) (\\a.a)')), 100)\n"
         "try:\n"
         "    d = extractor.extract(run)\n"

@@ -289,6 +289,16 @@ def test_replay_compares_the_last_state_in_full():
         dataclasses.replace(run, last=deep).trace
 
 
+def test_negative_fuel_is_refused():
+    s = compile(IDENT)
+    for machine_run in (kam_run, skam_run):
+        with pytest.raises(ValueError, match="fuel must be at least 0, not -1"):
+            machine_run(s, -1)
+        assert machine_run(s, 0).final_reached
+    with pytest.raises(ValueError, match="fuel must be at least 0, not -2"):
+        sk.verify(IDENT, -2)
+
+
 def test_verify_on_fuel_never_replays(monkeypatch):
     calls = {"kam": 0, "skam": 0}
 

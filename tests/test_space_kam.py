@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -347,6 +348,30 @@ def test_run_summary_shape(example_skam):
 
 
 # ---------------------------------------------------------------- properties
+
+def test_state_sizes_match_the_direct_recount(example_skam):
+    # the forward count keeps the stack size as it goes, as the run loop
+    # does: it gives state_size of every state, from the initial one on
+    church = lambda n: r"(\f.\x." + "f (" * n + "x" + ")" * n + ")"
+    terms = [random_closed_term(seed, 25) for seed in range(200)]
+    terms += [parse_term(church(16) + r" (\a.a) (\b.b)")]
+    terms += [parse_term(church(3) + " " + church(2) + r" (\a.a) (\b.b)")]
+    # a mid-run start with a non-empty env and stack, so the opening
+    # sums count closures; a pickle round trip rebuilds them unsized
+    mid = example_skam.states[3]
+    assert mid.env and mid.stack
+    starts = [compile(t) for t in terms] + [mid, pickle.loads(pickle.dumps(mid))]
+    for s in starts:
+        run = skam_run(s, 2000)
+        sizes = [state_size(x) for x in run.states]
+        assert list(kam.state_sizes(run.initial, run.fires())) == sizes
+        assert (run.space, run.time) == (max(sizes), sum(sizes))
+    unsized = pickle.loads(pickle.dumps(mid))
+    assert unsized.stack[0]._size is None
+    run = skam_run(mid, 100)
+    assert list(kam.state_sizes(unsized, run.fires())) == [state_size(x) for x in run.states]
+    assert (run.space, run.time) == (4, 2 + 2 + 4 + 1 + 0)
+
 
 @given(st.integers(0, 2**30))
 @settings(max_examples=120, deadline=None)
