@@ -8,7 +8,8 @@ The package has three layers:
   kam        the Krivine machine and the run core both machines share:
              one Run type, one run loop, trace rows and summary; a run
              keeps only its current state, stores no trace, and
-             replays its trace and states on each read;
+             replays its transitions (fires) and states (trace) on
+             each read;
              space_kam adds eager garbage collection and environment
              unchaining, and measures a run's space and time as it goes
   types      indexed multi types and their algebra; checker validates
@@ -29,7 +30,6 @@ from .terms import (
     ParseError,
     parse_term,
     print_term,
-    free_vars,
     subst,
     whnf_step,
     whnf_eval,
@@ -66,13 +66,10 @@ from .types import (
     TypeContext,
     EMPTY_CONTEXT,
     NotSummable,
-    BadSplit,
     size_linear,
     size_context,
     is_dry,
-    summable,
     contexts_union,
-    split_multi,
 )
 from .checker import (
     Judgment,

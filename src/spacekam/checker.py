@@ -390,7 +390,7 @@ def _check_tlam2(d, err, mode):
         err("TLam2 premise type must be the arrow target")
         return
     x = c.subject.binder
-    if x in p.context.domain():
+    if x in p.context.names:
         err(f"TLam2 requires the binder {x} absent from the premise context")
         return
     if c.context != p.context:
@@ -546,9 +546,9 @@ def _check_tenv(d, err, mode):
     if type(c.assigned) is not TypeContext:
         err("TEnv assigns a context")
         return
-    if c.assigned.domain() != set(names):
+    if c.assigned.names != set(names):
         err(
-            f"assigned context domain {sorted(c.assigned.domain())} differs "
+            f"assigned context domain {sorted(c.assigned.names)} differs "
             f"from the environment domain {sorted(names)}"
         )
         return

@@ -82,11 +82,16 @@ _file_option = click.option(
     "--file", "-f", "path", default=None,
     help="read the term from this file ('-' for stdin)",
 )
-_fuel_option = click.option(
-    "--fuel", type=click.IntRange(min=0), default=10000, show_default=True,
-    envvar="SPACEKAM_FUEL",
-    help="transition budget; SPACEKAM_FUEL overrides the default, the flag wins",
-)
+
+
+def _fuel_option(default: int):
+    return click.option(
+        "--fuel", type=click.IntRange(min=0), default=default, show_default=True,
+        envvar="SPACEKAM_FUEL",
+        help="transition budget; SPACEKAM_FUEL overrides the default, the flag wins",
+    )
+
+
 _json_option = click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 
 
@@ -99,7 +104,7 @@ def main():
 @main.command("eval")
 @_term_argument
 @_file_option
-@_fuel_option
+@_fuel_option(10000)
 @_json_option
 def eval_cmd(term, path, fuel, as_json):
     """Reduce a term to weak head normal form."""
@@ -123,7 +128,7 @@ def _machine_command(name, machine_run, doc):
     @main.command(name, help=doc)
     @_term_argument
     @_file_option
-    @_fuel_option
+    @_fuel_option(10000)
     @_json_option
     @click.option("--trace", default=None, help="write the trace as JSON lines here ('-' for stdout)")
     def machine_cmd(term, path, fuel, as_json, trace):
@@ -162,7 +167,7 @@ skam_cmd = _machine_command("skam", skam_run, "Run the space machine on a closed
 )
 @click.option("--out", "-o", default=None, help="write the derivation JSON here")
 @click.option("--pretty", is_flag=True, help="render the derivation as an indented tree instead of JSON")
-@_fuel_option
+@_fuel_option(10000)
 def infer_cmd(term, path, mode, out, pretty, fuel):
     """Rebuild the weighted derivation for a term's complete run."""
     t = _load_term(term, path)
@@ -217,7 +222,7 @@ def check_cmd(path, mode, full_scan):
 @main.command("verify")
 @_term_argument
 @_file_option
-@_fuel_option
+@_fuel_option(10000)
 @_json_option
 def verify_cmd(term, path, fuel, as_json):
     """Cross-check machines, reduction and derivations on one term."""
@@ -251,9 +256,7 @@ def verify_cmd(term, path, fuel, as_json):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=25, show_default=True,
               help="size budget per generated term")
-@click.option("--fuel", type=click.IntRange(min=0), default=2000, show_default=True,
-              envvar="SPACEKAM_FUEL",
-              help="transition budget; SPACEKAM_FUEL overrides the default, the flag wins")
+@_fuel_option(2000)
 @_json_option
 def fuzz_cmd(count, seed, budget, fuel, as_json):
     """verify a batch of random closed terms."""

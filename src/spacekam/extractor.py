@@ -248,30 +248,25 @@ def _flatten(cl: _Cl) -> tuple[list, list]:
     return uses, envs
 
 
-def _join_parts(envs: list) -> dict:
-    """The closure typings of each name in envs, dicts from names to
-    closure typings, joined in list order."""
-    parts = dict(envs[0])
-    for other in envs[1:]:
-        for x, p in other.items():
-            q = parts.get(x)
-            parts[x] = p if q is None else _join(q, p)
+def _join_parts(parts: dict, other: dict) -> dict:
+    """A new dict of the closure typings of each name in parts and in
+    other, dicts from names to closure typings, those of parts first."""
+    parts = dict(parts)
+    for x, cl in other.items():
+        have = parts.get(x)
+        parts[x] = cl if have is None else _join(have, cl)
     return parts
 
 
-def _join_envs(envs: list, e: Env) -> _Env:
-    """One typing of e from typings of restrictions of e, the closure
-    typings of each name joined in list order."""
-    if len(envs) == 1:
-        env = envs[0]
-    else:
-        env = _Env(_join_parts([other.parts for other in envs]), *_weights(
-            [other.space for other in envs], [other.time for other in envs]
-        ))
-    assert env.parts.keys() == dict(e).keys(), (
-        f"typings cover {sorted(env.parts)}, environment binds {sorted(x for x, _ in e)}"
+def _join_envs(p: _Env, q: _Env, e: Env) -> _Env:
+    """One typing of e from typings p and q of restrictions of e: each
+    name's closure typings joined, p's first, and weights as _weights."""
+    parts = _join_parts(p.parts, q.parts)
+    # the names of a Space KAM env are distinct
+    assert len(parts) == len(e) and all(x in parts for x, _ in e), (
+        f"typings cover {sorted(parts)}, environment binds {sorted(x for x, _ in e)}"
     )
-    return env
+    return _Env(parts, max(p.space, q.space), p.time + q.time)
 
 
 class _Stack:
@@ -355,7 +350,10 @@ class _Builder:
             f"non-canonical index opening a typing of {print_term(c.code)}: "
             f"context size {k - 1}, closure size {c.size}"
         )
-        return many, _join_envs(envs, c.env)
+        env = envs[0]
+        for other in envs[1:]:
+            env = _join_envs(env, other, c.env)
+        return many, env
 
     def env_node(self, e: Env, premises: list) -> Derivation:
         gamma = TypeContext(
@@ -539,7 +537,7 @@ def _undo_sea_v(b, code, e, args, st):
     app = b.node((R_APP2, code, id(term)), (term,), lambda: (
         contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))]), arrow.res))
     top = stack.top
-    return app, _join_envs([env, _Env({x: top}, top.space, top.time)], e), stack.rest
+    return app, _join_envs(env, _Env({x: top}, top.space, top.time), e), stack.rest
 
 
 def _undo_sea_nv(b, code, e, args, st):
@@ -551,7 +549,7 @@ def _undo_sea_nv(b, code, e, args, st):
     arrow = term.conclusion.assigned
     app = b.node((R_APP1, code, id(term), id(mu)), (term, mu), lambda: (
         contexts_union([term.conclusion.context, mu.conclusion.context]), arrow.res))
-    return app, _join_envs([env, env_u], e), stack.rest
+    return app, _join_envs(env, env_u, e), stack.rest
 
 
 _UNDO = {
@@ -671,8 +669,8 @@ def extract_kam(run: Run) -> Derivation:
             ps = (cur, *args)
             cur = b.node((R_DC_APP, code, *map(id, ps)), ps, lambda: (
                 contexts_union([d.conclusion.context for d in ps]), arrow.res))
-            if envs:
-                env = _join_parts([env, *envs])
+            for other in envs:
+                env = _join_parts(env, other)
     assert not env, "the initial state's typing wants an environment"
     assert not stack, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"

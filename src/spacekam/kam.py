@@ -28,8 +28,8 @@ on bare (code, env, stack) triples and builds a MachState for its last
 state alone, so its memory grows with its space, not its transitions,
 and a sized run keeps its space and time as it goes.  A Run stores no
 trace: the machines are deterministic, so Run.fires replays the run's
-bare tuples, which the extractors walk, and Run.trace and Run.states
-the states built from them, on each read.
+bare tuples, which the extractors walk, and Run.trace the states built
+from them, on each read.
 """
 
 from __future__ import annotations
@@ -112,8 +112,6 @@ def _env_closures(c: Closure):
 # association list, most recent binding first
 Env = tuple[tuple[str, Closure], ...]
 Stack = tuple[Closure, ...]
-
-EMPTY_ENV: Env = ()
 
 
 class MachState(Frozen):
@@ -291,7 +289,7 @@ class Run:
 
     A run stores no trace.  The machines are deterministic, so the
     initial state, the fire function and the transition count determine
-    every state in between: trace and states replay the run on each
+    every state in between: fires and trace replay the run on each
     read, and nothing of a replay is kept on the run."""
 
     initial: MachState
@@ -330,19 +328,10 @@ class Run:
         if not (same and _pairs_equal([(env, last.env), *zip(stack, last.stack)])):
             raise ReplayMismatch("replay ends in a state other than the run's last state")
 
-    def replay(self):
-        """The states of fires, one (label, state) pair per transition; raises as fires does."""
-        return ((label, MachState(code, env, stack)) for label, code, env, stack in self.fires())
-
     @property
     def trace(self) -> tuple[tuple[str, MachState], ...]:
-        """One (label, state) pair per transition, replayed anew."""
-        return tuple(self.replay())
-
-    @property
-    def states(self) -> list[MachState]:
-        """The initial state followed by every replayed state, as a new list."""
-        return [self.initial, *(s for _, s in self.replay())]
+        """One (label, state) pair per transition, built from fires anew."""
+        return tuple((label, MachState(code, env, stack)) for label, code, env, stack in self.fires())
 
 
 def compile(t: Term) -> MachState:

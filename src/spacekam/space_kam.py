@@ -64,10 +64,6 @@ LABEL_SUB = "sub"
 SKAM_LABELS = (LABEL_SEA_V, LABEL_SEA_NV, LABEL_BETA_W, LABEL_BETA_NW, LABEL_SUB)
 
 
-def size_closure(c: Closure) -> int:
-    return c.size
-
-
 def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
     return len(e) == len(names) and {x for x, _ in e} == names
 
@@ -132,7 +128,8 @@ def skam_run(s: MachState, fuel: int) -> Run:
 
 def check_run_env_domain_invariant(states) -> bool:
     """dom(env) = fv(code), one binding per name, in every state of an
-    iterable (such as Run.states) and inside every closure.
+    iterable (such as a run's initial state and the states of its
+    trace) and inside every closure.
 
     Successive states share their closures, and closures are immutable,
     so a closure that checked once stays valid: each distinct closure

@@ -233,10 +233,6 @@ def print_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # variables and substitution
 
-def free_vars(t: Term) -> frozenset[str]:
-    return t.fv
-
-
 def all_vars(t: Term) -> frozenset[str]:
     """Every name occurring in t, free or binding."""
     names = set()

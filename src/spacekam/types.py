@@ -34,8 +34,9 @@ recurses.
 
 A context maps variables to multis, sorted by name, and is interned
 like a type, so `==` is `is`: only a new context, or one given
-unsorted, sorts its entries.  Contexts are summable when their indices
-agree on shared variables; the union then adds up the multiplicities.
+unsorted, sorts its entries.  Their one sum is contexts_union, which
+adds up the multiplicities and raises NotSummable unless the indices
+agree on shared variables.
 A variable missing from a context differs from one mapped to an empty
 multi: only the latter contributes its index to the context size.
 """
@@ -51,10 +52,6 @@ from .terms import is_name
 
 class NotSummable(Exception):
     """Context or multi union with disagreeing indices."""
-
-
-class BadSplit(Exception):
-    """The claimed parts do not rebuild the whole multiset."""
 
 
 _M64 = (1 << 64) - 1
@@ -272,14 +269,6 @@ def _cmp(a, b) -> int:
 _IN_FULL = cmp_to_key(_cmp)
 
 
-def type_key(a) -> int:
-    """The order key of a type of either grammar: the canonical order of
-    types whose keys differ."""
-    if isinstance(a, (Star, Arrow, DCArrow)):
-        return a.key
-    raise TypeError(f"not a type: {a!r}")
-
-
 # ---------------------------------------------------------------------------
 # contexts
 
@@ -322,15 +311,8 @@ class TypeContext(_Context):
                 return m
         return None
 
-    def domain(self) -> frozenset[str]:
-        return self.names
-
     def minus(self, x: str) -> "TypeContext":
         return TypeContext(tuple(p for p in self.entries if p[0] != x))
-
-    def put(self, x: str, m) -> "TypeContext":
-        # x must not already be present
-        return TypeContext(self.entries + ((x, m),))
 
     def is_empty(self) -> bool:
         return not self.entries
@@ -365,21 +347,7 @@ def is_dry(g: TypeContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# unions and splits
-
-def summable(g: TypeContext, d: TypeContext) -> bool:
-    """Indices agree wherever the domains meet."""
-    for x, m in g.entries:
-        if type(m) is not ClosureMulti:
-            raise TypeError(f"summability is about indexed contexts: {m!r}")
-        other = d.get(x)
-        if other is not None and other.index != m.index:
-            return False
-    for _, m in d.entries:
-        if type(m) is not ClosureMulti:
-            raise TypeError(f"summability is about indexed contexts: {m!r}")
-    return True
-
+# unions
 
 def contexts_union(contexts: list) -> TypeContext:
     """The union of a list of contexts, all indexed or all plain, in one
@@ -420,30 +388,6 @@ def contexts_union(contexts: list) -> TypeContext:
     for x, counts in more.items():
         first[x] = _intern(flavor, _canonical(counts), getattr(first[x], "index", None))
     return TypeContext(tuple(first.items()))
-
-
-def split_multi(whole: ClosureMulti, left: ClosureMulti, right: ClosureMulti) -> tuple:
-    """Witness that whole = left + right as multisets at one index: for
-    each pair (A, n) of whole, in canonical order, the counts (l, r) of
-    A in left and in right, with l + r = n."""
-    if left.index != whole.index or right.index != whole.index:
-        raise BadSplit(
-            f"indices disagree: whole {whole.index}, "
-            f"left {left.index}, right {right.index}"
-        )
-    lc, rc = dict(left.pairs), dict(right.pairs)
-    witness = []
-    for a, n in whole.pairs:
-        l, r = lc.pop(a, 0), rc.pop(a, 0)
-        if l + r != n:
-            raise BadSplit(
-                f"element {format_linear(a)} occurs {n} times in the whole, "
-                f"{l} + {r} times in the parts"
-            )
-        witness.append((l, r))
-    if lc or rc:
-        raise BadSplit("parts have elements beyond the whole")
-    return tuple(witness)
 
 
 # ---------------------------------------------------------------------------

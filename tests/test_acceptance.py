@@ -25,7 +25,6 @@ from spacekam.extractor import expand, extract, extract_kam, type_final_state
 from spacekam.kam import compile, decode, kam_run
 from spacekam.space_kam import (
     check_env_domain_invariant,
-    size_closure,
     size_env,
     skam_run,
     state_size,
@@ -158,9 +157,7 @@ def test_acceptance_4_structural_lemmas(capsys, corpus, replays):
                     n = stack.pop()
                     stack.extend(n.premises)
                     if n.rule == "TCl":
-                        assert n.conclusion.assigned.index == size_closure(
-                            n.conclusion.subject
-                        )
+                        assert n.conclusion.assigned.index == n.conclusion.subject.size
                         closure_nodes += 1
                     elif n.rule == "TEnv":
                         assert size_context(n.conclusion.assigned) == size_env(

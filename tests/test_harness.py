@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+import spacekam
 import spacekam.checker as checker
 import spacekam.harness as harness
 from spacekam.checker import derivation_to_json, reweight, weight_of
@@ -292,3 +295,21 @@ def test_fuzz_counts_internal_errors_as_failures(monkeypatch):
     assert out["failed"] == 1
     assert out["failures"][0]["seed"] == 11
     assert "boom" in out["failures"][0]["error"]
+
+
+# ---------------------------------------------------------------- benchmark
+
+def test_the_benchmark_uses_only_names_the_package_has():
+    # perfbench imports the package as sk and reads runs and derivations;
+    # a name it uses on a path its own tests do not reach would fail only
+    # when the benchmark runs, so every name it uses must stay
+    called = set()
+    for path in sorted((Path(__file__).parent.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sk":
+                called.add(node.attr)
+    assert len(called) > 20
+    assert sorted(n for n in called if not hasattr(spacekam, n)) == []
+    for cls, names in ((spacekam.Run, ("trace", "final", "initial")), (spacekam.Derivation, ("conclusion",))):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert [n for n in names if n not in fields and not hasattr(cls, n)] == []

@@ -44,6 +44,11 @@ from spacekam.terms import (
 IDENT = parse_term(r"\a.a")
 
 
+def _states(run):
+    """The initial state followed by every state of the trace."""
+    return [run.initial, *(s for _, s in run.trace)]
+
+
 def test_compile_rejects_open_terms():
     with pytest.raises(OpenTerm) as exc:
         compile(parse_term(r"\x.x y z"))
@@ -201,7 +206,7 @@ def test_trace_rows_read_back_to_the_replayed_states(machine_run):
             assert 0 <= i < len(closures)  # written before its first use
             return closures[i]
 
-        replayed = enumerate(run.replay(), start=1)
+        replayed = enumerate(run.trace, start=1)
         for line in run_trace_rows(run):
             row = json.loads(line)
             if "closure" in row:
@@ -253,14 +258,15 @@ def test_run_contract(machine_run, step):
         assert not run.transitions or run.trace is not trace
         kept = [getattr(run, f.name) for f in dataclasses.fields(run)]
         assert not any(v is trace or v is s for v in kept for _, s in trace)
-        assert len(run.states) == run.transitions + 1
-        assert run.states[-1] == run.last
+        states = [run.initial, *(s for _, s in trace)]
+        assert len(states) == run.transitions + 1
+        assert states[-1] == run.last
         assert (run.final is None) == (not run.final_reached)
         if run.final_reached:
             assert run.final is run.last
             assert step(run.last) is None
         if machine_run is skam_run:
-            sizes = [state_size(s) for s in run.states]
+            sizes = [state_size(s) for s in states]
             assert (run.space, run.time) == (max(sizes), sum(sizes))
         else:
             assert run.space is None and run.time is None
@@ -275,7 +281,7 @@ def test_run_contract(machine_run, step):
                 with pytest.raises(ReplayMismatch):
                     bad.trace
                 with pytest.raises(ReplayMismatch):
-                    list(bad.replay())  # what run_trace_rows streams
+                    list(bad.fires())  # what run_trace_rows streams
 
 
 def test_replay_compares_the_last_state_in_full():
@@ -352,7 +358,7 @@ def test_memory_stays_flat_as_fuel_grows(machine_run):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        space = max(state_size(s) for _, s in run.replay())
+        space = max(state_size(MachState(*s[1:])) for s in run.fires())
         return peak, peak / (1 + space)
 
     (_, small), (large_peak, large) = peak_per_pointer(20_000), peak_per_pointer(200_000)
@@ -428,7 +434,7 @@ def test_equality_and_hash_follow_the_fields():
 
 def test_copy_deepcopy_and_pickle_give_equal_objects(example_kam, example_skam):
     for run in (example_kam, example_skam):
-        for s in run.states:
+        for s in _states(run):
             for c in (*s.stack, *(c for _, c in s.env)):
                 for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
                     assert type(other) is Closure and other == c and hash(other) == hash(c)
@@ -444,7 +450,7 @@ def test_states_read_back_from_derivation_files_equal_the_machines(example_skam)
              if r.final_reached]
     assert len(runs) > 20
     for run in runs:
-        states = run.states
+        states = _states(run)
         d = type_final_state(states[-1])
         for i in reversed(range(run.transitions + 1)):
             if i < run.transitions:

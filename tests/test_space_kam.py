@@ -13,13 +13,12 @@ from spacekam.space_kam import (
     check_env_domain_invariant,
     check_run_env_domain_invariant,
     env_restrict,
-    size_closure,
     size_env,
     skam_run,
     skam_step,
     state_size,
 )
-from spacekam.terms import Abs, App, Var, alpha_eq, free_vars, parse_term
+from spacekam.terms import Abs, App, Var, alpha_eq, parse_term
 
 
 IDENT = parse_term(r"\a.a")
@@ -33,12 +32,12 @@ def all_states(run):
 # ---------------------------------------------------------------- sizes
 
 def test_size_of_env_free_closure():
-    assert size_closure(I_CL) == 1
+    assert I_CL.size == 1
 
 
 def test_size_nested_closure():
     inner = Closure(parse_term("x"), (("x", I_CL),))
-    assert size_closure(inner) == 2
+    assert inner.size == 2
 
 
 def test_state_size_sums_env_and_stack():
@@ -54,7 +53,7 @@ def nested_closure(depth):
 
 
 def test_sizes_of_deeply_nested_closures():
-    assert size_closure(nested_closure(20000)) == 20001
+    assert nested_closure(20000).size == 20001
     c = nested_closure(20000)
     assert state_size(MachState(Var("x"), (("x", c),), (c, I_CL))) == 40003
 
@@ -67,7 +66,7 @@ def test_initial_state_has_size_zero(example_term):
 
 def test_env_restrict_keeps_needed_entries():
     e = (("x", I_CL), ("y", I_CL))
-    assert env_restrict(e, free_vars(parse_term("y"))) == (("y", I_CL),)
+    assert env_restrict(e, parse_term("y").fv) == (("y", I_CL),)
 
 
 def test_env_restrict_keeps_order_and_first_binding():
@@ -287,7 +286,7 @@ def test_run_invariant_agrees_with_the_per_state_check():
         run = skam_run(compile(random_closed_term(seed, 25)), 2000)
         states = all_states(run)
         assert all(check_env_domain_invariant(s) for s in states)
-        assert check_run_env_domain_invariant(run.states)
+        assert check_run_env_domain_invariant(all_states(run))
         assert check_run_env_domain_invariant(iter(states))
         # plant a stale closure in the last state, below a closure that
         # earlier states hold, so the run-level walk has seen it already
@@ -358,18 +357,18 @@ def test_state_sizes_match_the_direct_recount(example_skam):
     terms += [parse_term(church(3) + " " + church(2) + r" (\a.a) (\b.b)")]
     # a mid-run start with a non-empty env and stack, so the opening
     # sums count closures; a pickle round trip rebuilds them unsized
-    mid = example_skam.states[3]
+    mid = all_states(example_skam)[3]
     assert mid.env and mid.stack
     starts = [compile(t) for t in terms] + [mid, pickle.loads(pickle.dumps(mid))]
     for s in starts:
         run = skam_run(s, 2000)
-        sizes = [state_size(x) for x in run.states]
+        sizes = [state_size(x) for x in all_states(run)]
         assert list(kam.state_sizes(run.initial, run.fires())) == sizes
         assert (run.space, run.time) == (max(sizes), sum(sizes))
     unsized = pickle.loads(pickle.dumps(mid))
     assert unsized.stack[0]._size is None
     run = skam_run(mid, 100)
-    assert list(kam.state_sizes(unsized, run.fires())) == [state_size(x) for x in run.states]
+    assert list(kam.state_sizes(unsized, run.fires())) == [state_size(x) for x in all_states(run)]
     assert (run.space, run.time) == (4, 2 + 2 + 4 + 1 + 0)
 
 

@@ -14,7 +14,6 @@ from spacekam.terms import (
     Var,
     all_vars,
     alpha_eq,
-    free_vars,
     is_name,
     parse_term,
     print_term,
@@ -303,11 +302,11 @@ def test_print_roundtrip_example():
 
 def test_free_vars():
     t = parse_term(r"\x.x y (\y.y z)")
-    assert free_vars(t) == {"y", "z"}
+    assert t.fv == {"y", "z"}
 
 
 def test_free_vars_closed():
-    assert free_vars(parse_term(r"\x.\y.x")) == set()
+    assert parse_term(r"\x.\y.x").fv == set()
 
 
 def test_stored_fv_takes_no_part_in_equality_hash_or_repr():
@@ -471,16 +470,16 @@ def test_stored_fv_matches_the_reference_walk(t, x, u):
 @given(terms(), names, terms())
 @settings(max_examples=200)
 def test_subst_free_vars_law(t, x, u):
-    got = free_vars(subst(t, x, u))
-    fv = free_vars(t)
-    expected = (fv - {x}) | (free_vars(u) if x in fv else set())
+    got = subst(t, x, u).fv
+    fv = t.fv
+    expected = (fv - {x}) | (u.fv if x in fv else set())
     assert got == expected
 
 
 @given(terms(), names, terms())
 @settings(max_examples=200)
 def test_subst_identity_when_not_free(t, x, u):
-    if x not in free_vars(t):
+    if x not in t.fv:
         assert subst(t, x, u) == t
 
 
@@ -500,5 +499,5 @@ def test_alpha_eq_reflexive(t):
 @settings(max_examples=100)
 def test_random_closed_term_is_closed_and_bounded(seed):
     t = sk.random_closed_term(seed, 25)
-    assert free_vars(t) == set()
+    assert t.fv == set()
     assert term_size(t) <= 25

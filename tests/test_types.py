@@ -16,7 +16,6 @@ from spacekam.types import (
     EMPTY_CONTEXT,
     STAR,
     Arrow,
-    BadSplit,
     ClosureMulti,
     DCArrow,
     MultiType,
@@ -33,9 +32,6 @@ from spacekam.types import (
     TypeTable,
     size_context,
     size_linear,
-    split_multi,
-    summable,
-    type_key,
     types_from_json,
 )
 
@@ -112,9 +108,9 @@ def test_context_accessors():
     g = TypeContext((("x", M_STAR1),))
     assert g.get("x") == M_STAR1
     assert g.get("q") is None
-    assert g.domain() == frozenset({"x"})
+    assert g.names == frozenset({"x"})
     assert g.minus("x") == EMPTY_CONTEXT
-    assert g.put("y", M_EMPTY1).domain() == frozenset({"x", "y"})
+    assert TypeContext(g.entries + (("y", M_EMPTY1),)).names == frozenset({"x", "y"})
     assert EMPTY_CONTEXT.is_empty() and not g.is_empty()
 
 
@@ -216,13 +212,6 @@ def test_contexts_union_builds_each_multi_once_and_names_the_offending_variable(
         contexts_union([g, d, TypeContext((("x", ClosureMulti((), 4)),))])
 
 
-def test_summable_predicate_matches_union():
-    g = TypeContext((("x", M_STAR1),))
-    assert summable(g, TypeContext((("x", M_EMPTY1),)))
-    assert not summable(g, TypeContext((("x", ClosureMulti((), 2)),)))
-    assert summable(g, EMPTY_CONTEXT)
-
-
 def test_dc_unions_have_no_index_constraint():
     a = MultiType((STAR,))
     b = MultiType((STAR, DCArrow(MultiType(()), STAR)))
@@ -239,27 +228,6 @@ def test_contexts_union_rejects_mixed_flavors():
         contexts_union([TypeContext((("x", M_STAR1),)), plain])
     with pytest.raises(TypeError):
         contexts_union([plain, TypeContext((("x", M_STAR1),)), plain])
-
-
-# ---------------------------------------------------------------- splits
-
-def test_split_multi_witness():
-    whole = ClosureMulti((STAR, STAR, ARR), 2)
-    left = ClosureMulti((STAR, ARR), 2)
-    right = ClosureMulti((STAR,), 2)
-    # one (left, right) count pair per distinct element of whole: * and ARR
-    assert whole.pairs == ((STAR, 2), (ARR, 1))
-    assert split_multi(whole, left, right) == ((1, 1), (1, 0))
-
-
-def test_split_multi_rejects_wrong_parts():
-    whole = ClosureMulti((STAR,), 1)
-    with pytest.raises(BadSplit):
-        split_multi(whole, ClosureMulti((ARR,), 1), M_EMPTY1)
-    with pytest.raises(BadSplit):
-        split_multi(whole, ClosureMulti((STAR,), 1), ClosureMulti((STAR,), 1))
-    with pytest.raises(BadSplit):
-        split_multi(whole, ClosureMulti((STAR,), 2), M_EMPTY1)
 
 
 # ---------------------------------------------------------------- json
@@ -445,10 +413,10 @@ def test_multi_union_associative(a, b, c):
 @given(multis(2), multis(2))
 @settings(max_examples=150)
 def test_split_roundtrips_union(a, b):
+    # the union's count of each distinct element splits into the parts'
     whole = multi_union(a, b)
-    w = split_multi(whole, a, b)
-    assert len(w) == len(whole.pairs)
-    assert sum(l for l, _ in w) == len(a.elems) and sum(r for _, r in w) == len(b.elems)
+    assert Counter(dict(whole.pairs)) == Counter(dict(a.pairs)) + Counter(dict(b.pairs))
+    assert len(whole.elems) == len(a.elems) + len(b.elems)
 
 
 @given(st.lists(st.tuples(st.sampled_from("xyzw"), multis(1)), max_size=4),
@@ -482,7 +450,7 @@ def test_contexts_union_is_the_folded_union(parts):
                 return
             elems.setdefault(x, Counter()).update(m.elems)
     got = contexts_union(gs)
-    assert got.domain() == index.keys()
+    assert got.names == index.keys()
     for x, m in got.entries:
         assert m.index == index[x] and Counter(m.elems) == elems[x]
 
@@ -527,7 +495,6 @@ def rebuild(a):
 @settings(max_examples=150)
 def test_stored_key_is_the_structural_key(a):
     assert a.key == reference_key(a)
-    assert type_key(a) is a.key
     keys = [reference_key(b) for b, _ in a.arg.pairs] if type(a) is not Star else []
     assert keys == sorted(set(keys))  # distinct elements, strictly in key order
 
