@@ -153,13 +153,6 @@ def _time_of(d: Derivation) -> int:
     return d.time
 
 
-def _weights(spaces: list, times: list) -> tuple[int, int]:
-    """The space and time weights of a structural node (TCl, TEnv, TSt)
-    whose premises weigh spaces and times: each is a join rule, max in
-    space and sum in time."""
-    return max(spaces, default=0), sum(times)
-
-
 # ---------------------------------------------------------------------------
 # closure, environment and stack typings that are not minted yet
 
@@ -173,8 +166,10 @@ _JOIN = 3  # two non-dry typings of the same closure, uses of the first first
 class _Cl:
     """A typing of a closure, not minted: a bag of uses of its code,
     each with a typing of its environment.  space and time are the weights
-    its TCl node would carry.  extract_kam's bags carry no closure and
-    weigh zero: its weights live in the term derivations alone."""
+    its TCl node would carry, joined as the checker's TCl, TEnv and TSt
+    rules join their premises: max in space, sum in time.  extract_kam's
+    bags carry no closure and weigh zero: its weights live in the term
+    derivations alone."""
 
     __slots__ = ("closure", "kind", "a", "b", "space", "time")
 
@@ -187,13 +182,6 @@ class _Cl:
         self.time = time
 
 
-def _use(c: Closure, term: Derivation, env: "_Env") -> _Cl:
-    # TCl over TMany over one premise: TMany weighs what its premise
-    # does, and TCl joins it with the env's as _weights does
-    w = max(term.conclusion.weight, env.space)
-    return _Cl(c, _USE, term, env, w, _time_of(term) + env.time)
-
-
 def _join(p: _Cl, q: _Cl) -> _Cl:
     """The typing of one closure with the uses of p, then those of q.
     The dry typing is the unit, so a join is O(1) and never holds one."""
@@ -204,23 +192,25 @@ def _join(p: _Cl, q: _Cl) -> _Cl:
         return q
     if q.kind == _DRY:
         return p
-    # TCl over the joined uses: max in space, sum in time, as _weights
-    return _Cl(p.closure, _JOIN, p, q, max(p.space, q.space), p.time + q.time)
+    # TCl over the joined uses: max in space, sum in time
+    return _Cl(p.closure, _JOIN, p, q, p.space if p.space > q.space else q.space, p.time + q.time)
 
 
 class _Env:
     """A typing of an environment, not minted: one closure typing per
     bound name.  space and time are the weights its TEnv node would
-    carry."""
+    carry (max in space, sum in time; 0 for no names)."""
 
     __slots__ = ("parts", "space", "time")
 
     def __init__(self, parts: dict, space=None, time=None):
         self.parts = parts
         if space is None:
-            space, time = _weights(
-                [p.space for p in parts.values()], [p.time for p in parts.values()]
-            )
+            space = time = 0
+            for p in parts.values():
+                if p.space > space:
+                    space = p.space
+                time += p.time
         self.space = space
         self.time = time
 
@@ -248,25 +238,20 @@ def _flatten(cl: _Cl) -> tuple[list, list]:
     return uses, envs
 
 
-def _join_parts(parts: dict, other: dict) -> dict:
-    """A new dict of the closure typings of each name in parts and in
-    other, dicts from names to closure typings, those of parts first."""
-    parts = dict(parts)
-    for x, cl in other.items():
-        have = parts.get(x)
-        parts[x] = cl if have is None else _join(have, cl)
-    return parts
-
-
 def _join_envs(p: _Env, q: _Env, e: Env) -> _Env:
     """One typing of e from typings p and q of restrictions of e: each
-    name's closure typings joined, p's first, and weights as _weights."""
-    parts = _join_parts(p.parts, q.parts)
+    name's closure typings joined, p's first; max in space, sum in time."""
+    parts = dict(p.parts)
+    for x, cl in q.parts.items():
+        have = parts.get(x)
+        parts[x] = cl if have is None else _join(have, cl)
     # the names of a Space KAM env are distinct
-    assert len(parts) == len(e) and all(x in parts for x, _ in e), (
+    assert len(parts) == len(e), (
         f"typings cover {sorted(parts)}, environment binds {sorted(x for x, _ in e)}"
     )
-    return _Env(parts, max(p.space, q.space), p.time + q.time)
+    for x, _ in e:
+        assert x in parts, f"typings cover {sorted(parts)}, environment binds {sorted(x for x, _ in e)}"
+    return _Env(parts, p.space if p.space > q.space else q.space, p.time + q.time)
 
 
 class _Stack:
@@ -280,8 +265,9 @@ class _Stack:
         self.rest = rest
         if rest is None:
             self.space, self.time = top.space, top.time
-        else:  # joined as _weights does
-            self.space, self.time = max(top.space, rest.space), top.time + rest.time
+        else:  # max in space, sum in time
+            self.space = top.space if top.space > rest.space else rest.space
+            self.time = top.time + rest.time
 
 
 def _dry_context(e: Env) -> TypeContext:
@@ -315,15 +301,14 @@ class _Builder:
         self.terms: dict[tuple, Derivation] = {}
         self.mint_term = mint_term
 
-    def node(self, key, premises, build) -> Derivation:
-        """The term node of rule key[0] over code key[1] and premises.  key
-        holds the rule's inputs: the premises' ids, which stay theirs while
-        the table holds the node, and what else the rule reads.  build()
-        gives the context and type, and runs only for a new key.  Each
-        key can be read back off its node, so equal subtrees are one node."""
-        d = self.terms.get(key)
-        if d is None:
-            d = self.terms[key] = self.mint_term(key[0], KIND_TERM, key[1], *build(), premises)
+    def add(self, key, premises, ctx, assigned) -> Derivation:
+        """A new term node of rule key[0] over code key[1] and premises,
+        entered in terms under key.  key holds the rule's inputs: the
+        premises' ids, which stay theirs while the table holds the node,
+        and what else the rule reads.  Callers look key up in terms first
+        and work out ctx and assigned only when it is missing.  Each key
+        can be read back off its node, so equal subtrees are one node."""
+        d = self.terms[key] = self.mint_term(key[0], KIND_TERM, key[1], ctx, assigned, premises)
         return d
 
     def open(self, cl: _Cl) -> tuple[Derivation, _Env]:
@@ -333,18 +318,18 @@ class _Builder:
         c = cl.closure
         if cl.kind == _DRY:
             ctx = _dry_context(c.env)
-            none = self.node((R_NONE, c.code, ctx), (), lambda: (
-                ctx, ClosureMulti((), 1 + size_context(ctx))))
+            key = (R_NONE, c.code, ctx)
+            none = self.terms.get(key) or self.add(key, (), ctx, ClosureMulti((), 1 + size_context(ctx)))
             return none, _dry_env(c.env)
         if cl.kind == _TCL:
             return cl.a.premises[0], _read_env(cl.a.premises[1])
         uses, envs = _flatten(cl)
-
-        def build():
+        key = (R_MANY, c.code, tuple(map(id, uses)))
+        many = self.terms.get(key)
+        if many is None:
             ctx = contexts_union([u.conclusion.context for u in uses])
-            return ctx, ClosureMulti([u.conclusion.assigned for u in uses], 1 + size_context(ctx))
-
-        many = self.node((R_MANY, c.code, tuple(map(id, uses))), uses, build)
+            a = ClosureMulti([u.conclusion.assigned for u in uses], 1 + size_context(ctx))
+            many = self.add(key, uses, ctx, a)
         k = many.conclusion.assigned.index
         assert k == c.size, (
             f"non-canonical index opening a typing of {print_term(c.code)}: "
@@ -435,7 +420,8 @@ def _check_final(s: MachState) -> None:
 
 def _final_typing(b: _Builder, s: MachState) -> tuple:
     ctx = _dry_context(s.env)
-    lam = b.node((R_LAM_STAR, s.code, ctx), (), lambda: (ctx, STAR))
+    key = (R_LAM_STAR, s.code, ctx)
+    lam = b.terms.get(key) or b.add(key, (), ctx, STAR)
     return lam, _dry_env(s.env), None
 
 
@@ -496,9 +482,13 @@ def _undo_sub(b, code, e, args, st):
     a = term.conclusion.assigned
     k = 1 + size_context(term.conclusion.context)
     assert k == c.size, f"non-canonical index {k} for a closure of size {c.size}"
-    tvar = b.node((R_VAR, code, a, k), (), lambda: (
-        TypeContext(((x, ClosureMulti((a,), k)),)), a))
-    cl = _use(c, term, env)
+    key = (R_VAR, code, a, k)
+    tvar = b.terms.get(key) or b.add(key, (), TypeContext(((x, ClosureMulti((a,), k)),)), a)
+    # TCl over TMany over the one use: TMany weighs what the use does,
+    # and TCl joins it with the env's, max in space and sum in time
+    w, t = term.conclusion.weight, term.time
+    cl = _Cl(c, _USE, term, env, w if w > env.space else env.space,
+             (_time_of(term) if t is None else t) + env.time)
     return tvar, _Env({x: cl}, cl.space, cl.time), stack
 
 
@@ -510,8 +500,9 @@ def _undo_beta_nw(b, code, e, args, st):
     x = code.binder
     ctx_plus = term.conclusion.context
     assert x in ctx_plus.names, f"binder {x} missing from the body typing"
-    lam = b.node((R_LAM1, code, id(term)), (term,), lambda: (
-        ctx_plus.minus(x), Arrow(ctx_plus.get(x), term.conclusion.assigned)))
+    key = (R_LAM1, code, id(term))
+    lam = b.terms.get(key) or b.add(
+        key, (term,), ctx_plus.minus(x), Arrow(ctx_plus.get(x), term.conclusion.assigned))
     parts = dict(env.parts)
     top = parts.pop(x)
     return lam, _Env(parts), _Stack(top, stack)
@@ -523,8 +514,9 @@ def _undo_beta_w(b, code, e, args, st):
     # the closure's size
     term, env, stack = st
     c = args[0]
-    lam = b.node((R_LAM2, code, id(term), c.size), (term,), lambda: (
-        term.conclusion.context, Arrow(ClosureMulti((), c.size), term.conclusion.assigned)))
+    key = (R_LAM2, code, id(term), c.size)
+    lam = b.terms.get(key) or b.add(
+        key, (term,), term.conclusion.context, Arrow(ClosureMulti((), c.size), term.conclusion.assigned))
     return lam, env, _Stack(_Cl(c, _DRY), stack)
 
 
@@ -534,8 +526,9 @@ def _undo_sea_v(b, code, e, args, st):
     term, env, stack = st
     x = code.arg.name
     arrow = term.conclusion.assigned
-    app = b.node((R_APP2, code, id(term)), (term,), lambda: (
-        contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))]), arrow.res))
+    key = (R_APP2, code, id(term))
+    app = b.terms.get(key) or b.add(
+        key, (term,), contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))]), arrow.res)
     top = stack.top
     return app, _join_envs(env, _Env({x: top}, top.space, top.time), e), stack.rest
 
@@ -547,8 +540,9 @@ def _undo_sea_nv(b, code, e, args, st):
     term, env, stack = st
     mu, env_u = b.open(stack.top)
     arrow = term.conclusion.assigned
-    app = b.node((R_APP1, code, id(term), id(mu)), (term, mu), lambda: (
-        contexts_union([term.conclusion.context, mu.conclusion.context]), arrow.res))
+    key = (R_APP1, code, id(term), id(mu))
+    app = b.terms.get(key) or b.add(
+        key, (term, mu), contexts_union([term.conclusion.context, mu.conclusion.context]), arrow.res)
     return app, _join_envs(env, env_u, e), stack.rest
 
 
@@ -594,11 +588,16 @@ def extract(run: Run) -> Derivation:
         _, code, e, args = states[i - 1]
         st = term, env, stack = _UNDO[label](b, code, e, args, st)
         sz, prev_w, prev_t = sizes[i - 1], w, t
-        # TSt joins the weights of the term, env and stack typings
-        w, t = max(term.conclusion.weight, env.space), term.time + env.time
+        # TSt joins the weights of the term, env and stack typings: max
+        # in space, sum in time
+        w, t = term.conclusion.weight, term.time + env.time
+        if env.space > w:
+            w = env.space
         if stack is not None:
-            w, t = max(w, stack.space), t + stack.time
-        if w != max(sz, prev_w):
+            if stack.space > w:
+                w = stack.space
+            t += stack.time
+        if w != (sz if sz > prev_w else prev_w):
             raise StepEquationError(
                 f"space step equation broken at transition {i} ({label}): "
                 f"{w} != max({sz}, {prev_w})"
@@ -630,8 +629,7 @@ def extract_kam(run: Run) -> Derivation:
     code; the root weight is the number of transitions."""
     states, final = _complete_states(run)
     b = _Builder(_dc_mint)
-    cur = b.node((R_DC_LAM_STAR, final.code, EMPTY_CONTEXT), (), lambda: (
-        EMPTY_CONTEXT, STAR))
+    cur = b.add((R_DC_LAM_STAR, final.code, EMPTY_CONTEXT), (), EMPTY_CONTEXT, STAR)
     env = {}  # the environment typing: a bag per name
     stack = []  # (multi, uses, env typings) of each stack closure, top last
     for i in range(len(states) - 1, 0, -1):
@@ -644,8 +642,8 @@ def extract_kam(run: Run) -> Derivation:
             x = code.name
             a = cur.conclusion.assigned
             env = {x: _Cl(None, _USE, cur, env)}
-            cur = b.node((R_DC_VAR, code, a), (), lambda: (
-                TypeContext(((x, MultiType((a,))),)), a))
+            key = (R_DC_VAR, code, a)
+            cur = b.terms.get(key) or b.add(key, (), TypeContext(((x, MultiType((a,))),)), a)
         elif label == LABEL_BETA:
             # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
             # into the arrow source and the stack top's typing
@@ -655,8 +653,9 @@ def extract_kam(run: Run) -> Derivation:
             m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
             assert have == m, f"uses of {x} disagree with its context entry"
-            cur = b.node((R_DC_LAM, code, id(cur)), (cur,), lambda: (
-                cur.conclusion.context.minus(x), DCArrow(m, cur.conclusion.assigned)))
+            key = (R_DC_LAM, code, id(cur))
+            cur = b.terms.get(key) or b.add(
+                key, (cur,), cur.conclusion.context.minus(x), DCArrow(m, cur.conclusion.assigned))
             stack.append((m, uses, envs))
         else:
             # (t u, e, S) -> (t, e, (u, e) . S): the stack top's uses
@@ -667,10 +666,15 @@ def extract_kam(run: Run) -> Derivation:
             assert type(arrow) is DCArrow, "function typing is not an arrow"
             assert arrow.arg == m, "argument uses disagree with the arrow source"
             ps = (cur, *args)
-            cur = b.node((R_DC_APP, code, *map(id, ps)), ps, lambda: (
-                contexts_union([d.conclusion.context for d in ps]), arrow.res))
-            for other in envs:
-                env = _join_parts(env, other)
+            key = (R_DC_APP, code, *map(id, ps))
+            cur = b.terms.get(key) or b.add(
+                key, ps, contexts_union([d.conclusion.context for d in ps]), arrow.res)
+            if envs:
+                env = dict(env)
+                for other in envs:
+                    for x, cl in other.items():
+                        have = env.get(x)
+                        env[x] = cl if have is None else _join(have, cl)
     assert not env, "the initial state's typing wants an environment"
     assert not stack, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"

@@ -217,13 +217,6 @@ def _pairs_equal(pairs: list) -> bool:
     return True
 
 
-def env_lookup(e: Env, x: str) -> Closure | None:
-    for y, c in e:
-        if y == x:
-            return c
-    return None
-
-
 def env_restrict(e: Env, names: frozenset[str]) -> Env:
     """Keep the first binding of each name in names, in entry order.
     Reading stops once every name has its binding."""
@@ -261,13 +254,15 @@ def state_sizes(s: MachState, fired):
     fired, a Space KAM run from s as Run.fires yields it, at O(|env|)
     a state: sizes are read and the stack's kept as run_machine does."""
     prev, stack_sz = s.stack, sum(c.size for c in s.stack)
+    depth = len(prev)
     yield size_env(s.env) + stack_sz
     for _, _, env, stack in fired:
-        if len(stack) > len(prev):
+        d = len(stack)
+        if d > depth:
             stack_sz += stack[0]._size
-        elif len(stack) < len(prev):
+        elif d < depth:
             stack_sz -= prev[0]._size
-        prev = stack
+        prev, depth = stack, d
         sz = stack_sz
         for _, c in env:
             sz += c._size
@@ -355,10 +350,11 @@ def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
         if not stack:
             return None
         return LABEL_BETA, t.body, ((t.binder, stack[0]),) + env, stack[1:]
-    c = env_lookup(env, t.name)
-    if c is None:
-        raise StuckState(f"variable {t.name} has no binding in the environment")
-    return LABEL_SUB, c.code, c.env, stack
+    x = t.name
+    for y, c in env:  # the first binding of x
+        if y == x:
+            return LABEL_SUB, c.code, c.env, stack
+    raise StuckState(f"variable {x} has no binding in the environment")
 
 
 def kam_step(s: MachState) -> tuple[str, MachState] | None:
@@ -374,30 +370,35 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
     sum of its state sizes, as it goes: the opening sums size every
     closure reachable from s, fire must size each closure it builds
     (skam_fire does), and a step reads stored sizes, keeping the stack's
-    as a push adds the top's and a pop takes it off: O(|env|) a step."""
+    as a push adds the top's and a pop takes it off: O(|env|) a step.
+    The stack's depth is kept in a local too, so a sized step makes one
+    len() call, and each fire tuple is unpacked once."""
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, not {fuel}")
     counts = dict.fromkeys(labels, 0)
     code, env, stack = s.code, s.env, s.stack
+    depth = len(stack)
     stack_sz = sum(c.size for c in stack) if sized else 0
     space = time = size_env(env) + stack_sz if sized else None
     for n in range(fuel):
         nxt = fire(code, env, stack)
         if nxt is None:
             return Run(s, MachState(code, env, stack), True, counts, n, fire, space, time)
+        prev = stack
+        label, code, env, stack = nxt
+        counts[label] += 1
         if sized:
-            new = nxt[3]
-            if len(new) > len(stack):
-                stack_sz += new[0]._size
-            elif len(new) < len(stack):
-                stack_sz -= stack[0]._size
+            d = len(stack)
+            if d > depth:
+                stack_sz += stack[0]._size
+            elif d < depth:
+                stack_sz -= prev[0]._size
+            depth = d
             sz = stack_sz
-            for _, c in nxt[2]:
+            for _, c in env:
                 sz += c._size
             space = sz if sz > space else space
             time += sz
-        label, code, env, stack = nxt
-        counts[label] += 1
     last = MachState(code, env, stack)
     return Run(s, last, fire(code, env, stack) is None, counts, fuel, fire, space, time)
 

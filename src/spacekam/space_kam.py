@@ -20,9 +20,12 @@ Every reachable state satisfies dom(env) = fv(code), with one binding
 per name, for the state itself and inside every closure; skam_fire
 checks it for each state and each closure it builds (so a run checks
 all but its initial state), so a sub's environment is exactly the one
-binding for its variable.  Once the check has passed, a restriction to
-as many names as the environment has entries keeps every entry, so
-skam_fire passes that environment on as it is rather than copying it.
+binding for its variable.  The check of a state builds a set of names
+only for an environment of three or more entries; one or two entries
+are compared with fv(code) name by name.  Once the check has passed, a
+restriction to as many names as the environment has entries keeps
+every entry, so skam_fire passes that environment on as it is rather
+than copying it.
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
@@ -40,7 +43,6 @@ from .kam import (
     Run,
     Stack,
     _env_closures,
-    env_lookup,
     env_restrict,  # re-exported: the restriction e|_t of the transitions above
     fire_state,
     run_machine,
@@ -71,12 +73,15 @@ def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
 def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final."""
     fv = t.fv
-    # dom(e) = fv(t), one binding per name; a set only for n > 1 entries
+    # dom(e) = fv(t), one binding per name; a set only for n > 2 entries
     n = len(e)
-    if n > 1:
-        ok = _binds_exactly(e, fv)
-    elif n:
+    if n == 1:
         ok = len(fv) == 1 and e[0][0] in fv
+    elif n == 2:
+        x, y = e[0][0], e[1][0]
+        ok = len(fv) == 2 and x != y and x in fv and y in fv
+    elif n:
+        ok = _binds_exactly(e, fv)
     else:
         ok = not fv
     if not ok:
@@ -90,14 +95,21 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
         fun, arg = t.fun, t.arg
         fun_env = e if len(fun.fv) == n else env_restrict(e, fun.fv)
         if type(arg) is Var:
-            c = env_lookup(e, arg.name)
+            x = arg.name
+            for y, c in e:
+                if y == x:
+                    break
+            else:
+                c = None
             assert c is not None  # arg.name is in fv, hence in dom(e)
             return LABEL_SEA_V, fun, fun_env, (c,) + stack
         arg_env = e if len(arg.fv) == n else env_restrict(e, arg.fv)
         if len(arg.fv) != n and not _binds_exactly(arg_env, arg.fv):  # checked where it is built
             raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(x for x, _ in arg_env)}")
-        c = Closure(arg, arg_env, 1 + size_env(arg_env))  # from cached sizes: no walk
-        return LABEL_SEA_NV, fun, fun_env, (c,) + stack
+        size = 1  # from cached sizes: no walk
+        for _, c in arg_env:
+            size += c.size
+        return LABEL_SEA_NV, fun, fun_env, (Closure(arg, arg_env, size),) + stack
     if type(t) is Abs:
         if not stack:
             return None

@@ -31,7 +31,11 @@ from spacekam.extractor import (
     NotFinal,
     ShapeMismatch,
     StepEquationError,
-    _weights,
+    _Cl,
+    _Env,
+    _Stack,
+    _USE,
+    _join,
     dry_type_closure,
     dry_type_env,
     expand,
@@ -401,16 +405,28 @@ def test_type_work_scales_with_distinct_nodes_not_transitions(monkeypatch, k):
         assert max(calls.values()) <= n, (ex.__name__, n, calls)
 
 
-@given(st.lists(st.integers(0, 2**40), max_size=6), st.lists(st.integers(0, 2**40), max_size=6))
-def test_join_weights_are_the_checkers(spaces, times):
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=6))
+def test_join_weights_are_the_checkers(weights):
     # TCl, TEnv and TSt join their premises: max in space, sum in time,
-    # and the empty join (the TEnv of an empty environment) weighs 0
+    # and the empty join (the TEnv of an empty environment) weighs 0; an
+    # environment typing, a stack of closure typings and the joins of
+    # one closure's typings weigh as those nodes would
+    spaces, times = [w for w, _ in weights], [t for _, t in weights]
+    cls = [_Cl(None, _USE, None, None, w, t) for w, t in weights]
+    stack = joined = None
+    for cl in reversed(cls):
+        stack = _Stack(cl, stack)
+        joined = cl if joined is None else _join(cl, joined)
     for rule in (R_CL, R_ENV, R_ST):
-        assert _weights(spaces, times) == (
+        want = (
             rule_weight(rule, EMPTY_CONTEXT, STAR, spaces, "space"),
             rule_weight(rule, EMPTY_CONTEXT, STAR, times, "time"),
         )
-    assert _weights([], []) == (0, 0)
+        env = _Env(dict(enumerate(cls)))
+        assert (env.space, env.time) == want
+        if cls:
+            assert (stack.space, stack.time) == (joined.space, joined.time) == want
+    assert (_Env({}).space, _Env({}).time) == (0, 0)
 
 
 @pytest.mark.parametrize(

@@ -220,10 +220,13 @@ def _tampered_states(draw):
 @example(MachState(parse_term("x x"), (("x", I_CL), ("x", _CLOSURES[1])), ()))
 @example(MachState(parse_term("x"), (("x", I_CL), ("x", _CLOSURES[1])), ()))
 @example(MachState(parse_term("x y"), (), ()))
+@example(MachState(parse_term("x y"), (("x", I_CL), ("x", I_CL)), ()))
+@example(MachState(parse_term("x y"), (("x", I_CL), ("z", I_CL)), ()))
+@example(MachState(parse_term("x y"), (("y", I_CL), ("x", I_CL)), ()))
 @example(MachState(IDENT, (("x", I_CL),), (I_CL,)))
 @settings(max_examples=600, deadline=None)
 def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
-    # the check skam_step makes without a set for envs of 0 or 1
+    # the check skam_step makes without a set for envs of 0, 1 or 2
     # entries, against the comparison of sizes and sets it stands for;
     # and the envs it passes on as they are, against restricting them
     t, e = s.code, s.env
