@@ -250,7 +250,7 @@ def _join_envs(p: _Env, q: _Env, e: Env) -> _Env:
         f"typings cover {sorted(parts)}, environment binds {sorted(x for x, _ in e)}"
     )
     for x, _ in e:
-        assert x in parts, f"typings cover {sorted(parts)}, environment binds {sorted(x for x, _ in e)}"
+        assert x in parts, f"typings cover {sorted(parts)}, not {x}"
     return _Env(parts, p.space if p.space > q.space else q.space, p.time + q.time)
 
 

@@ -6,10 +6,11 @@ and whose code grows with their run ((c_n) applied to two identities).
 Each guard times every stage at a size and at the size with four times
 the transitions, takes the best of 3, and asserts a ratio of at most 6:
 linear cost gives about 4, quadratic cost 16, so the bound has room on
-each side on a noisy machine.  Each timed call starts after a
-collection and runs with the collector off: a full collection walks
-every object the process holds, those of other tests too, so its cost
-is not the stage's."""
+each side on a noisy machine; a stage over the bound is measured once
+more, and fails only if it is over the bound both times.  Each timed
+call starts after a collection and runs with the collector off: a full
+collection walks every object the process holds, those of other tests
+too, so its cost is not the stage's."""
 
 import gc
 import time
@@ -60,6 +61,14 @@ def _seconds(stage) -> float:
         gc.enable()
 
 
+def _ratio(stage, stage4) -> float:
+    """Best of 3 at the larger size over best of 3 at the smaller.  The
+    two sizes alternate, so a drift in the machine's speed moves both
+    alike."""
+    times = [(_seconds(stage), _seconds(stage4)) for _ in range(3)]
+    return min(b for _, b in times) / min(a for a, _ in times)
+
+
 @pytest.mark.parametrize(
     "family, small, large",
     [(_pow2, 10, 12), (_church, 512, 2048)],
@@ -71,8 +80,11 @@ def test_stages_cost_time_linear_in_the_run(family, small, large):
     assert 3.9 < k4 / k < 4.1  # four times the transitions
     ratios = {}
     for (name, stage), stage4 in zip(_stages(t).items(), _stages(t4).values()):
-        # the two sizes alternate, so a drift in the machine's speed
-        # moves both alike
-        times = [(_seconds(stage), _seconds(stage4)) for _ in range(3)]
-        ratios[name] = round(min(b for _, b in times) / min(a for a, _ in times), 2)
+        ratio = _ratio(stage, stage4)
+        if ratio > 6:
+            # load from outside the process can slow every larger run
+            # of a measurement; a superlinear stage reads over the bound
+            # in a second measurement too
+            ratio = min(ratio, _ratio(stage, stage4))
+        ratios[name] = round(ratio, 2)
     assert max(ratios.values()) <= 6, ratios

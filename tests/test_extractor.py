@@ -413,7 +413,7 @@ def test_join_weights_are_the_checkers(weights):
     # one closure's typings weigh as those nodes would
     spaces, times = [w for w, _ in weights], [t for _, t in weights]
     cls = [_Cl(None, _USE, None, None, w, t) for w, t in weights]
-    stack = joined = None
+    env, stack, joined = _Env(dict(enumerate(cls))), None, None
     for cl in reversed(cls):
         stack = _Stack(cl, stack)
         joined = cl if joined is None else _join(cl, joined)
@@ -422,7 +422,6 @@ def test_join_weights_are_the_checkers(weights):
             rule_weight(rule, EMPTY_CONTEXT, STAR, spaces, "space"),
             rule_weight(rule, EMPTY_CONTEXT, STAR, times, "time"),
         )
-        env = _Env(dict(enumerate(cls)))
         assert (env.space, env.time) == want
         if cls:
             assert (stack.space, stack.time) == (joined.space, joined.time) == want
