@@ -43,14 +43,12 @@ from .kam import (
     ReplayMismatch,
     StuckState,
     compile,
-    kam_step,
     kam_run,
     decode,
 )
 from .space_kam import (
     InvariantViolation,
     env_restrict,
-    skam_step,
     skam_run,
     state_size,
     check_env_domain_invariant,

@@ -7,7 +7,9 @@ subtrees.  check_walk validates every node against its rule's shape and
 side conditions once, recomputes every weight bottom-up in each mode it
 is given, and compares stored against recomputed in the first mode:
 stored weights are advisory and never trusted.  check and weight_of are
-its views for one mode.
+its views for one mode.  It, reweight, the rule counts and the file
+encoder each index one node table of the tree (_table), and two
+derivations are equal when their derivation files are.
 
 Modes:
 
@@ -45,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .hashcons import Table, write_repr
-from .kam import Closure, ClosureRows, MachState, Run, _pairs_equal
+from .kam import Closure, ClosureRows, MachState, Run
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -63,6 +65,7 @@ from .types import (
     format_context,
     format_linear,
     format_multi,
+    format_type,
     is_dry,
     json_index,
     size_context,
@@ -118,8 +121,9 @@ class Judgment:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Derivation:
-    """A rule, its conclusion and its premise subtrees.  ==, hash, repr
-    and pickle (through the derivation file, without time) work at any
+    """A rule, its conclusion and its premise subtrees.  Two derivations
+    are == when their derivation files are, so sharing and time do not
+    count; ==, hash, repr and pickle (through the file) work at any
     depth; being immutable, a derivation is its own (deep) copy."""
 
     rule: str
@@ -132,35 +136,7 @@ class Derivation:
     def __eq__(self, other):
         if other.__class__ is not Derivation:
             return NotImplemented
-        # one walk over pairs of nodes, each pair compared once, however
-        # deep or shared the trees are, then one over pairs of machine
-        # subjects; both trees are held, so ids are stable
-        seen = set()
-        pairs = [(self, other)]
-        subjects = []
-        while pairs:
-            a, b = pairs.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if a.__class__ is not Derivation or b.__class__ is not Derivation:
-                if a != b:
-                    return False
-                continue
-            if a.rule != b.rule or len(a.premises) != len(b.premises):
-                return False
-            p, q = a.conclusion, b.conclusion
-            u, v = p.subject, q.subject
-            if (p.subject_kind, p.context, p.assigned, p.weight, u.__class__) != (
-                q.subject_kind, q.context, q.assigned, q.weight, v.__class__
-            ):
-                return False
-            if u.__class__ in (Closure, MachState, tuple):  # to _pairs_equal below
-                subjects.append((u, v))
-            elif u != v:
-                return False
-            pairs.extend(zip(a.premises, b.premises))
-        return _pairs_equal(subjects)
+        return self is other or derivation_to_json(self) == derivation_to_json(other)
 
     def __hash__(self):
         return hash((self.rule, self.conclusion, len(self.premises)))
@@ -253,6 +229,12 @@ def rule_weight(rule, ctx, assigned, premise_weights, mode) -> int:
 # ---------------------------------------------------------------------------
 # per-rule shape and side conditions
 
+def _show(a) -> str:
+    """A type's text in a message, cut after 1,000 characters: the full
+    text of a type read from a file can grow exponentially with it."""
+    return format_type(a, 1000)
+
+
 def _is_linear(a) -> bool:
     return type(a) is Star or type(a) is Arrow
 
@@ -330,8 +312,8 @@ def _check_tvar(d, err, mode):
         return
     if m.pairs != ((c.assigned, 1),):
         err(
-            f"TVar context multi {format_multi(m)} is not the singleton of "
-            f"the assigned type {format_linear(c.assigned)}"
+            f"TVar context multi {_show(m)} is not the singleton of "
+            f"the assigned type {_show(c.assigned)}"
         )
 
 
@@ -367,8 +349,8 @@ def _check_tlam1(d, err, mode):
         return
     if m != c.assigned.arg:
         err(
-            f"arrow source {format_multi(c.assigned.arg)} differs from the "
-            f"binder's multi {format_multi(m)}"
+            f"arrow source {_show(c.assigned.arg)} differs from the "
+            f"binder's multi {_show(m)}"
         )
         return
     if c.context != p.context.minus(x):
@@ -426,10 +408,7 @@ def _check_tmany(d, err, mode):
         err(f"premise contexts are not summable: {ex}")
         return
     if ClosureMulti(elems, c.assigned.index) is not c.assigned:
-        err(
-            f"premise types do not assemble the multi "
-            f"{format_multi(c.assigned)}"
-        )
+        err(f"premise types do not assemble the multi {_show(c.assigned)}")
         return
     if c.context != union:
         err("TMany conclusion context must be the union of the premise contexts")
@@ -478,8 +457,8 @@ def _check_tapp1(d, err, mode):
         return
     if pa.assigned != pf.assigned.arg:
         err(
-            f"argument multi {format_multi(pa.assigned) if type(pa.assigned) is ClosureMulti else pa.assigned} "
-            f"differs from the arrow source {format_multi(pf.assigned.arg)}"
+            f"argument multi {_show(pa.assigned)} "
+            f"differs from the arrow source {_show(pf.assigned.arg)}"
         )
         return
     if c.assigned != pf.assigned.res:
@@ -643,10 +622,7 @@ def _check_tst(d, err, mode):
             err(f"premise {2 + i} must type stack closure {i}")
             return
         if p.assigned != a.arg:
-            err(
-                f"stack closure {i} must be typed with the arrow source "
-                f"{format_multi(a.arg)}"
-            )
+            err(f"stack closure {i} must be typed with the arrow source {_show(a.arg)}")
             return
         a = a.res
     if type(a) is not Star:
@@ -701,8 +677,8 @@ def _check_dc_tlam(d, err, mode):
         return
     if c.assigned.arg != m:
         err(
-            f"arrow source {format_multi(c.assigned.arg)} differs from the "
-            f"binder's multi {format_multi(m)}"
+            f"arrow source {_show(c.assigned.arg)} differs from the "
+            f"binder's multi {_show(m)}"
         )
         return
     if c.context != p.context.minus(x):
@@ -737,10 +713,7 @@ def _check_dc_tapp(d, err, mode):
             return
         elems.append(p.assigned)
     if MultiType(elems) is not pf.assigned.arg:
-        err(
-            f"argument premises do not assemble the arrow source "
-            f"{format_multi(pf.assigned.arg)}"
-        )
+        err(f"argument premises do not assemble the arrow source {_show(pf.assigned.arg)}")
         return
     if c.context != contexts_union([pd.conclusion.context for pd in d.premises]):
         err("DC_TApp conclusion context must be the union of the premise contexts")
@@ -768,18 +741,19 @@ _RULE_CHECKS = {
 # ---------------------------------------------------------------------------
 # tree walks
 
-def _walk(d: Derivation):
-    """Each node object of d once, after its premises, ordered by its
-    first place in a post-order walk (premises in stored order); and per
-    node id, the (parent id, premise number) of that first place.  A
-    node may stand at many places (decoded files share equal subtrees)."""
+def _table(d: Derivation):
+    """The node table of d: each node object once, after its premises,
+    ordered by its first place in a post-order walk (premises in stored
+    order); per row, its premises' rows; and per node id, the (parent
+    id, premise number) of that first place.  A node may stand at many
+    places (decoded files share equal subtrees)."""
     if not isinstance(d, Derivation):
         raise TypeError(f"not a derivation: {d!r}")
-    order = []
-    # keyed by id(), like the node maps of _count_rules, check_walk and
-    # reweight: nodes compare structurally, and a decoded file shares one
-    # node object across places
+    nodes, rows = [], []
+    # keyed by id(): nodes compare through their files, and a decoded
+    # file shares one node object across places
     first: dict[int, tuple] = {id(d): (None, None)}
+    row: dict[int, int] = {}
     stack = [(d, enumerate(d.premises))]
     while stack:
         n, premises = stack[-1]
@@ -792,12 +766,14 @@ def _walk(d: Derivation):
                 break
         else:
             stack.pop()
-            order.append(n)
-    return order, first
+            row[id(n)] = len(nodes)
+            nodes.append(n)
+            rows.append([row[id(p)] for p in n.premises])
+    return nodes, rows, first
 
 
 def _path_of(first, n) -> tuple:
-    """The premise path of n's first place, from _walk's records."""
+    """The premise path of n's first place, from _table's records."""
     path = []
     parent, i = first[id(n)]
     while parent is not None:
@@ -818,15 +794,17 @@ def _rule_errors(n, mode) -> list:
     return msgs
 
 
-def _count_rules(order, d) -> dict:
-    """Rule uses in d, a node counted once per place it stands at."""
-    places = {id(d): 1}  # by id(), as in _walk
+def _count_rules(nodes, rows) -> dict:
+    """Rule uses in a node table, a node counted once per place it
+    stands at."""
+    places = [0] * len(nodes)
+    places[-1] = 1  # the root
     counts: Counter = Counter()
-    for n in reversed(order):  # each node before its premises
-        k = places[id(n)]
-        counts[n.rule] += k
-        for p in n.premises:
-            places[id(p)] = places.get(id(p), 0) + k
+    for r in range(len(nodes) - 1, -1, -1):  # each node before its premises
+        k = places[r]
+        counts[nodes[r].rule] += k
+        for p in rows[r]:
+            places[p] += k
     return dict(counts)
 
 
@@ -872,33 +850,33 @@ def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWal
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
     first = modes[0]
-    order, places = _walk(d)
-    weights = [{} for _ in modes]  # per mode, each node's recomputed weight, by id() as in _walk
-    fell: set[int] = set()  # ids, as in _walk, of nodes failing in the first mode, or above one
+    nodes, rows, places = _table(d)
+    weights = [[] for _ in modes]  # per mode, each row's recomputed weight
+    fell: set[int] = set()  # rows failing in the first mode, or above one
     groups = []  # per-node error lists, deepest node first
     failures: dict[str, list] = {}
-    for n in order:
+    for r, (n, prem) in enumerate(zip(nodes, rows)):
         c = n.conclusion
         msgs = _rule_errors(n, first)
         fails = {m: msgs if m == first else _rule_errors(n, m) for m in modes} if msgs else {}
         for known, mode in zip(weights, modes):
-            pw = [known[id(p)] for p in n.premises]
+            pw = [known[p] for p in prem]
             w = None
             if not msgs and None not in pw:
                 try:
                     w = rule_weight(n.rule, c.context, c.assigned, pw, mode)
                 except (TypeError, ValueError) as ex:
                     fails[mode] = [f"weight not computable: {ex}"]
-            known[id(n)] = w
-        below = fell and not fell.isdisjoint(map(id, n.premises))
-        w = weights[0][id(n)]
+            known.append(w)
+        below = fell and not fell.isdisjoint(prem)
+        w = weights[0][r]
         if not msgs and not below:
             if first in fails:
                 msgs = fails[first]
             elif not isinstance(c.weight, int) or isinstance(c.weight, bool) or c.weight != w:
                 msgs = [f"stored weight {c.weight!r}, recomputed {w}"]
         if msgs or below:
-            fell.add(id(n))
+            fell.add(r)
         if msgs or fails:
             path = _path_of(places, n)
             for m, f in fails.items():
@@ -907,7 +885,7 @@ def check_walk(d: Derivation, modes: tuple, full_scan: bool = False) -> CheckWal
                 groups.append([CheckError(path, x) for x in msgs])
     # report shallow nodes first
     errors = [e for grp in reversed(groups) for e in grp]
-    return CheckWalk(errors, {m: w[id(d)] for m, w in zip(modes, weights)}, failures, _count_rules(order, d))
+    return CheckWalk(errors, {m: w[-1] for m, w in zip(modes, weights)}, failures, _count_rules(nodes, rows))
 
 
 def check(d: Derivation, mode: str, full_scan: bool = False) -> CheckResult:
@@ -929,9 +907,10 @@ def reweight(d: Derivation, mode: str) -> Derivation:
     """The same tree with every stored weight replaced by mode's
     recomputed one.  The structure must be valid enough for the weight
     formulas to make sense; nothing else is checked."""
-    rebuilt: dict[int, Derivation] = {}  # by id(), as in _walk
-    for n in _walk(d)[0]:
-        prem = tuple(rebuilt[id(p)] for p in n.premises)
+    rebuilt: list = []  # per row
+    nodes, rows, _ = _table(d)
+    for n, row in zip(nodes, rows):
+        prem = tuple([rebuilt[p] for p in row])
         w = rule_weight(
             n.rule,
             n.conclusion.context,
@@ -939,8 +918,8 @@ def reweight(d: Derivation, mode: str) -> Derivation:
             [p.conclusion.weight for p in prem],
             mode,
         )
-        rebuilt[id(n)] = Derivation(n.rule, replace(n.conclusion, weight=w), prem)
-    return rebuilt[id(d)]
+        rebuilt.append(Derivation(n.rule, replace(n.conclusion, weight=w), prem))
+    return rebuilt[-1]
 
 
 def size_of(d: Derivation) -> int:
@@ -951,7 +930,7 @@ def size_of(d: Derivation) -> int:
 
 
 def rule_counts(d: Derivation) -> dict:
-    return _count_rules(_walk(d)[0], d)
+    return _count_rules(*_table(d)[:2])
 
 
 def counts_correspond(counts: dict, run: Run) -> bool:
@@ -1017,8 +996,8 @@ class _TermTable(Table):
 class _Tables:
     """The four tables of one derivation file, filled as the encoder
     meets their entries, children before parents.  Closures are numbered
-    by a kam.ClosureRows.  A node is looked up by id(), sound while the
-    derivation holds it, then by its entry's key, so equal nodes share."""
+    by a kam.ClosureRows.  A node is looked up by its entry's key, so
+    equal nodes share one entry, however the derivation shares them."""
 
     def __init__(self):
         self.types = TypeTable()
@@ -1026,7 +1005,6 @@ class _Tables:
         self.closure_rows = ClosureRows()
         self.closures: list = []
         self.nodes: list = []
-        self.node_ids: dict[int, int] = {}
         self.node_at: dict = {}  # node entry key -> entry index
 
     def to_json(self) -> dict:
@@ -1065,14 +1043,14 @@ class _Tables:
             return {"code": code, "env": env, "stack": stack}, (code, env_key, tuple(stack))
         raise ValueError(f"unknown subject kind {kind!r}")
 
-    def node(self, n: Derivation) -> None:
-        """Enter n, whose premises are entered already.  Types and
+    def node(self, n: Derivation, premises: list) -> int:
+        """Enter n, whose premises are entered already at the entry
+        numbers premises, and return n's entry number.  Types and
         contexts are interned, so their objects key the node as their
         entries would."""
-        ids, types = self.node_ids, self.types
+        types = self.types
         j, a = n.conclusion, n.conclusion.assigned
         subject, subject_key = self.subject(j.subject_kind, j.subject)
-        premises = [ids[id(p)] for p in n.premises]
         key = (n.rule, j.subject_kind, subject_key, j.context, a, j.weight, *premises)
         i = self.node_at.get(key)
         if i is None:
@@ -1085,16 +1063,17 @@ class _Tables:
             }
             i = self.node_at[key] = len(self.nodes)
             self.nodes.append({"rule": n.rule, "judgment": judgment, "premises": premises})
-        ids[id(n)] = i
+        return i
 
 
 def derivation_to_json(d: Derivation) -> dict:
     """The derivation file of d.  Entries are numbered in the order a
     post-order walk meets them, premises in stored order, so the output
     depends only on d; equal subtrees share their entries."""
-    tables = _Tables()
-    for n in _walk(d)[0]:
-        tables.node(n)
+    tables, entries = _Tables(), []
+    nodes, rows, _ = _table(d)
+    for n, prem in zip(nodes, rows):
+        entries.append(tables.node(n, [entries[p] for p in prem]))
     return {"tables": tables.to_json()}
 
 

@@ -202,7 +202,7 @@ def check_cmd(path, mode, full_scan):
     text = _read_input(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # JSONDecodeError, or an integer literal over the digit limit
         raise click.UsageError(f"not JSON: {ex}")
     except RecursionError:
         raise click.UsageError("JSON nested too deep to read")

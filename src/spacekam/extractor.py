@@ -105,7 +105,7 @@ from .space_kam import (
     LABEL_SEA_NV,
     LABEL_SEA_V,
     LABEL_SUB,
-    skam_step,
+    skam_fire,
 )
 from .terms import Abs, print_term
 from .types import (
@@ -457,13 +457,12 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
     label, source = step
     if prev.rule != R_ST:
         raise ShapeMismatch("only a state derivation can be expanded")
-    got = skam_step(source)
+    got = skam_fire(source.code, source.env, source.stack)
     if got is None:
         raise ShapeMismatch("the source state is final and fires nothing")
-    want_label, target = got
-    if want_label != label:
-        raise ShapeMismatch(f"the source state fires {want_label}, not {label}")
-    if prev.conclusion.subject != target:
+    if got[0] != label:
+        raise ShapeMismatch(f"the source state fires {got[0]}, not {label}")
+    if prev.conclusion.subject != MachState(*got[1:]):
         raise ShapeMismatch(
             "the derivation's subject is not the target of the transition"
         )

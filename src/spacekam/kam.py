@@ -336,12 +336,6 @@ def compile(t: Term) -> MachState:
     return MachState(t, (), ())
 
 
-def fire_state(fire, s: MachState) -> tuple[str, MachState] | None:
-    """fire on s's fields, as (label, next state), or None when s is final."""
-    nxt = fire(s.code, s.env, s.stack)
-    return None if nxt is None else (nxt[0], MachState(nxt[1], nxt[2], nxt[3]))
-
-
 def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final."""
     if type(t) is App:
@@ -355,11 +349,6 @@ def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
         if y == x:
             return LABEL_SUB, c.code, c.env, stack
     raise StuckState(f"variable {x} has no binding in the environment")
-
-
-def kam_step(s: MachState) -> tuple[str, MachState] | None:
-    """One transition, or None when s is final."""
-    return fire_state(kam_fire, s)
 
 
 def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> Run:

@@ -44,7 +44,6 @@ from .kam import (
     Stack,
     _env_closures,
     env_restrict,  # re-exported: the restriction e|_t of the transitions above
-    fire_state,
     run_machine,
     size_env,
     state_size,  # re-exported: a run's space and time are its max and sum
@@ -119,11 +118,6 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
     # a variable: the check above leaves e its own binding alone
     c = e[0][1]
     return LABEL_SUB, c.code, c.env, stack
-
-
-def skam_step(s: MachState) -> tuple[str, MachState] | None:
-    """One transition, or None when s is final."""
-    return fire_state(skam_fire, s)
 
 
 def skam_run(s: MachState, fuel: int) -> Run:

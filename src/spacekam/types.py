@@ -536,36 +536,53 @@ def _counts_from_json(pairs, done, grammar) -> dict:
 # ---------------------------------------------------------------------------
 # pretty forms
 
-def _format(a) -> str:
-    # an explicit stack of types and of the text between them, so
-    # nesting depth is not limited by the recursion limit
-    out, work = [], [a]
-    while work:
+def format_type(a, cap: int | None = None) -> str:
+    """The text of a type or a multi.  With cap, the text stops after
+    cap characters and ends in "...": the walk stops there, so its cost
+    is bounded by cap, however large the type's full text."""
+    # an explicit stack of types, of the text between them and of
+    # (type, n) runs, n more elements of a multi each after a comma, so
+    # nesting depth is not limited by the recursion limit and a count
+    # is never expanded ahead of the text
+    out, work, size = [], [a], 0
+    while work and (cap is None or size <= cap):
         x = work.pop()
         if type(x) is str:
             out.append(x)
+            size += len(x)
+        elif type(x) is tuple:
+            b, n = x
+            if n > 1:
+                work.append((b, n - 1))
+            work += (b, ",")
         elif type(x) is Star:
             out.append("*")
+            size += 1
         elif type(x) is Arrow or type(x) is DCArrow:
             work += (x.res, " -> ", x.arg)
         else:  # a multi: each element as often as it occurs
-            items = []
-            for b, n in x.pairs:
-                items += [",", b] * n
-            work += (f"]^{x.index}" if type(x) is ClosureMulti else "]", *reversed(items[1:]), "[")
-    return "".join(out)
+            work.append(f"]^{x.index}" if type(x) is ClosureMulti else "]")
+            if x.pairs:
+                (b, n), *rest = x.pairs
+                work += reversed(rest)
+                if n > 1:
+                    work.append((b, n - 1))
+                work.append(b)
+            work.append("[")
+    text = "".join(out)
+    return text if cap is None or len(text) <= cap else text[:cap] + "..."
 
 
 def format_linear(a) -> str:
     if not isinstance(a, (Star, Arrow, DCArrow)):
         raise TypeError(f"not a type: {a!r}")
-    return _format(a)
+    return format_type(a)
 
 
 def format_multi(m) -> str:
     if not isinstance(m, (ClosureMulti, MultiType)):
         raise TypeError(f"not a multi type: {m!r}")
-    return _format(m)
+    return format_type(m)
 
 
 def format_context(g: TypeContext) -> str:

@@ -51,7 +51,7 @@ from spacekam.checker import (
 )
 from spacekam.extractor import extract, extract_kam, type_final_state
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, MachState, compile, kam_run
+from spacekam.kam import Closure, ClosureRows, MachState, compile, kam_run
 from spacekam.space_kam import skam_run
 from spacekam.terms import Abs, App, Var, parse_term
 from spacekam.types import (
@@ -708,10 +708,65 @@ def test_derivation_eq_ignores_time_and_compares_shared_subtrees_once():
     assert a == b and a != Derivation(R_LAM1, j, (a, leaf))
 
 
+def test_derivation_eq_tells_apart_each_part_and_ignores_sharing_and_time(
+    example_space_derivation,
+):
+    d = example_space_derivation
+    ident = parse_term(r"\a.a")
+    top = Closure(ident, ())
+
+    def at_root(**changes):
+        return dataclasses.replace(d, conclusion=dataclasses.replace(d.conclusion, **changes))
+
+    def state(bottom, stack):
+        # y is bound to a closure chain 50 deep that ends in the code bottom
+        c = Closure(parse_term(bottom), ())
+        for _ in range(50):
+            c = Closure(Var("x"), (("x", c),))
+        s = MachState(Var("y"), (("y", c),), stack)
+        return Derivation(R_ST, Judgment(KIND_STATE, s, EMPTY_CONTEXT, STAR, 3))
+
+    def leaf(kind, subject):
+        return Derivation(R_LAM_STAR, Judgment(kind, subject, EMPTY_CONTEXT, STAR, 0))
+
+    # each pair differs in exactly one part; the term and the closure of
+    # the subject-kind pair are both the first entry of their tables
+    pairs = {
+        "rule": (d, dataclasses.replace(d, rule=R_APP2)),
+        "subject kind": (leaf("term", ident), leaf(KIND_CLOSURE, top)),
+        "term subject": (d, at_root(subject=parse_term(r"(\a.a) (\b.b)"))),
+        "deep closure": (state(r"\a.a", (top,)), state(r"\b.b", (top,))),
+        "stack": (state(r"\a.a", (top,)), state(r"\a.a", (top, top))),
+        "context": (d, at_root(context=TypeContext((("x", ClosureMulti((), 1)),)))),
+        "type": (d, at_root(assigned=Arrow(ClosureMulti((), 1), STAR))),
+        "weight": (d, at_root(weight=d.conclusion.weight + 1)),
+        "premise order": (d, dataclasses.replace(d, premises=d.premises[::-1])),
+    }
+    for part, (a, b) in pairs.items():
+        assert a != b and b != a, part
+    # equal parts built apart are equal
+    assert state(r"\a.a", (top,)) == state(r"\a.a", (Closure(ident, ()),))
+
+    j = Judgment("term", ident, EMPTY_CONTEXT, STAR, 0)
+
+    def unshared(k):
+        if k == 0:
+            return leaf("term", ident)
+        return Derivation(R_LAM1, j, (unshared(k - 1), unshared(k - 1)))
+
+    shared = leaf("term", ident)
+    for _ in range(8):
+        shared = Derivation(R_LAM1, j, (shared, shared))
+    assert shared == unshared(8) and unshared(8) == shared
+    assert dataclasses.replace(shared, time=5) == unshared(8)
+
+
 def test_derivation_eq_compares_each_closure_pair_once_over_the_tree(monkeypatch):
     # the Space KAM's final state on an n-deep let chain holds a chain of
-    # n closures, each the subject of a TCl judgment: a closure walk per
-    # judgment would compare O(n^2) pairs, one walk for the tree O(n)
+    # n closures, each the subject of a TCl judgment: == writes both
+    # files, each numbering a closure once however many judgments hold
+    # it, so numbering closures per judgment would cost O(n^2) and the
+    # two files O(n)
     n = 800
     body = rf"\z. x{n}"
     for i in range(n, 0, -1):
@@ -719,18 +774,17 @@ def test_derivation_eq_compares_each_closure_pair_once_over_the_tree(monkeypatch
     run = skam_run(compile(parse_term(rf"(\x0. {body}) (\a.a)")), 10 * n)
     d = type_final_state(run.final)
     back = derivation_from_json(derivation_to_json(d))
-    compared = 0
-    walk = checker._pairs_equal
+    added = 0
+    add = ClosureRows.add
 
-    class Counted(list):
-        def pop(self):
-            nonlocal compared
-            compared += 1
-            return super().pop()
+    def counting(self, c):
+        nonlocal added
+        added += 1
+        return add(self, c)
 
-    monkeypatch.setattr(checker, "_pairs_equal", lambda pairs: walk(Counted(pairs)))
+    monkeypatch.setattr(ClosureRows, "add", counting)
     assert d is not back and d == back
-    assert 2 * n <= compared <= 5 * n
+    assert 2 * n <= added <= 5 * n
 
 
 def test_a_derivation_20000_deep_round_trips_as_text_and_checks():

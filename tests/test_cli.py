@@ -437,6 +437,55 @@ def test_check_accepts_a_multi_of_types_too_deep_for_nested_keys(runner, tmp_pat
     assert res.output == "ok: weight 0\n"
 
 
+def test_check_rejects_an_integer_literal_too_long_to_read(runner, tmp_path):
+    # a premise index of 5,000 digits: over the interpreter's digit limit
+    # for reading integers, where it has one, and out of range otherwise
+    obj = _leaf()
+    obj["tables"]["nodes"][0]["premises"] = ["INDEX"]
+    f = tmp_path / "long.json"
+    f.write_text(json.dumps(obj).replace('"INDEX"', "1" * 5000))
+    res = runner.invoke(main, ["check", str(f)])
+    assert res.exit_code == 2, res.exception
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.stderr.splitlines()[-1].startswith(("Error: not JSON", "Error: root"))
+
+
+def _tvar_file(multi_types):
+    """The file of one TVar node on a, whose context multi for a is the
+    last of multi_types (appended to the type table after *)."""
+    types = ["*", *multi_types]
+    j = {"subject_kind": "term", "subject": 0, "context": {"a": len(types) - 1},
+         "type": 0, "weight": 0}
+    return _leaf(types=types, node={"rule": "TVar", "judgment": j, "premises": []})
+
+
+def _twice_nested(depth):
+    """Multi types nested depth levels deep, each holding an arrow from
+    the level below twice: the text doubles with each level."""
+    types = [{"multi": [[0, 2]], "k": 1}]
+    for _ in range(depth - 1):
+        types.append({"arg": len(types), "res": 0})
+        types.append({"multi": [[len(types), 2]], "k": 1})
+    return types
+
+
+@pytest.mark.parametrize(
+    "multi_types",
+    [_twice_nested(16), [{"multi": [[0, 10**6]], "k": 1}]],
+    ids=["nested-16", "count-1e6"],
+)
+def test_check_messages_write_types_up_to_a_bound(runner, tmp_path, multi_types):
+    # written in full, the context multi is 1.4 MB at nesting depth 16
+    # and 2 MB at count 10**6; a message cuts each type at 1,000
+    # characters
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(_tvar_file(multi_types)))
+    res = runner.invoke(main, ["check", str(f)])
+    assert res.exit_code == 1, res.exception
+    assert "TVar context multi [" in res.output and "..." in res.output
+    assert len(res.output) < 2100
+
+
 IDENTITY_TABLES = {
     "types": ["*"],
     "terms": [{"var": "a"}, {"lam": "a", "body": 0}],

@@ -1,7 +1,8 @@
-"""Complexity guards: the machines' runs, their replays and the two
-extractors cost time linear in the run, on the two families whose runs
-grow without their code (2^k as (c_k) (c_2) applied to two identities)
-and whose code grows with their run ((c_n) applied to two identities).
+"""Complexity guards: the machines' runs, their replays, the two
+extractors, the checker's walk over their derivations and the rewriting
+oracle cost time linear in the run, on the two families whose runs grow
+without their code (2^k as (c_k) (c_2) applied to two identities) and
+whose code grows with their run ((c_n) applied to two identities).
 
 Each guard times every stage at a size and at the size with four times
 the transitions, takes the best of 3, and asserts a ratio of at most 6:
@@ -17,10 +18,11 @@ import time
 
 import pytest
 
+from spacekam.checker import check_walk
 from spacekam.extractor import extract, extract_kam
 from spacekam.kam import compile, kam_run
 from spacekam.space_kam import skam_run
-from spacekam.terms import parse_term
+from spacekam.terms import parse_term, whnf_eval
 
 FUEL = 1_000_000
 
@@ -40,6 +42,7 @@ def _church(n):
 def _stages(t) -> dict:
     """Each stage as a call on the initial state t."""
     krun, srun = kam_run(t, FUEL), skam_run(t, FUEL)
+    d, dk = extract(srun), extract_kam(krun)
     return {
         "kam_run": lambda: kam_run(t, FUEL),
         "skam_run": lambda: skam_run(t, FUEL),
@@ -47,6 +50,9 @@ def _stages(t) -> dict:
         "skam replay": lambda: list(srun.fires()),
         "extract": lambda: extract(srun),
         "extract_kam": lambda: extract_kam(krun),
+        "check_walk": lambda: check_walk(d, ("space", "time")),
+        "check_walk kam": lambda: check_walk(dk, ("kam",)),
+        "whnf_eval": lambda: whnf_eval(t.code, FUEL),
     }
 
 

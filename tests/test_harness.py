@@ -155,13 +155,13 @@ def test_a_walk_that_raises_fails_the_derivation_check(monkeypatch, example_term
 )
 def test_verify_walks_each_derivation_once(monkeypatch, example_term, fault):
     walked = []
-    real_walk = checker._walk
+    real_table = checker._table
 
-    def counting_walk(d):
+    def counting_table(d):
         walked.append(d.rule)
-        return real_walk(d)
+        return real_table(d)
 
-    monkeypatch.setattr(checker, "_walk", counting_walk)
+    monkeypatch.setattr(checker, "_table", counting_table)
     if fault is not None:
         monkeypatch.setattr(harness, "extract", lambda run: fault(extract(run)))
     rep = verify(example_term, 100)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from machine_steps import step
 
 import spacekam as sk
 from spacekam import kam, space_kam
@@ -19,13 +20,13 @@ from spacekam.kam import (
     StuckState,
     compile,
     decode,
+    kam_fire,
     kam_run,
-    kam_step,
     run_summary,
     run_trace_rows,
     state_size,
 )
-from spacekam.space_kam import skam_run, skam_step
+from spacekam.space_kam import skam_fire, skam_run
 from spacekam.checker import derivation_from_json, derivation_to_json
 from spacekam.extractor import expand, type_final_state
 from spacekam.terms import (
@@ -116,12 +117,12 @@ def test_decode_substitutes_env():
 
 
 def test_step_on_final_state_is_none():
-    assert kam_step(compile(IDENT)) is None
+    assert step(kam_fire, compile(IDENT)) is None
 
 
 def test_step_unbound_variable_is_stuck():
     with pytest.raises(StuckState):
-        kam_step(MachState(Var("q"), (), ()))
+        step(kam_fire, MachState(Var("q"), (), ()))
 
 
 def test_exact_fuel_still_detects_final(example_term):
@@ -234,25 +235,25 @@ def test_run_summary(example_kam):
     }
 
 
-def _trace_by_hand(step, s, n):
+def _trace_by_hand(fire, s, n):
     trace = []
     for _ in range(n):
-        nxt = step(s)
+        nxt = step(fire, s)
         trace.append(nxt)
         s = nxt[1]
     return trace
 
 
 @pytest.mark.parametrize(
-    "machine_run, step", [(kam_run, kam_step), (skam_run, skam_step)], ids=["kam", "skam"]
+    "machine_run, fire", [(kam_run, kam_fire), (skam_run, skam_fire)], ids=["kam", "skam"]
 )
-def test_run_contract(machine_run, step):
+def test_run_contract(machine_run, fire):
     for seed in range(200):
         run = machine_run(compile(sk.random_closed_term(seed, 25)), 500)
         assert sum(run.counts.values()) == run.transitions
         assert sum("step" in json.loads(row) for row in run_trace_rows(run)) == run.transitions
         trace = run.trace
-        assert list(trace) == _trace_by_hand(step, run.initial, run.transitions)
+        assert list(trace) == _trace_by_hand(fire, run.initial, run.transitions)
         # nothing of a replay is kept: each read replays anew, and no
         # field of the run holds a replayed state
         assert not run.transitions or run.trace is not trace
@@ -264,7 +265,7 @@ def test_run_contract(machine_run, step):
         assert (run.final is None) == (not run.final_reached)
         if run.final_reached:
             assert run.final is run.last
-            assert step(run.last) is None
+            assert step(fire, run.last) is None
         if machine_run is skam_run:
             sizes = [state_size(s) for s in states]
             assert (run.space, run.time) == (max(sizes), sum(sizes))

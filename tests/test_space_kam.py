@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from machine_steps import step
 
 import spacekam as sk
 from spacekam import kam, space_kam
@@ -14,8 +15,8 @@ from spacekam.space_kam import (
     check_run_env_domain_invariant,
     env_restrict,
     size_env,
+    skam_fire,
     skam_run,
-    skam_step,
     state_size,
 )
 from spacekam.terms import Abs, App, Var, alpha_eq, parse_term
@@ -160,31 +161,31 @@ def test_weakening_beta_drops_the_argument(example_skam):
 def test_step_requires_domain_equals_free_vars():
     s = MachState(parse_term("x"), (("x", I_CL), ("y", I_CL)), ())
     with pytest.raises(InvariantViolation):
-        skam_step(s)
+        step(skam_fire, s)
 
 
 def test_step_requires_no_missing_bindings():
     s = MachState(parse_term("x y"), (("x", I_CL),), ())
     with pytest.raises(InvariantViolation):
-        skam_step(s)
+        step(skam_fire, s)
 
 
 def test_variable_step_requires_singleton_env():
     # a variable whose env carries a stale entry is a hard error
     s = MachState(parse_term("x"), (("y", I_CL), ("x", I_CL)), ())
     with pytest.raises(InvariantViolation):
-        skam_step(s)
+        step(skam_fire, s)
 
 
 def test_variable_step_rejects_duplicate_bindings():
     # dom(env) = fv(code) holds as a set, but the env is not a singleton
     s = MachState(parse_term("x"), (("x", I_CL), ("x", I_CL)), ())
     with pytest.raises(InvariantViolation):
-        skam_step(s)
+        step(skam_fire, s)
 
 
 def test_step_on_final_state_is_none():
-    assert skam_step(MachState(IDENT, (), ())) is None
+    assert step(skam_fire, MachState(IDENT, (), ())) is None
 
 
 _CODES = tuple(parse_term(t) for t in (
@@ -226,15 +227,15 @@ def _tampered_states(draw):
 @example(MachState(IDENT, (("x", I_CL),), (I_CL,)))
 @settings(max_examples=600, deadline=None)
 def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
-    # the check skam_step makes without a set for envs of 0, 1 or 2
+    # the check skam_fire makes without a set for envs of 0, 1 or 2
     # entries, against the comparison of sizes and sets it stands for;
     # and the envs it passes on as they are, against restricting them
     t, e = s.code, s.env
     if len(e) != len(t.fv) or {x for x, _ in e} != t.fv:
         with pytest.raises(InvariantViolation, match="environment domain"):
-            skam_step(s)
+            step(skam_fire, s)
         return
-    nxt = skam_step(s)
+    nxt = step(skam_fire, s)
     if type(t) is App:
         label, after = nxt
         assert after.env == env_restrict(e, t.fun.fv)

@@ -28,6 +28,7 @@ from spacekam.types import (
     format_context,
     format_linear,
     format_multi,
+    format_type,
     is_dry,
     TypeTable,
     size_context,
@@ -355,6 +356,17 @@ def test_format_a_20000_deep_arrow_chain():
     text = format_linear(a)
     assert text == "[" * 20_000 + "*" + "]^1 -> *" * 20_000
     assert format_multi(ClosureMulti((a, STAR), 2)) == f"[*,{text}]^2"
+
+
+def test_format_type_writes_counts_lazily_and_stops_at_its_cap():
+    a = Arrow(ClosureMulti((), 2), STAR)
+    m = ClosureMulti((a, STAR, a, STAR, STAR), 1)
+    full = "[*,*,*,[]^2 -> *,[]^2 -> *]^1"
+    assert format_multi(m) == format_type(m) == format_type(m, len(full)) == full
+    assert format_type(m, 5) == "[*,*,..."
+    # a count of 10**9 is never written out, nor expanded
+    huge = types_from_json(["*", {"multi": [[0, 10**9]], "k": 1}])[-1]
+    assert format_type(huge, 10) == "[*,*,*,*,*..."
 
 
 def test_repr_of_a_20000_deep_arrow_chain():
