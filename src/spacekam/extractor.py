@@ -4,7 +4,9 @@ A run stores no trace; extract and extract_kam replay it into locals
 of their own as bare (label, code, env, stack) tuples (Run.fires, which
 checks the replay against the run's last state and counts), build a
 MachState for the final state alone, and read sizes from one forward
-count that keeps the stack's as the run loop does (state_sizes).
+count that keeps the stack's as the run loop does (state_sizes).  The
+replayed stacks are the machines' linked cells, so successive states
+share their stacks and the replay holds memory linear in the run.
 
 extract walks the run back to front.  The final state gets the
 canonical typing: its code typed by TLamStar, every closure dry (an
@@ -98,7 +100,7 @@ from .checker import (
     rule_weight,
 )
 from .hashcons import postorder
-from .kam import LABEL_BETA, Closure, Env, MachState, Run, state_sizes
+from .kam import LABEL_BETA, Closure, Env, MachState, Run, stack_cells, stack_tuple, state_sizes
 from .space_kam import (
     LABEL_BETA_NW,
     LABEL_BETA_W,
@@ -448,7 +450,8 @@ def type_final_state(s: MachState) -> Derivation:
 
 # ---------------------------------------------------------------------------
 # undoing one transition: each rule takes the source's code, env and
-# stack (args) and the typing (term, env, stack) of its target
+# stack (args, linked cells: args[0] is the top) and the typing (term,
+# env, stack) of its target
 
 def expand(prev: Derivation, step: tuple) -> Derivation:
     """Turn a derivation of a transition's target state into one of its
@@ -457,17 +460,18 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
     label, source = step
     if prev.rule != R_ST:
         raise ShapeMismatch("only a state derivation can be expanded")
-    got = skam_fire(source.code, source.env, source.stack)
+    args = stack_cells(source.stack)
+    got = skam_fire(source.code, source.env, args)
     if got is None:
         raise ShapeMismatch("the source state is final and fires nothing")
     if got[0] != label:
         raise ShapeMismatch(f"the source state fires {got[0]}, not {label}")
-    if prev.conclusion.subject != MachState(*got[1:]):
+    if prev.conclusion.subject != MachState(got[1], got[2], stack_tuple(got[3])):
         raise ShapeMismatch(
             "the derivation's subject is not the target of the transition"
         )
     b = _Builder()
-    st = _UNDO[label](b, source.code, source.env, source.stack, _read_state(prev))
+    st = _UNDO[label](b, source.code, source.env, args, _read_state(prev))
     return b.mint_state(source, st)
 
 
@@ -559,14 +563,16 @@ _UNDO = {
 
 def _complete_states(run: Run) -> tuple[list, MachState]:
     """A complete run's states replayed anew, as (label fired into it,
-    code, env, stack), and its final state, the one MachState built."""
+    code, env, stack), stacks as linked cells, and its final state, the
+    one MachState built."""
     if not run.final_reached:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
     s = run.initial
-    states = [(None, s.code, s.env, s.stack), *run.fires()]
-    final = MachState(*states[-1][1:])
+    states = [(None, s.code, s.env, stack_cells(s.stack)), *run.fires()]
+    _, code, env, stack = states[-1]
+    final = MachState(code, env, stack_tuple(stack))
     _check_final(final)
     return states, final
 

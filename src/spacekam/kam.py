@@ -30,6 +30,14 @@ and a sized run keeps its space and time as it goes.  A Run stores no
 trace: the machines are deterministic, so Run.fires replays the run's
 bare tuples, which the extractors walk, and Run.trace the states built
 from them, on each read.
+
+The stack a fire function takes and returns is linked: a cell (top,
+rest), or () when empty.  A push builds one cell over the stack it
+was given and a pop returns the rest, so neither copies the stack, and
+successive stacks share every cell below their top.  A MachState keeps
+its stack as a tuple, top first; stack_cells and stack_tuple cross
+that boundary, once where a run or a replay starts and once for each
+state or trace row built from one.
 """
 
 from __future__ import annotations
@@ -112,6 +120,24 @@ def _env_closures(c: Closure):
 # association list, most recent binding first
 Env = tuple[tuple[str, Closure], ...]
 Stack = tuple[Closure, ...]
+Cells = tuple  # a linked stack: () or (top closure, the cells below it)
+
+
+def stack_cells(stack: Stack) -> Cells:
+    """A state's stack as linked cells, top first."""
+    cells = ()
+    for c in reversed(stack):
+        cells = (c, cells)
+    return cells
+
+
+def stack_tuple(cells: Cells) -> Stack:
+    """Linked cells as a state's stack, top first."""
+    out = []
+    while cells:
+        out.append(cells[0])
+        cells = cells[1]
+    return tuple(out)
 
 
 class MachState(Frozen):
@@ -252,17 +278,23 @@ def state_size(s: MachState) -> int:
 def state_sizes(s: MachState, fired):
     """state_size of s, then of the state after each transition in
     fired, a Space KAM run from s as Run.fires yields it, at O(|env|)
-    a state: sizes are read and the stack's kept as run_machine does."""
-    prev, stack_sz = s.stack, sum(c.size for c in s.stack)
-    depth = len(prev)
+    a state: sizes are read and the stack's kept as run_machine does.
+    The replay's opening cells are its own, so the first transition is
+    told a push or a pop by the depth it leaves, counted once."""
+    stack_sz = sum(c.size for c in s.stack)
     yield size_env(s.env) + stack_sz
+    prev = None
     for _, _, env, stack in fired:
-        d = len(stack)
-        if d > depth:
-            stack_sz += stack[0]._size
-        elif d < depth:
-            stack_sz -= prev[0]._size
-        prev, depth = stack, d
+        if prev is None:
+            d = len(stack_tuple(stack)) - len(s.stack)
+            if d:
+                stack_sz += stack[0]._size if d > 0 else -s.stack[0]._size
+        elif stack is not prev:
+            if stack and stack[1] is prev:
+                stack_sz += stack[0]._size
+            else:
+                stack_sz -= prev[0]._size
+        prev = stack
         sz = stack_sz
         for _, c in env:
             sz += c._size
@@ -292,7 +324,7 @@ class Run:
     final_reached: bool
     counts: dict
     transitions: int
-    step: Callable[[Term, Env, Stack], tuple | None]
+    step: Callable[[Term, Env, Cells], tuple | None]
     space: int | None = None
     time: int | None = None
 
@@ -304,11 +336,12 @@ class Run:
     def fires(self):
         """Fire step from the initial state again, yielding each (label,
         code, env, stack) it returns, one per transition, building no
-        state.  Raises ReplayMismatch, after the last, unless the replay
-        ends on the stored last state with the stored counts."""
+        state; the stacks are linked cells.  Raises ReplayMismatch, after
+        the last, unless the replay ends on the stored last state with
+        the stored counts."""
         counts = dict.fromkeys(self.counts, 0)
         s, step = self.initial, self.step
-        code, env, stack = s.code, s.env, s.stack
+        code, env, stack = s.code, s.env, stack_cells(s.stack)
         for i in range(1, self.transitions + 1):
             nxt = step(code, env, stack)
             if nxt is None:
@@ -318,15 +351,18 @@ class Run:
             counts[label] += 1
         if counts != self.counts:
             raise ReplayMismatch(f"replay counts {counts} differ from the run's {self.counts}")
-        last = self.last
+        last, stack = self.last, stack_tuple(stack)
         same = code is last.code and len(stack) == len(last.stack)
         if not (same and _pairs_equal([(env, last.env), *zip(stack, last.stack)])):
             raise ReplayMismatch("replay ends in a state other than the run's last state")
 
     @property
     def trace(self) -> tuple[tuple[str, MachState], ...]:
-        """One (label, state) pair per transition, built from fires anew."""
-        return tuple((label, MachState(code, env, stack)) for label, code, env, stack in self.fires())
+        """One (label, state) pair per transition, built from fires anew,
+        each with its stack as a tuple."""
+        return tuple(
+            (label, MachState(code, env, stack_tuple(stack))) for label, code, env, stack in self.fires()
+        )
 
 
 def compile(t: Term) -> MachState:
@@ -336,14 +372,15 @@ def compile(t: Term) -> MachState:
     return MachState(t, (), ())
 
 
-def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
-    """One transition as (label, code, env, stack), or None when final."""
+def kam_fire(t: Term, env: Env, stack: Cells) -> tuple | None:
+    """One transition as (label, code, env, stack), or None when final;
+    the stacks are linked cells."""
     if type(t) is App:
-        return LABEL_SEA, t.fun, env, (Closure(t.arg, env),) + stack
+        return LABEL_SEA, t.fun, env, (Closure(t.arg, env), stack)
     if type(t) is Abs:
         if not stack:
             return None
-        return LABEL_BETA, t.body, ((t.binder, stack[0]),) + env, stack[1:]
+        return LABEL_BETA, t.body, ((t.binder, stack[0]),) + env, stack[1]
     x = t.name
     for y, c in env:  # the first binding of x
         if y == x:
@@ -353,42 +390,41 @@ def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
 
 def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> Run:
     """Fire from s for at most fuel transitions, building a MachState
-    for the last state alone.  fire(code, env, stack) returns (label,
-    code, env, stack), or None on a final state; labels are every label
-    it can return.  A sized run keeps its space and time, the max and
-    sum of its state sizes, as it goes: the opening sums size every
-    closure reachable from s, fire must size each closure it builds
-    (skam_fire does), and a step reads stored sizes, keeping the stack's
-    as a push adds the top's and a pop takes it off: O(|env|) a step.
-    The stack's depth is kept in a local too, so a sized step makes one
-    len() call, and each fire tuple is unpacked once."""
+    for the last state alone.  fire(code, env, stack) takes and returns
+    the stack as linked cells, and returns (label, code, env, stack), or
+    None on a final state; labels are every label it can return.  A
+    sized run keeps its space and time, the max and sum of its state
+    sizes, as it goes: the opening sums size every closure reachable
+    from s, fire must size each closure it builds (skam_fire does), and
+    a step reads stored sizes, keeping the stack's as a push adds the
+    top's and a pop takes it off: O(|env|) a step.  A push is told from
+    a pop by identity, as the new cell over the old stack, and each fire
+    tuple is unpacked once."""
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, not {fuel}")
     counts = dict.fromkeys(labels, 0)
-    code, env, stack = s.code, s.env, s.stack
-    depth = len(stack)
-    stack_sz = sum(c.size for c in stack) if sized else 0
+    code, env, stack = s.code, s.env, stack_cells(s.stack)
+    stack_sz = sum(c.size for c in s.stack) if sized else 0
     space = time = size_env(env) + stack_sz if sized else None
     for n in range(fuel):
         nxt = fire(code, env, stack)
         if nxt is None:
-            return Run(s, MachState(code, env, stack), True, counts, n, fire, space, time)
+            return Run(s, MachState(code, env, stack_tuple(stack)), True, counts, n, fire, space, time)
         prev = stack
         label, code, env, stack = nxt
         counts[label] += 1
         if sized:
-            d = len(stack)
-            if d > depth:
-                stack_sz += stack[0]._size
-            elif d < depth:
-                stack_sz -= prev[0]._size
-            depth = d
+            if stack is not prev:
+                if stack and stack[1] is prev:
+                    stack_sz += stack[0]._size
+                else:
+                    stack_sz -= prev[0]._size
             sz = stack_sz
             for _, c in env:
                 sz += c._size
             space = sz if sz > space else space
             time += sz
-    last = MachState(code, env, stack)
+    last = MachState(code, env, stack_tuple(stack))
     return Run(s, last, fire(code, env, stack) is None, counts, fuel, fire, space, time)
 
 
@@ -454,7 +490,7 @@ def run_trace_rows(run: Run):
     for i, ((label, code, env, stack), size) in enumerate(zip(fired, sizes), start=1):
         written = len(table.rows)
         env = [[x, table.add(c)] for x, c in env]
-        stack = [table.add(c) for c in stack]
+        stack = [table.add(c) for c in stack_tuple(stack)]
         for j in range(written, len(table.rows)):
             code_j, e = table.rows[j]
             yield json.dumps({"closure": j, "code": print_term(code_j), "env": e})

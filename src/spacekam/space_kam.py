@@ -27,6 +27,11 @@ restriction to as many names as the environment has entries keeps
 every entry, so skam_fire passes that environment on as it is rather
 than copying it.
 
+The stack skam_fire takes and returns is linked, as kam_fire's is: a
+push is one new cell over the stack, and a pop returns the cell below,
+so a transition never copies the stack, however deep it is, and a
+stack shares every cell below its top with the one it came from.
+
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
 plus stack (kam.state_size).  A run's space is the max state size over all states
@@ -37,11 +42,11 @@ from __future__ import annotations
 
 from .hashcons import postorder
 from .kam import (
+    Cells,
     Closure,
     Env,
     MachState,
     Run,
-    Stack,
     _env_closures,
     env_restrict,  # re-exported: the restriction e|_t of the transitions above
     run_machine,
@@ -69,8 +74,9 @@ def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
     return len(e) == len(names) and {x for x, _ in e} == names
 
 
-def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
-    """One transition as (label, code, env, stack), or None when final."""
+def skam_fire(t: Term, e: Env, stack: Cells) -> tuple | None:
+    """One transition as (label, code, env, stack), or None when final;
+    the stacks are linked cells."""
     fv = t.fv
     # dom(e) = fv(t), one binding per name; a set only for n > 2 entries
     n = len(e)
@@ -101,20 +107,20 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
             else:
                 c = None
             assert c is not None  # arg.name is in fv, hence in dom(e)
-            return LABEL_SEA_V, fun, fun_env, (c,) + stack
+            return LABEL_SEA_V, fun, fun_env, (c, stack)
         arg_env = e if len(arg.fv) == n else env_restrict(e, arg.fv)
         if len(arg.fv) != n and not _binds_exactly(arg_env, arg.fv):  # checked where it is built
             raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(x for x, _ in arg_env)}")
         size = 1  # from cached sizes: no walk
         for _, c in arg_env:
             size += c.size
-        return LABEL_SEA_NV, fun, fun_env, (Closure(arg, arg_env, size),) + stack
+        return LABEL_SEA_NV, fun, fun_env, (Closure(arg, arg_env, size), stack)
     if type(t) is Abs:
         if not stack:
             return None
         if t.binder in t.body.fv:
-            return LABEL_BETA_NW, t.body, ((t.binder, stack[0]),) + e, stack[1:]
-        return LABEL_BETA_W, t.body, e, stack[1:]
+            return LABEL_BETA_NW, t.body, ((t.binder, stack[0]),) + e, stack[1]
+        return LABEL_BETA_W, t.body, e, stack[1]
     # a variable: the check above leaves e its own binding alone
     c = e[0][1]
     return LABEL_SUB, c.code, c.env, stack

@@ -387,17 +387,28 @@ class WhnfResult:
 
 
 def whnf_eval(t: Term, fuel: int) -> WhnfResult:
-    """Iterate whnf_step at most fuel times.
+    """Iterate whnf_step at most fuel times, keeping the spine.
+
+    The arguments wait on a list, innermost last: each step unwinds the
+    head's own applications onto it and fires the head redex with the
+    same subst as whnf_step, and the term is rebuilt once, at the end,
+    so a step costs its substitution alone, not the spine's length.
 
     exhausted is True only when the fuel ran out strictly before a
     normal form: a term already normal reports exhausted=False at any
     fuel, including zero.
     """
+    spine = []
     steps = 0
-    while steps < fuel:
-        nxt = whnf_step(t)
-        if nxt is None:
-            return WhnfResult(t, steps, False)
-        t = nxt
+    while True:
+        while type(t) is App:
+            spine.append(t.arg)
+            t = t.fun
+        redex = type(t) is Abs and bool(spine)
+        if not redex or steps >= fuel:
+            break
+        t = subst(t.body, t.binder, spine.pop())
         steps += 1
-    return WhnfResult(t, steps, whnf_step(t) is not None)
+    for a in reversed(spine):
+        t = App(t, a)
+    return WhnfResult(t, steps, redex)

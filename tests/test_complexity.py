@@ -1,8 +1,17 @@
 """Complexity guards: the machines' runs, their replays, the two
 extractors, the checker's walk over their derivations and the rewriting
-oracle cost time linear in the run, on the two families whose runs grow
-without their code (2^k as (c_k) (c_2) applied to two identities) and
-whose code grows with their run ((c_n) applied to two identities).
+oracle cost time linear in the run, on the families whose runs grow
+without their code (2^k as (c_k) (c_2) applied to two identities),
+whose code grows with their run ((c_n) applied to two identities), and
+whose stack and spine grow n deep (wide_app: n arguments waiting on
+one n-fold abstraction).
+
+On wide_app the guard covers the stages that are linear there: the
+Space KAM's run and replay, extract, check_walk on extract's
+derivation and the oracle.  The plain machine's beta still copies its
+whole environment to bind one name, so its run, its replay and
+extract_kam stay quadratic on wide_app; their guards come with the
+change that links the plain machine's environment.
 
 Each guard times every stage at a size and at the size with four times
 the transitions, takes the best of 3, and asserts a ratio of at most 6:
@@ -18,6 +27,7 @@ import time
 
 import pytest
 
+import families
 from spacekam.checker import check_walk
 from spacekam.extractor import extract, extract_kam
 from spacekam.kam import compile, kam_run
@@ -27,16 +37,16 @@ from spacekam.terms import parse_term, whnf_eval
 FUEL = 1_000_000
 
 
-def church(n):
-    return r"(\f.\x." + "f (" * n + "x" + ")" * n + ")"
-
-
 def _pow2(k):
-    return compile(parse_term(church(k) + " " + church(2) + r" (\a.a) (\b.b)"))
+    return compile(parse_term(families.pow2(k)))
 
 
 def _church(n):
-    return compile(parse_term(church(n) + r" (\a.a) (\b.b)"))
+    return compile(parse_term(families.church_app(n)))
+
+
+def _wide_app(n):
+    return compile(parse_term(families.wide_app(n)))
 
 
 def _stages(t) -> dict:
@@ -75,17 +85,23 @@ def _ratio(stage, stage4) -> float:
     return min(b for _, b in times) / min(a for a, _ in times)
 
 
+# the stages linear on wide_app: the plain machine's beta copies its env there
+LINEAR_ON_WIDE_APP = ("skam_run", "skam replay", "extract", "check_walk", "whnf_eval")
+
+
 @pytest.mark.parametrize(
-    "family, small, large",
-    [(_pow2, 10, 12), (_church, 512, 2048)],
-    ids=["pow2", "church"],
+    "family, small, large, names",
+    [(_pow2, 10, 12, None), (_church, 512, 2048, None), (_wide_app, 1000, 4000, LINEAR_ON_WIDE_APP)],
+    ids=["pow2", "church", "wide_app"],
 )
-def test_stages_cost_time_linear_in_the_run(family, small, large):
+def test_stages_cost_time_linear_in_the_run(family, small, large, names):
     t, t4 = family(small), family(large)
     k, k4 = kam_run(t, FUEL).transitions, kam_run(t4, FUEL).transitions
     assert 3.9 < k4 / k < 4.1  # four times the transitions
+    stages, stages4 = _stages(t), _stages(t4)
     ratios = {}
-    for (name, stage), stage4 in zip(_stages(t).items(), _stages(t4).values()):
+    for name in names or stages:  # None: every stage
+        stage, stage4 = stages[name], stages4[name]
         ratio = _ratio(stage, stage4)
         if ratio > 6:
             # load from outside the process can slow every larger run

@@ -24,6 +24,8 @@ from spacekam.kam import (
     kam_run,
     run_summary,
     run_trace_rows,
+    stack_cells,
+    stack_tuple,
     state_size,
 )
 from spacekam.space_kam import skam_fire, skam_run
@@ -344,6 +346,35 @@ def test_a_run_builds_one_state_and_its_trace_one_per_transition(monkeypatch, ma
     assert built[0] == 10_000
 
 
+# how each label moves the stack: a push, a pop, or the stack kept
+_MOVES = {"sea": 1, "sea_v": 1, "sea_nv": 1, "beta": -1, "beta_w": -1, "beta_nw": -1, "sub": 0}
+
+
+@pytest.mark.parametrize("machine_run, deepest", [(kam_run, 228), (skam_run, 921)], ids=["kam", "skam"])
+def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run, deepest):
+    # fuzz seed 50 stops on fuel with its stack at its deepest.  The fire
+    # functions link their stacks: a push is one cell over the stack it
+    # was given, a pop is that stack's rest, and a sub keeps the stack,
+    # so no transition copies it.  The states a run builds keep tuples.
+    run = machine_run(compile(sk.random_closed_term(50, 25)), 2000)
+    prev, depth, depths = stack_cells(run.initial.stack), len(run.initial.stack), []
+    for i, (label, _, _, stack) in enumerate(run.fires(), start=1):
+        move = _MOVES[label]
+        if move > 0:
+            assert stack[1] is prev, i
+        elif move < 0:
+            assert stack is prev[1], i
+        else:
+            assert stack is prev, i
+        prev, depth = stack, depth + move
+        depths.append(depth)
+    assert max(depths) == depths[-1] == deepest
+    states = [s for _, s in run.trace]
+    assert [len(s.stack) for s in states] == depths
+    assert all(type(s.stack) is tuple for s in (*states, run.last))
+    assert run.last.stack == states[-1].stack and len(run.last.stack) == deepest
+
+
 @pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
 def test_memory_stays_flat_as_fuel_grows(machine_run):
     # The Space KAM loops in space 2.  The plain machine builds a
@@ -359,7 +390,7 @@ def test_memory_stays_flat_as_fuel_grows(machine_run):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        space = max(state_size(MachState(*s[1:])) for s in run.fires())
+        space = max(state_size(MachState(code, env, stack_tuple(stack))) for _, code, env, stack in run.fires())
         return peak, peak / (1 + space)
 
     (_, small), (large_peak, large) = peak_per_pointer(20_000), peak_per_pointer(200_000)

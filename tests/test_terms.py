@@ -6,7 +6,9 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import families
 import spacekam as sk
+from spacekam.harness import random_closed_term
 from spacekam.terms import (
     Abs,
     App,
@@ -393,6 +395,35 @@ def test_whnf_eval_exact_fuel_not_exhausted(example_term):
 def test_whnf_eval_exhausted_on_omega():
     r = whnf_eval(parse_term(r"(\x.x x) (\x.x x)"), 25)
     assert r.steps == 25 and r.exhausted
+
+
+def _whnf_steps(t, fuel):
+    """t, then each term iterated whnf_step reaches, for at most fuel
+    steps."""
+    seq = [t]
+    while len(seq) <= fuel and (nxt := whnf_step(seq[-1])) is not None:
+        seq.append(nxt)
+    return seq
+
+
+def test_whnf_eval_is_iterated_whnf_step():
+    # the oracle keeps the spine and rebuilds the term once; iterating
+    # whnf_step rebuilds it at every step.  Both give the one interned
+    # result (is), the same steps and the same exhausted, at fuel 0, at
+    # the exact step count and one less (for a run that does not end
+    # within 1,000 steps, at 1,000 and 999; every other run here ends
+    # within 1,000)
+    terms = [random_closed_term(seed, 25) for seed in range(1000)]
+    terms += [parse_term(src) for src in (
+        families.church_app(512), families.pow2(8), families.wide_app(1000), families.let_chain(500))]
+    for t in terms:
+        seq = _whnf_steps(t, 1000)
+        k = len(seq) - 1
+        normal = whnf_step(seq[k]) is None
+        for fuel in {0, max(k - 1, 0), k}:
+            r = whnf_eval(t, fuel)
+            assert r.result is seq[fuel], (print_term(t), fuel)
+            assert (r.steps, r.exhausted) == (fuel, fuel < k or not normal), (print_term(t), fuel)
 
 
 # ---------------------------------------------------------------- alpha
