@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .hashcons import Table, write_repr
-from .kam import Closure, ClosureRows, MachState, Run
+from .kam import Closure, ClosureRows, MachState, Run, _pairs_equal, env_cells, env_pairs
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -110,13 +110,37 @@ KIND_CLOSURE = "closure"
 KIND_STATE = "state"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Judgment:
+    """A subject of a kind, under a context, at a type and a weight.
+    Subjects compare through kam._pairs_equal, and hash leaves an
+    environment subject out, so an environment, which is a chain of
+    nested cells, is compared, hashed and written by repr without
+    recursion, at any depth."""
+
     subject_kind: str
     subject: object
     context: TypeContext
     assigned: object
     weight: int
+
+    def __eq__(self, other):
+        if other.__class__ is not Judgment:
+            return NotImplemented
+        return (
+            self.subject_kind == other.subject_kind
+            and self.context == other.context
+            and self.assigned == other.assigned
+            and self.weight == other.weight
+            and _pairs_equal([(self.subject, other.subject)])
+        )
+
+    def __hash__(self):  # an environment subject is left out: its names would cost a walk
+        s = None if self.subject_kind == KIND_ENV else self.subject
+        return hash((self.subject_kind, s, self.context, self.assigned, self.weight))
+
+    def __repr__(self):
+        return write_repr(self, _repr_fields)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -508,11 +532,8 @@ def _check_tenv(d, err, mode):
     if c.subject_kind != KIND_ENV:
         err("TEnv concludes an environment judgment")
         return
-    e = c.subject
-    if not isinstance(e, tuple) or not all(
-        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is Closure
-        for p in e
-    ):
+    e = _env_entries(c.subject)
+    if e is None:
         err("environment subject is not an environment")
         return
     names = [x for x, _ in e]
@@ -534,6 +555,7 @@ def _check_tenv(d, err, mode):
     if len(d.premises) != len(e):
         err(f"TEnv takes one premise per binding, found {len(d.premises)} for {len(e)}")
         return
+    multis = dict(c.assigned.entries)  # one lookup a binding, however many
     for i, ((x, cl), pd) in enumerate(zip(e, d.premises)):
         p = pd.conclusion
         if p.subject_kind != KIND_CLOSURE:
@@ -542,9 +564,21 @@ def _check_tenv(d, err, mode):
         if p.subject != cl:
             err(f"premise {i} must type the closure bound to {x}")
             return
-        if p.assigned != c.assigned.get(x):
+        if p.assigned != multis[x]:
             err(f"premise {i} must assign the context's multi for {x}")
             return
+
+
+def _env_entries(e) -> list | None:
+    """e's (name, closure) entries, most recent first, or None when e is
+    not a linked environment."""
+    out = []
+    while type(e) is tuple and len(e) == 3:
+        x, c, e = e
+        if not isinstance(x, str) or type(c) is not Closure:
+            return None
+        out.append((x, c))
+    return out if e == () else None
 
 
 def _check_tcl(d, err, mode):
@@ -571,7 +605,7 @@ def _check_tcl(d, err, mode):
     if pt.assigned != c.assigned:
         err("TCl term premise must assign the closure's multi")
         return
-    if pe.subject != c.subject.env:
+    if not _pairs_equal([(pe.subject, c.subject.env)]):
         err("TCl environment premise must type the closure environment")
         return
     if pe.assigned != pt.context:
@@ -604,7 +638,7 @@ def _check_tst(d, err, mode):
     if pt.subject_kind != KIND_TERM or pt.subject != s.code:
         err("TSt first premise must type the state's code")
         return
-    if pe.subject_kind != KIND_ENV or pe.subject != s.env:
+    if pe.subject_kind != KIND_ENV or not _pairs_equal([(pe.subject, s.env)]):
         err("TSt second premise must type the state's environment")
         return
     if pe.assigned != pt.context:
@@ -1023,7 +1057,7 @@ class _Tables:
 
     def env(self, e) -> tuple:
         """e's entry and its key."""
-        key = tuple((x, self.closure(c)) for x, c in e)
+        key = tuple((x, self.closure(c)) for x, c in env_pairs(e))
         return [list(p) for p in key], key
 
     def subject(self, kind, subject) -> tuple:
@@ -1103,7 +1137,7 @@ def _env_from_json(obj, closures) -> tuple:
         if not isinstance(p, list) or len(p) != 2:
             raise ValueError("environment entries are [name, closure] pairs")
         out.append((_name(p[0]), closures[json_index(p[1], len(closures))]))
-    return tuple(out)
+    return env_cells(out)
 
 
 class _Decoder:
@@ -1240,7 +1274,7 @@ def _subject_str(kind, subject):
 def _env_items(e) -> list:
     """e's text as a list of strings and closures still to write."""
     items = ["["]
-    for i, (x, c) in enumerate(e):
+    for i, (x, c) in enumerate(env_pairs(e)):
         items += (f", {x} <- " if i else f"{x} <- ", c)
     items.append("]")
     return items

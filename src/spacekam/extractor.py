@@ -5,8 +5,9 @@ of their own as bare (label, code, env, stack) tuples (Run.fires, which
 checks the replay against the run's last state and counts), build a
 MachState for the final state alone, and read sizes from one forward
 count that keeps the stack's as the run loop does (state_sizes).  The
-replayed stacks are the machines' linked cells, so successive states
-share their stacks and the replay holds memory linear in the run.
+replayed environments and stacks are the machines' linked cells, so
+successive states share them and the replay holds memory linear in the
+run.
 
 extract walks the run back to front.  The final state gets the
 canonical typing: its code typed by TLamStar, every closure dry (an
@@ -62,7 +63,10 @@ the unindexed rules and the same bags: a sub makes a one-use bag of the
 code typing with the target's environment typing, typings of a shared
 name join in O(1), a beta opens the binder's bag into the arrow source
 and the stack top, and the sea that pushed the closure folds the
-bag's environment typings back into the state's, name by name.  Its
+bag's environment typings back into the state's, name by name.  The
+environment typing is one dict, changed in place: a sub hands it to
+its bag and starts a new one, so no bag holds the dict a beta or a sea
+changes, and no step copies the typing of every live name.  Its
 environment and stack typings are not judgments of record, so its bags
 carry no closure and no weight; every transition places exactly one
 weighted node in the final tree, minted once per distinct subtree, so
@@ -100,7 +104,7 @@ from .checker import (
     rule_weight,
 )
 from .hashcons import postorder
-from .kam import LABEL_BETA, Closure, Env, MachState, Run, stack_cells, stack_tuple, state_sizes
+from .kam import LABEL_BETA, Closure, Env, MachState, Run, env_names, env_pairs, stack_cells, stack_tuple, state_sizes
 from .space_kam import (
     LABEL_BETA_NW,
     LABEL_BETA_W,
@@ -218,7 +222,7 @@ class _Env:
 
 
 def _dry_env(e: Env) -> _Env:
-    return _Env({x: _Cl(c, _DRY) for x, c in e}, 0, 0)
+    return _Env({x: _Cl(c, _DRY) for x, c in env_pairs(e)}, 0, 0)
 
 
 def _flatten(cl: _Cl) -> tuple[list, list]:
@@ -248,10 +252,11 @@ def _join_envs(p: _Env, q: _Env, e: Env) -> _Env:
         have = parts.get(x)
         parts[x] = cl if have is None else _join(have, cl)
     # the names of a Space KAM env are distinct
-    assert len(parts) == len(e), (
-        f"typings cover {sorted(parts)}, environment binds {sorted(x for x, _ in e)}"
+    names = env_names(e)
+    assert len(parts) == len(names), (
+        f"typings cover {sorted(parts)}, environment binds {sorted(names)}"
     )
-    for x, _ in e:
+    for x in names:
         assert x in parts, f"typings cover {sorted(parts)}, not {x}"
     return _Env(parts, p.space if p.space > q.space else q.space, p.time + q.time)
 
@@ -274,7 +279,7 @@ class _Stack:
 
 def _dry_context(e: Env) -> TypeContext:
     """One empty multi per binding, at the bound closure's size."""
-    return TypeContext(tuple((x, ClosureMulti((), c.size)) for x, c in e))
+    return TypeContext(tuple((x, ClosureMulti((), c.size)) for x, c in env_pairs(e)))
 
 
 def _mint(rule, kind, subject, ctx, assigned, premises) -> Derivation:
@@ -344,7 +349,7 @@ class _Builder:
 
     def env_node(self, e: Env, premises: list) -> Derivation:
         gamma = TypeContext(
-            tuple((x, p.conclusion.assigned) for (x, _), p in zip(e, premises))
+            tuple((x, p.conclusion.assigned) for (x, _), p in zip(env_pairs(e), premises))
         )
         return _mint(R_ENV, KIND_ENV, e, EMPTY_CONTEXT, gamma, premises)
 
@@ -371,7 +376,7 @@ class _Builder:
             if d is None:
                 c = cl.closure
                 code_d, env = opened[cl]
-                env_d = self.env_node(c.env, [done[env.parts[x]] for x, _ in c.env])
+                env_d = self.env_node(c.env, [done[env.parts[x]] for x in env_names(c.env)])
                 a = code_d.conclusion.assigned
                 d = _mint(R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, a, (code_d, env_d))
                 if cl.kind == _DRY:
@@ -382,12 +387,12 @@ class _Builder:
     def mint_state(self, s: MachState, st: tuple) -> Derivation:
         """The TSt derivation of s from a state typing (term, env, stack)."""
         term, env, stack = st
-        cls = [env.parts[x] for x, _ in s.env]
+        cls = [env.parts[x] for x in env_names(s.env)]
+        n = len(cls)
         while stack is not None:
             cls.append(stack.top)
             stack = stack.rest
         minted = self.mint(cls)
-        n = len(s.env)
         env_d = self.env_node(s.env, minted[:n])
         return _mint(R_ST, KIND_STATE, s, EMPTY_CONTEXT, STAR, (term, env_d, *minted[n:]))
 
@@ -401,7 +406,7 @@ def _read_closure(d: Derivation) -> _Cl:
 
 def _read_env(d: Derivation) -> _Env:
     return _Env(
-        {x: _read_closure(p) for (x, _), p in zip(d.conclusion.subject, d.premises)}
+        {x: _read_closure(p) for x, p in zip(env_names(d.conclusion.subject), d.premises)}
     )
 
 
@@ -436,7 +441,7 @@ def dry_type_env(e: Env) -> tuple[TypeContext, Derivation]:
     """The dry context for e (one empty multi per binding, at the bound
     closure's size) and its weight-zero derivation."""
     b = _Builder()
-    d = b.env_node(e, b.mint([_Cl(c, _DRY) for _, c in e]))
+    d = b.env_node(e, b.mint([_Cl(c, _DRY) for _, c in env_pairs(e)]))
     return d.conclusion.assigned, d
 
 
@@ -481,7 +486,7 @@ def _undo_sub(b, code, e, args, st):
     # the variable is typed by the singleton multi at c's size
     term, env, stack = st
     x = code.name
-    c = e[0][1]
+    c = e[1]
     a = term.conclusion.assigned
     k = 1 + size_context(term.conclusion.context)
     assert k == c.size, f"non-canonical index {k} for a closure of size {c.size}"
@@ -563,7 +568,7 @@ _UNDO = {
 
 def _complete_states(run: Run) -> tuple[list, MachState]:
     """A complete run's states replayed anew, as (label fired into it,
-    code, env, stack), stacks as linked cells, and its final state, the
+    code, env, stack), envs and stacks as linked cells, and its final state, the
     one MachState built."""
     if not run.final_reached:
         raise IncompleteRun(
@@ -635,7 +640,7 @@ def extract_kam(run: Run) -> Derivation:
     states, final = _complete_states(run)
     b = _Builder(_dc_mint)
     cur = b.add((R_DC_LAM_STAR, final.code, EMPTY_CONTEXT), (), EMPTY_CONTEXT, STAR)
-    env = {}  # the environment typing: a bag per name
+    env = {}  # the environment typing: a bag per name, changed in place
     stack = []  # (multi, uses, env typings) of each stack closure, top last
     for i in range(len(states) - 1, 0, -1):
         label = states[i][0]
@@ -653,7 +658,6 @@ def extract_kam(run: Run) -> Derivation:
             # (\x.t, e, c . S) -> (t, [x <- c] . e, S): x's bag is opened
             # into the arrow source and the stack top's typing
             x = code.binder
-            env = dict(env)
             uses, envs = _flatten(env.pop(x, _KAM_DRY))
             m = MultiType([d.conclusion.assigned for d in uses])
             have = cur.conclusion.context.get(x) or MultiType(())
@@ -674,12 +678,10 @@ def extract_kam(run: Run) -> Derivation:
             key = (R_DC_APP, code, *map(id, ps))
             cur = b.terms.get(key) or b.add(
                 key, ps, contexts_union([d.conclusion.context for d in ps]), arrow.res)
-            if envs:
-                env = dict(env)
-                for other in envs:
-                    for x, cl in other.items():
-                        have = env.get(x)
-                        env[x] = cl if have is None else _join(have, cl)
+            for other in envs:
+                for x, cl in other.items():
+                    have = env.get(x)
+                    env[x] = cl if have is None else _join(have, cl)
     assert not env, "the initial state's typing wants an environment"
     assert not stack, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"

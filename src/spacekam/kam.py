@@ -2,17 +2,23 @@
 
 A state is a code subterm, an environment binding its free variables to
 closures, and a stack of argument closures (top first, so the top is
-the innermost argument).  Environments are association lists, most
-recent binding first, and lookup takes the first match.  All state is
+the innermost argument).  An environment is linked: a cell (name,
+closure, rest), most recent binding first, or () when empty, and lookup
+walks the cells to the first match.  A beta builds one cell over the
+environment it fired from, so binding a name copies nothing, and
+closures and states share every cell below their own.  All state is
 immutable; successive states share structure.
 
 Closures and states are hashcons.Frozen __slots__ classes, not
 dataclasses: a constructor that stores through the slot descriptors
 costs a fraction of a frozen dataclass's.  Assigning a field raises
-AttributeError all the same.  ==, hash and repr walk closures with
-explicit stacks, so nesting depth is not limited by the interpreter's
-recursion limit; copy and pickle rebuild them from the flat table of
-the closures they hold (ClosureRows), at any depth.
+AttributeError all the same.  ==, hash and repr walk closures and
+environments with explicit stacks, so neither nesting nor environment
+depth is limited by the interpreter's recursion limit; copy and pickle
+rebuild them from the flat table of the closures they hold
+(ClosureRows), at any depth.  A raw environment is a nested tuple, so
+it never meets Python's own tuple ==, hash or pickle, which recurse:
+_pairs_equal compares environments and ClosureRows writes them.
 
 Transitions:
 
@@ -37,7 +43,9 @@ was given and a pop returns the rest, so neither copies the stack, and
 successive stacks share every cell below their top.  A MachState keeps
 its stack as a tuple, top first; stack_cells and stack_tuple cross
 that boundary, once where a run or a replay starts and once for each
-state or trace row built from one.
+state or trace row built from one.  Closures and states keep their
+environments linked, as the fire functions do; env_cells and env_pairs
+convert (name, closure) pairs to and from that one shape.
 """
 
 from __future__ import annotations
@@ -69,8 +77,8 @@ class Closure(_Sized):
 
     Immutable: assigning or deleting a field raises AttributeError.  ==
     compares code and environment in full, hash reads the code and the
-    environment's names only, and neither recurses, so closures nest to
-    any depth."""
+    environment's names only, and neither recurses, so closures nest and
+    environments link to any depth."""
 
     __slots__ = ("code", "env")
 
@@ -98,7 +106,7 @@ class Closure(_Sized):
         return self is other or _pairs_equal([(self, other)])
 
     def __hash__(self):
-        return hash((self.code, tuple(x for x, _ in self.env)))
+        return hash((self.code, env_names(self.env)))
 
     def __reduce__(self):
         return _from_table, _table(self.code, self.env, None)
@@ -112,15 +120,47 @@ _set_closure_size = Closure._size.__set__
 _size_of = attrgetter("_size")  # None until worked out; a size is at least 1
 _second = itemgetter(1)
 
-
-def _env_closures(c: Closure):
-    return map(_second, c.env)
-
-
-# association list, most recent binding first
-Env = tuple[tuple[str, Closure], ...]
+Env = tuple  # a linked environment: () or (name, closure, the cells below it)
 Stack = tuple[Closure, ...]
 Cells = tuple  # a linked stack: () or (top closure, the cells below it)
+
+
+def env_cells(pairs) -> Env:
+    """(name, closure) pairs, most recent binding first, as a linked
+    environment."""
+    e = ()
+    for x, c in reversed(pairs):
+        e = (x, c, e)
+    return e
+
+
+def env_pairs(e: Env) -> tuple:
+    """A linked environment as (name, closure) pairs, most recent
+    binding first."""
+    out = []
+    while e:
+        x, c, e = e
+        out.append((x, c))
+    return tuple(out)
+
+
+def env_names(e: Env) -> tuple:
+    """The names a linked environment binds, most recent first."""
+    out = []
+    while e:
+        out.append(e[0])
+        e = e[2]
+    return tuple(out)
+
+
+def _env_closures(c: Closure) -> list:
+    """The closures c's environment binds (c may be a state), most
+    recent first."""
+    out, e = [], c.env
+    while e:
+        out.append(e[1])
+        e = e[2]
+    return out
 
 
 def stack_cells(stack: Stack) -> Cells:
@@ -159,7 +199,7 @@ class MachState(Frozen):
         return self is other or _pairs_equal([(self, other)])
 
     def __hash__(self):
-        return hash((self.code, tuple(x for x, _ in self.env), len(self.stack)))
+        return hash((self.code, env_names(self.env), len(self.stack)))
 
     def __reduce__(self):
         return _from_table, _table(self.code, self.env, self.stack)
@@ -186,7 +226,7 @@ class ClosureRows:
         ids = self._ids
         if id(c) not in ids:
             for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
-                row = (d.code, tuple((x, ids[id(e)][0]) for x, e in d.env))
+                row = (d.code, tuple((x, ids[id(e)][0]) for x, e in env_pairs(d.env)))
                 i = self._at.get(row)
                 if i is None:
                     i = self._at[row] = len(self.rows)
@@ -200,7 +240,7 @@ def _table(code, env, stack) -> tuple:
     the rows of every closure it holds (ClosureRows), then its code, its
     env as (name, row) pairs and its stack as rows."""
     table = ClosureRows()
-    env = tuple((x, table.add(c)) for x, c in env)
+    env = tuple((x, table.add(c)) for x, c in env_pairs(env))
     return table.rows, code, env, None if stack is None else tuple(map(table.add, stack))
 
 
@@ -208,8 +248,8 @@ def _from_table(rows, code, env, stack):
     """The closure or state _table wrote, built row by row."""
     built: list = []
     for c, e in rows:
-        built.append(Closure(c, tuple((x, built[i]) for x, i in e)))
-    env = tuple((x, built[i]) for x, i in env)
+        built.append(Closure(c, env_cells([(x, built[i]) for x, i in e])))
+    env = env_cells([(x, built[i]) for x, i in env])
     if stack is None:
         return Closure(code, env)
     return MachState(code, env, tuple(built[i] for i in stack))
@@ -217,45 +257,68 @@ def _from_table(rows, code, env, stack):
 
 def _pairs_equal(pairs: list) -> bool:
     """Whether each pair in pairs is equal: pairs of closures, of states
-    (code, env and stack) or of environments.  One walk with an explicit
-    stack compares each pair of objects once, however deep or shared the
-    closures are.  The caller holds both sides alive, so ids are stable."""
+    (code, env and stack), of environment cells, or of other values
+    (terms, say), compared by ==.  One walk with an explicit stack
+    compares each pair of objects once, however deep or shared the
+    closures and environments are, so a pair of tails that a pair of
+    closures shares with a pair of states is walked once.  The caller
+    holds both sides alive, so ids are stable."""
     seen = set()
     while pairs:
         c, d = pairs.pop()
         if c is d or (id(c), id(d)) in seen:
             continue
         seen.add((id(c), id(d)))
-        if type(c) is not tuple:  # a closure or a state, not an environment
+        kind = type(c)
+        if kind is not type(d):
+            return False
+        if kind is tuple:  # an environment cell, or ()
+            if len(c) != 3 or len(d) != 3:
+                if c != d:
+                    return False
+                continue
+            if c[0] != d[0]:
+                return False
+            pairs.append((c[2], d[2]))
+            pairs.append((c[1], d[1]))
+        elif kind is Closure or kind is MachState:
             if c.code is not d.code:
                 return False
-            if type(c) is MachState:
+            if kind is MachState:
                 if len(c.stack) != len(d.stack):
                     return False
                 pairs += zip(c.stack, d.stack)
-            c, d = c.env, d.env
-        if len(c) != len(d):
+            pairs.append((c.env, d.env))
+        elif c != d:
             return False
-        for (x, c2), (y, d2) in zip(c, d):
-            if x != y:
-                return False
-            pairs.append((c2, d2))
     return True
 
 
 def env_restrict(e: Env, names: frozenset[str]) -> Env:
     """Keep the first binding of each name in names, in entry order.
-    Reading stops once every name has its binding."""
-    out = []
-    seen = set()
-    for binding in e if names else ():
-        x = binding[0]
-        if x in names and x not in seen:
-            out.append(binding)
-            seen.add(x)
-            if len(seen) == len(names):
-                break
-    return tuple(out)
+    Reading stops once every name has its binding.  A kept cell whose
+    rest is the restriction of what lies below it is shared, so only
+    the cells above a dropped entry are built anew."""
+    if len(names) == 1:
+        (x,) = names
+        while e and e[0] != x:
+            e = e[2]
+        return e if not e or not e[2] else (x, e[1], ())
+    kept = []
+    if names:
+        seen = set()
+        while e:
+            x = e[0]
+            if x in names and x not in seen:
+                kept.append(e)
+                seen.add(x)
+                if len(seen) == len(names):
+                    break
+            e = e[2]
+    out = ()
+    for cell in reversed(kept):
+        out = cell if cell[2] is out else (cell[0], cell[1], out)
+    return out
 
 
 LABEL_SEA = "sea"
@@ -267,7 +330,11 @@ KAM_LABELS = (LABEL_SEA, LABEL_BETA, LABEL_SUB)
 
 def size_env(e: Env) -> int:
     """Pointer count of an environment: the sum of its closures' sizes."""
-    return sum(c.size for _, c in e)
+    sz = 0
+    while e:
+        sz += e[1].size
+        e = e[2]
+    return sz
 
 
 def state_size(s: MachState) -> int:
@@ -296,8 +363,9 @@ def state_sizes(s: MachState, fired):
                 stack_sz -= prev[0]._size
         prev = stack
         sz = stack_sz
-        for _, c in env:
-            sz += c._size
+        while env:
+            sz += env[1]._size
+            env = env[2]
         yield sz
 
 
@@ -336,9 +404,11 @@ class Run:
     def fires(self):
         """Fire step from the initial state again, yielding each (label,
         code, env, stack) it returns, one per transition, building no
-        state; the stacks are linked cells.  Raises ReplayMismatch, after
-        the last, unless the replay ends on the stored last state with
-        the stored counts."""
+        state; the envs and stacks are linked cells.  Raises
+        ReplayMismatch, after the last, unless the replay ends on the
+        stored last state with the stored counts: one _pairs_equal walk,
+        which pairs each cell and closure once, so on the replayed cells
+        as on the run's the check is linear in the last state."""
         counts = dict.fromkeys(self.counts, 0)
         s, step = self.initial, self.step
         code, env, stack = s.code, s.env, stack_cells(s.stack)
@@ -374,32 +444,36 @@ def compile(t: Term) -> MachState:
 
 def kam_fire(t: Term, env: Env, stack: Cells) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final;
-    the stacks are linked cells."""
+    the envs and stacks are linked cells: a beta binds its name in one
+    cell over env, and a sub walks the cells to its variable's first
+    binding."""
     if type(t) is App:
         return LABEL_SEA, t.fun, env, (Closure(t.arg, env), stack)
     if type(t) is Abs:
         if not stack:
             return None
-        return LABEL_BETA, t.body, ((t.binder, stack[0]),) + env, stack[1]
+        return LABEL_BETA, t.body, (t.binder, stack[0], env), stack[1]
     x = t.name
-    for y, c in env:  # the first binding of x
-        if y == x:
+    while env:  # the first binding of x
+        if env[0] == x:
+            c = env[1]
             return LABEL_SUB, c.code, c.env, stack
+        env = env[2]
     raise StuckState(f"variable {x} has no binding in the environment")
 
 
 def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> Run:
     """Fire from s for at most fuel transitions, building a MachState
     for the last state alone.  fire(code, env, stack) takes and returns
-    the stack as linked cells, and returns (label, code, env, stack), or
-    None on a final state; labels are every label it can return.  A
-    sized run keeps its space and time, the max and sum of its state
-    sizes, as it goes: the opening sums size every closure reachable
-    from s, fire must size each closure it builds (skam_fire does), and
-    a step reads stored sizes, keeping the stack's as a push adds the
-    top's and a pop takes it off: O(|env|) a step.  A push is told from
-    a pop by identity, as the new cell over the old stack, and each fire
-    tuple is unpacked once."""
+    the env and the stack as linked cells, and returns (label, code,
+    env, stack), or None on a final state; labels are every label it can
+    return.  A sized run keeps its space and time, the max and sum of
+    its state sizes, as it goes: the opening sums size every closure
+    reachable from s, fire must size each closure it builds (skam_fire
+    does), and a step reads stored sizes, keeping the stack's as a push
+    adds the top's and a pop takes it off: O(|env|) a step.  A push is
+    told from a pop by identity, as the new cell over the old stack, and
+    each fire tuple is unpacked once."""
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, not {fuel}")
     counts = dict.fromkeys(labels, 0)
@@ -419,9 +493,10 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
                     stack_sz += stack[0]._size
                 else:
                     stack_sz -= prev[0]._size
-            sz = stack_sz
-            for _, c in env:
-                sz += c._size
+            sz, e = stack_sz, env
+            while e:
+                sz += e[1]._size
+                e = e[2]
             space = sz if sz > space else space
             time += sz
     last = MachState(code, env, stack_tuple(stack))
@@ -446,7 +521,7 @@ def _decode_closure(c: Closure, memo: dict) -> Term:
 
     def children(d):
         if id(d) not in used:
-            used[id(d)] = env_restrict(d.env, d.code.fv)
+            used[id(d)] = env_pairs(env_restrict(d.env, d.code.fv))
         return map(_second, used[id(d)])
 
     for d in postorder((c,), children, lambda d: id(d) in memo):
@@ -489,7 +564,7 @@ def run_trace_rows(run: Run):
         sizes = islice(state_sizes(run.initial, ahead), 1, None)  # no row for the initial state
     for i, ((label, code, env, stack), size) in enumerate(zip(fired, sizes), start=1):
         written = len(table.rows)
-        env = [[x, table.add(c)] for x, c in env]
+        env = [[x, table.add(c)] for x, c in env_pairs(env)]
         stack = [table.add(c) for c in stack_tuple(stack)]
         for j in range(written, len(table.rows)):
             code_j, e = table.rows[j]

@@ -21,16 +21,20 @@ per name, for the state itself and inside every closure; skam_fire
 checks it for each state and each closure it builds (so a run checks
 all but its initial state), so a sub's environment is exactly the one
 binding for its variable.  The check of a state builds a set of names
-only for an environment of three or more entries; one or two entries
-are compared with fv(code) name by name.  Once the check has passed, a
-restriction to as many names as the environment has entries keeps
-every entry, so skam_fire passes that environment on as it is rather
-than copying it.
+only for a code with three or more free variables; an environment for
+one or two is compared with fv(code) cell by cell.  Once the check has
+passed, a restriction to as many names as the environment has entries
+keeps every entry, so skam_fire passes that environment on as it is
+rather than copying it.  A restriction of a checked environment binds
+each name at most once, so the check of the closure sea_nv builds
+counts its cells.
 
-The stack skam_fire takes and returns is linked, as kam_fire's is: a
-push is one new cell over the stack, and a pop returns the cell below,
-so a transition never copies the stack, however deep it is, and a
-stack shares every cell below its top with the one it came from.
+The environment and the stack skam_fire takes and returns are linked,
+as kam_fire's are: a beta_nw binds its name in one new cell over the
+environment, a push is one new cell over the stack, and a pop returns
+the cell below, so a transition copies neither, however deep they are;
+a restriction builds new cells for the entries it keeps, but for a
+tail it keeps whole.
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
@@ -48,6 +52,7 @@ from .kam import (
     MachState,
     Run,
     _env_closures,
+    env_names,
     env_restrict,  # re-exported: the restriction e|_t of the transitions above
     run_machine,
     size_env,
@@ -71,27 +76,34 @@ SKAM_LABELS = (LABEL_SEA_V, LABEL_SEA_NV, LABEL_BETA_W, LABEL_BETA_NW, LABEL_SUB
 
 
 def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
-    return len(e) == len(names) and {x for x, _ in e} == names
+    seen = set()
+    while e:
+        x = e[0]
+        if x not in names or x in seen:
+            return False
+        seen.add(x)
+        e = e[2]
+    return len(seen) == len(names)
 
 
 def skam_fire(t: Term, e: Env, stack: Cells) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final;
-    the stacks are linked cells."""
+    the environments and stacks are linked cells."""
     fv = t.fv
-    # dom(e) = fv(t), one binding per name; a set only for n > 2 entries
-    n = len(e)
+    # dom(e) = fv(t), one binding per name; a set only for n > 2 names
+    n = len(fv)
     if n == 1:
-        ok = len(fv) == 1 and e[0][0] in fv
+        ok = e and not e[2] and e[0] in fv
     elif n == 2:
-        x, y = e[0][0], e[1][0]
-        ok = len(fv) == 2 and x != y and x in fv and y in fv
+        rest = e and e[2]
+        ok = rest and not rest[2] and e[0] != rest[0] and e[0] in fv and rest[0] in fv
     elif n:
         ok = _binds_exactly(e, fv)
     else:
-        ok = not fv
+        ok = not e
     if not ok:
         raise InvariantViolation(
-            f"environment domain {sorted(x for x, _ in e)} differs from "
+            f"environment domain {sorted(env_names(e))} differs from "
             f"free variables {sorted(fv)} of {print_term(t)}"
         )
     if type(t) is App:
@@ -101,28 +113,27 @@ def skam_fire(t: Term, e: Env, stack: Cells) -> tuple | None:
         fun_env = e if len(fun.fv) == n else env_restrict(e, fun.fv)
         if type(arg) is Var:
             x = arg.name
-            for y, c in e:
-                if y == x:
-                    break
-            else:
-                c = None
-            assert c is not None  # arg.name is in fv, hence in dom(e)
-            return LABEL_SEA_V, fun, fun_env, (c, stack)
-        arg_env = e if len(arg.fv) == n else env_restrict(e, arg.fv)
-        if len(arg.fv) != n and not _binds_exactly(arg_env, arg.fv):  # checked where it is built
-            raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(x for x, _ in arg_env)}")
-        size = 1  # from cached sizes: no walk
-        for _, c in arg_env:
-            size += c.size
+            while e[0] != x:  # arg.name is in fv, hence in dom(e)
+                e = e[2]
+            return LABEL_SEA_V, fun, fun_env, (e[1], stack)
+        arg_fv = arg.fv
+        arg_env = e if len(arg_fv) == n else env_restrict(e, arg_fv)
+        size, k, a = 1, 0, arg_env  # the size from cached sizes, and the entries
+        while a:
+            size += a[1].size
+            k += 1
+            a = a[2]
+        if k != len(arg_fv):  # checked where it is built: a restriction binds each name once
+            raise InvariantViolation(f"closure of {print_term(arg)} binds {sorted(env_names(arg_env))}")
         return LABEL_SEA_NV, fun, fun_env, (Closure(arg, arg_env, size), stack)
     if type(t) is Abs:
         if not stack:
             return None
         if t.binder in t.body.fv:
-            return LABEL_BETA_NW, t.body, ((t.binder, stack[0]),) + e, stack[1]
+            return LABEL_BETA_NW, t.body, (t.binder, stack[0], e), stack[1]
         return LABEL_BETA_W, t.body, e, stack[1]
     # a variable: the check above leaves e its own binding alone
-    c = e[0][1]
+    c = e[1]
     return LABEL_SUB, c.code, c.env, stack
 
 

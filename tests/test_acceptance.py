@@ -22,7 +22,7 @@ from spacekam.checker import (
     weight_of,
 )
 from spacekam.extractor import expand, extract, extract_kam, type_final_state
-from spacekam.kam import compile, decode, kam_run
+from spacekam.kam import compile, decode, env_pairs, kam_run
 from spacekam.space_kam import (
     check_env_domain_invariant,
     size_env,
@@ -170,7 +170,7 @@ def test_acceptance_4_structural_lemmas(capsys, corpus, replays):
         seen = 0
         for _, _, srun in corpus[:60]:
             for s in run_states(srun):
-                for _, c in s.env:
+                for _, c in env_pairs(s.env):
                     d = sk.dry_type_closure(c)
                     assert d.conclusion.weight == 0
                     assert weight_of(d, "time") == 0

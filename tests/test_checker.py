@@ -51,7 +51,7 @@ from spacekam.checker import (
 )
 from spacekam.extractor import extract, extract_kam, type_final_state
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, ClosureRows, MachState, compile, kam_run
+from spacekam.kam import Closure, ClosureRows, MachState, compile, env_cells, env_pairs, kam_run
 from spacekam.space_kam import skam_run
 from spacekam.terms import Abs, App, Var, parse_term
 from spacekam.types import (
@@ -610,7 +610,7 @@ def test_json_roundtrip_shares_machine_subjects(example_skam):
     assert back == d
     # each entry decodes to one object, whichever nodes refer to it
     closures = {id(c) for n in _nodes(back) for c in n.conclusion.subject.stack}
-    closures |= {id(c) for n in _nodes(back) for _, c in n.conclusion.subject.env}
+    closures |= {id(c) for n in _nodes(back) for _, c in env_pairs(n.conclusion.subject.env)}
     assert len(closures) <= len(obj["tables"]["closures"])
 
 
@@ -634,7 +634,7 @@ def test_terms_decoded_from_a_file_are_the_runs_own(example_term, example_skam):
             elif a.conclusion.subject_kind == "state":
                 assert t.code is s.code
                 assert all(c.code is e.code for c, e in zip(t.stack, s.stack))
-                assert all(c.code is e.code for (_, c), (_, e) in zip(t.env, s.env))
+                assert all(c.code is e.code for (_, c), (_, e) in zip(env_pairs(t.env), env_pairs(s.env)))
     assert derivation_from_json(derivation_to_json(extract(example_skam))).conclusion.subject is example_term
 
 
@@ -722,8 +722,8 @@ def test_derivation_eq_tells_apart_each_part_and_ignores_sharing_and_time(
         # y is bound to a closure chain 50 deep that ends in the code bottom
         c = Closure(parse_term(bottom), ())
         for _ in range(50):
-            c = Closure(Var("x"), (("x", c),))
-        s = MachState(Var("y"), (("y", c),), stack)
+            c = Closure(Var("x"), ("x", c, ()))
+        s = MachState(Var("y"), ("y", c, ()), stack)
         return Derivation(R_ST, Judgment(KIND_STATE, s, EMPTY_CONTEXT, STAR, 3))
 
     def leaf(kind, subject):
@@ -827,8 +827,8 @@ def test_shared_nodes_are_checked_once_and_counted_at_every_place():
 def test_json_roundtrip_of_hand_built_closures():
     x, y = Var("x"), Var("y")
     inner = Closure(Abs("y", y), ())
-    c = Closure(App(x, x), (("x", inner),))
-    s = MachState(App(x, y), (("x", c), ("y", inner)), (c, inner))
+    c = Closure(App(x, x), ("x", inner, ()))
+    s = MachState(App(x, y), env_cells((("x", c), ("y", inner))), (c, inner))
     d = Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0))
     obj = derivation_to_json(d)
     # x, y, x x, x y, \y.y; (\y.y, []), (x x, [x <- (\y.y, [])])
@@ -862,10 +862,10 @@ def test_render_machine_state():
 
 
 def test_render_closure_env_and_state_subjects():
-    c = Closure(Var("x"), (("x", Closure(parse_term(r"\a.a"), ())),))
+    c = Closure(Var("x"), ("x", Closure(parse_term(r"\a.a"), ()), ()))
     d = Derivation(R_CL, Judgment(KIND_CLOSURE, c, EMPTY_CONTEXT, ClosureMulti((), 2), 0))
     assert render_derivation(d) == r"TCl w=0  . |- (x, [x <- (\a.a, [])]) : []^2"
-    e = (("y", c), ("z", c))
+    e = env_cells((("y", c), ("z", c)))
     g = TypeContext((("y", ClosureMulti((), 2)), ("z", ClosureMulti((), 2))))
     d = Derivation(R_ENV, Judgment(KIND_ENV, e, EMPTY_CONTEXT, g, 0))
     inner = r"(x, [x <- (\a.a, [])])"
@@ -882,7 +882,7 @@ def test_render_a_closure_judgment_nested_20000_deep():
     # interpreter's default recursion limit
     c = Closure(parse_term(r"\a.a"), ())
     for _ in range(20_000):
-        c = Closure(Var("x"), (("x", c),))
+        c = Closure(Var("x"), ("x", c, ()))
     d = Derivation(R_CL, Judgment(KIND_CLOSURE, c, EMPTY_CONTEXT, ClosureMulti((), 20_001), 0))
     assert render_derivation(d) == (
         "TCl w=0  . |- " + "(x, [x <- " * 20_000 + r"(\a.a, [])" + "])" * 20_000 + " : []^20001"

@@ -2,16 +2,18 @@
 extractors, the checker's walk over their derivations and the rewriting
 oracle cost time linear in the run, on the families whose runs grow
 without their code (2^k as (c_k) (c_2) applied to two identities),
-whose code grows with their run ((c_n) applied to two identities), and
-whose stack and spine grow n deep (wide_app: n arguments waiting on
-one n-fold abstraction).
+whose code grows with their run ((c_n) applied to two identities),
+whose stack, spine and plain environment grow n deep (wide_app: n
+arguments waiting on one n-fold abstraction), and whose closures nest
+n deep over a plain environment n deep (the let chain).
 
-On wide_app the guard covers the stages that are linear there: the
-Space KAM's run and replay, extract, check_walk on extract's
-derivation and the oracle.  The plain machine's beta still copies its
-whole environment to bind one name, so its run, its replay and
-extract_kam stay quadratic on wide_app; their guards come with the
-change that links the plain machine's environment.
+Both machines' environments are linked, so a beta binds a name in one
+cell and no step copies an environment: on wide_app and on the let
+chain the plain machine's run, its replay (whose end check pairs each
+shared cell once) and extract_kam are linear too.  The let-chain guard
+covers the machines, their replays and extract_kam; the count guard
+below holds the plain replay's end check to a constant number of pairs
+per binding, with no clock.
 
 Each guard times every stage at a size and at the size with four times
 the transitions, takes the best of 3, and asserts a ratio of at most 6:
@@ -30,6 +32,7 @@ import pytest
 import families
 from spacekam.checker import check_walk
 from spacekam.extractor import extract, extract_kam
+from spacekam import kam
 from spacekam.kam import compile, kam_run
 from spacekam.space_kam import skam_run
 from spacekam.terms import parse_term, whnf_eval
@@ -47,6 +50,10 @@ def _church(n):
 
 def _wide_app(n):
     return compile(parse_term(families.wide_app(n)))
+
+
+def _let_chain(n):
+    return compile(parse_term(families.let_chain(n)))
 
 
 def _stages(t) -> dict:
@@ -85,14 +92,20 @@ def _ratio(stage, stage4) -> float:
     return min(b for _, b in times) / min(a for a, _ in times)
 
 
-# the stages linear on wide_app: the plain machine's beta copies its env there
-LINEAR_ON_WIDE_APP = ("skam_run", "skam replay", "extract", "check_walk", "whnf_eval")
+# every stage but the checker's walk and the oracle: the let chain's
+# derivations and its rewriting are not what grows there
+ON_THE_LET_CHAIN = ("kam_run", "skam_run", "kam replay", "skam replay", "extract_kam")
 
 
 @pytest.mark.parametrize(
     "family, small, large, names",
-    [(_pow2, 10, 12, None), (_church, 512, 2048, None), (_wide_app, 1000, 4000, LINEAR_ON_WIDE_APP)],
-    ids=["pow2", "church", "wide_app"],
+    [
+        (_pow2, 10, 12, None),
+        (_church, 512, 2048, None),
+        (_wide_app, 1000, 4000, None),
+        (_let_chain, 500, 2000, ON_THE_LET_CHAIN),
+    ],
+    ids=["pow2", "church", "wide_app", "let_chain"],
 )
 def test_stages_cost_time_linear_in_the_run(family, small, large, names):
     t, t4 = family(small), family(large)
@@ -110,3 +123,31 @@ def test_stages_cost_time_linear_in_the_run(family, small, large, names):
             ratio = min(ratio, _ratio(stage, stage4))
         ratios[name] = round(ratio, 2)
     assert max(ratios.values()) <= 6, ratios
+
+
+def test_the_plain_replays_end_check_pairs_each_binding_once(monkeypatch):
+    # the plain machine's last state on the n-deep let chain binds n + 1
+    # names, and each closure in it is over a tail of that env.  The
+    # replay builds every cell and closure anew, and its end check pairs
+    # each with the run's once: a constant number of pairs per binding,
+    # where comparing each closure's env in full would pop n^2 / 2
+    real, pops = kam._pairs_equal, []
+
+    class Counted(list):
+        def pop(self):
+            pops[-1] += 1
+            return super().pop()
+
+    def counted(pairs):
+        pops.append(0)
+        return real(Counted(pairs))
+
+    monkeypatch.setattr(kam, "_pairs_equal", counted)
+    per_binding = {}
+    for n in (250, 1000):
+        run = kam_run(_let_chain(n), FUEL)
+        pops.clear()
+        list(run.fires())
+        (count,) = pops
+        per_binding[n] = count / (n + 1)
+    assert max(per_binding.values()) <= 4, per_binding

@@ -44,14 +44,14 @@ from spacekam.extractor import (
     type_final_state,
 )
 from spacekam.hashcons import postorder
-from spacekam.kam import Closure, MachState, compile, kam_run
+from spacekam.kam import Closure, MachState, compile, env_cells, kam_run
 from spacekam.space_kam import skam_run, state_size
 from spacekam.terms import Var, parse_term, print_term
 from spacekam.types import EMPTY_CONTEXT, STAR, ClosureMulti, size_context
 
 IDENT = parse_term(r"\a.a")
 I_CL = Closure(IDENT, ())
-NESTED = Closure(parse_term("x"), (("x", I_CL),))
+NESTED = Closure(parse_term("x"), ("x", I_CL, ()))
 OMEGA = parse_term(r"(\x.x x) (\x.x x)")
 
 
@@ -62,7 +62,7 @@ def church(n):
 def nested(depth):
     c = I_CL
     for _ in range(depth):
-        c = Closure(Var("x"), (("x", c),))
+        c = Closure(Var("x"), ("x", c, ()))
     return c
 
 
@@ -82,7 +82,7 @@ def test_dry_closure_index_is_the_closure_size():
 
 
 def test_dry_env_typing():
-    e = (("x", I_CL), ("y", NESTED))
+    e = env_cells((("x", I_CL), ("y", NESTED)))
     ctx, d = dry_type_env(e)
     assert ctx.get("x") == ClosureMulti((), 1)
     assert ctx.get("y") == ClosureMulti((), 2)
@@ -116,7 +116,7 @@ def test_final_state_typing_weighs_the_state(example_skam):
 
 
 def test_final_state_with_an_environment():
-    s = MachState(parse_term(r"\a.x"), (("x", NESTED),), ())
+    s = MachState(parse_term(r"\a.x"), ("x", NESTED, ()), ())
     d = type_final_state(s)
     assert check(d, "space").ok
     assert weight_of(d, "space") == state_size(s) == 2
@@ -124,7 +124,7 @@ def test_final_state_with_an_environment():
 
 
 def test_final_state_typing_with_a_closure_nested_20000_deep():
-    s = MachState(parse_term(r"\a.x"), (("x", nested(20_000)),), ())
+    s = MachState(parse_term(r"\a.x"), ("x", nested(20_000), ()), ())
     d = type_final_state(s)
     assert d.conclusion.weight == d.time == state_size(s) == 20_001
     assert weight_of(d, "time") == 20_001

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from machine_steps import step
 
+import families
 import spacekam as sk
 from spacekam import kam, space_kam
 from spacekam.kam import (
@@ -20,6 +21,8 @@ from spacekam.kam import (
     StuckState,
     compile,
     decode,
+    env_cells,
+    env_pairs,
     kam_fire,
     kam_run,
     run_summary,
@@ -99,7 +102,7 @@ def test_decode_tracks_head_reduction(example_term, example_kam):
 
 def test_decode_applies_stack_top_first():
     c = Closure(IDENT, ())
-    s = MachState(Var("x"), (("x", c),), (c,))
+    s = MachState(Var("x"), ("x", c, ()), (c,))
     assert decode(s) == parse_term(r"(\a.a) (\a.a)")
 
 
@@ -107,14 +110,14 @@ def test_decode_of_a_deep_closure_chain():
     # deeper than any recursion limit the package sets
     c = Closure(IDENT, ())
     for _ in range(20000):
-        c = Closure(Var("x"), (("x", c),))
+        c = Closure(Var("x"), ("x", c, ()))
     assert decode(c) == IDENT
-    assert decode(MachState(Var("x"), (("x", c),), (c,))) == parse_term(r"(\a.a) (\a.a)")
+    assert decode(MachState(Var("x"), ("x", c, ()), (c,))) == parse_term(r"(\a.a) (\a.a)")
 
 
 def test_decode_substitutes_env():
     c = Closure(IDENT, ())
-    s = MachState(parse_term("x x"), (("x", c),), ())
+    s = MachState(parse_term("x x"), ("x", c, ()), ())
     assert decode(s) == parse_term(r"(\a.a) (\a.a)")
 
 
@@ -172,8 +175,8 @@ def test_trace_row_of_closures_nested_20000_deep():
     # state holds 20,000 of them, each written once, children first
     c = Closure(IDENT, ())
     for _ in range(20_000):
-        c = Closure(Var("x"), (("x", c),))
-    lines = list(run_trace_rows(kam_run(MachState(Var("x"), (("x", c),), ()), 1)))
+        c = Closure(Var("x"), ("x", c, ()))
+    lines = list(run_trace_rows(kam_run(MachState(Var("x"), ("x", c, ()), ()), 1)))
     assert len(lines) == 20_001
     assert lines[0] == r'{"closure": 0, "code": "\\a.a", "env": []}'
     assert lines[1:-1] == [f'{{"closure": {i}, "code": "x", "env": [["x", {i - 1}]]}}' for i in range(1, 20_000)]
@@ -215,11 +218,11 @@ def test_trace_rows_read_back_to_the_replayed_states(machine_run):
             if "closure" in row:
                 assert row.keys() == {"closure", "code", "env"}
                 assert row["closure"] == len(closures)  # each index written once, in order
-                closures.append(Closure(term(row["code"]), tuple((x, built(i)) for x, i in row["env"])))
+                closures.append(Closure(term(row["code"]), env_cells([(x, built(i)) for x, i in row["env"]])))
                 continue
             step, (label, s) = next(replayed)
             assert (row["step"], row["label"]) == (step, label)
-            env = tuple((x, built(i)) for x, i in row["env"])
+            env = env_cells([(x, built(i)) for x, i in row["env"]])
             got = MachState(term(row["code"]), env, tuple(map(built, row["stack"])))
             assert got == s
             if run.space is None:
@@ -350,15 +353,28 @@ def test_a_run_builds_one_state_and_its_trace_one_per_transition(monkeypatch, ma
 _MOVES = {"sea": 1, "sea_v": 1, "sea_nv": 1, "beta": -1, "beta_w": -1, "beta_nw": -1, "sub": 0}
 
 
-@pytest.mark.parametrize("machine_run, deepest", [(kam_run, 228), (skam_run, 921)], ids=["kam", "skam"])
-def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run, deepest):
-    # fuzz seed 50 stops on fuel with its stack at its deepest.  The fire
-    # functions link their stacks: a push is one cell over the stack it
-    # was given, a pop is that stack's rest, and a sub keeps the stack,
-    # so no transition copies it.  The states a run builds keep tuples.
-    run = machine_run(compile(sk.random_closed_term(50, 25)), 2000)
+@pytest.mark.parametrize(
+    "machine_run, source, fuel, deepest, last",
+    [
+        (kam_run, sk.random_closed_term(50, 25), 2000, 228, 228),
+        (skam_run, sk.random_closed_term(50, 25), 2000, 921, 921),
+        (skam_run, parse_term(families.wide_app(300)), 10_000, 300, 0),
+    ],
+    ids=["kam", "skam", "skam wide_app"],
+)
+def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run, source, fuel, deepest, last):
+    # fuzz seed 50 stops on fuel with its stack at its deepest, and
+    # wide_app binds x0 by beta_nw and drops the other 299 arguments by
+    # beta_w before its stack runs empty.  The fire functions link their
+    # stacks and environments: a push is one cell over the stack it was
+    # given, a pop is that stack's rest, and a sub keeps the stack, so no
+    # transition copies it; a beta binds its name in one cell over the
+    # env it fired from, and a beta_w keeps that env, so neither copies
+    # it.  The states a run builds keep tuples.
+    run = machine_run(compile(source), fuel)
     prev, depth, depths = stack_cells(run.initial.stack), len(run.initial.stack), []
-    for i, (label, _, _, stack) in enumerate(run.fires(), start=1):
+    prev_env, seen = run.initial.env, set()
+    for i, (label, _, env, stack) in enumerate(run.fires(), start=1):
         move = _MOVES[label]
         if move > 0:
             assert stack[1] is prev, i
@@ -366,13 +382,19 @@ def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run
             assert stack is prev[1], i
         else:
             assert stack is prev, i
-        prev, depth = stack, depth + move
+        if label in ("beta", "beta_nw"):
+            assert env[2] is prev_env, i
+        elif label == "beta_w":
+            assert env is prev_env, i
+        prev, prev_env, depth = stack, env, depth + move
         depths.append(depth)
-    assert max(depths) == depths[-1] == deepest
+        seen.add(label)
+    assert "beta" in seen or "beta_nw" in seen
+    assert (max(depths), depths[-1]) == (deepest, last)
     states = [s for _, s in run.trace]
     assert [len(s.stack) for s in states] == depths
     assert all(type(s.stack) is tuple for s in (*states, run.last))
-    assert run.last.stack == states[-1].stack and len(run.last.stack) == deepest
+    assert run.last.stack == states[-1].stack and len(run.last.stack) == last
 
 
 @pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
@@ -416,13 +438,13 @@ def test_machine_agrees_with_rewriting(seed):
 def _chain(depth, base=IDENT):
     c = Closure(base, ())
     for _ in range(depth):
-        c = Closure(Var("x"), (("x", c),))
+        c = Closure(Var("x"), ("x", c, ()))
     return c
 
 
 def test_fields_cannot_be_assigned_or_deleted():
     c = Closure(IDENT, ())
-    s = MachState(Var("x"), (("x", c),), (c,))
+    s = MachState(Var("x"), ("x", c, ()), (c,))
     for obj, names in ((c, ("code", "env", "_size", "size", "other")), (s, ("code", "env", "stack", "other"))):
         for name in names:
             with pytest.raises(AttributeError):
@@ -430,7 +452,7 @@ def test_fields_cannot_be_assigned_or_deleted():
             with pytest.raises(AttributeError):
                 delattr(obj, name)
     assert (c.code, c.env) == (IDENT, ())
-    assert (s.code, s.env, s.stack) == (Var("x"), (("x", c),), (c,))
+    assert (s.code, s.env, s.stack) == (Var("x"), ("x", c, ()), (c,))
     assert not hasattr(c, "__dict__") and not hasattr(s, "__dict__")
 
 
@@ -441,33 +463,33 @@ def test_repr_is_the_field_by_field_form():
     c.size  # the cached size takes no part in repr
     assert repr(c) == cr
     assert repr(MachState(Var("x"), (), ())) == "MachState(code=Var(name='x'), env=(), stack=())"
-    assert repr(MachState(Var("x"), (("x", c), ("y", c)), (c,))) == (
-        f"MachState(code=Var(name='x'), env=(('x', {cr}), ('y', {cr})), stack=({cr},))"
+    assert repr(MachState(Var("x"), env_cells((("x", c), ("y", c))), (c,))) == (
+        f"MachState(code=Var(name='x'), env=('x', {cr}, ('y', {cr}, ())), stack=({cr},))"
     )
 
 
 def test_equality_and_hash_follow_the_fields():
     c, d = Closure(IDENT, ()), Closure(parse_term(r"\a.a"), ())
     assert c == d and hash(c) == hash(d) and c is not d
-    assert Closure(Var("x"), (("x", c),)) == Closure(Var("x"), (("x", d),))
-    assert Closure(Var("x"), (("x", c),)) != Closure(Var("x"), (("y", c),))
-    assert Closure(Var("x"), (("x", c),)) != Closure(Var("x"), (("x", c), ("x", c)))
+    assert Closure(Var("x"), ("x", c, ())) == Closure(Var("x"), ("x", d, ()))
+    assert Closure(Var("x"), ("x", c, ())) != Closure(Var("x"), ("y", c, ()))
+    assert Closure(Var("x"), ("x", c, ())) != Closure(Var("x"), ("x", c, ("x", c, ())))
     assert Closure(IDENT, ()) != Closure(parse_term(r"\b.b"), ())
-    s = MachState(Var("x"), (("x", c),), (c,))
-    assert s == MachState(Var("x"), (("x", d),), (d,))
-    assert hash(s) == hash(MachState(Var("x"), (("x", d),), (d,)))
-    assert s != MachState(Var("x"), (("x", c),), ())
-    assert s != MachState(Var("x"), (("x", c),), (Closure(parse_term(r"\b.b"), ()),))
+    s = MachState(Var("x"), ("x", c, ()), (c,))
+    assert s == MachState(Var("x"), ("x", d, ()), (d,))
+    assert hash(s) == hash(MachState(Var("x"), ("x", d, ()), (d,)))
+    assert s != MachState(Var("x"), ("x", c, ()), ())
+    assert s != MachState(Var("x"), ("x", c, ()), (Closure(parse_term(r"\b.b"), ()),))
     # a closure is not a state, and neither equals a plain tuple of its fields
     assert MachState(IDENT, (), ()) != Closure(IDENT, ())
-    assert c != (IDENT, ()) and s != (Var("x"), (("x", c),), (c,))
-    assert len({c, d, s, MachState(Var("x"), (("x", d),), (d,))}) == 2
+    assert c != (IDENT, ()) and s != (Var("x"), ("x", c, ()), (c,))
+    assert len({c, d, s, MachState(Var("x"), ("x", d, ()), (d,))}) == 2
 
 
 def test_copy_deepcopy_and_pickle_give_equal_objects(example_kam, example_skam):
     for run in (example_kam, example_skam):
         for s in _states(run):
-            for c in (*s.stack, *(c for _, c in s.env)):
+            for c in (*s.stack, *(c for _, c in env_pairs(s.env))):
                 for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
                     assert type(other) is Closure and other == c and hash(other) == hash(c)
                     assert other.size == c.size
@@ -502,14 +524,14 @@ def test_eq_hash_repr_of_closures_nested_20000_deep():
     assert a != other and not a == other
     assert hash(a) == hash(b)
     inner = "Closure(code=Abs(binder='a', body=Var(name='a')), env=())"
-    want = "Closure(code=Var(name='x'), env=(('x', " * 20_000 + inner + "),))" * 20_000
+    want = "Closure(code=Var(name='x'), env=('x', " * 20_000 + inner + ", ()))" * 20_000
     assert repr(a) == want
     # a state that holds the chain in its env and on its stack
-    s, t = MachState(Var("x"), (("x", a),), (a,)), MachState(Var("x"), (("x", b),), (b,))
+    s, t = MachState(Var("x"), ("x", a, ()), (a,)), MachState(Var("x"), ("x", b, ()), (b,))
     assert s == t and hash(s) == hash(t)
-    assert s != MachState(Var("x"), (("x", a),), (other,))
-    assert s != MachState(Var("x"), (("x", other),), (a,))
-    assert repr(s) == f"MachState(code=Var(name='x'), env=(('x', {want}),), stack=({want},))"
+    assert s != MachState(Var("x"), ("x", a, ()), (other,))
+    assert s != MachState(Var("x"), ("x", other, ()), (a,))
+    assert repr(s) == f"MachState(code=Var(name='x'), env=('x', {want}, ()), stack=({want},))"
 
 
 def test_closure_rows_number_each_distinct_closure_once_children_first():
@@ -517,21 +539,21 @@ def test_closure_rows_number_each_distinct_closure_once_children_first():
     table = kam.ClosureRows()
     assert table.add(a) == table.add(b) == 3
     assert table.add(_chain(2)) == 2
-    assert table.add(Closure(Var("y"), (("y", b),))) == 4
+    assert table.add(Closure(Var("y"), ("y", b, ()))) == 4
     assert table.rows == [(IDENT, ())] + [(Var("x"), (("x", i),)) for i in range(3)] + [(Var("y"), (("y", 3),))]
 
 
 def test_pickle_of_closures_and_states_20000_deep():
     assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
     a = _chain(20_000)
-    s = MachState(Var("x"), (("x", a),), (a, _chain(3)))
+    s = MachState(Var("x"), ("x", a, ()), (a, _chain(3)))
     back = pickle.loads(pickle.dumps(a))
     assert type(back) is Closure and back is not a and back == a
     assert back.size == a.size == 20_001
     other = pickle.loads(pickle.dumps(s))
     assert type(other) is MachState and other == s and hash(other) == hash(s)
     # a closure the state holds twice comes back as one object
-    assert other.env[0][1] is other.stack[0]
+    assert other.env[1] is other.stack[0]
     assert copy.copy(s) == s and copy.deepcopy(s) == s
 
 
@@ -540,8 +562,8 @@ def test_equality_compares_each_shared_pair_once():
     # equality visits each pair of closure objects once
     a, b = Closure(IDENT, ()), Closure(IDENT, ())
     for _ in range(200):
-        a = Closure(parse_term("x y"), (("x", a), ("y", a)))
-        b = Closure(parse_term("x y"), (("x", b), ("y", b)))
+        a = Closure(parse_term("x y"), env_cells((("x", a), ("y", a))))
+        b = Closure(parse_term("x y"), env_cells((("x", b), ("y", b))))
     assert a == b
 
 
@@ -554,7 +576,7 @@ def _decode_every_binding(s):
     def cl(c):
         if id(c) not in memo:
             t = c.code
-            for x, e in c.env:
+            for x, e in env_pairs(c.env):
                 t = subst(t, x, cl(e))
             memo[id(c)] = t
         return memo[id(c)]
@@ -585,7 +607,7 @@ def test_decode_reads_back_only_the_bindings_the_code_uses(monkeypatch):
     # back all of them would substitute 501,501 bindings
     n = 1000
     run = kam_run(compile(_let_chain(n)), 10 * n)
-    assert run.final_reached and len(run.final.env) == n + 1
+    assert run.final_reached and len(env_pairs(run.final.env)) == n + 1
     bindings = []
 
     def counted(t, sigma, avoid):
@@ -603,5 +625,5 @@ def test_decode_substitutes_a_closures_bindings_at_once(swap):
     # x reads back to the open term y, which y's own binding must not
     # reach, whichever of the two comes first in the env
     env = (("x", Closure(Var("y"), ())), ("y", Closure(IDENT, ())))
-    c = Closure(parse_term("x y"), env[::-1] if swap else env)
+    c = Closure(parse_term("x y"), env_cells(env[::-1] if swap else env))
     assert print_term(decode(c)) == r"y (\a.a)"

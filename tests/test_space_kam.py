@@ -8,7 +8,7 @@ from machine_steps import step
 import spacekam as sk
 from spacekam import kam, space_kam
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, MachState, compile, run_summary, run_trace_rows
+from spacekam.kam import Closure, MachState, compile, env_cells, env_pairs, run_summary, run_trace_rows
 from spacekam.space_kam import (
     InvariantViolation,
     check_env_domain_invariant,
@@ -37,26 +37,26 @@ def test_size_of_env_free_closure():
 
 
 def test_size_nested_closure():
-    inner = Closure(parse_term("x"), (("x", I_CL),))
+    inner = Closure(parse_term("x"), ("x", I_CL, ()))
     assert inner.size == 2
 
 
 def test_state_size_sums_env_and_stack():
-    s = MachState(parse_term("x"), (("x", I_CL),), (I_CL,))
+    s = MachState(parse_term("x"), ("x", I_CL, ()), (I_CL,))
     assert state_size(s) == 2
 
 
 def nested_closure(depth):
     c = I_CL
     for _ in range(depth):
-        c = Closure(Var("x"), (("x", c),))
+        c = Closure(Var("x"), ("x", c, ()))
     return c
 
 
 def test_sizes_of_deeply_nested_closures():
     assert nested_closure(20000).size == 20001
     c = nested_closure(20000)
-    assert state_size(MachState(Var("x"), (("x", c),), (c, I_CL))) == 40003
+    assert state_size(MachState(Var("x"), ("x", c, ()), (c, I_CL))) == 40003
 
 
 def test_initial_state_has_size_zero(example_term):
@@ -66,32 +66,37 @@ def test_initial_state_has_size_zero(example_term):
 # ---------------------------------------------------------------- restriction
 
 def test_env_restrict_keeps_needed_entries():
-    e = (("x", I_CL), ("y", I_CL))
-    assert env_restrict(e, parse_term("y").fv) == (("y", I_CL),)
+    e = env_cells((("x", I_CL), ("y", I_CL)))
+    assert env_restrict(e, parse_term("y").fv) == ("y", I_CL, ())
 
 
 def test_env_restrict_keeps_order_and_first_binding():
-    c2 = Closure(parse_term("x"), (("x", I_CL),))
-    e = (("y", I_CL), ("x", c2), ("x", I_CL))
-    assert env_restrict(e, {"x", "y"}) == (("y", I_CL), ("x", c2))
+    c2 = Closure(parse_term("x"), ("x", I_CL, ()))
+    e = env_cells((("y", I_CL), ("x", c2), ("x", I_CL)))
+    assert env_pairs(env_restrict(e, {"x", "y"})) == (("y", I_CL), ("x", c2))
 
 
 def test_env_restrict_to_nothing_is_empty():
-    assert env_restrict((("x", I_CL),), frozenset()) == ()
+    assert env_restrict(("x", I_CL, ()), frozenset()) == ()
 
 
 def test_env_restrict_stops_reading_once_every_name_has_a_binding():
     # a plain machine env holds every binding below the newest, and
     # decode restricts each closure's env to its code's names
-    c2 = Closure(parse_term("x"), (("x", I_CL),))
+    c2 = Closure(parse_term("x"), ("x", I_CL, ()))
+
+    class Unread(tuple):  # a cell that fails when it is read
+        def __getitem__(self, i):
+            raise AssertionError("read past the last binding kept")
+
+        __iter__ = __getitem__
 
     def env():
-        yield ("y", I_CL)
-        yield ("z", I_CL)
-        yield ("x", c2)
-        raise AssertionError("read past the last binding kept")
+        return ("y", I_CL, ("z", I_CL, ("x", c2, Unread(("w", I_CL, ())))))
 
-    assert env_restrict(env(), frozenset({"x", "y"})) == (("y", I_CL), ("x", c2))
+    kept = env_restrict(env(), frozenset({"x", "y"}))
+    assert env_pairs(kept) == (("y", I_CL), ("x", c2))
+    assert kept[2][2] == ()  # new cells, which end where the kept bindings do
     assert env_restrict(env(), frozenset()) == ()
     assert kam.env_restrict is env_restrict  # decode and the Space KAM share it
 
@@ -140,7 +145,7 @@ def test_example_counts(example_skam):
 def test_example_envs_stay_tight(example_skam):
     # binding pushed by beta lands at the front of the environment
     s4 = example_skam.trace[3][1]
-    assert [name for name, _ in s4.env] == ["y", "x"]
+    assert [name for name, _ in env_pairs(s4.env)] == ["y", "x"]
     for s in all_states(example_skam):
         assert check_env_domain_invariant(s)
 
@@ -159,27 +164,27 @@ def test_weakening_beta_drops_the_argument(example_skam):
 # ---------------------------------------------------------------- stepping
 
 def test_step_requires_domain_equals_free_vars():
-    s = MachState(parse_term("x"), (("x", I_CL), ("y", I_CL)), ())
+    s = MachState(parse_term("x"), env_cells((("x", I_CL), ("y", I_CL))), ())
     with pytest.raises(InvariantViolation):
         step(skam_fire, s)
 
 
 def test_step_requires_no_missing_bindings():
-    s = MachState(parse_term("x y"), (("x", I_CL),), ())
+    s = MachState(parse_term("x y"), ("x", I_CL, ()), ())
     with pytest.raises(InvariantViolation):
         step(skam_fire, s)
 
 
 def test_variable_step_requires_singleton_env():
     # a variable whose env carries a stale entry is a hard error
-    s = MachState(parse_term("x"), (("y", I_CL), ("x", I_CL)), ())
+    s = MachState(parse_term("x"), env_cells((("y", I_CL), ("x", I_CL))), ())
     with pytest.raises(InvariantViolation):
         step(skam_fire, s)
 
 
 def test_variable_step_rejects_duplicate_bindings():
     # dom(env) = fv(code) holds as a set, but the env is not a singleton
-    s = MachState(parse_term("x"), (("x", I_CL), ("x", I_CL)), ())
+    s = MachState(parse_term("x"), env_cells((("x", I_CL), ("x", I_CL))), ())
     with pytest.raises(InvariantViolation):
         step(skam_fire, s)
 
@@ -193,7 +198,7 @@ _CODES = tuple(parse_term(t) for t in (
     r"\a. x y a", r"(\a.a) (\b.b)", "x (y z)", r"(\a. x) y", r"(\a. a) (z x)",
 ))
 _NAMES = ("x", "y", "z")
-_CLOSURES = (I_CL, Closure(parse_term("x"), (("x", I_CL),)), Closure(IDENT, ()))
+_CLOSURES = (I_CL, Closure(parse_term("x"), ("x", I_CL, ())), Closure(IDENT, ()))
 
 
 @st.composite
@@ -214,46 +219,47 @@ def _tampered_states(draw):
         env.insert(draw(st.integers(0, len(env))), (x, draw(closures)))
     elif how == "random":
         env = draw(st.lists(st.tuples(st.sampled_from(_NAMES), closures), max_size=4))
-    return MachState(t, tuple(env), tuple(draw(st.lists(closures, max_size=2))))
+    return MachState(t, env_cells(env), tuple(draw(st.lists(closures, max_size=2))))
 
 
 @given(_tampered_states())
-@example(MachState(parse_term("x x"), (("x", I_CL), ("x", _CLOSURES[1])), ()))
-@example(MachState(parse_term("x"), (("x", I_CL), ("x", _CLOSURES[1])), ()))
+@example(MachState(parse_term("x x"), env_cells((("x", I_CL), ("x", _CLOSURES[1]))), ()))
+@example(MachState(parse_term("x"), env_cells((("x", I_CL), ("x", _CLOSURES[1]))), ()))
 @example(MachState(parse_term("x y"), (), ()))
-@example(MachState(parse_term("x y"), (("x", I_CL), ("x", I_CL)), ()))
-@example(MachState(parse_term("x y"), (("x", I_CL), ("z", I_CL)), ()))
-@example(MachState(parse_term("x y"), (("y", I_CL), ("x", I_CL)), ()))
-@example(MachState(IDENT, (("x", I_CL),), (I_CL,)))
+@example(MachState(parse_term("x y"), env_cells((("x", I_CL), ("x", I_CL))), ()))
+@example(MachState(parse_term("x y"), env_cells((("x", I_CL), ("z", I_CL))), ()))
+@example(MachState(parse_term("x y"), env_cells((("y", I_CL), ("x", I_CL))), ()))
+@example(MachState(IDENT, ("x", I_CL, ()), (I_CL,)))
 @settings(max_examples=600, deadline=None)
 def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
     # the check skam_fire makes without a set for envs of 0, 1 or 2
     # entries, against the comparison of sizes and sets it stands for;
     # and the envs it passes on as they are, against restricting them
     t, e = s.code, s.env
-    if len(e) != len(t.fv) or {x for x, _ in e} != t.fv:
+    pairs = env_pairs(e)
+    if len(pairs) != len(t.fv) or {x for x, _ in pairs} != t.fv:
         with pytest.raises(InvariantViolation, match="environment domain"):
             step(skam_fire, s)
         return
     nxt = step(skam_fire, s)
     if type(t) is App:
         label, after = nxt
-        assert after.env == env_restrict(e, t.fun.fv)
-        if len(t.fun.fv) == len(e):
+        assert env_pairs(after.env) == env_pairs(env_restrict(e, t.fun.fv))
+        if len(t.fun.fv) == len(pairs):
             assert after.env is e
         if type(t.arg) is not Var:
-            assert after.stack[0].env == env_restrict(e, t.arg.fv)
-            if len(t.arg.fv) == len(e):
+            assert env_pairs(after.stack[0].env) == env_pairs(env_restrict(e, t.arg.fv))
+            if len(t.arg.fv) == len(pairs):
                 assert after.stack[0].env is e
 
 
 def test_check_env_domain_invariant_flags_stale_entry():
-    bad = MachState(parse_term("x"), (("x", I_CL), ("y", I_CL)), ())
+    bad = MachState(parse_term("x"), env_cells((("x", I_CL), ("y", I_CL))), ())
     assert not check_env_domain_invariant(bad)
 
 
 def test_a_name_bound_twice_breaks_the_invariant():
-    twice = (("x", I_CL), ("x", I_CL))
+    twice = env_cells((("x", I_CL), ("x", I_CL)))
     s = MachState(parse_term("x x"), twice, ())
     with pytest.raises(InvariantViolation, match=r"environment domain \['x', 'x'\]"):
         skam_run(s, 100)
@@ -262,15 +268,15 @@ def test_a_name_bound_twice_breaks_the_invariant():
 
 
 def test_check_env_domain_invariant_descends_into_closures():
-    bad_cl = Closure(IDENT, (("z", I_CL),))
-    s = MachState(parse_term("x"), (("x", bad_cl),), ())
+    bad_cl = Closure(IDENT, ("z", I_CL, ()))
+    s = MachState(parse_term("x"), ("x", bad_cl, ()), ())
     assert not check_env_domain_invariant(s)
 
 
 def test_run_invariant_flags_a_stale_entry_in_a_shared_closure():
-    bad_cl = Closure(IDENT, (("z", I_CL),))
+    bad_cl = Closure(IDENT, ("z", I_CL, ()))
     ok_state = MachState(IDENT, (), (I_CL,))
-    shares_bad = MachState(parse_term("x"), (("x", bad_cl),), (I_CL,))
+    shares_bad = MachState(parse_term("x"), ("x", bad_cl, ()), (I_CL,))
     for states in ([ok_state, shares_bad], [shares_bad, ok_state], [shares_bad, shares_bad]):
         assert not check_run_env_domain_invariant(states)
     # the stack is walked top last: I_CL, already visited, comes off
@@ -278,14 +284,14 @@ def test_run_invariant_flags_a_stale_entry_in_a_shared_closure():
     later = MachState(IDENT, (), (bad_cl, I_CL))
     assert not check_run_env_domain_invariant([ok_state, later])
     # the same, one level down: a good closure whose env holds the bad one
-    outer = Closure(parse_term("x"), (("x", bad_cl),))
+    outer = Closure(parse_term("x"), ("x", bad_cl, ()))
     assert not check_run_env_domain_invariant([ok_state, MachState(IDENT, (), (outer, I_CL))])
     assert check_run_env_domain_invariant([ok_state, ok_state])
     assert check_run_env_domain_invariant([])
 
 
 def test_run_invariant_agrees_with_the_per_state_check():
-    stale = Closure(IDENT, (("z", I_CL),))
+    stale = Closure(IDENT, ("z", I_CL, ()))
     for seed in range(200):
         run = skam_run(compile(random_closed_term(seed, 25)), 2000)
         states = all_states(run)
@@ -294,10 +300,10 @@ def test_run_invariant_agrees_with_the_per_state_check():
         assert check_run_env_domain_invariant(iter(states))
         # plant a stale closure in the last state, below a closure that
         # earlier states hold, so the run-level walk has seen it already
-        earlier = [c for p in states[:-1] for c in (*p.stack, *(d for _, d in p.env))]
+        earlier = [c for p in states[:-1] for c in (*p.stack, *(d for _, d in env_pairs(p.env)))]
         shared = earlier[0] if earlier else I_CL
         s = states[-1]
-        wrapped = Closure(parse_term("x"), (("x", stale),))
+        wrapped = Closure(parse_term("x"), ("x", stale, ()))
         bad = MachState(s.code, s.env, s.stack + (wrapped, shared))
         planted = states[:-1] + [bad]
         assert not check_env_domain_invariant(bad)
