@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .hashcons import Table, write_repr
-from .kam import Closure, ClosureRows, MachState, Run, _pairs_equal, env_cells, env_pairs
+from .kam import Closure, ClosureRows, MachState, Run, _pairs_equal, env_cells, env_pairs, stack_cells, stack_tuple
 from .terms import Abs, App, Var, is_name, print_term
 from .types import (
     Arrow,
@@ -626,11 +626,11 @@ def _check_tst(d, err, mode):
     if type(c.assigned) is not Star:
         err("TSt assigns the ground type")
         return
-    s = c.subject
-    if len(d.premises) != 2 + len(s.stack):
+    s, stack = c.subject, stack_tuple(c.subject.stack)  # one premise per stack closure
+    if len(d.premises) != 2 + len(stack):
         err(
             f"TSt takes a term, an environment and one premise per stack "
-            f"closure, found {len(d.premises)} for a stack of {len(s.stack)}"
+            f"closure, found {len(d.premises)} for a stack of {len(stack)}"
         )
         return
     pt = d.premises[0].conclusion
@@ -647,7 +647,7 @@ def _check_tst(d, err, mode):
     # the code's type must spend one arrow per stack closure, top first,
     # and bottom out at the ground type
     a = pt.assigned
-    for i, cl in enumerate(s.stack):
+    for i, cl in enumerate(stack):
         if type(a) is not Arrow:
             err(f"code type runs out of arrows at stack position {i}")
             return
@@ -1073,7 +1073,7 @@ class _Tables:
         if kind == KIND_STATE:
             code = self.terms.add(subject.code)
             env, env_key = self.env(subject.env)
-            stack = [self.closure(c) for c in subject.stack]
+            stack = [self.closure(c) for c in stack_tuple(subject.stack)]
             return {"code": code, "env": env, "stack": stack}, (code, env_key, tuple(stack))
         raise ValueError(f"unknown subject kind {kind!r}")
 
@@ -1177,7 +1177,7 @@ class _Decoder:
             return MachState(
                 self.term(obj["code"]),
                 _env_from_json(obj["env"], self.closures),
-                tuple(self.closure(c) for c in obj["stack"]),
+                stack_cells([self.closure(c) for c in obj["stack"]]),
             )
         raise ValueError(f"unknown subject kind {kind!r}")
 
@@ -1257,7 +1257,7 @@ def _subject_str(kind, subject):
         items = _env_items(subject)
     else:
         items = ["(", print_term(subject.code), " | ", *_env_items(subject.env), " | "]
-        for i, c in enumerate(subject.stack):
+        for i, c in enumerate(stack_tuple(subject.stack)):
             items += (" . ", c) if i else (c,)
         items.append(")")
     out = []

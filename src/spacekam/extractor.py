@@ -104,7 +104,7 @@ from .checker import (
     rule_weight,
 )
 from .hashcons import postorder
-from .kam import LABEL_BETA, Closure, Env, MachState, Run, env_names, env_pairs, stack_cells, stack_tuple, state_sizes
+from .kam import LABEL_BETA, Closure, Env, MachState, Run, env_names, env_pairs, state_sizes
 from .space_kam import (
     LABEL_BETA_NW,
     LABEL_BETA_W,
@@ -421,7 +421,7 @@ def _read_state(d: Derivation) -> tuple:
 def _check_final(s: MachState) -> None:
     if type(s.code) is not Abs or s.stack:
         raise NotFinal(
-            f"not a final state: code {print_term(s.code)}, stack of {len(s.stack)}"
+            f"not a final state: code {print_term(s.code)}, stack {'not ' if s.stack else ''}empty"
         )
 
 
@@ -465,18 +465,17 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
     label, source = step
     if prev.rule != R_ST:
         raise ShapeMismatch("only a state derivation can be expanded")
-    args = stack_cells(source.stack)
-    got = skam_fire(source.code, source.env, args)
+    got = skam_fire(source.code, source.env, source.stack)
     if got is None:
         raise ShapeMismatch("the source state is final and fires nothing")
     if got[0] != label:
         raise ShapeMismatch(f"the source state fires {got[0]}, not {label}")
-    if prev.conclusion.subject != MachState(got[1], got[2], stack_tuple(got[3])):
+    if prev.conclusion.subject != MachState(*got[1:]):
         raise ShapeMismatch(
             "the derivation's subject is not the target of the transition"
         )
     b = _Builder()
-    st = _UNDO[label](b, source.code, source.env, args, _read_state(prev))
+    st = _UNDO[label](b, source.code, source.env, source.stack, _read_state(prev))
     return b.mint_state(source, st)
 
 
@@ -568,16 +567,15 @@ _UNDO = {
 
 def _complete_states(run: Run) -> tuple[list, MachState]:
     """A complete run's states replayed anew, as (label fired into it,
-    code, env, stack), envs and stacks as linked cells, and its final state, the
-    one MachState built."""
+    code, env, stack), envs and stacks as linked cells, and its final
+    state, the one MachState built."""
     if not run.final_reached:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
         )
     s = run.initial
-    states = [(None, s.code, s.env, stack_cells(s.stack)), *run.fires()]
-    _, code, env, stack = states[-1]
-    final = MachState(code, env, stack_tuple(stack))
+    states = [(None, s.code, s.env, s.stack), *run.fires()]
+    final = MachState(*states[-1][1:])
     _check_final(final)
     return states, final
 

@@ -16,9 +16,9 @@ AttributeError all the same.  ==, hash and repr walk closures and
 environments with explicit stacks, so neither nesting nor environment
 depth is limited by the interpreter's recursion limit; copy and pickle
 rebuild them from the flat table of the closures they hold
-(ClosureRows), at any depth.  A raw environment is a nested tuple, so
-it never meets Python's own tuple ==, hash or pickle, which recurse:
-_pairs_equal compares environments and ClosureRows writes them.
+(ClosureRows), at any depth.  A raw environment or stack is a nested
+tuple, so it never meets Python's own tuple ==, hash or pickle, which
+recurse: _pairs_equal compares them and ClosureRows writes them.
 
 Transitions:
 
@@ -37,15 +37,15 @@ trace: the machines are deterministic, so Run.fires replays the run's
 bare tuples, which the extractors walk, and Run.trace the states built
 from them, on each read.
 
-The stack a fire function takes and returns is linked: a cell (top,
-rest), or () when empty.  A push builds one cell over the stack it
-was given and a pop returns the rest, so neither copies the stack, and
-successive stacks share every cell below their top.  A MachState keeps
-its stack as a tuple, top first; stack_cells and stack_tuple cross
-that boundary, once where a run or a replay starts and once for each
-state or trace row built from one.  Closures and states keep their
-environments linked, as the fire functions do; env_cells and env_pairs
-convert (name, closure) pairs to and from that one shape.
+The stack is linked too, in the fire functions and in MachState.stack
+alike: a cell (top, rest), or () when empty.  A push builds one cell
+over the stack it was given and a pop returns the rest, so neither
+copies the stack, successive stacks share every cell below their top,
+and a run, its replay and its states all hold the one chain; nothing
+converts at a run's or a replay's edge.  env_cells and env_pairs
+convert (name, closure) pairs, and stack_cells and stack_tuple closure
+sequences, to and from the linked shapes where states meet a format:
+pickle rows, files, trace rows and hand-built states.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ _size_of = attrgetter("_size")  # None until worked out; a size is at least 1
 _second = itemgetter(1)
 
 Env = tuple  # a linked environment: () or (name, closure, the cells below it)
-Stack = tuple[Closure, ...]
-Cells = tuple  # a linked stack: () or (top closure, the cells below it)
+Stack = tuple  # a linked stack: () or (top closure, the cells below it)
 
 
 def env_cells(pairs) -> Env:
@@ -163,20 +162,20 @@ def _env_closures(c: Closure) -> list:
     return out
 
 
-def stack_cells(stack: Stack) -> Cells:
-    """A state's stack as linked cells, top first."""
-    cells = ()
-    for c in reversed(stack):
-        cells = (c, cells)
-    return cells
+def stack_cells(closures) -> Stack:
+    """Closures, top first, as a linked stack."""
+    k = ()
+    for c in reversed(closures):
+        k = (c, k)
+    return k
 
 
-def stack_tuple(cells: Cells) -> Stack:
-    """Linked cells as a state's stack, top first."""
+def stack_tuple(k: Stack) -> tuple:
+    """A linked stack's closures, top first."""
     out = []
-    while cells:
-        out.append(cells[0])
-        cells = cells[1]
+    while k:
+        out.append(k[0])
+        k = k[1]
     return tuple(out)
 
 
@@ -199,7 +198,11 @@ class MachState(Frozen):
         return self is other or _pairs_equal([(self, other)])
 
     def __hash__(self):
-        return hash((self.code, env_names(self.env), len(self.stack)))
+        depth, k = 0, self.stack
+        while k:
+            depth += 1
+            k = k[1]
+        return hash((self.code, env_names(self.env), depth))
 
     def __reduce__(self):
         return _from_table, _table(self.code, self.env, self.stack)
@@ -238,10 +241,10 @@ class ClosureRows:
 def _table(code, env, stack) -> tuple:
     """A closure (stack None) or a state as the arguments of _from_table:
     the rows of every closure it holds (ClosureRows), then its code, its
-    env as (name, row) pairs and its stack as rows."""
+    env as (name, row) pairs and its stack as rows, top first."""
     table = ClosureRows()
     env = tuple((x, table.add(c)) for x, c in env_pairs(env))
-    return table.rows, code, env, None if stack is None else tuple(map(table.add, stack))
+    return table.rows, code, env, None if stack is None else tuple(map(table.add, stack_tuple(stack)))
 
 
 def _from_table(rows, code, env, stack):
@@ -252,17 +255,17 @@ def _from_table(rows, code, env, stack):
     env = env_cells([(x, built[i]) for x, i in env])
     if stack is None:
         return Closure(code, env)
-    return MachState(code, env, tuple(built[i] for i in stack))
+    return MachState(code, env, stack_cells([built[i] for i in stack]))
 
 
 def _pairs_equal(pairs: list) -> bool:
-    """Whether each pair in pairs is equal: pairs of closures, of states
-    (code, env and stack), of environment cells, or of other values
-    (terms, say), compared by ==.  One walk with an explicit stack
-    compares each pair of objects once, however deep or shared the
-    closures and environments are, so a pair of tails that a pair of
-    closures shares with a pair of states is walked once.  The caller
-    holds both sides alive, so ids are stable."""
+    """Whether each pair in pairs is equal: closures, states (code, env
+    and stack), tuples (environment and stack cells, paired element by
+    element, identical elements skipped), or other values (terms, say),
+    compared by ==.  One walk with an explicit stack compares each pair
+    of objects once, however deep or shared the closures and chains are,
+    so a tail that a pair of closures shares with a pair of states is
+    walked once.  The caller holds both sides alive, so ids are stable."""
     seen = set()
     while pairs:
         c, d = pairs.pop()
@@ -272,22 +275,15 @@ def _pairs_equal(pairs: list) -> bool:
         kind = type(c)
         if kind is not type(d):
             return False
-        if kind is tuple:  # an environment cell, or ()
-            if len(c) != 3 or len(d) != 3:
-                if c != d:
-                    return False
-                continue
-            if c[0] != d[0]:
+        if kind is tuple:  # an environment or stack cell, or ()
+            if len(c) != len(d):
                 return False
-            pairs.append((c[2], d[2]))
-            pairs.append((c[1], d[1]))
+            pairs += [p for p in zip(c, d) if p[0] is not p[1]]
         elif kind is Closure or kind is MachState:
             if c.code is not d.code:
                 return False
             if kind is MachState:
-                if len(c.stack) != len(d.stack):
-                    return False
-                pairs += zip(c.stack, d.stack)
+                pairs.append((c.stack, d.stack))
             pairs.append((c.env, d.env))
         elif c != d:
             return False
@@ -337,26 +333,29 @@ def size_env(e: Env) -> int:
     return sz
 
 
+def size_stack(k: Stack) -> int:
+    """Pointer count of a stack: the sum of its closures' sizes."""
+    sz = 0
+    while k:
+        sz += k[0].size
+        k = k[1]
+    return sz
+
+
 def state_size(s: MachState) -> int:
     """Pointer count of a state: its environment plus its stack."""
-    return size_env(s.env) + sum(c.size for c in s.stack)
+    return size_env(s.env) + size_stack(s.stack)
 
 
 def state_sizes(s: MachState, fired):
     """state_size of s, then of the state after each transition in
     fired, a Space KAM run from s as Run.fires yields it, at O(|env|)
-    a state: sizes are read and the stack's kept as run_machine does.
-    The replay's opening cells are its own, so the first transition is
-    told a push or a pop by the depth it leaves, counted once."""
-    stack_sz = sum(c.size for c in s.stack)
+    a state: sizes are read and the stack's kept as run_machine does."""
+    stack_sz = size_stack(s.stack)
     yield size_env(s.env) + stack_sz
-    prev = None
+    prev = s.stack
     for _, _, env, stack in fired:
-        if prev is None:
-            d = len(stack_tuple(stack)) - len(s.stack)
-            if d:
-                stack_sz += stack[0]._size if d > 0 else -s.stack[0]._size
-        elif stack is not prev:
+        if stack is not prev:
             if stack and stack[1] is prev:
                 stack_sz += stack[0]._size
             else:
@@ -392,7 +391,7 @@ class Run:
     final_reached: bool
     counts: dict
     transitions: int
-    step: Callable[[Term, Env, Cells], tuple | None]
+    step: Callable[[Term, Env, Stack], tuple | None]
     space: int | None = None
     time: int | None = None
 
@@ -404,14 +403,15 @@ class Run:
     def fires(self):
         """Fire step from the initial state again, yielding each (label,
         code, env, stack) it returns, one per transition, building no
-        state; the envs and stacks are linked cells.  Raises
-        ReplayMismatch, after the last, unless the replay ends on the
-        stored last state with the stored counts: one _pairs_equal walk,
-        which pairs each cell and closure once, so on the replayed cells
-        as on the run's the check is linear in the last state."""
+        state; the envs and stacks are linked cells, the first over the
+        initial state's own.  Raises ReplayMismatch, after the last,
+        unless the replay ends on the stored last state with the stored
+        counts: one _pairs_equal walk, which pairs each cell and closure
+        once, so on the replayed cells as on the run's the check is
+        linear in the last state."""
         counts = dict.fromkeys(self.counts, 0)
         s, step = self.initial, self.step
-        code, env, stack = s.code, s.env, stack_cells(s.stack)
+        code, env, stack = s.code, s.env, s.stack
         for i in range(1, self.transitions + 1):
             nxt = step(code, env, stack)
             if nxt is None:
@@ -421,18 +421,15 @@ class Run:
             counts[label] += 1
         if counts != self.counts:
             raise ReplayMismatch(f"replay counts {counts} differ from the run's {self.counts}")
-        last, stack = self.last, stack_tuple(stack)
-        same = code is last.code and len(stack) == len(last.stack)
-        if not (same and _pairs_equal([(env, last.env), *zip(stack, last.stack)])):
+        last = self.last
+        if not (code is last.code and _pairs_equal([(env, last.env), (stack, last.stack)])):
             raise ReplayMismatch("replay ends in a state other than the run's last state")
 
     @property
     def trace(self) -> tuple[tuple[str, MachState], ...]:
-        """One (label, state) pair per transition, built from fires anew,
-        each with its stack as a tuple."""
-        return tuple(
-            (label, MachState(code, env, stack_tuple(stack))) for label, code, env, stack in self.fires()
-        )
+        """One (label, state) pair per transition, built from fires anew;
+        each state holds the replay's cells as they are."""
+        return tuple((label, MachState(code, env, stack)) for label, code, env, stack in self.fires())
 
 
 def compile(t: Term) -> MachState:
@@ -442,7 +439,7 @@ def compile(t: Term) -> MachState:
     return MachState(t, (), ())
 
 
-def kam_fire(t: Term, env: Env, stack: Cells) -> tuple | None:
+def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final;
     the envs and stacks are linked cells: a beta binds its name in one
     cell over env, and a sub walks the cells to its variable's first
@@ -477,13 +474,13 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, not {fuel}")
     counts = dict.fromkeys(labels, 0)
-    code, env, stack = s.code, s.env, stack_cells(s.stack)
-    stack_sz = sum(c.size for c in s.stack) if sized else 0
+    code, env, stack = s.code, s.env, s.stack
+    stack_sz = size_stack(stack) if sized else 0
     space = time = size_env(env) + stack_sz if sized else None
     for n in range(fuel):
         nxt = fire(code, env, stack)
         if nxt is None:
-            return Run(s, MachState(code, env, stack_tuple(stack)), True, counts, n, fire, space, time)
+            return Run(s, MachState(code, env, stack), True, counts, n, fire, space, time)
         prev = stack
         label, code, env, stack = nxt
         counts[label] += 1
@@ -499,8 +496,7 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
                 e = e[2]
             space = sz if sz > space else space
             time += sz
-    last = MachState(code, env, stack_tuple(stack))
-    return Run(s, last, fire(code, env, stack) is None, counts, fuel, fire, space, time)
+    return Run(s, MachState(code, env, stack), fire(code, env, stack) is None, counts, fuel, fire, space, time)
 
 
 def kam_run(s: MachState, fuel: int) -> Run:
@@ -541,10 +537,10 @@ def decode(s: MachState | Closure) -> Term:
     memo: dict[int, Term] = {}
     if isinstance(s, Closure):
         return _decode_closure(s, memo)
-    top = Closure(s.code, s.env)
-    t = _decode_closure(top, memo)
-    for c in s.stack:
-        t = App(t, _decode_closure(c, memo))
+    t, k = _decode_closure(Closure(s.code, s.env), memo), s.stack
+    while k:
+        t = App(t, _decode_closure(k[0], memo))
+        k = k[1]
     return t
 
 

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from .hashcons import postorder
 from .kam import (
-    Cells,
     Closure,
     Env,
     MachState,
     Run,
+    Stack,
     _env_closures,
     env_names,
     env_restrict,  # re-exported: the restriction e|_t of the transitions above
@@ -86,7 +86,7 @@ def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
     return len(seen) == len(names)
 
 
-def skam_fire(t: Term, e: Env, stack: Cells) -> tuple | None:
+def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final;
     the environments and stacks are linked cells."""
     fv = t.fv
@@ -163,7 +163,11 @@ def check_run_env_domain_invariant(states) -> bool:
     for s in states:
         if not _binds_exactly(s.env, s.code.fv):
             return False
-        for c in postorder([*_env_closures(s), *s.stack], _env_closures, lambda c: id(c) in seen):
+        roots, k = _env_closures(s), s.stack
+        while k:
+            roots.append(k[0])
+            k = k[1]
+        for c in postorder(roots, _env_closures, lambda c: id(c) in seen):
             if not _binds_exactly(c.env, c.code.fv):
                 return False
             seen.add(id(c))

@@ -51,7 +51,7 @@ from spacekam.checker import (
 )
 from spacekam.extractor import extract, extract_kam, type_final_state
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, ClosureRows, MachState, compile, env_cells, env_pairs, kam_run
+from spacekam.kam import Closure, ClosureRows, MachState, compile, env_cells, env_pairs, kam_run, stack_tuple
 from spacekam.space_kam import skam_run
 from spacekam.terms import Abs, App, Var, parse_term
 from spacekam.types import (
@@ -609,7 +609,7 @@ def test_json_roundtrip_shares_machine_subjects(example_skam):
     back = derivation_from_json(json.loads(json.dumps(obj)))
     assert back == d
     # each entry decodes to one object, whichever nodes refer to it
-    closures = {id(c) for n in _nodes(back) for c in n.conclusion.subject.stack}
+    closures = {id(c) for n in _nodes(back) for c in stack_tuple(n.conclusion.subject.stack)}
     closures |= {id(c) for n in _nodes(back) for _, c in env_pairs(n.conclusion.subject.env)}
     assert len(closures) <= len(obj["tables"]["closures"])
 
@@ -633,7 +633,7 @@ def test_terms_decoded_from_a_file_are_the_runs_own(example_term, example_skam):
                 assert t is s
             elif a.conclusion.subject_kind == "state":
                 assert t.code is s.code
-                assert all(c.code is e.code for c, e in zip(t.stack, s.stack))
+                assert all(c.code is e.code for c, e in zip(stack_tuple(t.stack), stack_tuple(s.stack)))
                 assert all(c.code is e.code for (_, c), (_, e) in zip(env_pairs(t.env), env_pairs(s.env)))
     assert derivation_from_json(derivation_to_json(extract(example_skam))).conclusion.subject is example_term
 
@@ -735,8 +735,8 @@ def test_derivation_eq_tells_apart_each_part_and_ignores_sharing_and_time(
         "rule": (d, dataclasses.replace(d, rule=R_APP2)),
         "subject kind": (leaf("term", ident), leaf(KIND_CLOSURE, top)),
         "term subject": (d, at_root(subject=parse_term(r"(\a.a) (\b.b)"))),
-        "deep closure": (state(r"\a.a", (top,)), state(r"\b.b", (top,))),
-        "stack": (state(r"\a.a", (top,)), state(r"\a.a", (top, top))),
+        "deep closure": (state(r"\a.a", (top, ())), state(r"\b.b", (top, ()))),
+        "stack": (state(r"\a.a", (top, ())), state(r"\a.a", (top, (top, ())))),
         "context": (d, at_root(context=TypeContext((("x", ClosureMulti((), 1)),)))),
         "type": (d, at_root(assigned=Arrow(ClosureMulti((), 1), STAR))),
         "weight": (d, at_root(weight=d.conclusion.weight + 1)),
@@ -745,7 +745,7 @@ def test_derivation_eq_tells_apart_each_part_and_ignores_sharing_and_time(
     for part, (a, b) in pairs.items():
         assert a != b and b != a, part
     # equal parts built apart are equal
-    assert state(r"\a.a", (top,)) == state(r"\a.a", (Closure(ident, ()),))
+    assert state(r"\a.a", (top, ())) == state(r"\a.a", (Closure(ident, ()), ()))
 
     j = Judgment("term", ident, EMPTY_CONTEXT, STAR, 0)
 
@@ -828,7 +828,7 @@ def test_json_roundtrip_of_hand_built_closures():
     x, y = Var("x"), Var("y")
     inner = Closure(Abs("y", y), ())
     c = Closure(App(x, x), ("x", inner, ()))
-    s = MachState(App(x, y), env_cells((("x", c), ("y", inner))), (c, inner))
+    s = MachState(App(x, y), env_cells((("x", c), ("y", inner))), (c, (inner, ())))
     d = Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0))
     obj = derivation_to_json(d)
     # x, y, x x, x y, \y.y; (\y.y, []), (x x, [x <- (\y.y, [])])
@@ -870,7 +870,7 @@ def test_render_closure_env_and_state_subjects():
     d = Derivation(R_ENV, Judgment(KIND_ENV, e, EMPTY_CONTEXT, g, 0))
     inner = r"(x, [x <- (\a.a, [])])"
     assert render_derivation(d) == f"TEnv w=0  . |- [y <- {inner}, z <- {inner}] : y:[]^2, z:[]^2"
-    s = MachState(parse_term("y z"), e, (c, c))
+    s = MachState(parse_term("y z"), e, (c, (c, ())))
     d = Derivation(R_ST, Judgment(KIND_STATE, s, EMPTY_CONTEXT, STAR, 0))
     assert render_derivation(d) == (
         f"TSt w=0  . |- (y z | [y <- {inner}, z <- {inner}] | {inner} . {inner}) : *"

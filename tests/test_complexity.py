@@ -1,19 +1,21 @@
-"""Complexity guards: the machines' runs, their replays, the two
-extractors, the checker's walk over their derivations and the rewriting
-oracle cost time linear in the run, on the families whose runs grow
-without their code (2^k as (c_k) (c_2) applied to two identities),
-whose code grows with their run ((c_n) applied to two identities),
-whose stack, spine and plain environment grow n deep (wide_app: n
-arguments waiting on one n-fold abstraction), and whose closures nest
-n deep over a plain environment n deep (the let chain).
+"""Complexity guards: the machines' runs, their replays and trace
+views, the two extractors, the checker's walk over their derivations
+and the rewriting oracle cost time linear in the run, on the families
+whose runs grow without their code (2^k as (c_k) (c_2) applied to two
+identities), whose code grows with their run ((c_n) applied to two
+identities), whose stack, spine and plain environment grow n deep
+(wide_app: n arguments waiting on one n-fold abstraction), and whose
+closures nest n deep over a plain environment n deep (the let chain).
 
-Both machines' environments are linked, so a beta binds a name in one
-cell and no step copies an environment: on wide_app and on the let
-chain the plain machine's run, its replay (whose end check pairs each
-shared cell once) and extract_kam are linear too.  The let-chain guard
-covers the machines, their replays and extract_kam; the count guard
-below holds the plain replay's end check to a constant number of pairs
-per binding, with no clock.
+Both machines' environments and stacks are linked, so a beta binds a
+name in one cell, a push or a pop copies no stack, and no step copies
+an environment: on wide_app and on the let chain the plain machine's
+run, its replay (whose end check pairs each shared cell once) and
+extract_kam are linear too, and so is each trace view, whose states
+hold the replay's cells as they are.  The let-chain guard covers the
+machines, their replays and trace views and extract_kam; the count
+guard below holds the plain replay's end check to a constant number of
+pairs per binding, with no clock.
 
 Each guard times every stage at a size and at the size with four times
 the transitions, takes the best of 3, and asserts a ratio of at most 6:
@@ -65,6 +67,8 @@ def _stages(t) -> dict:
         "skam_run": lambda: skam_run(t, FUEL),
         "kam replay": lambda: list(krun.fires()),
         "skam replay": lambda: list(srun.fires()),
+        "kam trace": lambda: krun.trace,
+        "skam trace": lambda: srun.trace,
         "extract": lambda: extract(srun),
         "extract_kam": lambda: extract_kam(krun),
         "check_walk": lambda: check_walk(d, ("space", "time")),
@@ -94,7 +98,9 @@ def _ratio(stage, stage4) -> float:
 
 # every stage but the checker's walk and the oracle: the let chain's
 # derivations and its rewriting are not what grows there
-ON_THE_LET_CHAIN = ("kam_run", "skam_run", "kam replay", "skam replay", "extract_kam")
+ON_THE_LET_CHAIN = (
+    "kam_run", "skam_run", "kam replay", "skam replay", "kam trace", "skam trace", "extract_kam"
+)
 
 
 @pytest.mark.parametrize(

@@ -134,7 +134,7 @@ def test_not_final_states_are_rejected():
     with pytest.raises(NotFinal):
         type_final_state(MachState(parse_term("x y"), (), ()))
     with pytest.raises(NotFinal):
-        type_final_state(MachState(IDENT, (), (I_CL,)))
+        type_final_state(MachState(IDENT, (), (I_CL, ())))
 
 
 # ---------------------------------------------------------------- expand

@@ -102,7 +102,7 @@ def test_decode_tracks_head_reduction(example_term, example_kam):
 
 def test_decode_applies_stack_top_first():
     c = Closure(IDENT, ())
-    s = MachState(Var("x"), ("x", c, ()), (c,))
+    s = MachState(Var("x"), ("x", c, ()), (c, ()))
     assert decode(s) == parse_term(r"(\a.a) (\a.a)")
 
 
@@ -112,7 +112,7 @@ def test_decode_of_a_deep_closure_chain():
     for _ in range(20000):
         c = Closure(Var("x"), ("x", c, ()))
     assert decode(c) == IDENT
-    assert decode(MachState(Var("x"), ("x", c, ()), (c,))) == parse_term(r"(\a.a) (\a.a)")
+    assert decode(MachState(Var("x"), ("x", c, ()), (c, ()))) == parse_term(r"(\a.a) (\a.a)")
 
 
 def test_decode_substitutes_env():
@@ -223,7 +223,7 @@ def test_trace_rows_read_back_to_the_replayed_states(machine_run):
             step, (label, s) = next(replayed)
             assert (row["step"], row["label"]) == (step, label)
             env = env_cells([(x, built(i)) for x, i in row["env"]])
-            got = MachState(term(row["code"]), env, tuple(map(built, row["stack"])))
+            got = MachState(term(row["code"]), env, stack_cells([built(i) for i in row["stack"]]))
             assert got == s
             if run.space is None:
                 assert "size" not in row
@@ -362,7 +362,7 @@ _MOVES = {"sea": 1, "sea_v": 1, "sea_nv": 1, "beta": -1, "beta_w": -1, "beta_nw"
     ],
     ids=["kam", "skam", "skam wide_app"],
 )
-def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run, source, fuel, deepest, last):
+def test_a_push_shares_the_stack_below_in_the_replay_and_the_trace(machine_run, source, fuel, deepest, last):
     # fuzz seed 50 stops on fuel with its stack at its deepest, and
     # wide_app binds x0 by beta_nw and drops the other 299 arguments by
     # beta_w before its stack runs empty.  The fire functions link their
@@ -370,9 +370,10 @@ def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run
     # given, a pop is that stack's rest, and a sub keeps the stack, so no
     # transition copies it; a beta binds its name in one cell over the
     # env it fired from, and a beta_w keeps that env, so neither copies
-    # it.  The states a run builds keep tuples.
+    # it.  The states a run builds hold those cells as they are, from
+    # the initial state's on, so they share their stacks alike.
     run = machine_run(compile(source), fuel)
-    prev, depth, depths = stack_cells(run.initial.stack), len(run.initial.stack), []
+    prev, depth, depths = run.initial.stack, len(stack_tuple(run.initial.stack)), []
     prev_env, seen = run.initial.env, set()
     for i, (label, _, env, stack) in enumerate(run.fires(), start=1):
         move = _MOVES[label]
@@ -391,10 +392,18 @@ def test_a_push_shares_the_stack_below_and_a_runs_states_keep_tuples(machine_run
         seen.add(label)
     assert "beta" in seen or "beta_nw" in seen
     assert (max(depths), depths[-1]) == (deepest, last)
-    states = [s for _, s in run.trace]
-    assert [len(s.stack) for s in states] == depths
-    assert all(type(s.stack) is tuple for s in (*states, run.last))
-    assert run.last.stack == states[-1].stack and len(run.last.stack) == last
+    trace = run.trace
+    states = [run.initial, *(s for _, s in trace)]
+    for i, (label, s) in enumerate(trace, start=1):
+        move, below = _MOVES[label], states[i - 1].stack
+        if move > 0:
+            assert s.stack[1] is below, i
+        elif move < 0:
+            assert s.stack is below[1], i
+        else:
+            assert s.stack is below, i
+    assert [len(stack_tuple(s.stack)) for s in states[1:]] == depths
+    assert run.last.stack == states[-1].stack and len(stack_tuple(run.last.stack)) == last
 
 
 @pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
@@ -412,7 +421,7 @@ def test_memory_stays_flat_as_fuel_grows(machine_run):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        space = max(state_size(MachState(code, env, stack_tuple(stack))) for _, code, env, stack in run.fires())
+        space = max(state_size(MachState(code, env, stack)) for _, code, env, stack in run.fires())
         return peak, peak / (1 + space)
 
     (_, small), (large_peak, large) = peak_per_pointer(20_000), peak_per_pointer(200_000)
@@ -444,7 +453,7 @@ def _chain(depth, base=IDENT):
 
 def test_fields_cannot_be_assigned_or_deleted():
     c = Closure(IDENT, ())
-    s = MachState(Var("x"), ("x", c, ()), (c,))
+    s = MachState(Var("x"), ("x", c, ()), (c, ()))
     for obj, names in ((c, ("code", "env", "_size", "size", "other")), (s, ("code", "env", "stack", "other"))):
         for name in names:
             with pytest.raises(AttributeError):
@@ -452,7 +461,7 @@ def test_fields_cannot_be_assigned_or_deleted():
             with pytest.raises(AttributeError):
                 delattr(obj, name)
     assert (c.code, c.env) == (IDENT, ())
-    assert (s.code, s.env, s.stack) == (Var("x"), ("x", c, ()), (c,))
+    assert (s.code, s.env, s.stack) == (Var("x"), ("x", c, ()), (c, ()))
     assert not hasattr(c, "__dict__") and not hasattr(s, "__dict__")
 
 
@@ -463,8 +472,8 @@ def test_repr_is_the_field_by_field_form():
     c.size  # the cached size takes no part in repr
     assert repr(c) == cr
     assert repr(MachState(Var("x"), (), ())) == "MachState(code=Var(name='x'), env=(), stack=())"
-    assert repr(MachState(Var("x"), env_cells((("x", c), ("y", c))), (c,))) == (
-        f"MachState(code=Var(name='x'), env=('x', {cr}, ('y', {cr}, ())), stack=({cr},))"
+    assert repr(MachState(Var("x"), env_cells((("x", c), ("y", c))), (c, (c, ())))) == (
+        f"MachState(code=Var(name='x'), env=('x', {cr}, ('y', {cr}, ())), stack=({cr}, ({cr}, ())))"
     )
 
 
@@ -475,21 +484,22 @@ def test_equality_and_hash_follow_the_fields():
     assert Closure(Var("x"), ("x", c, ())) != Closure(Var("x"), ("y", c, ()))
     assert Closure(Var("x"), ("x", c, ())) != Closure(Var("x"), ("x", c, ("x", c, ())))
     assert Closure(IDENT, ()) != Closure(parse_term(r"\b.b"), ())
-    s = MachState(Var("x"), ("x", c, ()), (c,))
-    assert s == MachState(Var("x"), ("x", d, ()), (d,))
-    assert hash(s) == hash(MachState(Var("x"), ("x", d, ()), (d,)))
+    s = MachState(Var("x"), ("x", c, ()), (c, ()))
+    assert s == MachState(Var("x"), ("x", d, ()), (d, ()))
+    assert hash(s) == hash(MachState(Var("x"), ("x", d, ()), (d, ())))
     assert s != MachState(Var("x"), ("x", c, ()), ())
-    assert s != MachState(Var("x"), ("x", c, ()), (Closure(parse_term(r"\b.b"), ()),))
+    assert s != MachState(Var("x"), ("x", c, ()), (c, (c, ())))
+    assert s != MachState(Var("x"), ("x", c, ()), (Closure(parse_term(r"\b.b"), ()), ()))
     # a closure is not a state, and neither equals a plain tuple of its fields
     assert MachState(IDENT, (), ()) != Closure(IDENT, ())
-    assert c != (IDENT, ()) and s != (Var("x"), ("x", c, ()), (c,))
-    assert len({c, d, s, MachState(Var("x"), ("x", d, ()), (d,))}) == 2
+    assert c != (IDENT, ()) and s != (Var("x"), ("x", c, ()), (c, ()))
+    assert len({c, d, s, MachState(Var("x"), ("x", d, ()), (d, ()))}) == 2
 
 
 def test_copy_deepcopy_and_pickle_give_equal_objects(example_kam, example_skam):
     for run in (example_kam, example_skam):
         for s in _states(run):
-            for c in (*s.stack, *(c for _, c in env_pairs(s.env))):
+            for c in (*stack_tuple(s.stack), *(c for _, c in env_pairs(s.env))):
                 for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
                     assert type(other) is Closure and other == c and hash(other) == hash(c)
                     assert other.size == c.size
@@ -527,11 +537,11 @@ def test_eq_hash_repr_of_closures_nested_20000_deep():
     want = "Closure(code=Var(name='x'), env=('x', " * 20_000 + inner + ", ()))" * 20_000
     assert repr(a) == want
     # a state that holds the chain in its env and on its stack
-    s, t = MachState(Var("x"), ("x", a, ()), (a,)), MachState(Var("x"), ("x", b, ()), (b,))
+    s, t = MachState(Var("x"), ("x", a, ()), (a, ())), MachState(Var("x"), ("x", b, ()), (b, ()))
     assert s == t and hash(s) == hash(t)
-    assert s != MachState(Var("x"), ("x", a, ()), (other,))
-    assert s != MachState(Var("x"), ("x", other, ()), (a,))
-    assert repr(s) == f"MachState(code=Var(name='x'), env=('x', {want}, ()), stack=({want},))"
+    assert s != MachState(Var("x"), ("x", a, ()), (other, ()))
+    assert s != MachState(Var("x"), ("x", other, ()), (a, ()))
+    assert repr(s) == f"MachState(code=Var(name='x'), env=('x', {want}, ()), stack=({want}, ()))"
 
 
 def test_closure_rows_number_each_distinct_closure_once_children_first():
@@ -546,7 +556,7 @@ def test_closure_rows_number_each_distinct_closure_once_children_first():
 def test_pickle_of_closures_and_states_20000_deep():
     assert sys.getrecursionlimit() <= 10_000  # the default, not raised for this test
     a = _chain(20_000)
-    s = MachState(Var("x"), ("x", a, ()), (a, _chain(3)))
+    s = MachState(Var("x"), ("x", a, ()), (a, (_chain(3), ())))
     back = pickle.loads(pickle.dumps(a))
     assert type(back) is Closure and back is not a and back == a
     assert back.size == a.size == 20_001
@@ -582,7 +592,7 @@ def _decode_every_binding(s):
         return memo[id(c)]
 
     t = cl(Closure(s.code, s.env))
-    for c in s.stack:
+    for c in stack_tuple(s.stack):
         t = sk.App(t, cl(c))
     return t
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 
@@ -8,7 +9,7 @@ from machine_steps import step
 import spacekam as sk
 from spacekam import kam, space_kam
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, MachState, compile, env_cells, env_pairs, run_summary, run_trace_rows
+from spacekam.kam import Closure, MachState, compile, env_cells, env_pairs, run_summary, run_trace_rows, stack_cells, stack_tuple
 from spacekam.space_kam import (
     InvariantViolation,
     check_env_domain_invariant,
@@ -42,7 +43,7 @@ def test_size_nested_closure():
 
 
 def test_state_size_sums_env_and_stack():
-    s = MachState(parse_term("x"), ("x", I_CL, ()), (I_CL,))
+    s = MachState(parse_term("x"), ("x", I_CL, ()), (I_CL, ()))
     assert state_size(s) == 2
 
 
@@ -56,7 +57,7 @@ def nested_closure(depth):
 def test_sizes_of_deeply_nested_closures():
     assert nested_closure(20000).size == 20001
     c = nested_closure(20000)
-    assert state_size(MachState(Var("x"), ("x", c, ()), (c, I_CL))) == 40003
+    assert state_size(MachState(Var("x"), ("x", c, ()), (c, (I_CL, ())))) == 40003
 
 
 def test_initial_state_has_size_zero(example_term):
@@ -219,7 +220,7 @@ def _tampered_states(draw):
         env.insert(draw(st.integers(0, len(env))), (x, draw(closures)))
     elif how == "random":
         env = draw(st.lists(st.tuples(st.sampled_from(_NAMES), closures), max_size=4))
-    return MachState(t, env_cells(env), tuple(draw(st.lists(closures, max_size=2))))
+    return MachState(t, env_cells(env), stack_cells(draw(st.lists(closures, max_size=2))))
 
 
 @given(_tampered_states())
@@ -229,7 +230,7 @@ def _tampered_states(draw):
 @example(MachState(parse_term("x y"), env_cells((("x", I_CL), ("x", I_CL))), ()))
 @example(MachState(parse_term("x y"), env_cells((("x", I_CL), ("z", I_CL))), ()))
 @example(MachState(parse_term("x y"), env_cells((("y", I_CL), ("x", I_CL))), ()))
-@example(MachState(IDENT, ("x", I_CL, ()), (I_CL,)))
+@example(MachState(IDENT, ("x", I_CL, ()), (I_CL, ())))
 @settings(max_examples=600, deadline=None)
 def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
     # the check skam_fire makes without a set for envs of 0, 1 or 2
@@ -264,7 +265,7 @@ def test_a_name_bound_twice_breaks_the_invariant():
     with pytest.raises(InvariantViolation, match=r"environment domain \['x', 'x'\]"):
         skam_run(s, 100)
     assert not check_env_domain_invariant(s)
-    assert not check_env_domain_invariant(MachState(IDENT, (), (Closure(Var("x"), twice),)))
+    assert not check_env_domain_invariant(MachState(IDENT, (), (Closure(Var("x"), twice), ())))
 
 
 def test_check_env_domain_invariant_descends_into_closures():
@@ -275,17 +276,17 @@ def test_check_env_domain_invariant_descends_into_closures():
 
 def test_run_invariant_flags_a_stale_entry_in_a_shared_closure():
     bad_cl = Closure(IDENT, ("z", I_CL, ()))
-    ok_state = MachState(IDENT, (), (I_CL,))
-    shares_bad = MachState(parse_term("x"), ("x", bad_cl, ()), (I_CL,))
+    ok_state = MachState(IDENT, (), (I_CL, ()))
+    shares_bad = MachState(parse_term("x"), ("x", bad_cl, ()), (I_CL, ()))
     for states in ([ok_state, shares_bad], [shares_bad, ok_state], [shares_bad, shares_bad]):
         assert not check_run_env_domain_invariant(states)
     # the stack is walked top last: I_CL, already visited, comes off
     # first, and the bad closure after it must still be looked at
-    later = MachState(IDENT, (), (bad_cl, I_CL))
+    later = MachState(IDENT, (), (bad_cl, (I_CL, ())))
     assert not check_run_env_domain_invariant([ok_state, later])
     # the same, one level down: a good closure whose env holds the bad one
     outer = Closure(parse_term("x"), ("x", bad_cl, ()))
-    assert not check_run_env_domain_invariant([ok_state, MachState(IDENT, (), (outer, I_CL))])
+    assert not check_run_env_domain_invariant([ok_state, MachState(IDENT, (), (outer, (I_CL, ())))])
     assert check_run_env_domain_invariant([ok_state, ok_state])
     assert check_run_env_domain_invariant([])
 
@@ -300,11 +301,11 @@ def test_run_invariant_agrees_with_the_per_state_check():
         assert check_run_env_domain_invariant(iter(states))
         # plant a stale closure in the last state, below a closure that
         # earlier states hold, so the run-level walk has seen it already
-        earlier = [c for p in states[:-1] for c in (*p.stack, *(d for _, d in env_pairs(p.env)))]
+        earlier = [c for p in states[:-1] for c in (*stack_tuple(p.stack), *(d for _, d in env_pairs(p.env)))]
         shared = earlier[0] if earlier else I_CL
         s = states[-1]
         wrapped = Closure(parse_term("x"), ("x", stale, ()))
-        bad = MachState(s.code, s.env, s.stack + (wrapped, shared))
+        bad = MachState(s.code, s.env, stack_cells((*stack_tuple(s.stack), wrapped, shared)))
         planted = states[:-1] + [bad]
         assert not check_env_domain_invariant(bad)
         assert not check_run_env_domain_invariant(planted)
@@ -378,7 +379,8 @@ def test_state_sizes_match_the_direct_recount(example_skam):
     unsized = pickle.loads(pickle.dumps(mid))
     assert unsized.stack[0]._size is None
     run = skam_run(mid, 100)
-    assert list(kam.state_sizes(unsized, run.fires())) == [state_size(x) for x in all_states(run)]
+    replay = dataclasses.replace(run, initial=unsized)  # fires from the unsized closures
+    assert list(kam.state_sizes(unsized, replay.fires())) == [state_size(x) for x in all_states(run)]
     assert (run.space, run.time) == (4, 2 + 2 + 4 + 1 + 0)
 
 
