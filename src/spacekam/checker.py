@@ -46,9 +46,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .hashcons import Table, write_repr
-from .kam import Closure, ClosureRows, MachState, Run, _pairs_equal, env_cells, env_pairs, stack_cells, stack_tuple
-from .terms import Abs, App, Var, is_name, print_term
+from .hashcons import decode_table, json_index, write_repr
+from .kam import Closure, MachState, Rows, Run, _pairs_equal, read_rows, row_at
+from .terms import Abs, App, Var, print_term
 from .types import (
     Arrow,
     ClosureMulti,
@@ -61,13 +61,11 @@ from .types import (
     context_from_json,
     context_to_json,
     contexts_union,
-    decode_table,
     format_context,
     format_linear,
     format_multi,
     format_type,
     is_dry,
-    json_index,
     size_context,
     size_linear,
     types_from_json,
@@ -626,7 +624,10 @@ def _check_tst(d, err, mode):
     if type(c.assigned) is not Star:
         err("TSt assigns the ground type")
         return
-    s, stack = c.subject, stack_tuple(c.subject.stack)  # one premise per stack closure
+    s, stack, k = c.subject, [], c.subject.stack
+    while k:  # one premise per stack closure
+        stack.append(k[0])
+        k = k[1]
     if len(d.premises) != 2 + len(stack):
         err(
             f"TSt takes a term, an environment and one premise per stack "
@@ -992,90 +993,56 @@ def check_rule_transition_correspondence(d: Derivation, run: Run) -> bool:
 #   types     "*" | {"arg": i, "res": j} | {"multi": [[i, n], ...], "k": k}
 #             | {"multi": [[i, n], ...]}
 #   terms     {"var": x} | {"lam": x, "body": i} | {"app": [i, j]}
-#   closures  {"code": term, "env": [[x, closure], ...]}
+#   closures  {"code": term, "env": e} | {"name": x, "closure": c, "rest": e}
+#             | {"top": c, "rest": k} | {}
 #   nodes     {"rule": r, "judgment": j, "premises": [node, ...]}
 #
-# The root is the last node, so a file's depth does not grow with its
-# derivation.  A judgment's subject is a term or closure index, an
-# environment [[x, closure], ...], or a state {"code", "env", "stack"}
-# of indices; its context maps names to type indices, and its type is a
-# type index, or a context for environment judgments.  A multi lists one
-# [type, count] pair per distinct element, in canonical order, with a
-# positive count, and "k" is the index of an indexed multi.
-
-
-class _TermTable(Table):
-    """The terms table: {"var": x}, {"lam": x, "body": i} and
-    {"app": [i, j]}."""
-
-    @staticmethod
-    def children(t) -> tuple:
-        if type(t) is Abs:
-            return (t.body,)
-        if type(t) is App:
-            return (t.fun, t.arg)
-        return ()
-
-    @staticmethod
-    def entry(t, at):
-        if type(t) is Var:
-            return {"var": t.name}
-        if type(t) is Abs:
-            return {"lam": t.binder, "body": at[t.body]}
-        if type(t) is App:
-            return {"app": [at[t.fun], at[t.arg]]}
-        raise TypeError(f"not a term: {t!r}")
+# The closures table holds closures, env cells, stack cells and the one
+# empty chain, {}, so an environment or a stack is the index of its
+# first cell and a tail that many share is written once (kam.Rows
+# writes the terms and closures tables).  The root is the last node, so
+# a file's depth does not grow with its derivation.  A judgment's
+# subject is a term, closure or environment index, or a state {"code",
+# "env", "stack"} of three indices; its context maps names to type
+# indices, and its type is a type index, or a context for environment
+# judgments.  A multi lists one [type, count] pair per distinct
+# element, in canonical order, with a positive count, and "k" is the
+# index of an indexed multi.
 
 
 class _Tables:
     """The four tables of one derivation file, filled as the encoder
-    meets their entries, children before parents.  Closures are numbered
-    by a kam.ClosureRows.  A node is looked up by its entry's key, so
-    equal nodes share one entry, however the derivation shares them."""
+    meets their entries, children before parents: types by a TypeTable,
+    terms and closures by one kam.Rows.  A node is looked up by its
+    entry's key, so equal nodes share one entry, however the derivation
+    shares them."""
 
     def __init__(self):
         self.types = TypeTable()
-        self.terms = _TermTable()
-        self.closure_rows = ClosureRows()
-        self.closures: list = []
+        self.rows = Rows()
         self.nodes: list = []
         self.node_at: dict = {}  # node entry key -> entry index
 
     def to_json(self) -> dict:
         return {
             "types": self.types.entries,
-            "terms": self.terms.entries,
-            "closures": self.closures,
+            "terms": self.rows.terms.entries,
+            "closures": self.rows.closures,
             "nodes": self.nodes,
         }
-
-    def closure(self, c) -> int:
-        i = self.closure_rows.add(c)
-        for code, env in self.closure_rows.rows[len(self.closures):]:
-            self.closures.append({"code": self.terms.add(code), "env": [list(p) for p in env]})
-        return i
-
-    def env(self, e) -> tuple:
-        """e's entry and its key."""
-        key = tuple((x, self.closure(c)) for x, c in env_pairs(e))
-        return [list(p) for p in key], key
 
     def subject(self, kind, subject) -> tuple:
         """subject's entry and its key."""
         if kind == KIND_TERM:
-            i = self.terms.add(subject)
-            return i, i
-        if kind == KIND_CLOSURE:
-            i = self.closure(subject)
-            return i, i
-        if kind == KIND_ENV:
-            return self.env(subject)
-        if kind == KIND_STATE:
-            code = self.terms.add(subject.code)
-            env, env_key = self.env(subject.env)
-            stack = [self.closure(c) for c in stack_tuple(subject.stack)]
-            return {"code": code, "env": env, "stack": stack}, (code, env_key, tuple(stack))
-        raise ValueError(f"unknown subject kind {kind!r}")
+            i = self.rows.terms.add(subject)
+        elif kind == KIND_CLOSURE or kind == KIND_ENV:
+            i = self.rows.add(subject)
+        elif kind == KIND_STATE:
+            entry = self.rows.state(subject.code, subject.env, subject.stack)
+            return entry, tuple(entry.values())
+        else:
+            raise ValueError(f"unknown subject kind {kind!r}")
+        return i, i
 
     def node(self, n: Derivation, premises: list) -> int:
         """Enter n, whose premises are entered already at the entry
@@ -1111,74 +1078,31 @@ def derivation_to_json(d: Derivation) -> dict:
     return {"tables": tables.to_json()}
 
 
-def _name(x) -> str:
-    if not is_name(x):
-        raise ValueError(f"not a variable name: {x!r}")
-    return x
-
-
-def _term_entry(e, done):
-    keys, i = e.keys() if isinstance(e, dict) else None, len(done)
-    if keys == {"var"}:
-        return Var(_name(e["var"]))
-    if keys == {"lam", "body"}:
-        return Abs(_name(e["lam"]), done[json_index(e["body"], i)])
-    if keys == {"app"} and isinstance(e["app"], list) and len(e["app"]) == 2:
-        f, a = e["app"]
-        return App(done[json_index(f, i)], done[json_index(a, i)])
-    raise ValueError(f"not a term: {e!r}")
-
-
-def _env_from_json(obj, closures) -> tuple:
-    if not isinstance(obj, list):
-        raise ValueError("environment must be a list of [name, closure] pairs")
-    out = []
-    for p in obj:
-        if not isinstance(p, list) or len(p) != 2:
-            raise ValueError("environment entries are [name, closure] pairs")
-        out.append((_name(p[0]), closures[json_index(p[1], len(closures))]))
-    return env_cells(out)
-
-
 class _Decoder:
     """The decoded tables of one file, each in its own table's order."""
 
     def __init__(self, tables):
         self.types = types_from_json(tables["types"])
-        self.terms = decode_table(tables["terms"], "terms", _term_entry)
-        self.closures = decode_table(tables["closures"], "closures", self._closure)
+        self.terms, self.closures = read_rows(tables["terms"], tables["closures"])
         self.nodes = decode_table(tables["nodes"], "nodes", self._node)
         if not self.nodes:
             raise ValueError("nodes must hold at least the root")
 
-    def _closure(self, e, done) -> Closure:
-        if not isinstance(e, dict) or e.keys() != {"code", "env"}:
-            raise ValueError("closure must have code and env")
-        return Closure(self.term(e["code"]), _env_from_json(e["env"], done))
-
     def term(self, i):
         return self.terms[json_index(i, len(self.terms))]
-
-    def closure(self, i):
-        return self.closures[json_index(i, len(self.closures))]
 
     def subject(self, kind, obj):
         if kind == KIND_TERM:
             return self.term(obj)
         if kind == KIND_ENV:
-            return _env_from_json(obj, self.closures)
+            return row_at(self.closures, obj, 3)
         if kind == KIND_CLOSURE:
-            return self.closure(obj)
+            return row_at(self.closures, obj, Closure)
         if kind == KIND_STATE:
             if not isinstance(obj, dict) or obj.keys() != {"code", "env", "stack"}:
                 raise ValueError("state subject must have code, env and stack")
-            if not isinstance(obj["stack"], list):
-                raise ValueError("state stack must be a list of closures")
-            return MachState(
-                self.term(obj["code"]),
-                _env_from_json(obj["env"], self.closures),
-                stack_cells([self.closure(c) for c in obj["stack"]]),
-            )
+            c = self.closures
+            return MachState(self.term(obj["code"]), row_at(c, obj["env"], 3), row_at(c, obj["stack"], 2))
         raise ValueError(f"unknown subject kind {kind!r}")
 
     def judgment(self, obj) -> Judgment:
@@ -1257,8 +1181,10 @@ def _subject_str(kind, subject):
         items = _env_items(subject)
     else:
         items = ["(", print_term(subject.code), " | ", *_env_items(subject.env), " | "]
-        for i, c in enumerate(stack_tuple(subject.stack)):
-            items += (" . ", c) if i else (c,)
+        k, sep = subject.stack, ()
+        while k:
+            items += (*sep, k[0])
+            k, sep = k[1], (" . ",)
         items.append(")")
     out = []
     work = items[::-1]
@@ -1273,9 +1199,10 @@ def _subject_str(kind, subject):
 
 def _env_items(e) -> list:
     """e's text as a list of strings and closures still to write."""
-    items = ["["]
-    for i, (x, c) in enumerate(env_pairs(e)):
-        items += (f", {x} <- " if i else f"{x} <- ", c)
+    items, sep = ["["], ""
+    while e:
+        items += (f"{sep}{e[0]} <- ", e[1])
+        e, sep = e[2], ", "
     items.append("]")
     return items
 

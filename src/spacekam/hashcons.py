@@ -10,10 +10,10 @@ Interned values are Frozen (immutable, their own copies, written by repr
 from an explicit stack at any depth), as the machines' closures and
 states are without being interned.  Each kind pickles through a flat
 form of its own: a term as its printed text, a type as its file
-entries, a context as its entries, closures and states as one table.
-
-postorder is the one children-first walk over shared structure (terms,
-types, closures, derivations), from its own stack.
+entries, a context as its entries, closures and states as the tables of
+one kam.Rows.  Table writes one table of a flat file, decode_table reads
+one back, and postorder is the one children-first walk over shared
+structure (terms, types, closures, derivations), from its own stack.
 """
 
 import weakref
@@ -114,6 +114,32 @@ class Table:
                 at[b] = len(self.entries)
                 self.entries.append(entry)
         return at[a]
+
+
+def json_index(v, n: int) -> int:
+    """v checked as an index into a table of n entries.  JSON booleans
+    are not integers here, and a negative index would silently alias
+    an entry from the end."""
+    if type(v) is not int:
+        raise ValueError(f"index must be an integer, found {v!r}")
+    if not 0 <= v < n:
+        raise ValueError(f"index {v} is outside [0, {n})")
+    return v
+
+
+def decode_table(entries, name: str, entry) -> list:
+    """Decode the table name of a derivation file, position by
+    position: entry(e, done) builds one entry from the entries decoded
+    before it.  A ValueError names the offending entry as name[i]."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{name} must be a list")
+    out: list = []
+    for i, e in enumerate(entries):
+        try:
+            out.append(entry(e, out))
+        except ValueError as ex:
+            raise ValueError(f"{name}[{i}]: {ex}") from None
+    return out
 
 
 def postorder(roots, children, done):

@@ -14,11 +14,15 @@ dataclasses: a constructor that stores through the slot descriptors
 costs a fraction of a frozen dataclass's.  Assigning a field raises
 AttributeError all the same.  ==, hash and repr walk closures and
 environments with explicit stacks, so neither nesting nor environment
-depth is limited by the interpreter's recursion limit; copy and pickle
-rebuild them from the flat table of the closures they hold
-(ClosureRows), at any depth.  A raw environment or stack is a nested
-tuple, so it never meets Python's own tuple ==, hash or pickle, which
-recurse: _pairs_equal compares them and ClosureRows writes them.
+depth is limited by the interpreter's recursion limit.  A raw
+environment or stack is a nested tuple, so it never meets Python's own
+tuple ==, hash or pickle, which recurse: _pairs_equal compares them and
+Rows writes them.
+
+Rows, the one row writer of pickle, derivation files and trace rows,
+numbers each term, closure, env cell and stack cell once, so a shared
+tail is written once and a state is three indices; read_rows is the one
+reader, for files and unpickling alike, at any depth.
 
 Transitions:
 
@@ -42,21 +46,20 @@ alike: a cell (top, rest), or () when empty.  A push builds one cell
 over the stack it was given and a pop returns the rest, so neither
 copies the stack, successive stacks share every cell below their top,
 and a run, its replay and its states all hold the one chain; nothing
-converts at a run's or a replay's edge.  env_cells and env_pairs
-convert (name, closure) pairs, and stack_cells and stack_tuple closure
-sequences, to and from the linked shapes where states meet a format:
-pickle rows, files, trace rows and hand-built states.
+converts at a run's or a replay's edge, nor where a state meets a
+format.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, repeat, tee
 from operator import attrgetter, itemgetter
 
-from .hashcons import Frozen, postorder
-from .terms import Abs, App, Term, Var, _subst_sim, print_term
+from .hashcons import Frozen, decode_table, json_index, postorder
+from .terms import Abs, App, Term, TermTable, _name, _subst_sim, term_entry
 
 
 class OpenTerm(Exception):
@@ -109,7 +112,9 @@ class Closure(_Sized):
         return hash((self.code, env_names(self.env)))
 
     def __reduce__(self):
-        return _from_table, _table(self.code, self.env, None)
+        rows = Rows()
+        i = rows.add(self)
+        return _from_rows, (rows.terms.entries, rows.closures, i)
 
 
 _set_closure_code = Closure.code.__set__
@@ -122,15 +127,6 @@ _second = itemgetter(1)
 
 Env = tuple  # a linked environment: () or (name, closure, the cells below it)
 Stack = tuple  # a linked stack: () or (top closure, the cells below it)
-
-
-def env_cells(pairs) -> Env:
-    """(name, closure) pairs, most recent binding first, as a linked
-    environment."""
-    e = ()
-    for x, c in reversed(pairs):
-        e = (x, c, e)
-    return e
 
 
 def env_pairs(e: Env) -> tuple:
@@ -162,23 +158,6 @@ def _env_closures(c: Closure) -> list:
     return out
 
 
-def stack_cells(closures) -> Stack:
-    """Closures, top first, as a linked stack."""
-    k = ()
-    for c in reversed(closures):
-        k = (c, k)
-    return k
-
-
-def stack_tuple(k: Stack) -> tuple:
-    """A linked stack's closures, top first."""
-    out = []
-    while k:
-        out.append(k[0])
-        k = k[1]
-    return tuple(out)
-
-
 class MachState(Frozen):
     """A machine state: code, environment and stack.
 
@@ -205,7 +184,9 @@ class MachState(Frozen):
         return hash((self.code, env_names(self.env), depth))
 
     def __reduce__(self):
-        return _from_table, _table(self.code, self.env, self.stack)
+        rows = Rows()
+        at = rows.state(self.code, self.env, self.stack)
+        return _from_rows, (rows.terms.entries, rows.closures, *at.values())
 
 
 _set_state_code = MachState.code.__set__
@@ -213,49 +194,98 @@ _set_state_env = MachState.env.__set__
 _set_state_stack = MachState.stack.__set__
 
 
-class ClosureRows:
-    """The one closure table of pickle, derivation files and trace rows:
-    row i is (code, ((name, row), ...)), children first, and equal
-    closures share a row.  add(c) numbers c and the closures below it
-    (hashcons.postorder) and returns c's row.  Lookups go by id(); the
-    table holds every closure it numbered, so the ids stay theirs."""
+def _held(x) -> tuple:
+    """What a closure, an env cell, a stack cell or () holds below it,
+    as Rows numbers them: a closure's env, a cell's closure and rest."""
+    if x.__class__ is Closure:
+        return (x.env,)
+    return x[1:] if len(x) == 3 else x
+
+
+class Rows:
+    """The terms table (terms.TermTable) and the closures table, whose
+    entries are closures {"code": term, "env": e}, env cells {"name": x,
+    "closure": c, "rest": e}, stack cells {"top": c, "rest": k} and the
+    empty chain {}.  add(x) numbers x and all below it once, children
+    first (hashcons.postorder), and returns x's entry; equal values
+    share one.  Lookups go by id(), and the writer holds what it
+    numbered, so the ids stay theirs."""
 
     def __init__(self):
-        self.rows: list = []
-        self._at: dict = {}  # row -> its index
-        self._ids: dict = {}  # id(closure) -> (its row, the closure, kept alive)
+        self.terms = TermTable()
+        self.closures: list = []
+        self._at: dict = {}  # an entry's key -> its index
+        self._ids: dict = {}  # id(value) -> (its index, the value, kept alive)
 
-    def add(self, c: Closure) -> int:
+    def add(self, x) -> int:
         ids = self._ids
-        if id(c) not in ids:
-            for d in postorder((c,), _env_closures, lambda d: id(d) in ids):
-                row = (d.code, tuple((x, ids[id(e)][0]) for x, e in env_pairs(d.env)))
-                i = self._at.get(row)
+        if id(x) not in ids:
+            for y in postorder((x,), _held, lambda y: id(y) in ids):
+                key = tuple(ids[id(z)][0] for z in _held(y))
+                if y.__class__ is Closure:
+                    key = (y.code, *key)
+                elif len(y) == 3:
+                    key = (y[0], *key)
+                i = self._at.get(key)
                 if i is None:
-                    i = self._at[row] = len(self.rows)
-                    self.rows.append(row)
-                ids[id(d)] = i, d
-        return ids[id(c)][0]
+                    i = self._at[key] = len(self.closures)
+                    self.closures.append(self._entry(key))
+                ids[id(y)] = i, y
+        return ids[id(x)][0]
+
+    def _entry(self, key) -> dict:
+        if len(key) == 3:
+            return {"name": key[0], "closure": key[1], "rest": key[2]}
+        if not key:
+            return {}
+        if type(key[0]) is int:
+            return {"top": key[0], "rest": key[1]}
+        return {"code": self.terms.add(key[0]), "env": key[1]}
+
+    def state(self, code, env, stack) -> dict:
+        """A state's entries, as {"code": term, "env": e, "stack": k}."""
+        return {"code": self.terms.add(code), "env": self.add(env), "stack": self.add(stack)}
 
 
-def _table(code, env, stack) -> tuple:
-    """A closure (stack None) or a state as the arguments of _from_table:
-    the rows of every closure it holds (ClosureRows), then its code, its
-    env as (name, row) pairs and its stack as rows, top first."""
-    table = ClosureRows()
-    env = tuple((x, table.add(c)) for x, c in env_pairs(env))
-    return table.rows, code, env, None if stack is None else tuple(map(table.add, stack_tuple(stack)))
+_KINDS = {Closure: "a closure", 3: "an environment", 2: "a stack"}
 
 
-def _from_table(rows, code, env, stack):
-    """The closure or state _table wrote, built row by row."""
-    built: list = []
-    for c, e in rows:
-        built.append(Closure(c, env_cells([(x, built[i]) for x, i in e])))
-    env = env_cells([(x, built[i]) for x, i in env])
-    if stack is None:
-        return Closure(code, env)
-    return MachState(code, env, stack_cells([built[i] for i in stack]))
+def row_at(built, i, kind):
+    """Entry i of a closures table read_rows decoded, which must be of
+    kind: Closure, or 3 for an environment and 2 for a stack (a cell of
+    that length, or the empty chain)."""
+    x = built[json_index(i, len(built))]
+    if (x.__class__ is Closure) if kind is Closure else (x.__class__ is tuple and len(x) in (0, kind)):
+        return x
+    raise ValueError(f"closures[{i}] is not {_KINDS[kind]}")
+
+
+def _row_entry(terms, e, done):
+    keys = e.keys() if isinstance(e, dict) else None
+    if keys == {"code", "env"}:
+        return Closure(terms[json_index(e["code"], len(terms))], row_at(done, e["env"], 3))
+    if keys == {"name", "closure", "rest"}:
+        return _name(e["name"]), row_at(done, e["closure"], Closure), row_at(done, e["rest"], 3)
+    if keys == {"top", "rest"}:
+        return row_at(done, e["top"], Closure), row_at(done, e["rest"], 2)
+    if e == {}:
+        return ()
+    raise ValueError(f"not a closure, env cell or stack cell: {e!r}")
+
+
+def read_rows(terms, closures) -> tuple:
+    """The terms and closures tables Rows wrote, decoded entry by entry,
+    each built once and shared by every entry that names it; a
+    ValueError names the entry, as closures[3]: ..."""
+    terms = decode_table(terms, "terms", term_entry)
+    return terms, decode_table(closures, "closures", partial(_row_entry, terms))
+
+
+def _from_rows(terms, closures, *at):
+    """The closure (one index) or state (code, env and stack) pickled
+    as the rows of one Rows."""
+    terms, built = read_rows(terms, closures)
+    return built[at[0]] if len(at) == 1 else MachState(terms[at[0]], built[at[1]], built[at[2]])
 
 
 def _pairs_equal(pairs: list) -> bool:
@@ -547,28 +577,28 @@ def decode(s: MachState | Closure) -> Term:
 def run_trace_rows(run: Run):
     """One JSON line per transition, streamed from a replay of the run:
     the step number (from 1), the label, the state size for a measured
-    run (state_sizes), and the state's code, env [[x, i], ...] and stack
-    [i, ...], where i is a closure's row in one ClosureRows.  Each
-    closure row is written once, as {"closure": i, "code", "env"}, on a
-    line of its own just before the first line that names it."""
+    run (state_sizes), and the state as Rows.state writes it, three
+    indices.  Each entry of the writer's tables is written once, on a
+    line of its own tagged with its table and index, {"terms": i, ...}
+    or {"closures": i, ...}, just before the first line that names it."""
     import json  # only --trace writes rows: importing the package need not load json
 
-    table = ClosureRows()
+    rows = Rows()
+    tables = (("terms", rows.terms.entries), ("closures", rows.closures))
     fired, sizes = run.fires(), repeat(None)
     if run.space is not None:
         fired, ahead = tee(fired)
         sizes = islice(state_sizes(run.initial, ahead), 1, None)  # no row for the initial state
     for i, ((label, code, env, stack), size) in enumerate(zip(fired, sizes), start=1):
-        written = len(table.rows)
-        env = [[x, table.add(c)] for x, c in env_pairs(env)]
-        stack = [table.add(c) for c in stack_tuple(stack)]
-        for j in range(written, len(table.rows)):
-            code_j, e = table.rows[j]
-            yield json.dumps({"closure": j, "code": print_term(code_j), "env": e})
+        written = [len(entries) for _, entries in tables]
+        state = rows.state(code, env, stack)
+        for (name, entries), start in zip(tables, written):
+            for j in range(start, len(entries)):
+                yield json.dumps({name: j, **entries[j]})
         row = {"step": i, "label": label}
         if size is not None:
             row["size"] = size
-        row.update(code=print_term(code), env=env, stack=stack)
+        row.update(state)
         yield json.dumps(row)
 
 

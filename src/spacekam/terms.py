@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .hashcons import TABLE, Interned, dead, enter
+from .hashcons import TABLE, Interned, Table, dead, enter, json_index
 
 
 class ParseError(ValueError):
@@ -228,6 +228,49 @@ def print_term(t: Term) -> str:
             work.append(("s", " ", 0))
             work.append(("t", x.fun, 1))
     return "".join(out)
+
+
+class TermTable(Table):
+    """The terms table of a flat file (derivation files, pickled closures
+    and states, trace rows): {"var": x}, {"lam": x, "body": i} and
+    {"app": [i, j]}."""
+
+    @staticmethod
+    def children(t) -> tuple:
+        if type(t) is Abs:
+            return (t.body,)
+        if type(t) is App:
+            return (t.fun, t.arg)
+        return ()
+
+    @staticmethod
+    def entry(t, at):
+        if type(t) is Var:
+            return {"var": t.name}
+        if type(t) is Abs:
+            return {"lam": t.binder, "body": at[t.body]}
+        if type(t) is App:
+            return {"app": [at[t.fun], at[t.arg]]}
+        raise TypeError(f"not a term: {t!r}")
+
+
+def _name(x) -> str:
+    if not is_name(x):
+        raise ValueError(f"not a variable name: {x!r}")
+    return x
+
+
+def term_entry(e, done):
+    """The term a TermTable entry describes, over the terms before it."""
+    keys, i = e.keys() if isinstance(e, dict) else None, len(done)
+    if keys == {"var"}:
+        return Var(_name(e["var"]))
+    if keys == {"lam", "body"}:
+        return Abs(_name(e["lam"]), done[json_index(e["body"], i)])
+    if keys == {"app"} and isinstance(e["app"], list) and len(e["app"]) == 2:
+        f, a = e["app"]
+        return App(done[json_index(f, i)], done[json_index(a, i)])
+    raise ValueError(f"not a term: {e!r}")
 
 
 # ---------------------------------------------------------------------------

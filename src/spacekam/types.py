@@ -46,7 +46,7 @@ from __future__ import annotations
 import operator
 from functools import cmp_to_key
 
-from .hashcons import TABLE, Interned, Table, dead, enter
+from .hashcons import TABLE, Interned, Table, dead, decode_table, enter, json_index
 from .terms import is_name
 
 
@@ -393,17 +393,6 @@ def contexts_union(contexts: list) -> TypeContext:
 # ---------------------------------------------------------------------------
 # JSON: a table of types, each entry referring to earlier entries by index
 
-def json_index(v, n: int) -> int:
-    """v checked as an index into a table of n entries.  JSON booleans
-    are not integers here, and a negative index would silently alias
-    an entry from the end."""
-    if type(v) is not int:
-        raise ValueError(f"index must be an integer, found {v!r}")
-    if not 0 <= v < n:
-        raise ValueError(f"index {v} is outside [0, {n})")
-    return v
-
-
 class TypeTable(Table):
     """Encoder for the type table of a derivation file: "*",
     {"arg": i, "res": j}, {"multi": [[i, n], ...], "k": k} for an
@@ -451,21 +440,6 @@ def context_from_json(obj, types: list) -> TypeContext:
             raise ValueError(f"context image of {x} is not a multi type")
         entries.append((x, m))
     return TypeContext(tuple(entries))
-
-
-def decode_table(entries, name: str, entry) -> list:
-    """Decode the table name of a derivation file, position by
-    position: entry(e, done) builds one entry from the entries decoded
-    before it.  A ValueError names the offending entry as name[i]."""
-    if not isinstance(entries, list):
-        raise ValueError(f"{name} must be a list")
-    out: list = []
-    for i, e in enumerate(entries):
-        try:
-            out.append(entry(e, out))
-        except ValueError as ex:
-            raise ValueError(f"{name}[{i}]: {ex}") from None
-    return out
 
 
 def types_from_json(entries) -> list:

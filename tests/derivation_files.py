@@ -8,6 +8,7 @@ the node table (node_at)."""
 
 import copy
 
+import families
 import spacekam as sk
 from spacekam.checker import R_CL, R_ENV, R_ST, Derivation, Judgment
 from spacekam.types import EMPTY_CONTEXT, STAR
@@ -32,6 +33,22 @@ def state_file() -> dict:
     cl = Derivation(R_CL, Judgment("closure", s.stack[0], EMPTY_CONTEXT, STAR, 0))
     return sk.derivation_to_json(
         Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0), (env, cl))
+    )
+
+
+def let_state_file() -> dict:
+    """A state judgment over the plain machine's final environment on the
+    let chain of 4: each closure's env is a tail of the state's, so the
+    closures table shares env cells, and the state's stack is two of its
+    closures, top first.  Only decoding is tested, as for state_file."""
+    run = sk.kam_run(sk.compile(sk.parse_term(families.let_chain(4))), 100)
+    e = run.final.env
+    assert e[1].env is e[2]  # the closure bound last is over the env below it
+    s = sk.MachState(run.final.code, e, (e[1], (e[2][1], ())))
+    env = Derivation(R_ENV, Judgment("env", s.env, EMPTY_CONTEXT, EMPTY_CONTEXT, 0))
+    cls = tuple(Derivation(R_CL, Judgment("closure", c, EMPTY_CONTEXT, STAR, 0)) for c in (e[1], e[2][1]))
+    return sk.derivation_to_json(
+        Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0), (env, *cls))
     )
 
 
@@ -67,10 +84,22 @@ def _set(path, key, value):
     return edit
 
 
-def _last(table, edit):
+def _last(keys, edit):
+    """Edit the last closures entry with keys (a closure, an env cell or
+    a stack cell), given its index."""
     def go(o):
-        edit(o["tables"][table][-1], len(o["tables"][table]) - 1)
+        entries = o["tables"]["closures"]
+        i = max(i for i, e in enumerate(entries) if e.keys() == keys)
+        edit(entries[i], i)
     return go
+
+
+CLOSURE, ENV_CELL, STACK_CELL = {"code", "env"}, {"name", "closure", "rest"}, {"top", "rest"}
+
+
+def _first(keys):
+    """The index of the first closures entry with keys."""
+    return lambda o: next(i for i, e in enumerate(o["tables"]["closures"]) if e.keys() == keys)
 
 
 def _drop(key):
@@ -87,6 +116,15 @@ def _drop_table(key):
 
 def _n(table):
     return lambda o: len(o["tables"][table])
+
+
+def _rename_env_subject(x):
+    """Point the env judgment at premise 0 to a copy of its first cell
+    that binds x."""
+    def edit(o):
+        j = node_at(o, (0,))["judgment"]
+        j["subject"] = _add(o, "closures", {**o["tables"]["closures"][j["subject"]], "name": x})
+    return edit
 
 
 # (id, base file, edit, regex the error message must match from its start;
@@ -152,28 +190,54 @@ CASES = [
      r"root: tables\.types\[\d+\]: a multi lists \[type, count\] pairs under \"multi\"; "
      r"an \"elems\" list is an older format$"),
     ("closure-code", state_file,
-     _last("closures", lambda e, i: e.update(code=-1)),
+     _last(CLOSURE, lambda e, i: e.update(code=-1)),
      r"root: tables\.closures\[\d+\]: index -1 is outside"),
     ("closure-self", state_file,
-     _last("closures", lambda e, i: e["env"][0].__setitem__(1, i)),
+     _last(CLOSURE, lambda e, i: e.update(env=i)),
      r"root: tables\.closures\[(\d+)\]: index \1 is outside \[0, \1\)"),
     ("closure-env-name", state_file,
-     _last("closures", lambda e, i: e["env"][0].__setitem__(0, "λ")),
+     _last(ENV_CELL, lambda e, i: e.update(name="λ")),
      r"root: tables\.closures\[\d+\]: not a variable name: 'λ'"),
     ("closure-keys", state_file,
-     _last("closures", lambda e, i: e.update(stack=[])),
-     r"root: tables\.closures\[\d+\]: closure must have code and env"),
+     _last(CLOSURE, lambda e, i: e.update(stack=0)),
+     r"root: tables\.closures\[\d+\]: not a closure, env cell or stack cell"),
     ("state-stack-bool", state_file,
-     lambda o: node_at(o, ())["judgment"]["subject"].update(stack=[True]),
+     lambda o: node_at(o, ())["judgment"]["subject"].update(stack=True),
      r"root: tables\.nodes\[{n}\]: index must be an integer, found True"),
     ("state-env-past-end", state_file,
-     lambda o: node_at(o, ())["judgment"]["subject"].update(env=[["x", len(o["tables"]["closures"])]]),
+     lambda o: node_at(o, ())["judgment"]["subject"].update(env=len(o["tables"]["closures"])),
      r"root: tables\.nodes\[{n}\]: index \d+ is outside"),
-    ("env-subject-name", state_file,
-     lambda o: node_at(o, (0,))["judgment"]["subject"][0].__setitem__(0, "1 2"),
-     r"root: tables\.nodes\[{n}\]: not a variable name: '1 2'"),
+    ("env-subject-name", state_file, _rename_env_subject("1 2"),
+     r"root: tables\.closures\[\d+\]: not a variable name: '1 2'"),
     ("closure-subject-negative", state_file, _set((1,), "subject", -1),
      r"root: tables\.nodes\[{n}\]: index -1 is outside"),
+    ("env-cell-self", let_state_file,
+     _last(ENV_CELL, lambda e, i: e.update(rest=i)),
+     r"root: tables\.closures\[(\d+)\]: index \1 is outside \[0, \1\)"),
+    ("stack-cell-self", let_state_file,
+     _last(STACK_CELL, lambda e, i: e.update(rest=i)),
+     r"root: tables\.closures\[(\d+)\]: index \1 is outside \[0, \1\)"),
+    ("closure-env-is-a-closure", let_state_file,
+     lambda o: _add(o, "closures", {"code": 0, "env": _first(CLOSURE)(o)}),
+     r"root: tables\.closures\[\d+\]: closures\[\d+\] is not an environment"),
+    ("env-cell-binds-a-cell", let_state_file,
+     lambda o: _add(o, "closures", {"name": "x", "closure": _first(ENV_CELL)(o), "rest": 0}),
+     r"root: tables\.closures\[\d+\]: closures\[\d+\] is not a closure"),
+    ("stack-cell-over-an-env", let_state_file,
+     lambda o: _add(o, "closures", {"top": _first(CLOSURE)(o), "rest": _first(ENV_CELL)(o)}),
+     r"root: tables\.closures\[\d+\]: closures\[\d+\] is not a stack"),
+    ("state-stack-is-an-env", let_state_file,
+     lambda o: node_at(o, ())["judgment"]["subject"].update(stack=_first(ENV_CELL)(o)),
+     r"root: tables\.nodes\[{n}\]: closures\[\d+\] is not a stack"),
+    ("env-subject-is-a-stack", let_state_file,
+     _set((0,), "subject", _first(STACK_CELL)),
+     r"root: tables\.nodes\[{n}\]: closures\[\d+\] is not an environment"),
+    ("closure-subject-is-a-cell", let_state_file,
+     _set((1,), "subject", _first(ENV_CELL)),
+     r"root: tables\.nodes\[{n}\]: closures\[\d+\] is not a closure"),
+    ("empty-chain-not-an-object", let_state_file,
+     lambda o: o["tables"]["closures"].__setitem__(0, []),
+     r"root: tables\.closures\[0\]: not a closure, env cell or stack cell: \[\]"),
 ]
 
 IDS = [c[0] for c in CASES]

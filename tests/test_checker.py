@@ -16,6 +16,7 @@ from derivation_files import (
     node_at,
     term_file,
 )
+from machine_steps import env_cells, stack_tuple
 
 import spacekam.checker as checker
 from spacekam.checker import (
@@ -51,7 +52,7 @@ from spacekam.checker import (
 )
 from spacekam.extractor import extract, extract_kam, type_final_state
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, ClosureRows, MachState, compile, env_cells, env_pairs, kam_run, stack_tuple
+from spacekam.kam import Closure, MachState, Rows, compile, env_pairs, kam_run
 from spacekam.space_kam import skam_run
 from spacekam.terms import Abs, App, Var, parse_term
 from spacekam.types import (
@@ -764,9 +765,9 @@ def test_derivation_eq_tells_apart_each_part_and_ignores_sharing_and_time(
 def test_derivation_eq_compares_each_closure_pair_once_over_the_tree(monkeypatch):
     # the Space KAM's final state on an n-deep let chain holds a chain of
     # n closures, each the subject of a TCl judgment: == writes both
-    # files, each numbering a closure once however many judgments hold
-    # it, so numbering closures per judgment would cost O(n^2) and the
-    # two files O(n)
+    # files, each numbering a closure or cell once however many
+    # judgments hold it, so numbering closures per judgment would cost
+    # O(n^2) and the two files O(n)
     n = 800
     body = rf"\z. x{n}"
     for i in range(n, 0, -1):
@@ -775,14 +776,14 @@ def test_derivation_eq_compares_each_closure_pair_once_over_the_tree(monkeypatch
     d = type_final_state(run.final)
     back = derivation_from_json(derivation_to_json(d))
     added = 0
-    add = ClosureRows.add
+    add = Rows.add
 
     def counting(self, c):
         nonlocal added
         added += 1
         return add(self, c)
 
-    monkeypatch.setattr(ClosureRows, "add", counting)
+    monkeypatch.setattr(Rows, "add", counting)
     assert d is not back and d == back
     assert 2 * n <= added <= 5 * n
 
@@ -831,11 +832,19 @@ def test_json_roundtrip_of_hand_built_closures():
     s = MachState(App(x, y), env_cells((("x", c), ("y", inner))), (c, (inner, ())))
     d = Derivation(R_ST, Judgment("state", s, EMPTY_CONTEXT, STAR, 0))
     obj = derivation_to_json(d)
-    # x, y, x x, x y, \y.y; (\y.y, []), (x x, [x <- (\y.y, [])])
+    # x, y, x x, x y, \y.y; the empty chain, the closures (\y.y, []) and
+    # (x x, [x <- (\y.y, [])]), the env cells [y <- (\y.y, [])], [x <-
+    # (\y.y, [])] and x <- (x x, ..) over the first, and the stack cells
+    # (\y.y, []) and (x x, ..) over it
     assert len(obj["tables"]["terms"]) == 5
-    assert len(obj["tables"]["closures"]) == 2
+    closures = obj["tables"]["closures"]
+    assert sorted(map(sorted, closures)) == sorted(
+        [[]] + [["code", "env"]] * 2 + [["closure", "name", "rest"]] * 3 + [["rest", "top"]] * 2
+    )
     subject = obj["tables"]["nodes"][-1]["judgment"]["subject"]
-    assert subject["stack"] == [subject["env"][0][1], subject["env"][1][1]]
+    env, stack = closures[subject["env"]], closures[subject["stack"]]
+    assert stack["top"] == env["closure"] and closures[stack["rest"]]["top"] == closures[env["rest"]]["closure"]
+    assert closures[closures[env["closure"]]["env"]]["closure"] == closures[env["rest"]]["closure"]
     assert derivation_from_json(obj) == d
 
 

@@ -7,8 +7,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 from derivation_files import CASES, IDS, node_at
+from machine_steps import read_trace
 
-import spacekam
+import spacekam as sk
 from spacekam.cli import main
 
 EXAMPLE_SRC = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
@@ -170,7 +171,8 @@ def test_skam_trace_to_stdout(runner):
         "sea_nv", "beta_nw", "sea_v", "beta_nw", "sea_nv", "beta_w", "sub",
     ]
     assert [r["size"] for r in states] == [1, 1, 2, 2, 4, 1, 0]
-    assert [r["closure"] for r in rows if "closure" in r] == [0, 1]
+    assert [r["terms"] for r in rows if "terms" in r] == list(range(10))
+    assert [r["closures"] for r in rows if "closures" in r] == list(range(7))
     assert json.loads(lines[-1])["space"] == 4
 
 
@@ -181,7 +183,8 @@ def test_kam_trace_to_file(runner, tmp_path):
     rows = [json.loads(ln) for ln in out.read_text().splitlines()]
     states = [r for r in rows if "step" in r]
     assert len(states) == 7 and states[0]["step"] == 1
-    assert [r["closure"] for r in rows if "closure" in r] == [0, 1, 2]
+    assert [r["terms"] for r in rows if "terms" in r] == list(range(10))
+    assert [r["closures"] for r in rows if "closures" in r] == list(range(10))
 
 
 @pytest.mark.parametrize("command", [["kam", "--trace"], ["skam", "--trace"], ["infer", "-o"]])
@@ -279,7 +282,7 @@ def test_check_from_stdin(runner):
 def _spacekam(*args, stdin=None):
     """Run the command line in a child process, at the interpreter's
     default recursion limit."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
     return subprocess.run(
         [sys.executable, "-m", "spacekam.cli", *args],
         stdin=stdin, capture_output=True, text=True, env=env,
@@ -346,6 +349,44 @@ def _let_chain(n):
     return rf"(\x0. {body}) (\a.a)"
 
 
+def test_trace_rows_write_each_entry_once_through_the_command_line(tmp_path):
+    # each term, closure and cell is written once, as an entry of its
+    # own, and named by number after, so the plain loop's trace grows
+    # linearly with the transitions: 20,000 of them stay under 4 MB (124
+    # MB when every row wrote its closures in full); the fuel runs out,
+    # which exits 1
+    loop = tmp_path / "loop.jsonl"
+    res = _spacekam("kam", "--trace", str(loop), "--fuel", "20000", OMEGA)
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.splitlines()[-1] == "complete: false"
+    assert 0 < loop.stat().st_size < 4_000_000
+    # the skam trace of the README example reads back into the replayed
+    # states, with their sizes
+    example = tmp_path / "example.jsonl"
+    res = _spacekam("skam", "--trace", str(example), EXAMPLE_SRC)
+    assert res.returncode == 0, res.stderr
+    run = sk.skam_run(sk.compile(sk.parse_term(EXAMPLE_SRC)), 100)
+    _, _, states = read_trace(example.read_text().splitlines())
+    assert [s for _, s in states] == [s for _, s in run.trace] and len(states) == 7
+    assert all(row["size"] == sk.state_size(s) for row, s in states)
+
+
+def test_the_trace_of_a_3000_deep_let_chain_through_the_command_line(tmp_path):
+    # the plain machine's env is a chain of cells, 3,001 deep at the end
+    # of the 3,000-deep let chain, and each closure's env a tail of it:
+    # the trace writes each cell once and stays under 10 MB (about 400
+    # MB when each row listed its envs in full), and reads back to the
+    # run's last state, at the default recursion limit
+    src, out = tmp_path / "chain3000.lam", tmp_path / "chain3000.jsonl"
+    src.write_text(_let_chain(3000))
+    res = _spacekam("kam", "--trace", str(out), "-f", str(src))
+    assert res.returncode == 0, res.stderr
+    assert out.stat().st_size < 10_000_000
+    run = sk.kam_run(sk.compile(sk.parse_term(_let_chain(3000))), 100_000)
+    _, _, states = read_trace(out.read_text().splitlines())
+    assert len(states) == run.transitions and states[-1][1] == run.last
+
+
 def test_a_600_deep_let_chain_verifies_and_round_trips(tmp_path):
     # closures nest 600 deep: extraction, verify and the derivation
     # file need no recursion per level, at the default recursion limit
@@ -389,7 +430,7 @@ def test_importing_the_package_leaves_the_recursion_limit_alone():
         "import spacekam\n"
         "print(before, sys.getrecursionlimit())\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(spacekam.__file__))}
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     before, after = res.stdout.split()
@@ -495,13 +536,17 @@ IDENTITY_TABLES = {
 MIXED_TYPES = ["*", {"multi": [], "k": 1}, {"multi": []}, {"arg": 2, "res": 0}]
 
 
-def _leaf(types=None, node=None, **judgment):
+def _leaf(types=None, node=None, closures=(), **judgment):
     """The file of one TLamStar node, with the judgment fields given,
-    or with node in its place."""
+    or with node in its place, over the closures table given."""
     j = {"subject_kind": "term", "subject": 1, "context": {}, "type": 0, "weight": 0}
     node = node or {"rule": "TLamStar", "judgment": {**j, **judgment}, "premises": []}
     types = types or IDENTITY_TABLES["types"]
-    return {"tables": {**IDENTITY_TABLES, "types": types, "nodes": [node]}}
+    return {"tables": {**IDENTITY_TABLES, "types": types, "closures": list(closures), "nodes": [node]}}
+
+
+# the empty chain and the closure (\a.a, [])
+IDENTITY_CLOSURE = [{}, {"code": 1, "env": 0}]
 
 
 @pytest.mark.parametrize(
@@ -517,13 +562,17 @@ def _leaf(types=None, node=None, **judgment):
          r"root: tables\.types\[4\]: indexed multi over a non-indexed element"),
         (_leaf(types=["*", {"multi": 5, "k": 1}]),
          r"root: tables\.types\[1\]: multi must be a list of \[type, count\] pairs"),
-        (_leaf(subject_kind="state", subject={"code": 1, "env": [], "stack": 5}),
-         r"root: tables\.nodes\[0\]: state stack must be a list"),
-        (_leaf(subject_kind="state", subject={"code": 5, "env": [], "stack": []}),
+        (_leaf(closures=[{}], subject_kind="state", subject={"code": 1, "env": 0, "stack": 5}),
+         r"root: tables\.nodes\[0\]: index 5 is outside \[0, 1\)"),
+        (_leaf(closures=[{}], subject_kind="state", subject={"code": 5, "env": 0, "stack": 0}),
          r"root: tables\.nodes\[0\]: index 5 is outside \[0, 2\)"),
+        (_leaf(closures=[*IDENTITY_CLOSURE, {"name": "a", "closure": 1, "rest": 3}]),
+         r"root: tables\.closures\[2\]: index 3 is outside \[0, 2\)"),
+        (_leaf(closures=[*IDENTITY_CLOSURE, {"name": "a b", "closure": 1, "rest": 0}]),
+         r"root: tables\.closures\[2\]: not a variable name: 'a b'"),
     ],
     ids=["no-judgment", "rule-list", "mixed-arrow", "mixed-context",
-         "elems-int", "stack-int", "code-int"],
+         "elems-int", "stack-int", "code-int", "cell-forward", "cell-name"],
 )
 def test_check_rejects_malformed_derivations(runner, tmp_path, obj, message):
     f = tmp_path / "shape.json"

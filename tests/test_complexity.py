@@ -17,8 +17,15 @@ machines, their replays and trace views and extract_kam; the count
 guard below holds the plain replay's end check to a constant number of
 pairs per binding, with no clock.
 
-Each guard times every stage at a size and at the size with four times
-the transitions, takes the best of 3, and asserts a ratio of at most 6:
+The formats a state meets grow with it too, not faster: one writer
+(kam.Rows) numbers each term, closure, env cell and stack cell once, so
+trace rows cost about the same bytes per transition at every size, and
+a state's pickle, a state judgment's file and its == grow linearly on
+the let chain, where closures nest n deep over envs that share tails.
+
+Each timing guard times every stage at a size and at the size with four
+times the transitions, takes the best of 3, and asserts a ratio of at
+most 6:
 linear cost gives about 4, quadratic cost 16, so the bound has room on
 each side on a noisy machine; a stage over the bound is measured once
 more, and fails only if it is over the bound both times.  Each timed
@@ -27,17 +34,20 @@ collection walks every object the process holds, those of other tests
 too, so its cost is not the stage's."""
 
 import gc
+import json
+import pickle
 import time
 
 import pytest
 
 import families
-from spacekam.checker import check_walk
-from spacekam.extractor import extract, extract_kam
+from spacekam.checker import KIND_STATE, R_ST, Derivation, Judgment, check_walk, derivation_from_json, derivation_to_json
+from spacekam.extractor import extract, extract_kam, type_final_state
 from spacekam import kam
-from spacekam.kam import compile, kam_run
+from spacekam.kam import compile, kam_run, run_trace_rows
 from spacekam.space_kam import skam_run
 from spacekam.terms import parse_term, whnf_eval
+from spacekam.types import EMPTY_CONTEXT, STAR
 
 FUEL = 1_000_000
 
@@ -157,3 +167,53 @@ def test_the_plain_replays_end_check_pairs_each_binding_once(monkeypatch):
         (count,) = pops
         per_binding[n] = count / (n + 1)
     assert max(per_binding.values()) <= 4, per_binding
+
+
+@pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        (families.church_app, (256, 512, 1024)),
+        (families.let_chain, (500, 1000, 2000)),
+        (families.wide_app, (1000, 2000, 4000)),
+    ],
+    ids=["church", "let_chain", "wide_app"],
+)
+def test_trace_bytes_per_transition_stay_flat(family, sizes, machine_run):
+    # each code, closure and cell is written once, so a row costs about
+    # the same bytes at every size: rows that printed each code, or
+    # listed each env, in full cost 3x per doubling on c_n and 4x on the
+    # let chain
+    per = []
+    for n in sizes:
+        run = machine_run(compile(parse_term(family(n))), FUEL)
+        per.append(sum(len(line) + 1 for line in run_trace_rows(run)) / run.transitions)
+    assert all(b <= 1.3 * a for a, b in zip(per, per[1:])), per
+
+
+def test_state_pickles_files_and_their_eq_grow_linearly_on_the_let_chain():
+    # at n = 200, 400, 800 and 1600: the pickle of the plain machine's
+    # final state, whose closures' envs are tails of its own; the file of
+    # a state judgment on that state; the file of the Space KAM's final
+    # state's typing (type_final_state); and == of each judgment against
+    # its round trip, which compares files.  Each grows at most 2.5x per
+    # doubling (bytes exactly, times as best of 3, measured once more
+    # before failing); with each env written in full, the bytes grew 4x
+    bytes_at, eqs = [], []
+    for n in (200, 400, 800, 1600):
+        t = _let_chain(n)
+        final = kam_run(t, FUEL).final
+        state = Derivation(R_ST, Judgment(KIND_STATE, final, EMPTY_CONTEXT, STAR, 0))
+        typing = type_final_state(skam_run(t, FUEL).final)
+        files = [derivation_to_json(d) for d in (state, typing)]
+        bytes_at.append([len(pickle.dumps(final)), *(len(json.dumps(f)) for f in files)])
+        backs = [derivation_from_json(json.loads(json.dumps(f))) for f in files]
+        eqs.append([lambda d=d, b=b: d == b for d, b in zip((state, typing), backs)])
+    for small, large in zip(bytes_at, bytes_at[1:]):
+        assert all(b <= 2.5 * a for a, b in zip(small, large)), bytes_at
+    for small, large in zip(eqs, eqs[1:]):
+        for eq, eq2 in zip(small, large):
+            ratio = _ratio(eq, eq2)
+            if ratio > 2.5:
+                ratio = min(ratio, _ratio(eq, eq2))
+            assert ratio <= 2.5, ratio

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import families
+from machine_steps import env_cells, read_trace
 from spacekam.checker import KIND_ENV, Judgment, check, derivation_from_json, derivation_to_json
 from spacekam.extractor import type_final_state
 from spacekam.kam import (
@@ -23,7 +24,6 @@ from spacekam.kam import (
     MachState,
     compile,
     decode,
-    env_cells,
     env_pairs,
     kam_run,
     run_trace_rows,
@@ -120,15 +120,18 @@ def test_a_final_state_types_and_checks(deep):
 def test_trace_rows(deep):
     # from x0 x1 over the deep env: a sea pushes (x1, env), the sub of x0
     # reaches \a.a, which binds and reads it back, and the sub of x1
-    # ends the run; the rows of the sea and of (x1, env) list every binding
+    # ends the run; the deep env is written once, cell by cell, and the
+    # row of the sea and the closure (x1, env) name it by one index
     s, _ = deep
     run = kam_run(MachState(App(Var("x0"), Var("x1")), s.env, ()), 10)
     assert run.final_reached and run.transitions == 5
-    rows = [json.loads(line) for line in run_trace_rows(run)]
-    steps = [r for r in rows if "step" in r]
-    assert [r["label"] for r in steps] == ["sea", "sub", "beta", "sub", "sub"]
-    names = [[x for x, _ in r["env"]] for r in steps]
+    _, closures, states = read_trace(run_trace_rows(run))
+    assert [row["label"] for row, _ in states] == ["sea", "sub", "beta", "sub", "sub"]
+    assert [t for _, t in states] == [t for _, t in run.trace]
+    names = [[x for x, _ in env_pairs(t.env)] for _, t in states]
     want = [f"x{i}" for i in reversed(range(N))]
     assert names == [want, [], ["a"], want, []]
-    closures = [r for r in rows if "closure" in r]
-    assert [x for x, _ in closures[-1]["env"]] == want
+    pushed = [c for c in closures if type(c) is Closure][-1]
+    assert pushed.code == Var("x1") and pushed.env is states[0][1].env
+    assert states[0][0]["env"] == states[3][0]["env"]
+    assert len(closures) < N + 10

@@ -9,22 +9,21 @@ plain machine on wide_app n pushes its n arguments before its first
 beta: its state there holds all 20,000 of them on its stack."""
 
 import copy
-import json
 import pickle
 import sys
 
 import pytest
 
 import families
+from machine_steps import read_trace, stack_cells, stack_tuple
 from spacekam.kam import (
     Closure,
     MachState,
     compile,
     decode,
+    env_pairs,
     kam_run,
     run_trace_rows,
-    stack_cells,
-    stack_tuple,
     state_size,
 )
 from spacekam.space_kam import check_env_domain_invariant, skam_run
@@ -89,19 +88,25 @@ def test_decode_sizes_and_the_domain_check(deep):
 def test_trace_rows_of_a_few_steps(deep, machine_run):
     # three betas: x0 is bound (beta, or beta_nw: the body reads it),
     # then x1 and x2 are bound or dropped (beta_w: it does not); each
-    # pops one argument, and every argument shares the one closure row
+    # pops one argument, and every argument shares the one closure entry
     s, _ = deep
     run = machine_run(s, 3)
     assert run.transitions == 3
-    rows = [json.loads(line) for line in run_trace_rows(run)]
-    assert rows[0] == {"closure": 0, "code": r"\a.a", "env": []}
-    steps = rows[1:]
-    assert [len(r["stack"]) for r in steps] == [N - 1, N - 2, N - 3]
-    assert all(r["stack"] == [0] * len(r["stack"]) for r in steps)
+    _, closures, states = read_trace(run_trace_rows(run))
+    assert [t for _, t in states] == [t for _, t in run.trace]
+    rows = [row for row, _ in states]
+    assert [len(stack_tuple(t.stack)) for _, t in states] == [N - 1, N - 2, N - 3]
+    # a pop names the cell below the stack before it
+    assert all(closures[a["stack"]][1] is closures[b["stack"]] for a, b in zip(rows, rows[1:]))
+    (ident,) = [c for c in closures if type(c) is Closure]
+    assert ident.code == IDENT and all(c is ident for c in stack_tuple(states[0][1].stack))
     if machine_run is kam_run:
-        assert [r["label"] for r in steps] == ["beta"] * 3
-        assert [len(r["env"]) for r in steps] == [1, 2, 3]
+        assert [r["label"] for r in rows] == ["beta"] * 3
+        assert [len(env_pairs(t.env)) for _, t in states] == [1, 2, 3]
+        assert len(closures) == 2 + (N - 1) + 3  # (), the closure, stack and env cells
     else:
-        assert [r["label"] for r in steps] == ["beta_nw", "beta_w", "beta_w"]
-        assert [r["env"] for r in steps] == [[["x0", 0]]] * 3
-        assert [r["size"] for r in steps] == [N, N - 1, N - 2]
+        assert [r["label"] for r in rows] == ["beta_nw", "beta_w", "beta_w"]
+        assert [env_pairs(t.env) for _, t in states] == [(("x0", ident),)] * 3
+        assert len({r["env"] for r in rows}) == 1
+        assert [r["size"] for r in rows] == [N, N - 1, N - 2]
+        assert len(closures) == 2 + (N - 1) + 1

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from machine_steps import env_cells
 
 import spacekam as sk
 from spacekam.checker import (
@@ -44,7 +45,7 @@ from spacekam.extractor import (
     type_final_state,
 )
 from spacekam.hashcons import postorder
-from spacekam.kam import Closure, MachState, compile, env_cells, kam_run
+from spacekam.kam import Closure, MachState, compile, kam_run
 from spacekam.space_kam import skam_run, state_size
 from spacekam.terms import Var, parse_term, print_term
 from spacekam.types import EMPTY_CONTEXT, STAR, ClosureMulti, size_context

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import functools
 import json
 import pickle
 import sys
@@ -8,7 +7,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from machine_steps import step
+from machine_steps import env_cells, read_trace, stack_tuple, step
 
 import families
 import spacekam as sk
@@ -21,18 +20,15 @@ from spacekam.kam import (
     StuckState,
     compile,
     decode,
-    env_cells,
     env_pairs,
     kam_fire,
     kam_run,
     run_summary,
     run_trace_rows,
-    stack_cells,
-    stack_tuple,
     state_size,
 )
 from spacekam.space_kam import skam_fire, skam_run
-from spacekam.checker import derivation_from_json, derivation_to_json
+from spacekam.checker import KIND_STATE, R_ST, Derivation, Judgment, derivation_from_json, derivation_to_json
 from spacekam.extractor import expand, type_final_state
 from spacekam.terms import (
     Abs,
@@ -45,6 +41,7 @@ from spacekam.terms import (
     whnf_eval,
     whnf_step,
 )
+from spacekam.types import EMPTY_CONTEXT, STAR
 
 
 IDENT = parse_term(r"\a.a")
@@ -157,31 +154,53 @@ def test_trace_rows_shape(example_kam):
     states = [r for r in rows if "step" in r]
     assert len(states) == 7
     assert [r["step"] for r in states] == list(range(1, 8))
-    assert set(states[0]) == {"step", "label", "code", "env", "stack"}
+    assert list(states[0]) == ["step", "label", "code", "env", "stack"]
     assert states[0]["label"] == "sea"
-    # each closure once, numbered in order, just before the first row
-    # that names it
-    assert [r for r in rows if "step" not in r] == [
-        {"closure": 0, "code": r"\a.a", "env": []},
-        {"closure": 1, "code": "x", "env": [["x", 0]]},
-        {"closure": 2, "code": "x y", "env": [["y", 1], ["x", 0]]},
+    # each term and each closure, env cell and stack cell once, numbered
+    # in order, just before the first row that names it
+    terms = [r for r in rows if "terms" in r]
+    assert [r["terms"] for r in terms] == list(range(10))
+    assert terms[-2:] == [{"terms": 8, "var": "a"}, {"terms": 9, "lam": "a", "body": 8}]
+    assert [r for r in rows if "closures" in r] == [
+        {"closures": 0},  # the empty chain, env and stack alike
+        {"closures": 1, "code": 9, "env": 0},  # \a.a
+        {"closures": 2, "top": 1, "rest": 0},
+        {"closures": 3, "name": "x", "closure": 1, "rest": 0},
+        {"closures": 4, "code": 0, "env": 3},  # x
+        {"closures": 5, "top": 4, "rest": 0},
+        {"closures": 6, "name": "y", "closure": 4, "rest": 3},  # over x's cell
+        {"closures": 7, "code": 2, "env": 6},  # x y
+        {"closures": 8, "top": 7, "rest": 0},
+        {"closures": 9, "name": "z", "closure": 7, "rest": 6},
     ]
-    assert [i for i, r in enumerate(rows) if "closure" in r] == [0, 3, 6]
-    assert rows[1]["stack"] == [0] and rows[8]["env"] == [["z", 2], ["y", 1], ["x", 0]]
+    assert [i for i, r in enumerate(rows) if "step" in r] == [13, 15, 18, 20, 23, 25, 26]
+    assert states[0] == {"step": 1, "label": "sea", "code": 7, "env": 0, "stack": 2}
+    assert states[5] == {"step": 6, "label": "beta", "code": 0, "env": 9, "stack": 0}
 
 
 def test_trace_row_of_closures_nested_20000_deep():
     # a variable bound to 20,000 nested closures: the sub transition's
-    # state holds 20,000 of them, each written once, children first
+    # state is c's code and env, which hold 20,000 closures below c, each
+    # written once after its env cell, children first
     c = Closure(IDENT, ())
     for _ in range(20_000):
         c = Closure(Var("x"), ("x", c, ()))
     lines = list(run_trace_rows(kam_run(MachState(Var("x"), ("x", c, ()), ()), 1)))
-    assert len(lines) == 20_001
-    assert lines[0] == r'{"closure": 0, "code": "\\a.a", "env": []}'
-    assert lines[1:-1] == [f'{{"closure": {i}, "code": "x", "env": [["x", {i - 1}]]}}' for i in range(1, 20_000)]
+    assert len(lines) == 3 + 2 * 20_000 + 1 + 1  # terms, entries, the state
+    assert lines[:5] == [
+        '{"terms": 0, "var": "x"}',
+        '{"terms": 1, "var": "a"}',
+        '{"terms": 2, "lam": "a", "body": 1}',
+        '{"closures": 0}',
+        '{"closures": 1, "code": 2, "env": 0}',
+    ]
+    assert lines[5:-1] == [
+        f'{{"closures": {i}, "name": "x", "closure": {i - 1}, "rest": 0}}'
+        if i % 2 == 0 else f'{{"closures": {i}, "code": 0, "env": {i - 1}}}'
+        for i in range(2, 2 * 20_000 + 1)
+    ]
     # the state after sub is c's own: code x, env [x <- 19,999 deep]
-    assert lines[-1] == '{"step": 1, "label": "sub", "code": "x", "env": [["x", 19999]], "stack": []}'
+    assert lines[-1] == '{"step": 1, "label": "sub", "code": 0, "env": 40000, "stack": 0}'
 
 
 def test_loop_trace_bytes_per_transition_stay_flat():
@@ -198,38 +217,24 @@ def _church(n):
 
 @pytest.mark.parametrize("machine_run", [kam_run, skam_run], ids=["kam", "skam"])
 def test_trace_rows_read_back_to_the_replayed_states(machine_run):
-    # every closure row rebuilds a closure from earlier rows, and every
-    # state row a state equal to the replayed one, with its size
+    # every table entry rebuilds a term, closure or cell from earlier
+    # entries, and every state row a state equal to the replayed one,
+    # with its size
     terms = [sk.random_closed_term(seed, 25) for seed in range(200)]
     terms += [parse_term(_church(16) + r" (\a.a) (\b.b)")]
     terms += [parse_term(_church(3) + " " + _church(2) + r" (\a.a) (\b.b)")]
-    term = functools.cache(parse_term)
     for t in terms:
         run = machine_run(compile(t), 2000)
-        closures = []
-
-        def built(i):
-            assert 0 <= i < len(closures)  # written before its first use
-            return closures[i]
-
-        replayed = enumerate(run.trace, start=1)
-        for line in run_trace_rows(run):
-            row = json.loads(line)
-            if "closure" in row:
-                assert row.keys() == {"closure", "code", "env"}
-                assert row["closure"] == len(closures)  # each index written once, in order
-                closures.append(Closure(term(row["code"]), env_cells([(x, built(i)) for x, i in row["env"]])))
-                continue
-            step, (label, s) = next(replayed)
-            assert (row["step"], row["label"]) == (step, label)
-            env = env_cells([(x, built(i)) for x, i in row["env"]])
-            got = MachState(term(row["code"]), env, stack_cells([built(i) for i in row["stack"]]))
-            assert got == s
+        _, _, states = read_trace(run_trace_rows(run))
+        assert [(row["step"], row["label"]) for row, _ in states] == [
+            (i, label) for i, (label, _) in enumerate(run.trace, start=1)
+        ]
+        assert [s for _, s in states] == [s for _, s in run.trace]
+        for row, s in states:
             if run.space is None:
                 assert "size" not in row
             else:
-                assert row["size"] == state_size(got)
-        assert next(replayed, None) is None
+                assert row["size"] == state_size(s)
 
 
 def test_run_summary(example_kam):
@@ -546,11 +551,26 @@ def test_eq_hash_repr_of_closures_nested_20000_deep():
 
 def test_closure_rows_number_each_distinct_closure_once_children_first():
     a, b = _chain(3), _chain(3)  # equal, but not the same objects
-    table = kam.ClosureRows()
-    assert table.add(a) == table.add(b) == 3
-    assert table.add(_chain(2)) == 2
-    assert table.add(Closure(Var("y"), ("y", b, ()))) == 4
-    assert table.rows == [(IDENT, ())] + [(Var("x"), (("x", i),)) for i in range(3)] + [(Var("y"), (("y", 3),))]
+    table = kam.Rows()
+    assert table.add(a) == table.add(b) == 7
+    assert table.add(_chain(2)) == 5
+    assert table.add(Closure(Var("y"), ("y", b, ()))) == 9
+    assert table.add((a, (b, ()))) == 11  # a stack of two equal closures
+    assert table.terms.entries == [{"var": "a"}, {"lam": "a", "body": 0}, {"var": "x"}, {"var": "y"}]
+    assert table.closures == [
+        {},
+        {"code": 1, "env": 0},  # \a.a
+        {"name": "x", "closure": 1, "rest": 0},
+        {"code": 2, "env": 2},
+        {"name": "x", "closure": 3, "rest": 0},
+        {"code": 2, "env": 4},
+        {"name": "x", "closure": 5, "rest": 0},
+        {"code": 2, "env": 6},  # a and b
+        {"name": "y", "closure": 7, "rest": 0},
+        {"code": 3, "env": 8},
+        {"top": 7, "rest": 0},
+        {"top": 7, "rest": 10},
+    ]
 
 
 def test_pickle_of_closures_and_states_20000_deep():
@@ -565,6 +585,28 @@ def test_pickle_of_closures_and_states_20000_deep():
     # a closure the state holds twice comes back as one object
     assert other.env[1] is other.stack[0]
     assert copy.copy(s) == s and copy.deepcopy(s) == s
+
+
+def test_pickle_and_files_rebuild_a_state_sharing_cells_as_it_does():
+    # the plain machine's final state on the let chain: each closure in
+    # its env is over the cell below its own, and a stack of two of them
+    # shares them with the env; a pickle and a file rebuild an equal
+    # state whose cells and closures are shared in the same places
+    e = kam_run(compile(_let_chain(50)), 1000).final.env
+    s = MachState(Var("z"), e, (e[1], (e[2][1], ())))
+
+    def shared(s):
+        e, cells = s.env, 0
+        while e:
+            assert e[1].env is e[2]
+            e, cells = e[2], cells + 1
+        assert s.stack[0] is s.env[1] and s.stack[1][0] is s.env[2][1]
+        return cells
+
+    d = Derivation(R_ST, Judgment(KIND_STATE, s, EMPTY_CONTEXT, STAR, 0))
+    for back in (pickle.loads(pickle.dumps(s)), derivation_from_json(derivation_to_json(d)).conclusion.subject):
+        assert back == s and back is not s
+        assert shared(back) == shared(s) == 51
 
 
 def test_equality_compares_each_shared_pair_once():

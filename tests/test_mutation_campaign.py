@@ -22,7 +22,7 @@ import traceback
 from functools import cache, partial
 
 from click.testing import CliRunner
-from derivation_files import CASES, MUTATIONS, state_file, term_file
+from derivation_files import CASES, MUTATIONS, let_state_file, state_file, term_file
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import spacekam as sk
@@ -42,7 +42,7 @@ REGIONS = ("types", "terms", "closures", "nodes")
 JUNK = ("term", "env", "closure", "state", "*", "x y", "", "multi", "k")
 
 _RUNNER = CliRunner()
-_BASES = {"term_file": term_file, "state_file": state_file}
+_BASES = {"term_file": term_file, "state_file": state_file, "let_state_file": let_state_file}
 
 
 def _derivation(mode, t):
@@ -70,6 +70,9 @@ def _text(mode, base):
 
 
 FILES = [(mode, seed) for seed in SEEDS for mode in MODES if _text(mode, seed) is not None]
+# the let chain's state file holds closure, env-cell and stack-cell
+# entries, env tails shared and a stack two deep: about one draw in ten
+FILES += [("space", "let_state_file")] * (len(FILES) // 9)
 
 
 def _places(o):

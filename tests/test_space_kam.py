@@ -4,12 +4,12 @@ import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from machine_steps import step
+from machine_steps import env_cells, stack_cells, stack_tuple, step
 
 import spacekam as sk
 from spacekam import kam, space_kam
 from spacekam.harness import random_closed_term
-from spacekam.kam import Closure, MachState, compile, env_cells, env_pairs, run_summary, run_trace_rows, stack_cells, stack_tuple
+from spacekam.kam import Closure, MachState, compile, env_pairs, run_summary, run_trace_rows
 from spacekam.space_kam import (
     InvariantViolation,
     check_env_domain_invariant,
@@ -340,11 +340,19 @@ def test_trace_rows_include_sizes(example_skam):
     rows = [json.loads(line) for line in run_trace_rows(example_skam)]
     states = [r for r in rows if "step" in r]
     assert [r["size"] for r in states] == [1, 1, 2, 2, 4, 1, 0]
-    assert set(states[0]) == {"step", "label", "code", "env", "stack", "size"}
-    assert [r for r in rows if "step" not in r] == [
-        {"closure": 0, "code": r"\a.a", "env": []},
-        {"closure": 1, "code": "x y", "env": [["y", 0], ["x", 0]]},
+    assert list(states[0]) == ["step", "label", "size", "code", "env", "stack"]
+    # the Space KAM restricts envs, so every closure's env is a cell of
+    # the states' own: \a.a, bound to x and then to y over x's cell
+    assert [r for r in rows if "closures" in r] == [
+        {"closures": 0},
+        {"closures": 1, "code": 9, "env": 0},
+        {"closures": 2, "top": 1, "rest": 0},
+        {"closures": 3, "name": "x", "closure": 1, "rest": 0},
+        {"closures": 4, "name": "y", "closure": 1, "rest": 3},
+        {"closures": 5, "code": 2, "env": 4},
+        {"closures": 6, "top": 5, "rest": 0},
     ]
+    assert [(r["env"], r["stack"]) for r in states] == [(0, 2), (3, 0), (3, 2), (4, 0), (3, 6), (3, 0), (0, 0)]
 
 
 def test_run_summary_shape(example_skam):
