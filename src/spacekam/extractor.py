@@ -2,7 +2,9 @@
 
 A run stores no trace; extract and extract_kam replay it into locals
 of their own as bare (label, code, env, stack) tuples (Run.fires, which
-checks the replay against the run's last state and counts), build a
+checks the replay against the run's last state and counts), each label
+the index of an undo rule of its own machine, so each refuses a run of
+the other machine's fire function with a ValueError; they build a
 MachState for the final state alone, and read sizes from one forward
 count that keeps the stack's as the run loop does (state_sizes).  The
 replayed environments and stacks are the machines' linked cells, so
@@ -104,15 +106,9 @@ from .checker import (
     rule_weight,
 )
 from .hashcons import postorder
-from .kam import LABEL_BETA, Closure, Env, MachState, Run, env_names, env_pairs, state_sizes
-from .space_kam import (
-    LABEL_BETA_NW,
-    LABEL_BETA_W,
-    LABEL_SEA_NV,
-    LABEL_SEA_V,
-    LABEL_SUB,
-    skam_fire,
-)
+from .kam import (LABEL_BETA, LABEL_SUB, Closure, Env, MachState, Run, env_names, env_pairs, kam_fire,
+                  state_sizes)
+from .space_kam import SKAM_LABELS, skam_fire
 from .terms import Abs, print_term
 from .types import (
     STAR,
@@ -468,14 +464,14 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
     got = skam_fire(source.code, source.env, source.stack)
     if got is None:
         raise ShapeMismatch("the source state is final and fires nothing")
-    if got[0] != label:
-        raise ShapeMismatch(f"the source state fires {got[0]}, not {label}")
+    if SKAM_LABELS[got[0]] != label:
+        raise ShapeMismatch(f"the source state fires {SKAM_LABELS[got[0]]}, not {label}")
     if prev.conclusion.subject != MachState(*got[1:]):
         raise ShapeMismatch(
             "the derivation's subject is not the target of the transition"
         )
     b = _Builder()
-    st = _UNDO[label](b, source.code, source.env, source.stack, _read_state(prev))
+    st = _UNDO[got[0]](b, source.code, source.env, source.stack, _read_state(prev))
     return b.mint_state(source, st)
 
 
@@ -553,22 +549,24 @@ def _undo_sea_nv(b, code, e, args, st):
     return app, _join_envs(env, env_u, e), stack.rest
 
 
-_UNDO = {
-    LABEL_SUB: _undo_sub,
-    LABEL_BETA_NW: _undo_beta_nw,
-    LABEL_BETA_W: _undo_beta_w,
-    LABEL_SEA_V: _undo_sea_v,
-    LABEL_SEA_NV: _undo_sea_nv,
-}
+# the undo rule of each Space KAM transition, in SKAM_LABELS order
+_UNDO = (_undo_sea_v, _undo_sea_nv, _undo_beta_w, _undo_beta_nw, _undo_sub)
 
 
 # ---------------------------------------------------------------------------
 # whole runs
 
-def _complete_states(run: Run) -> tuple[list, MachState]:
-    """A complete run's states replayed anew, as (label fired into it,
-    code, env, stack), envs and stacks as linked cells, and its final
-    state, the one MachState built."""
+_MACHINES = {kam_fire: "the plain KAM (kam_fire)", skam_fire: "the Space KAM (skam_fire)"}
+
+
+def _complete_states(run: Run, fire) -> tuple[list, MachState]:
+    """A complete run of fire's machine, its states replayed anew, as
+    (label fired into it, code, env, stack), envs and stacks as linked
+    cells, and its final state, the one MachState built."""
+    if run.step is not fire:
+        raise ValueError(
+            f"this is a run of {_MACHINES.get(run.step, run.step)}, not of {_MACHINES[fire]}"
+        )
     if not run.final_reached:
         raise IncompleteRun(
             f"run stopped after {run.transitions} transitions without a final state"
@@ -586,7 +584,7 @@ def extract(run: Run) -> Derivation:
     time reweighting has the run's time at the root.  The step equations
     are checked at every transition on the way; a broken one raises
     StepEquationError.  The run's states come from its replay."""
-    states, final = _complete_states(run)
+    states, final = _complete_states(run, skam_fire)
     sizes = list(state_sizes(run.initial, islice(states, 1, None)))
     b = _Builder()
     st = _final_typing(b, final)
@@ -607,12 +605,12 @@ def extract(run: Run) -> Derivation:
             t += stack.time
         if w != (sz if sz > prev_w else prev_w):
             raise StepEquationError(
-                f"space step equation broken at transition {i} ({label}): "
+                f"space step equation broken at transition {i} ({SKAM_LABELS[label]}): "
                 f"{w} != max({sz}, {prev_w})"
             )
         if t != sz + prev_t:
             raise StepEquationError(
-                f"time step equation broken at transition {i} ({label}): "
+                f"time step equation broken at transition {i} ({SKAM_LABELS[label]}): "
                 f"{t} != {sz} + {prev_t}"
             )
     term, env, stack = st
@@ -635,7 +633,7 @@ def _dc_mint(rule, kind, code, ctx, assigned, premises) -> Derivation:
 def extract_kam(run: Run) -> Derivation:
     """The plain-flavor typing of a complete plain-machine run's initial
     code; the root weight is the number of transitions."""
-    states, final = _complete_states(run)
+    states, final = _complete_states(run, kam_fire)
     b = _Builder(_dc_mint)
     cur = b.add((R_DC_LAM_STAR, final.code, EMPTY_CONTEXT), (), EMPTY_CONTEXT, STAR)
     env = {}  # the environment typing: a bag per name, changed in place

@@ -39,7 +39,11 @@ state alone, so its memory grows with its space, not its transitions,
 and a sized run keeps its space and time as it goes.  A Run stores no
 trace: the machines are deterministic, so Run.fires replays the run's
 bare tuples, which the extractors walk, and Run.trace the states built
-from them, on each read.
+from them, on each read.  The fire functions, and so Run.fires, give a
+transition's label as its index in KAM_LABELS or SKAM_LABELS, so a run
+and a replay count it in a list slot; its name shows wherever a label
+leaves the machines: Run.counts, Run.trace, trace rows and the
+summary.
 
 The stack is linked too, in the fire functions and in MachState.stack
 alike: a cell (top, rest), or () when empty.  A push builds one cell
@@ -347,11 +351,9 @@ def env_restrict(e: Env, names: frozenset[str]) -> Env:
     return out
 
 
-LABEL_SEA = "sea"
-LABEL_BETA = "beta"
-LABEL_SUB = "sub"
-
-KAM_LABELS = (LABEL_SEA, LABEL_BETA, LABEL_SUB)
+# kam_fire's labels are indices into KAM_LABELS, which names them
+KAM_LABELS = ("sea", "beta", "sub")
+LABEL_SEA, LABEL_BETA, LABEL_SUB = range(len(KAM_LABELS))
 
 
 def size_env(e: Env) -> int:
@@ -406,10 +408,11 @@ class ReplayMismatch(Exception):
 @dataclass(frozen=True, slots=True)
 class Run:
     """A run of either machine: its initial state, the state it stopped
-    in, whether that state is final, the transition counts per label in
-    label order, the number of transitions, and the fire function that
-    made it (kam_fire or skam_fire).  space and time are the space
-    machine's measures, None for a plain run.
+    in, whether that state is final, the transition counts keyed by
+    label name in label order (so tuple(counts) names each index the
+    fire function returns), the number of transitions, and the fire
+    function that made it (kam_fire or skam_fire).  space and time are
+    the space machine's measures, None for a plain run.
 
     A run stores no trace.  The machines are deterministic, so the
     initial state, the fire function and the transition count determine
@@ -433,13 +436,15 @@ class Run:
     def fires(self):
         """Fire step from the initial state again, yielding each (label,
         code, env, stack) it returns, one per transition, building no
-        state; the envs and stacks are linked cells, the first over the
-        initial state's own.  Raises ReplayMismatch, after the last,
-        unless the replay ends on the stored last state with the stored
-        counts: one _pairs_equal walk, which pairs each cell and closure
-        once, so on the replayed cells as on the run's the check is
-        linear in the last state."""
-        counts = dict.fromkeys(self.counts, 0)
+        state; the label is the transition's index in tuple(counts), and
+        the envs and stacks are linked cells, the first over the initial
+        state's own.  Raises ReplayMismatch, after the last, unless the
+        replay ends on the stored last state with the stored counts: one
+        _pairs_equal walk, which pairs each cell and closure once, so on
+        the replayed cells as on the run's the check is linear in the
+        last state."""
+        names = tuple(self.counts)
+        counts = [0] * len(names)
         s, step = self.initial, self.step
         code, env, stack = s.code, s.env, s.stack
         for i in range(1, self.transitions + 1):
@@ -449,6 +454,7 @@ class Run:
             yield nxt
             label, code, env, stack = nxt
             counts[label] += 1
+        counts = dict(zip(names, counts))
         if counts != self.counts:
             raise ReplayMismatch(f"replay counts {counts} differ from the run's {self.counts}")
         last = self.last
@@ -457,9 +463,10 @@ class Run:
 
     @property
     def trace(self) -> tuple[tuple[str, MachState], ...]:
-        """One (label, state) pair per transition, built from fires anew;
-        each state holds the replay's cells as they are."""
-        return tuple((label, MachState(code, env, stack)) for label, code, env, stack in self.fires())
+        """One (label name, state) pair per transition, built from fires
+        anew; each state holds the replay's cells as they are."""
+        names = tuple(self.counts)
+        return tuple((names[label], MachState(code, env, stack)) for label, code, env, stack in self.fires())
 
 
 def compile(t: Term) -> MachState:
@@ -471,9 +478,9 @@ def compile(t: Term) -> MachState:
 
 def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final;
-    the envs and stacks are linked cells: a beta binds its name in one
-    cell over env, and a sub walks the cells to its variable's first
-    binding."""
+    the label is the transition's index in KAM_LABELS, and the envs and
+    stacks are linked cells: a beta binds its name in one cell over env,
+    and a sub walks the cells to its variable's first binding."""
     if type(t) is App:
         return LABEL_SEA, t.fun, env, (Closure(t.arg, env), stack)
     if type(t) is Abs:
@@ -493,9 +500,11 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
     """Fire from s for at most fuel transitions, building a MachState
     for the last state alone.  fire(code, env, stack) takes and returns
     the env and the stack as linked cells, and returns (label, code,
-    env, stack), or None on a final state; labels are every label it can
-    return.  A sized run keeps its space and time, the max and sum of
-    its state sizes, as it goes: the opening sums size every closure
+    env, stack), or None on a final state, its label an index into
+    labels, the names of every transition it can fire.  A step counts
+    into the label's list slot, and the run names the counts once, in
+    Run.counts.  A sized run keeps its space and time, the max and sum
+    of its state sizes, as it goes: the opening sums size every closure
     reachable from s, fire must size each closure it builds (skam_fire
     does), and a step reads stored sizes, keeping the stack's as a push
     adds the top's and a pop takes it off: O(|env|) a step.  A push is
@@ -503,14 +512,14 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
     each fire tuple is unpacked once."""
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, not {fuel}")
-    counts = dict.fromkeys(labels, 0)
+    counts = [0] * len(labels)
     code, env, stack = s.code, s.env, s.stack
     stack_sz = size_stack(stack) if sized else 0
     space = time = size_env(env) + stack_sz if sized else None
     for n in range(fuel):
         nxt = fire(code, env, stack)
         if nxt is None:
-            return Run(s, MachState(code, env, stack), True, counts, n, fire, space, time)
+            return Run(s, MachState(code, env, stack), True, dict(zip(labels, counts)), n, fire, space, time)
         prev = stack
         label, code, env, stack = nxt
         counts[label] += 1
@@ -526,7 +535,8 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
                 e = e[2]
             space = sz if sz > space else space
             time += sz
-    return Run(s, MachState(code, env, stack), fire(code, env, stack) is None, counts, fuel, fire, space, time)
+    final = fire(code, env, stack) is None
+    return Run(s, MachState(code, env, stack), final, dict(zip(labels, counts)), fuel, fire, space, time)
 
 
 def kam_run(s: MachState, fuel: int) -> Run:
@@ -576,16 +586,16 @@ def decode(s: MachState | Closure) -> Term:
 
 def run_trace_rows(run: Run):
     """One JSON line per transition, streamed from a replay of the run:
-    the step number (from 1), the label, the state size for a measured
-    run (state_sizes), and the state as Rows.state writes it, three
-    indices.  Each entry of the writer's tables is written once, on a
+    the step number (from 1), the label's name, the state size for a
+    measured run (state_sizes), and the state as Rows.state writes it,
+    three indices.  Each entry of the writer's tables is written once, on a
     line of its own tagged with its table and index, {"terms": i, ...}
     or {"closures": i, ...}, just before the first line that names it."""
     import json  # only --trace writes rows: importing the package need not load json
 
     rows = Rows()
     tables = (("terms", rows.terms.entries), ("closures", rows.closures))
-    fired, sizes = run.fires(), repeat(None)
+    names, fired, sizes = tuple(run.counts), run.fires(), repeat(None)
     if run.space is not None:
         fired, ahead = tee(fired)
         sizes = islice(state_sizes(run.initial, ahead), 1, None)  # no row for the initial state
@@ -595,7 +605,7 @@ def run_trace_rows(run: Run):
         for (name, entries), start in zip(tables, written):
             for j in range(start, len(entries)):
                 yield json.dumps({name: j, **entries[j]})
-        row = {"step": i, "label": label}
+        row = {"step": i, "label": names[label]}
         if size is not None:
             row["size"] = size
         row.update(state)

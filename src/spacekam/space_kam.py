@@ -36,6 +36,9 @@ the cell below, so a transition copies neither, however deep they are;
 a restriction builds new cells for the entries it keeps, but for a
 tail it keeps whole.
 
+A label is the transition's index in SKAM_LABELS, named where it
+leaves the machine (kam.Run).
+
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
 plus stack (kam.state_size).  A run's space is the max state size over all states
@@ -66,13 +69,9 @@ class InvariantViolation(Exception):
     one binding per name."""
 
 
-LABEL_SEA_V = "sea_v"
-LABEL_SEA_NV = "sea_nv"
-LABEL_BETA_W = "beta_w"
-LABEL_BETA_NW = "beta_nw"
-LABEL_SUB = "sub"
-
-SKAM_LABELS = (LABEL_SEA_V, LABEL_SEA_NV, LABEL_BETA_W, LABEL_BETA_NW, LABEL_SUB)
+# skam_fire's labels are indices into SKAM_LABELS, which names them
+SKAM_LABELS = ("sea_v", "sea_nv", "beta_w", "beta_nw", "sub")
+LABEL_SEA_V, LABEL_SEA_NV, LABEL_BETA_W, LABEL_BETA_NW, LABEL_SUB = range(len(SKAM_LABELS))
 
 
 def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
@@ -88,7 +87,8 @@ def _binds_exactly(e: Env, names: frozenset[str]) -> bool:
 
 def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
     """One transition as (label, code, env, stack), or None when final;
-    the environments and stacks are linked cells."""
+    the label is the transition's index in SKAM_LABELS, and the
+    environments and stacks are linked cells."""
     fv = t.fv
     # dom(e) = fv(t), one binding per name; a set only for n > 2 names
     n = len(fv)

@@ -367,8 +367,17 @@ def _subst_sim(t: Term, sigma: dict[str, Term], avoid: frozenset[str]) -> Term:
     return out[0]
 
 
+def _level(m: dict, x: str):
+    # the level of x's innermost binder on one side, or x itself if free
+    s = m.get(x)
+    return s[-1] if s else ("free", x)
+
+
 def alpha_eq(t: Term, u: Term) -> bool:
-    # simultaneous walk assigning the same level to corresponding binders
+    # simultaneous walk assigning the same level to corresponding binders;
+    # one object on both sides (terms are hash-consed) is equal exactly
+    # when each of its free variables has the same level on both sides,
+    # so it costs O(|fv|) and its nodes are not walked
     mt: dict[str, list[int]] = {}
     mu: dict[str, list[int]] = {}
     lvl = 0
@@ -379,14 +388,14 @@ def alpha_eq(t: Term, u: Term) -> bool:
             mt[a].pop()
             mu[b].pop()
             continue
+        if a is b:
+            if any(_level(mt, x) != _level(mu, x) for x in a.fv):
+                return False
+            continue
         if type(a) is not type(b):
             return False
         if type(a) is Var:
-            sa = mt.get(a.name)
-            sb = mu.get(b.name)
-            ra = sa[-1] if sa else ("free", a.name)
-            rb = sb[-1] if sb else ("free", b.name)
-            if ra != rb:
+            if _level(mt, a.name) != _level(mu, b.name):
                 return False
         elif type(a) is App:
             work.append(("t", a.arg, b.arg))

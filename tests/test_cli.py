@@ -279,14 +279,34 @@ def test_check_from_stdin(runner):
     assert res.exit_code == 0
 
 
-def _spacekam(*args, stdin=None):
+def _spacekam(*args, stdin=None, address_space=None):
     """Run the command line in a child process, at the interpreter's
-    default recursion limit."""
+    default recursion limit; address_space, in bytes, limits the
+    child's alone (RLIMIT_AS, set in the child before it starts)."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
+    limit = None
+    if address_space is not None:
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "spacekam.cli", *args],
-        stdin=stdin, capture_output=True, text=True, env=env,
+        stdin=stdin, capture_output=True, text=True, env=env, preexec_fn=limit,
     )
+
+
+@pytest.mark.parametrize("machine", ["skam", "kam"])
+def test_a_long_run_keeps_memory_flat_through_the_command_line(machine):
+    # a run stores no trace and builds no state per transition, so
+    # 3,000,000 transitions of the loop fit in 400 MB of address space
+    # on either machine (the Space KAM in space 2, the plain one with a
+    # renaming chain that grows with the square root of the
+    # transitions); the runs end on fuel, which exits 1
+    res = _spacekam(machine, "--fuel", "3000000", OMEGA, address_space=400_000 * 1024)
+    assert res.returncode == 1, res.stderr
+    assert res.stdout.splitlines()[-1:] == ["complete: false"], res.stderr[-300:]
 
 
 def test_infer_derivation_too_deep_for_json_is_usage_error(tmp_path):

@@ -190,7 +190,7 @@ def test_time_weight_is_not_part_of_the_derivation(example_skam, example_space_d
 def test_expand_rejects_the_wrong_label(example_skam):
     states = [example_skam.initial] + [s for _, s in example_skam.trace]
     d = type_final_state(states[-1])
-    with pytest.raises(ShapeMismatch, match="fires"):
+    with pytest.raises(ShapeMismatch, match="fires sub, not beta_nw"):
         expand(d, ("beta_nw", states[-2]))  # that state fires sub
 
 
@@ -534,6 +534,21 @@ def test_extract_kam_of_an_immediate_normal_form():
 def test_extract_kam_needs_a_complete_run():
     with pytest.raises(IncompleteRun):
         extract_kam(kam_run(compile(OMEGA), 30))
+
+
+@pytest.mark.parametrize(
+    "extractor, machine_run, machine",
+    [(extract, kam_run, r"the plain KAM \(kam_fire\)"), (extract_kam, skam_run, r"the Space KAM \(skam_fire\)")],
+    ids=["extract of a kam run", "extract_kam of a skam run"],
+)
+def test_an_extractor_refuses_the_other_machines_run(example_term, extractor, machine_run, machine):
+    # the labels of a run index its own machine's undo rules: a run of
+    # the other machine is refused before it is replayed, naming the
+    # machine it came from
+    run = machine_run(compile(example_term), 100)
+    assert run.final_reached
+    with pytest.raises(ValueError, match=f"this is a run of {machine}, not of"):
+        extractor(run)
 
 
 def _double_use_chain(n):

@@ -13,6 +13,7 @@ import families
 import spacekam as sk
 from spacekam import kam, space_kam
 from spacekam.kam import (
+    KAM_LABELS,
     Closure,
     MachState,
     OpenTerm,
@@ -27,7 +28,7 @@ from spacekam.kam import (
     run_trace_rows,
     state_size,
 )
-from spacekam.space_kam import skam_fire, skam_run
+from spacekam.space_kam import SKAM_LABELS, skam_fire, skam_run
 from spacekam.checker import KIND_STATE, R_ST, Derivation, Judgment, derivation_from_json, derivation_to_json
 from spacekam.extractor import expand, type_final_state
 from spacekam.terms import (
@@ -245,25 +246,27 @@ def test_run_summary(example_kam):
     }
 
 
-def _trace_by_hand(fire, s, n):
+def _trace_by_hand(fire, labels, s, n):
+    # (label name, state) pairs, each label index named through labels
     trace = []
     for _ in range(n):
-        nxt = step(fire, s)
-        trace.append(nxt)
-        s = nxt[1]
+        label, s = step(fire, s)
+        trace.append((labels[label], s))
     return trace
 
 
 @pytest.mark.parametrize(
-    "machine_run, fire", [(kam_run, kam_fire), (skam_run, skam_fire)], ids=["kam", "skam"]
+    "machine_run, fire, labels",
+    [(kam_run, kam_fire, KAM_LABELS), (skam_run, skam_fire, SKAM_LABELS)],
+    ids=["kam", "skam"],
 )
-def test_run_contract(machine_run, fire):
+def test_run_contract(machine_run, fire, labels):
     for seed in range(200):
         run = machine_run(compile(sk.random_closed_term(seed, 25)), 500)
         assert sum(run.counts.values()) == run.transitions
         assert sum("step" in json.loads(row) for row in run_trace_rows(run)) == run.transitions
         trace = run.trace
-        assert list(trace) == _trace_by_hand(fire, run.initial, run.transitions)
+        assert list(trace) == _trace_by_hand(fire, labels, run.initial, run.transitions)
         # nothing of a replay is kept: each read replays anew, and no
         # field of the run holds a replayed state
         assert not run.transitions or run.trace is not trace
@@ -293,6 +296,32 @@ def test_run_contract(machine_run, fire):
                     bad.trace
                 with pytest.raises(ReplayMismatch):
                     list(bad.fires())  # what run_trace_rows streams
+
+
+@pytest.mark.parametrize(
+    "machine_run, labels", [(kam_run, KAM_LABELS), (skam_run, SKAM_LABELS)], ids=["kam", "skam"]
+)
+def test_fires_yields_label_indices_that_the_counts_name(machine_run, labels):
+    # the fire functions and fires() carry a label's index in the
+    # machine's labels; the run names them once, in its counts, and the
+    # trace names each one through them
+    for seed in range(200):
+        run = machine_run(compile(sk.random_closed_term(seed, 25)), 500)
+        names = tuple(run.counts)
+        assert names == labels
+        fired = [label for label, *_ in run.fires()]
+        assert all(type(i) is int and 0 <= i < len(names) for i in fired)
+        assert dict(zip(names, map(fired.count, range(len(names))))) == run.counts
+        assert [name for name, _ in run.trace] == [names[i] for i in fired]
+
+
+def test_the_two_machines_index_their_labels_apart():
+    # "sub" is the last label of both machines: index 2 of one, 4 of the other
+    k, sp = kam, space_kam
+    assert [KAM_LABELS[i] for i in (k.LABEL_SEA, k.LABEL_BETA, k.LABEL_SUB)] == ["sea", "beta", "sub"]
+    skam_labels = (sp.LABEL_SEA_V, sp.LABEL_SEA_NV, sp.LABEL_BETA_W, sp.LABEL_BETA_NW, sp.LABEL_SUB)
+    assert [SKAM_LABELS[i] for i in skam_labels] == ["sea_v", "sea_nv", "beta_w", "beta_nw", "sub"]
+    assert (k.LABEL_SUB, sp.LABEL_SUB) == (2, 4)
 
 
 def test_replay_compares_the_last_state_in_full():
@@ -380,7 +409,9 @@ def test_a_push_shares_the_stack_below_in_the_replay_and_the_trace(machine_run, 
     run = machine_run(compile(source), fuel)
     prev, depth, depths = run.initial.stack, len(stack_tuple(run.initial.stack)), []
     prev_env, seen = run.initial.env, set()
-    for i, (label, _, env, stack) in enumerate(run.fires(), start=1):
+    names = KAM_LABELS if machine_run is kam_run else SKAM_LABELS
+    for i, (index, _, env, stack) in enumerate(run.fires(), start=1):
+        label = names[index]
         move = _MOVES[label]
         if move > 0:
             assert stack[1] is prev, i
@@ -520,7 +551,7 @@ def test_states_read_back_from_derivation_files_equal_the_machines(example_skam)
     assert len(runs) > 20
     for run in runs:
         states = _states(run)
-        labels = [label for label, *_ in run.fires()]  # one replay per run
+        labels = [SKAM_LABELS[label] for label, *_ in run.fires()]  # one replay per run
         d = type_final_state(states[-1])
         for i in reversed(range(run.transitions + 1)):
             if i < run.transitions:

@@ -11,6 +11,7 @@ from spacekam import kam, space_kam
 from spacekam.harness import random_closed_term
 from spacekam.kam import Closure, MachState, compile, env_pairs, run_summary, run_trace_rows
 from spacekam.space_kam import (
+    SKAM_LABELS,
     InvariantViolation,
     check_env_domain_invariant,
     check_run_env_domain_invariant,
@@ -245,6 +246,7 @@ def test_step_check_rejects_exactly_where_dom_differs_from_fv(s):
     nxt = step(skam_fire, s)
     if type(t) is App:
         label, after = nxt
+        assert SKAM_LABELS[label] == ("sea_v" if type(t.arg) is Var else "sea_nv")
         assert env_pairs(after.env) == env_pairs(env_restrict(e, t.fun.fv))
         if len(t.fun.fv) == len(pairs):
             assert after.env is e

@@ -443,6 +443,30 @@ def test_alpha_eq_shadowing():
     assert not alpha_eq(parse_term(r"\x.\x.x"), parse_term(r"\a.\b.a"))
 
 
+def test_alpha_eq_of_one_shared_subterm_reads_its_free_variables_levels():
+    # terms are hash-consed: the inner x of \x.\y.x and of \y.\x.x is
+    # one Var, bound at level 1 on one side and at level 2 on the other
+    t, u = parse_term(r"\x.\y.x"), parse_term(r"\y.\x.x")
+    assert t.body.body is u.body.body
+    assert not alpha_eq(t, u) and not alpha_eq(u, t)
+    # x y is one App: bound on one side and free on the other, or bound
+    # alike, or free on both
+    assert not alpha_eq(parse_term(r"\x.x y"), parse_term(r"\y.x y"))
+    assert alpha_eq(parse_term(r"\x.\y.\z.x y"), parse_term(r"\x.\y.\w.x y"))
+    assert alpha_eq(parse_term(r"\a.x y"), parse_term(r"\b.x y"))
+
+
+def test_alpha_eq_of_identical_terms_20000_deep():
+    assert sys.getrecursionlimit() <= 10_000
+    binders = "".join(rf"\x{i}." for i in range(20_000)) + "x0"
+    spine = "f (" * 19_999 + "f x" + ")" * 19_999
+    for text in (binders, spine):
+        t, u = parse_term(text), parse_term(text)
+        assert t is u and alpha_eq(t, u)
+    renamed = parse_term("".join(rf"\y{i}." for i in range(20_000)) + "y0")
+    assert alpha_eq(parse_term(binders), renamed)
+
+
 # ---------------------------------------------------------------- properties
 
 names = st.sampled_from(["a", "b", "c", "f", "x", "y", "z"])
