@@ -52,7 +52,6 @@ from .space_kam import (
     skam_run,
     state_size,
     check_env_domain_invariant,
-    check_run_env_domain_invariant,
 )
 from .types import (
     Star,

@@ -41,9 +41,10 @@ trace: the machines are deterministic, so Run.fires replays the run's
 bare tuples, which the extractors walk, and Run.trace the states built
 from them, on each read.  The fire functions, and so Run.fires, give a
 transition's label as its index in KAM_LABELS or SKAM_LABELS, so a run
-and a replay count it in a list slot; its name shows wherever a label
-leaves the machines: Run.counts, Run.trace, trace rows and the
-summary.
+and a replay count it in a list slot.  Each fire function carries its
+machine's label names as fire.labels, and a label leaves the machines
+only as its name, read from those: in Run.counts, Run.trace, trace rows
+and the summary.
 
 The stack is linked too, in the fire functions and in MachState.stack
 alike: a cell (top, rest), or () when empty.  A push builds one cell
@@ -409,10 +410,10 @@ class ReplayMismatch(Exception):
 class Run:
     """A run of either machine: its initial state, the state it stopped
     in, whether that state is final, the transition counts keyed by
-    label name in label order (so tuple(counts) names each index the
-    fire function returns), the number of transitions, and the fire
-    function that made it (kam_fire or skam_fire).  space and time are
-    the space machine's measures, None for a plain run.
+    label name, the number of transitions, and the fire function that
+    made it (kam_fire or skam_fire), whose step.labels name the label
+    indices it returns.  space and time are the space machine's
+    measures, None for a plain run.
 
     A run stores no trace.  The machines are deterministic, so the
     initial state, the fire function and the transition count determine
@@ -436,16 +437,16 @@ class Run:
     def fires(self):
         """Fire step from the initial state again, yielding each (label,
         code, env, stack) it returns, one per transition, building no
-        state; the label is the transition's index in tuple(counts), and
+        state; the label is the transition's index in step.labels, and
         the envs and stacks are linked cells, the first over the initial
         state's own.  Raises ReplayMismatch, after the last, unless the
         replay ends on the stored last state with the stored counts: one
         _pairs_equal walk, which pairs each cell and closure once, so on
         the replayed cells as on the run's the check is linear in the
         last state."""
-        names = tuple(self.counts)
-        counts = [0] * len(names)
         s, step = self.initial, self.step
+        names = step.labels
+        counts = [0] * len(names)
         code, env, stack = s.code, s.env, s.stack
         for i in range(1, self.transitions + 1):
             nxt = step(code, env, stack)
@@ -465,7 +466,7 @@ class Run:
     def trace(self) -> tuple[tuple[str, MachState], ...]:
         """One (label name, state) pair per transition, built from fires
         anew; each state holds the replay's cells as they are."""
-        names = tuple(self.counts)
+        names = self.step.labels
         return tuple((names[label], MachState(code, env, stack)) for label, code, env, stack in self.fires())
 
 
@@ -496,14 +497,17 @@ def kam_fire(t: Term, env: Env, stack: Stack) -> tuple | None:
     raise StuckState(f"variable {x} has no binding in the environment")
 
 
-def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> Run:
+kam_fire.labels = KAM_LABELS
+
+
+def run_machine(fire, s: MachState, fuel: int, sized: bool = False) -> Run:
     """Fire from s for at most fuel transitions, building a MachState
     for the last state alone.  fire(code, env, stack) takes and returns
     the env and the stack as linked cells, and returns (label, code,
     env, stack), or None on a final state, its label an index into
-    labels, the names of every transition it can fire.  A step counts
-    into the label's list slot, and the run names the counts once, in
-    Run.counts.  A sized run keeps its space and time, the max and sum
+    fire.labels, the names of every transition it can fire.  A step
+    counts into the label's list slot, and the run names the counts
+    once, in Run.counts.  A sized run keeps its space and time, the max and sum
     of its state sizes, as it goes: the opening sums size every closure
     reachable from s, fire must size each closure it builds (skam_fire
     does), and a step reads stored sizes, keeping the stack's as a push
@@ -512,6 +516,7 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
     each fire tuple is unpacked once."""
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, not {fuel}")
+    labels = fire.labels
     counts = [0] * len(labels)
     code, env, stack = s.code, s.env, s.stack
     stack_sz = size_stack(stack) if sized else 0
@@ -541,7 +546,7 @@ def run_machine(fire, labels, s: MachState, fuel: int, sized: bool = False) -> R
 
 def kam_run(s: MachState, fuel: int) -> Run:
     """Run for at most fuel transitions."""
-    return run_machine(kam_fire, KAM_LABELS, s, fuel)
+    return run_machine(kam_fire, s, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +600,7 @@ def run_trace_rows(run: Run):
 
     rows = Rows()
     tables = (("terms", rows.terms.entries), ("closures", rows.closures))
-    names, fired, sizes = tuple(run.counts), run.fires(), repeat(None)
+    names, fired, sizes = run.step.labels, run.fires(), repeat(None)
     if run.space is not None:
         fired, ahead = tee(fired)
         sizes = islice(state_sizes(run.initial, ahead), 1, None)  # no row for the initial state

@@ -36,8 +36,9 @@ the cell below, so a transition copies neither, however deep they are;
 a restriction builds new cells for the entries it keeps, but for a
 tail it keeps whole.
 
-A label is the transition's index in SKAM_LABELS, named where it
-leaves the machine (kam.Run).
+A label is the transition's index in SKAM_LABELS, which skam_fire
+carries as skam_fire.labels, named through them where it leaves the
+machine (kam.Run).
 
 Sizes count pointers: a closure is 1 plus its environment, an
 environment or stack is the sum of its closures, a state is environment
@@ -137,6 +138,9 @@ def skam_fire(t: Term, e: Env, stack: Stack) -> tuple | None:
     return LABEL_SUB, c.code, c.env, stack
 
 
+skam_fire.labels = SKAM_LABELS
+
+
 def skam_run(s: MachState, fuel: int) -> Run:
     """Run for at most fuel transitions, measuring space and time as the
     machine goes, in memory proportional to the space.
@@ -146,19 +150,18 @@ def skam_run(s: MachState, fuel: int) -> Run:
     inline (run_machine, sized), from the env and stack skam_fire
     returns and the sizes it stores: O(|env|) a step, and no state built.
     """
-    return run_machine(skam_fire, SKAM_LABELS, s, fuel, sized=True)
+    return run_machine(skam_fire, s, fuel, sized=True)
 
 
-def check_run_env_domain_invariant(states) -> bool:
-    """dom(env) = fv(code), one binding per name, in every state of an
-    iterable (such as a run's initial state and the states of its
-    trace) and inside every closure.
+def check_env_domain_invariant(*states: MachState) -> bool:
+    """dom(env) = fv(code), one binding per name, in every state given
+    (one, or a run's initial state and the states of its trace) and
+    inside every closure.
 
     Successive states share their closures, and closures are immutable,
     so a closure that checked once stays valid: each distinct closure
     object is visited once per call.  The states hold every closure
     alive for the whole call, so a set of ids is enough."""
-    states = list(states)
     seen: set[int] = set()
     for s in states:
         if not _binds_exactly(s.env, s.code.fv):
@@ -172,8 +175,3 @@ def check_run_env_domain_invariant(states) -> bool:
                 return False
             seen.add(id(c))
     return True
-
-
-def check_env_domain_invariant(s: MachState) -> bool:
-    """dom(env) = fv(code) for the state and inside every closure."""
-    return check_run_env_domain_invariant((s,))

@@ -7,6 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 from derivation_files import CASES, IDS, node_at
+from families import church_app, let_chain, pow2, wide_app
 from machine_steps import read_trace
 
 import spacekam as sk
@@ -300,22 +301,40 @@ def _spacekam(*args, stdin=None, address_space=None):
 @pytest.mark.parametrize("machine", ["skam", "kam"])
 def test_a_long_run_keeps_memory_flat_through_the_command_line(machine):
     # a run stores no trace and builds no state per transition, so
-    # 3,000,000 transitions of the loop fit in 400 MB of address space
+    # 3,000,000 transitions of the loop fit in 150 MB of address space
     # on either machine (the Space KAM in space 2, the plain one with a
     # renaming chain that grows with the square root of the
-    # transitions); the runs end on fuel, which exits 1
-    res = _spacekam(machine, "--fuel", "3000000", OMEGA, address_space=400_000 * 1024)
+    # transitions; a run loop that kept each state it fired ran out of
+    # memory there); the runs end on fuel, which exits 1
+    res = _spacekam(machine, "--fuel", "3000000", OMEGA, address_space=150_000 * 1024)
     assert res.returncode == 1, res.stderr
     assert res.stdout.splitlines()[-1:] == ["complete: false"], res.stderr[-300:]
 
 
+def test_a_deep_stack_infers_and_checks_in_bounded_memory_through_the_command_line(tmp_path):
+    # wide_app at n = 8,000: all 8,000 arguments wait on the stack at
+    # once, over 16,001 Space KAM transitions; the machines link their
+    # stacks, so a push or a pop copies nothing, and infer's replay holds
+    # memory linear in the run, within 400 MB of address space (a replay
+    # that kept a copy of each stack would hold n^2, 64 million, stack
+    # entries, which do not fit)
+    src, out = tmp_path / "wide.lam", tmp_path / "wide.json"
+    src.write_text(wide_app(8000))
+    res = _spacekam("infer", "--fuel", "100000", "-o", str(out), "-f", str(src), address_space=400_000 * 1024)
+    assert res.returncode == 0, res.stderr[-300:]
+    assert res.stdout.strip() == "weight: 8000"
+    res = _spacekam("check", str(out), address_space=400_000 * 1024)
+    assert res.returncode == 0, res.stderr[-300:]
+    assert res.stdout.strip() == "ok: weight 8000"
+
+
 def test_infer_derivation_too_deep_for_json_is_usage_error(tmp_path):
-    # no derivation is too deep for its file: c_1024's derivation nests
-    # about 2,000 premises deep, twice the default recursion limit, and
-    # its file round-trips through infer -o and check
-    term = r"(\f.\x." + "f (" * 1024 + "x" + ")" * 1024 + r") (\a.a) (\b.b)"
-    src, out = tmp_path / "c1024.lam", tmp_path / "c1024.json"
-    src.write_text(term)
+    # no derivation is too deep for its file: c_4096's derivation nests
+    # about 8,000 premises deep, eight times the default recursion
+    # limit, and its file stays flat and round-trips through infer -o
+    # and check
+    src, out = tmp_path / "c4096.lam", tmp_path / "c4096.json"
+    src.write_text(church_app(4096))
     res = _spacekam("infer", "-f", str(src), "--fuel", "100000", "-o", str(out))
     assert res.returncode == 0, res.stderr
     weight = res.stdout.strip().removeprefix("weight: ")
@@ -339,6 +358,20 @@ def test_a_parse_error_after_a_byte_that_is_not_utf8_exits_2(command):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [(r"(\x.x", "expected ')' at byte offset 5"),
+     ("x )", "unexpected ')' after the term at byte offset 2"),
+     (r"\x x", "expected '.' after the binder at byte offset 3")],
+    ids=["unclosed", "stray-paren", "no-dot"],
+)
+def test_a_malformed_term_exits_2_with_its_message_and_no_traceback(term, message):
+    res = _spacekam("eval", term)
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1] == f"Error: {message}"
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("where", ["file", "stdin"])
 def test_a_byte_that_is_not_utf8_in_a_term_file_reads_as_in_argv(tmp_path, where):
     good, bad = tmp_path / "t.lam", tmp_path / "bad.lam"
@@ -358,15 +391,6 @@ def test_a_byte_that_is_not_utf8_in_a_term_file_reads_as_in_argv(tmp_path, where
     assert res.returncode == 2
     assert "unexpected ')' after the term at byte offset 8" in res.stderr  # as inline
     assert "Traceback" not in res.stderr
-
-
-def _let_chain(n):
-    """(\\x0. (\\x1. ... (\\xn. \\z. xn) (\\w. x(n-1)) ...) (\\w. x0)) (\\a.a):
-    each x(i+1) is bound to a closure over x(i), so closures nest n deep."""
-    body = rf"\z. x{n}"
-    for i in range(n, 0, -1):
-        body = rf"(\x{i}. {body}) (\w. x{i - 1})"
-    return rf"(\x0. {body}) (\a.a)"
 
 
 def test_trace_rows_write_each_entry_once_through_the_command_line(tmp_path):
@@ -398,20 +422,33 @@ def test_the_trace_of_a_3000_deep_let_chain_through_the_command_line(tmp_path):
     # MB when each row listed its envs in full), and reads back to the
     # run's last state, at the default recursion limit
     src, out = tmp_path / "chain3000.lam", tmp_path / "chain3000.jsonl"
-    src.write_text(_let_chain(3000))
+    src.write_text(let_chain(3000))
     res = _spacekam("kam", "--trace", str(out), "-f", str(src))
     assert res.returncode == 0, res.stderr
     assert out.stat().st_size < 10_000_000
-    run = sk.kam_run(sk.compile(sk.parse_term(_let_chain(3000))), 100_000)
+    run = sk.kam_run(sk.compile(sk.parse_term(let_chain(3000))), 100_000)
     _, _, states = read_trace(out.read_text().splitlines())
     assert len(states) == run.transitions and states[-1][1] == run.last
+
+
+def test_a_3000_deep_let_chain_verifies_through_the_command_line(tmp_path):
+    # the plain machine's env is a chain of cells, 3,001 deep at the end
+    # of the run, which verify walks without recursion, at the default
+    # recursion limit
+    src = tmp_path / "chain3000.lam"
+    src.write_text(let_chain(3000))
+    res = _spacekam("verify", "-f", str(src))
+    assert res.returncode == 0, res.stderr[-300:]
+    lines = res.stdout.splitlines()
+    assert "complete: true" in lines
+    assert sum(1 for ln in lines if ln.startswith("pass  ")) == 13
 
 
 def test_a_600_deep_let_chain_verifies_and_round_trips(tmp_path):
     # closures nest 600 deep: extraction, verify and the derivation
     # file need no recursion per level, at the default recursion limit
     src, out = tmp_path / "chain.lam", tmp_path / "chain.json"
-    src.write_text(_let_chain(600))
+    src.write_text(let_chain(600))
     res = _spacekam("verify", "-f", str(src))
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
@@ -441,6 +478,58 @@ def test_a_1200_deep_double_use_chain_infers_and_checks_in_kam_mode(tmp_path):
     res = _spacekam("check", "--mode", "kam", str(out))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "ok: weight 12013"
+
+
+def test_pow2_12_derivations_share_their_subtrees_through_the_command_line(tmp_path, monkeypatch):
+    # the extractors hash-cons term nodes, so the 47,103 places of
+    # pow2_12's space derivation are 375 node objects: verify passes
+    # every check on the shared DAG, each mode's file checks and holds
+    # fewer than 1,000 node entries, and decodes to a derivation equal
+    # to the extracted one, though not the same object
+    from spacekam import extractor
+
+    src = tmp_path / "pow2_12.lam"
+    src.write_text(pow2(12))
+    res = _spacekam("verify", "--fuel", "200000", "-f", str(src))
+    assert res.returncode == 0, res.stderr[-300:]
+    assert sum(1 for ln in res.stdout.splitlines() if ln.startswith("pass  ")) == 13
+    # nodes are keyed on their rule's inputs, so each extraction unites
+    # contexts fewer than 1,000 times for its 40,957 and 49,148
+    # transitions; the extractors walk the replay's bare tuples, so the
+    # final state is the one state each builds
+    calls = {"contexts_union": 0, "MachState": 0}
+    union, init = extractor.contexts_union, sk.MachState.__init__
+
+    def counted_union(contexts):
+        calls["contexts_union"] += 1
+        return union(contexts)
+
+    def counted_init(self, code, env, stack):
+        calls["MachState"] += 1
+        init(self, code, env, stack)
+
+    t = sk.compile(sk.parse_term(pow2(12)))
+    runs = {"space": sk.skam_run(t, 200_000), "kam": sk.kam_run(t, 200_000)}
+    monkeypatch.setattr(extractor, "contexts_union", counted_union)
+    monkeypatch.setattr(sk.MachState, "__init__", counted_init)
+    derived = {}
+    for mode, ex in (("space", sk.extract), ("kam", sk.extract_kam)):
+        calls.update(contexts_union=0, MachState=0)
+        derived[mode] = ex(runs[mode])
+        assert calls["contexts_union"] < 1000 and calls["MachState"] == 1, (mode, calls)
+    monkeypatch.undo()
+    derived["time"] = sk.reweight(derived["space"], "time")
+    for mode, want in derived.items():
+        out = tmp_path / f"pow2_12.{mode}.json"
+        res = _spacekam("infer", "--mode", mode, "--fuel", "200000", "-o", str(out), "-f", str(src))
+        assert res.returncode == 0, res.stderr[-300:]
+        res = _spacekam("check", "--mode", mode, str(out))
+        assert res.returncode == 0, res.stderr[-300:]
+        assert res.stdout.strip() == f"ok: weight {sk.weight_of(want, mode)}"
+        obj = json.loads(out.read_text())
+        assert len(obj["tables"]["nodes"]) < 1000, mode
+        back = sk.derivation_from_json(obj)
+        assert back == want and back is not want, mode
 
 
 def test_importing_the_package_leaves_the_recursion_limit_alone():
@@ -532,13 +621,13 @@ def _twice_nested(depth):
 
 @pytest.mark.parametrize(
     "multi_types",
-    [_twice_nested(16), [{"multi": [[0, 10**6]], "k": 1}]],
-    ids=["nested-16", "count-1e6"],
+    [_twice_nested(16), _twice_nested(20), [{"multi": [[0, 10**6]], "k": 1}]],
+    ids=["nested-16", "nested-20", "count-1e6"],
 )
 def test_check_messages_write_types_up_to_a_bound(runner, tmp_path, multi_types):
-    # written in full, the context multi is 1.4 MB at nesting depth 16
-    # and 2 MB at count 10**6; a message cuts each type at 1,000
-    # characters
+    # written in full, the context multi is 0.7 MB at nesting depth 16,
+    # 11.5 MB at depth 20 and 2 MB at count 10**6; a message cuts each
+    # type at 1,000 characters
     f = tmp_path / "big.json"
     f.write_text(json.dumps(_tvar_file(multi_types)))
     res = runner.invoke(main, ["check", str(f)])
@@ -664,6 +753,14 @@ def test_fuzz(runner):
     res = runner.invoke(main, ["fuzz", "--count", "5", "--seed", "3"])
     assert res.exit_code == 0
     assert res.output.startswith("count 5")
+
+
+def test_a_fuzz_campaign_through_the_command_line_writes_nothing_to_stderr():
+    # interned values die during and at the end of the campaign: their
+    # entries' callbacks must write nothing to stderr
+    res = _spacekam("fuzz", "--count", "200", "--seed", "0")
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout.startswith("count 200 ")
 
 
 def test_fuzz_json(runner):

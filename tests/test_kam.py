@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import pickle
 import sys
@@ -315,6 +316,22 @@ def test_fires_yields_label_indices_that_the_counts_name(machine_run, labels):
         assert [name for name, _ in run.trace] == [names[i] for i in fired]
 
 
+@pytest.mark.parametrize("run_name", ["example_kam", "example_skam"])
+def test_a_replay_names_its_labels_through_the_machine_not_the_counts(request, run_name):
+    # the counts' key order takes no part in naming: counts listed in
+    # another order replay and name as the run's do, and counts that
+    # lack a label are a mismatch, not an index out of range
+    run = request.getfixturevalue(run_name)
+    reordered = dataclasses.replace(run, counts=dict(reversed(run.counts.items())))
+    assert reordered.trace == run.trace
+    assert list(run_trace_rows(reordered)) == list(run_trace_rows(run))
+    short = dataclasses.replace(run, counts=dict(list(run.counts.items())[:-1]))
+    with pytest.raises(ReplayMismatch):
+        short.trace
+    with pytest.raises(ReplayMismatch):
+        list(short.fires())
+
+
 def test_the_two_machines_index_their_labels_apart():
     # "sub" is the last label of both machines: index 2 of one, 4 of the other
     k, sp = kam, space_kam
@@ -349,6 +366,7 @@ def test_verify_on_fuel_never_replays(monkeypatch):
     calls = {"kam": 0, "skam": 0}
 
     def counted(name, fire):
+        @functools.wraps(fire)  # the wrapper carries the fire function's labels
         def wrapped(code, env, stack):
             calls[name] += 1
             return fire(code, env, stack)

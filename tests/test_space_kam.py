@@ -14,7 +14,6 @@ from spacekam.space_kam import (
     SKAM_LABELS,
     InvariantViolation,
     check_env_domain_invariant,
-    check_run_env_domain_invariant,
     env_restrict,
     size_env,
     skam_fire,
@@ -281,16 +280,16 @@ def test_run_invariant_flags_a_stale_entry_in_a_shared_closure():
     ok_state = MachState(IDENT, (), (I_CL, ()))
     shares_bad = MachState(parse_term("x"), ("x", bad_cl, ()), (I_CL, ()))
     for states in ([ok_state, shares_bad], [shares_bad, ok_state], [shares_bad, shares_bad]):
-        assert not check_run_env_domain_invariant(states)
+        assert not check_env_domain_invariant(*states)
     # the stack is walked top last: I_CL, already visited, comes off
     # first, and the bad closure after it must still be looked at
     later = MachState(IDENT, (), (bad_cl, (I_CL, ())))
-    assert not check_run_env_domain_invariant([ok_state, later])
+    assert not check_env_domain_invariant(ok_state, later)
     # the same, one level down: a good closure whose env holds the bad one
     outer = Closure(parse_term("x"), ("x", bad_cl, ()))
-    assert not check_run_env_domain_invariant([ok_state, MachState(IDENT, (), (outer, (I_CL, ())))])
-    assert check_run_env_domain_invariant([ok_state, ok_state])
-    assert check_run_env_domain_invariant([])
+    assert not check_env_domain_invariant(ok_state, MachState(IDENT, (), (outer, (I_CL, ()))))
+    assert check_env_domain_invariant(ok_state, ok_state)
+    assert check_env_domain_invariant()
 
 
 def test_run_invariant_agrees_with_the_per_state_check():
@@ -299,8 +298,7 @@ def test_run_invariant_agrees_with_the_per_state_check():
         run = skam_run(compile(random_closed_term(seed, 25)), 2000)
         states = all_states(run)
         assert all(check_env_domain_invariant(s) for s in states)
-        assert check_run_env_domain_invariant(all_states(run))
-        assert check_run_env_domain_invariant(iter(states))
+        assert check_env_domain_invariant(*states)
         # plant a stale closure in the last state, below a closure that
         # earlier states hold, so the run-level walk has seen it already
         earlier = [c for p in states[:-1] for c in (*stack_tuple(p.stack), *(d for _, d in env_pairs(p.env)))]
@@ -310,7 +308,7 @@ def test_run_invariant_agrees_with_the_per_state_check():
         bad = MachState(s.code, s.env, stack_cells((*stack_tuple(s.stack), wrapped, shared)))
         planted = states[:-1] + [bad]
         assert not check_env_domain_invariant(bad)
-        assert not check_run_env_domain_invariant(planted)
+        assert not check_env_domain_invariant(*planted)
 
 
 # ---------------------------------------------------------------- runs

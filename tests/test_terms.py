@@ -177,7 +177,7 @@ def test_parse_a_20000_deep_lambda_chain_and_print_it_back():
 def test_parse_20000_nested_applications_share_one_var_per_name():
     text = "f (" * 19_999 + "f x" + ")" * 19_999
     t = parse_term(text)
-    assert print_term(t) == text
+    assert print_term(t) == text and parse_term(print_term(t)) is t
     fs = set()
     while type(t) is App:
         fs.add(id(t.fun))
