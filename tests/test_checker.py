@@ -23,6 +23,7 @@ from spacekam.checker import (
     KIND_CLOSURE,
     KIND_ENV,
     KIND_STATE,
+    KIND_TERM,
     R_CL,
     CheckError,
     Derivation,
@@ -30,6 +31,10 @@ from spacekam.checker import (
     Judgment,
     R_APP1,
     R_APP2,
+    R_DC_APP,
+    R_DC_LAM,
+    R_DC_LAM_STAR,
+    R_DC_VAR,
     R_ENV,
     R_LAM1,
     R_LAM2,
@@ -50,7 +55,7 @@ from spacekam.checker import (
     size_of,
     weight_of,
 )
-from spacekam.extractor import extract, extract_kam, type_final_state
+from spacekam.extractor import expand, extract, extract_kam, type_final_state
 from spacekam.harness import random_closed_term
 from spacekam.kam import Closure, MachState, Rows, compile, env_pairs, kam_run
 from spacekam.space_kam import skam_run
@@ -60,6 +65,8 @@ from spacekam.types import (
     STAR,
     Arrow,
     ClosureMulti,
+    DCArrow,
+    MultiType,
     TypeContext,
 )
 
@@ -390,6 +397,20 @@ def test_error_rendering():
     e = CheckError((0, 1), "boom")
     assert str(e) == "at 0.1: boom"
     assert str(CheckError((), "boom")) == "at root: boom"
+
+
+def test_judgments_on_subjects_of_different_classes_differ():
+    # a term, a closure and a state on the same code: the subjects'
+    # classes differ, so the judgments do, both ways round
+    x = Var("x")
+    js = [
+        Judgment(KIND_TERM, x, EMPTY_CONTEXT, STAR, 0),
+        Judgment(KIND_TERM, Closure(x, ()), EMPTY_CONTEXT, STAR, 0),
+        Judgment(KIND_TERM, MachState(x, (), ()), EMPTY_CONTEXT, STAR, 0),
+    ]
+    for i, a in enumerate(js):
+        for j, b in enumerate(js):
+            assert (a == b) == (i == j), (i, j)
 
 
 # ---------------------------------------------------------------- sharing
@@ -896,3 +917,277 @@ def test_render_a_closure_judgment_nested_20000_deep():
     assert render_derivation(d) == (
         "TCl w=0  . |- " + "(x, [x <- " * 20_000 + r"(\a.a, [])" + "])" * 20_000 + " : []^20001"
     )
+
+
+# ---------------------------------------------------------------- every rule condition
+#
+# One case per condition a rule checks: an edit of one or more nodes of
+# a valid derivation, and the node whose rule must then fail.  The bases
+# are the README example's space, time and plain derivations, a plain
+# derivation with an open abstraction that uses its binder, the typing of
+# a final state with a non-empty environment, and an expanded state with
+# a non-empty environment and stack.  Subjects a file cannot hold are
+# built by hand.  The cases name no message wording.
+
+_OPEN_USE = r"(\x.(\y.y x) (\b.b)) (\a.a)"
+
+
+def _final_with_env():
+    # (\y.x | [x <- (\a.a, [])] | ): TSt over TLamStar and TEnv, whose
+    # one premise is the TCl of the identity
+    return type_final_state(skam_run(compile(parse_term(r"(\x.\y.x) (\a.a)")), 100).final)
+
+
+def _state_with_stack():
+    # (\z.x | [x <- ..] | (x y, [y <- .., x <- ..])): TSt over TLam2,
+    # TEnv and the TCl of the stack closure
+    run = skam_run(compile(parse_term(EXAMPLE)), 100)
+    states = [run.initial] + [s for _, s in run.trace]
+    d = type_final_state(run.final)
+    for i in reversed(range(5, run.transitions)):
+        d = expand(d, (run.trace[i][0], states[i]))
+    assert d.conclusion.subject.env and d.conclusion.subject.stack
+    return d
+
+
+EXAMPLE = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
+_BASES = {
+    "space": (lambda: extract(skam_run(compile(parse_term(EXAMPLE)), 100)), "space"),
+    "time": (lambda: reweight(extract(skam_run(compile(parse_term(EXAMPLE)), 100)), "time"), "time"),
+    "kam": (lambda: extract_kam(kam_run(compile(parse_term(EXAMPLE)), 100)), "kam"),
+    "kam_open": (lambda: extract_kam(kam_run(compile(parse_term(_OPEN_USE)), 100)), "kam"),
+    "final": (_final_with_env, "space"),
+    "state": (_state_with_stack, "space"),
+}
+
+
+def _at(base, path):
+    d = _BASES[base][0]()
+    for i in path:
+        d = d.premises[i]
+    return d
+
+
+def _set(**fields):
+    """Replace fields of a node's conclusion."""
+    return lambda n: dataclasses.replace(n, conclusion=dataclasses.replace(n.conclusion, **fields))
+
+
+def _rule(rule):
+    return lambda n: dataclasses.replace(n, rule=rule)
+
+
+def _premises(pick):
+    """Replace a node's premises by pick(n)."""
+    return lambda n: dataclasses.replace(n, premises=tuple(pick(n)))
+
+
+def _leaf(rule, ctx, assigned, weight):
+    """A premiseless node of rule on the subject of the node it replaces."""
+    return lambda n: Derivation(rule, Judgment("term", n.conclusion.subject, ctx, assigned, weight))
+
+
+def _ctx(**images):
+    return TypeContext(tuple(images.items()))
+
+
+def _many_over(ctx, assigned, *weights):
+    """A TMany on the variable of the TVar node it replaces, over copies
+    of that node whose context for x has the index of each weight."""
+    def edit(n):
+        prem = [_set(context=_ctx(x=ClosureMulti((STAR,), w)), weight=w)(n) for w in weights]
+        return Derivation(R_MANY, Judgment("term", n.conclusion.subject, ctx, assigned, 0), tuple(prem))
+    return edit
+
+
+def _stack_of(pick):
+    """Replace a state node's stack by pick(stack) and its premises to match."""
+    def edit(n):
+        s = n.conclusion.subject
+        k = pick(s.stack)
+        cells = stack_tuple(k)
+        own = dict(zip(stack_tuple(s.stack), n.premises[2:]))
+        return Derivation(
+            n.rule,
+            dataclasses.replace(n.conclusion, subject=MachState(s.code, s.env, k)),
+            n.premises[:2] + tuple(own[c] for c in cells),
+        )
+    return edit
+
+
+M1 = ClosureMulti((STAR,), 1)
+E1, E2, E3, E4 = (ClosureMulti((), k) for k in (1, 2, 3, 4))
+A1 = Arrow(E1, STAR)
+P_APP2, P_L1Y, P_APP1, P_L2 = (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0)
+DC_STAR = MultiType((STAR,))
+DC_EMPTY = MultiType(())
+DC_A = DCArrow(DC_EMPTY, STAR)
+P_DC_VAR, P_DC_LZ = (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0)
+IDENT_CLOSURE = Closure(parse_term(r"\a.a"), ())
+
+# (id, base, [(path, edit), ...], path of the node that must fail, its rule)
+CONDITIONS = [
+    # the checks every term rule makes
+    ("term-kind", "space", [(P_TVAR, _set(subject_kind=KIND_CLOSURE))], P_TVAR, R_VAR),
+    ("term-subject-is-a-closure", "space", [(P_TLAMSTAR, _set(subject=IDENT_CLOSURE))], P_TLAMSTAR, R_LAM_STAR),
+    ("term-context-grammar", "space", [(P_TVAR, _set(context=_ctx(x=DC_STAR)))], P_TVAR, R_VAR),
+    ("term-context-grammar-kam", "kam", [(P_DC_VAR, _set(context=_ctx(x=M1)))], P_DC_VAR, R_DC_VAR),
+    ("term-domain-within-fv-kam", "kam", [(P_DC_VAR, _set(context=_ctx(x=DC_STAR, y=DC_EMPTY)))], P_DC_VAR, R_DC_VAR),
+    ("term-domain-is-fv", "space", [(P_TVAR, _set(context=_ctx(x=M1, y=E1)))], P_TVAR, R_VAR),
+    ("term-domain-is-fv-time", "time", [(P_TVAR, _set(context=_ctx(x=M1, y=E1)))], P_TVAR, R_VAR),
+    ("term-premise-count", "space", [((0,), _premises(lambda n: ()))], (0,), R_LAM1),
+    ("term-premise-kind", "space", [((0,), _premises(lambda n: [_at("final", (1, 0))]))], (0,), R_LAM1),
+    ("term-form", "space", [(P_APP2, _rule(R_LAM1))], P_APP2, R_LAM1),
+    # TVar
+    ("tvar-linear", "space", [(P_TVAR, _set(assigned=M1))], P_TVAR, R_VAR),
+    ("tvar-singleton", "space", [(P_TVAR, _set(assigned=A1))], P_TVAR, R_VAR),
+    ("tvar-singleton-time", "time", [(P_TVAR, _set(assigned=A1))], P_TVAR, R_VAR),
+    # TLamStar
+    ("tlamstar-ground", "space", [(P_TLAMSTAR, _set(assigned=A1))], P_TLAMSTAR, R_LAM_STAR),
+    ("tlamstar-dry", "final", [((0,), _set(context=_ctx(x=M1)))], (0,), R_LAM_STAR),
+    # TLam1
+    ("tlam1-body", "space", [((0,), _premises(lambda n: [_at("space", P_L1Y)]))], (0,), R_LAM1),
+    ("tlam1-premise-linear", "space", [((0, 0), _leaf(R_NONE, _ctx(x=E1), E2, 0))], (0,), R_LAM1),
+    ("tlam1-arrow", "space", [((0,), _set(assigned=STAR))], (0,), R_LAM1),
+    ("tlam1-target", "space", [((0,), _set(assigned=Arrow(M1, A1)))], (0,), R_LAM1),
+    ("tlam1-binder-used", "space", [(P_L2, _rule(R_LAM1))], P_L2, R_LAM1),
+    ("tlam1-arrow-source", "space", [(P_L1Y, _set(assigned=Arrow(M1, STAR)))], P_L1Y, R_LAM1),
+    ("tlam1-arrow-source-time", "time", [(P_L1Y, _set(assigned=Arrow(M1, STAR)))], P_L1Y, R_LAM1),
+    ("tlam1-context", "space", [(P_L1Y, _set(context=_ctx(x=E1)))], P_L1Y, R_LAM1),
+    # TLam2
+    ("tlam2-body", "space", [(P_L2, _premises(lambda n: [_at("space", P_TLAMSTAR)]))], P_L2, R_LAM2),
+    ("tlam2-empty-source", "space", [(P_L2, _set(assigned=Arrow(M1, STAR)))], P_L2, R_LAM2),
+    ("tlam2-empty-source-first", "space", [((0,), _rule(R_LAM2))], (0,), R_LAM2),
+    ("tlam2-target", "space", [(P_L2, _set(assigned=Arrow(E3, A1)))], P_L2, R_LAM2),
+    ("tlam2-binder-unused", "space", [(P_L1Y, _rule(R_LAM2))], P_L1Y, R_LAM2),
+    ("tlam2-context", "space", [(P_L2, _set(context=_ctx(x=ClosureMulti((STAR, STAR), 1))))], P_L2, R_LAM2),
+    # TMany
+    ("tmany-a-premise", "space", [(P_TMANY, _premises(lambda n: ()))], P_TMANY, R_MANY),
+    ("tmany-multi", "space", [(P_TMANY, _set(assigned=STAR))], P_TMANY, R_MANY),
+    ("tmany-premise-kind", "space", [(P_TMANY, _premises(lambda n: [_at("final", (1, 0))]))], P_TMANY, R_MANY),
+    ("tmany-premise-term", "space", [(P_TMANY, _premises(lambda n: [_at("space", P_TVAR)]))], P_TMANY, R_MANY),
+    ("tmany-premise-linear", "space", [(P_TMANY, _premises(lambda n: [_at("final", (1, 0, 0))]))], P_TMANY, R_MANY),
+    ("tmany-summable", "space",
+     [(P_TVAR, _many_over(_ctx(x=ClosureMulti((STAR, STAR), 1)), ClosureMulti((STAR, STAR), 2), 1, 2))],
+     P_TVAR, R_MANY),
+    ("tmany-elements", "space", [(P_TMANY, _set(assigned=ClosureMulti((STAR, STAR), 1)))], P_TMANY, R_MANY),
+    ("tmany-context", "space", [(P_TVAR, _many_over(_ctx(x=E1), ClosureMulti((STAR,), 2), 1))], P_TVAR, R_MANY),
+    ("tmany-index", "space", [(P_TMANY, _set(assigned=ClosureMulti((STAR,), 2)))], P_TMANY, R_MANY),
+    ("tmany-index-time", "time", [(P_TMANY, _set(assigned=ClosureMulti((STAR,), 2)))], P_TMANY, R_MANY),
+    # TNone
+    ("tnone-empty", "space", [(P_TNONE, _set(assigned=ClosureMulti((STAR,), 3)))], P_TNONE, R_NONE),
+    ("tnone-dry", "space", [(P_TNONE, _set(context=_ctx(x=M1, y=E1)))], P_TNONE, R_NONE),
+    ("tnone-index", "space", [(P_TNONE, _set(assigned=E2))], P_TNONE, R_NONE),
+    # TApp1
+    ("tapp1-argument-not-a-variable", "space",
+     [(P_APP2, _rule(R_APP1)), (P_APP2, _premises(lambda n: n.premises * 2))], P_APP2, R_APP1),
+    ("tapp1-function", "space", [((), _premises(lambda n: n.premises[::-1]))], (), R_APP1),
+    ("tapp1-argument", "space", [((), _premises(lambda n: n.premises[:1] * 2))], (), R_APP1),
+    ("tapp1-function-arrow", "space", [((0,), _leaf(R_LAM_STAR, EMPTY_CONTEXT, STAR, 0))], (), R_APP1),
+    ("tapp1-argument-multi", "space", [((1,), _leaf(R_NONE, EMPTY_CONTEXT, E1, 0))], (), R_APP1),
+    ("tapp1-target", "space", [((), _set(assigned=A1))], (), R_APP1),
+    ("tapp1-summable", "space",
+     [(P_TNONE, _set(context=_ctx(x=E2, y=E1), assigned=E4)), (P_L2, _set(assigned=Arrow(E4, STAR), weight=5))],
+     P_APP1, R_APP1),
+    ("tapp1-context", "space", [(P_APP1, _set(context=_ctx(x=ClosureMulti((STAR, STAR), 1), y=E1)))], P_APP1, R_APP1),
+    # TApp2
+    ("tapp2-subject", "space", [(P_APP1, _rule(R_APP2)), (P_APP1, _premises(lambda n: n.premises[:1]))], P_APP1, R_APP2),
+    ("tapp2-function", "space", [(P_APP2, _premises(lambda n: [_at("space", P_L2)]))], P_APP2, R_APP2),
+    ("tapp2-function-arrow", "space", [(P_L1Y, _leaf(R_LAM_STAR, _ctx(x=E1), STAR, 1))], P_APP2, R_APP2),
+    ("tapp2-target", "space", [(P_APP2, _set(assigned=A1))], P_APP2, R_APP2),
+    ("tapp2-summable", "space",
+     [(P_TNONE, _set(context=_ctx(x=E1, y=E2), assigned=E4)), (P_L2, _set(assigned=Arrow(E4, STAR), weight=5)),
+      (P_APP1, _set(context=_ctx(x=M1, y=E2), weight=5)), (P_L1Y, _set(assigned=Arrow(E2, STAR), weight=5))],
+     P_APP2, R_APP2),
+    ("tapp2-context", "space", [(P_APP2, _set(context=_ctx(x=ClosureMulti((STAR, STAR), 1))))], P_APP2, R_APP2),
+    # TEnv
+    ("tenv-kind", "final", [((1,), _set(subject_kind=KIND_CLOSURE))], (1,), R_ENV),
+    ("tenv-subject-not-a-chain", "final", [((1,), _set(subject=("x", 1, ())))], (1,), R_ENV),
+    ("tenv-names-once", "final",
+     [((1,), _set(subject=("x", IDENT_CLOSURE, ("x", IDENT_CLOSURE, ())))), ((1,), _premises(lambda n: n.premises * 2))],
+     (1,), R_ENV),
+    ("tenv-no-context", "final", [((1,), _set(context=_ctx(x=E1)))], (1,), R_ENV),
+    ("tenv-assigns-a-context", "final", [((1,), _set(assigned=STAR))], (1,), R_ENV),
+    ("tenv-domain", "final", [((1,), _set(assigned=_ctx(y=E1)))], (1,), R_ENV),
+    ("tenv-premise-count", "final", [((1,), _premises(lambda n: ()))], (1,), R_ENV),
+    ("tenv-premise-kind", "final", [((1,), _premises(lambda n: [_at("final", (0,))]))], (1,), R_ENV),
+    ("tenv-premise-closure", "final", [((1,), _premises(lambda n: [_at("state", (2,))]))], (1,), R_ENV),
+    ("tenv-premise-multi", "final", [((1,), _set(assigned=_ctx(x=E2)))], (1,), R_ENV),
+    # TCl
+    ("tcl-kind", "final", [((1, 0), _set(subject_kind="term"))], (1, 0), R_CL),
+    ("tcl-subject-not-a-closure", "final", [((1, 0), _set(subject=("x", IDENT_CLOSURE, ())))], (1, 0), R_CL),
+    ("tcl-no-context", "final", [((1, 0), _set(context=_ctx(x=E1)))], (1, 0), R_CL),
+    ("tcl-multi", "final", [((1, 0), _set(assigned=STAR))], (1, 0), R_CL),
+    ("tcl-premise-count", "final", [((1, 0), _premises(lambda n: n.premises[:1]))], (1, 0), R_CL),
+    ("tcl-code", "final", [((1, 0), _premises(lambda n: [_at("state", (2, 0)), n.premises[1]]))], (1, 0), R_CL),
+    ("tcl-code-multi", "final", [((1, 0), _set(assigned=E2))], (1, 0), R_CL),
+    ("tcl-environment", "final", [((1, 0), _premises(lambda n: [n.premises[0], _at("final", (1,))]))], (1, 0), R_CL),
+    ("tcl-environment-context", "state",
+     [((2, 0), _set(context=_ctx(x=E2, y=E1), assigned=E4)), ((2,), _set(assigned=E4))], (2,), R_CL),
+    # TSt
+    ("tst-kind", "state", [((), _set(subject_kind="term"))], (), R_ST),
+    ("tst-subject-not-a-state", "state", [((), _set(subject=IDENT_CLOSURE))], (), R_ST),
+    ("tst-no-context", "state", [((), _set(context=_ctx(x=E1)))], (), R_ST),
+    ("tst-ground", "state", [((), _set(assigned=A1))], (), R_ST),
+    ("tst-premise-count", "state", [((), _premises(lambda n: n.premises[:2]))], (), R_ST),
+    ("tst-code", "state", [((), _premises(lambda n: [_at("space", P_TLAMSTAR), *n.premises[1:]]))], (), R_ST),
+    ("tst-environment", "state", [((), _premises(lambda n: [n.premises[0], n.premises[2].premises[1], n.premises[2]]))],
+     (), R_ST),
+    ("tst-environment-context", "final", [((0,), _set(context=_ctx(x=E2), weight=2))], (), R_ST),
+    ("tst-arrows-run-out", "state", [((), _stack_of(lambda k: (k[0], k)))], (), R_ST),
+    ("tst-stack-closure", "state", [((), _premises(lambda n: [*n.premises[:2], _at("final", (1, 0))]))], (), R_ST),
+    ("tst-stack-closure-multi", "state", [((0,), _set(assigned=Arrow(ClosureMulti((), 5), STAR), weight=6))],
+     (), R_ST),
+    ("tst-ground-at-the-bottom", "state", [((), _stack_of(lambda k: ()))], (), R_ST),
+    # DC_TVar
+    ("dc_tvar-linear", "kam", [(P_DC_VAR, _set(assigned=DC_STAR))], P_DC_VAR, R_DC_VAR),
+    ("dc_tvar-singleton", "kam", [(P_DC_VAR, _set(assigned=DC_A))], P_DC_VAR, R_DC_VAR),
+    # DC_TLamStar
+    ("dc_tlamstar-ground", "kam", [((1,), _set(assigned=DC_A))], (1,), R_DC_LAM_STAR),
+    ("dc_tlamstar-empty-context", "kam", [(P_DC_LZ, _leaf(R_DC_LAM_STAR, _ctx(x=DC_STAR), STAR, 0))],
+     P_DC_LZ, R_DC_LAM_STAR),
+    # DC_TLam
+    ("dc_tlam-body", "kam", [((0,), _premises(lambda n: [_at("kam", (1,))]))], (0,), R_DC_LAM),
+    ("dc_tlam-arrow", "kam", [((0,), _set(assigned=STAR))], (0,), R_DC_LAM),
+    ("dc_tlam-target", "kam", [((0,), _set(assigned=DCArrow(DC_STAR, DC_A)))], (0,), R_DC_LAM),
+    ("dc_tlam-unused-binder-source", "kam", [(P_L1Y, _set(assigned=DCArrow(DC_STAR, STAR)))], P_L1Y, R_DC_LAM),
+    ("dc_tlam-unused-binder-context", "kam", [(P_L1Y, _set(context=EMPTY_CONTEXT))], P_L1Y, R_DC_LAM),
+    ("dc_tlam-arrow-source", "kam", [((0,), _set(assigned=DCArrow(MultiType((STAR, STAR)), STAR)))], (0,), R_DC_LAM),
+    ("dc_tlam-context", "kam_open", [(P_L1Y, _set(context=EMPTY_CONTEXT))], P_L1Y, R_DC_LAM),
+    # DC_TApp
+    ("dc_tapp-function-premise", "kam", [(P_APP2, _premises(lambda n: ()))], P_APP2, R_DC_APP),
+    ("dc_tapp-function", "kam", [((), _premises(lambda n: n.premises[::-1]))], (), R_DC_APP),
+    ("dc_tapp-function-arrow", "kam", [((0,), _leaf(R_DC_LAM_STAR, EMPTY_CONTEXT, STAR, 0))], (), R_DC_APP),
+    ("dc_tapp-target", "kam", [((), _set(assigned=DC_A))], (), R_DC_APP),
+    ("dc_tapp-argument", "kam", [((), _premises(lambda n: n.premises[:1] * 2))], (), R_DC_APP),
+    ("dc_tapp-argument-linear", "kam", [((1,), _set(assigned=DC_STAR))], (), R_DC_APP),
+    ("dc_tapp-argument-multi", "kam", [((), _premises(lambda n: [*n.premises, n.premises[1]]))], (), R_DC_APP),
+    ("dc_tapp-context", "kam", [(P_APP2, _set(context=_ctx(x=MultiType((STAR, STAR)))))], P_APP2, R_DC_APP),
+]
+# a plain premise assigns a multi only when its own rule fails, and that
+# node is then the first to fail
+_PREMISE_FAILS_FIRST = {"dc_tapp-argument-linear"}
+
+
+def _edited(base, edits):
+    d, mode = _BASES[base][0](), _BASES[base][1]
+    assert check(d, mode).ok
+    for path, edit in edits:
+        d = mutate(d, path, edit)
+    return d, mode
+
+
+@pytest.mark.parametrize("name, base, edits, where, rule", CONDITIONS, ids=[c[0] for c in CONDITIONS])
+def test_each_rule_condition_fails_at_its_node(name, base, edits, where, rule):
+    d, mode = _edited(base, edits)
+    node = d
+    for i in where:
+        node = node.premises[i]
+    assert node.rule == rule
+    res = check(d, mode)
+    assert not res.ok
+    if name not in _PREMISE_FAILS_FIRST:
+        assert res.errors[0].path == where, res.errors
+    # the node's own rule check fails, not the weight comparison
+    mine = [e.message for e in check(d, mode, full_scan=True).errors if e.path == where]
+    assert mine and not mine[0].startswith("stored weight"), (res.errors, mine)

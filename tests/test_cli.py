@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,9 @@ from families import church_app, let_chain, pow2, wide_app
 from machine_steps import read_trace
 
 import spacekam as sk
+import spacekam.harness as harness
 from spacekam.cli import main
+from spacekam.extractor import extract
 
 EXAMPLE_SRC = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
 
@@ -767,3 +770,47 @@ def test_fuzz_json(runner):
     res = runner.invoke(main, ["fuzz", "--count", "5", "--seed", "3", "--json"])
     obj = json.loads(res.output)
     assert obj["count"] == 5 and obj["failed"] == 0
+
+
+# ---------------------------------------------------------------- failure output
+
+def _break_first_premise(d):
+    # the root's function premise types \x... with a non-empty arrow
+    # source, so TLam2 rejects it whatever the mode
+    bad = dataclasses.replace(d.premises[0], rule="TLam2")
+    return dataclasses.replace(d, premises=(bad,) + d.premises[1:])
+
+
+def test_verify_prints_each_failed_check_with_its_note_and_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(harness, "extract", lambda run: _break_first_premise(extract(run)))
+    res = runner.invoke(main, ["verify", EXAMPLE_SRC])
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    assert "pass  kam_derivation" in lines
+    why = "      InvalidDerivation: at 0: TLam2 assigns an arrow with an empty source"
+    for name in ("space_weight", "time_weight"):
+        i = lines.index(f"FAIL  {name}")
+        assert lines[i + 1] == why
+    i = lines.index("FAIL  space_derivation")
+    assert not lines[i + 1].startswith("      ")  # a failed check with no note
+
+
+def test_fuzz_prints_each_failing_seed_and_exits_1(runner, monkeypatch):
+    real = harness.verify
+
+    def flaky(t, fuel):
+        if t == sk.random_closed_term(10, 25):
+            raise RuntimeError("boom")
+        return real(t, fuel)
+
+    monkeypatch.setattr(harness, "verify", flaky)
+    monkeypatch.setattr(harness, "extract", lambda run: _break_first_premise(extract(run)))
+    # seed 9 is (\v0.v0) (..), whose function premise TLam2 rejects
+    res = runner.invoke(main, ["fuzz", "--count", "2", "--seed", "9"])
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    assert lines[0] == "count 2  complete 1  incomplete 0  failed 2"
+    assert lines[1] == f"seed 9: {sk.print_term(sk.random_closed_term(9, 25))}"
+    assert lines[2].startswith("  failed: space_derivation, space_weight, ")
+    assert "  space_weight: InvalidDerivation: at 0: TLam2 assigns an arrow with an empty source" in lines
+    assert lines[-2:] == [f"seed 10: {sk.print_term(sk.random_closed_term(10, 25))}", "  error: RuntimeError: boom"]

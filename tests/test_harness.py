@@ -297,6 +297,28 @@ def test_fuzz_counts_internal_errors_as_failures(monkeypatch):
     assert "boom" in out["failures"][0]["error"]
 
 
+def test_fuzz_records_a_raising_seed_and_a_failing_one_apart(monkeypatch):
+    # seed 11's verify raises, and every structure check fails on the
+    # others: the summary keeps each failure's own record
+    real = verify
+
+    def flaky(t, fuel):
+        if t == random_closed_term(11, 15):
+            raise RuntimeError("boom")
+        return real(t, fuel)
+
+    monkeypatch.setattr(harness, "verify", flaky)
+    monkeypatch.setattr(harness, "extract", lambda run: _break_first_premise(extract(run)))
+    out = fuzz(3, seed=10, size_budget=15, fuel=500)
+    assert out["failed"] == 3 and [f["seed"] for f in out["failures"]] == [10, 11, 12]
+    raised = out["failures"][1]
+    assert raised == {"seed": 11, "term": print_term(random_closed_term(11, 15)), "error": "RuntimeError: boom"}
+    assert out["complete"] + out["incomplete"] == 2
+    for f in (out["failures"][0], out["failures"][2]):
+        assert sorted(f) == ["failed", "notes", "seed", "term"]
+        assert "space_derivation" in f["failed"] and f["notes"]["space_weight"].startswith("InvalidDerivation: at ")
+
+
 # ---------------------------------------------------------------- benchmark
 
 def test_the_benchmark_uses_only_names_the_package_has():

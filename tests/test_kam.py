@@ -332,6 +332,19 @@ def test_a_replay_names_its_labels_through_the_machine_not_the_counts(request, r
         list(short.fires())
 
 
+@pytest.mark.parametrize("run_name", ["example_kam", "example_skam"])
+def test_a_replay_that_turns_final_early_names_the_transition(request, run_name):
+    # a run that claims one transition more than its final state allows
+    run = request.getfixturevalue(run_name)
+    assert run.final_reached
+    n = run.transitions + 1
+    long = dataclasses.replace(run, transitions=n)
+    with pytest.raises(ReplayMismatch, match=f"^replay reached a final state at transition {n}$"):
+        list(long.fires())
+    with pytest.raises(ReplayMismatch, match=f"at transition {n}$"):
+        long.trace
+
+
 def test_the_two_machines_index_their_labels_apart():
     # "sub" is the last label of both machines: index 2 of one, 4 of the other
     k, sp = kam, space_kam
