@@ -62,8 +62,6 @@ from .types import (
     context_to_json,
     contexts_union,
     format_context,
-    format_linear,
-    format_multi,
     format_type,
     is_dry,
     size_context,
@@ -252,65 +250,122 @@ def rule_weight(rule, ctx, assigned, premise_weights, mode) -> int:
 # per-rule shape and side conditions
 
 def _show(a) -> str:
-    """A type's text in a message, cut after 1,000 characters: the full
-    text of a type read from a file can grow exponentially with it."""
+    """A type's or a context's text in a message, cut after 1,000
+    characters: the full text of a type read from a file can grow
+    exponentially with it."""
+    if type(a) is TypeContext:
+        return format_context(a, 1000) or "."
     return format_type(a, 1000)
 
 
-def _is_linear(a) -> bool:
-    return type(a) is Star or type(a) is Arrow
+def _differs(d, err, what, want, found) -> None:
+    """Report that d's what is found, where want is what its premises
+    give.  Types and contexts are interned, so the rules compare them by
+    identity."""
+    err(f"{d.rule} {what} {_show(found)}, expected {_show(want)}")
 
 
-def _is_dc_linear(a) -> bool:
-    return type(a) is Star or type(a) is DCArrow
+# the classes of a linear type, indexed and plain
+_LINEAR = (Star, Arrow)
+_DC_LINEAR = (Star, DCArrow)
+# the source of a plain arrow whose binder goes unused
+_UNUSED = MultiType(())
 
 
 def _term_node(d, err, mode) -> bool:
     c = d.conclusion
     if c.subject_kind != KIND_TERM:
-        err(f"rule {d.rule} concludes a term judgment, found {c.subject_kind}")
+        err(f"rule {d.rule} concludes term judgments, found {c.subject_kind}")
         return False
     if type(c.subject) not in (Var, Abs, App):
-        err("term judgment subject is not a term")
+        err(f"{d.rule} subject is not a term")
         return False
     want = ClosureMulti if mode != "kam" else MultiType
     for x, m in c.context.entries:
         if type(m) is not want:
-            err(f"context image of {x} has the wrong grammar for mode {mode}")
+            err(f"{d.rule} context image of {x} has the wrong grammar for mode {mode}")
             return False
     fv = c.subject.fv
     dom = c.context.names
     if mode == "kam":
         if not dom <= fv:
             err(
-                f"context domain {sorted(dom)} mentions variables not free "
-                f"in the subject {sorted(fv)}"
+                f"{d.rule} context domain {sorted(dom)} mentions variables not "
+                f"free in the subject {sorted(fv)}"
             )
             return False
     elif dom != fv:
-        err(f"context domain {sorted(dom)} differs from free variables {sorted(fv)}")
+        err(f"{d.rule} context domain {sorted(dom)} differs from free variables {sorted(fv)}")
         return False
     return True
 
 
-def _premise_kinds(d, err, kinds) -> bool:
-    if len(d.premises) != len(kinds):
-        err(f"rule {d.rule} takes {len(kinds)} premises, found {len(d.premises)}")
+def _machine_node(d, err, kind) -> bool:
+    """d concludes a kind judgment under the empty context."""
+    c = d.conclusion
+    if c.subject_kind != kind:
+        err(f"rule {d.rule} concludes {kind} judgments, found {c.subject_kind}")
         return False
-    for i, (p, kind) in enumerate(zip(d.premises, kinds)):
-        if p.conclusion.subject_kind != kind:
-            err(f"premise {i} must be a {kind} judgment")
-            return False
+    if not c.context.is_empty():
+        err(f"{d.rule} carries no free context")
+        return False
     return True
+
+
+def _premise_count(d, err, n) -> bool:
+    if len(d.premises) != n:
+        err(f"rule {d.rule} takes {n} premises, found {len(d.premises)}")
+        return False
+    return True
+
+
+def _premise(d, err, i, subject, what, kind=KIND_TERM, linear=None):
+    """The conclusion of d's premise i when it is a kind judgment on
+    subject, which what names, and assigns a type of a class in linear
+    (any type when None); else None, reported."""
+    p = d.premises[i].conclusion
+    if p.subject_kind != kind or (p.subject is not subject and not _pairs_equal([(p.subject, subject)])):
+        err(f"{d.rule} premise {i} must type {what}")
+        return None
+    if linear is not None and type(p.assigned) not in linear:
+        err(f"{d.rule} premise {i} must assign a linear type")
+        return None
+    return p
+
+
+def _function(d, err, arrow):
+    """The conclusion of d's premise 0 when it types the function of d's
+    application at an arrow of class arrow whose target d assigns; else
+    None, reported."""
+    c = d.conclusion
+    p = _premise(d, err, 0, c.subject.fun, "the function")
+    if p is None:
+        return None
+    if type(p.assigned) is not arrow:
+        err(f"{d.rule} function premise must assign an arrow")
+        return None
+    if c.assigned is not p.assigned.res:
+        _differs(d, err, "type", p.assigned.res, c.assigned)
+        return None
+    return p
+
+
+def _union(d, err, contexts):
+    """The union of contexts, or None, reported, when they do not sum."""
+    try:
+        return contexts_union(contexts)
+    except NotSummable as ex:
+        err(f"{d.rule} cannot unite the contexts its premises give: {ex}")
+        return None
 
 
 _FORMS = {Var: "a variable", Abs: "an abstraction", App: "an application"}
 
 
-def _term_rule(d, err, mode, form, kinds=None) -> bool:
+def _term_rule(d, err, mode, form, n=None) -> bool:
     """d concludes a well-formed term judgment on a subject of form
-    (Var, Abs or App), over premises of kinds (any when None)."""
-    if not _term_node(d, err, mode) or (kinds is not None and not _premise_kinds(d, err, kinds)):
+    (Var, Abs or App), over n premises (any number when None)."""
+    if not _term_node(d, err, mode) or (n is not None and not _premise_count(d, err, n)):
         return False
     if type(d.conclusion.subject) is not form:
         err(f"{d.rule} subject must be {_FORMS[form]}")
@@ -319,28 +374,20 @@ def _term_rule(d, err, mode, form, kinds=None) -> bool:
 
 
 def _check_tvar(d, err, mode):
-    if not _term_rule(d, err, mode, Var, ()):
+    if not _term_rule(d, err, mode, Var, 0):
         return
     c = d.conclusion
-    if not _is_linear(c.assigned):
+    if type(c.assigned) not in _LINEAR:
         err("TVar assigns a linear type")
         return
-    if len(c.context.entries) != 1:
-        err("TVar context must be the single binding for the variable")
-        return
-    x, m = c.context.entries[0]
-    if x != c.subject.name:
-        err(f"TVar context binds {x}, subject is {c.subject.name}")
-        return
+    # dom = fv = {x}: the context is the variable's one binding
+    m = c.context.entries[0][1]
     if m.pairs != ((c.assigned, 1),):
-        err(
-            f"TVar context multi {_show(m)} is not the singleton of "
-            f"the assigned type {_show(c.assigned)}"
-        )
+        _differs(d, err, "context multi", ClosureMulti((c.assigned,), m.index), m)
 
 
 def _check_tlamstar(d, err, mode):
-    if not _term_rule(d, err, mode, Abs, ()):
+    if not _term_rule(d, err, mode, Abs, 0):
         return
     c = d.conclusion
     if type(c.assigned) is not Star:
@@ -351,220 +398,137 @@ def _check_tlamstar(d, err, mode):
 
 
 def _check_tlam1(d, err, mode):
-    if not _term_rule(d, err, mode, Abs, (KIND_TERM,)):
+    if not _term_rule(d, err, mode, Abs, 1):
         return
     c = d.conclusion
-    p = d.premises[0].conclusion
-    if p.subject != c.subject.body:
-        err("TLam1 premise must type the abstraction body")
-        return
-    if type(c.assigned) is not Arrow:
-        err("TLam1 assigns an arrow")
-        return
-    if p.assigned != c.assigned.res:
-        err("TLam1 premise type must be the arrow target")
-        return
     x = c.subject.binder
+    p = _premise(d, err, 0, c.subject.body, "the abstraction body", linear=_LINEAR)
+    if p is None:
+        return
     m = p.context.get(x)
     if m is None:
         err(f"TLam1 needs the binder {x} in the premise context")
         return
-    if m != c.assigned.arg:
-        err(
-            f"arrow source {_show(c.assigned.arg)} differs from the "
-            f"binder's multi {_show(m)}"
-        )
+    want = Arrow(m, p.assigned)
+    if c.assigned is not want:
+        _differs(d, err, "type (arrow source: the binder's multi)", want, c.assigned)
         return
-    if c.context != p.context.minus(x):
-        err("TLam1 conclusion context must be the premise context without the binder")
+    want = p.context.minus(x)
+    if c.context is not want:
+        _differs(d, err, "context", want, c.context)
 
 
 def _check_tlam2(d, err, mode):
-    if not _term_rule(d, err, mode, Abs, (KIND_TERM,)):
+    if not _term_rule(d, err, mode, Abs, 1):
         return
     c = d.conclusion
-    p = d.premises[0].conclusion
-    if p.subject != c.subject.body:
-        err("TLam2 premise must type the abstraction body")
+    x = c.subject.binder
+    p = _premise(d, err, 0, c.subject.body, "the abstraction body", linear=_LINEAR)
+    if p is None:
         return
     if type(c.assigned) is not Arrow or c.assigned.arg.pairs:
         err("TLam2 assigns an arrow with an empty source")
         return
-    if p.assigned != c.assigned.res:
-        err("TLam2 premise type must be the arrow target")
-        return
-    x = c.subject.binder
     if x in p.context.names:
         err(f"TLam2 requires the binder {x} absent from the premise context")
         return
-    if c.context != p.context:
-        err("TLam2 keeps the premise context")
+    want = Arrow(c.assigned.arg, p.assigned)
+    if c.assigned is not want:
+        _differs(d, err, "type", want, c.assigned)
+        return
+    if c.context is not p.context:
+        _differs(d, err, "context", p.context, c.context)
 
 
 def _check_tmany(d, err, mode):
     if not _term_node(d, err, mode):
         return
     c = d.conclusion
-    if len(d.premises) < 1:
+    if not d.premises:
         err("TMany needs at least one premise")
         return
-    if type(c.assigned) is not ClosureMulti:
-        err("TMany assigns a multi type")
-        return
-    elems = []
-    for i, pd in enumerate(d.premises):
-        p = pd.conclusion
-        if p.subject_kind != KIND_TERM:
-            err(f"premise {i} must be a term judgment")
+    for i in range(len(d.premises)):
+        if _premise(d, err, i, c.subject, "the same term", linear=_LINEAR) is None:
             return
-        if p.subject != c.subject:
-            err(f"premise {i} must type the same term")
-            return
-        if not _is_linear(p.assigned):
-            err(f"premise {i} must assign a linear type")
-            return
-        elems.append(p.assigned)
-    try:
-        union = contexts_union([pd.conclusion.context for pd in d.premises])
-    except NotSummable as ex:
-        err(f"premise contexts are not summable: {ex}")
+    union = _union(d, err, [p.conclusion.context for p in d.premises])
+    if union is None:
         return
-    if ClosureMulti(elems, c.assigned.index) is not c.assigned:
-        err(f"premise types do not assemble the multi {_show(c.assigned)}")
+    want = ClosureMulti([p.conclusion.assigned for p in d.premises], 1 + size_context(union))
+    if c.assigned is not want:
+        _differs(d, err, "type", want, c.assigned)
         return
-    if c.context != union:
-        err("TMany conclusion context must be the union of the premise contexts")
-        return
-    if c.assigned.index != 1 + size_context(union):
-        err(
-            f"TMany index must be 1 + |context| = {1 + size_context(union)}, "
-            f"found {c.assigned.index}"
-        )
+    if c.context is not union:
+        _differs(d, err, "context", union, c.context)
 
 
 def _check_tnone(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, ()):
+    if not _term_node(d, err, mode) or not _premise_count(d, err, 0):
         return
     c = d.conclusion
-    if type(c.assigned) is not ClosureMulti or c.assigned.pairs:
-        err("TNone assigns an empty multi type")
-        return
     if not is_dry(c.context):
         err("TNone needs a dry context")
         return
-    if c.assigned.index != 1 + size_context(c.context):
-        err(
-            f"TNone index must be 1 + |context| = {1 + size_context(c.context)}, "
-            f"found {c.assigned.index}"
-        )
+    want = ClosureMulti((), 1 + size_context(c.context))
+    if c.assigned is not want:
+        _differs(d, err, f"type (index must be 1 + |context| = {want.index})", want, c.assigned)
 
 
 def _check_tapp1(d, err, mode):
-    if not _term_rule(d, err, mode, App, (KIND_TERM, KIND_TERM)):
+    if not _term_rule(d, err, mode, App, 2):
         return
     c = d.conclusion
     if type(c.subject.arg) is Var:
         err("TApp1 is for non-variable arguments; variables go through TApp2")
         return
-    pf = d.premises[0].conclusion
-    pa = d.premises[1].conclusion
-    if pf.subject != c.subject.fun:
-        err("TApp1 first premise must type the function")
+    pf = _function(d, err, Arrow)
+    if pf is None:
         return
-    if pa.subject != c.subject.arg:
-        err("TApp1 second premise must type the argument")
+    pa = _premise(d, err, 1, c.subject.arg, "the argument")
+    if pa is None:
         return
-    if type(pf.assigned) is not Arrow:
-        err("TApp1 function premise must assign an arrow")
+    if pa.assigned is not pf.assigned.arg:
+        _differs(d, err, "argument multi", pf.assigned.arg, pa.assigned)
         return
-    if pa.assigned != pf.assigned.arg:
-        err(
-            f"argument multi {_show(pa.assigned)} "
-            f"differs from the arrow source {_show(pf.assigned.arg)}"
-        )
-        return
-    if c.assigned != pf.assigned.res:
-        err("TApp1 conclusion type must be the arrow target")
-        return
-    try:
-        union = contexts_union([pf.context, pa.context])
-    except NotSummable as ex:
-        err(f"premise contexts are not summable: {ex}")
-        return
-    if c.context != union:
-        err("TApp1 conclusion context must be the union of the premise contexts")
+    union = _union(d, err, [pf.context, pa.context])
+    if union is not None and c.context is not union:
+        _differs(d, err, "context", union, c.context)
 
 
 def _check_tapp2(d, err, mode):
-    if not _term_node(d, err, mode) or not _premise_kinds(d, err, (KIND_TERM,)):
+    if not _term_node(d, err, mode) or not _premise_count(d, err, 1):
         return
     c = d.conclusion
     if type(c.subject) is not App or type(c.subject.arg) is not Var:
         err("TApp2 subject must be an application with a variable argument")
         return
-    p = d.premises[0].conclusion
-    if p.subject != c.subject.fun:
-        err("TApp2 premise must type the function")
+    p = _function(d, err, Arrow)
+    if p is None:
         return
-    if type(p.assigned) is not Arrow:
-        err("TApp2 premise must assign an arrow")
-        return
-    if c.assigned != p.assigned.res:
-        err("TApp2 conclusion type must be the arrow target")
-        return
-    x = c.subject.arg.name
-    try:
-        union = contexts_union([p.context, TypeContext(((x, p.assigned.arg),))])
-    except NotSummable as ex:
-        err(f"the argument's multi does not sum into the function context: {ex}")
-        return
-    if c.context != union:
-        err(
-            "TApp2 conclusion context must be the function context plus the "
-            "arrow source at the argument variable"
-        )
+    union = _union(d, err, [p.context, TypeContext(((c.subject.arg.name, p.assigned.arg),))])
+    if union is not None and c.context is not union:
+        _differs(d, err, "context", union, c.context)
 
 
 def _check_tenv(d, err, mode):
-    c = d.conclusion
-    if c.subject_kind != KIND_ENV:
-        err("TEnv concludes an environment judgment")
+    if not _machine_node(d, err, KIND_ENV):
         return
+    c = d.conclusion
     e = _env_entries(c.subject)
     if e is None:
-        err("environment subject is not an environment")
+        err("TEnv subject is not an environment")
         return
     names = [x for x, _ in e]
     if len(set(names)) != len(names):
-        err(f"environment binds a name twice: {names}")
+        err(f"TEnv environment binds a name twice: {names}")
         return
-    if not c.context.is_empty():
-        err("TEnv carries no free context")
+    if not _premise_count(d, err, len(e)):
         return
-    if type(c.assigned) is not TypeContext:
-        err("TEnv assigns a context")
-        return
-    if c.assigned.names != set(names):
-        err(
-            f"assigned context domain {sorted(c.assigned.names)} differs "
-            f"from the environment domain {sorted(names)}"
-        )
-        return
-    if len(d.premises) != len(e):
-        err(f"TEnv takes one premise per binding, found {len(d.premises)} for {len(e)}")
-        return
-    multis = dict(c.assigned.entries)  # one lookup a binding, however many
-    for i, ((x, cl), pd) in enumerate(zip(e, d.premises)):
-        p = pd.conclusion
-        if p.subject_kind != KIND_CLOSURE:
-            err(f"premise {i} must be a closure judgment")
+    for i, (x, cl) in enumerate(e):
+        if _premise(d, err, i, cl, f"the closure bound to {x}", KIND_CLOSURE) is None:
             return
-        if p.subject != cl:
-            err(f"premise {i} must type the closure bound to {x}")
-            return
-        if p.assigned != multis[x]:
-            err(f"premise {i} must assign the context's multi for {x}")
-            return
+    want = TypeContext(tuple(zip(names, [p.conclusion.assigned for p in d.premises])))
+    if c.assigned is not want:
+        _differs(d, err, "type", want, c.assigned)
 
 
 def _env_entries(e) -> list | None:
@@ -580,104 +544,88 @@ def _env_entries(e) -> list | None:
 
 
 def _check_tcl(d, err, mode):
+    if not _machine_node(d, err, KIND_CLOSURE):
+        return
     c = d.conclusion
-    if c.subject_kind != KIND_CLOSURE:
-        err("TCl concludes a closure judgment")
-        return
     if type(c.subject) is not Closure:
-        err("closure subject is not a closure")
-        return
-    if not c.context.is_empty():
-        err("TCl carries no free context")
+        err("TCl subject is not a closure")
         return
     if type(c.assigned) is not ClosureMulti:
         err("TCl assigns a multi type")
         return
-    if not _premise_kinds(d, err, (KIND_TERM, KIND_ENV)):
+    if not _premise_count(d, err, 2):
         return
-    pt = d.premises[0].conclusion
-    pe = d.premises[1].conclusion
-    if pt.subject != c.subject.code:
-        err("TCl term premise must type the closure code")
+    pt = _premise(d, err, 0, c.subject.code, "the closure code")
+    if pt is None:
         return
-    if pt.assigned != c.assigned:
-        err("TCl term premise must assign the closure's multi")
+    pe = _premise(d, err, 1, c.subject.env, "the closure environment", KIND_ENV)
+    if pe is None:
         return
-    if not _pairs_equal([(pe.subject, c.subject.env)]):
-        err("TCl environment premise must type the closure environment")
+    if c.assigned is not pt.assigned:
+        _differs(d, err, "type", pt.assigned, c.assigned)
         return
-    if pe.assigned != pt.context:
-        err("TCl environment premise must assign the term premise's context")
+    if pe.assigned is not pt.context:
+        _differs(d, err, "environment premise type", pt.context, pe.assigned)
 
 
 def _check_tst(d, err, mode):
+    if not _machine_node(d, err, KIND_STATE):
+        return
     c = d.conclusion
-    if c.subject_kind != KIND_STATE:
-        err("TSt concludes a state judgment")
-        return
-    if type(c.subject) is not MachState:
-        err("state subject is not a machine state")
-        return
-    if not c.context.is_empty():
-        err("TSt carries no free context")
+    s = c.subject
+    if type(s) is not MachState:
+        err("TSt subject is not a machine state")
         return
     if type(c.assigned) is not Star:
         err("TSt assigns the ground type")
         return
-    s, stack, k = c.subject, [], c.subject.stack
+    stack, k = [], s.stack
     while k:  # one premise per stack closure
         stack.append(k[0])
         k = k[1]
-    if len(d.premises) != 2 + len(stack):
-        err(
-            f"TSt takes a term, an environment and one premise per stack "
-            f"closure, found {len(d.premises)} for a stack of {len(stack)}"
-        )
+    if not _premise_count(d, err, 2 + len(stack)):
         return
-    pt = d.premises[0].conclusion
-    pe = d.premises[1].conclusion
-    if pt.subject_kind != KIND_TERM or pt.subject != s.code:
-        err("TSt first premise must type the state's code")
+    pt = _premise(d, err, 0, s.code, "the state's code")
+    if pt is None:
         return
-    if pe.subject_kind != KIND_ENV or not _pairs_equal([(pe.subject, s.env)]):
-        err("TSt second premise must type the state's environment")
+    pe = _premise(d, err, 1, s.env, "the state's environment", KIND_ENV)
+    if pe is None:
         return
-    if pe.assigned != pt.context:
-        err("TSt environment premise must assign the term premise's context")
+    if pe.assigned is not pt.context:
+        _differs(d, err, "environment premise type", pt.context, pe.assigned)
         return
     # the code's type must spend one arrow per stack closure, top first,
     # and bottom out at the ground type
     a = pt.assigned
     for i, cl in enumerate(stack):
         if type(a) is not Arrow:
-            err(f"code type runs out of arrows at stack position {i}")
+            err(f"TSt code type runs out of arrows at stack position {i}")
             return
-        p = d.premises[2 + i].conclusion
-        if p.subject_kind != KIND_CLOSURE or p.subject != cl:
-            err(f"premise {2 + i} must type stack closure {i}")
+        p = _premise(d, err, 2 + i, cl, f"stack closure {i}", KIND_CLOSURE)
+        if p is None:
             return
-        if p.assigned != a.arg:
-            err(f"stack closure {i} must be typed with the arrow source {_show(a.arg)}")
+        if p.assigned is not a.arg:
+            _differs(d, err, f"stack closure {i} type", a.arg, p.assigned)
             return
         a = a.res
     if type(a) is not Star:
-        err("code type must end at the ground type once the stack is spent")
+        err("TSt code type must end at the ground type once the stack is spent")
 
 
 def _check_dc_tvar(d, err, mode):
-    if not _term_rule(d, err, mode, Var, ()):
+    if not _term_rule(d, err, mode, Var, 0):
         return
     c = d.conclusion
-    if not _is_dc_linear(c.assigned):
+    if type(c.assigned) not in _DC_LINEAR:
         err("DC_TVar assigns a linear type")
         return
     want = TypeContext(((c.subject.name, MultiType((c.assigned,))),))
-    if c.context != want:
-        err("DC_TVar context must be the singleton of the assigned type")
+    if c.context is not want:
+        _differs(d, err, "context", want, c.context)
 
 
 def _check_dc_tlamstar(d, err, mode):
-    if not _term_rule(d, err, mode, Abs, ()):
+    if not _term_rule(d, err, mode, Abs, 0):
         return
     c = d.conclusion
     if type(c.assigned) is not Star:
@@ -688,70 +636,42 @@ def _check_dc_tlamstar(d, err, mode):
 
 
 def _check_dc_tlam(d, err, mode):
-    if not _term_rule(d, err, mode, Abs, (KIND_TERM,)):
+    if not _term_rule(d, err, mode, Abs, 1):
         return
     c = d.conclusion
-    p = d.premises[0].conclusion
-    if p.subject != c.subject.body:
-        err("DC_TLam premise must type the abstraction body")
-        return
-    if type(c.assigned) is not DCArrow:
-        err("DC_TLam assigns an arrow")
-        return
-    if p.assigned != c.assigned.res:
-        err("DC_TLam premise type must be the arrow target")
-        return
     x = c.subject.binder
-    m = p.context.get(x)
-    if m is None:
-        if c.assigned.arg != MultiType(()):
-            err("binder unused in the premise, so the arrow source must be empty")
-            return
-        if c.context != p.context:
-            err("DC_TLam keeps the premise context when the binder is unused")
+    p = _premise(d, err, 0, c.subject.body, "the abstraction body", linear=_DC_LINEAR)
+    if p is None:
         return
-    if c.assigned.arg != m:
-        err(
-            f"arrow source {_show(c.assigned.arg)} differs from the "
-            f"binder's multi {_show(m)}"
-        )
+    want = DCArrow(p.context.get(x) or _UNUSED, p.assigned)
+    if c.assigned is not want:
+        _differs(d, err, "type (arrow source: the binder's multi)", want, c.assigned)
         return
-    if c.context != p.context.minus(x):
-        err("DC_TLam conclusion context must be the premise context without the binder")
+    want = p.context.minus(x)
+    if c.context is not want:
+        _differs(d, err, "context", want, c.context)
 
 
 def _check_dc_tapp(d, err, mode):
     if not _term_rule(d, err, mode, App):
         return
     c = d.conclusion
-    if len(d.premises) < 1:
+    if not d.premises:
         err("DC_TApp needs the function premise")
         return
-    pf = d.premises[0].conclusion
-    if pf.subject_kind != KIND_TERM or pf.subject != c.subject.fun:
-        err("DC_TApp first premise must type the function")
+    pf = _function(d, err, DCArrow)
+    if pf is None:
         return
-    if type(pf.assigned) is not DCArrow:
-        err("DC_TApp function premise must assign an arrow")
-        return
-    if c.assigned != pf.assigned.res:
-        err("DC_TApp conclusion type must be the arrow target")
-        return
-    elems = []
-    for i, pd in enumerate(d.premises[1:], start=1):
-        p = pd.conclusion
-        if p.subject_kind != KIND_TERM or p.subject != c.subject.arg:
-            err(f"premise {i} must type the argument")
+    for i in range(1, len(d.premises)):
+        if _premise(d, err, i, c.subject.arg, "the argument", linear=_DC_LINEAR) is None:
             return
-        if not _is_dc_linear(p.assigned):
-            err(f"premise {i} must assign a linear type")
-            return
-        elems.append(p.assigned)
-    if MultiType(elems) is not pf.assigned.arg:
-        err(f"argument premises do not assemble the arrow source {_show(pf.assigned.arg)}")
+    want = MultiType([p.conclusion.assigned for p in d.premises[1:]])
+    if want is not pf.assigned.arg:
+        _differs(d, err, "argument multi", pf.assigned.arg, want)
         return
-    if c.context != contexts_union([pd.conclusion.context for pd in d.premises]):
-        err("DC_TApp conclusion context must be the union of the premise contexts")
+    want = contexts_union([p.conclusion.context for p in d.premises])
+    if c.context is not want:
+        _differs(d, err, "context", want, c.context)
 
 
 _RULE_CHECKS = {
@@ -1210,9 +1130,7 @@ def _env_items(e) -> list:
 def _assigned_str(assigned):
     if type(assigned) is TypeContext:
         return format_context(assigned) or "."
-    if type(assigned) in (ClosureMulti, MultiType):
-        return format_multi(assigned)
-    return format_linear(assigned)
+    return format_type(assigned)
 
 
 def render_derivation(d: Derivation) -> str:

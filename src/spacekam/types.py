@@ -312,6 +312,8 @@ class TypeContext(_Context):
         return None
 
     def minus(self, x: str) -> "TypeContext":
+        if x not in self.names:
+            return self
         return TypeContext(tuple(p for p in self.entries if p[0] != x))
 
     def is_empty(self) -> bool:
@@ -547,17 +549,14 @@ def format_type(a, cap: int | None = None) -> str:
     return text if cap is None or len(text) <= cap else text[:cap] + "..."
 
 
-def format_linear(a) -> str:
-    if not isinstance(a, (Star, Arrow, DCArrow)):
-        raise TypeError(f"not a type: {a!r}")
-    return format_type(a)
-
-
-def format_multi(m) -> str:
-    if not isinstance(m, (ClosureMulti, MultiType)):
-        raise TypeError(f"not a multi type: {m!r}")
-    return format_type(m)
-
-
-def format_context(g: TypeContext) -> str:
-    return ", ".join(f"{x}:{format_multi(m)}" for x, m in g.entries)
+def format_context(g: TypeContext, cap: int | None = None) -> str:
+    """The text of a context, its entries by name.  With cap, each image
+    and the whole text stop after cap characters, as format_type's do."""
+    out, size = [], 0
+    for x, m in g.entries:
+        if cap is not None and size > cap:
+            break
+        out.append(f"{x}:{format_type(m, cap)}")
+        size += len(out[-1]) + 2
+    text = ", ".join(out)
+    return text if cap is None or len(text) <= cap else text[:cap] + "..."

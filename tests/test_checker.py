@@ -68,6 +68,7 @@ from spacekam.types import (
     DCArrow,
     MultiType,
     TypeContext,
+    format_type,
 )
 
 
@@ -1191,3 +1192,25 @@ def test_each_rule_condition_fails_at_its_node(name, base, edits, where, rule):
     # the node's own rule check fails, not the weight comparison
     mine = [e.message for e in check(d, mode, full_scan=True).errors if e.path == where]
     assert mine and not mine[0].startswith("stored weight"), (res.errors, mine)
+
+
+@pytest.mark.parametrize("name, base, edits, where, rule", CONDITIONS, ids=[c[0] for c in CONDITIONS])
+def test_each_rule_condition_names_its_rule(name, base, edits, where, rule):
+    d, mode = _edited(base, edits)
+    mine = [e.message for e in check(d, mode, full_scan=True).errors if e.path == where]
+    assert re.search(rf"\b{rule}\b", mine[0]), mine[0]
+
+
+def test_a_message_names_the_expected_and_the_found_type_each_cut_at_1000_characters():
+    # an arrow source read from a file can be as large as the file allows
+    d = _BASES["space"][0]()
+    big = ClosureMulti([STAR] * 2000, 1)
+    bad = mutate(d, P_L1Y, _set(assigned=Arrow(big, STAR)))
+    msg = check(bad, "space").errors[0].message
+    found, want = format_type(Arrow(big, STAR), 1000), format_type(Arrow(ClosureMulti((), 1), STAR))
+    assert msg == f"TLam1 type (arrow source: the binder's multi) {found}, expected {want}"
+    assert found.endswith("...") and len(found) == 1003
+    g = TypeContext((("x", big),))  # where x:[*]^1 belongs
+    msg = check(mutate(d, P_L2, _set(context=g)), "space").errors[0].message
+    assert msg == f"TLam2 context {('x:' + format_type(big))[:1000]}..., expected x:[*]^1"
+    assert len(msg) < 1100

@@ -26,8 +26,6 @@ from spacekam.types import (
     context_to_json,
     contexts_union,
     format_context,
-    format_linear,
-    format_multi,
     format_type,
     is_dry,
     TypeTable,
@@ -343,26 +341,30 @@ def test_context_from_json_rejects_bad_entries(obj, message):
 # ---------------------------------------------------------------- formatting
 
 def test_format_forms():
-    assert format_linear(Arrow(ClosureMulti((), 3), STAR)) == "[]^3 -> *"
-    assert format_multi(MultiType((STAR,))) == "[*]"
+    assert format_type(Arrow(ClosureMulti((), 3), STAR)) == "[]^3 -> *"
+    assert format_type(MultiType((STAR,))) == "[*]"
     g = TypeContext((("x", M_STAR1),))
     assert format_context(g) == "x:[*]^1"
+    # with a cap, each image and the whole text stop after cap characters
+    g = TypeContext((("x", ClosureMulti((STAR,) * 9, 1)), ("y", M_STAR1), ("z", M_STAR1)))
+    assert format_context(g, 8) == "x:[*,*,*..."
+    assert format_context(g, 100) == format_context(g) == "x:[*,*,*,*,*,*,*,*,*]^1, y:[*]^1, z:[*]^1"
 
 
 def test_format_a_20000_deep_arrow_chain():
     a = STAR
     for _ in range(20_000):
         a = Arrow(ClosureMulti((a,), 1), STAR)
-    text = format_linear(a)
+    text = format_type(a)
     assert text == "[" * 20_000 + "*" + "]^1 -> *" * 20_000
-    assert format_multi(ClosureMulti((a, STAR), 2)) == f"[*,{text}]^2"
+    assert format_type(ClosureMulti((a, STAR), 2)) == f"[*,{text}]^2"
 
 
 def test_format_type_writes_counts_lazily_and_stops_at_its_cap():
     a = Arrow(ClosureMulti((), 2), STAR)
     m = ClosureMulti((a, STAR, a, STAR, STAR), 1)
     full = "[*,*,*,[]^2 -> *,[]^2 -> *]^1"
-    assert format_multi(m) == format_type(m) == format_type(m, len(full)) == full
+    assert format_type(m) == format_type(m, len(full)) == full
     assert format_type(m, 5) == "[*,*,..."
     # a count of 10**9 is never written out, nor expanded
     huge = types_from_json(["*", {"multi": [[0, 10**9]], "k": 1}])[-1]
