@@ -8,6 +8,7 @@ import sys
 import pytest
 from derivation_files import (
     CASES,
+    EXAMPLE_SRC,
     IDS,
     MUTATIONS,
     WEIGHT_MUTATIONS,
@@ -942,7 +943,7 @@ def _final_with_env():
 def _state_with_stack():
     # (\z.x | [x <- ..] | (x y, [y <- .., x <- ..])): TSt over TLam2,
     # TEnv and the TCl of the stack closure
-    run = skam_run(compile(parse_term(EXAMPLE)), 100)
+    run = skam_run(compile(parse_term(EXAMPLE_SRC)), 100)
     states = [run.initial] + [s for _, s in run.trace]
     d = type_final_state(run.final)
     for i in reversed(range(5, run.transitions)):
@@ -951,11 +952,10 @@ def _state_with_stack():
     return d
 
 
-EXAMPLE = r"(\x.(\y.(\z.x) (x y)) x) (\a.a)"
 _BASES = {
-    "space": (lambda: extract(skam_run(compile(parse_term(EXAMPLE)), 100)), "space"),
-    "time": (lambda: reweight(extract(skam_run(compile(parse_term(EXAMPLE)), 100)), "time"), "time"),
-    "kam": (lambda: extract_kam(kam_run(compile(parse_term(EXAMPLE)), 100)), "kam"),
+    "space": (lambda: extract(skam_run(compile(parse_term(EXAMPLE_SRC)), 100)), "space"),
+    "time": (lambda: reweight(_BASES["space"][0](), "time"), "time"),
+    "kam": (lambda: extract_kam(kam_run(compile(parse_term(EXAMPLE_SRC)), 100)), "kam"),
     "kam_open": (lambda: extract_kam(kam_run(compile(parse_term(_OPEN_USE)), 100)), "kam"),
     "final": (_final_with_env, "space"),
     "state": (_state_with_stack, "space"),
