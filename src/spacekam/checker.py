@@ -249,20 +249,20 @@ def rule_weight(rule, ctx, assigned, premise_weights, mode) -> int:
 # ---------------------------------------------------------------------------
 # per-rule shape and side conditions
 
-def _show(a) -> str:
-    """A type's or a context's text in a message, cut after 1,000
-    characters: the full text of a type read from a file can grow
-    exponentially with it."""
+def _show(a, cap=None) -> str:
+    """A type's or a context's text, cut after cap characters if given.
+    A message passes 1,000: the full text of a type read from a file can
+    grow exponentially with it."""
     if type(a) is TypeContext:
-        return format_context(a, 1000) or "."
-    return format_type(a, 1000)
+        return format_context(a, cap) or "."
+    return format_type(a, cap)
 
 
 def _differs(d, err, what, want, found) -> None:
     """Report that d's what is found, where want is what its premises
     give.  Types and contexts are interned, so the rules compare them by
     identity."""
-    err(f"{d.rule} {what} {_show(found)}, expected {_show(want)}")
+    err(f"{d.rule} {what} {_show(found, 1000)}, expected {_show(want, 1000)}")
 
 
 # the classes of a linear type, indexed and plain
@@ -1127,12 +1127,6 @@ def _env_items(e) -> list:
     return items
 
 
-def _assigned_str(assigned):
-    if type(assigned) is TypeContext:
-        return format_context(assigned) or "."
-    return format_type(assigned)
-
-
 def render_derivation(d: Derivation) -> str:
     """An indented one-node-per-line rendering, premises below their
     conclusion."""
@@ -1141,10 +1135,9 @@ def render_derivation(d: Derivation) -> str:
     while stack:
         n, depth = stack.pop()
         c = n.conclusion
-        ctx = format_context(c.context) or "."
         lines.append(
-            f"{'  ' * depth}{n.rule} w={c.weight}  {ctx} |- "
-            f"{_subject_str(c.subject_kind, c.subject)} : {_assigned_str(c.assigned)}"
+            f"{'  ' * depth}{n.rule} w={c.weight}  {_show(c.context)} |- "
+            f"{_subject_str(c.subject_kind, c.subject)} : {_show(c.assigned)}"
         )
         for p in reversed(n.premises):
             stack.append((p, depth + 1))

@@ -20,12 +20,15 @@ is a term derivation for the code plus typings of the environment and
 of the stack, and only the term derivation is minted as it goes: a
 closure typing is kept as a bag of uses of the closure's code, each
 with a typing of the closure's environment, and two typings of one
-closure merge in O(1).  A bag is opened once, when undoing the sea_nv
-transition that created its closure: that mints the argument's TMany
-over every use in merge order (or TNone when there are none) and folds
-the environment typings back into the state's.  The state judgments
-(TSt, TEnv, TCl) are never minted, and every node extract mints lands
-in the tree it returns.
+closure merge in O(1).  An environment typing is one dict, a bag per
+name, changed in place: a sub hands it to its bag and starts a new one,
+so no bag holds the dict a beta or a sea changes, and no step copies
+the typing of every live name.  A bag is opened once, when undoing the
+sea_nv transition that created its closure: that mints the argument's
+TMany over every use in merge order (or TNone when there are none) and
+merges the uses' environment typings into the state's.  The state
+judgments (TSt, TEnv, TCl) are never minted, and every node extract
+mints lands in the tree it returns.
 
 Term nodes are hash-consed per call, keyed on their rule's inputs: the
 rule, the code, the premises' ids and the one value the rule reads
@@ -37,10 +40,11 @@ by place.
 
 Every node is minted with both weights: space as its stored judgment
 weight, time in the node's own time field, which judgments, equality
-and JSON ignore.  A bag carries the weights its TCl node would have,
-combined by the checker's TCl, TEnv and TSt rules (max in space, sum
-in time), so each state's weights are known without minting it, and
-every undo checks the two step equations
+and JSON ignore.  Bags and stack typings carry the weights their nodes
+would have, and environment typings' are worked out where read, as the
+checker's TCl, TEnv and TSt rules join them (max in space, sum in
+time), so each state's weights are known without minting it, and every
+undo checks the two step equations
 
     space(source) = max(size(source), space(target))
     time(source)  = size(source) + time(target)
@@ -56,19 +60,17 @@ typings of the same closure then never has an index clash.
 expand, type_final_state, dry_type_closure and dry_type_env give state,
 closure and environment judgments of record.  They run the same undo
 rules: a read step turns a minted state derivation into bags, and a
-mint step opens the bags into TSt, TEnv and TCl nodes.  Minting and
-opening keep explicit stacks, so closure nesting depth is not limited
-by the recursion limit.
+mint step opens the bags into TSt, TEnv and TCl nodes; expand first
+fills in the time weights of a decoded or hand-built derivation.
+Minting and opening keep explicit stacks, so closure nesting depth is
+not limited by the recursion limit.
 
 extract_kam does the same backward walk over a plain machine run with
 the unindexed rules and the same bags: a sub makes a one-use bag of the
 code typing with the target's environment typing, typings of a shared
 name join in O(1), a beta opens the binder's bag into the arrow source
-and the stack top, and the sea that pushed the closure folds the
-bag's environment typings back into the state's, name by name.  The
-environment typing is one dict, changed in place: a sub hands it to
-its bag and starts a new one, so no bag holds the dict a beta or a sea
-changes, and no step copies the typing of every live name.  Its
+and the stack top, and the sea that pushed the closure merges the
+bag's environment typings into the state's dict, name by name.  Its
 environment and stack typings are not judgments of record, so its bags
 carry no closure and no weight; every transition places exactly one
 weighted node in the final tree, minted once per distinct subtree, so
@@ -143,16 +145,16 @@ class StepEquationError(Exception):
     the transition count."""
 
 
-def _time_of(d: Derivation) -> int:
-    """d's time weight.  Nodes minted here carry it; a foreign subtree
-    (public expand on a hand-built derivation) gets it filled in
-    bottom-up, once."""
+def _time_of(d: Derivation) -> None:
+    """Fill in the time weights of d's nodes, bottom-up, once.  Nodes
+    minted here carry them already; a derivation from outside (decoded
+    or built by hand) does not.  A node that carries one is taken to be
+    over premises that do."""
     if d.time is None:
         for n in postorder((d,), lambda n: n.premises, lambda n: n.time is not None):
             c = n.conclusion
             t = rule_weight(n.rule, c.context, c.assigned, [p.time for p in n.premises], "time")
             object.__setattr__(n, "time", t)
-    return d.time
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,7 @@ def _time_of(d: Derivation) -> int:
 
 # the kinds of closure typing
 _DRY = 0  # the dry typing: no use, weight zero
-_USE = 1  # one use: a term derivation of the code, and an _Env of the closure's env
+_USE = 1  # one use: a term derivation of the code, and a typing of the closure's env
 _TCL = 2  # a minted TCl derivation with a TMany premise, read back by expand
 _JOIN = 3  # two non-dry typings of the same closure, uses of the first first
 
@@ -198,27 +200,35 @@ def _join(p: _Cl, q: _Cl) -> _Cl:
     return _Cl(p.closure, _JOIN, p, q, p.space if p.space > q.space else q.space, p.time + q.time)
 
 
-class _Env:
-    """A typing of an environment, not minted: one closure typing per
-    bound name.  space and time are the weights its TEnv node would
-    carry (max in space, sum in time; 0 for no names)."""
-
-    __slots__ = ("parts", "space", "time")
-
-    def __init__(self, parts: dict, space=None, time=None):
-        self.parts = parts
-        if space is None:
-            space = time = 0
-            for p in parts.values():
-                if p.space > space:
-                    space = p.space
-                time += p.time
-        self.space = space
-        self.time = time
+def _env_weights(env: dict) -> tuple[int, int]:
+    """The weights the TEnv node of an environment typing, a closure
+    typing per name, would carry: max in space, sum in time, 0 for none."""
+    space = time = 0
+    for p in env.values():
+        if p.space > space:
+            space = p.space
+        time += p.time
+    return space, time
 
 
-def _dry_env(e: Env) -> _Env:
-    return _Env({x: _Cl(c, _DRY) for x, c in env_pairs(e)}, 0, 0)
+def _merge(env: dict, other: dict) -> None:
+    """Join other's closure typings into env's, name by name, env's
+    first.  other is only read."""
+    for x, cl in other.items():
+        have = env.get(x)
+        env[x] = cl if have is None else _join(have, cl)
+
+
+def _covers(env: dict, e: Env) -> None:
+    """Check that a Space KAM env typing types each name of e, no other."""
+    names = env_names(e)  # distinct, in a Space KAM env
+    assert len(env) == len(names), f"typings cover {sorted(env)}, environment binds {sorted(names)}"
+    for x in names:
+        assert x in env, f"typings cover {sorted(env)}, not {x}"
+
+
+def _dry_env(e: Env) -> dict:
+    return {x: _Cl(c, _DRY) for x, c in env_pairs(e)}
 
 
 def _flatten(cl: _Cl) -> tuple[list, list]:
@@ -238,23 +248,6 @@ def _flatten(cl: _Cl) -> tuple[list, list]:
             uses += p.a.premises[0].premises
             envs.append(_read_env(p.a.premises[1]))
     return uses, envs
-
-
-def _join_envs(p: _Env, q: _Env, e: Env) -> _Env:
-    """One typing of e from typings p and q of restrictions of e: each
-    name's closure typings joined, p's first; max in space, sum in time."""
-    parts = dict(p.parts)
-    for x, cl in q.parts.items():
-        have = parts.get(x)
-        parts[x] = cl if have is None else _join(have, cl)
-    # the names of a Space KAM env are distinct
-    names = env_names(e)
-    assert len(parts) == len(names), (
-        f"typings cover {sorted(parts)}, environment binds {sorted(names)}"
-    )
-    for x in names:
-        assert x in parts, f"typings cover {sorted(parts)}, not {x}"
-    return _Env(parts, p.space if p.space > q.space else q.space, p.time + q.time)
 
 
 class _Stack:
@@ -281,12 +274,8 @@ def _dry_context(e: Env) -> TypeContext:
 def _mint(rule, kind, subject, ctx, assigned, premises) -> Derivation:
     """A new node with both weights stored."""
     premises = tuple(premises)
-    sw = [p.conclusion.weight for p in premises]
-    tw = [p.time for p in premises]
-    if None in tw:
-        tw = [_time_of(p) for p in premises]
-    w = rule_weight(rule, ctx, assigned, sw, "space")
-    t = rule_weight(rule, ctx, assigned, tw, "time")
+    w = rule_weight(rule, ctx, assigned, [p.conclusion.weight for p in premises], "space")
+    t = rule_weight(rule, ctx, assigned, [p.time for p in premises], "time")
     return Derivation(rule, Judgment(kind, subject, ctx, assigned, w), premises, t)
 
 
@@ -314,18 +303,19 @@ class _Builder:
         d = self.terms[key] = self.mint_term(key[0], KIND_TERM, key[1], ctx, assigned, premises)
         return d
 
-    def open(self, cl: _Cl) -> tuple[Derivation, _Env]:
+    def open(self, cl: _Cl) -> tuple[Derivation, list]:
         """Split a closure typing into the multi judgment for its code,
-        TMany over every use in order or TNone, and the joined typing of
-        its environment."""
+        TMany over every use in order or TNone, and the typings of its
+        environment, in the same order, for the caller to merge: a bag
+        may hold them, so they are only read."""
         c = cl.closure
         if cl.kind == _DRY:
             ctx = _dry_context(c.env)
             key = (R_NONE, c.code, ctx)
             none = self.terms.get(key) or self.add(key, (), ctx, ClosureMulti((), 1 + size_context(ctx)))
-            return none, _dry_env(c.env)
+            return none, [_dry_env(c.env)]
         if cl.kind == _TCL:
-            return cl.a.premises[0], _read_env(cl.a.premises[1])
+            return cl.a.premises[0], [_read_env(cl.a.premises[1])]
         uses, envs = _flatten(cl)
         key = (R_MANY, c.code, tuple(map(id, uses)))
         many = self.terms.get(key)
@@ -338,10 +328,7 @@ class _Builder:
             f"non-canonical index opening a typing of {print_term(c.code)}: "
             f"context size {k - 1}, closure size {c.size}"
         )
-        env = envs[0]
-        for other in envs[1:]:
-            env = _join_envs(env, other, c.env)
-        return many, env
+        return many, envs
 
     def env_node(self, e: Env, premises: list) -> Derivation:
         gamma = TypeContext(
@@ -364,15 +351,20 @@ class _Builder:
             if minted(cl) is not None:
                 return ()
             if cl not in opened:
-                opened[cl] = self.open(cl)
-            return opened[cl][1].parts.values()
+                code_d, envs = self.open(cl)
+                env = {}
+                for other in envs:
+                    _merge(env, other)
+                _covers(env, cl.closure.env)
+                opened[cl] = code_d, env
+            return opened[cl][1].values()
 
         for cl in postorder(cls, children, done.__contains__):
             d = minted(cl)
             if d is None:
                 c = cl.closure
                 code_d, env = opened[cl]
-                env_d = self.env_node(c.env, [done[env.parts[x]] for x in env_names(c.env)])
+                env_d = self.env_node(c.env, [done[env[x]] for x in env_names(c.env)])
                 a = code_d.conclusion.assigned
                 d = _mint(R_CL, KIND_CLOSURE, c, EMPTY_CONTEXT, a, (code_d, env_d))
                 if cl.kind == _DRY:
@@ -383,7 +375,7 @@ class _Builder:
     def mint_state(self, s: MachState, st: tuple) -> Derivation:
         """The TSt derivation of s from a state typing (term, env, stack)."""
         term, env, stack = st
-        cls = [env.parts[x] for x in env_names(s.env)]
+        cls = [env[x] for x in env_names(s.env)]
         n = len(cls)
         while stack is not None:
             cls.append(stack.top)
@@ -397,13 +389,11 @@ def _read_closure(d: Derivation) -> _Cl:
     c = d.conclusion.subject
     if d.premises[0].rule == R_NONE:
         return _Cl(c, _DRY)
-    return _Cl(c, _TCL, d, None, d.conclusion.weight, _time_of(d))
+    return _Cl(c, _TCL, d, None, d.conclusion.weight, d.time)
 
 
-def _read_env(d: Derivation) -> _Env:
-    return _Env(
-        {x: _read_closure(p) for x, p in zip(env_names(d.conclusion.subject), d.premises)}
-    )
+def _read_env(d: Derivation) -> dict:
+    return {x: _read_closure(p) for x, p in zip(env_names(d.conclusion.subject), d.premises)}
 
 
 def _read_state(d: Derivation) -> tuple:
@@ -470,6 +460,7 @@ def expand(prev: Derivation, step: tuple) -> Derivation:
         raise ShapeMismatch(
             "the derivation's subject is not the target of the transition"
         )
+    _time_of(prev)
     b = _Builder()
     st = _UNDO[got[0]](b, source.code, source.env, source.stack, _read_state(prev))
     return b.mint_state(source, st)
@@ -488,11 +479,12 @@ def _undo_sub(b, code, e, args, st):
     key = (R_VAR, code, a, k)
     tvar = b.terms.get(key) or b.add(key, (), TypeContext(((x, ClosureMulti((a,), k)),)), a)
     # TCl over TMany over the one use: TMany weighs what the use does,
-    # and TCl joins it with the env's, max in space and sum in time
-    w, t = term.conclusion.weight, term.time
-    cl = _Cl(c, _USE, term, env, w if w > env.space else env.space,
-             (_time_of(term) if t is None else t) + env.time)
-    return tvar, _Env({x: cl}, cl.space, cl.time), stack
+    # and TCl joins it with the env's, max in space and sum in time; the
+    # bag keeps env, and the source gets a new dict
+    w = term.conclusion.weight
+    es, et = _env_weights(env)
+    cl = _Cl(c, _USE, term, env, w if w > es else es, term.time + et)
+    return tvar, {x: cl}, stack
 
 
 def _undo_beta_nw(b, code, e, args, st):
@@ -506,9 +498,8 @@ def _undo_beta_nw(b, code, e, args, st):
     key = (R_LAM1, code, id(term))
     lam = b.terms.get(key) or b.add(
         key, (term,), ctx_plus.minus(x), Arrow(ctx_plus.get(x), term.conclusion.assigned))
-    parts = dict(env.parts)
-    top = parts.pop(x)
-    return lam, _Env(parts), _Stack(top, stack)
+    top = env.pop(x)
+    return lam, env, _Stack(top, stack)
 
 
 def _undo_beta_w(b, code, e, args, st):
@@ -532,21 +523,25 @@ def _undo_sea_v(b, code, e, args, st):
     key = (R_APP2, code, id(term))
     app = b.terms.get(key) or b.add(
         key, (term,), contexts_union([term.conclusion.context, TypeContext(((x, arrow.arg),))]), arrow.res)
-    top = stack.top
-    return app, _join_envs(env, _Env({x: top}, top.space, top.time), e), stack.rest
+    _merge(env, {x: stack.top})
+    _covers(env, e)
+    return app, env, stack.rest
 
 
 def _undo_sea_nv(b, code, e, args, st):
     # (t u, e, S) -> (t, e|_t, (u, e|_u) . S): the stack top's typing
-    # is opened into the argument's multi judgment and a typing of
-    # e|_u, which joins the environment's
+    # is opened into the argument's multi judgment and typings of e|_u,
+    # which join the environment's
     term, env, stack = st
-    mu, env_u = b.open(stack.top)
+    mu, envs = b.open(stack.top)
     arrow = term.conclusion.assigned
     key = (R_APP1, code, id(term), id(mu))
     app = b.terms.get(key) or b.add(
         key, (term, mu), contexts_union([term.conclusion.context, mu.conclusion.context]), arrow.res)
-    return app, _join_envs(env, env_u, e), stack.rest
+    for other in envs:
+        _merge(env, other)
+    _covers(env, e)
+    return app, env, stack.rest
 
 
 # the undo rule of each Space KAM transition, in SKAM_LABELS order
@@ -596,9 +591,10 @@ def extract(run: Run) -> Derivation:
         sz, prev_w, prev_t = sizes[i - 1], w, t
         # TSt joins the weights of the term, env and stack typings: max
         # in space, sum in time
-        w, t = term.conclusion.weight, term.time + env.time
-        if env.space > w:
-            w = env.space
+        es, et = _env_weights(env)
+        w, t = term.conclusion.weight, term.time + et
+        if es > w:
+            w = es
         if stack is not None:
             if stack.space > w:
                 w = stack.space
@@ -614,7 +610,7 @@ def extract(run: Run) -> Derivation:
                 f"{t} != {sz} + {prev_t}"
             )
     term, env, stack = st
-    assert not env.parts, "the initial state's typing wants an environment"
+    assert not env, "the initial state's typing wants an environment"
     assert stack is None, "the initial state's typing wants a stack"
     assert term.conclusion.context.is_empty(), "initial code typed with a context"
     assert type(term.conclusion.assigned) is Star, "initial code not at ground type"
@@ -675,9 +671,7 @@ def extract_kam(run: Run) -> Derivation:
             cur = b.terms.get(key) or b.add(
                 key, ps, contexts_union([d.conclusion.context for d in ps]), arrow.res)
             for other in envs:
-                for x, cl in other.items():
-                    have = env.get(x)
-                    env[x] = cl if have is None else _join(have, cl)
+                _merge(env, other)
     assert not env, "the initial state's typing wants an environment"
     assert not stack, "the initial state's typing wants a stack"
     assert cur.conclusion.context.is_empty(), "initial code typed with a context"

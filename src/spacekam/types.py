@@ -126,9 +126,9 @@ class Arrow(_SizedArrow):
 
     def __new__(cls, arg, res):
         if type(arg) is not ClosureMulti:
-            raise TypeError(f"indexed arrow needs an indexed source: {arg!r}")
+            raise TypeError(f"indexed arrow needs an indexed source: {_shown(arg)}")
         if not isinstance(res, (Star, Arrow)):
-            raise TypeError(f"indexed arrow needs an indexed target: {res!r}")
+            raise TypeError(f"indexed arrow needs an indexed target: {_shown(res)}")
         tk = (cls, arg, res)
         a = TABLE.get(tk, dead)()
         if a is None:
@@ -155,9 +155,9 @@ class DCArrow(_Type):
 
     def __new__(cls, arg, res):
         if type(arg) is not MultiType:
-            raise TypeError(f"plain arrow needs a plain source: {arg!r}")
+            raise TypeError(f"plain arrow needs a plain source: {_shown(arg)}")
         if not isinstance(res, (Star, DCArrow)):
-            raise TypeError(f"plain arrow needs a plain target: {res!r}")
+            raise TypeError(f"plain arrow needs a plain target: {_shown(res)}")
         tk = (cls, arg, res)
         a = TABLE.get(tk, dead)()
         if a is None:
@@ -213,7 +213,7 @@ def _pairs(elems, grammar) -> tuple:
     counts: dict = {}
     for a in elems:
         if type(a) not in allowed:
-            raise TypeError(f"{complaint}: {a!r}")
+            raise TypeError(f"{complaint}: {_shown(a)}")
         counts[a] = counts.get(a, 0) + 1
     return _canonical(counts)
 
@@ -331,7 +331,7 @@ def size_linear(a) -> int:
     if type(a) is Arrow:
         return a.size
     if type(a) is not Star:
-        raise TypeError(f"size is only defined for indexed linear types: {a!r}")
+        raise TypeError(f"size is only defined for indexed linear types: {_shown(a)}")
     return 0
 
 
@@ -339,7 +339,7 @@ def size_context(g: TypeContext) -> int:
     """Sum of the indices; the multisets do not contribute."""
     if g.size is None:
         m = next(m for _, m in g.entries if type(m) is not ClosureMulti)
-        raise TypeError(f"size is only defined for indexed contexts: {m!r}")
+        raise TypeError(f"size is only defined for indexed contexts: {_shown(m)}")
     return g.size
 
 
@@ -369,7 +369,7 @@ def contexts_union(contexts: list) -> TypeContext:
         for x, m in g.entries:
             if type(m) is not flavor:
                 if flavor is not None or type(m) not in _MULTIS:
-                    raise TypeError(f"contexts to unite must be all indexed or all plain: {m!r}")
+                    raise TypeError(f"contexts to unite must be all indexed or all plain: {_shown(m)}")
                 flavor = type(m)
             a = first.get(x)
             if a is None:
@@ -419,7 +419,7 @@ class TypeTable(Table):
             return {"multi": [[at[b], n] for b, n in a.pairs], "k": a.index}
         if type(a) is MultiType:
             return {"multi": [[at[b], n] for b, n in a.pairs]}
-        raise TypeError(f"not a type: {a!r}")
+        raise TypeError(f"not a type: {_shown(a)}")
 
 
 def context_to_json(g: TypeContext, table: TypeTable) -> dict:
@@ -469,7 +469,7 @@ def _type_entry(e, done):
                     return DCArrow(arg, res)
             except TypeError as ex:  # a target of the other grammar
                 raise ValueError(str(ex)) from None
-            raise ValueError(f"arrow source must be a multi type: {arg!r}")
+            raise ValueError(f"arrow source must be a multi type: {_shown(arg)}")
         if keys == {"multi"} or keys == {"multi", "k"}:
             k = e.get("k")
             if "k" in keys and (type(k) is not int or k < 1):
@@ -504,13 +504,20 @@ def _counts_from_json(pairs, done, grammar) -> dict:
             raise ValueError(f"multi lists type {j} twice")
         listed.add(j)
         if type(a) not in allowed:
-            raise ValueError(f"{complaint}: {a!r}")
+            raise ValueError(f"{complaint}: {_shown(a)}")
         counts[a] = counts.get(a, 0) + n
     return counts
 
 
 # ---------------------------------------------------------------------------
 # pretty forms
+
+def _shown(a) -> str:
+    """a's text in a message: a type's cut after 1,000 characters, since
+    a type read from a file can have an exponentially long full text,
+    and any other value's class name."""
+    return format_type(a, 1000) if isinstance(a, _Type) else type(a).__name__
+
 
 def format_type(a, cap: int | None = None) -> str:
     """The text of a type or a multi.  With cap, the text stops after

@@ -283,10 +283,11 @@ def test_check_from_stdin(runner):
     assert res.exit_code == 0
 
 
-def _spacekam(*args, stdin=None, address_space=None):
+def _spacekam(*args, stdin=None, address_space=None, timeout=None):
     """Run the command line in a child process, at the interpreter's
     default recursion limit; address_space, in bytes, limits the
-    child's alone (RLIMIT_AS, set in the child before it starts)."""
+    child's alone (RLIMIT_AS, set in the child before it starts), and
+    timeout, in seconds, its run (subprocess.TimeoutExpired past it)."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
     limit = None
     if address_space is not None:
@@ -297,7 +298,7 @@ def _spacekam(*args, stdin=None, address_space=None):
 
     return subprocess.run(
         [sys.executable, "-m", "spacekam.cli", *args],
-        stdin=stdin, capture_output=True, text=True, env=env, preexec_fn=limit,
+        stdin=stdin, capture_output=True, text=True, env=env, preexec_fn=limit, timeout=timeout,
     )
 
 
@@ -696,6 +697,60 @@ def test_check_rejects_malformed_derivations(runner, tmp_path, obj, message):
     last = res.stderr.splitlines()[-1]
     assert last.startswith("Error: root")
     assert re.match(message, last.removeprefix("Error: ")), last
+
+
+def _doubling_arrows(types, depth):
+    """Append depth levels of plain arrows to types, each arrow's source
+    holding the arrow below it and its target that arrow, so the full
+    text doubles per level; the last arrow's index."""
+    types += [{"multi": []}, {"arg": len(types), "res": 0}]
+    for _ in range(depth):
+        a = len(types) - 1
+        types += [{"multi": [[a, 1]]}, {"arg": a + 1, "res": a}]
+    return len(types) - 1
+
+
+def _deep_type_file(case, depth):
+    """A file whose first failure has a type depth levels deep to name."""
+    types = ["*"]
+    a = _doubling_arrows(types, depth)
+    if case == "source":  # an arrow source that is not a multi
+        return _leaf(types=types + [{"arg": a, "res": 0}])
+    if case == "target":  # an indexed arrow over a plain target
+        return _leaf(types=types + [{"multi": [], "k": 1}, {"arg": len(types), "res": a}])
+    if case == "element":  # an indexed multi over a plain element
+        return _leaf(types=types + [{"multi": [[a, 1]], "k": 1}])
+    # a TMany over a TVar whose context image is a plain multi: the
+    # TMany's rule check sizes the premise's context
+    types += [{"multi": [[a, 1]]}, {"multi": [[0, 1]], "k": 1}]
+    j = {"subject_kind": "term", "subject": 0, "type": 0, "weight": 0}
+    return {"tables": {**IDENTITY_TABLES, "types": types, "nodes": [
+        {"rule": "TVar", "judgment": {**j, "context": {"a": len(types) - 2}}, "premises": []},
+        {"rule": "TMany", "judgment": {**j, "context": {"a": len(types) - 1}, "type": len(types) - 1},
+         "premises": [0]},
+    ]}}
+
+
+@pytest.mark.parametrize(
+    "case, flags, code, message",
+    [
+        ("source", [], 2, "arrow source must be a multi type: [[[["),
+        ("target", [], 2, "indexed arrow needs an indexed target: [[[["),
+        ("element", [], 2, "indexed multi over a non-indexed element: [[[["),
+        ("tvar", ["--full-scan"], 1, "malformed node: size is only defined for indexed contexts: [[[["),
+    ],
+    ids=["arrow-source", "arrow-target", "multi-element", "tvar-under-tmany"],
+)
+def test_a_deep_type_in_a_type_error_is_cut(tmp_path, case, flags, code, message):
+    # at depth 40 each of these types has a full text of about 10**13
+    # characters; the message cuts it at 1,000
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(_deep_type_file(case, 40)))
+    res = _spacekam("check", str(f), *flags, timeout=10)
+    assert res.returncode == code, res.stderr[-300:]
+    assert message in res.stdout + res.stderr
+    assert "..." in res.stdout + res.stderr
+    assert len(res.stdout) + len(res.stderr) < 10_000
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

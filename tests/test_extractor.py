@@ -33,9 +33,9 @@ from spacekam.extractor import (
     ShapeMismatch,
     StepEquationError,
     _Cl,
-    _Env,
     _Stack,
     _USE,
+    _env_weights,
     _join,
     dry_type_closure,
     dry_type_env,
@@ -65,6 +65,9 @@ def nested(depth):
     for _ in range(depth):
         c = Closure(Var("x"), ("x", c, ()))
     return c
+
+
+POW2_4 = church(4) + " " + church(2) + r" (\a.a) (\b.b)"
 
 
 # ---------------------------------------------------------------- dry typings
@@ -175,6 +178,34 @@ def test_expand_fills_time_weights_of_a_foreign_derivation(example_skam):
     assert d.time == example_skam.time
 
 
+@pytest.mark.parametrize("read_back", [False, True], ids=["minted", "from-json"])
+@pytest.mark.parametrize("src", [r"(\x.(\y.(\z.x) (x y)) x) (\a.a)", POW2_4])
+def test_expand_twice_on_one_derivation_gives_equal_results(src, read_back):
+    # the undo rules change the state's environment typing in place, and
+    # expand reads that typing anew from prev on each call, so a second
+    # expand of the same prev gives an equal derivation, and prev's file
+    # stays as it was
+    run = skam_run(compile(parse_term(src)), 10_000)
+    states = [run.initial] + [s for _, s in run.trace]
+    d = type_final_state(states[-1])
+    for i in reversed(range(run.transitions)):
+        prev = derivation_from_json(derivation_to_json(d)) if read_back else d
+        before = derivation_to_json(prev)
+        step = (run.trace[i][0], states[i])
+        d = expand(prev, step)
+        assert expand(prev, step) == d
+        assert derivation_to_json(prev) == before
+    assert d.conclusion.weight == run.space and d.time == run.time
+
+
+@pytest.mark.parametrize("src", [r"(\x.(\y.(\z.x) (x y)) x) (\a.a)", POW2_4])
+def test_extract_twice_on_one_run_gives_equal_results(src):
+    t = compile(parse_term(src))
+    run, krun = skam_run(t, 10_000), kam_run(t, 10_000)
+    assert extract(run) == extract(run)
+    assert extract_kam(krun) == extract_kam(krun)
+
+
 def test_time_weight_is_not_part_of_the_derivation(example_skam, example_space_derivation):
     d = extract(example_skam)
     assert d.time == weight_of(d, "time") == 11
@@ -224,7 +255,6 @@ def test_extract_reweights_to_the_hand_built_time_tree(
 
 
 C64 = church(64) + r" (\a.a) (\b.b)"
-POW2_4 = church(4) + " " + church(2) + r" (\a.a) (\b.b)"
 
 
 def _nodes(d) -> dict:
@@ -414,7 +444,7 @@ def test_join_weights_are_the_checkers(weights):
     # one closure's typings weigh as those nodes would
     spaces, times = [w for w, _ in weights], [t for _, t in weights]
     cls = [_Cl(None, _USE, None, None, w, t) for w, t in weights]
-    env, stack, joined = _Env(dict(enumerate(cls))), None, None
+    env, stack, joined = dict(enumerate(cls)), None, None
     for cl in reversed(cls):
         stack = _Stack(cl, stack)
         joined = cl if joined is None else _join(cl, joined)
@@ -423,10 +453,10 @@ def test_join_weights_are_the_checkers(weights):
             rule_weight(rule, EMPTY_CONTEXT, STAR, spaces, "space"),
             rule_weight(rule, EMPTY_CONTEXT, STAR, times, "time"),
         )
-        assert (env.space, env.time) == want
+        assert _env_weights(env) == want
         if cls:
             assert (stack.space, stack.time) == (joined.space, joined.time) == want
-    assert (_Env({}).space, _Env({}).time) == (0, 0)
+    assert _env_weights({}) == (0, 0)
 
 
 @pytest.mark.parametrize(
